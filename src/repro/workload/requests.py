@@ -15,6 +15,36 @@ import numpy as np
 from repro.workload.config import HOUR
 
 
+def _grouped_ages(
+    uniforms: np.ndarray,
+    windows: np.ndarray,
+    counts: np.ndarray,
+    gamma: float,
+    time_unit: float,
+) -> np.ndarray:
+    """Inverse-CDF ages for consecutive groups of uniform draws.
+
+    Group g is the next ``counts[g]`` entries of ``uniforms``, truncated
+    at ``windows[g]``.  The per-group constants are computed as scalars
+    and repeated: numpy's array pow differs from the scalar pow in the
+    last ulp, and the trace is pinned to the scalar value.
+    """
+    scaled_max = windows / time_unit
+    if abs(gamma) < 1e-12:
+        ages = uniforms * np.repeat(scaled_max, counts)
+    elif abs(gamma - 1.0) < 1e-12:
+        # CDF(x) = ln(1+x)/ln(1+A)  =>  x = (1+A)^u − 1
+        logs = [np.log1p(scaled) for scaled in scaled_max]
+        ages = np.expm1(uniforms * np.repeat(logs, counts))
+    else:
+        # CDF(x) = (1 − (1+x)^(1−γ)) / (1 − (1+A)^(1−γ))
+        exponent = 1.0 - gamma
+        tops = [(1.0 + scaled) ** exponent for scaled in scaled_max]
+        inner = 1.0 - uniforms * (1.0 - np.repeat(tops, counts))
+        ages = inner ** (1.0 / exponent) - 1.0
+    return np.clip(ages * time_unit, 0.0, np.repeat(windows, counts))
+
+
 def sample_ages(
     count: int,
     max_age: float,
@@ -34,20 +64,9 @@ def sample_ages(
         return np.zeros(0)
     if max_age == 0.0:
         return np.zeros(count)
-    scaled_max = max_age / time_unit
-    uniforms = rng.uniform(size=count)
-    if abs(gamma) < 1e-12:
-        ages = uniforms * scaled_max
-    elif abs(gamma - 1.0) < 1e-12:
-        # CDF(x) = ln(1+x)/ln(1+A)  =>  x = (1+A)^u − 1
-        ages = np.expm1(uniforms * np.log1p(scaled_max))
-    else:
-        # CDF(x) = (1 − (1+x)^(1−γ)) / (1 − (1+A)^(1−γ))
-        exponent = 1.0 - gamma
-        top = (1.0 + scaled_max) ** exponent
-        inner = 1.0 - uniforms * (1.0 - top)
-        ages = inner ** (1.0 / exponent) - 1.0
-    return np.clip(ages * time_unit, 0.0, max_age)
+    return _grouped_ages(
+        rng.uniform(size=count), np.array([max_age]), [count], gamma, time_unit
+    )
 
 
 def request_times_for_page(
@@ -110,13 +129,14 @@ def request_times_for_versions(
     else:
         picks = rng.integers(len(live), size=count)
     per_version = np.bincount(picks, minlength=len(live))
-    chunks = []
-    for index, version_count in enumerate(per_version):
-        if version_count == 0:
-            continue
-        window = horizon - live[index]
-        ages = sample_ages(int(version_count), window, gamma, rng)
-        chunks.append(live[index] + ages)
-    times = np.concatenate(chunks)
+    used = per_version.nonzero()[0]
+    counts = per_version[used]
+    starts = live[used]
+    # One draw for the whole page: the same doubles, in the same order,
+    # as one draw per version in version order.
+    ages = _grouped_ages(
+        rng.uniform(size=count), horizon - starts, counts, gamma, HOUR
+    )
+    times = np.repeat(starts, counts) + ages
     times.sort()
     return times

@@ -14,8 +14,6 @@ assigned uniformly to that day's pool.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.workload.config import DAY
@@ -37,27 +35,32 @@ def daily_pools(
     server_count: int,
     overlap: float,
     rng: np.random.Generator,
-) -> List[np.ndarray]:
+) -> np.ndarray:
     """Evolve a page's candidate pool over ``day_count`` days.
 
-    Day d+1 keeps ``round(overlap·|pool|)`` members of day d's pool and
-    refills with servers outside it.  When the pool already covers all
-    servers there is nothing to swap in, so the pool persists.
+    Returns a ``(day_count, |pool|)`` array, one row per day.  Day d+1
+    keeps ``round(overlap·|pool|)`` members of day d's pool and refills
+    with servers outside it.  When the pool already covers all servers
+    there is nothing to swap in, so the pool persists.
     """
-    pools = [pool]
     size = len(pool)
-    for _ in range(1, day_count):
-        current = pools[-1]
-        keep_count = int(round(overlap * size))
-        keep_count = min(keep_count, size)
-        outside = np.setdiff1d(np.arange(server_count), current, assume_unique=False)
+    pools = np.empty((day_count, size), dtype=np.int64)
+    pools[0] = pool
+    keep_count = min(int(round(overlap * size)), size)
+    for day in range(1, day_count):
+        current = pools[day - 1]
+        absent = np.ones(server_count, dtype=bool)
+        absent[current] = False
+        outside = absent.nonzero()[0]
         swap_count = min(size - keep_count, len(outside))
+        # Drawn even when nothing is swapped (the pool covers every
+        # server): skipping it would shift every later draw of the stream.
         kept = rng.choice(current, size=size - swap_count, replace=False)
         if swap_count:
             fresh = rng.choice(outside, size=swap_count, replace=False)
-            pools.append(np.concatenate([kept, fresh]))
+            pools[day] = np.concatenate([kept, fresh])
         else:
-            pools.append(current)
+            pools[day] = current
     return pools
 
 
@@ -85,8 +88,6 @@ def assign_servers(
     day_count = int(day_index.max()) + 1
     first_pool = rng.choice(server_count, size=size, replace=False)
     pools = daily_pools(first_pool, day_count, server_count, overlap, rng)
-    assignments = np.empty(len(request_times), dtype=np.int64)
-    for position, day in enumerate(day_index):
-        pool = pools[day]
-        assignments[position] = pool[int(rng.integers(len(pool)))]
-    return assignments
+    # One bounded draw per request, in time order, into that day's pool.
+    draws = rng.integers(size, size=len(request_times))
+    return pools[day_index, draws]

@@ -10,9 +10,10 @@ sort), so iterating a 10M-event trace costs O(chunk), not O(trace).
 
 Bit identity with the materialized form follows from two facts:
 
-* **Same draws.**  The per-page RNG consumption (request times, then
-  server assignment, page by page in id order) is byte-for-byte the
-  code path of ``generate_workload``, against the same named streams.
+* **Same draws.**  Both forms consume the one per-page generator,
+  :func:`repro.workload.trace._request_columns` (request times, then
+  server assignment, page by page in id order), against the same
+  named streams.
 * **Same order.**  The materialized form sorts requests by
   ``(time, server_id, page_id)`` and publishes by ``(time, page_id)``.
   Each spilled run is sorted by the full key and the k-way merge
@@ -49,19 +50,15 @@ import numpy as np
 
 from repro.sim.rng import RandomStreams
 from repro.workload.config import WorkloadConfig
-from repro.workload.popularity import popularity_model
-from repro.workload.publishing import generate_publishing_stream
-from repro.workload.requests import (
-    request_times_for_page,
-    request_times_for_versions,
-)
-from repro.workload.servers import assign_servers
-from repro.workload.sizes import generate_sizes
 from repro.workload.trace import (
     PageSpec,
     PublishRecord,
     RequestRecord,
+    Workload,
+    _page_table,
+    _request_columns,
     capacities_from_unique,
+    unique_bytes_from_pairs,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -272,14 +269,7 @@ class StreamingWorkload:
 
     def unique_bytes_per_server(self) -> Dict[int, int]:
         """Unique requested bytes per server; see :class:`Workload`."""
-        sizes = {page.page_id: page.size for page in self.pages}
-        seen: Dict[int, set] = {}
-        for page_id, server_id in self._pair_counts:
-            seen.setdefault(server_id, set()).add(page_id)
-        return {
-            server: sum(sizes[page_id] for page_id in pages)
-            for server, pages in seen.items()
-        }
+        return unique_bytes_from_pairs(self.pages, self._pair_counts)
 
     def capacities(self, fraction: float) -> Dict[int, int]:
         """Per-server capacities; bit-identical to the materialized form."""
@@ -287,15 +277,8 @@ class StreamingWorkload:
             self.unique_bytes_per_server(), self.config.server_count, fraction
         )
 
-    def version_at(self, page_id: int, when: float) -> int:
-        """Version of ``page_id`` current at ``when``; see :class:`Workload`."""
-        page = self.pages[page_id]
-        if page.modification_interval <= 0.0:
-            return 0
-        elapsed = max(0.0, when - page.first_publish)
-        return min(
-            page.version_count - 1, int(elapsed // page.modification_interval)
-        )
+    #: The materialized form's closed-form lookup; it reads ``pages`` only.
+    version_at = Workload.version_at
 
     # -- subscription churn ----------------------------------------------
 
@@ -332,8 +315,6 @@ class StreamingWorkload:
 
     def materialize(self) -> "Workload":
         """Collect the streams into an ordinary :class:`Workload`."""
-        from repro.workload.trace import Workload
-
         return Workload(
             config=self.config,
             pages=self.pages,
@@ -408,39 +389,15 @@ def generate_streaming_workload(
 ) -> StreamingWorkload:
     """Run the §4 pipeline spilling events to disk instead of RAM.
 
-    Consumes the RNG streams in exactly the order of
-    :func:`~repro.workload.trace.generate_workload` (the per-page loop
-    is the same code against the same streams), so the two forms are
-    bit-identical; only where the records *live* differs.
+    The page table and the per-page request columns come from the
+    generators :func:`~repro.workload.trace.generate_workload` itself
+    consumes (``_page_table`` / ``_request_columns``), so the two forms
+    are bit-identical by construction; only where the records *live*
+    differs.
     """
     if chunk_events < 1:
         raise ValueError(f"chunk_events must be >= 1, got {chunk_events}")
-    sizes = generate_sizes(config, streams.stream("workload.sizes"))
-    ranks, counts, classes = popularity_model(
-        config.distinct_pages,
-        config.zipf_alpha,
-        config.total_requests,
-        config.class_count,
-        config.class_rate_decay,
-        streams.stream("workload.popularity"),
-    )
-    first_times, intervals, version_times = generate_publishing_stream(
-        config, streams.stream("workload.publishing"), popularity_counts=counts
-    )
-
-    pages = [
-        PageSpec(
-            page_id=page_id,
-            size=int(sizes[page_id]),
-            rank=int(ranks[page_id]),
-            popularity_class=int(classes[page_id]),
-            request_count=int(counts[page_id]),
-            first_publish=float(first_times[page_id]),
-            modification_interval=float(intervals[page_id]),
-            version_count=len(version_times[page_id]),
-        )
-        for page_id in range(config.distinct_pages)
-    ]
+    pages, version_times = _page_table(config, streams)
 
     spool = _Spool()
     try:
@@ -462,51 +419,11 @@ def generate_streaming_workload(
             spool.request_path, REQUEST_DTYPE, chunk_events
         )
         pair_counts: Dict[Tuple[int, int], int] = {}
-        request_rng = streams.stream("workload.requests")
-        server_rng = streams.stream("workload.servers")
-        max_count = max(1, int(counts.max())) if len(counts) else 1
-        for page_id in range(config.distinct_pages):
-            count = int(counts[page_id])
-            if count == 0:
-                continue
-            gamma = config.age_exponents[int(classes[page_id])]
-            if config.age_from_latest_version:
-                times = request_times_for_versions(
-                    count,
-                    version_times[page_id],
-                    config.horizon,
-                    gamma,
-                    request_rng,
-                    story_decay=config.story_decay,
-                    story_decay_mode=config.story_decay_mode,
-                    story_decay_exponent=config.story_decay_exponent,
-                    story_halflife_hours=config.story_halflife_hours,
-                )
-            else:
-                times = request_times_for_page(
-                    count,
-                    float(first_times[page_id]),
-                    config.horizon,
-                    gamma,
-                    request_rng,
-                )
-            if len(times) == 0:
-                continue
-            servers = assign_servers(
-                times,
-                float(first_times[page_id]),
-                popularity=count,
-                max_popularity=max_count,
-                server_count=config.server_count,
-                overlap=config.pool_overlap,
-                rng=server_rng,
-                exponent=config.pool_exponent,
-            )
-            servers = np.asarray(servers, dtype=np.int32)
+        for page_id, times, servers in _request_columns(
+            config, streams, pages, version_times
+        ):
             request_writer.append(
-                np.asarray(times, dtype=np.float64),
-                servers,
-                np.full(len(times), page_id, dtype=np.int32),
+                times, servers, np.full(len(times), page_id, dtype=np.int32)
             )
             unique_servers, per_server = np.unique(servers, return_counts=True)
             for server_id, server_count in zip(

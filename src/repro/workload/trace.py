@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from itertools import chain
+from operator import attrgetter
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -127,14 +129,7 @@ class Workload:
         small (a handful of average pages at the 5 % setting), which is
         consistent with the absolute hit-ratio levels it reports.
         """
-        sizes = {page.page_id: page.size for page in self.pages}
-        seen: Dict[int, set] = {}
-        for record in self.requests:
-            seen.setdefault(record.server_id, set()).add(record.page_id)
-        return {
-            server: sum(sizes[page_id] for page_id in pages)
-            for server, pages in seen.items()
-        }
+        return unique_bytes_from_pairs(self.pages, set(self.request_pairs()))
 
     def capacities(self, fraction: float) -> Dict[int, int]:
         """Per-server cache capacity at the given fraction (e.g. 0.05).
@@ -174,11 +169,13 @@ class Workload:
             "label": self.label,
             "config": asdict(self.config),
             "pages": [asdict(page) for page in self.pages],
-            "publishes": [asdict(event) for event in self.publishes],
-            "requests": [asdict(record) for record in self.requests],
+            "publishes": _event_dicts(self.publishes, "time", "page_id", "version"),
+            "requests": _event_dicts(self.requests, "time", "server_id", "page_id"),
         }
         if self.lifecycle:
-            payload["lifecycle"] = [asdict(event) for event in self.lifecycle]
+            payload["lifecycle"] = _event_dicts(
+                self.lifecycle, "time", "server_id", "page_id", "kind", "lease"
+            )
         if self.churn is not None:
             payload["churn"] = asdict(self.churn)
         return json.dumps(payload)
@@ -207,6 +204,23 @@ class Workload:
         )
 
 
+def _event_dicts(events, *names: str) -> List[dict]:
+    """``asdict`` of flat records, minus its recursive deep copy (3x the encoding)."""
+    fields = attrgetter(*names)
+    return [dict(zip(names, fields(event))) for event in events]
+
+
+def unique_bytes_from_pairs(
+    pages: List[PageSpec], pairs: Iterable[Tuple[int, int]]
+) -> Dict[int, int]:
+    """Per-server sum of page sizes over *distinct* ``(page_id, server_id)`` pairs."""
+    sizes = {page.page_id: page.size for page in pages}
+    unique: Dict[int, int] = {}
+    for page_id, server_id in pairs:
+        unique[server_id] = unique.get(server_id, 0) + sizes[page_id]
+    return unique
+
+
 def capacities_from_unique(
     unique: Dict[int, int], server_count: int, fraction: float
 ) -> Dict[int, int]:
@@ -225,10 +239,14 @@ def capacities_from_unique(
     return capacities
 
 
-def generate_workload(
-    config: WorkloadConfig, streams: RandomStreams, label: str = ""
-) -> Workload:
-    """Run the full §4 generation pipeline."""
+def _page_table(
+    config: WorkloadConfig, streams: RandomStreams
+) -> Tuple[List[PageSpec], List[List[float]]]:
+    """§4 prologue (sizes → popularity → publishing) shared by both trace forms.
+
+    Returns the :class:`PageSpec` list and every page's version
+    publication times.
+    """
     sizes = generate_sizes(config, streams.stream("workload.sizes"))
     ranks, counts, classes = popularity_model(
         config.distinct_pages,
@@ -241,7 +259,6 @@ def generate_workload(
     first_times, intervals, version_times = generate_publishing_stream(
         config, streams.stream("workload.publishing"), popularity_counts=counts
     )
-
     pages = [
         PageSpec(
             page_id=page_id,
@@ -255,27 +272,33 @@ def generate_workload(
         )
         for page_id in range(config.distinct_pages)
     ]
+    return pages, version_times
 
-    publishes = [
-        PublishRecord(time=when, page_id=page_id, version=version)
-        for page_id, times in enumerate(version_times)
-        for version, when in enumerate(times)
-    ]
-    publishes.sort(key=lambda event: (event.time, event.page_id))
 
+def _request_columns(
+    config: WorkloadConfig,
+    streams: RandomStreams,
+    pages: List[PageSpec],
+    version_times: List[List[float]],
+) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+    """Yield ``(page_id, times, servers)`` columns, page by page in id order.
+
+    The one per-page loop behind both trace forms: sorted float64 request
+    times and the int32 proxy id of each.  The draw order is part of the
+    trace format (docs/architecture.md, "Workload generation").
+    """
     request_rng = streams.stream("workload.requests")
     server_rng = streams.stream("workload.servers")
-    max_count = max(1, int(counts.max())) if len(counts) else 1
-    requests: List[RequestRecord] = []
-    for page_id in range(config.distinct_pages):
-        count = int(counts[page_id])
+    max_count = max(1, max(page.request_count for page in pages))
+    for page in pages:
+        count = page.request_count
         if count == 0:
             continue
-        gamma = config.age_exponents[int(classes[page_id])]
+        gamma = config.age_exponents[page.popularity_class]
         if config.age_from_latest_version:
             times = request_times_for_versions(
                 count,
-                version_times[page_id],
+                version_times[page.page_id],
                 config.horizon,
                 gamma,
                 request_rng,
@@ -286,13 +309,13 @@ def generate_workload(
             )
         else:
             times = request_times_for_page(
-                count, float(first_times[page_id]), config.horizon, gamma, request_rng
+                count, page.first_publish, config.horizon, gamma, request_rng
             )
         if len(times) == 0:
             continue
         servers = assign_servers(
             times,
-            float(first_times[page_id]),
+            page.first_publish,
             popularity=count,
             max_popularity=max_count,
             server_count=config.server_count,
@@ -300,11 +323,48 @@ def generate_workload(
             rng=server_rng,
             exponent=config.pool_exponent,
         )
-        requests.extend(
-            RequestRecord(time=float(when), server_id=int(server), page_id=page_id)
-            for when, server in zip(times, servers)
+        yield page.page_id, times, servers.astype(np.int32)
+
+
+def _sorted_records(record_type, columns, page_position: int, page_ids: List[int]):
+    """Records built from key-ordered ``columns``, sorted by the full key.
+
+    ``page_ids[i] == i``: every record of a page shares that one ``int``
+    object, where ``tolist()`` alone would mint one per record.
+    """
+    # lexsort's *last* key is primary
+    order = np.lexsort(tuple(reversed(columns)))
+    fields = [column[order].tolist() for column in columns]
+    fields[page_position] = map(page_ids.__getitem__, fields[page_position])
+    return list(map(record_type, *fields))
+
+
+def generate_workload(
+    config: WorkloadConfig, streams: RandomStreams, label: str = ""
+) -> Workload:
+    """Run the full §4 generation pipeline."""
+    pages, version_times = _page_table(config, streams)
+    page_ids = list(range(config.distinct_pages))
+
+    version_counts = list(map(len, version_times))
+    publish_columns = (
+        np.fromiter(chain.from_iterable(version_times), dtype=np.float64),
+        np.repeat(np.arange(len(pages), dtype=np.int32), version_counts),
+        np.fromiter(chain.from_iterable(map(range, version_counts)), dtype=np.int32),
+    )
+    publishes = _sorted_records(PublishRecord, publish_columns, 1, page_ids)
+
+    requests: List[RequestRecord] = []
+    chunks = list(_request_columns(config, streams, pages, version_times))
+    if chunks:
+        requested, times, servers = zip(*chunks)
+        columns = (
+            np.concatenate(times),
+            np.concatenate(servers),
+            np.repeat(np.array(requested, dtype=np.int32), list(map(len, times))),
         )
-    requests.sort(key=lambda record: (record.time, record.server_id, record.page_id))
+        del chunks, times, servers
+        requests = _sorted_records(RequestRecord, columns, 2, page_ids)
 
     return Workload(
         config=config,

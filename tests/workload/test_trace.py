@@ -1,12 +1,14 @@
 """Tests for workload assembly and the Workload container."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from repro.sim.rng import RandomStreams
-from repro.workload.config import DAY, WorkloadConfig
+from repro.workload.churn import ChurnSpec
+from repro.workload.config import DAY, HOUR, WorkloadConfig
 from repro.workload.presets import alternative_config, make_trace, news_config
 from repro.workload.trace import Workload, generate_workload
 
@@ -95,6 +97,26 @@ def test_unique_bytes_and_capacities(small_trace):
         small_trace.capacities(0.0)
 
 
+def test_unique_bytes_match_per_request_loop(small_trace):
+    """The one pass over distinct pairs against the per-request loop it replaced."""
+    sizes = {page.page_id: page.size for page in small_trace.pages}
+    seen = {}
+    for record in small_trace.requests:
+        seen.setdefault(record.server_id, set()).add(record.page_id)
+    reference = {
+        server: sum(sizes[page_id] for page_id in pages)
+        for server, pages in seen.items()
+    }
+    assert small_trace.unique_bytes_per_server() == reference
+    for fraction in (0.01, 0.05, 1.0):
+        mean_bytes = sum(reference.values()) / len(reference)
+        expected = {
+            server: max(1, int(reference.get(server, mean_bytes) * fraction))
+            for server in range(small_trace.config.server_count)
+        }
+        assert small_trace.capacities(fraction) == expected
+
+
 def test_capacity_for_silent_server():
     config = dataclasses.replace(
         news_config(scale=0.02), server_count=50
@@ -103,6 +125,30 @@ def test_capacity_for_silent_server():
     capacities = trace.capacities(0.05)
     assert len(capacities) == 50
     assert all(value >= 1 for value in capacities.values())
+
+
+def test_to_json_equals_asdict_form(small_trace):
+    """Field-by-field event dicts serialize byte for byte like ``asdict``."""
+    churned = small_trace.with_churn(
+        ChurnSpec(churn_rate=2.0, lease_duration=2 * HOUR, renew_probability=0.6),
+        RandomStreams(3).stream("workload.churn"),
+    )
+    assert churned.lifecycle
+    for workload in (small_trace, churned):
+        payload = {
+            "label": workload.label,
+            "config": dataclasses.asdict(workload.config),
+            "pages": [dataclasses.asdict(page) for page in workload.pages],
+            "publishes": [dataclasses.asdict(event) for event in workload.publishes],
+            "requests": [dataclasses.asdict(record) for record in workload.requests],
+        }
+        if workload.lifecycle:
+            payload["lifecycle"] = [
+                dataclasses.asdict(event) for event in workload.lifecycle
+            ]
+        if workload.churn is not None:
+            payload["churn"] = dataclasses.asdict(workload.churn)
+        assert workload.to_json() == json.dumps(payload)
 
 
 def test_json_roundtrip(small_trace):
