@@ -20,7 +20,7 @@ list straight from ``_live.values()`` with no tuple construction.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 
 #: Auto-compaction floor: backing lists shorter than this are never
@@ -33,8 +33,8 @@ class AddressableHeap:
 
     The three backing fields are slotted — ``push`` runs once per
     replayed request — while ``"__dict__"`` stays in the slot list so
-    :meth:`instrument` can still shadow ``push``/``pop`` with
-    per-instance profiler wrappers.
+    :meth:`instrument` can still shadow ``push``/``pop``/``pop_cheaper``
+    with per-instance profiler wrappers.
     """
 
     __slots__ = ("_heap", "_live", "_sequence", "__dict__")
@@ -125,6 +125,62 @@ class AddressableHeap:
             return None
         return self._heap[0][0]
 
+    def pop_cheaper(
+        self, needed: int, threshold: Optional[float], entries: Mapping
+    ) -> Optional[List[Tuple[Hashable, float]]]:
+        """Pop minima until their sizes total ``needed``, all or nothing.
+
+        The one conditional-eviction loop of the code base.  Records
+        are popped cheapest first while their priority is strictly
+        below ``threshold`` (``None``: unconditionally) until
+        ``entries[key].size`` of the popped keys sums to at least
+        ``needed``; the popped ``(key, priority)`` pairs are returned
+        in pop order.  If the heap runs out of cheap-enough records
+        first, every popped key is pushed back with its old priority
+        and ``None`` is returned.
+
+        The rollback re-pushes in pop order, each record taking a
+        *fresh* sequence number, so rolled-back keys move behind every
+        equal-priority key that stayed — tie order is part of the
+        simulation's results, and this renumbering with it.  Only a
+        reject whose very first probe finds nothing cheap enough
+        leaves the heap as it was (dead records skimmed off the top
+        aside).
+
+        Skim, peek and pop run inline on the backing list; ``compact``
+        rebuilds that list in place, so the alias held here survives a
+        compaction triggered by a rollback push.
+        """
+        heap = self._heap
+        live = self._live
+        popped: List[Tuple[Hashable, float]] = []
+        freed = 0
+        while freed < needed:
+            while heap:
+                record = heap[0]
+                if live.get(record[2]) is record:
+                    break
+                heappop(heap)
+            if not heap or (threshold is not None and record[0] >= threshold):
+                # Roll back: the same mutations as ``push``, per record.
+                sequence = self._sequence
+                for key, priority in popped:
+                    sequence += 1
+                    record = (priority, sequence, key)
+                    live[key] = record
+                    heappush(heap, record)
+                    heap_size = len(heap)
+                    if heap_size >= _COMPACT_FLOOR and heap_size > 2 * len(live):
+                        self.compact()
+                self._sequence = sequence
+                return None
+            heappop(heap)
+            key = record[2]
+            del live[key]
+            popped.append((key, record[0]))
+            freed += entries[key].size
+        return popped
+
     def keys(self):
         """Live keys (arbitrary order)."""
         return self._live.keys()
@@ -140,25 +196,29 @@ class AddressableHeap:
         ``(priority, sequence)`` sort keys, and heapify orders them
         exactly as lazy skimming would have.
 
-        Called opportunistically by callers that churn keys heavily;
-        never required for correctness.
+        The rebuild is in place: the list object never changes
+        identity, so an alias of it held across a ``push`` (the fused
+        loops in :meth:`pop_cheaper` and the policies' inlined pushes)
+        stays valid.  Never required for correctness.
         """
-        self._heap = list(self._live.values())
-        heapify(self._heap)
-
-    def maybe_compact(self, slack_factor: float = 4.0) -> None:
-        """Compact when dead records dominate the backing list."""
-        if len(self._heap) > slack_factor * max(8, len(self._live)):
-            self.compact()
+        heap = self._heap
+        heap[:] = self._live.values()
+        heapify(heap)
 
     def instrument(self, profiler) -> None:
-        """Time this instance's ``push``/``pop`` under ``heap.*`` phases.
+        """Time this instance's ``push``/``pop``/``pop_cheaper`` calls
+        under the ``heap.*`` phases.
 
         ``profiler`` is a :class:`repro.obs.profile.Profiler`.  The
         wrappers shadow the bound methods as instance attributes, so
-        uninstrumented heaps keep the plain class methods.  The
-        class-level ``update`` alias still resolves to the unwrapped
-        ``push``; callers of ``update`` go untimed.
+        uninstrumented heaps keep the plain class methods.  The phases
+        cover *calls through those attributes* only: the pushes a
+        ``pop_cheaper`` rollback makes are inside ``heap.pop_cheaper``,
+        the hit-path pushes GD* and SG1/SG2/SR inline land under
+        ``policy.on_request``, DC-AP's donation scan under
+        ``policy.on_publish``, and the class-level ``update`` alias
+        still resolves to the unwrapped ``push``.
         """
         self.push = profiler.wrap(self.push, "heap.push")
         self.pop = profiler.wrap(self.pop, "heap.pop")
+        self.pop_cheaper = profiler.wrap(self.pop_cheaper, "heap.pop_cheaper")

@@ -99,13 +99,14 @@ class CacheStorage:
             raise ValueError(
                 f"page {entry.page_id} already cached; remove or replace it"
             )
-        if entry.size > self.free_bytes:
+        size = entry.size
+        if size > self.capacity_bytes - self._used_bytes:
             raise ValueError(
-                f"no room for page {entry.page_id}: size={entry.size} "
+                f"no room for page {entry.page_id}: size={size} "
                 f"free={self.free_bytes}"
             )
         self._entries[entry.page_id] = entry
-        self._used_bytes += entry.size
+        self._used_bytes += size
         if self.listener is not None:
             self.listener("add", entry)
 

@@ -12,13 +12,20 @@ and implements the two eviction disciplines the strategies need:
   the page is rejected.
 
 Both return the value of the last evicted page so GD*-framework callers
-can maintain the inflation value ``L``.
+can maintain the inflation value ``L``, and both are one loop:
+:meth:`~repro.cache.heap.AddressableHeap.pop_cheaper` decides on the
+heap alone (skim, peek, pop while cheaper, roll back on failure) and
+``HeapCache`` removes the chosen pages from storage afterwards.  A
+rejected attempt therefore never touches storage, and callers price the
+page and ask here *before* building its ``CacheEntry`` — most attempts
+at the paper's scale are rejections (see docs/architecture.md,
+"Placement hot path").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.cache.entry import CacheEntry
 from repro.cache.heap import AddressableHeap
@@ -113,38 +120,24 @@ class HeapCache:
 
     # -- eviction disciplines ----------------------------------------------
 
-    def evict_for(self, size: int) -> EvictionResult:
-        """Unconditional GD*-style eviction: make ``size`` bytes free.
-
-        Fails only when ``size`` exceeds total capacity (nothing is
-        evicted in that case).
-        """
-        storage = self.storage
-        if size <= storage.free_bytes:
-            return _FITS
-        if size > storage.capacity_bytes:
-            return _REJECTED
-        evicted: List[CacheEntry] = []
-        last_value: Optional[float] = None
-        while storage.free_bytes < size:
-            page_id, value = self.heap.pop()
-            entry = storage.remove(page_id)
-            evicted.append(entry)
-            last_value = value
-        return EvictionResult(success=True, evicted=evicted, last_value=last_value)
-
-    def evict_cheaper_for(self, size: int, threshold: float) -> EvictionResult:
-        """Conditional eviction: only entries with value < ``threshold``.
+    def evict_cheaper_for(
+        self, size: int, threshold: Optional[float] = None
+    ) -> EvictionResult:
+        """Conditional eviction: only entries with value < ``threshold``
+        (``None``: every entry is a candidate).
 
         All-or-nothing: if the cheap entries plus existing free space
         cannot fit ``size`` bytes, no entry is evicted and the result is
-        a failure.  Implemented as pop-and-rollback so no O(n) scan of
-        the cache is needed per placement attempt.
+        a failure.  The decision is :meth:`AddressableHeap.pop_cheaper`'s
+        single pop-and-rollback loop — no O(n) scan of the cache per
+        placement attempt, and one call below this one whatever the
+        number of victims; storage is touched only once the heap has
+        said yes, in pop order.
 
         Runs once per placement attempt (every cache miss under the
         gated policies), so the byte arithmetic reads the storage
         fields directly instead of going through the ``free_bytes``
-        property on every probe.
+        property.
         """
         storage = self.storage
         capacity = storage.capacity_bytes
@@ -153,29 +146,18 @@ class HeapCache:
             return _FITS
         if size > capacity:
             return _REJECTED
+        popped = self.heap.pop_cheaper(size - free, threshold, self._entries)
+        if popped is None:
+            return _REJECTED
+        remove = storage.remove
+        evicted = [remove(page_id) for page_id, _value in popped]
+        return EvictionResult(True, evicted, popped[-1][1])
 
-        heap = self.heap
-        entries = self._entries
-        popped: List[Tuple[int, float]] = []
-        freed = 0
-        needed = size - free
-        while freed < needed:
-            minimum = heap.min_priority()
-            if minimum is None or minimum >= threshold:
-                # Not enough cheap pages: roll back.
-                for page_id, value in popped:
-                    heap.push(page_id, value)
-                return _REJECTED
-            page_id, value = heap.pop()
-            popped.append((page_id, value))
-            freed += entries[page_id].size
-
-        evicted = []
-        last_value: Optional[float] = None
-        for page_id, value in popped:
-            evicted.append(storage.remove(page_id))
-            last_value = value
-        return EvictionResult(success=True, evicted=evicted, last_value=last_value)
+    #: ``evict_for(size)`` — unconditional GD*-style eviction: make
+    #: ``size`` bytes free, failing (and evicting nothing) only when
+    #: ``size`` exceeds total capacity.  The same method with every
+    #: entry a candidate; an alias, so the GD* miss path pays no hop.
+    evict_for = evict_cheaper_for
 
     # -- integrity --------------------------------------------------------------
 

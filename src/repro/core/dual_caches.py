@@ -24,7 +24,8 @@ on AC evictions.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from heapq import heappop
+from typing import List, Sequence, Tuple
 
 from repro.cache.entry import CacheEntry, ACCESS_MODULE, PUSH_MODULE
 from repro.core._base import HeapCache
@@ -42,7 +43,6 @@ from repro.core.policy import (
     PushOutcome,
     RequestOutcome,
 )
-from repro.core.values import gdstar_value, sub_value
 
 
 class _DualCacheBase(Policy):
@@ -65,16 +65,13 @@ class _DualCacheBase(Policy):
         pc_bytes = int(capacity_bytes * push_fraction)
         self.pc = HeapCache(pc_bytes)
         self.ac = HeapCache(capacity_bytes - pc_bytes)
-
-    # -- valuation --------------------------------------------------------
-
-    def _sub_value(self, entry: CacheEntry) -> float:
-        return sub_value(entry.match_count, entry.cost, entry.size)
-
-    def _gd_value(self, entry: CacheEntry) -> float:
-        return gdstar_value(
-            self.inflation, entry.access_count, entry.cost, entry.size, self.beta
-        )
+        # Hot-path aliases (see SingleCacheCombinedPolicy): direct
+        # entry probes and the loop-invariant ``1/beta``.  The heaps
+        # are reached through ``pc``/``ac`` on every use so a
+        # profiler's per-instance wrappers are picked up.
+        self._pc_entries = self.pc.storage.entries_by_id
+        self._ac_entries = self.ac.storage.entries_by_id
+        self._inv_beta = 1.0 / self.beta
 
     @property
     def push_fraction(self) -> float:
@@ -90,33 +87,31 @@ class _DualCacheBase(Policy):
         result = self.ac.evict_for(size)
         if not result.success:
             return False
-        for evicted in result.evicted:
-            self._note_eviction(evicted)
-        if result.last_value is not None:
-            self.inflation = result.last_value
         if result.evicted:
+            for evicted in result.evicted:
+                self._note_eviction(evicted)
+            self.inflation = result.last_value
             self._on_ac_replacement(result.evicted)
         return True
 
-    def _on_ac_replacement(self, evicted: List[CacheEntry]) -> None:
+    def _on_ac_replacement(self, evicted: Sequence[CacheEntry]) -> None:
         """Hook: DC-AP tracks replacement generations here."""
 
-    def _ac_admit(self, entry: CacheEntry) -> bool:
-        """Place ``entry`` into AC, evicting by GD* value as needed."""
+    def _ac_insert(self, entry: CacheEntry) -> None:
+        """Add ``entry`` to AC (room secured) at its GD* value under the
+        current L — eq. 1 inlined, same operation order as
+        values.gdstar_value."""
         entry.module = ACCESS_MODULE
-        if not self._ac_evict_for(entry.size):
-            return False
-        self.ac.add(entry, self._gd_value(entry))
+        base = entry.access_count * entry.cost / entry.size
+        if base <= 0.0:
+            value = self.inflation
+        else:
+            value = self.inflation + base ** self._inv_beta
+        self.ac.add(entry, value)
         self._on_ac_insert(entry)
-        return True
 
     def _on_ac_insert(self, entry: CacheEntry) -> None:
         """Hook: DC-AP stamps freshness here."""
-
-    def _ac_touch(self, entry: CacheEntry, now: float) -> None:
-        entry.record_access(now)
-        self.ac.reprice(entry, self._gd_value(entry))
-        self._on_ac_access(entry)
 
     def _on_ac_access(self, entry: CacheEntry) -> None:
         """Hook: DC-AP refreshes the idle-tracking stamp here."""
@@ -126,40 +121,53 @@ class _DualCacheBase(Policy):
     def on_publish(
         self, page_id: int, version: int, size: int, match_count: int, now: float
     ) -> PushOutcome:
-        in_pc = self.pc.get(page_id)
-        if in_pc is not None:
-            if in_pc.version == version:
+        stats = self.stats
+        resident = self._pc_entries.get(page_id)
+        if resident is not None:
+            if resident.version == version:
                 return PUSH_SKIPPED
-            in_pc.version = version
-            in_pc.match_count = match_count
-            self.pc.reprice(in_pc, self._sub_value(in_pc))
-            self.stats.record_push(stored=True, size=size, transferred=True)
+            resident.version = version
+            resident.match_count = match_count
+            self.pc.reprice(resident, match_count * resident.cost / resident.size)
+            stats.pages_pushed_stored += 1
+            stats.bytes_pushed += size
             return PUSH_REFRESHED
-        in_ac = self.ac.get(page_id)
-        if in_ac is not None:
-            if in_ac.version == version:
+        resident = self._ac_entries.get(page_id)
+        if resident is not None:
+            if resident.version == version:
                 return PUSH_SKIPPED
             # Content refresh of an access-cache resident; ownership
             # and GD* value are unchanged (an update is not an access).
-            in_ac.version = version
-            in_ac.match_count = match_count
-            self.stats.record_push(stored=True, size=size, transferred=True)
+            resident.version = version
+            resident.match_count = match_count
+            stats.pages_pushed_stored += 1
+            stats.bytes_pushed += size
             return PUSH_REFRESHED
 
-        stored = self._pc_place(page_id, version, size, match_count, now)
-        self.stats.record_push(stored=stored, size=size, transferred=stored)
-        return PUSH_STORED if stored else PUSH_SKIPPED
+        if self._pc_place(page_id, version, size, match_count, now):
+            stats.pages_pushed_stored += 1
+            stats.bytes_pushed += size
+            return PUSH_STORED
+        stats.pages_pushed_rejected += 1
+        return PUSH_SKIPPED
 
     def _pc_place(
         self, page_id: int, version: int, size: int, match_count: int, now: float
     ) -> bool:
-        """SUB placement into PC; subclasses may add repartitioning."""
-        value = sub_value(match_count, self.cost, size)
-        result = self.pc.evict_cheaper_for(size, threshold=value)
-        if not result.success:
+        """SUB placement into PC.
+
+        Value first, entry last: eq. 2 inlined (same operation order as
+        values.sub_value), the CacheEntry built only once PC has room.
+        """
+        if size <= 0:
+            raise ValueError(f"size must be positive, got {size}")
+        value = match_count * self.cost / size
+        result = self.pc.evict_cheaper_for(size, value)
+        if result.success:
+            for evicted in result.evicted:
+                self._note_eviction(evicted, "displaced")
+        elif not self._grow_pc_for(size):
             return False
-        for evicted in result.evicted:
-            self._note_eviction(evicted, cause="displaced")
         entry = CacheEntry(
             page_id=page_id,
             version=version,
@@ -172,58 +180,85 @@ class _DualCacheBase(Policy):
         self.pc.add(entry, value)
         return True
 
+    def _grow_pc_for(self, size: int) -> bool:
+        """Hook: DC-AP repartitions here when SUB cannot place a page."""
+        return False
+
     # -- access time (shared skeleton; PC-hit handling differs) ---------------
 
     def on_request(
         self, page_id: int, version: int, size: int, match_count: int, now: float
     ) -> RequestOutcome:
-        in_pc = self.pc.get(page_id)
-        if in_pc is not None:
-            if in_pc.version == version:
-                self._record_request(hit=True, size=size, now=now)
-                cached = self._promote(in_pc, now)
-                return REQUEST_HIT if cached else REQUEST_HIT_DROPPED
-            # Stale in PC: fetch fresh bytes, refresh, then promote —
-            # the page is referenced now, so it belongs to AC.
-            in_pc.version = version
-            self._record_request(hit=False, size=size, now=now, stale=True)
-            cached = self._promote(in_pc, now)
-            return REQUEST_STALE if cached else REQUEST_STALE_DROPPED
+        # Replay hot path: probes, valuation and stats inlined; the
+        # math reproduces values.gdstar_value bit for bit.
+        stats = self.stats
+        bucket = int(now // 3600.0)
+        stats.requests += 1
+        breq = stats.bucketed_requests
+        breq[bucket] = breq.get(bucket, 0) + 1
+        entry = self._ac_entries.get(page_id)
+        in_ac = entry is not None
+        if not in_ac:
+            entry = self._pc_entries.get(page_id)
+            if entry is None:
+                stats.pages_fetched += 1
+                stats.bytes_fetched += size
+                if not self._ac_evict_for(size):
+                    return REQUEST_MISS
+                entry = CacheEntry(
+                    page_id=page_id,
+                    version=version,
+                    size=size,
+                    cost=self.cost,
+                    match_count=match_count,
+                    access_count=1,
+                    last_access_time=now,
+                )
+                self._ac_insert(entry)
+                return REQUEST_MISS_CACHED
+        hit = entry.version == version
+        if not hit:
+            entry.version = version  # stale: fresh bytes are fetched
+        entry.access_count += 1
+        entry.accessed_since_replacement = True
+        entry.last_access_time = now
+        if in_ac:
+            base = entry.access_count * entry.cost / entry.size
+            if base <= 0.0:
+                value = self.inflation
+            else:
+                value = self.inflation + base ** self._inv_beta
+            entry.value = value
+            self.ac.heap.push(page_id, value)
+            self._on_ac_access(entry)
+            cached = True
+        else:
+            # First access to a PC resident: the page is referenced
+            # now, so it belongs to AC.
+            cached = self._promote(entry)
+        if hit:
+            stats.hits += 1
+            stats.bytes_served_local += size
+            bhits = stats.bucketed_hits
+            bhits[bucket] = bhits.get(bucket, 0) + 1
+            return REQUEST_HIT if cached else REQUEST_HIT_DROPPED
+        stats.stale_hits += 1
+        stats.pages_fetched += 1
+        stats.bytes_fetched += size
+        return REQUEST_STALE if cached else REQUEST_STALE_DROPPED
 
-        in_ac = self.ac.get(page_id)
-        if in_ac is not None:
-            if in_ac.version == version:
-                self._ac_touch(in_ac, now)
-                self._record_request(hit=True, size=size, now=now)
-                return REQUEST_HIT
-            in_ac.version = version
-            self._ac_touch(in_ac, now)
-            self._record_request(hit=False, size=size, now=now, stale=True)
-            return REQUEST_STALE
+    def _promote(self, entry: CacheEntry) -> bool:
+        """Rehouse a PC resident on its first access (already recorded
+        on the entry); returns whether the page is still cached.
 
-        self._record_request(hit=False, size=size, now=now)
-        entry = CacheEntry(
-            page_id=page_id,
-            version=version,
-            size=size,
-            cost=self.cost,
-            match_count=match_count,
-            access_count=1,
-            last_access_time=now,
-        )
-        cached = self._ac_admit(entry)
-        return REQUEST_MISS_CACHED if cached else REQUEST_MISS
-
-    def _promote(self, entry: CacheEntry, now: float) -> bool:
-        """Handle the first access to a PC resident.  Returns whether the
-        page is still cached afterwards."""
-        raise NotImplementedError
-
-    def _move_pc_entry_to_ac(self, entry: CacheEntry, now: float) -> bool:
-        """DC-FP semantics: physically move the page into AC space."""
+        DC-FP semantics: physically move the page into AC space, which
+        may trigger a GD* replacement there.
+        """
         self.pc.remove(entry.page_id)
-        entry.record_access(now)
-        return self._ac_admit(entry)
+        if not self._ac_evict_for(entry.size):
+            return False
+        self._ac_insert(entry)
+        return True
 
     def drop_contents(self) -> None:
         """Cold restart: both partitions empty out.  Partition *sizes*
@@ -266,9 +301,6 @@ class DualCacheFixedPolicy(_DualCacheBase):
     """DC-FP — dual caches with a fixed partition (§3.3)."""
 
     name = "dc-fp"
-
-    def _promote(self, entry: CacheEntry, now: float) -> bool:
-        return self._move_pc_entry_to_ac(entry, now)
 
 
 class DualCacheAdaptivePolicy(_DualCacheBase):
@@ -328,7 +360,7 @@ class DualCacheAdaptivePolicy(_DualCacheBase):
             self._stamps[entry.page_id] = self._ac_generation
             self._fresh_bytes += entry.size
 
-    def _on_ac_replacement(self, evicted: List[CacheEntry]) -> None:
+    def _on_ac_replacement(self, evicted: Sequence[CacheEntry]) -> None:
         # A replacement round begins a new generation: every surviving
         # AC entry becomes idle until accessed again.
         for entry in evicted:
@@ -336,76 +368,72 @@ class DualCacheAdaptivePolicy(_DualCacheBase):
         self._ac_generation += 1
         self._fresh_bytes = 0
 
-    @property
-    def _idle_bytes(self) -> int:
-        """Bytes of AC entries not accessed since the last replacement."""
-        return self.ac.used_bytes - self._fresh_bytes
-
-    def _is_idle(self, page_id: int) -> bool:
-        return self._stamps.get(page_id) != self._ac_generation
-
     # -- repartition: AC -> PC at push time -----------------------------------
 
-    def _pc_place(
-        self, page_id: int, version: int, size: int, match_count: int, now: float
-    ) -> bool:
-        if super()._pc_place(page_id, version, size, match_count, now):
-            return True
-        return self._pc_place_with_donation(page_id, version, size, match_count, now)
+    def _grow_pc_for(self, size: int) -> bool:
+        """The paper's DC-AP placing algorithm: grow PC from idle AC
+        pages until ``size`` bytes fit there, all or nothing.
 
-    def _pc_place_with_donation(
-        self, page_id: int, version: int, size: int, match_count: int, now: float
-    ) -> bool:
-        """The paper's DC-AP placing algorithm: grow PC from idle AC pages."""
-        if self._idle_bytes < size:
-            return False
+        The scan filters AC's minima by idleness, so it is its own loop
+        rather than ``pop_cheaper``; it reads the heap the same way
+        (skim and pop inline on the backing list) and keeps a running
+        donor total.
+        """
+        ac = self.ac
+        if ac.used_bytes - self._fresh_bytes < size:
+            return False  # not enough idle bytes in AC
+        pc_storage = self.pc.storage
+        heap = ac.heap
+        backing = heap._heap
+        live = heap._live
+        entries = self._ac_entries
+        stamps = self._stamps
+        generation = self._ac_generation
         donated: List[CacheEntry] = []
         set_aside: List[Tuple[int, float]] = []
-        pc_free = self.pc.free_bytes
+        needed = size - pc_storage.free_bytes
+        new_pc = pc_storage.capacity_bytes
+        total = max(1, self.capacity_bytes)
+        moved_bytes = 0
         feasible = True
-        while pc_free + sum(e.size for e in donated) < size:
-            minimum = self.ac.heap.min_priority()
-            if minimum is None:
+        while moved_bytes < needed:
+            while backing:
+                record = backing[0]
+                if live.get(record[2]) is record:
+                    break
+                heappop(backing)
+            if not backing:
                 feasible = False
                 break
-            victim_id, victim_value = self.ac.heap.pop()
-            if not self._is_idle(victim_id):
+            heappop(backing)
+            victim_value, _sequence, victim_id = record
+            del live[victim_id]
+            if stamps.get(victim_id) == generation:
+                # Accessed since the last AC replacement: not a donor.
                 set_aside.append((victim_id, victim_value))
                 continue
-            victim = self.ac.get(victim_id)
-            donated.append(victim)
-            new_pc = self.pc.capacity_bytes + sum(e.size for e in donated)
-            if new_pc / max(1, self.capacity_bytes) > self.upper_fraction:
-                donated.pop()
+            victim = entries[victim_id]
+            if (new_pc + victim.size) / total > self.upper_fraction:
                 set_aside.append((victim_id, victim_value))
                 feasible = False
                 break
+            donated.append(victim)
+            moved_bytes += victim.size
+            new_pc += victim.size
         # Fresh pages that surfaced during the scan go back untouched.
         for aside_id, aside_value in set_aside:
-            self.ac.heap.push(aside_id, aside_value)
+            heap.push(aside_id, aside_value)
         if not feasible:
             for entry in donated:
-                self.ac.heap.push(entry.page_id, entry.value)
+                heap.push(entry.page_id, entry.value)
             return False
         # Commit: evict donors from AC, relabel their bytes as PC.
-        moved_bytes = 0
         for entry in donated:
-            self.ac.storage.remove(entry.page_id)
-            self._stamps.pop(entry.page_id, None)
-            self._note_eviction(entry, cause="repartition")
-            moved_bytes += entry.size
-        self.ac.storage.resize(self.ac.capacity_bytes - moved_bytes)
-        self.pc.storage.resize(self.pc.capacity_bytes + moved_bytes)
-        new_entry = CacheEntry(
-            page_id=page_id,
-            version=version,
-            size=size,
-            cost=self.cost,
-            match_count=match_count,
-            module=PUSH_MODULE,
-            last_access_time=now,
-        )
-        self.pc.add(new_entry, sub_value(match_count, self.cost, size))
+            ac.storage.remove(entry.page_id)
+            stamps.pop(entry.page_id, None)
+            self._note_eviction(entry, "repartition")
+        ac.storage.resize(ac.capacity_bytes - moved_bytes)
+        pc_storage.resize(new_pc)
         return True
 
     # -- repartition: PC -> AC at access time ----------------------------------
@@ -416,20 +444,18 @@ class DualCacheAdaptivePolicy(_DualCacheBase):
         self._fresh_bytes = 0
         self._ac_generation += 1
 
-    def _promote(self, entry: CacheEntry, now: float) -> bool:
+    def _promote(self, entry: CacheEntry) -> bool:
         """Relabel the accessed PC page's storage as AC (no replacement).
 
         Falls back to the DC-FP physical move when shrinking PC below
         the lower bound is not allowed (DC-LAP).
         """
-        new_pc = self.pc.capacity_bytes - entry.size
+        pc = self.pc
+        new_pc = pc.capacity_bytes - entry.size
         if new_pc / max(1, self.capacity_bytes) < self.lower_fraction:
-            return self._move_pc_entry_to_ac(entry, now)
-        self.pc.remove(entry.page_id)
-        self.pc.storage.resize(new_pc)
+            return super()._promote(entry)
+        pc.remove(entry.page_id)
+        pc.storage.resize(new_pc)
         self.ac.storage.resize(self.ac.capacity_bytes + entry.size)
-        entry.record_access(now)
-        entry.module = ACCESS_MODULE
-        self.ac.add(entry, self._gd_value(entry))
-        self._on_ac_insert(entry)
+        self._ac_insert(entry)
         return True

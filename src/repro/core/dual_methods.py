@@ -18,7 +18,7 @@ has no access history yet — the interference the Dual-Cache variants
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.cache.entry import CacheEntry, ACCESS_MODULE, PUSH_MODULE
 from repro.cache.heap import AddressableHeap
@@ -35,7 +35,6 @@ from repro.core.policy import (
     PushOutcome,
     RequestOutcome,
 )
-from repro.core.values import gdstar_value, sub_value
 
 
 class DualMethodsPolicy(Policy):
@@ -54,35 +53,53 @@ class DualMethodsPolicy(Policy):
         self._storage = CacheStorage(capacity_bytes)
         self._push_heap = AddressableHeap()
         self._access_heap = AddressableHeap()
+        # Hot-path aliases (see SingleCacheCombinedPolicy): direct
+        # entry probes and the loop-invariant ``1/beta``.
+        self._entries = self._storage.entries_by_id
+        self._inv_beta = 1.0 / self.beta
 
-    # -- valuation -------------------------------------------------------
+    def _make_room(self, needed: int, threshold: Optional[float]) -> Optional[float]:
+        """Evict ``needed`` bytes by one module's order, all or nothing.
 
-    def _push_value(self, entry: CacheEntry) -> float:
-        return sub_value(entry.match_count, entry.cost, entry.size)
+        With a ``threshold`` (the incoming page's SUB value) the push
+        module applies SUB's candidate rule over the push heap; with
+        ``None`` the access module replaces unconditionally by GD*
+        value.  Either way the victims leave both heaps.  Returns the
+        last victim's value in the deciding heap, or ``None`` when the
+        candidates cannot make room — nothing was evicted then.
+        """
+        if threshold is None:
+            heap, other, cause = self._access_heap, self._push_heap, "capacity"
+        else:
+            heap, other, cause = self._push_heap, self._access_heap, "displaced"
+        popped = heap.pop_cheaper(needed, threshold, self._entries)
+        if popped is None:
+            return None
+        remove = self._storage.remove
+        for page_id, _value in popped:
+            other.discard(page_id)
+            self._note_eviction(remove(page_id), cause)
+        return popped[-1][1]
 
-    def _access_value(self, entry: CacheEntry) -> float:
-        return gdstar_value(
-            self.inflation, entry.access_count, entry.cost, entry.size, self.beta
-        )
-
-    def _insert(self, entry: CacheEntry) -> None:
+    def _insert(self, entry: CacheEntry, push_value: float) -> None:
+        """Store ``entry`` under both methods' values (eqs. 2 and 1)."""
         self._storage.add(entry)
-        self._push_heap.push(entry.page_id, self._push_value(entry))
-        access_value = self._access_value(entry)
+        self._push_heap.push(entry.page_id, push_value)
+        base = entry.access_count * entry.cost / entry.size
+        if base <= 0.0:
+            access_value = self.inflation
+        else:
+            access_value = self.inflation + base ** self._inv_beta
         entry.value = access_value
         self._access_heap.push(entry.page_id, access_value)
-
-    def _drop(self, page_id: int) -> CacheEntry:
-        self._push_heap.discard(page_id)
-        self._access_heap.discard(page_id)
-        return self._storage.remove(page_id)
 
     # -- push time ---------------------------------------------------------
 
     def on_publish(
         self, page_id: int, version: int, size: int, match_count: int, now: float
     ) -> PushOutcome:
-        existing = self._storage.get(page_id)
+        existing = self._entries.get(page_id)
+        stats = self.stats
         if existing is not None:
             if existing.version == version:
                 return PUSH_SKIPPED
@@ -90,13 +107,27 @@ class DualMethodsPolicy(Policy):
             # value is static so only the content changes.
             existing.version = version
             existing.match_count = match_count
-            self._push_heap.push(page_id, self._push_value(existing))
-            self.stats.record_push(stored=True, size=size, transferred=True)
+            self._push_heap.push(
+                page_id, match_count * existing.cost / existing.size
+            )
+            stats.pages_pushed_stored += 1
+            stats.bytes_pushed += size
             return PUSH_REFRESHED
 
-        threshold = sub_value(match_count, self.cost, size)
-        if not self._evict_cheaper_by_push_value(size, threshold):
-            self.stats.record_push(stored=False, size=size, transferred=False)
+        # SUB's all-or-nothing conditional eviction over the push heap
+        # (eq. 2 inlined, same operation order as values.sub_value).
+        # Evictions made by the push module do not touch the GD*
+        # inflation value — L belongs to the access module.
+        if size <= 0:
+            raise ValueError(f"size must be positive, got {size}")
+        threshold = match_count * self.cost / size
+        storage = self._storage
+        free = storage.free_bytes
+        if size > free and (
+            size > storage.capacity_bytes
+            or self._make_room(size - free, threshold) is None
+        ):
+            stats.pages_pushed_rejected += 1
             return PUSH_SKIPPED
         entry = CacheEntry(
             page_id=page_id,
@@ -107,73 +138,59 @@ class DualMethodsPolicy(Policy):
             module=PUSH_MODULE,
             last_access_time=now,
         )
-        self._insert(entry)
-        self.stats.record_push(stored=True, size=size, transferred=True)
+        self._insert(entry, threshold)
+        stats.pages_pushed_stored += 1
+        stats.bytes_pushed += size
         return PUSH_STORED
-
-    def _evict_cheaper_by_push_value(self, size: int, threshold: float) -> bool:
-        """SUB's all-or-nothing conditional eviction over the push heap.
-
-        Evictions made by the push module do not touch the GD* inflation
-        value — L belongs to the access module.
-        """
-        if size <= self._storage.free_bytes:
-            return True
-        if size > self._storage.capacity_bytes:
-            return False
-        popped: List[Tuple[int, float]] = []
-        freed = 0
-        needed = size - self._storage.free_bytes
-        while freed < needed:
-            minimum = self._push_heap.min_priority()
-            if minimum is None or minimum >= threshold:
-                for page_id, value in popped:
-                    self._push_heap.push(page_id, value)
-                return False
-            page_id, value = self._push_heap.pop()
-            popped.append((page_id, value))
-            freed += self._storage.get(page_id).size
-        for page_id, _value in popped:
-            self._access_heap.discard(page_id)
-            evicted = self._storage.remove(page_id)
-            self._note_eviction(evicted, cause="displaced")
-        return True
 
     # -- access time ----------------------------------------------------------
 
     def on_request(
         self, page_id: int, version: int, size: int, match_count: int, now: float
     ) -> RequestOutcome:
-        entry = self._storage.get(page_id)
-        if entry is not None and entry.version == version:
-            entry.record_access(now)
-            value = self._access_value(entry)
-            entry.value = value
-            self._access_heap.push(page_id, value)
-            self._record_request(hit=True, size=size, now=now)
-            return REQUEST_HIT
-
+        # Replay hot path: probe, valuation and stats inlined; the math
+        # reproduces values.gdstar_value bit for bit.
+        entry = self._entries.get(page_id)
+        stats = self.stats
+        bucket = int(now // 3600.0)
+        stats.requests += 1
+        breq = stats.bucketed_requests
+        breq[bucket] = breq.get(bucket, 0) + 1
         if entry is not None:
-            entry.version = version
-            entry.record_access(now)
-            value = self._access_value(entry)
+            hit = entry.version == version
+            if not hit:
+                entry.version = version
+            entry.access_count += 1
+            entry.accessed_since_replacement = True
+            entry.last_access_time = now
+            base = entry.access_count * entry.cost / entry.size
+            if base <= 0.0:
+                value = self.inflation
+            else:
+                value = self.inflation + base ** self._inv_beta
             entry.value = value
             self._access_heap.push(page_id, value)
-            self._record_request(hit=False, size=size, now=now, stale=True)
+            if hit:
+                stats.hits += 1
+                stats.bytes_served_local += size
+                bhits = stats.bucketed_hits
+                bhits[bucket] = bhits.get(bucket, 0) + 1
+                return REQUEST_HIT
+            stats.stale_hits += 1
+            stats.pages_fetched += 1
+            stats.bytes_fetched += size
             return REQUEST_STALE
 
-        self._record_request(hit=False, size=size, now=now)
-        if size > self._storage.capacity_bytes:
-            return REQUEST_MISS
-        last_value: Optional[float] = None
-        while self._storage.free_bytes < size:
-            victim_id, victim_value = self._access_heap.pop()
-            self._push_heap.discard(victim_id)
-            evicted = self._storage.remove(victim_id)
-            self._note_eviction(evicted)
-            last_value = victim_value
-        if last_value is not None:
-            self.inflation = last_value
+        stats.pages_fetched += 1
+        stats.bytes_fetched += size
+        storage = self._storage
+        free = storage.free_bytes
+        if size > free:
+            if size > storage.capacity_bytes:
+                return REQUEST_MISS
+            # A miss always admits: GD* replacement, and L advances to
+            # the last victim's value.
+            self.inflation = self._make_room(size - free, None)
         entry = CacheEntry(
             page_id=page_id,
             version=version,
@@ -184,7 +201,7 @@ class DualMethodsPolicy(Policy):
             module=ACCESS_MODULE,
             last_access_time=now,
         )
-        self._insert(entry)
+        self._insert(entry, match_count * self.cost / size)
         return REQUEST_MISS_CACHED
 
     def drop_contents(self) -> None:

@@ -41,7 +41,6 @@ from repro.core.policy import (
     PushOutcome,
     RequestOutcome,
 )
-from repro.core.values import gdstar_value
 
 
 class GDStarPolicy(Policy):
@@ -155,7 +154,12 @@ class GDStarPolicy(Policy):
         result = self._cache.evict_for(size)
         if not result.success:
             return False
-        self._settle_evictions(result)
+        for evicted in result.evicted:
+            self._note_eviction(evicted)
+            if self.retain_counts_on_eviction:
+                self._evicted_counts[evicted.page_id] = evicted.access_count
+        if result.last_value is not None:
+            self.inflation = result.last_value
         entry = CacheEntry(
             page_id=page_id,
             version=version,
@@ -164,22 +168,14 @@ class GDStarPolicy(Policy):
             access_count=1 + self._evicted_counts.pop(page_id, 0),
             last_access_time=now,
         )
-        self._cache.add(entry, self._value(entry))
+        # Valued after the evictions, against the advanced L.
+        base = entry.access_count * entry.cost / size
+        if base <= 0.0:
+            value = self.inflation
+        else:
+            value = self.inflation + base ** self._inv_beta
+        self._cache.add(entry, value)
         return True
-
-    def _settle_evictions(self, result) -> None:
-        """Account for evicted pages and advance the inflation value."""
-        for evicted in result.evicted:
-            self._note_eviction(evicted)
-            if self.retain_counts_on_eviction:
-                self._evicted_counts[evicted.page_id] = evicted.access_count
-        if result.last_value is not None:
-            self.inflation = result.last_value
-
-    def _value(self, entry: CacheEntry) -> float:
-        return gdstar_value(
-            self.inflation, entry.access_count, entry.cost, entry.size, self.beta
-        )
 
     def drop_contents(self) -> None:
         """Cold restart: contents, inflation and retained counts are

@@ -200,7 +200,9 @@ class Policy(ABC):
         ("capacity"), conditional displacement by a more valuable page
         ("displaced") and dual-cache repartitioning ("repartition").
         """
-        self.stats.record_eviction(entry.size)
+        stats = self.stats
+        stats.evictions += 1
+        stats.bytes_evicted += entry.size
         if self.evict_listener is not None:
             self.evict_listener(entry.page_id, entry.size, cause)
 

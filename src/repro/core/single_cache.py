@@ -48,7 +48,6 @@ from repro.core.policy import (
     PushOutcome,
     RequestOutcome,
 )
-from repro.core.values import gdstar_value, sg1_frequency, sg2_frequency, sr_value
 
 #: Evaluation modes and their registry names.
 SG1 = "sg1"
@@ -104,44 +103,38 @@ class SingleCacheCombinedPolicy(Policy):
         self._entries = self._cache.storage.entries_by_id
         self._heap = self._cache.heap
 
-    # -- valuation ---------------------------------------------------------
+    # -- placement -----------------------------------------------------------
 
-    def _value_of(self, match_count: int, access_count: int, size: int) -> float:
-        if self.mode == SG1:
-            frequency = sg1_frequency(match_count, access_count)
-            return gdstar_value(self.inflation, frequency, self.cost, size, self.beta)
-        if self.mode == SG2:
-            frequency = sg2_frequency(match_count, access_count)
-            return gdstar_value(self.inflation, frequency, self.cost, size, self.beta)
-        return sr_value(match_count, access_count, self.cost, size)
-
-    def _entry_value(self, entry: CacheEntry) -> float:
-        observed = self._access_counts[entry.page_id]
-        return self._value_of(entry.match_count, observed, entry.size)
-
-    def _settle_evictions(self, result) -> None:
-        for evicted in result.evicted:
-            self._note_eviction(evicted)
-        if self.mode != SR and result.last_value is not None:
-            self.inflation = result.last_value
-
-    def _gated_place(self, entry: CacheEntry) -> bool:
+    def _gated_place(
+        self,
+        page_id: int,
+        version: int,
+        size: int,
+        match_count: int,
+        module: str,
+        now: float,
+    ) -> bool:
         """Value-gated placement shared by push and access time.
 
-        Runs once per miss and per push of an uncached page, so the
-        valuation is inlined (bit-identical to ``_entry_value``): the
-        ``base`` term does not depend on the inflation value L, which
-        lets the post-eviction re-valuation — kept so the stored value
-        is consistent with the heap ordering the entry will live under
-        — reuse it without recomputing the frequency.
+        Runs once per miss and per push of an uncached page, and most
+        of those attempts are rejections — so the page is priced from
+        the scalars first and its :class:`CacheEntry` is built only
+        once room is secured.  The valuation is inlined (bit-identical
+        to ``values.gdstar_value`` / ``sr_value``): the ``base`` term
+        does not depend on the inflation value L, which lets the
+        post-eviction re-valuation — kept so the stored value is
+        consistent with the heap ordering the entry will live under —
+        reuse it without recomputing the frequency.
         """
-        size = entry.size
-        observed = self._access_counts[entry.page_id]
+        if size <= 0:
+            # CacheEntry would say so too, but only for stored pages.
+            raise ValueError(f"entry size must be positive, got {size}")
+        observed = self._access_counts[page_id]
         mode = self.mode
         if mode == SG1:
-            frequency = entry.match_count + observed
+            frequency = match_count + observed
         else:
-            frequency = entry.match_count - observed
+            frequency = match_count - observed
         base = frequency * self.cost / size
         if mode == SR:
             value = base
@@ -149,7 +142,7 @@ class SingleCacheCombinedPolicy(Policy):
             value = self.inflation
         else:
             value = self.inflation + base ** self._inv_beta
-        result = self._cache.evict_cheaper_for(size, threshold=value)
+        result = self._cache.evict_cheaper_for(size, value)
         if not result.success:
             return False
         for evicted in result.evicted:
@@ -161,6 +154,18 @@ class SingleCacheCombinedPolicy(Policy):
                 value = self.inflation
             else:
                 value = self.inflation + base ** self._inv_beta
+        entry = CacheEntry(
+            page_id=page_id,
+            version=version,
+            size=size,
+            cost=self.cost,
+            # In-cache accesses: a fetched page enters on its latest
+            # one, a pushed page has had none yet.
+            access_count=observed if module == ACCESS_MODULE else 0,
+            match_count=match_count,
+            module=module,
+            last_access_time=now,
+        )
         self._cache.add(entry, value)
         return True
 
@@ -188,16 +193,7 @@ class SingleCacheCombinedPolicy(Policy):
             stats.bytes_pushed += size
             return PUSH_REFRESHED
 
-        entry = CacheEntry(
-            page_id=page_id,
-            version=version,
-            size=size,
-            cost=self.cost,
-            match_count=match_count,
-            module=PUSH_MODULE,
-            last_access_time=now,
-        )
-        if self._gated_place(entry):
+        if self._gated_place(page_id, version, size, match_count, PUSH_MODULE, now):
             stats.pages_pushed_stored += 1
             stats.bytes_pushed += size
             return PUSH_STORED
@@ -271,17 +267,7 @@ class SingleCacheCombinedPolicy(Policy):
 
         stats.pages_fetched += 1
         stats.bytes_fetched += size
-        entry = CacheEntry(
-            page_id=page_id,
-            version=version,
-            size=size,
-            cost=self.cost,
-            match_count=match_count,
-            access_count=observed,
-            module=ACCESS_MODULE,
-            last_access_time=now,
-        )
-        if self._gated_place(entry):
+        if self._gated_place(page_id, version, size, match_count, ACCESS_MODULE, now):
             return REQUEST_MISS_CACHED
         return REQUEST_MISS
 

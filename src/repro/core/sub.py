@@ -27,7 +27,6 @@ from repro.core.policy import (
     PushOutcome,
     RequestOutcome,
 )
-from repro.core.values import sub_value
 
 
 class SubPolicy(Policy):
@@ -43,6 +42,9 @@ class SubPolicy(Policy):
     ) -> None:
         super().__init__(capacity_bytes, cost)
         self._cache = HeapCache(capacity_bytes)
+        # Hot-path alias: both entry points probe the entry dict
+        # directly (see SingleCacheCombinedPolicy).
+        self._entries = self._cache.storage.entries_by_id
         #: Whether a pushed new version may replace the cache's own
         #: stale copy of the same page.  True (default) treats
         #: self-replacement as natural; False applies the paper's
@@ -58,26 +60,35 @@ class SubPolicy(Policy):
     def on_publish(
         self, page_id: int, version: int, size: int, match_count: int, now: float
     ) -> PushOutcome:
-        existing = self._cache.get(page_id)
+        existing = self._entries.get(page_id)
+        stats = self.stats
         if existing is not None:
             if existing.version == version:
                 return PUSH_SKIPPED
             if not self.refresh_on_push:
-                self.stats.record_push(stored=False, size=size, transferred=False)
+                stats.pages_pushed_rejected += 1
                 return PUSH_SKIPPED
             existing.version = version
             existing.match_count = match_count
-            self._cache.reprice(existing, self._value(existing))
-            self.stats.record_push(stored=True, size=size, transferred=True)
+            self._cache.reprice(
+                existing, match_count * existing.cost / existing.size
+            )
+            stats.pages_pushed_stored += 1
+            stats.bytes_pushed += size
             return PUSH_REFRESHED
 
-        value = sub_value(match_count, self.cost, size)
-        result = self._cache.evict_cheaper_for(size, threshold=value)
+        # Value first, entry last: eq. 2 inlined (same operation order
+        # as values.sub_value), and the CacheEntry is built only once
+        # the cheaper residents have made room.
+        if size <= 0:
+            raise ValueError(f"size must be positive, got {size}")
+        value = match_count * self.cost / size
+        result = self._cache.evict_cheaper_for(size, value)
         if not result.success:
-            self.stats.record_push(stored=False, size=size, transferred=False)
+            stats.pages_pushed_rejected += 1
             return PUSH_SKIPPED
         for evicted in result.evicted:
-            self._note_eviction(evicted, cause="displaced")
+            self._note_eviction(evicted, "displaced")
         entry = CacheEntry(
             page_id=page_id,
             version=version,
@@ -88,7 +99,8 @@ class SubPolicy(Policy):
             last_access_time=now,
         )
         self._cache.add(entry, value)
-        self.stats.record_push(stored=True, size=size, transferred=True)
+        stats.pages_pushed_stored += 1
+        stats.bytes_pushed += size
         return PUSH_STORED
 
     # -- access time ----------------------------------------------------------
@@ -96,24 +108,33 @@ class SubPolicy(Policy):
     def on_request(
         self, page_id: int, version: int, size: int, match_count: int, now: float
     ) -> RequestOutcome:
-        entry = self._cache.get(page_id)
-        if entry is not None and entry.version == version:
-            entry.record_access(now)
-            self._record_request(hit=True, size=size, now=now)
-            return REQUEST_HIT
+        entry = self._entries.get(page_id)
+        stats = self.stats
+        bucket = int(now // 3600.0)
+        stats.requests += 1
+        breq = stats.bucketed_requests
+        breq[bucket] = breq.get(bucket, 0) + 1
         if entry is not None:
+            entry.access_count += 1
+            entry.accessed_since_replacement = True
+            entry.last_access_time = now
+            if entry.version == version:
+                stats.hits += 1
+                stats.bytes_served_local += size
+                bhits = stats.bucketed_hits
+                bhits[bucket] = bhits.get(bucket, 0) + 1
+                return REQUEST_HIT
             # Stale copy: the fresh version is fetched and forwarded,
             # but SUB performs no access-time placement (§3.2), so the
             # cached bytes are NOT updated; the copy stays stale.
-            entry.record_access(now)
-            self._record_request(hit=False, size=size, now=now, stale=True)
+            stats.stale_hits += 1
+            stats.pages_fetched += 1
+            stats.bytes_fetched += size
             return REQUEST_STALE
         # Push-time-only: forward without caching (§3.2).
-        self._record_request(hit=False, size=size, now=now)
+        stats.pages_fetched += 1
+        stats.bytes_fetched += size
         return REQUEST_MISS
-
-    def _value(self, entry: CacheEntry) -> float:
-        return sub_value(entry.match_count, entry.cost, entry.size)
 
     # -- introspection -----------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache.entry import CacheEntry
 from repro.cache.heap import AddressableHeap
 
 
@@ -118,13 +119,87 @@ def test_compact_preserves_order():
     assert popped == list(range(49, -1, -1))
 
 
-def test_maybe_compact_bounds_backing_list():
+def _entry(key, size):
+    return CacheEntry(page_id=key, version=0, size=size, cost=1.0)
+
+
+def _sized_heap(priorities, size=10):
     heap = AddressableHeap()
-    for round_index in range(100):
-        for key in range(10):
-            heap.push(key, float(round_index * 10 + key))
-        heap.maybe_compact()
-    assert len(heap._heap) < 200  # bounded despite 1000 pushes
+    for key, priority in priorities.items():
+        heap.push(key, priority)
+    return heap, {key: _entry(key, size) for key in priorities}
+
+
+def test_pop_cheaper_pops_minima_until_enough_is_freed():
+    heap, entries = _sized_heap({"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0})
+    assert heap.pop_cheaper(15, 3.5, entries) == [("a", 1.0), ("b", 2.0)]
+    assert set(heap.keys()) == {"c", "d"}
+    assert heap.pop_cheaper(0, 3.5, entries) == []
+
+
+def test_pop_cheaper_threshold_is_strict_and_first_probe_is_a_peek():
+    heap, entries = _sized_heap({"a": 2.0, "b": 3.0})
+    before = (dict(heap._live), heap._sequence, list(heap._heap))
+    assert heap.pop_cheaper(10, 2.0, entries) is None  # min == threshold
+    assert (dict(heap._live), heap._sequence, list(heap._heap)) == before
+
+
+def test_pop_cheaper_unconditional_ignores_priorities():
+    heap, entries = _sized_heap({"a": 5.0, "b": float("inf")})
+    assert heap.pop_cheaper(20, None, entries) == [("a", 5.0), ("b", float("inf"))]
+    assert len(heap) == 0
+    # Running dry is a reject, conditional or not.
+    heap.push("a", 5.0)
+    assert heap.pop_cheaper(20, None, entries) is None
+    assert heap.peek() == ("a", 5.0)
+
+
+def test_pop_cheaper_rollback_renumbers_in_pop_order():
+    """A failed attempt re-pushes what it popped with fresh sequence
+    numbers, so rolled-back keys queue up behind equal-priority keys
+    that were never popped.  Tie order decides evictions: this is part
+    of the result format, not an implementation detail."""
+    heap, entries = _sized_heap({"a": 1.0, "b": 1.0, "c": 1.0, "d": 9.0})
+    assert heap._sequence == 4
+    # a and b are cheaper than 1.5 ... c too, but d is not: 40 bytes fail.
+    assert heap.pop_cheaper(40, 1.5, entries) is None
+    assert heap._live == {
+        "a": (1.0, 5, "a"), "b": (1.0, 6, "b"), "c": (1.0, 7, "c"),
+        "d": (9.0, 4, "d"),
+    }
+    heap, entries = _sized_heap({"a": 1.0, "b": 1.0, "c": 1.0})
+    assert heap.pop_cheaper(20, 1.5, entries) == [("a", 1.0), ("b", 1.0)]
+    heap.push("a", 1.0)
+    heap.push("b", 1.0)
+    # c was never popped and now precedes both.
+    assert [heap.pop()[0] for _ in range(3)] == ["c", "a", "b"]
+
+
+def test_pop_cheaper_skips_dead_records():
+    heap, entries = _sized_heap({"a": 1.0, "b": 2.0, "c": 3.0})
+    heap.push("a", 10.0)  # dead record for a at the top
+    heap.discard("b")
+    assert heap.pop_cheaper(10, 5.0, entries) == [("c", 3.0)]
+
+
+def test_compaction_inside_a_rollback_keeps_the_backing_list():
+    """``compact`` rebuilds in place: a rollback push that trips the
+    auto-compaction bound must not strand the list ``pop_cheaper`` (or
+    a policy's inlined push) is holding."""
+    heap = AddressableHeap()
+    for key in range(100):
+        heap.push(key, float(key))
+    entries = {key: _entry(key, 1) for key in range(100)}
+    for key in range(50, 100):
+        heap.discard(key)  # 100 records, 50 live: one more push compacts
+    backing = heap._heap
+    assert heap.pop_cheaper(30, 20.0, entries) is None
+    assert heap._heap is backing
+    assert len(backing) < 100, "the rollback's first push should have compacted"
+    assert sorted(backing) == sorted(heap._live.values())
+    heap.compact()
+    assert heap._heap is backing
+    assert [heap.pop()[0] for _ in range(50)] == list(range(50))
 
 
 def test_interleaved_operations_stay_consistent():

@@ -68,3 +68,79 @@ def test_frequency_helpers():
     assert sg1_frequency(3, 4) == 7
     assert sg2_frequency(3, 4) == -1
     assert sg2_frequency(4, 3) == 1
+
+
+# -- the policies inline these equations: same arithmetic, bit for bit ------
+
+COST, BETA, SIZE, SUBS = 3.7, 1.7, 37, 5
+
+
+def test_gdstar_inlines_eq1_including_the_inflation_term():
+    from repro.core.gdstar import GDStarPolicy
+
+    policy = GDStarPolicy(100, cost=COST, beta=BETA)
+    heap = policy._cache.heap
+    policy.on_request(1, 0, 60, 0, now=1.0)
+    assert heap.priority(1) == gdstar_value(0.0, 1, COST, 60, BETA)
+    policy.on_request(1, 0, 60, 0, now=2.0)
+    first = gdstar_value(0.0, 2, COST, 60, BETA)
+    assert heap.priority(1) == first
+    policy.on_request(2, 0, 70, 0, now=3.0)  # evicts page 1: L = its value
+    assert policy.inflation == first
+    assert heap.priority(2) == gdstar_value(first, 1, COST, 70, BETA)
+
+
+@pytest.mark.parametrize("mode", ["sg1", "sg2", "sr"])
+def test_single_cache_inlines_eqs_3_to_5(mode):
+    from repro.core.single_cache import SingleCacheCombinedPolicy
+
+    def expected(accesses):
+        if mode == "sr":
+            return sr_value(SUBS, accesses, COST, SIZE)
+        frequency = (sg1_frequency if mode == "sg1" else sg2_frequency)(SUBS, accesses)
+        return gdstar_value(0.0, frequency, COST, SIZE, BETA)
+
+    policy = SingleCacheCombinedPolicy(10_000, cost=COST, mode=mode, beta=BETA)
+    heap = policy._cache.heap
+    policy.on_publish(1, 0, SIZE, SUBS, now=0.0)
+    assert heap.priority(1) == expected(0)
+    policy.on_request(1, 0, SIZE, SUBS, now=1.0)
+    assert heap.priority(1) == expected(1)
+    policy.on_request(2, 0, SIZE, SUBS, now=2.0)  # access-time placement
+    assert heap.priority(2) == expected(1)
+
+
+def test_sub_and_dual_methods_inline_eqs_2_and_1():
+    from repro.core.dual_methods import DualMethodsPolicy
+    from repro.core.sub import SubPolicy
+
+    sub = SubPolicy(10_000, cost=COST)
+    sub.on_publish(1, 0, SIZE, SUBS, now=0.0)
+    assert sub._cache.heap.priority(1) == sub_value(SUBS, COST, SIZE)
+    sub.on_publish(1, 1, SIZE, SUBS + 2, now=1.0)  # refresh reprices
+    assert sub._cache.heap.priority(1) == sub_value(SUBS + 2, COST, SIZE)
+
+    dm = DualMethodsPolicy(10_000, cost=COST, beta=BETA)
+    dm.on_publish(1, 0, SIZE, SUBS, now=0.0)
+    assert dm._push_heap.priority(1) == sub_value(SUBS, COST, SIZE)
+    assert dm._access_heap.priority(1) == gdstar_value(0.0, 0, COST, SIZE, BETA)
+    dm.on_request(1, 0, SIZE, SUBS, now=1.0)
+    assert dm._access_heap.priority(1) == gdstar_value(0.0, 1, COST, SIZE, BETA)
+    dm.on_request(2, 0, SIZE, SUBS, now=2.0)
+    assert dm._push_heap.priority(2) == sub_value(SUBS, COST, SIZE)
+    assert dm._access_heap.priority(2) == gdstar_value(0.0, 1, COST, SIZE, BETA)
+
+
+@pytest.mark.parametrize("name", ["dc-fp", "dc-ap", "dc-lap"])
+def test_dual_caches_inline_eqs_2_and_1(name):
+    from repro.core.registry import make_policy
+
+    policy = make_policy(name, 10_000, cost=COST, beta=BETA)
+    policy.on_publish(1, 0, SIZE, SUBS, now=0.0)
+    assert policy.pc.heap.priority(1) == sub_value(SUBS, COST, SIZE)
+    policy.on_request(1, 0, SIZE, SUBS, now=1.0)  # promoted to AC
+    assert policy.ac.heap.priority(1) == gdstar_value(0.0, 1, COST, SIZE, BETA)
+    policy.on_request(1, 0, SIZE, SUBS, now=2.0)
+    assert policy.ac.heap.priority(1) == gdstar_value(0.0, 2, COST, SIZE, BETA)
+    policy.on_request(2, 0, SIZE, SUBS, now=3.0)  # miss, admitted to AC
+    assert policy.ac.heap.priority(2) == gdstar_value(0.0, 1, COST, SIZE, BETA)

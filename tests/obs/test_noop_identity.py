@@ -57,9 +57,9 @@ def _full_observer():
     )
 
 
-def _run(workload, observer, chaos=None):
+def _run(workload, observer, chaos=None, strategy="sg2"):
     config = SimulationConfig(
-        strategy="sg2", capacity_fraction=0.05, seed=SEED, chaos=chaos
+        strategy=strategy, capacity_fraction=0.05, seed=SEED, chaos=chaos
     )
     return Simulation(workload, config, observer=observer).run()
 
@@ -74,6 +74,18 @@ def test_full_observer_is_bit_identical_healthy(workload):
     baseline = _run(workload, observer=None)
     observed = _run(workload, observer=_full_observer())
     assert _comparable(baseline) == _comparable(observed)
+
+
+@pytest.mark.parametrize("strategy", ["sg2", "dc-lap"])
+def test_fused_heap_paths_stay_visible_and_identical(workload, strategy):
+    """The conditional-eviction loop runs inside the heap
+    (``pop_cheaper``), bypassing ``push``/``pop``: the profiler wraps
+    it too, and wrapping must not change what it decides."""
+    baseline = _run(workload, observer=None, strategy=strategy)
+    observed = _run(workload, observer=_full_observer(), strategy=strategy)
+    assert _comparable(baseline) == _comparable(observed)
+    for phase in ("heap.push", "heap.pop_cheaper"):
+        assert observed.profile[phase]["calls"] > 0
 
 
 def test_full_observer_is_bit_identical_under_chaos(workload):
