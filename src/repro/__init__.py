@@ -28,17 +28,42 @@ Quickstart::
     print(result.summary())
 """
 
-from repro.core import make_policy, strategy_names
-from repro.system import SimulationConfig, PushingScheme, run_simulation
-from repro.workload import (
-    WorkloadConfig,
-    generate_workload,
-    news_config,
-    alternative_config,
-)
-from repro.workload.presets import make_trace
+from importlib import import_module
+from typing import TYPE_CHECKING, Dict, Sequence
+
+if TYPE_CHECKING:
+    from repro.core import make_policy, strategy_names
+    from repro.system import SimulationConfig, PushingScheme, run_simulation
+    from repro.workload import WorkloadConfig, generate_workload, news_config, alternative_config
+    from repro.workload.presets import make_trace
 
 __version__ = "1.0.0"
+
+
+def lazy_exports(package: str, namespace: dict, exports: Dict[str, Sequence[str]]):
+    """``(__getattr__, __dir__)`` for a package whose public names live in submodules.
+
+    ``exports`` maps a submodule (relative to ``package``) to the names
+    it provides (PEP 562).  A name is imported on first access and
+    written into ``namespace`` — the package's ``globals()`` — so every
+    later lookup, and anything that rebinds the attribute, sees that one
+    binding.  Unknown names raise AttributeError, which is what
+    ``getattr(pkg, name, None)`` and ``from pkg import submodule`` need.
+    """
+    home = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str):
+        if name not in home:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(import_module(f"{package}.{home[name]}"), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(home))
+
+    return __getattr__, __dir__
+
 
 __all__ = [
     "make_policy",
@@ -53,3 +78,10 @@ __all__ = [
     "make_trace",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "core": ("make_policy", "strategy_names"),
+    "system": ("SimulationConfig", "PushingScheme", "run_simulation"),
+    "workload": ("WorkloadConfig", "generate_workload", "news_config", "alternative_config"),
+    "workload.presets": ("make_trace",),
+})

@@ -15,10 +15,15 @@ runs on top of this substrate:
 * :class:`~repro.cache.stats.CacheStats` — hit/miss/byte counters.
 """
 
-from repro.cache.entry import CacheEntry, ACCESS_MODULE, PUSH_MODULE
-from repro.cache.heap import AddressableHeap
-from repro.cache.storage import CacheStorage
-from repro.cache.stats import CacheStats
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.cache.entry import CacheEntry, ACCESS_MODULE, PUSH_MODULE
+    from repro.cache.heap import AddressableHeap
+    from repro.cache.storage import CacheStorage
+    from repro.cache.stats import CacheStats
 
 __all__ = [
     "CacheEntry",
@@ -28,3 +33,10 @@ __all__ = [
     "ACCESS_MODULE",
     "PUSH_MODULE",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "entry": ("CacheEntry", "ACCESS_MODULE", "PUSH_MODULE"),
+    "heap": ("AddressableHeap",),
+    "storage": ("CacheStorage",),
+    "stats": ("CacheStats",),
+})

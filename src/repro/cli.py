@@ -22,15 +22,13 @@ import os
 import sys
 from typing import List, Optional
 
+# Module top is what build_parser needs, all of it numpy-free; each
+# _cmd_* imports the experiment/observability modules it runs.
+from repro import __version__
 from repro.core.registry import strategy_names
-from repro.experiments.artifacts import DEFAULT_CACHE_DIR
-from repro.experiments.figures import beta_sweep, figure3, figure4, figure5, figure6, figure7
-from repro.experiments.runner import run_cell, set_default_artifact_dir
-from repro.experiments.spec import CellKey
-from repro.experiments.tables import table2
-from repro.obs import build_observer, setup_cli_logging
+from repro.experiments.spec import DEFAULT_CACHE_DIR, CellKey
+from repro.obs.log import setup_cli_logging
 from repro.system.config import PushingScheme
-from repro.workload.presets import make_trace
 
 
 def _reject_unknown_strategies(*names: str) -> Optional[int]:
@@ -83,6 +81,10 @@ def _configure_artifact_cache(args: argparse.Namespace) -> None:
     Precedence: ``--no-artifact-cache`` > ``--artifact-cache [DIR]`` >
     the ``REPRO_ARTIFACT_CACHE`` environment variable > off.
     """
+    if not hasattr(args, "artifact_cache"):
+        return  # inspect/explain: nothing to cache, and the runner needs numpy
+    from repro.experiments.runner import set_default_artifact_dir
+
     directory = None
     if not getattr(args, "no_artifact_cache", False):
         directory = (
@@ -136,8 +138,34 @@ def _add_obs(parser: argparse.ArgumentParser, profile: bool = False) -> None:
         )
 
 
+def _reject_unwritable_outputs(args: argparse.Namespace) -> Optional[int]:
+    """Exit code 2 and one line when an output flag's file cannot be created.
+
+    Checked before any trace is generated: the sinks open their files
+    at construction and the metrics file is written after the run, so
+    a bad path would otherwise cost a traceback or a whole simulation.
+    """
+    for flag in ("trace_out", "metrics_out", "series_out", "monitor_out"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            reason = f"no such directory: {parent}"
+        elif not os.access(parent, os.W_OK):
+            reason = f"directory is not writable: {parent}"
+        else:
+            continue
+        option = "--" + flag.replace("_", "-")
+        print(f"cannot write {option} {path}: {reason}", file=sys.stderr)
+        return 2
+    return None
+
+
 def _make_observer(args: argparse.Namespace):
     """Build an :class:`Observer` from the parsed obs flags (or None)."""
+    from repro.obs.recorder import build_observer
+
     return build_observer(
         trace_out=args.trace_out,
         metrics=bool(args.metrics_out),
@@ -293,6 +321,11 @@ def _build_overload_spec(args: argparse.Namespace):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import run_cell
+
+    error = _reject_unwritable_outputs(args)
+    if error is not None:
+        return error
     try:
         _validate_cell_args(args)
     except ValueError as error:
@@ -333,8 +366,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _write_svg(panels, number: str, directory: str) -> None:
-    import os
-
     from repro.experiments.figures import CAPACITIES, SQS
     from repro.experiments.svg import figure_to_svg
 
@@ -356,6 +387,8 @@ def _write_svg(panels, number: str, directory: str) -> None:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.experiments.figures import figure3, figure4, figure5, figure6, figure7
+
     number = args.number
     if number == "3":
         panels = [figure3(scale=args.scale, seed=args.seed)]
@@ -382,11 +415,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.number != "2":
         print("only Table 2 is an experiment (Table 1 is a taxonomy)", file=sys.stderr)
         return 2
+    from repro.experiments.tables import table2
+
     print(table2(scale=args.scale, seed=args.seed).text)
     return 0
 
 
 def _cmd_sweep_beta(args: argparse.Namespace) -> int:
+    from repro.experiments.figures import beta_sweep
+
     print(beta_sweep(scale=args.scale, seed=args.seed, trace=args.trace).text)
     return 0
 
@@ -451,7 +488,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if not strategies:
         print("no strategies given", file=sys.stderr)
         return 2
-    error = _reject_unknown_strategies(*strategies)
+    error = _reject_unknown_strategies(*strategies) or _reject_unwritable_outputs(args)
     if error is not None:
         return error
     try:
@@ -621,6 +658,8 @@ def _cmd_generate_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_stats(args: argparse.Namespace) -> int:
+    from repro.workload.presets import make_trace
+
     workload = make_trace(args.trace, scale=args.scale, seed=args.seed)
     if args.validate:
         from repro.workload.validate import validate_workload
@@ -653,6 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Services' (Middleware 2003)"
         ),
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="run one simulation cell")

@@ -21,15 +21,20 @@ names the paper uses ("gdstar", "sub", "sg1", "sg2", "sr", "dm",
 "dc-fp", "dc-ap", "dc-lap", plus "lru", "gds", "lfu-da").
 """
 
-from repro.core.policy import Policy, PushOutcome, RequestOutcome
-from repro.core.values import gdstar_value, sub_value, sr_value
-from repro.core.gdstar import GDStarPolicy
-from repro.core.classic import LRUPolicy, GDSPolicy, LFUDAPolicy
-from repro.core.sub import SubPolicy
-from repro.core.single_cache import SingleCacheCombinedPolicy
-from repro.core.dual_methods import DualMethodsPolicy
-from repro.core.dual_caches import DualCacheFixedPolicy, DualCacheAdaptivePolicy
-from repro.core.registry import STRATEGIES, make_policy, strategy_names
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.policy import Policy, PushOutcome, RequestOutcome
+    from repro.core.values import gdstar_value, sub_value, sr_value
+    from repro.core.gdstar import GDStarPolicy
+    from repro.core.classic import LRUPolicy, GDSPolicy, LFUDAPolicy
+    from repro.core.sub import SubPolicy
+    from repro.core.single_cache import SingleCacheCombinedPolicy
+    from repro.core.dual_methods import DualMethodsPolicy
+    from repro.core.dual_caches import DualCacheFixedPolicy, DualCacheAdaptivePolicy
+    from repro.core.registry import STRATEGIES, make_policy, strategy_names
 
 __all__ = [
     "Policy",
@@ -51,3 +56,15 @@ __all__ = [
     "make_policy",
     "strategy_names",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "policy": ("Policy", "PushOutcome", "RequestOutcome"),
+    "values": ("gdstar_value", "sub_value", "sr_value"),
+    "gdstar": ("GDStarPolicy",),
+    "classic": ("LRUPolicy", "GDSPolicy", "LFUDAPolicy"),
+    "sub": ("SubPolicy",),
+    "single_cache": ("SingleCacheCombinedPolicy",),
+    "dual_methods": ("DualMethodsPolicy",),
+    "dual_caches": ("DualCacheFixedPolicy", "DualCacheAdaptivePolicy"),
+    "registry": ("STRATEGIES", "make_policy", "strategy_names"),
+})

@@ -19,46 +19,26 @@ All experiments accept ``scale`` (1.0 = the paper's full-size workload;
 benchmarks default to a laptop-friendly fraction) and a ``seed``.
 """
 
-from repro.experiments.spec import ExperimentGrid, GridResult, CellKey
-from repro.experiments.artifacts import (
-    FORMAT_VERSION,
-    ArtifactCache,
-)
-from repro.experiments.runner import (
-    trace_for,
-    run_cell,
-    run_grid,
-    paper_beta,
-    set_default_artifact_dir,
-)
-from repro.experiments.report import render_table, render_series
-from repro.experiments.figures import (
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    beta_sweep,
-)
-from repro.experiments.tables import table2
-from repro.experiments.chaos import (
-    CHAOS_STRATEGIES,
-    DEFAULT_CHAOS,
-    ChaosResult,
-    run_chaos,
-)
-from repro.experiments.calibrate import (
-    CalibrationResult,
-    calibrate_all,
-    calibrate_beta,
-    trace_prefix,
-)
-from repro.experiments.sensitivity import (
-    RobustComparison,
-    SeedSweep,
-    compare_across_seeds,
-    seed_sweep,
-)
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.experiments.spec import ExperimentGrid, GridResult, CellKey
+    from repro.experiments.artifacts import FORMAT_VERSION, ArtifactCache
+    from repro.experiments.runner import (
+        trace_for, run_cell, run_grid, paper_beta, set_default_artifact_dir,
+    )
+    from repro.experiments.report import render_table, render_series
+    from repro.experiments.figures import figure3, figure4, figure5, figure6, figure7, beta_sweep
+    from repro.experiments.tables import table2
+    from repro.experiments.chaos import CHAOS_STRATEGIES, DEFAULT_CHAOS, ChaosResult, run_chaos
+    from repro.experiments.calibrate import (
+        CalibrationResult, calibrate_all, calibrate_beta, trace_prefix,
+    )
+    from repro.experiments.sensitivity import (
+        RobustComparison, SeedSweep, compare_across_seeds, seed_sweep,
+    )
 
 __all__ = [
     "ExperimentGrid",
@@ -93,3 +73,15 @@ __all__ = [
     "compare_across_seeds",
     "seed_sweep",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "spec": ("ExperimentGrid", "GridResult", "CellKey"),
+    "artifacts": ("FORMAT_VERSION", "ArtifactCache"),
+    "runner": ("trace_for", "run_cell", "run_grid", "paper_beta", "set_default_artifact_dir"),
+    "report": ("render_table", "render_series"),
+    "figures": ("figure3", "figure4", "figure5", "figure6", "figure7", "beta_sweep"),
+    "tables": ("table2",),
+    "chaos": ("CHAOS_STRATEGIES", "DEFAULT_CHAOS", "ChaosResult", "run_chaos"),
+    "calibrate": ("CalibrationResult", "calibrate_all", "calibrate_beta", "trace_prefix"),
+    "sensitivity": ("RobustComparison", "SeedSweep", "compare_across_seeds", "seed_sweep"),
+})

@@ -29,6 +29,7 @@ import os
 import tempfile
 from typing import Callable, Optional
 
+from repro.experiments.spec import DEFAULT_CACHE_DIR
 from repro.network.topology import Topology, build_topology
 from repro.obs.log import get_logger
 from repro.pubsub.matching import TraceMatchCounts
@@ -43,9 +44,6 @@ logger = get_logger(__name__)
 #: workload/table/topology generators or their JSON formats; every key
 #: embeds it, so old cache entries are silently invalidated.
 FORMAT_VERSION = 1
-
-#: Default cache root, relative to the working directory.
-DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 class ArtifactCache:

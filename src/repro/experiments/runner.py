@@ -19,7 +19,7 @@ Two reuse layers stack here:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.experiments.artifacts import (
     ArtifactCache,
@@ -36,13 +36,14 @@ from repro.sim.rng import RandomStreams
 from repro.system.config import PushingScheme, SimulationConfig
 from repro.system.metrics import SimulationResult
 from repro.system.simulator import Simulation
-from repro.system.sharding import run_sharded
-from repro.workload.churn import ChurnSpec
 from repro.workload.presets import make_trace
-from repro.workload.streaming import StreamingWorkload, make_streaming_trace
 from repro.workload.subscriptions import build_match_counts
 from repro.workload.trace import Workload
 from repro.experiments.spec import CellKey, ExperimentGrid, GridResult
+
+if TYPE_CHECKING:  # imported by the branches that use them
+    from repro.workload.churn import ChurnSpec
+    from repro.workload.streaming import StreamingWorkload
 
 logger = get_logger(__name__)
 
@@ -78,6 +79,8 @@ def streaming_trace_for(trace: str, scale: float, seed: int) -> StreamingWorkloa
     event stream to JSON would materialize it, defeating the point.
     The spool is reclaimed when the memo evicts the entry.
     """
+    from repro.workload.streaming import make_streaming_trace
+
     return make_streaming_trace(trace, scale=scale, seed=seed)
 
 
@@ -237,6 +240,8 @@ def run_cell(
         workers=workers,
     )
     if config.workers > 1:
+        from repro.system.sharding import run_sharded
+
         result = run_sharded(
             workload, config, match_table, topology, observer=observer
         )

@@ -8,6 +8,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.system.config import PushingScheme
 from repro.system.metrics import SimulationResult
 
+#: Default artifact-cache root, relative to the working directory (kept
+#: here, not in ``artifacts``, so the CLI parser reads it without numpy).
+DEFAULT_CACHE_DIR = ".repro-cache"
+
 
 @dataclass(frozen=True)
 class CellKey:

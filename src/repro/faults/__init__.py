@@ -19,16 +19,16 @@ Either stream is derived only when its layer is actually configured, so
 adding one never perturbs the others — the bit-identity discipline.
 """
 
-from repro.faults.generator import generate_fault_schedule
-from repro.faults.injector import FaultInjector
-from repro.faults.recovery import RecoveryReport, RecoveryTracker
-from repro.faults.schedule import (
-    EMPTY_SCHEDULE,
-    DegradedWindow,
-    FaultSchedule,
-    Window,
-)
-from repro.faults.spec import ChaosSpec, OverloadSpec
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.faults.generator import generate_fault_schedule
+    from repro.faults.injector import FaultInjector
+    from repro.faults.recovery import RecoveryReport, RecoveryTracker
+    from repro.faults.schedule import EMPTY_SCHEDULE, DegradedWindow, FaultSchedule, Window
+    from repro.faults.spec import ChaosSpec, OverloadSpec
 
 #: Name of the RNG stream feeding subscription-handshake loss draws.
 LIFECYCLE_STREAM = "faults.lifecycle"
@@ -55,3 +55,11 @@ __all__ = [
     "Window",
     "generate_fault_schedule",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "generator": ("generate_fault_schedule",),
+    "injector": ("FaultInjector",),
+    "recovery": ("RecoveryReport", "RecoveryTracker"),
+    "schedule": ("EMPTY_SCHEDULE", "DegradedWindow", "FaultSchedule", "Window"),
+    "spec": ("ChaosSpec", "OverloadSpec"),
+})

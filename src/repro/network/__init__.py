@@ -16,10 +16,15 @@ designates a publisher node, assigns proxies to nodes and exposes the
 hop-count (or weighted) distance from every proxy to the publisher.
 """
 
-from repro.network.graph import Graph
-from repro.network.waxman import waxman_graph
-from repro.network.barabasi import barabasi_albert_graph
-from repro.network.topology import Topology, build_topology
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.network.graph import Graph
+    from repro.network.waxman import waxman_graph
+    from repro.network.barabasi import barabasi_albert_graph
+    from repro.network.topology import Topology, build_topology
 
 __all__ = [
     "Graph",
@@ -28,3 +33,10 @@ __all__ = [
     "Topology",
     "build_topology",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "graph": ("Graph",),
+    "waxman": ("waxman_graph",),
+    "barabasi": ("barabasi_albert_graph",),
+    "topology": ("Topology", "build_topology"),
+})

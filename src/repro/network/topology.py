@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.network.graph import Graph
 from repro.network.waxman import waxman_graph
-from repro.network.barabasi import barabasi_albert_graph
 
 
 class Topology:
@@ -125,6 +124,8 @@ def build_topology(
     if model == "waxman":
         graph = waxman_graph(node_count, rng, **model_kwargs)
     elif model == "barabasi":
+        from repro.network.barabasi import barabasi_albert_graph
+
         graph = barabasi_albert_graph(node_count, rng, **model_kwargs)
     else:
         raise ValueError(f"unknown topology model: {model!r}")

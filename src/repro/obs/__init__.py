@@ -34,30 +34,25 @@ bit-identical to an unobserved build and the overhead is one boolean
 test per simulation event.
 """
 
-from repro.obs.benchtrack import (
-    HISTORY_FILE,
-    Regression,
-    append_entry,
-    check_regressions,
-    extract_metrics,
-    load_history,
-)
-from repro.obs.explain import PageExplanation, explain_page, explain_page_from_file
-from repro.obs.log import get_logger, setup_cli_logging
-from repro.obs.monitor import RunMonitor, rss_bytes
-from repro.obs.profile import NULL_SPAN, NullSpan, Profiler
-from repro.obs.recorder import NULL_OBSERVER, NullObserver, Observer, build_observer
-from repro.obs.registry import (
-    Counter,
-    DEFAULT_LATENCY_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    escape_help,
-    escape_label_value,
-)
-from repro.obs.timeseries import TimeSeriesCollector, read_series_jsonl
-from repro.obs.tracer import EVENT_TYPES, EventTracer, read_jsonl
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.benchtrack import (
+        HISTORY_FILE, Regression, append_entry, check_regressions, extract_metrics, load_history,
+    )
+    from repro.obs.explain import PageExplanation, explain_page, explain_page_from_file
+    from repro.obs.log import get_logger, setup_cli_logging
+    from repro.obs.monitor import RunMonitor, rss_bytes
+    from repro.obs.profile import NULL_SPAN, NullSpan, Profiler
+    from repro.obs.recorder import NULL_OBSERVER, NullObserver, Observer, build_observer
+    from repro.obs.registry import (
+        Counter, DEFAULT_LATENCY_BUCKETS, Gauge, Histogram, MetricsRegistry, escape_help,
+        escape_label_value,
+    )
+    from repro.obs.timeseries import TimeSeriesCollector, read_series_jsonl
+    from repro.obs.tracer import EVENT_TYPES, EventTracer, read_jsonl
 
 __all__ = [
     "Observer",
@@ -93,3 +88,21 @@ __all__ = [
     "get_logger",
     "setup_cli_logging",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "benchtrack": (
+        "HISTORY_FILE", "Regression", "append_entry", "check_regressions", "extract_metrics",
+        "load_history",
+    ),
+    "explain": ("PageExplanation", "explain_page", "explain_page_from_file"),
+    "log": ("get_logger", "setup_cli_logging"),
+    "monitor": ("RunMonitor", "rss_bytes"),
+    "profile": ("NULL_SPAN", "NullSpan", "Profiler"),
+    "recorder": ("NULL_OBSERVER", "NullObserver", "Observer", "build_observer"),
+    "registry": (
+        "Counter", "DEFAULT_LATENCY_BUCKETS", "Gauge", "Histogram", "MetricsRegistry",
+        "escape_help", "escape_label_value",
+    ),
+    "timeseries": ("TimeSeriesCollector", "read_series_jsonl"),
+    "tracer": ("EVENT_TYPES", "EventTracer", "read_jsonl"),
+})

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -79,6 +78,8 @@ def extract_metrics(payload: Dict[str, object]) -> Dict[str, float]:
 
 def git_sha(cwd: Optional[str] = None) -> str:
     """The current short commit SHA, or ``"unknown"`` outside a repo."""
+    import subprocess
+
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],

@@ -20,13 +20,15 @@ stays bit-identical to the pre-observability behaviour.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.obs.monitor import RunMonitor
 from repro.obs.profile import NULL_SPAN, Profiler
-from repro.obs.registry import Gauge, MetricsRegistry
-from repro.obs.timeseries import TimeSeriesCollector
-from repro.obs.tracer import EventTracer
+
+if TYPE_CHECKING:  # build_observer imports the parts it constructs
+    from repro.obs.monitor import RunMonitor
+    from repro.obs.registry import Gauge, MetricsRegistry
+    from repro.obs.timeseries import TimeSeriesCollector
+    from repro.obs.tracer import EventTracer
 
 
 class Observer:
@@ -642,16 +644,24 @@ def build_observer(
     """Assemble an Observer from CLI-ish flags; None if nothing is on."""
     tracer = None
     if trace_out is not None:
+        from repro.obs.tracer import EventTracer
+
         tracer = EventTracer(
             sink=trace_out,
             max_events=0,
             pages=trace_pages,
             proxies=trace_proxies,
         )
-    registry = MetricsRegistry() if metrics else None
+    registry = None
+    if metrics:
+        from repro.obs.registry import MetricsRegistry
+
+        registry = MetricsRegistry()
     profiler = Profiler() if profile else None
     timeseries = None
     if series or series_out is not None:
+        from repro.obs.timeseries import TimeSeriesCollector
+
         timeseries = TimeSeriesCollector(
             window_seconds=series_window,
             max_windows=series_max_windows,
@@ -659,6 +669,8 @@ def build_observer(
         )
     run_monitor = None
     if monitor is not None or monitor_out is not None:
+        from repro.obs.monitor import RunMonitor
+
         run_monitor = RunMonitor(
             interval=monitor if monitor is not None else 5.0,
             sink=monitor_out,

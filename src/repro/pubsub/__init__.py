@@ -28,30 +28,21 @@ real subscription population or the paper's synthetic construction can
 drive the content distribution engine.
 """
 
-from repro.pubsub.pages import Page, PageVersion, Notification
-from repro.pubsub.subscriptions import (
-    Subscription,
-    Predicate,
-    attribute_equals,
-    attribute_in,
-    attribute_range,
-    keyword_any,
-    keyword_all,
-    topic_is,
-)
-from repro.pubsub.matching import (
-    MatchCountProvider,
-    MatchingEngine,
-    TraceMatchCounts,
-)
-from repro.pubsub.routing import RoutingEngine, RoutingTable
-from repro.pubsub.broker import Broker
-from repro.pubsub.overlay import BrokerTree, BrokerNode
-from repro.pubsub.population import (
-    EngineMatchCounts,
-    build_population,
-    engine_from_table,
-)
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.pubsub.pages import Page, PageVersion, Notification
+    from repro.pubsub.subscriptions import (
+        Subscription, Predicate, attribute_equals, attribute_in, attribute_range, keyword_any,
+        keyword_all, topic_is,
+    )
+    from repro.pubsub.matching import MatchCountProvider, MatchingEngine, TraceMatchCounts
+    from repro.pubsub.routing import RoutingEngine, RoutingTable
+    from repro.pubsub.broker import Broker
+    from repro.pubsub.overlay import BrokerTree, BrokerNode
+    from repro.pubsub.population import EngineMatchCounts, build_population, engine_from_table
 
 __all__ = [
     "Page",
@@ -77,3 +68,16 @@ __all__ = [
     "build_population",
     "engine_from_table",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "pages": ("Page", "PageVersion", "Notification"),
+    "subscriptions": (
+        "Subscription", "Predicate", "attribute_equals", "attribute_in", "attribute_range",
+        "keyword_any", "keyword_all", "topic_is",
+    ),
+    "matching": ("MatchCountProvider", "MatchingEngine", "TraceMatchCounts"),
+    "routing": ("RoutingEngine", "RoutingTable"),
+    "broker": ("Broker",),
+    "overlay": ("BrokerTree", "BrokerNode"),
+    "population": ("EngineMatchCounts", "build_population", "engine_from_table"),
+})

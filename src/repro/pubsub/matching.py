@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
+from typing import TYPE_CHECKING
 from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Set, Tuple
 
-from repro.pubsub.pages import Page
-from repro.pubsub.subscriptions import Subscription
+if TYPE_CHECKING:  # annotations only: the trace-driven path never builds either
+    from repro.pubsub.pages import Page
+    from repro.pubsub.subscriptions import Subscription
 
 
 class MatchCountProvider(Protocol):

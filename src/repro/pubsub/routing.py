@@ -11,10 +11,12 @@ tests account for notification traffic per link as well.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.network.topology import Topology
-from repro.pubsub.pages import Notification
+
+if TYPE_CHECKING:
+    from repro.pubsub.pages import Notification
 
 
 class RoutingTable:

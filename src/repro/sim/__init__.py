@@ -20,10 +20,15 @@ uses the callback scheduling API; the process API exists so the same
 kernel can express richer models (see ``examples/live_broker.py``).
 """
 
-from repro.sim.engine import Environment, Event, Timeout, SimulationError
-from repro.sim.process import Process, Interrupt
-from repro.sim.resources import Resource, Store
-from repro.sim.rng import RandomStreams
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.sim.engine import Environment, Event, Timeout, SimulationError
+    from repro.sim.process import Process, Interrupt
+    from repro.sim.resources import Resource, Store
+    from repro.sim.rng import RandomStreams
 
 __all__ = [
     "Environment",
@@ -36,3 +41,10 @@ __all__ = [
     "RandomStreams",
     "SimulationError",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "engine": ("Environment", "Event", "Timeout", "SimulationError"),
+    "process": ("Process", "Interrupt"),
+    "resources": ("Resource", "Store"),
+    "rng": ("RandomStreams",),
+})

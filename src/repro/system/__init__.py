@@ -10,15 +10,17 @@ metrics: the global hit ratio H (eq. 8), hourly hit ratios (Fig. 6)
 and publisher-proxy traffic under both pushing schemes (Fig. 7).
 """
 
-from repro.system.config import SimulationConfig, PushingScheme
-from repro.system.publisher import Publisher
-from repro.system.proxy import ProxyServer
-from repro.system.metrics import SimulationResult, HourlySeries
-from repro.system.simulator import Simulation, run_simulation
-from repro.system.cooperation import (
-    CooperativeSimulation,
-    run_cooperative_simulation,
-)
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.system.config import SimulationConfig, PushingScheme
+    from repro.system.publisher import Publisher
+    from repro.system.proxy import ProxyServer
+    from repro.system.metrics import SimulationResult, HourlySeries
+    from repro.system.simulator import Simulation, run_simulation
+    from repro.system.cooperation import CooperativeSimulation, run_cooperative_simulation
 
 __all__ = [
     "SimulationConfig",
@@ -32,3 +34,12 @@ __all__ = [
     "CooperativeSimulation",
     "run_cooperative_simulation",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "config": ("SimulationConfig", "PushingScheme"),
+    "publisher": ("Publisher",),
+    "proxy": ("ProxyServer",),
+    "metrics": ("SimulationResult", "HourlySeries"),
+    "simulator": ("Simulation", "run_simulation"),
+    "cooperation": ("CooperativeSimulation", "run_cooperative_simulation"),
+})

@@ -22,9 +22,8 @@ hanging on dead neighbours.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.faults.schedule import FaultSchedule
 from repro.network.topology import Topology
 from repro.obs.recorder import Observer
 from repro.pubsub.matching import TraceMatchCounts
@@ -33,6 +32,9 @@ from repro.system.metrics import SimulationResult
 from repro.system.proxy import ProxyServer
 from repro.system.simulator import Simulation
 from repro.workload.trace import Workload
+
+if TYPE_CHECKING:
+    from repro.faults.schedule import FaultSchedule
 
 
 class CooperativeSimulation(Simulation):

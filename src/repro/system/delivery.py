@@ -43,18 +43,7 @@ import numpy as np
 
 from repro.faults.schedule import FaultSchedule
 from repro.faults.spec import ChaosSpec
-
-#: Staleness-age histogram bin edges (seconds): a sample falls in the
-#: first bin whose edge it does not exceed; ages beyond the last edge
-#: land in a final overflow bin.
-STALENESS_AGE_BIN_EDGES: List[float] = [
-    60.0,
-    300.0,
-    900.0,
-    3600.0,
-    4 * 3600.0,
-    24 * 3600.0,
-]
+from repro.system.metrics import STALENESS_AGE_BIN_EDGES
 
 
 def staleness_age_bin(age: float) -> int:

@@ -49,12 +49,8 @@ import numpy as np
 
 from repro.obs.recorder import NULL_OBSERVER, Observer
 from repro.system.delivery import capped_backoff
+from repro.system.metrics import RENEWAL_LATENCY_BIN_EDGES
 from repro.workload.churn import ChurnSpec, LifecycleRecord
-
-#: Renewal-latency histogram bin edges (seconds from renew/subscribe to
-#: confirmation); a lossless handshake confirms at latency 0.  The last
-#: bin is the overflow beyond the final edge.
-RENEWAL_LATENCY_BIN_EDGES: List[float] = [0.5, 1.0, 2.0, 5.0, 15.0, 60.0]
 
 #: Lease states.  EXPIRED is assigned lazily; a lease whose deadline
 #: passed but that nothing touched yet still carries its old status.

@@ -35,6 +35,24 @@ def dense_clamped(values_by_hour: Dict[int, float], hour_count: int) -> List[flo
     return out
 
 
+#: Staleness-age histogram bin edges (seconds): a sample falls in the
+#: first bin whose edge it does not exceed; ages beyond the last edge
+#: land in a final overflow bin.
+STALENESS_AGE_BIN_EDGES: List[float] = [
+    60.0,
+    300.0,
+    900.0,
+    3600.0,
+    4 * 3600.0,
+    24 * 3600.0,
+]
+
+#: Renewal-latency histogram bin edges (seconds from renew/subscribe to
+#: confirmation); a lossless handshake confirms at latency 0.  The last
+#: bin is the overflow beyond the final edge.
+RENEWAL_LATENCY_BIN_EDGES: List[float] = [0.5, 1.0, 2.0, 5.0, 15.0, 60.0]
+
+
 @dataclass
 class HourlySeries:
     """A per-hour series stored sparsely and rendered densely."""

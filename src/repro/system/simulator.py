@@ -53,39 +53,37 @@ from __future__ import annotations
 
 import time
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.registry import make_policy_lenient
-from repro.faults.generator import derive_overload_rng, generate_fault_schedule
-from repro.faults.injector import FaultInjector
-from repro.faults.recovery import RecoveryTracker
-from repro.faults.schedule import FaultSchedule
+from repro.faults import LIFECYCLE_STREAM
 from repro.faults.spec import ChaosSpec, OverloadSpec
 from repro.network.topology import Topology, build_topology
 from repro.obs.log import get_logger
 from repro.obs.recorder import NULL_OBSERVER, Observer
 from repro.pubsub.matching import TraceMatchCounts
-from repro.pubsub.routing import SequenceTracker
 from repro.sim.engine import Environment, NORMAL, URGENT
 from repro.sim.rng import RandomStreams
 from repro.system.config import PushingScheme, SimulationConfig
-from repro.faults import LIFECYCLE_STREAM
-from repro.system.delivery import (
-    STALENESS_AGE_BIN_EDGES,
-    ReliableDelivery,
-    staleness_age_bin,
-)
-from repro.system.lifecycle import (
+from repro.system.metrics import (
     RENEWAL_LATENCY_BIN_EDGES,
-    LifecycleManager,
+    STALENESS_AGE_BIN_EDGES,
+    SimulationResult,
+    dense_clamped,
 )
-from repro.system.metrics import SimulationResult, dense_clamped
-from repro.system.overload import OverloadManager
 from repro.system.proxy import ProxyServer
 from repro.system.publisher import Publisher
-from repro.workload.churn import LifecycleRecord
 from repro.workload.subscriptions import build_match_counts
 from repro.workload.trace import Workload
+
+if TYPE_CHECKING:  # the layers are imported by the branch that arms them
+    from repro.faults.recovery import RecoveryTracker
+    from repro.faults.schedule import FaultSchedule
+    from repro.pubsub.routing import SequenceTracker
+    from repro.system.delivery import ReliableDelivery
+    from repro.system.lifecycle import LifecycleManager
+    from repro.system.overload import OverloadManager
+    from repro.workload.churn import LifecycleRecord
 
 logger = get_logger(__name__)
 
@@ -246,6 +244,8 @@ class Simulation:
         self.chaos: Optional[ChaosSpec] = config.chaos
         self.fault_schedule = fault_schedule
         if self.fault_schedule is None and config.chaos is not None:
+            from repro.faults.generator import generate_fault_schedule
+
             self.fault_schedule = generate_fault_schedule(
                 config.chaos,
                 streams,
@@ -258,6 +258,8 @@ class Simulation:
         self._faults_on = self.fault_schedule is not None
         self._recovery: Optional[RecoveryTracker] = None
         if self._faults_on:
+            from repro.faults.recovery import RecoveryTracker
+
             self._recovery = RecoveryTracker(
                 warm_request_window=self.chaos.warm_request_window,
                 warm_threshold=self.chaos.warm_threshold,
@@ -283,6 +285,9 @@ class Simulation:
         self._overload: Optional[OverloadManager] = None
         self._overload_stale_serves = 0
         if self._overload_on:
+            from repro.faults.generator import derive_overload_rng
+            from repro.system.overload import OverloadManager
+
             self._overload = OverloadManager(
                 overload_spec,
                 range(workload.config.server_count),
@@ -307,6 +312,9 @@ class Simulation:
         self._delivery: Optional[ReliableDelivery] = None
         self._seq_trackers: List[SequenceTracker] = []
         if self._delivery_on:
+            from repro.pubsub.routing import SequenceTracker
+            from repro.system.delivery import ReliableDelivery
+
             self._delivery = ReliableDelivery(
                 self.chaos,
                 self.fault_schedule,
@@ -336,6 +344,8 @@ class Simulation:
         self._pushes_suppressed_no_lease = 0
         self._churn_stale_serves = 0
         if self._churn_on:
+            from repro.system.lifecycle import LifecycleManager
+
             churn_spec = workload.churn
             if churn_spec is None:
                 from repro.workload.churn import ChurnSpec
@@ -999,6 +1009,8 @@ class Simulation:
         return True
 
     def _sample_staleness_age(self, age: float) -> None:
+        from repro.system.delivery import staleness_age_bin
+
         self._staleness_age_counts[staleness_age_bin(age)] += 1
 
     def _probe_hit(self, proxy: ProxyServer, page_id: int, version: int) -> bool:
@@ -1532,6 +1544,8 @@ class Simulation:
                         priority=NORMAL,
                     )
             if self._faults_on:
+                from repro.faults.injector import FaultInjector
+
                 FaultInjector(self.fault_schedule).install(env, self)
         with obs.span("sim.run"):
             if batched:

@@ -26,12 +26,17 @@ SIGCOMM 2000):
 configurations, with a ``scale`` knob for laptop-sized runs.
 """
 
-from repro.workload.config import WorkloadConfig
-from repro.workload.trace import Workload, PageSpec, PublishRecord, RequestRecord, generate_workload
-from repro.workload.churn import ChurnSpec, LifecycleRecord, generate_churn, churn_statistics
-from repro.workload.subscriptions import build_match_counts
-from repro.workload.presets import news_config, alternative_config
-from repro.workload.validate import ValidationReport, validate_workload, validate_churn_spec
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.workload.config import WorkloadConfig
+    from repro.workload.trace import Workload, PageSpec, PublishRecord, RequestRecord, generate_workload
+    from repro.workload.churn import ChurnSpec, LifecycleRecord, generate_churn, churn_statistics
+    from repro.workload.subscriptions import build_match_counts
+    from repro.workload.presets import news_config, alternative_config
+    from repro.workload.validate import ValidationReport, validate_workload, validate_churn_spec
 
 __all__ = [
     "WorkloadConfig",
@@ -51,3 +56,12 @@ __all__ = [
     "validate_workload",
     "validate_churn_spec",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "config": ("WorkloadConfig",),
+    "trace": ("Workload", "PageSpec", "PublishRecord", "RequestRecord", "generate_workload"),
+    "churn": ("ChurnSpec", "LifecycleRecord", "generate_churn", "churn_statistics"),
+    "subscriptions": ("build_match_counts",),
+    "presets": ("news_config", "alternative_config"),
+    "validate": ("ValidationReport", "validate_workload", "validate_churn_spec"),
+})

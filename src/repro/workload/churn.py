@@ -36,6 +36,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.workload.config import DAY, HOUR
+from repro.workload.validate import validate_churn_spec
 
 #: Safety valve: at pathological parameter combinations (micro-leases
 #: over a week-long horizon) one subscriber could otherwise emit
@@ -90,8 +91,6 @@ class ChurnSpec:
     def __post_init__(self) -> None:
         # The checks live in repro.workload.validate so the trace
         # auditing module owns every workload-parameter rejection.
-        from repro.workload.validate import validate_churn_spec
-
         validate_churn_spec(self)
 
 

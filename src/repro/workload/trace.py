@@ -183,23 +183,24 @@ class Workload:
     @classmethod
     def from_json(cls, text: str) -> "Workload":
         """Rebuild a workload serialized with :meth:`to_json`."""
-        from repro.workload.churn import ChurnSpec, LifecycleRecord
-
         payload = json.loads(text)
         config_fields = dict(payload["config"])
         config_fields["age_exponents"] = tuple(config_fields["age_exponents"])
         churn = None
-        if payload.get("churn") is not None:
-            churn = ChurnSpec(**payload["churn"])
+        lifecycle = []
+        if payload.get("churn") is not None or payload.get("lifecycle"):
+            from repro.workload.churn import ChurnSpec, LifecycleRecord
+
+            if payload.get("churn") is not None:
+                churn = ChurnSpec(**payload["churn"])
+            lifecycle = [LifecycleRecord(**event) for event in payload.get("lifecycle", [])]
         return cls(
             config=WorkloadConfig(**config_fields),
             pages=[PageSpec(**page) for page in payload["pages"]],
             publishes=[PublishRecord(**event) for event in payload["publishes"]],
             requests=[RequestRecord(**record) for record in payload["requests"]],
             label=payload.get("label", ""),
-            lifecycle=[
-                LifecycleRecord(**event) for event in payload.get("lifecycle", [])
-            ],
+            lifecycle=lifecycle,
             churn=churn,
         )
 

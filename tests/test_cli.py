@@ -598,3 +598,50 @@ def test_bad_numeric_flags_fail_with_one_line(capsys, argv, needle):
     err = capsys.readouterr().err
     assert needle in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "chaos"])
+@pytest.mark.parametrize(
+    "flag", ["--trace-out", "--metrics-out", "--series-out", "--monitor-out"]
+)
+def test_unwritable_output_path_fails_before_the_run(
+    tmp_path, capsys, monkeypatch, command, flag
+):
+    """A bad output path costs one line and exit code 2 — not a
+    traceback from a sink constructor, and not a whole simulation
+    followed by a FileNotFoundError."""
+
+    def generated_too_early(*args, **kwargs):
+        raise AssertionError("a trace was generated before the paths were checked")
+
+    monkeypatch.setattr("repro.workload.presets.generate_workload", generated_too_early)
+    path = tmp_path / "missing" / "out.file"
+    code = main([command, "--scale", "0.03", "--seed", "987", flag, str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"cannot write {flag} {path}: no such directory: {path.parent}\n"
+    )
+    assert not path.parent.exists()
+
+
+def test_version_flag_prints_the_package_version(capsys):
+    import repro
+
+    with pytest.raises(SystemExit) as stop:
+        main(["--version"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out == f"repro-pubsub {repro.__version__}\n"
+
+
+def test_package_version_matches_pyproject():
+    import os
+    import re
+
+    import repro
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as handle:
+        declared = re.search(r'^version\s*=\s*"([^"]+)"', handle.read(), re.M)
+    assert declared is not None
+    assert repro.__version__ == declared.group(1)
