@@ -2,14 +2,11 @@
 
 Two measurements, one JSON (``BENCH_perf.json``):
 
-* **replay** — the same simulation cell (strategy ``sg2``, news trace,
-  5 % capacity) replayed through all three engine stages: the legacy
-  heap agenda (``replay="agenda"``), the merged-iterator hybrid
-  (``replay="hybrid"``) and the batched single-loop interior
-  (``replay="fast"``), each reported as events/sec over the static
-  trace (publish + request records).  All three results are compared
-  field-by-field (minus ``wall_seconds``/``profile``) so the file
-  records that the speedups were measured on bit-identical replays.
+* **replay** — one simulation cell (strategy ``sg2``, news trace, 5 %
+  capacity) through the replay driver (``Simulation.run``; the cell
+  arms no layer, so this times the driver's inline arm), reported as
+  events/sec over the static trace (publish + request records) under
+  ``replay.fast`` — the key the recorded history already tracks.
 
 * **grid_cache** — a small multi-strategy grid run twice against one
   on-disk artifact cache directory: *cold* (empty cache, generation +
@@ -25,7 +22,6 @@ benchmarks/README.md for the output format.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import shutil
 import sys
@@ -51,26 +47,15 @@ CAPACITY = 0.05
 GRID_STRATEGIES = ("gdstar", "sub", "sg2")
 
 
-def _stripped(result) -> Dict[str, object]:
-    """A result as a dict minus the timing-only fields."""
-    payload = dataclasses.asdict(result)
-    payload.pop("wall_seconds")
-    payload.pop("profile")
-    return payload
-
-
-def _time_replay(workload, match_table, topology, seed: int, repeats: int,
-                 replay: str) -> Dict[str, object]:
-    """Min-of-``repeats`` replay wall time for one engine variant."""
+def _time_replay(workload, match_table, topology, seed: int,
+                 repeats: int) -> Dict[str, object]:
+    """Min-of-``repeats`` wall time of ``Simulation.run`` on the cell."""
     seconds: List[float] = []
-    last_result = None
+    config = SimulationConfig(strategy=STRATEGY, capacity_fraction=CAPACITY, seed=seed)
     for _ in range(repeats):
-        config = SimulationConfig(
-            strategy=STRATEGY, capacity_fraction=CAPACITY, seed=seed, replay=replay
-        )
         simulation = Simulation(workload, config, match_table, topology)
         start = perf_counter()
-        last_result = simulation.run()
+        simulation.run()
         seconds.append(perf_counter() - start)
     best = min(seconds)
     events = workload.publish_count + workload.request_count
@@ -78,7 +63,6 @@ def _time_replay(workload, match_table, topology, seed: int, repeats: int,
         "seconds_per_run": best,
         "events_per_sec": events / best if best > 0 else None,
         "all_seconds": seconds,
-        "result": last_result,
     }
 
 
@@ -116,14 +100,7 @@ def run_benchmark(
         extra_nodes=20,
     )
 
-    stages = {
-        name: _time_replay(workload, match_table, topology, seed, repeats, name)
-        for name in ("agenda", "hybrid", "fast")
-    }
-    reference = _stripped(stages["agenda"]["result"])
-    bit_identical = all(
-        _stripped(timing["result"]) == reference for timing in stages.values()
-    )
+    replay = _time_replay(workload, match_table, topology, seed, repeats)
 
     owns_cache_dir = cache_dir is None
     if owns_cache_dir:
@@ -147,8 +124,7 @@ def run_benchmark(
         "publishes": workload.publish_count,
         "requests": workload.request_count,
         "events": workload.publish_count + workload.request_count,
-        "bit_identical": bit_identical,
-        "replay": {},
+        "replay": {"fast": replay},
         "grid_cache": {
             "strategies": list(GRID_STRATEGIES),
             "cells": len(GRID_STRATEGIES),
@@ -159,23 +135,6 @@ def run_benchmark(
                 cold_seconds / warm_seconds if warm_seconds > 0 else None
             ),
         },
-    }
-    for name, timing in stages.items():
-        payload["replay"][name] = {
-            "seconds_per_run": timing["seconds_per_run"],
-            "events_per_sec": timing["events_per_sec"],
-            "all_seconds": timing["all_seconds"],
-        }
-    agenda_eps = stages["agenda"]["events_per_sec"]
-    hybrid_eps = stages["hybrid"]["events_per_sec"]
-    fast_eps = stages["fast"]["events_per_sec"]
-    # Headline speedup: the batched interior vs. the legacy agenda, plus
-    # the per-stage breakdown so regressions localise to one layer.
-    payload["speedup"] = fast_eps / agenda_eps if agenda_eps else None
-    payload["stage_speedups"] = {
-        "hybrid_vs_agenda": hybrid_eps / agenda_eps if agenda_eps else None,
-        "fast_vs_hybrid": fast_eps / hybrid_eps if hybrid_eps else None,
-        "fast_vs_agenda": fast_eps / agenda_eps if agenda_eps else None,
     }
     return payload
 
@@ -190,7 +149,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--grid-scale", type=float, default=0.03, help="grid-leg workload scale"
     )
     parser.add_argument("--seed", type=int, default=7, help="root random seed")
-    parser.add_argument("--repeats", type=int, default=3, help="runs per variant")
+    parser.add_argument("--repeats", type=int, default=3, help="replay runs")
     parser.add_argument(
         "--cache-dir", default=None,
         help="artifact-cache directory for the grid leg "
@@ -219,17 +178,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         handle.write("\n")
 
     print(f"wrote {args.out}  (scale={scale} seed={args.seed} repeats={repeats})")
-    for name, entry in payload["replay"].items():
-        print(
-            f"  {name:>6s}: {entry['seconds_per_run']:.4f} s/run "
-            f"({entry['events_per_sec']:,.0f} events/s)"
-        )
-    breakdown = payload["stage_speedups"]
+    entry = payload["replay"]["fast"]
     print(
-        f"  speedup: {payload['speedup']:.2f}x fast-vs-agenda "
-        f"(hybrid {breakdown['hybrid_vs_agenda']:.2f}x, "
-        f"fast-vs-hybrid {breakdown['fast_vs_hybrid']:.2f}x; "
-        f"bit-identical: {payload['bit_identical']})"
+        f"  replay: {entry['seconds_per_run']:.4f} s/run "
+        f"({entry['events_per_sec']:,.0f} events/s)"
     )
     grid = payload["grid_cache"]
     print(

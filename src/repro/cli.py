@@ -250,13 +250,6 @@ def _validate_cell_args(args: argparse.Namespace) -> None:
     workers = getattr(args, "workers", None)
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if getattr(args, "streaming", False) and (
-        getattr(args, "replay", "fast") == "agenda"
-    ):
-        raise ValueError(
-            "--streaming requires a replay engine that can stream; "
-            "the agenda engine cannot (use --replay fast or hybrid)"
-        )
 
 
 def _build_overload_spec(args: argparse.Namespace):
@@ -354,7 +347,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         beta=args.beta,
         observer=observer,
-        replay=args.replay,
         churn=churn,
         overload=overload,
         workers=args.workers,
@@ -706,12 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=PushingScheme.WHEN_NECESSARY.value,
     )
     run_parser.add_argument("--beta", type=float, default=None)
-    run_parser.add_argument(
-        "--replay", choices=["fast", "hybrid", "agenda"], default="fast",
-        help="trace replay engine: the batched fast path (default), the "
-             "merged-iterator hybrid, or the legacy heap agenda (all "
-             "bit-identical results)",
-    )
     run_parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="shard the proxies across N processes (bit-identical "

@@ -168,7 +168,6 @@ def run_cell(
     strategy_options: Optional[Dict] = None,
     observer: Optional[Observer] = None,
     artifact_dir: Optional[str] = None,
-    replay: str = "fast",
     churn: Optional[ChurnSpec] = None,
     overload: Optional[OverloadSpec] = None,
     workers: int = 1,
@@ -236,7 +235,6 @@ def run_cell(
         seed=seed,
         notified_fraction=notified_fraction,
         overload=overload,
-        replay=replay,
         workers=workers,
     )
     if config.workers > 1:

@@ -10,6 +10,7 @@ broken first by an explicit priority and then by insertion order.
 from __future__ import annotations
 
 import heapq
+from time import perf_counter
 from typing import Any, Callable, List, Optional, Tuple
 
 #: Scheduling priorities.  URGENT beats NORMAL at the same timestamp;
@@ -111,15 +112,16 @@ class Environment:
     """The simulation environment: virtual clock plus event agenda.
 
     Use :meth:`schedule` for plain callback scheduling (the content
-    distribution simulator's trace replay does this), or
-    :meth:`process` to launch a generator-based process (see
-    :mod:`repro.sim.process`).
+    distribution simulator schedules delayed notification arrivals this
+    way), :meth:`process` to launch a generator-based process (see
+    :mod:`repro.sim.process`), or :meth:`run_before` to interleave a
+    pre-sorted static stream with the agenda.
 
     Setting :attr:`profiler` (any object with ``record(name, dt)``,
-    e.g. :class:`repro.obs.profile.Profiler`) makes :meth:`run` time
-    each agenda step under the ``"engine.step"`` phase.  It defaults to
-    ``None`` and the unprofiled loop is untouched, so observability is
-    free when off.
+    e.g. :class:`repro.obs.profile.Profiler`) makes :meth:`run` and
+    :meth:`run_before` time each agenda step under the
+    ``"engine.step"`` phase.  It defaults to ``None`` and the
+    unprofiled loop is untouched, so observability is free when off.
 
     Setting :attr:`monitor` (any object with ``tick(now)``, e.g.
     :class:`repro.obs.monitor.RunMonitor`) makes the loops call
@@ -203,87 +205,39 @@ class Environment:
 
         return Process(self, generator)
 
-    def run_hybrid(self, stream) -> None:
-        """Replay a pre-sorted static stream merged with the agenda.
+    def run_before(self, at: float, priority: int) -> None:
+        """Run every agenda event sorting strictly before ``(at, priority)``,
+        then set the clock to ``at``.
 
-        ``stream`` yields ``(time, priority, fn, a, b)`` records sorted
-        lexicographically by ``(time, priority)``; each is dispatched as
-        ``fn(a, b, time)`` without ever touching the agenda.  The agenda
-        keeps serving *dynamic* events (timeouts, processes, anything
-        scheduled while running).
-
-        Ordering is bit-identical to scheduling the whole stream up
-        front and calling :meth:`run`: had the static records been
-        enqueued first, they would hold lower sequence numbers than
-        every dynamically scheduled event, so on a ``(time, priority)``
-        tie the static record must win — which is exactly the ``<=``
-        below.  Relative order *among* dynamic events is untouched
-        (they still go through the heap in scheduling order).
-
-        Runs until both the stream and the agenda are exhausted.
+        The replay driver calls this ahead of each record of its
+        pre-sorted static stream and then dispatches the record itself,
+        so the agenda only ever holds *dynamic* events (timeouts,
+        processes, anything scheduled while running).  Had the static
+        records been scheduled up front they would hold lower sequence
+        numbers than every dynamic event, so on a full ``(time,
+        priority)`` tie the static record must win — hence *strictly*
+        before.  Relative order among dynamic events is the heap's.
         """
         agenda = self._agenda
         profiler = self.profiler
         monitor = self.monitor
-        iterator = iter(stream)
-        if profiler is None and monitor is None:
-            # Uninstrumented hot loop: the agenda drain is an inner
-            # loop comparing heap-head fields directly (no per-record
-            # tuple build), and the step/clock lookups are hoisted.
-            step = self.step
-            pending = next(iterator, None)
-            while pending is not None:
-                at, priority, fn, a, b = pending
-                while agenda:
-                    head = agenda[0]
-                    head_time = head[0]
-                    if head_time > at or (
-                        head_time == at and head[1] >= priority
-                    ):
-                        break
-                    step()
-                if at < self._now:
-                    raise SimulationError(
-                        f"static stream goes back in time: {at} < "
-                        f"now={self._now}"
-                    )
-                self._now = at
-                fn(a, b, at)
-                pending = next(iterator, None)
-            self.run()
-            return
-        if profiler is not None:
-            from time import perf_counter
-
-            record = profiler.record
-        pending = next(iterator, None)
-        while pending is not None:
-            at, priority, fn, a, b = pending
-            if agenda and (agenda[0][0], agenda[0][1]) < (at, priority):
-                if profiler is None:
-                    self.step()
-                else:
-                    started = perf_counter()
-                    self.step()
-                    record("engine.step", perf_counter() - started)
-                if monitor is not None:
-                    monitor.tick(self._now)
-                continue
-            if at < self._now:
-                raise SimulationError(
-                    f"static stream goes back in time: {at} < now={self._now}"
-                )
-            self._now = at
+        while agenda:
+            head = agenda[0]
+            if head[0] > at or (head[0] == at and head[1] >= priority):
+                break
             if profiler is None:
-                fn(a, b, at)
+                self.step()
             else:
                 started = perf_counter()
-                fn(a, b, at)
-                record("engine.step", perf_counter() - started)
+                self.step()
+                profiler.record("engine.step", perf_counter() - started)
             if monitor is not None:
-                monitor.tick(at)
-            pending = next(iterator, None)
-        self.run()
+                monitor.tick(self._now)
+        if at < self._now:
+            raise SimulationError(
+                f"static stream goes back in time: {at} < now={self._now}"
+            )
+        self._now = at
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the agenda empties or the clock passes ``until``.
@@ -301,8 +255,6 @@ class Environment:
                     break
                 self.step()
         elif monitor is None:
-            from time import perf_counter
-
             record = profiler.record
             while self._agenda:
                 if until is not None and self._agenda[0][0] > until:
@@ -312,8 +264,6 @@ class Environment:
                 record("engine.step", perf_counter() - started)
         else:
             if profiler is not None:
-                from time import perf_counter
-
                 record = profiler.record
             tick = monitor.tick
             while self._agenda:

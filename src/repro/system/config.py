@@ -73,19 +73,6 @@ class SimulationConfig:
     #: default is equally inert (``enabled`` is false) and bit-identical
     #: to a run without the layer.
     overload: Optional[OverloadSpec] = None
-    #: Trace replay engine: ``"fast"`` merges the static publish and
-    #: request streams straight into the handlers, consulting the DES
-    #: agenda only for dynamic events — and, when nothing in the
-    #: configuration can ever touch the agenda (no faults, churn or
-    #: observer), drops to a batched driver that bypasses the DES
-    #: entirely; ``"hybrid"`` forces the generic agenda-merging fast
-    #: path even when the batched driver would be eligible (used by the
-    #: perf benchmark to time the stages separately); ``"agenda"`` is
-    #: the legacy path that heap-schedules every trace record.  All
-    #: engines are bit-identical in every
-    #: :class:`~repro.system.metrics.SimulationResult` field except
-    #: ``wall_seconds``/``profile``.
-    replay: str = "fast"
     #: Shard the proxies across this many ``multiprocessing`` workers
     #: (see :mod:`repro.system.sharding`).  1 (the default) runs the
     #: classic single-process simulation; higher values partition the
@@ -116,7 +103,3 @@ class SimulationConfig:
             raise ValueError("invariant_check_interval must be >= 0")
         if self.hit_latency < 0 or self.per_hop_latency < 0:
             raise ValueError("latencies must be >= 0")
-        if self.replay not in ("fast", "hybrid", "agenda"):
-            raise ValueError(
-                f"replay must be 'fast', 'hybrid' or 'agenda', got {self.replay!r}"
-            )

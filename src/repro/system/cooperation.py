@@ -85,67 +85,6 @@ class CooperativeSimulation(Simulation):
             neighbors.append(peers[: self.neighbor_count])
         return neighbors
 
-    def _peer_with_version(
-        self, server_id: int, page_id: int, version: int
-    ) -> Optional[Tuple[int, float]]:
-        """Nearest peer holding the current version, or None.
-
-        A peer is only worth asking when it is strictly closer than the
-        origin publisher — otherwise fetching from the origin is at
-        least as fast and keeps the protocol simpler.
-        """
-        origin_cost = self.proxies[server_id].policy.cost
-        for peer_index, hops in self._neighbors[server_id]:
-            if max(1.0, hops) >= origin_cost:
-                break  # neighbors are distance-sorted: no closer peer exists
-            policy = self.proxies[peer_index].policy
-            if policy.contains(page_id) and policy.cached_version(page_id) == version:
-                return peer_index, hops
-        return None
-
-    def _handle_request(self, server_id: int, page_id: int, now: float) -> None:
-        if self._faults_on or self._overload_on:
-            # The base class routes through the degraded/overload path,
-            # which resolves misses via our ``_fetch_on_miss`` failover
-            # chain (and queue-rejected pulls via
-            # ``_rejected_pull_resolution`` below).
-            super()._handle_request(server_id, page_id, now)
-            return
-        version = self.publisher.current_version(page_id)
-        if version is None:
-            raise RuntimeError(
-                f"request for page {page_id} before its first publication"
-            )
-        size = self.publisher.page_size(page_id)
-        match_count = self.match_table.count_for(page_id, server_id)
-        proxy = self.proxies[server_id]
-        obs_on = self._obs_on
-        if obs_on:
-            self._obs_now = now
-            self.obs.request(now, page_id, server_id)
-        outcome = proxy.handle_request(page_id, version, size, match_count, now)
-        latency = self.config.hit_latency
-        if not outcome.hit:
-            peer = self._peer_with_version(server_id, page_id, version)
-            if peer is not None:
-                peer_index, hops = peer
-                self._record_peer_fetch(size, now)
-                latency += self.config.per_hop_latency * max(1.0, hops)
-                if obs_on:
-                    self.obs.fetch(
-                        now, page_id, server_id, source=f"peer:{peer_index}"
-                    )
-            else:
-                self.publisher.record_fetch(page_id, now)
-                latency += self.config.per_hop_latency * proxy.policy.cost
-                if obs_on:
-                    self.obs.fetch(now, page_id, server_id)
-        proxy.stats.response_time += latency
-        if obs_on:
-            kind = "hit" if outcome.hit else ("stale" if outcome.stale else "miss")
-            self.obs.request_outcome(now, page_id, server_id, kind, latency)
-        self._maybe_check_invariants()
-
     def _record_peer_fetch(self, size: int, now: float) -> None:
         self.peer_fetch_pages += 1
         self.peer_fetch_bytes += size
@@ -165,8 +104,11 @@ class CooperativeSimulation(Simulation):
     ) -> Optional[Tuple[float, bool]]:
         """The failover chain: nearest live holder, next, ..., origin.
 
-        Peers strictly closer than the origin are probed in distance
-        order.  A crashed peer costs ``peer_timeout`` seconds before the
+        Overriding this hook is what routes every request of a
+        cooperative run through the base class's layered handler, with
+        or without faults.  Peers strictly closer than the origin — a
+        farther one could not beat an origin fetch — are probed in
+        distance order.  A crashed peer costs ``peer_timeout`` seconds before the
         chain moves on; the first live peer holding the current version
         serves the fetch.  When the chain is exhausted the origin is the
         terminal fallback, with its usual outage retry rules — so the
@@ -211,26 +153,13 @@ class CooperativeSimulation(Simulation):
         extra_latency, degraded = resolution
         return waited + extra_latency, degraded or timed_out > 0
 
-    def _rejected_pull_resolution(
-        self, proxy: ProxyServer, server_id: int, page_id: int, now: float
-    ) -> Optional[Tuple[float, bool]]:
-        """Queue-rejected pulls fail over down the peer chain too.
-
-        The rejected client retries off-proxy exactly like a miss: the
-        nearest live holder of the current version answers, and only an
-        exhausted chain falls through to the origin admission gate.
-        """
-        version = self.publisher.current_version(page_id)
-        size = self.publisher.page_size(page_id)
-        return self._fetch_on_miss(proxy, server_id, page_id, version, size, now)
-
     def _attach_observer(self) -> None:
         super()._attach_observer()
         profiler = self.obs.profiler
         if profiler is not None:
             # Instance-attribute shadowing, like ProxyServer.instrument.
-            self._peer_with_version = profiler.wrap(
-                self._peer_with_version, "coop.peer_lookup"
+            self._fetch_on_miss = profiler.wrap(
+                self._fetch_on_miss, "coop.peer_lookup"
             )
 
     def _collect(self, wall_seconds: float) -> SimulationResult:

@@ -169,8 +169,7 @@ class CircuitBreaker:
     seconds (plus optional seeded jitter) it half-opens and admits
     probes; ``probe_successes`` consecutive probe successes close it,
     any probe failure re-opens it.  Transitions happen lazily inside
-    :meth:`allow`, so the breaker needs no agenda events and behaves
-    identically under every replay engine.
+    :meth:`allow`, so the breaker needs no agenda events.
     """
 
     __slots__ = (

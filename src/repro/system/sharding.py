@@ -9,7 +9,7 @@ the **full publish stream** (keeping the publisher's version state
 bit-identical everywhere) against a *shard-filtered match table* — so
 notifications only reach, and push traffic is only accounted for, the
 worker's own proxies — plus **only its shard's requests**.  Each worker
-runs the ordinary batched/hybrid interior locally; the parent then
+runs the ordinary replay driver locally; the parent then
 merges the per-shard :class:`~repro.system.metrics.SimulationResult`
 partials with a pure reduction:
 
@@ -26,8 +26,7 @@ bit-identical to ``workers=1`` in every field except
 ``tests/system/test_sharding.py`` across strategies and pushing
 schemes).
 
-**Decline rules** (the batched-driver pattern: fall back rather than
-be subtly wrong): configurations with cross-shard state — fault
+**Decline rules** (fall back rather than be subtly wrong): configurations with cross-shard state — fault
 schedules, the overload layer's shared origin admission and retry
 budget, subscription churn, observers — run single-process.  The
 **cooperative** extension shards only when its peer-lookup graph
@@ -109,9 +108,9 @@ def shard_eligibility(
 ) -> Optional[str]:
     """Why this run cannot shard, or ``None`` when it can.
 
-    Mirrors ``Simulation._batched_eligible``: anything that couples
-    proxies through global state makes the per-shard replay diverge
-    from the single-process one, so those configurations decline.
+    Anything that couples proxies through global state makes the
+    per-shard replay diverge from the single-process one, so those
+    configurations decline.
     """
     if config.chaos is not None:
         return "fault injection shares a global schedule and delivery state"

@@ -2,10 +2,11 @@
 
 :class:`Simulation` wires together the workload trace, the subscription
 table (eq. 7), the topology-derived fetch costs, one policy instance
-per proxy and the publisher, then replays the publish and request
-streams in time order through :class:`repro.sim.Environment`.  Publish
-events are scheduled at URGENT priority so a page exists before any
-same-instant request for it.
+per proxy and the publisher, then replays the lifecycle, publish and
+request streams as one merged static stream (``Simulation._replay``),
+with :class:`repro.sim.Environment` holding only the dynamic events —
+fault transitions and delayed notification copies.  At equal times a
+publish precedes a request, so a page exists before it is read.
 
 Traffic accounting (§5.6) happens here, not in the policies:
 
@@ -51,6 +52,7 @@ denominator.
 
 from __future__ import annotations
 
+import heapq
 import time
 from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -90,11 +92,14 @@ logger = get_logger(__name__)
 #: Safety cap on modelled retransmissions over one lossy transfer.
 _MAX_RETRANSMITS = 8
 
-#: Sort key for the batched replay's merged event stream: time, then
-#: kind (publishes before requests at equal times — the hybrid engine's
-#: URGENT-vs-NORMAL priority rule).  The sort is stable, so events of
-#: one kind keep their per-stream order.
+#: Sort keys of the static stream (see ``Simulation._stream``): the
+#: lazy merge compares times only, the memoised list time then kind.
+_TIME = itemgetter(0)
 _TIME_KIND = itemgetter(0, 1)
+
+#: Agenda priority of each static record kind (publish, request,
+#: lifecycle): what a dynamic event at the same instant is compared to.
+_PRIORITY = (URGENT, NORMAL, URGENT)
 
 
 def _outcome_kind(outcome) -> str:
@@ -169,15 +174,8 @@ class Simulation:
     ) -> None:
         self.workload = workload
         self.config = config
-        #: Streaming traces are iterated, never indexed; the legacy
-        #: agenda path would materialize every record as a heap entry,
-        #: defeating the point, so it declines up front.
+        #: Streaming traces are iterated, never indexed or retained.
         self._streaming = bool(getattr(workload, "streaming", False))
-        if self._streaming and config.replay == "agenda":
-            raise ValueError(
-                "the agenda replay engine cannot stream a workload; "
-                "use replay='fast' or 'hybrid', or materialize the trace"
-            )
         # Observability is strictly read-only: hooks fire *after* each
         # state transition and never touch RNG streams, so an observed
         # run's SimulationResult (minus wall_seconds/profile) stays
@@ -362,6 +360,14 @@ class Simulation:
                 obs_on=self._obs_on,
                 overload=self._overload,
             )
+
+        #: Requests take the layered handler when a layer can stand
+        #: between user and page or a subclass resolves misses itself.
+        self._layered = (
+            self._faults_on
+            or self._overload_on
+            or type(self)._fetch_on_miss is not Simulation._fetch_on_miss
+        )
 
     # -- fault hooks (called by the FaultInjector) --------------------------
 
@@ -631,12 +637,8 @@ class Simulation:
             self.obs.request(now, page_id, server_id)
         if self._churn_on:
             self._lifecycle_access(server_id, page_id, version, now)
-        if self._faults_on:
-            self._handle_request_faulty(
-                proxy, server_id, page_id, version, size, match_count, now
-            )
-        elif self._overload_on:
-            self._handle_request_overload(
+        if self._layered:
+            self._handle_request_layered(
                 proxy, server_id, page_id, version, size, match_count, now
             )
         else:
@@ -684,7 +686,7 @@ class Simulation:
 
     # -- degraded request handling -----------------------------------------
 
-    def _handle_request_faulty(
+    def _handle_request_layered(
         self,
         proxy: ProxyServer,
         server_id: int,
@@ -694,6 +696,16 @@ class Simulation:
         match_count: int,
         now: float,
     ) -> None:
+        """The request path when anything can stand between user and page.
+
+        One handler for faults, overload and peer fetching, alone or
+        together; every stage is guarded by the layer that arms it, so
+        a stage whose layer is off is skipped, not emulated: down-proxy
+        failover (faults), service-queue admission (overload), the
+        silently-stale check (delivery), then the probe and — on a
+        miss — :meth:`_fetch_on_miss`, whose refusal degrades to a
+        stale serve when the origin gate caused it.
+        """
         obs_on = self._obs_on
         if not proxy.up:
             # The proxy is offline; its cache cannot answer.  The client
@@ -704,23 +716,27 @@ class Simulation:
                     now, server_id, page_id, target="origin", reason="proxy-down"
                 )
             resolution = self._origin_resolution(proxy, server_id, page_id, now)
-            if resolution is None:
-                self._note_failed(now)
-                if obs_on:
-                    self.obs.failed(now, page_id, server_id)
-                return
-            extra_latency, _degraded = resolution
-            self._note_degraded(now)
-            latency = self.config.hit_latency + extra_latency
-            proxy.stats.response_time += latency
-            if obs_on:
-                self.obs.request_outcome(now, page_id, server_id, "miss", latency)
+            self._settle_failover(proxy, server_id, page_id, now, resolution)
             return
 
         if self._overload_on and not self._overload.admit(
             server_id, now, push=False
         ):
-            self._handle_rejected_pull(proxy, server_id, page_id, now)
+            # The service queue refused the pull: it never reaches the
+            # policy (tallied as unserved, keeping the shared
+            # denominator) and retries off-proxy exactly like a miss —
+            # peer chain first in a cooperative run, then the origin
+            # through its admission gate.
+            self._note_unserved(now)
+            if obs_on:
+                self.obs.overload_reject(now, page_id, server_id)
+                self.obs.failover(
+                    now, server_id, page_id, target="origin", reason="overload"
+                )
+            resolution = self._fetch_on_miss(
+                proxy, server_id, page_id, version, size, now
+            )
+            self._settle_failover(proxy, server_id, page_id, now, resolution)
             return
 
         if self._delivery_on and self._silently_stale_path(
@@ -733,7 +749,8 @@ class Simulation:
                 # Access-time validation ran and confirmed freshness.
                 self._staleness_validations += 1
             proxy.handle_request(page_id, version, size, match_count, now)
-            self._recovery.on_request(server_id, hit=True, now=now)
+            if self._recovery is not None:
+                self._recovery.on_request(server_id, hit=True, now=now)
             proxy.stats.response_time += self.config.hit_latency
             if obs_on:
                 self.obs.request_outcome(
@@ -767,7 +784,8 @@ class Simulation:
         if self._delivery_on:
             # The fetch taught the proxy the current version.
             self._seq_trackers[server_id].learn(page_id, version)
-        self._recovery.on_request(server_id, hit=False, now=now)
+        if self._recovery is not None:
+            self._recovery.on_request(server_id, hit=False, now=now)
         if degraded:
             self._note_degraded(now)
         latency = self.config.hit_latency + extra_latency
@@ -882,98 +900,26 @@ class Simulation:
 
     # -- overload request handling -------------------------------------------
 
-    def _handle_request_overload(
+    def _settle_failover(
         self,
         proxy: ProxyServer,
         server_id: int,
         page_id: int,
-        version: int,
-        size: int,
-        match_count: int,
         now: float,
+        resolution: Optional[Tuple[float, bool]],
     ) -> None:
-        """The fault-free request path under finite capacity.
-
-        Mirrors the plain path of :meth:`_handle_request` with two
-        admission gates in front: the proxy's service queue (rejected
-        pulls fail over off-proxy) and — on a miss — the origin gate
-        (refused fetches degrade to serving a cached stale copy, or
-        fail when nothing is cached).
-        """
-        obs_on = self._obs_on
-        if not self._overload.admit(server_id, now, push=False):
-            self._handle_rejected_pull(proxy, server_id, page_id, now)
-            return
-        if self._probe_hit(proxy, page_id, version):
-            proxy.handle_request(page_id, version, size, match_count, now)
-            proxy.stats.response_time += self.config.hit_latency
-            if obs_on:
-                self.obs.request_outcome(
-                    now, page_id, server_id, "hit", self.config.hit_latency
-                )
-            return
-        resolution = self._fetch_on_miss(proxy, server_id, page_id, version, size, now)
-        if resolution is None:
-            if self._serve_stale_overload(
-                proxy, server_id, page_id, size, match_count, now, 0.0
-            ):
-                return
-            self._note_unserved(now)
-            self._note_failed(now)
-            if obs_on:
-                self.obs.failed(now, page_id, server_id)
-            return
-        extra_latency, degraded = resolution
-        outcome = proxy.handle_request(page_id, version, size, match_count, now)
-        if degraded:
-            self._note_degraded(now)
-        latency = self.config.hit_latency + extra_latency
-        proxy.stats.response_time += latency
-        if obs_on:
-            self.obs.request_outcome(
-                now, page_id, server_id, _outcome_kind(outcome), latency
-            )
-
-    def _handle_rejected_pull(
-        self, proxy: ProxyServer, server_id: int, page_id: int, now: float
-    ) -> None:
-        """A pull the proxy's service queue refused to admit.
-
-        The request never reaches the policy (it is tallied as
-        unserved, keeping the shared denominator) and fails over
-        off-proxy: the base simulation goes straight to the origin
-        through the admission gate, the cooperative subclass walks the
-        peer chain first.
-        """
-        obs_on = self._obs_on
-        self._note_unserved(now)
-        if obs_on:
-            self.obs.overload_reject(now, page_id, server_id)
-            self.obs.failover(
-                now, server_id, page_id, target="origin", reason="overload"
-            )
-        resolution = self._rejected_pull_resolution(proxy, server_id, page_id, now)
+        """Book a request its proxy could not take (crashed or queue
+        full): served off-proxy as a degraded miss, or failed."""
         if resolution is None:
             self._note_failed(now)
-            if obs_on:
+            if self._obs_on:
                 self.obs.failed(now, page_id, server_id)
             return
-        extra_latency, _degraded = resolution
         self._note_degraded(now)
-        latency = self.config.hit_latency + extra_latency
+        latency = self.config.hit_latency + resolution[0]
         proxy.stats.response_time += latency
-        if obs_on:
+        if self._obs_on:
             self.obs.request_outcome(now, page_id, server_id, "miss", latency)
-
-    def _rejected_pull_resolution(
-        self, proxy: ProxyServer, server_id: int, page_id: int, now: float
-    ) -> Optional[Tuple[float, bool]]:
-        """Off-proxy resolution of a queue-rejected pull.
-
-        The base simulation knows only the origin; the cooperative
-        subclass overrides this with its peer failover chain.
-        """
-        return self._origin_resolution(proxy, server_id, page_id, now)
 
     def _serve_stale_overload(
         self,
@@ -1034,9 +980,10 @@ class Simulation:
         """Resolve a local miss off-proxy.
 
         Returns ``(latency beyond hit_latency, degraded?)`` on success,
-        ``None`` when the content could not be obtained.  The base
-        simulation knows only the origin; the cooperative subclass
-        overrides this with a peer failover chain.
+        ``None`` when the content could not be obtained.  Queue-rejected
+        pulls resolve through it too.  The base simulation knows only
+        the origin; the cooperative subclass overrides this with a peer
+        failover chain.
         """
         return self._origin_resolution(proxy, server_id, page_id, now)
 
@@ -1156,179 +1103,119 @@ class Simulation:
 
     # -- main entry ----------------------------------------------------------
 
-    def _static_stream(self):
-        """Multi-pointer merge of the static trace streams.
+    def _stream(self, enriched: bool):
+        """The static trace in replay order, one tuple per record.
 
-        Yields ``(time, priority, handler, a, b)`` records in exactly
-        the order the legacy agenda would pop them: nondecreasing
-        ``(time, priority)``, URGENT records (lifecycle events, then
-        publishes) winning time ties over requests (NORMAL), and each
-        stream's own pre-sorted order breaking full ties (which matches
-        the legacy path's insertion sequence — lifecycle scheduled
-        first, then publishes, then requests).
+        ``(time, kind, a, b)``: kind 0 publishes page ``a`` at version
+        ``b``, kind 1 is a request at server ``a`` for page ``b``, kind
+        2 carries lifecycle record ``a``.  Order is nondecreasing time;
+        at equal times lifecycle records precede publishes, which
+        precede requests (a page must exist before it is read), and
+        each source keeps its own pre-sorted order.  An *enriched*
+        record appends ``(size, m)`` — page size, and the publish's
+        match pairs or the request's match count — so the inline arm
+        unpacks what the handlers would look up three times per event.
 
-        On a churn-free trace this degenerates to the original
-        two-pointer publish/request merge.  The merge consumes the
-        streams through iterators only (never indexing), so it serves
-        lists and lazy :class:`~repro.workload.streaming` views alike
-        with identical output order.
+        A materialised, churn-free trace is merged once into an
+        enriched list, memoised on the workload per match table and
+        shared by benchmark repeats and the strategy cells of a grid.
+        Lifecycle and streaming traces merge lazily, so nothing is
+        retained, and stay bare for the staged arm, whose handlers look
+        size and matches up themselves (docs/architecture.md, "Replay
+        driver", has the measurements behind both choices).
         """
-        requests = iter(self.workload.requests)
-        handle_publish = self._handle_publish
-        handle_request = self._handle_request
-        if self.workload.lifecycle:
-            urgent = self._urgent_stream()
-            pending = next(urgent, None)
-            request = next(requests, None)
-            while pending is not None and request is not None:
-                # A request precedes an URGENT record only at a strictly
-                # earlier time; on a tie URGENT beats NORMAL.
-                if request.time < pending[0]:
-                    yield (request.time, NORMAL, handle_request,
-                           request.server_id, request.page_id)
-                    request = next(requests, None)
-                else:
-                    yield pending
-                    pending = next(urgent, None)
-            while pending is not None:
-                yield pending
-                pending = next(urgent, None)
-            while request is not None:
-                yield (request.time, NORMAL, handle_request,
-                       request.server_id, request.page_id)
-                request = next(requests, None)
+        workload = self.workload
+        lazy = bool(workload.lifecycle) or self._streaming
+        if not lazy:
+            memo = getattr(workload, "_replay_streams", None)
+            if memo is None:
+                memo = workload._replay_streams = {}
+            merged = memo.get(self.match_table)
+            if merged is not None:
+                return merged
+        if enriched or not lazy:
+            sizes = self.publisher._sizes
+            matches = self._matches_by_page
+            matches_get = matches.get
+            rows_get = {
+                page_id: dict(pairs) for page_id, pairs in matches.items()
+            }.get
+            empty_pairs: Tuple = ()
+            empty_row: Dict[int, int] = {}
+            publishes = (
+                (p.time, 0, p.page_id, p.version, sizes[p.page_id],
+                 matches_get(p.page_id, empty_pairs))
+                for p in workload.publishes
+            )
+            requests = (
+                (r.time, 1, r.server_id, r.page_id, sizes[r.page_id],
+                 rows_get(r.page_id, empty_row).get(r.server_id, 0))
+                for r in workload.requests
+            )
+        else:
+            publishes = ((p.time, 0, p.page_id, p.version) for p in workload.publishes)
+            requests = ((r.time, 1, r.server_id, r.page_id) for r in workload.requests)
+        if lazy:
+            # heapq.merge breaks time ties by argument position, which
+            # is the tie rule; each source is already time-sorted.
+            lifecycle = ((e.time, 2, e, None) for e in workload.lifecycle)
+            return heapq.merge(lifecycle, publishes, requests, key=_TIME)
+        # A stable sort by (time, kind) over publishes-then-requests
+        # yields the same order; timsort gallops through the two
+        # pre-sorted runs in near-linear time.
+        merged = [*publishes, *requests]
+        merged.sort(key=_TIME_KIND)
+        memo[self.match_table] = merged
+        return merged
+
+    def _replay(self, env: Environment) -> None:
+        """Drain the static stream against the dynamic agenda.
+
+        The only replay routine.  Which of its two dispatch arms runs
+        is read off what this run has armed, never chosen by a caller:
+        with no layer, observer or subclass hook nothing can reach the
+        agenda or the handlers, so the *inline* arm calls the policies
+        directly; otherwise the *staged* arm lets the agenda catch up
+        before each record (:meth:`Environment.run_before`) and
+        dispatches to the ``_handle_*`` methods.
+        """
+        layers = {
+            "chaos": self._faults_on,
+            "churn": self._churn_on,
+            "overload": self._overload_on,
+            "observer": self._obs_on,
+            type(self).__name__: type(self) is not Simulation,
+        }
+        armed = [name for name, on in layers.items() if on]
+        if not armed:
+            logger.debug("replay: inline arm")
+            self._inline_arm(self._stream(enriched=True))
             return
-        publishes = iter(self.workload.publishes)
-        publish = next(publishes, None)
-        request = next(requests, None)
-        while publish is not None and request is not None:
-            # A request precedes a publish only at a strictly earlier
-            # time; on a tie URGENT beats NORMAL.
-            if request.time < publish.time:
-                yield (request.time, NORMAL, handle_request,
-                       request.server_id, request.page_id)
-                request = next(requests, None)
-            else:
-                yield (publish.time, URGENT, handle_publish,
-                       publish.page_id, publish.version)
-                publish = next(publishes, None)
-        while publish is not None:
-            yield (publish.time, URGENT, handle_publish,
-                   publish.page_id, publish.version)
-            publish = next(publishes, None)
-        while request is not None:
-            yield (request.time, NORMAL, handle_request,
-                   request.server_id, request.page_id)
-            request = next(requests, None)
+        logger.debug("replay: staged arm (%s)", ", ".join(armed))
+        handlers = [self._handle_publish, self._handle_request, self._handle_lifecycle]
+        if env.profiler is not None:
+            handlers = [env.profiler.wrap(fn, "engine.step") for fn in handlers]
+        monitor = env.monitor
+        run_before = env.run_before
+        for record in self._stream(enriched=False):
+            at = record[0]
+            kind = record[1]
+            run_before(at, _PRIORITY[kind])
+            handlers[kind](record[2], record[3], at)
+            if monitor is not None:
+                monitor.tick(at)
+        env.run()
 
-    def _urgent_stream(self):
-        """Lifecycle events merged with publishes, both URGENT.
+    def _inline_arm(self, stream) -> None:
+        """Replay an enriched stream by calling the policies directly.
 
-        Lifecycle records win time ties against publishes, matching the
-        agenda path where they are scheduled first (lower sequence
-        numbers at equal ``(time, priority)``).
-        """
-        handle_lifecycle = self._handle_lifecycle
-        handle_publish = self._handle_publish
-        lifecycle = iter(self.workload.lifecycle)
-        publishes = iter(self.workload.publishes)
-        event = next(lifecycle, None)
-        publish = next(publishes, None)
-        while event is not None and publish is not None:
-            if publish.time < event.time:
-                yield (publish.time, URGENT, handle_publish,
-                       publish.page_id, publish.version)
-                publish = next(publishes, None)
-            else:
-                yield (event.time, URGENT, handle_lifecycle, event, None)
-                event = next(lifecycle, None)
-        while event is not None:
-            yield (event.time, URGENT, handle_lifecycle, event, None)
-            event = next(lifecycle, None)
-        while publish is not None:
-            yield (publish.time, URGENT, handle_publish,
-                   publish.page_id, publish.version)
-            publish = next(publishes, None)
-
-    def _enriched_stream(self):
-        """The batched tuple stream, merged lazily (streaming traces).
-
-        Yields the same ``(time, kind, a, b, size, m)`` tuples as the
-        memoized columnar list, in the same order: a two-pointer merge
-        where publishes win time ties and each stream keeps its own
-        pre-sorted order — exactly what the stable ``(time, kind)``
-        sort produces.  Nothing is retained, so a 10M-event trace
-        replays in chunk-bounded memory.
-        """
-        sizes = self.publisher._sizes
-        matches = self._matches_by_page
-        matches_get = matches.get
-        rows_get = {
-            page_id: dict(pairs) for page_id, pairs in matches.items()
-        }.get
-        empty_pairs: Tuple = ()
-        empty_row: Dict[int, int] = {}
-        publishes = iter(self.workload.publishes)
-        requests = iter(self.workload.requests)
-        publish = next(publishes, None)
-        request = next(requests, None)
-        while publish is not None and request is not None:
-            if request.time < publish.time:
-                page_id = request.page_id
-                yield (request.time, 1, request.server_id, page_id,
-                       sizes[page_id],
-                       rows_get(page_id, empty_row).get(request.server_id, 0))
-                request = next(requests, None)
-            else:
-                page_id = publish.page_id
-                yield (publish.time, 0, page_id, publish.version,
-                       sizes[page_id], matches_get(page_id, empty_pairs))
-                publish = next(publishes, None)
-        while publish is not None:
-            page_id = publish.page_id
-            yield (publish.time, 0, page_id, publish.version,
-                   sizes[page_id], matches_get(page_id, empty_pairs))
-            publish = next(publishes, None)
-        while request is not None:
-            page_id = request.page_id
-            yield (request.time, 1, request.server_id, page_id,
-                   sizes[page_id],
-                   rows_get(page_id, empty_row).get(request.server_id, 0))
-            request = next(requests, None)
-
-    def _batched_eligible(self) -> bool:
-        """Whether the batched driver can replace the hybrid merge.
-
-        The driver is the hybrid fast path with the DES Environment,
-        the stream generator and the per-event dispatch records all
-        stripped away, so it is only sound when nothing can ever reach
-        the agenda or hook into the handlers: no fault schedule (no
-        injector processes, no delayed deliveries), no lifecycle
-        records, no observer (no obs calls, no instrumented methods),
-        no overload layer (admission gates reroute both paths), and no
-        subclass overriding the request path (the cooperative
-        simulation reroutes misses through peers).
-        """
-        return (
-            not self._faults_on
-            and not self._churn_on
-            and not self._obs_on
-            and not self._overload_on
-            and type(self) is Simulation
-        )
-
-    def _run_batched(self) -> None:
-        """Drain the static trace as one pre-merged columnar stream.
-
-        Replays publishes and requests in exactly the hybrid order
-        (nondecreasing time, publishes winning ties) while calling the
-        policy entry points directly: the per-event work of
-        ``_handle_publish``/``_handle_request`` — publisher bookkeeping,
-        match-count lookup, traffic accounting, latency accounting and
-        the invariant cadence — is inlined into the loop body, and all
-        per-proxy state is prefetched into lists indexed by server id.
-        Bit-identity with the other engines is enforced by
-        ``tests/system/test_replay_fastpath.py``.
+        The per-event work of ``_handle_publish``/``_handle_request`` —
+        publisher bookkeeping, traffic accounting, latency accounting
+        and the invariant cadence — is inlined into the loop body, and
+        all per-proxy state is prefetched into lists indexed by server
+        id.  Equality with the staged arm and with the agenda oracle is
+        enforced by ``tests/system/test_replay_fastpath.py`` and
+        ``tests/system/test_layer_matrix.py``.
         """
         workload = self.workload
         config = self.config
@@ -1337,72 +1224,12 @@ class Simulation:
 
         # Publisher state, bypassing its per-call validation helpers
         # (the checks themselves are kept inline below).
-        sizes = publisher._sizes
         versions = publisher._versions
         publish_times = publisher._publish_times
         push_pages = publisher.push_pages_by_hour
         push_bytes = publisher.push_bytes_by_hour
         fetch_pages = publisher.fetch_pages_by_hour
         fetch_bytes = publisher.fetch_bytes_by_hour
-
-        # Columnar copy of the trace, merged once and enriched with the
-        # per-event static data: ``(time, kind, a, b, size, m)`` tuples
-        # where kind 0 is a publish of page ``a`` version ``b`` with
-        # match pairs ``m``, and kind 1 a request at server ``a`` for
-        # page ``b`` with match count ``m``.  Page size and match data
-        # are fixed per (trace, match table), so baking them into the
-        # stream replaces three hashed lookups per event with tuple
-        # unpacking.  Sorting the concatenation by ``(time, kind)``
-        # with a stable sort reproduces the hybrid merge order exactly
-        # (publishes win time ties, each stream keeps its own order)
-        # and timsort's galloping merge makes it near-linear on the two
-        # pre-sorted runs.  The stream is memoized on the workload,
-        # keyed by the match table — repeated runs (benchmark repeats,
-        # strategy grids over one trace) replay it with no per-run
-        # merge work at all.
-        if self._streaming:
-            # A streaming trace is never memoized: the enriched tuples
-            # are produced lazily by a two-pointer merge whose output
-            # order equals the stable (time, kind) sort below, keeping
-            # replay memory bounded by the workload's read chunk.
-            merged = self._enriched_stream()
-        else:
-            streams = getattr(workload, "_batched_streams", None)
-            if streams is None:
-                streams = workload._batched_streams = {}
-            merged = streams.get(self.match_table)
-            if merged is None:
-                matches = self._matches_by_page
-                matches_get = matches.get
-                rows_get = {
-                    page_id: dict(pairs) for page_id, pairs in matches.items()
-                }.get
-                empty_pairs: Tuple = ()
-                empty_row: Dict[int, int] = {}
-                merged = [
-                    (
-                        p.time,
-                        0,
-                        p.page_id,
-                        p.version,
-                        sizes[p.page_id],
-                        matches_get(p.page_id, empty_pairs),
-                    )
-                    for p in workload.publishes
-                ]
-                merged.extend(
-                    (
-                        r.time,
-                        1,
-                        r.server_id,
-                        r.page_id,
-                        sizes[r.page_id],
-                        rows_get(r.page_id, empty_row).get(r.server_id, 0),
-                    )
-                    for r in workload.requests
-                )
-                merged.sort(key=_TIME_KIND)
-                streams[self.match_table] = merged
         publish_count = workload.publish_count
         request_count = workload.request_count
 
@@ -1428,7 +1255,7 @@ class Simulation:
 
         # One C-level iteration per trace event; the invariant cadence
         # only pays its counter when enabled.
-        for now, kind, a, b, size, m in merged:
+        for now, kind, a, b, size, m in stream:
             if kind:
                 # -- one request at server ``a`` for page ``b`` with
                 #    match count ``m`` (see _handle_request, fault-free
@@ -1484,7 +1311,9 @@ class Simulation:
             proxy.stats.response_time += latency
 
     def run(self) -> SimulationResult:
-        """Replay the whole trace and collect the metrics."""
+        """Replay the whole trace and collect the metrics (once)."""
+        if self._env is not None:  # publisher and caches hold that run's state
+            raise RuntimeError("Simulation.run() already ran; build a new Simulation")
         started = time.perf_counter()
         obs = self.obs
         if self._obs_on:
@@ -1512,48 +1341,13 @@ class Simulation:
                 ),
             )
             env.monitor = obs.monitor
-        fast = self.config.replay in ("fast", "hybrid")
-        batched = self.config.replay == "fast" and self._batched_eligible()
         with obs.span("sim.schedule"):
-            if not fast:
-                # Lifecycle events first: at equal (time, priority)
-                # their lower agenda sequence numbers make them win
-                # ties against publishes, matching the fast path.
-                for record in self.workload.lifecycle:
-                    env.schedule(
-                        record.time,
-                        lambda _env, r=record: (
-                            self._handle_lifecycle(r, None, _env.now)
-                        ),
-                        priority=URGENT,
-                    )
-                for event in self.workload.publishes:
-                    env.schedule(
-                        event.time,
-                        lambda _env, p=event.page_id, v=event.version: (
-                            self._handle_publish(p, v, _env.now)
-                        ),
-                        priority=URGENT,
-                    )
-                for record in self.workload.requests:
-                    env.schedule(
-                        record.time,
-                        lambda _env, s=record.server_id, p=record.page_id: (
-                            self._handle_request(s, p, _env.now)
-                        ),
-                        priority=NORMAL,
-                    )
             if self._faults_on:
                 from repro.faults.injector import FaultInjector
 
                 FaultInjector(self.fault_schedule).install(env, self)
         with obs.span("sim.run"):
-            if batched:
-                self._run_batched()
-            elif fast:
-                env.run_hybrid(self._static_stream())
-            else:
-                env.run()
+            self._replay(env)
         if self._obs_on:
             obs.run_end(
                 env.now,

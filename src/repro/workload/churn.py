@@ -137,7 +137,7 @@ def generate_churn(
 
     Returns:
         Lifecycle events sorted by ``(time, server_id, page_id, kind)``
-        — the exact order both replay engines process them in.
+        — the exact order the replay processes them in.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")

@@ -33,7 +33,7 @@ def _perf_payload(events_per_sec=50_000.0, speedup=1.89):
             },
             "dispatch": {"events_per_sec": events_per_sec / 1.89},
         },
-        "speedup": speedup,
+        "grid_cache": {"warm_speedup": speedup, "warm_seconds": 0.04},
     }
 
 
@@ -57,7 +57,7 @@ class TestExtraction:
         assert metrics["replay.dispatch.events_per_sec"] == pytest.approx(
             50_000.0 / 1.89
         )
-        assert metrics["speedup"] == 1.89
+        assert metrics["grid_cache.warm_speedup"] == 1.89
         # Lower-is-better and raw-sample keys are not tracked.
         assert "replay.fast.seconds_per_run" not in metrics
         assert not any("all_seconds" in key for key in metrics)
@@ -88,7 +88,7 @@ class TestHistoryFile:
         ]
         assert entries[0]["sha"] == "aaa1111"
         assert entries[0]["recorded_at"] == 1.0
-        assert entries[0]["metrics"]["speedup"] == 1.89
+        assert entries[0]["metrics"]["grid_cache.warm_speedup"] == 1.89
 
     def test_load_missing_history_is_empty(self, tmp_path):
         assert load_history(str(tmp_path / "absent.jsonl")) == []

@@ -189,3 +189,85 @@ def test_timeout_subclass_is_event():
     env = Environment()
     assert isinstance(env.timeout(1.0), Event)
     assert isinstance(env.timeout(1.0), Timeout)
+
+
+# -- run_before: a pre-sorted static stream against the agenda ------------
+
+
+def drain(env, stream):
+    """Replay ``(time, priority, fn)`` records the way the driver does."""
+    for at, priority, fn in stream:
+        env.run_before(at, priority)
+        fn(at)
+    env.run()
+
+
+def test_run_before_orders_static_vs_dynamic_events():
+    """A static record wins a full (time, priority) tie against a
+    dynamic event — it would have held the lower sequence number had it
+    been scheduled up front — but priority still beats being static."""
+    env = Environment()
+    order = []
+
+    def publish(t):
+        order.append(("pub@1", t))
+        env.schedule(2.0, lambda e: order.append(("dyn@2", e.now)), priority=NORMAL)
+        env.schedule(
+            2.0, lambda e: order.append(("dyn-urgent@2", e.now)), priority=URGENT
+        )
+
+    drain(
+        env,
+        [
+            (1.0, URGENT, publish),
+            (2.0, NORMAL, lambda t: order.append(("req@2", t))),
+            (3.0, NORMAL, lambda t: order.append(("req@3", t))),
+        ],
+    )
+    assert order == [
+        ("pub@1", 1.0),
+        ("dyn-urgent@2", 2.0),
+        ("req@2", 2.0),
+        ("dyn@2", 2.0),
+        ("req@3", 3.0),
+    ]
+
+
+def test_run_before_sets_the_clock_and_leaves_later_events():
+    env = Environment()
+    seen = []
+    env.schedule(10.0, lambda e: seen.append(e.now))
+    drain(env, [(1.0, NORMAL, lambda t: seen.append((t, env.now)))])
+    # The record saw the clock at its own time; the agenda was drained
+    # only after the stream ended.
+    assert seen == [(1.0, 1.0), 10.0]
+    assert env.now == 10.0
+
+
+def test_run_before_rejects_a_record_in_the_past():
+    env = Environment()
+    env.run_before(5.0, NORMAL)
+    with pytest.raises(SimulationError, match="back in time"):
+        env.run_before(1.0, NORMAL)
+
+
+def test_run_before_ticks_profiler_and_monitor_per_dynamic_event():
+    class Probe:
+        def __init__(self):
+            self.samples, self.ticks = [], []
+
+        def record(self, name, seconds):
+            self.samples.append(name)
+
+        def tick(self, now):
+            self.ticks.append(now)
+
+    env = Environment()
+    env.profiler = env.monitor = probe = Probe()
+    env.schedule(1.0, lambda e: None)
+    env.schedule(2.0, lambda e: None)
+    env.schedule(7.0, lambda e: None)
+    env.run_before(5.0, NORMAL)
+    assert probe.samples == ["engine.step", "engine.step"]
+    assert probe.ticks == [1.0, 2.0]
+    assert env.now == 5.0

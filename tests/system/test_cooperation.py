@@ -10,6 +10,7 @@ from repro.system.cooperation import (
 )
 from repro.system.simulator import run_simulation
 from repro.workload import generate_workload, news_config
+from repro.workload.churn import ChurnSpec
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +27,21 @@ def test_local_hit_ratio_unchanged(workload, config):
     """Peering changes where misses are served, not whether they hit."""
     solo = run_simulation(workload, config)
     coop = run_cooperative_simulation(workload, config, neighbor_count=3)
+    assert coop.hit_ratio == solo.hit_ratio
+
+
+def test_churn_repairs_leases_with_or_without_peering(workload, config):
+    """The access-time lease re-poll sits in front of the miss path, so
+    peering must not skip it (the fault-free cooperative handler did)."""
+    churned = workload.with_churn(
+        ChurnSpec(churn_rate=4.0, lease_duration=3 * 3600.0),
+        RandomStreams(5).stream("workload.churn"),
+    )
+    solo = run_simulation(churned, config)
+    coop = run_cooperative_simulation(churned, config, neighbor_count=3)
+    assert solo.lease_repolls > 0
+    assert coop.lease_repolls == solo.lease_repolls
+    assert coop.pushes_suppressed_no_lease == solo.pushes_suppressed_no_lease
     assert coop.hit_ratio == solo.hit_ratio
 
 

@@ -3,8 +3,8 @@
 The bit-identity guard (test_replay_fastpath) compares final
 :class:`SimulationResult` fields; this module guards a finer-grained
 invariant: the *sequence of eviction events* the observability layer
-records — (time, page, proxy, size, cause), in order — must not depend
-on which replay engine ran the trace, nor on how aggressively the
+records — (time, page, proxy, size, cause), in order — must be the one
+the agenda oracle records, and must not depend on how aggressively the
 :class:`~repro.cache.heap.AddressableHeap` compacts its backing list.
 Compaction and the columnar record layout are pure representation
 changes; if either ever reorders or renames an eviction, these tests
@@ -20,8 +20,9 @@ from repro.obs.recorder import Observer
 from repro.obs.tracer import EventTracer
 from repro.sim.rng import RandomStreams
 from repro.system.config import SimulationConfig
-from repro.system.simulator import run_simulation
+from repro.system.simulator import Simulation
 from repro.workload import generate_workload, news_config
+from tests.system._reference import AgendaSimulation
 
 
 @pytest.fixture(scope="module")
@@ -29,14 +30,12 @@ def workload():
     return generate_workload(news_config(scale=0.03), RandomStreams(5), label="news")
 
 
-def evict_trace(workload, strategy, replay):
+def evict_trace(workload, strategy, engine=Simulation):
     """The ordered eviction events of one run, as comparable tuples."""
     tracer = EventTracer(types=("evict",))
     observer = Observer(tracer=tracer)
-    config = SimulationConfig(
-        strategy=strategy, capacity_fraction=0.05, replay=replay
-    )
-    run_simulation(workload, config, observer=observer)
+    config = SimulationConfig(strategy=strategy, capacity_fraction=0.05)
+    engine(workload, config, observer=observer).run()
     return [
         (e["t"], e["page"], e["proxy"], e["size"], e["cause"])
         for e in tracer.events()
@@ -46,12 +45,9 @@ def evict_trace(workload, strategy, replay):
 
 @pytest.mark.parametrize("strategy", ["gdstar", "sg2", "sub"])
 def test_engines_agree_on_eviction_events(workload, strategy):
-    agenda = evict_trace(workload, strategy, "agenda")
-    hybrid = evict_trace(workload, strategy, "hybrid")
-    fast = evict_trace(workload, strategy, "fast")
+    agenda = evict_trace(workload, strategy, AgendaSimulation)
     assert agenda, "capacity_fraction=0.05 should force evictions"
-    assert hybrid == agenda
-    assert fast == agenda
+    assert evict_trace(workload, strategy) == agenda
 
 
 @pytest.mark.parametrize("strategy", ["gdstar", "sg2"])
@@ -62,12 +58,12 @@ def test_compaction_cadence_never_changes_evictions(
     eviction event stream untouched: live records keep their
     (priority, sequence) keys, so heapify yields exactly the order
     lazy skimming would have."""
-    baseline = evict_trace(workload, strategy, "agenda")
+    baseline = evict_trace(workload, strategy)
     assert baseline
 
     # The floor is imported by value into the policy hot paths, so
     # patch every binding.
     for module in (heap_module, single_cache_module, gdstar_module):
         monkeypatch.setattr(module, "_COMPACT_FLOOR", 1)
-    compacting = evict_trace(workload, strategy, "agenda")
+    compacting = evict_trace(workload, strategy)
     assert compacting == baseline

@@ -5,7 +5,7 @@ The acceptance criteria of the lifecycle PR:
 * churn disabled leaves every run bit-identical to the seed (all
   lifecycle metrics zero, no extra RNG stream derived);
 * churn enabled is deterministic under a fixed seed and bit-identical
-  between the agenda and fast replay engines;
+  between the replay driver and the agenda oracle;
 * a chaos + delivery-fault + churn run completes, and no subscriber
   that keeps requesting permanently loses notifications — an access to
   a lapsed or stuck-pending cell always re-polls a confirmed lease
@@ -34,6 +34,7 @@ from repro.workload.churn import ChurnSpec, LifecycleRecord
 from repro.workload.config import WorkloadConfig
 from repro.workload.trace import PageSpec, PublishRecord, RequestRecord, Workload
 
+from tests.system._reference import AgendaSimulation
 from tests.system.test_replay_fastpath import CHAOS, run_both, stripped
 
 #: Aggressive churn so every lifecycle path fires at test scale.
@@ -219,13 +220,16 @@ def micro_workload():
     )
 
 
-@pytest.mark.parametrize("replay", ["agenda", "fast"])
+#: The agenda oracle and the replay driver, under the ids the two
+#: engines had when they were selected by a config knob.
+ENGINES = {"agenda": AgendaSimulation, "fast": Simulation}
+
+
+@pytest.mark.parametrize("replay", sorted(ENGINES))
 def test_micro_trace_exact_lifecycle_accounting(replay):
     workload = micro_workload()
-    config = SimulationConfig(
-        strategy="sub", capacity_fraction=1.0, replay=replay
-    )
-    simulation = Simulation(
+    config = SimulationConfig(strategy="sub", capacity_fraction=1.0)
+    simulation = ENGINES[replay](
         workload, config, match_table=TraceMatchCounts({0: {0: 5}})
     )
     result = simulation.run()
@@ -250,10 +254,10 @@ def test_micro_trace_exact_lifecycle_accounting(replay):
 
 def test_micro_trace_engine_identity():
     runs = []
-    for replay in ("agenda", "fast"):
-        simulation = Simulation(
+    for engine in ENGINES.values():
+        simulation = engine(
             micro_workload(),
-            SimulationConfig(strategy="sub", capacity_fraction=1.0, replay=replay),
+            SimulationConfig(strategy="sub", capacity_fraction=1.0),
             match_table=TraceMatchCounts({0: {0: 5}}),
         )
         runs.append(stripped(simulation.run()))

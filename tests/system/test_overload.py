@@ -33,6 +33,7 @@ from repro.system.overload import (
 from repro.system.simulator import Simulation, run_simulation
 from repro.workload import generate_workload, news_config
 from repro.workload.churn import ChurnSpec
+from tests.system._reference import AgendaSimulation
 
 #: Chaos weather used by the bit-identity runs (crashes, outages and
 #: delivery loss all active so every optional layer is exercised).
@@ -234,22 +235,18 @@ def test_manager_unarmed_parts_are_noops():
 
 def test_inert_spec_bit_identical_all_engines(churny):
     """Chaos + delivery + churn with every overload knob off must be
-    byte-identical to the pre-layer behaviour, on every replay engine."""
+    byte-identical to the pre-layer behaviour, under the replay driver
+    and under the agenda oracle."""
     reference = run_simulation(
         churny, SimulationConfig(strategy="gdstar", chaos=CHAOS)
     )
     baseline = _comparable(reference)
-    for engine in ("fast", "hybrid", "agenda"):
-        result = run_simulation(
-            churny,
-            SimulationConfig(
-                strategy="gdstar",
-                chaos=CHAOS,
-                overload=OverloadSpec(),
-                replay=engine,
-            ),
-        )
-        assert _comparable(result) == baseline, engine
+    inert = SimulationConfig(
+        strategy="gdstar", chaos=CHAOS, overload=OverloadSpec()
+    )
+    for engine in (Simulation, AgendaSimulation):
+        result = engine(churny, inert).run()
+        assert _comparable(result) == baseline, engine.__name__
 
 
 def test_overload_result_fields_zero_when_disabled(workload):
@@ -298,14 +295,12 @@ def test_fault_schedule_unchanged_by_overload(workload):
 
 
 def test_engines_agree_with_overload_armed(workload):
-    """Batched replay falls back to hybrid; results stay identical."""
+    """Overload alone arms the staged arm; it matches the oracle."""
     config = SimulationConfig(strategy="gdstar", overload=HARSH)
-    reference = _comparable(run_simulation(workload, config))
-    for engine in ("hybrid", "agenda"):
-        result = run_simulation(
-            workload, dataclasses.replace(config, replay=engine)
-        )
-        assert _comparable(result) == reference, engine
+    driver = run_simulation(workload, config)
+    assert driver.overload_pulls_rejected > 0
+    oracle = AgendaSimulation(workload, config).run()
+    assert _comparable(driver) == _comparable(oracle)
 
 
 def test_armed_run_is_deterministic(workload):

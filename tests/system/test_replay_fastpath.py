@@ -1,10 +1,14 @@
-"""Bit-identity guard: fast-path replay vs the legacy heap agenda.
+"""Bit-identity guard: the replay driver vs the agenda oracle.
 
-The hybrid replay engine must produce a :class:`SimulationResult`
-identical — every field except ``wall_seconds``/``profile`` — to the
-agenda-only path, across every strategy, both pushing schemes, and
-under chaos plus delivery faults (where dynamic DES events interleave
-with the static trace records).
+``Simulation._replay`` must produce a :class:`SimulationResult`
+identical — every field except ``wall_seconds``/``profile`` — to
+:class:`tests.system._reference.AgendaSimulation`, which heap-schedules
+every trace record: across every strategy, both pushing schemes (the
+driver's inline arm), and under chaos plus delivery faults (its staged
+arm, where dynamic DES events interleave with the static records).
+``tests/system/test_layer_matrix.py`` extends this to every layer
+combination; the ordering rules of ``Environment.run_before`` are
+tested in ``tests/sim/test_engine.py``.
 """
 
 import dataclasses
@@ -13,11 +17,11 @@ import pytest
 
 from repro.core.registry import strategy_names
 from repro.faults.spec import ChaosSpec
-from repro.sim.engine import Environment, NORMAL, URGENT, SimulationError
 from repro.sim.rng import RandomStreams
 from repro.system.config import PushingScheme, SimulationConfig
-from repro.system.simulator import run_simulation
+from repro.system.simulator import Simulation
 from repro.workload import generate_workload, news_config
+from tests.system._reference import AgendaSimulation
 
 
 @pytest.fixture(scope="module")
@@ -45,12 +49,10 @@ def stripped(result):
 
 
 def run_both(workload, **kwargs):
-    defaults = dict(capacity_fraction=0.05)
-    defaults.update(kwargs)
-    legacy = run_simulation(
-        workload, SimulationConfig(replay="agenda", **defaults)
-    )
-    fast = run_simulation(workload, SimulationConfig(replay="fast", **defaults))
+    """``(oracle result, driver result)`` of one configuration."""
+    config = SimulationConfig(**{"capacity_fraction": 0.05, **kwargs})
+    legacy = AgendaSimulation(workload, config).run()
+    fast = Simulation(workload, config).run()
     return legacy, fast
 
 
@@ -83,62 +85,3 @@ def test_bit_identity_with_invariant_checks(workload):
         workload, strategy="sg2", invariant_check_interval=500
     )
     assert stripped(legacy) == stripped(fast)
-
-
-def test_replay_knob_validated():
-    with pytest.raises(ValueError):
-        SimulationConfig(replay="bogus")
-
-
-# -- engine-level ordering semantics ------------------------------------
-
-
-def test_run_hybrid_orders_static_vs_dynamic_events():
-    """Static records win (time, priority) ties against dynamic events,
-    matching the sequence numbers they would have held if pre-scheduled."""
-    env = Environment()
-    order = []
-
-    def static(tag, _b, t):
-        order.append((tag, t))
-        if tag == "pub@1":
-            # Dynamic event at the same time/priority as a later static
-            # record: the static record must still run first.
-            env.schedule(2.0, lambda _env: order.append(("dyn@2", _env.now)),
-                         priority=NORMAL)
-            # Dynamic URGENT event beats a NORMAL static record at t=2.
-            env.schedule(2.0, lambda _env: order.append(("dyn-urgent@2", _env.now)),
-                         priority=URGENT)
-
-    stream = [
-        (1.0, URGENT, static, "pub@1", None),
-        (2.0, NORMAL, static, "req@2", None),
-        (3.0, NORMAL, static, "req@3", None),
-    ]
-    env.run_hybrid(iter(stream))
-    assert order == [
-        ("pub@1", 1.0),
-        ("dyn-urgent@2", 2.0),
-        ("req@2", 2.0),
-        ("dyn@2", 2.0),
-        ("req@3", 3.0),
-    ]
-
-
-def test_run_hybrid_drains_agenda_after_stream_ends():
-    env = Environment()
-    seen = []
-    env.schedule(10.0, lambda _env: seen.append(_env.now))
-    env.run_hybrid(iter([(1.0, NORMAL, lambda a, b, t: seen.append(t), None, None)]))
-    assert seen == [1.0, 10.0]
-    assert env.now == 10.0
-
-
-def test_run_hybrid_rejects_unsorted_stream():
-    env = Environment()
-    stream = [
-        (5.0, NORMAL, lambda a, b, t: None, None, None),
-        (1.0, NORMAL, lambda a, b, t: None, None, None),
-    ]
-    with pytest.raises(SimulationError):
-        env.run_hybrid(iter(stream))

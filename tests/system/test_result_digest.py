@@ -3,8 +3,9 @@
 ``tests/test_golden.py`` pins three integers for four strategies; this
 module pins *every* :class:`SimulationResult` field (minus the two
 timing artefacts) for all nine paper strategies on both traces under
-both pushing schemes, plus one cooperative and one chaos+churn run on
-the hybrid engine.  The digests were recorded before the placement-path
+both pushing schemes, plus one cooperative and one chaos+churn run
+(its case id still says "hybrid", the engine that recorded it and that
+the replay driver's staged arm replaced).  The digests were recorded before the placement-path
 rewrite of PR 13, so any change to eviction order, tie-breaking
 (including the sequence renumbering a rolled-back conditional eviction
 performs) or float operation order shows up here.
@@ -124,7 +125,7 @@ def _chaos_churn():
         CHURN, RandomStreams(13).stream("workload.churn")
     )
     config = SimulationConfig(
-        strategy="sg2", capacity_fraction=0.05, seed=13, chaos=CHAOS, replay="hybrid"
+        strategy="sg2", capacity_fraction=0.05, seed=13, chaos=CHAOS
     )
     return run_simulation(churned, config)
 

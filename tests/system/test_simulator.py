@@ -1,10 +1,16 @@
 """End-to-end tests of the trace-driven simulator."""
 
+import logging
+
 import pytest
 
+from repro.faults.spec import ChaosSpec
+from repro.obs.recorder import Observer
+from repro.obs.tracer import EventTracer
 from repro.pubsub.matching import TraceMatchCounts
 from repro.sim.rng import RandomStreams
 from repro.system.config import PushingScheme, SimulationConfig
+from repro.system.cooperation import CooperativeSimulation
 from repro.system.simulator import Simulation, run_simulation
 from repro.workload import generate_workload, news_config
 
@@ -156,3 +162,42 @@ def test_latency_validation():
         SimulationConfig(hit_latency=-1.0)
     with pytest.raises(ValueError):
         SimulationConfig(per_hop_latency=-0.1)
+
+
+def test_a_simulation_runs_once(workload):
+    """Publisher, caches and counters hold the first run's state, so a
+    second ``run()`` refuses up front instead of dying mid-replay."""
+    config = SimulationConfig(strategy="sg2", capacity_fraction=0.05)
+    for simulation in (
+        Simulation(workload, config),
+        CooperativeSimulation(workload, config, neighbor_count=2),
+    ):
+        simulation.run()
+        with pytest.raises(RuntimeError, match="already ran; build a new Simulation"):
+            simulation.run()
+
+
+def test_run_logs_which_replay_arm_ran_and_why(workload, caplog):
+    def arm_of(simulation):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="repro.system"):
+            simulation.run()
+        return [
+            record.getMessage()
+            for record in caplog.records
+            if record.getMessage().startswith("replay:")
+        ]
+
+    plain = SimulationConfig(strategy="sg2", capacity_fraction=0.05)
+    assert arm_of(Simulation(workload, plain)) == ["replay: inline arm"]
+    layered = SimulationConfig(
+        strategy="sg2",
+        capacity_fraction=0.05,
+        chaos=ChaosSpec(proxy_mtbf=4 * 3600.0, proxy_mttr=1800.0),
+    )
+    observed = CooperativeSimulation(
+        workload, layered, neighbor_count=2, observer=Observer(tracer=EventTracer())
+    )
+    assert arm_of(observed) == [
+        "replay: staged arm (chaos, observer, CooperativeSimulation)"
+    ]

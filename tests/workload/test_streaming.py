@@ -117,15 +117,6 @@ def test_simulation_streaming_bit_identity():
         streaming.close()
 
 
-def test_agenda_engine_declines_streaming():
-    streaming = make_streaming_trace("news", scale=0.03, seed=3)
-    try:
-        with pytest.raises(ValueError, match="agenda"):
-            Simulation(streaming, SimulationConfig(seed=3, replay="agenda"))
-    finally:
-        streaming.close()
-
-
 def _replay_peak(total_requests: int) -> int:
     """Peak traced bytes of the replay phase at the given trace size."""
     config = WorkloadConfig(
