@@ -11,14 +11,23 @@ produces
   window of the proxy's requests hits ``warm_threshold`` of its
   pre-crash hit ratio.
 
-Both feed :class:`~repro.system.metrics.SimulationResult`.
+It also keeps the books of access-time **staleness repair**, the other
+way the system heals (silently stale serves, validations, the age
+histogram), and of pushes suppressed while an endpoint was down;
+:meth:`RecoveryTracker.collect` writes all of it into the result.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List
+
+from repro.system.metrics import (
+    STALENESS_AGE_BIN_EDGES,
+    dense_counts,
+    staleness_age_bin,
+)
 
 
 @dataclass
@@ -68,6 +77,14 @@ class RecoveryTracker:
             curve_requests=[0] * self.bin_count,
             curve_hits=[0] * self.bin_count,
         )
+        #: Pushes skipped because the origin or the target proxy was down.
+        self.pushes_suppressed = 0
+        #: Requests answered with a copy the proxy wrongly believed current.
+        self.stale_hits_served = 0
+        #: Access-time sequence validations performed (repair enabled).
+        self.staleness_validations = 0
+        self._stale_served_by_hour: Dict[int, int] = {}
+        self._staleness_age_counts = [0] * (len(STALENESS_AGE_BIN_EDGES) + 1)
 
     # -- lifecycle hooks (called by the simulator) --------------------------
 
@@ -104,6 +121,18 @@ class RecoveryTracker:
             self._report.time_to_warm.append(since)
             del self._warming[server_id]
 
+    # -- staleness books (fed by the delivery layer's request stage) --------
+
+    def on_stale_served(self, now: float, age: float) -> None:
+        """One silently stale response, ``age`` seconds behind the origin."""
+        self.stale_hits_served += 1
+        hour = int(now // 3600.0)
+        self._stale_served_by_hour[hour] = self._stale_served_by_hour.get(hour, 0) + 1
+        self.sample_staleness_age(age)
+
+    def sample_staleness_age(self, age: float) -> None:
+        self._staleness_age_counts[staleness_age_bin(age)] += 1
+
     # -- results -----------------------------------------------------------
 
     def report(self) -> RecoveryReport:
@@ -112,8 +141,27 @@ class RecoveryTracker:
         self._warming.clear()
         return self._report
 
-    def mean_time_to_warm(self) -> Optional[float]:
-        samples = self._report.time_to_warm
-        if not samples:
-            return None
-        return sum(samples) / len(samples)
+    def collect(self, result, proxies, publisher) -> None:
+        """Write the fault block of ``result``: crashes and outages as
+        ``proxies`` and ``publisher`` lived them, the recovery report,
+        and the staleness-repair books."""
+        report = self.report()
+        hours = result.hour_count
+        result.proxy_crashes = sum(p.crash_count for p in proxies)
+        result.proxy_downtime_seconds = sum(p.downtime_seconds for p in proxies)
+        result.publisher_outage_seconds = publisher.outage_seconds
+        result.pushes_suppressed = self.pushes_suppressed
+        result.time_to_warm_seconds = report.time_to_warm
+        result.unwarmed_recoveries = report.unwarmed
+        result.recovery_curve_requests = report.curve_requests
+        result.recovery_curve_hits = report.curve_hits
+        result.recovery_bin_seconds = report.bin_seconds
+        result.stale_hits_served = self.stale_hits_served
+        result.staleness_validations = self.staleness_validations
+        result.repair_fetches = publisher.total_repair_pages
+        result.repair_bytes = publisher.total_repair_bytes
+        result.hourly_stale_served = dense_counts(self._stale_served_by_hour, hours)
+        result.hourly_repair_pages = dense_counts(publisher.repair_pages_by_hour, hours)
+        result.hourly_repair_bytes = dense_counts(publisher.repair_bytes_by_hour, hours)
+        result.staleness_age_bin_edges = list(STALENESS_AGE_BIN_EDGES)
+        result.staleness_age_counts = list(self._staleness_age_counts)

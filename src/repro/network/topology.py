@@ -8,7 +8,7 @@ and caches those distances.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +53,24 @@ class Topology:
     def fetch_costs(self) -> List[float]:
         """Fetch cost for every proxy, indexed by proxy number."""
         return [self.fetch_cost(index) for index in range(self.proxy_count)]
+
+    def nearest_proxies(self, count: int) -> List[List[Tuple[int, float]]]:
+        """For each proxy: its ``count`` nearest peer proxies as
+        ``(proxy index, hops)``, nearest first, ties by index."""
+        node_to_index = {node: index for index, node in enumerate(self.proxy_nodes)}
+        neighbors = []
+        for node in self.proxy_nodes:
+            distances = self.graph.shortest_paths_from(node)
+            peers = sorted(
+                (
+                    (node_to_index[other], hops)
+                    for other, hops in distances.items()
+                    if other in node_to_index and other != node
+                ),
+                key=lambda pair: (pair[1], pair[0]),
+            )
+            neighbors.append(peers[:count])
+        return neighbors
 
     # -- serialization ---------------------------------------------------
 

@@ -21,6 +21,7 @@ Works on any trace produced by :class:`repro.obs.tracer.EventTracer`
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
@@ -348,6 +349,11 @@ def explain_page(
     """
     explanation = PageExplanation(page_id=page_id, proxy=proxy)
     states: Dict[int, _ProxyState] = {}
+    # An outcome is judged on the state its request *found*: between
+    # ``request`` and the outcome the trace carries the fetch that
+    # answered it and the evictions that made room (docs/architecture.md,
+    # "Event taxonomy"), none of which explain why it missed.
+    found: Dict[int, _ProxyState] = {}
     for event in events:
         kind = event.get("type")
         if event.get("page") != page_id:
@@ -372,7 +378,9 @@ def explain_page(
         state = states.get(event_proxy)
         if state is None:
             state = states[event_proxy] = _ProxyState()
-        if kind == "match":
+        if kind == "request":
+            found[event_proxy] = copy(state)
+        elif kind == "match":
             state.ever_matched = True
         elif kind == "push_accept":
             state.cached = True
@@ -399,7 +407,10 @@ def explain_page(
             state.ever_stored = True
             state.last_store = event
         elif kind in _OUTCOME_TYPES:
-            explanation.verdicts.append(_verdict_for(event, state))
+            # A filtered trace may lack the request: judge on what is known.
+            explanation.verdicts.append(
+                _verdict_for(event, found.pop(event_proxy, state))
+            )
     return explanation
 
 

@@ -43,15 +43,8 @@ import numpy as np
 
 from repro.faults.schedule import FaultSchedule
 from repro.faults.spec import ChaosSpec
-from repro.system.metrics import STALENESS_AGE_BIN_EDGES
-
-
-def staleness_age_bin(age: float) -> int:
-    """Histogram bin index for one staleness-age sample (seconds)."""
-    for index, edge in enumerate(STALENESS_AGE_BIN_EDGES):
-        if age <= edge:
-            return index
-    return len(STALENESS_AGE_BIN_EDGES)
+from repro.obs.recorder import Observer
+from repro.pubsub.routing import SequenceTracker
 
 
 def capped_backoff(base: float, cap: float, attempt: int) -> float:
@@ -97,12 +90,15 @@ class DeliveryPlan:
 
 
 class ReliableDelivery:
-    """Publisher-side delivery protocol state for one run.
+    """Delivery protocol state of one run, both ends of the push path.
 
-    Holds the bounded retransmit queue (a min-heap of resolution
-    times — entries are drained lazily because the simulator plans
-    notifications in nondecreasing time order) and the dedicated
-    delivery RNG stream.
+    Publisher side: the bounded retransmit queue (a min-heap of
+    resolution times — entries are drained lazily because the simulator
+    plans notifications in nondecreasing time order) and the dedicated
+    delivery RNG stream.  Proxy side: one
+    :class:`~repro.pubsub.routing.SequenceTracker` per proxy.  The
+    object counts and traces what happens on the path it models and
+    writes those counters into the result itself (:meth:`collect`).
     """
 
     def __init__(
@@ -111,6 +107,8 @@ class ReliableDelivery:
         schedule: FaultSchedule,
         rng: np.random.Generator,
         overload=None,
+        proxy_count: int = 0,
+        observer: Optional[Observer] = None,
     ) -> None:
         self.spec = spec
         self.schedule = schedule
@@ -123,6 +121,16 @@ class ReliableDelivery:
         #: Resolution times of notifications still occupying a
         #: retransmit-queue slot.
         self._pending: List[float] = []
+        self.trackers = [SequenceTracker() for _ in range(proxy_count)]
+        #: Where the delivery events go (never near RNG); None if unobserved.
+        self._obs = observer if observer is not None and observer.enabled else None
+        # -- counters -----------------------------------------------------
+        self.sent = 0
+        self.delivered = 0
+        self.lost = 0
+        self.loss_events = 0
+        self.retransmitted = 0
+        self.queue_overflows = 0
 
     @property
     def pending_retransmits(self) -> int:
@@ -142,6 +150,88 @@ class ReliableDelivery:
             return True
         loss = self.spec.delivery_loss_probability
         return loss > 0.0 and float(self._rng.random()) < loss
+
+    def send(self, server_id: int, page_id: int, now: float) -> DeliveryPlan:
+        """:meth:`plan` one notification, count and trace its fate."""
+        plan = self.plan(server_id, now)
+        self.sent += 1
+        self.loss_events += plan.loss_events
+        self.retransmitted += plan.retransmissions
+        if plan.queue_overflow:
+            self.queue_overflows += 1
+        if not plan.delivered:
+            self.lost += 1
+        obs = self._obs
+        if obs is not None:
+            obs.notification_sent(now, page_id, server_id)
+            obs.queue_depth(now, "retransmit", len(self._pending))
+            for _ in range(plan.loss_events):
+                obs.delivery_drop(now, page_id, server_id, "push-path")
+            if plan.retransmissions:
+                obs.delivery_retransmit(now, page_id, server_id, plan.attempts)
+            if not plan.delivered:
+                reason = (
+                    "queue-overflow" if plan.queue_overflow else "retries-exhausted"
+                )
+                obs.delivery_lost(now, page_id, server_id, reason)
+        return plan
+
+    def lose_at_down_proxy(self, server_id: int, page_id: int, now: float) -> None:
+        """A reorder-delayed copy found the proxy down: nothing receives it."""
+        self.lost += 1
+        if self._obs is not None:
+            self._obs.delivery_lost(now, page_id, server_id, "proxy-down")
+
+    def receive(self, server_id: int, page_id: int, version: int, now: float) -> bool:
+        """One copy reaches proxy ``server_id``; false for a duplicate.
+
+        A retransmission racing its ack, or a late reordered copy of an
+        old version, is suppressed before it touches the cache.
+        """
+        kind = self.trackers[server_id].observe(page_id, version)
+        obs = self._obs
+        if kind == "duplicate":
+            if obs is not None:
+                obs.delivery_dup(now, page_id, server_id)
+            return False
+        self.delivered += 1
+        if obs is not None:
+            obs.notification_delivered(now, page_id, server_id)
+            if kind == "gap":
+                obs.delivery_gap(now, page_id, server_id, version)
+        return True
+
+    def believed_current(
+        self, server_id: int, policy, page_id: int, version: int
+    ) -> Optional[int]:
+        """The cached version of a copy the proxy wrongly believes current.
+
+        ``None`` when the oracle view (``version`` is current) and the
+        proxy's view agree: fresh copy, page not cached, or a stale copy
+        the proxy *knows* is stale — a delivered notification already
+        told it a newer version exists (the policy just declined to
+        store it), so the ordinary stale-miss path applies.
+        """
+        if not policy.contains(page_id):
+            return None
+        cached = policy.cached_version(page_id)
+        if cached is None or cached == version:
+            return None
+        known = self.trackers[server_id].last_seen(page_id)
+        if known is not None and known > cached:
+            return None
+        return cached
+
+    def collect(self, result) -> None:
+        """Write the push-path counters into ``result``."""
+        result.notifications_sent = self.sent
+        result.notifications_delivered = self.delivered
+        result.notifications_lost = self.lost
+        result.notification_loss_events = self.loss_events
+        result.notifications_retransmitted = self.retransmitted
+        result.duplicate_notifications = sum(t.duplicates for t in self.trackers)
+        result.delivery_gaps_detected = sum(t.gaps for t in self.trackers)
+        result.retransmit_queue_overflows = self.queue_overflows
 
     def plan(self, server_id: int, now: float) -> DeliveryPlan:
         """Resolve the delivery of one notification sent at ``now``."""

@@ -59,6 +59,13 @@ CONFIRMED = "confirmed"
 EXPIRED = "expired"
 UNSUBSCRIBED = "unsubscribed"
 
+#: Why a push to a cell in each non-confirmed state is suppressed.
+_SUPPRESSED_BECAUSE = {
+    UNSUBSCRIBED: "unsubscribed",
+    EXPIRED: "lease-expired",
+    PENDING: "lease-pending",
+}
+
 #: Sentinel confirmation instant for an abandoned handshake.
 NEVER = float("inf")
 
@@ -134,7 +141,6 @@ class LifecycleManager:
         server_count: int,
         rng: Optional[np.random.Generator] = None,
         observer: Optional[Observer] = None,
-        obs_on: bool = False,
         overload=None,
     ) -> None:
         self.spec = spec
@@ -145,7 +151,7 @@ class LifecycleManager:
         #: to the pre-overload behaviour.
         self._overload = overload
         self.obs = observer if observer is not None else NULL_OBSERVER
-        self._obs_on = obs_on and self.obs.enabled
+        self._obs_on = self.obs.enabled
         self._leases: Dict[Tuple[int, int], _Lease] = {}
         self._queues: List[SubscriberQueue] = [
             SubscriberQueue(spec.queue_limit) for _ in range(server_count)
@@ -160,6 +166,11 @@ class LifecycleManager:
         self.handshakes_abandoned = 0
         self.lease_repolls = 0
         self.handshake_repairs = 0
+        #: Publish-side pushes :meth:`deliverable` refused for lease reasons.
+        self.pushes_suppressed = 0
+        #: Re-polls that found the proxy's cached copy behind the origin
+        #: (counted by the simulator's request stage, which sees the cache).
+        self.stale_serves = 0
         self.renewal_latency_counts: List[int] = [0] * (
             len(RENEWAL_LATENCY_BIN_EDGES) + 1
         )
@@ -321,21 +332,22 @@ class LifecycleManager:
         """Whether a notification may be pushed to this cell at ``now``.
 
         Returns ``(allowed, reason)``; ``reason`` names the suppression
-        cause when not allowed (fed to the ``push_suppressed`` trace
-        event).  Touching the lease performs the lazy expiry.
+        cause when not allowed (counted, and traced as a
+        ``push_suppressed`` event).  Touching the lease performs the
+        lazy expiry.
         """
         key = (server_id, page_id)
         lease = self._leases.get(key)
-        if lease is None:
-            return False, "no-lease"
-        self._touch(key, lease, now, "publish")
-        if lease.status == CONFIRMED:
-            return True, ""
-        if lease.status == UNSUBSCRIBED:
-            return False, "unsubscribed"
-        if lease.status == EXPIRED:
-            return False, "lease-expired"
-        return False, "lease-pending"
+        reason = "no-lease"
+        if lease is not None:
+            self._touch(key, lease, now, "publish")
+            if lease.status == CONFIRMED:
+                return True, ""
+            reason = _SUPPRESSED_BECAUSE[lease.status]
+        self.pushes_suppressed += 1
+        if self._obs_on:
+            self.obs.push_suppressed(now, page_id, server_id, reason)
+        return False, reason
 
     # -- access-path repair --------------------------------------------------------
 
@@ -395,3 +407,26 @@ class LifecycleManager:
             else:
                 counts["unsubscribed"] += 1
         return counts
+
+    def collect(self, result, horizon: float) -> None:
+        """Settle the leases at ``horizon`` and write the lifecycle
+        block of ``result``."""
+        census = self.finalize(horizon)
+        result.lifecycle_events = self.events
+        result.leases_granted = self.granted
+        result.leases_renewed = self.renewed
+        result.leases_expired = self.expired
+        result.leases_unsubscribed = self.unsubscribed
+        result.handshake_losses = self.handshake_losses
+        result.handshakes_abandoned = self.handshakes_abandoned
+        result.lease_repolls = self.lease_repolls
+        result.handshake_repairs = self.handshake_repairs
+        result.churn_stale_serves = self.stale_serves
+        result.pushes_suppressed_no_lease = self.pushes_suppressed
+        result.active_leases_end = census["active"]
+        result.pending_leases_end = census["pending"]
+        result.expired_leases_end = census["expired"]
+        result.lifecycle_queue_overflows = self.queue_overflows
+        result.lifecycle_queue_peak = self.queue_peak
+        result.renewal_latency_bin_edges = list(RENEWAL_LATENCY_BIN_EDGES)
+        result.renewal_latency_counts = list(self.renewal_latency_counts)

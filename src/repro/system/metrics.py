@@ -35,6 +35,11 @@ def dense_clamped(values_by_hour: Dict[int, float], hour_count: int) -> List[flo
     return out
 
 
+def dense_counts(values_by_hour: Dict[int, int], hour_count: int) -> List[int]:
+    """:func:`dense_clamped` for an integer series (counts, bytes)."""
+    return [int(value) for value in dense_clamped(values_by_hour, hour_count)]
+
+
 #: Staleness-age histogram bin edges (seconds): a sample falls in the
 #: first bin whose edge it does not exceed; ages beyond the last edge
 #: land in a final overflow bin.
@@ -46,6 +51,15 @@ STALENESS_AGE_BIN_EDGES: List[float] = [
     4 * 3600.0,
     24 * 3600.0,
 ]
+
+
+def staleness_age_bin(age: float) -> int:
+    """Histogram bin index for one staleness-age sample (seconds)."""
+    for index, edge in enumerate(STALENESS_AGE_BIN_EDGES):
+        if age <= edge:
+            return index
+    return len(STALENESS_AGE_BIN_EDGES)
+
 
 #: Renewal-latency histogram bin edges (seconds from renew/subscribe to
 #: confirmation); a lossless handshake confirms at latency 0.  The last

@@ -328,6 +328,9 @@ class OverloadManager:
         #: Origin fetches refused by the gate or fast-failed by the
         #: open breaker (for the result/summary counters).
         self.origin_rejections = 0
+        #: Requests answered with a cached stale copy because origin
+        #: admission refused the fetch (serve-stale degraded mode).
+        self.stale_serves = 0
 
     # -- per-proxy service queues -------------------------------------------
 
@@ -373,9 +376,38 @@ class OverloadManager:
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def finalize(self, horizon: float) -> None:
-        if self.breaker is not None:
-            self.breaker.finalize(horizon)
+    def collect(self, result, horizon: float) -> None:
+        """Close the books at ``horizon`` and write the overload block
+        of ``result`` (per-proxy lists are in server order)."""
+        breaker = self.breaker
+        if breaker is not None:
+            breaker.finalize(horizon)
+        result.overload_arrivals = self.queue_arrivals
+        result.overload_pushes_shed = self.queue_rejected_pushes
+        result.overload_pulls_rejected = self.queue_rejected_pulls
+        result.average_queue_size = self.average_queue_size
+        queues = self.queues.values()
+        if queues:
+            result.overload_queue_peak = max(queue.peak for queue in queues)
+            result.overload_queue_avg_by_proxy = [
+                queue.average_queue_size for queue in queues
+            ]
+            result.overload_queue_rejection_by_proxy = [
+                100.0 * queue.rejection_fraction for queue in queues
+            ]
+        result.origin_rejections = self.origin_rejections
+        if breaker is not None:
+            result.breaker_opens = breaker.open_count
+            result.breaker_open_seconds = breaker.open_seconds
+            result.breaker_open_fraction = (
+                breaker.open_seconds / horizon if horizon > 0 else 0.0
+            )
+            result.breaker_fast_failures = breaker.fast_failures
+        budget = self.budget
+        if budget is not None:
+            result.retry_budget_spent = budget.spent
+            result.retries_denied = budget.denied
+        result.overload_stale_serves = self.stale_serves
 
     @property
     def queue_arrivals(self) -> int:

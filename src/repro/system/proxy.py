@@ -18,6 +18,41 @@ from typing import Optional
 from repro.core.policy import Policy, PushOutcome, RequestOutcome
 
 
+def _attribute_values(policy):
+    """Every attribute value of ``policy``, dict- or slot-stored.
+
+    Policies are (partially) ``__slots__``-laid-out, so ``vars()``
+    alone no longer sees their caches; the slots of every class in the
+    MRO are walked as well.
+    """
+    yield from vars(policy).values()
+    for klass in type(policy).__mro__:
+        for slot in getattr(klass, "__slots__", ()):
+            if slot != "__dict__":
+                try:
+                    yield getattr(policy, slot)
+                except AttributeError:
+                    pass
+
+
+def _owned(policy, kind: type, part: str) -> list:
+    """Every ``kind`` instance a policy owns, directly or as the
+    ``part`` attribute of a HeapCache.
+
+    Deduplicated by identity: the hot-path aliases (``_heap`` next to
+    ``_cache``) would otherwise hook the same object twice.
+    """
+    from repro.core._base import HeapCache
+
+    found = {}
+    for value in _attribute_values(policy):
+        if isinstance(value, HeapCache):
+            value = getattr(value, part)
+        if isinstance(value, kind):
+            found[id(value)] = value
+    return list(found.values())
+
+
 class ProxyServer:
     """One content-distribution proxy close to a group of subscribers."""
 
@@ -76,8 +111,28 @@ class ProxyServer:
 
     # -- observability -------------------------------------------------------
 
+    def observe(self, obs, handler_time) -> None:
+        """Report this proxy's evictions and storage operations to ``obs``.
+
+        The hooks fire below the handler layer, so they stamp events
+        with ``handler_time()``, the simulation time of the handler
+        currently running.  Unobserved proxies keep the policies' and
+        storages' no-op class-level hooks.
+        """
+        server_id = self.server_id
+        self.policy.evict_listener = lambda page_id, size, cause: obs.evict(
+            handler_time(), page_id, server_id, size, cause
+        )
+        from repro.cache.storage import CacheStorage
+
+        for storage in _owned(self.policy, CacheStorage, "storage"):
+            storage.listener = lambda op, entry: obs.cache_op(
+                op, entry.size, handler_time()
+            )
+
     def instrument(self, profiler) -> None:
-        """Time this proxy's policy entry points under ``policy.*``.
+        """Time this proxy's policy entry points under ``policy.*`` and
+        its heaps' operations.
 
         ``profiler`` is a :class:`repro.obs.profile.Profiler`; the
         timed wrappers shadow the bound methods as instance attributes
@@ -85,6 +140,10 @@ class ProxyServer:
         """
         self.handle_publish = profiler.wrap(self.handle_publish, "policy.on_publish")
         self.handle_request = profiler.wrap(self.handle_request, "policy.on_request")
+        from repro.cache.heap import AddressableHeap
+
+        for heap in _owned(self.policy, AddressableHeap, "heap"):
+            heap.instrument(profiler)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "up" if self.up else "down"

@@ -164,14 +164,12 @@ def _peer_components(
     proxy's cache: peer ``p`` is among ``s``'s ``neighbor_count``
     nearest proxies *and* strictly closer than ``s``'s origin
     (``max(1, hops) < origin_cost``) — the exact walk-and-break rule of
-    ``CooperativeSimulation``.  Proxies in one component must share a
+    the simulation's peers stage.  Proxies in one component must share a
     shard; distinct components never observe each other.
     """
-    graph = topology.graph
-    proxy_nodes = topology.proxy_nodes
-    node_to_index = {node: index for index, node in enumerate(proxy_nodes)}
+    neighbors = topology.nearest_proxies(neighbor_count)
     costs = topology.fetch_costs()
-    parent = list(range(len(proxy_nodes)))
+    parent = list(range(len(neighbors)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -184,16 +182,7 @@ def _peer_components(
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    for index, node in enumerate(proxy_nodes):
-        distances = graph.shortest_paths_from(node)
-        peers = sorted(
-            (
-                (node_to_index[other], hops)
-                for other, hops in distances.items()
-                if other in node_to_index and other != node
-            ),
-            key=lambda pair: (pair[1], pair[0]),
-        )[:neighbor_count]
+    for index, peers in enumerate(neighbors):
         origin_cost = costs[index % len(costs)]
         for peer_index, hops in peers:
             if max(1.0, hops) >= origin_cost:
@@ -201,7 +190,7 @@ def _peer_components(
             union(index, peer_index)
 
     components: Dict[int, List[int]] = {}
-    for index in range(len(proxy_nodes)):
+    for index in range(len(neighbors)):
         components.setdefault(find(index), []).append(index)
     return [sorted(members) for _root, members in sorted(components.items())]
 
@@ -375,15 +364,9 @@ def _run_shard(index: int) -> SimulationResult:
     shard = frozenset(shards[index])
     view = ShardWorkloadView(workload, shard)
     table = ShardMatchTable(match_table, shard)
-    if neighbor_count is not None:
-        from repro.system.cooperation import CooperativeSimulation
-
-        simulation = CooperativeSimulation(
-            view, config, table, topology, neighbor_count=neighbor_count
-        )
-    else:
-        simulation = Simulation(view, config, table, topology)
-    return simulation.run()
+    return Simulation(
+        view, config, table, topology, neighbor_count=neighbor_count or 0
+    ).run()
 
 
 def merge_shard_results(
@@ -453,19 +436,13 @@ def run_sharded(
     workers = int(config.workers)
 
     def single() -> SimulationResult:
-        if neighbor_count is not None:
-            from repro.system.cooperation import CooperativeSimulation
-
-            return CooperativeSimulation(
-                workload,
-                config,
-                match_table,
-                topology,
-                neighbor_count=neighbor_count,
-                observer=observer,
-            ).run()
         return Simulation(
-            workload, config, match_table, topology, observer=observer
+            workload,
+            config,
+            match_table,
+            topology,
+            observer=observer,
+            neighbor_count=neighbor_count or 0,
         ).run()
 
     if workers <= 1:

@@ -55,7 +55,7 @@ from __future__ import annotations
 import heapq
 import time
 from operator import itemgetter
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.registry import make_policy_lenient
 from repro.faults import LIFECYCLE_STREAM
@@ -67,12 +67,7 @@ from repro.pubsub.matching import TraceMatchCounts
 from repro.sim.engine import Environment, NORMAL, URGENT
 from repro.sim.rng import RandomStreams
 from repro.system.config import PushingScheme, SimulationConfig
-from repro.system.metrics import (
-    RENEWAL_LATENCY_BIN_EDGES,
-    STALENESS_AGE_BIN_EDGES,
-    SimulationResult,
-    dense_clamped,
-)
+from repro.system.metrics import SimulationResult, dense_counts
 from repro.system.proxy import ProxyServer
 from repro.system.publisher import Publisher
 from repro.workload.subscriptions import build_match_counts
@@ -81,7 +76,7 @@ from repro.workload.trace import Workload
 if TYPE_CHECKING:  # the layers are imported by the branch that arms them
     from repro.faults.recovery import RecoveryTracker
     from repro.faults.schedule import FaultSchedule
-    from repro.pubsub.routing import SequenceTracker
+    from repro.system.cooperation import Peers
     from repro.system.delivery import ReliableDelivery
     from repro.system.lifecycle import LifecycleManager
     from repro.system.overload import OverloadManager
@@ -101,6 +96,12 @@ _TIME_KIND = itemgetter(0, 1)
 #: lifecycle): what a dynamic event at the same instant is compared to.
 _PRIORITY = (URGENT, NORMAL, URGENT)
 
+#: One stage of the request or publish path, called as ``stage(sim,
+#: proxy, server_id, page_id, version, size, match_count, now)``; true
+#: when it settled the request (or push) and the path stops there.
+#: Every ``Simulation`` method documented as a stage has this signature.
+Stage = Callable[["Simulation", ProxyServer, int, int, int, int, int, float], bool]
+
 
 def _outcome_kind(outcome) -> str:
     """Trace-event kind for a RequestOutcome: hit, stale or miss."""
@@ -111,57 +112,18 @@ def _outcome_kind(outcome) -> str:
     return "miss"
 
 
-def _attribute_values(policy):
-    """Every attribute value of ``policy``, dict- or slot-stored.
-
-    Policies are (partially) ``__slots__``-laid-out, so ``vars()``
-    alone no longer sees their caches; the slots of every class in the
-    MRO are walked as well.
-    """
-    yield from vars(policy).values()
-    for klass in type(policy).__mro__:
-        for slot in getattr(klass, "__slots__", ()):
-            if slot != "__dict__":
-                try:
-                    yield getattr(policy, slot)
-                except AttributeError:
-                    pass
-
-
-def _storages_of(policy):
-    """Every CacheStorage a policy owns (directly or via a HeapCache)."""
-    from repro.cache.storage import CacheStorage
-    from repro.core._base import HeapCache
-
-    storages = {}
-    for value in _attribute_values(policy):
-        if isinstance(value, HeapCache):
-            storages[id(value.storage)] = value.storage
-        elif isinstance(value, CacheStorage):
-            storages[id(value)] = value
-    return list(storages.values())
-
-
-def _heaps_of(policy):
-    """Every AddressableHeap a policy owns (directly or via a HeapCache).
-
-    Deduplicated by identity: the hot-path aliases (``_heap`` next to
-    ``_cache``) would otherwise instrument the same heap twice.
-    """
-    from repro.cache.heap import AddressableHeap
-    from repro.core._base import HeapCache
-
-    heaps = {}
-    for value in _attribute_values(policy):
-        if isinstance(value, HeapCache):
-            heaps[id(value.heap)] = value.heap
-        elif isinstance(value, AddressableHeap):
-            heaps[id(value)] = value
-    return list(heaps.values())
-
-
 class Simulation:
-    """One strategy, one trace, one configuration."""
+    """One strategy, one trace, one configuration.
+
+    The opt-in layers are armed by what the arguments carry: a
+    ``config.chaos`` spec or a hand-built ``fault_schedule`` (faults,
+    and reliable delivery when the push path itself can fail),
+    ``config.overload``, lifecycle records on the ``workload`` (churn),
+    and ``neighbor_count > 0`` (cooperation: each proxy asks that many
+    nearest peers before the origin; 0 is the paper's independent
+    proxies).  An armed layer is one object here and its stages in the
+    request and publish paths, assembled once; a disarmed one is absent.
+    """
 
     def __init__(
         self,
@@ -171,7 +133,10 @@ class Simulation:
         topology: Optional[Topology] = None,
         fault_schedule: Optional[FaultSchedule] = None,
         observer: Optional[Observer] = None,
+        neighbor_count: int = 0,
     ) -> None:
+        if neighbor_count < 0:
+            raise ValueError(f"neighbor_count must be >= 0, got {neighbor_count}")
         self.workload = workload
         self.config = config
         #: Streaming traces are iterated, never indexed or retained.
@@ -237,6 +202,7 @@ class Simulation:
                     self._matches_by_page[page.page_id] = sorted(counts.items())
 
         self._events_processed = 0
+        self._env: Optional[Environment] = None
 
         # -- fault layer ---------------------------------------------------
         self.chaos: Optional[ChaosSpec] = config.chaos
@@ -253,9 +219,10 @@ class Simulation:
         if self.fault_schedule is not None and self.chaos is None:
             # Hand-built schedule: use default degradation parameters.
             self.chaos = ChaosSpec()
-        self._faults_on = self.fault_schedule is not None
+        #: Present exactly when a fault schedule is: the recovery curves
+        #: and the staleness-repair and suppressed-push books.
         self._recovery: Optional[RecoveryTracker] = None
-        if self._faults_on:
+        if self.fault_schedule is not None:
             from repro.faults.recovery import RecoveryTracker
 
             self._recovery = RecoveryTracker(
@@ -264,14 +231,12 @@ class Simulation:
                 bin_seconds=self.chaos.recovery_bin_seconds,
                 bin_count=self.chaos.recovery_bin_count,
             )
-        self._failed_requests = 0
-        self._degraded_requests = 0
+        # Failed/degraded books, shared by the fault and overload layers.
         self._failed_by_hour: Dict[int, int] = {}
         self._degraded_by_hour: Dict[int, int] = {}
         #: Requests that never reached a policy (down-proxy failover and
         #: failures) — merged into the request totals at collection.
         self._unserved_by_hour: Dict[int, int] = {}
-        self._pushes_suppressed = 0
 
         # -- overload/backpressure layer -------------------------------------
         # Engaged only when an OverloadSpec arms at least one part; a
@@ -279,10 +244,8 @@ class Simulation:
         # derives the "faults.overload" stream, so the publish/request
         # paths behave — and draw — exactly as before (bit identity).
         overload_spec: Optional[OverloadSpec] = config.overload
-        self._overload_on = overload_spec is not None and overload_spec.enabled
         self._overload: Optional[OverloadManager] = None
-        self._overload_stale_serves = 0
-        if self._overload_on:
+        if overload_spec is not None and overload_spec.enabled:
             from repro.faults.generator import derive_overload_rng
             from repro.system.overload import OverloadManager
 
@@ -294,8 +257,8 @@ class Simulation:
             if self.chaos is None:
                 # Origin-gate retries reuse the graceful-degradation
                 # backoff parameters (retry_limit/base/cap); without a
-                # chaos spec the defaults apply.  _faults_on stays
-                # False: no schedule, no injector, no fault metrics.
+                # chaos spec the defaults apply.  No schedule, so no
+                # injector and no fault metrics.
                 self.chaos = ChaosSpec()
 
         # -- reliable-delivery layer ---------------------------------------
@@ -304,13 +267,10 @@ class Simulation:
         # the publish path below takes exactly the synchronous route,
         # preserving bit-identity (the "faults.delivery" stream is
         # never even derived).
-        self._delivery_on = self._faults_on and (
-            self.chaos.delivery_faulty or self.fault_schedule.has_broker_faults
-        )
         self._delivery: Optional[ReliableDelivery] = None
-        self._seq_trackers: List[SequenceTracker] = []
-        if self._delivery_on:
-            from repro.pubsub.routing import SequenceTracker
+        if self.fault_schedule is not None and (
+            self.chaos.delivery_faulty or self.fault_schedule.has_broker_faults
+        ):
             from repro.system.delivery import ReliableDelivery
 
             self._delivery = ReliableDelivery(
@@ -318,30 +278,17 @@ class Simulation:
                 self.fault_schedule,
                 streams.stream("faults.delivery"),
                 overload=self._overload,
+                proxy_count=len(self.proxies),
+                observer=self.obs,
             )
-            self._seq_trackers = [SequenceTracker() for _ in self.proxies]
-        self._env: Optional[Environment] = None
-        self._notifications_sent = 0
-        self._notifications_delivered = 0
-        self._notifications_lost = 0
-        self._notification_loss_events = 0
-        self._notifications_retransmitted = 0
-        self._retransmit_queue_overflows = 0
-        self._stale_hits_served = 0
-        self._staleness_validations = 0
-        self._stale_served_by_hour: Dict[int, int] = {}
-        self._staleness_age_counts = [0] * (len(STALENESS_AGE_BIN_EDGES) + 1)
 
         # -- subscription-lifecycle layer -----------------------------------
         # Engaged only when the workload carries lifecycle events; a
         # churn-free trace allocates nothing here and never derives the
         # lifecycle stream, so the publish/request paths below behave —
         # and draw — exactly as before (bit identity).
-        self._churn_on = bool(workload.lifecycle)
         self._lifecycle: Optional[LifecycleManager] = None
-        self._pushes_suppressed_no_lease = 0
-        self._churn_stale_serves = 0
-        if self._churn_on:
+        if workload.lifecycle:
             from repro.system.lifecycle import LifecycleManager
 
             churn_spec = workload.churn
@@ -357,17 +304,56 @@ class Simulation:
                 workload.config.server_count,
                 rng=lifecycle_rng,
                 observer=self.obs,
-                obs_on=self._obs_on,
                 overload=self._overload,
             )
 
-        #: Requests take the layered handler when a layer can stand
-        #: between user and page or a subclass resolves misses itself.
-        self._layered = (
-            self._faults_on
-            or self._overload_on
-            or type(self)._fetch_on_miss is not Simulation._fetch_on_miss
-        )
+        # -- cooperation layer -----------------------------------------------
+        self._peers: Optional[Peers] = None
+        #: Where a local miss or a queue-rejected pull is resolved, called
+        #: as ``self._off_proxy(self, proxy, server_id, page_id, version,
+        #: size, now)``: the origin, or the peer chain that ends there.
+        self._off_proxy = Simulation._origin_resolution
+        if neighbor_count > 0:
+            from repro.system.cooperation import Peers
+
+            self._peers = Peers(self.topology, int(neighbor_count))
+            self._off_proxy = self._peers.fetch
+
+        # -- the request and publish paths, assembled once ---------------------
+        # Plain functions called as ``stage(self, ...)``: bound methods
+        # here would tie the instance into a reference cycle and leave a
+        # finished run to the cyclic collector (docs/architecture.md,
+        # "One request path", trap a).
+        request: List[Stage] = []
+        publish: List[Stage] = []
+        dark: Optional[Tuple[Stage, ...]] = None
+        if self._lifecycle is not None:
+            request.append(Simulation._lifecycle_access)
+            publish.append(Simulation._lease_gate)
+        if self._recovery is not None:
+            request.append(Simulation._proxy_down_failover)
+            dark = (*publish, Simulation._origin_down_gate)
+            if self._delivery is None:
+                # With the protocol engaged a down *proxy* is its
+                # problem: sends fail while it is down and a
+                # retransmission may land after recovery.
+                publish.append(Simulation._proxy_down_gate)
+        if self._overload is not None:
+            request.append(Simulation._pull_admission)
+        if self._delivery is not None:
+            request.append(Simulation._silently_stale)
+            publish.append(Simulation._send_notification)
+        else:
+            if self._overload is not None:
+                publish.append(Simulation._push_admission)
+            publish.append(Simulation._offer_push)
+        request.append(Simulation._serve)
+        #: Tried in order until one settles the request; the last always does.
+        self._request_stages = tuple(request)
+        #: Tried in order, per matched proxy, until one settles the push.
+        self._publish_stages = tuple(publish)
+        #: The publish path while the origin is down (fault layer only).
+        self._dark_publish_stages = dark
 
     # -- fault hooks (called by the FaultInjector) --------------------------
 
@@ -375,12 +361,12 @@ class Simulation:
         proxy = self.proxies[server_id]
         self._recovery.on_crash(server_id, now, proxy.stats.hit_ratio)
         proxy.crash(now)
-        if self._delivery_on:
+        if self._delivery is not None:
             # Cold restart: sequence state is in-memory too, so the
             # restarted proxy re-learns versions from scratch (its first
             # post-recovery delivery of a re-published page shows up as
             # a detected gap).
-            self._seq_trackers[server_id].reset()
+            self._delivery.trackers[server_id].reset()
         if self._obs_on:
             self.obs.crash(now, server_id)
 
@@ -418,207 +404,18 @@ class Simulation:
         if obs_on:
             self._obs_now = now
             self.obs.publish(now, page_id, version, size)
-        origin_down = self._faults_on and self.fault_schedule.publisher_down(now)
-        delivery_on = self._delivery_on
-        churn_on = self._churn_on
+        stages = self._publish_stages
+        dark = self._dark_publish_stages
+        if dark is not None and self.fault_schedule.publisher_down(now):
+            stages = dark
+        proxies = self.proxies
         for server_id, match_count in self._matches_by_page.get(page_id, ()):
-            proxy = self.proxies[server_id]
             if obs_on:
                 self.obs.match(now, page_id, server_id, match_count)
-            if churn_on:
-                allowed, reason = self._lifecycle.deliverable(
-                    server_id, page_id, now
-                )
-                if not allowed:
-                    # The cell holds no confirmed lease right now: the
-                    # hub does not notify it.  The proxy keeps serving
-                    # its cache and repairs state on the next access.
-                    self._pushes_suppressed_no_lease += 1
-                    if obs_on:
-                        self.obs.push_suppressed(now, page_id, server_id, reason)
-                    continue
-            if origin_down or (not delivery_on and not proxy.up):
-                # No distribution path: the origin cannot send, or the
-                # proxy cannot receive.  The page stays authoritative at
-                # the origin and is fetched on demand later.  (With the
-                # delivery protocol engaged, a down *proxy* is instead
-                # the protocol's problem: sends fail while it is down
-                # and a retransmission may land after recovery.)
-                self._pushes_suppressed += 1
-                if obs_on:
-                    self.obs.push_suppressed(
-                        now,
-                        page_id,
-                        server_id,
-                        "origin-down" if origin_down else "proxy-down",
-                    )
-                continue
-            if delivery_on:
-                self._send_notification(
-                    server_id, page_id, version, size, match_count, now
-                )
-                continue
-            if self._overload_on and not self._overload.admit(
-                server_id, now, push=True
-            ):
-                # The proxy's service queue is saturated: the push is
-                # shed (pushes yield queue room to pulls first).  The
-                # cache simply keeps its old copy; the next request for
-                # the page takes the ordinary stale-miss path, so no
-                # extra repair machinery is needed here.
-                if obs_on:
-                    self.obs.overload_shed(now, page_id, server_id, "push")
-                continue
-            if obs_on:
-                self.obs.push_offer(now, page_id, server_id)
-            outcome = proxy.handle_publish(page_id, version, size, match_count, now)
-            if obs_on:
-                if outcome.stored:
-                    self.obs.push_accept(now, page_id, server_id, outcome.refreshed)
-                else:
-                    self.obs.push_reject(now, page_id, server_id)
-            transferred = outcome.stored or (
-                self.config.pushing is PushingScheme.ALWAYS
-                and proxy.policy.uses_push
-            )
-            if transferred:
-                self.publisher.record_push_transfer(page_id, now)
-        self._maybe_check_invariants()
-
-    # -- reliable delivery ---------------------------------------------------
-
-    def _send_notification(
-        self,
-        server_id: int,
-        page_id: int,
-        version: int,
-        size: int,
-        match_count: int,
-        now: float,
-    ) -> None:
-        """Push one notification through the unreliable delivery layer.
-
-        The retransmission protocol is resolved analytically against
-        the fault schedule (:meth:`ReliableDelivery.plan`); surviving
-        copies are scheduled as DES arrival events at the planned time.
-        """
-        obs_on = self._obs_on
-        plan = self._delivery.plan(server_id, now)
-        self._notifications_sent += 1
-        self._notification_loss_events += plan.loss_events
-        self._notifications_retransmitted += plan.retransmissions
-        if obs_on:
-            self.obs.notification_sent(now, page_id, server_id)
-            self.obs.queue_depth(
-                now, "retransmit", self._delivery.pending_retransmits
-            )
-            for _ in range(plan.loss_events):
-                self.obs.delivery_drop(now, page_id, server_id, "push-path")
-            if plan.retransmissions:
-                self.obs.delivery_retransmit(now, page_id, server_id, plan.attempts)
-        if plan.queue_overflow:
-            self._retransmit_queue_overflows += 1
-        if not plan.delivered:
-            self._notifications_lost += 1
-            if obs_on:
-                reason = (
-                    "queue-overflow" if plan.queue_overflow else "retries-exhausted"
-                )
-                self.obs.delivery_lost(now, page_id, server_id, reason)
-            return
-        self._schedule_arrival(
-            server_id, page_id, version, size, match_count, now, plan.arrival_time
-        )
-        if plan.duplicate_time is not None:
-            self._schedule_arrival(
-                server_id,
-                page_id,
-                version,
-                size,
-                match_count,
-                now,
-                plan.duplicate_time,
-            )
-
-    def _schedule_arrival(
-        self,
-        server_id: int,
-        page_id: int,
-        version: int,
-        size: int,
-        match_count: int,
-        now: float,
-        at: float,
-    ) -> None:
-        if at <= now:
-            # Undelayed delivery happens inside the publish handler,
-            # exactly like the reliable (healthy) push path.
-            self._deliver_notification(
-                server_id, page_id, version, size, match_count, now
-            )
-            return
-        self._env.schedule(
-            at,
-            lambda _env, s=server_id, p=page_id, v=version, z=size, m=match_count: (
-                self._deliver_notification(s, p, v, z, m, _env.now)
-            ),
-            priority=URGENT,
-        )
-
-    def _deliver_notification(
-        self,
-        server_id: int,
-        page_id: int,
-        version: int,
-        size: int,
-        match_count: int,
-        t: float,
-    ) -> None:
-        """One notification copy reaches the proxy at time ``t``."""
-        obs_on = self._obs_on
-        if obs_on:
-            self._obs_now = t
-        proxy = self.proxies[server_id]
-        if not proxy.up:
-            # A reorder-delayed copy arrived while the proxy is down;
-            # nothing receives it.
-            self._notifications_lost += 1
-            if obs_on:
-                self.obs.delivery_lost(t, page_id, server_id, "proxy-down")
-            return
-        if self._overload_on and not self._overload.admit(server_id, t, push=True):
-            # Shed before the sequence tracker sees the copy: the proxy
-            # never learns this version arrived, so the existing lazy
-            # staleness-repair path heals it on the next access.
-            if obs_on:
-                self.obs.overload_shed(t, page_id, server_id, "push")
-            return
-        tracker = self._seq_trackers[server_id]
-        kind = tracker.observe(page_id, version)
-        if kind == "duplicate":
-            # A retransmission racing its ack, or a late reordered copy
-            # of an old version: suppressed before it touches the cache.
-            if obs_on:
-                self.obs.delivery_dup(t, page_id, server_id)
-            return
-        self._notifications_delivered += 1
-        if obs_on:
-            self.obs.notification_delivered(t, page_id, server_id)
-        if kind == "gap" and obs_on:
-            self.obs.delivery_gap(t, page_id, server_id, version)
-        if obs_on:
-            self.obs.push_offer(t, page_id, server_id)
-        outcome = proxy.handle_publish(page_id, version, size, match_count, t)
-        if obs_on:
-            if outcome.stored:
-                self.obs.push_accept(t, page_id, server_id, outcome.refreshed)
-            else:
-                self.obs.push_reject(t, page_id, server_id)
-        transferred = outcome.stored or (
-            self.config.pushing is PushingScheme.ALWAYS and proxy.policy.uses_push
-        )
-        if transferred:
-            self.publisher.record_push_transfer(page_id, t)
+            proxy = proxies[server_id]
+            for stage in stages:
+                if stage(self, proxy, server_id, page_id, version, size, match_count, now):
+                    break
         self._maybe_check_invariants()
 
     def _handle_request(self, server_id: int, page_id: int, now: float) -> None:
@@ -631,48 +428,157 @@ class Simulation:
         size = self.publisher.page_size(page_id)
         match_count = self.match_table.count_for(page_id, server_id)
         proxy = self.proxies[server_id]
-        obs_on = self._obs_on
-        if obs_on:
+        if self._obs_on:
             self._obs_now = now
             self.obs.request(now, page_id, server_id)
-        if self._churn_on:
-            self._lifecycle_access(server_id, page_id, version, now)
-        if self._layered:
-            self._handle_request_layered(
-                proxy, server_id, page_id, version, size, match_count, now
-            )
-        else:
-            outcome = proxy.handle_request(page_id, version, size, match_count, now)
-            latency = self.config.hit_latency
-            if not outcome.hit:
-                self.publisher.record_fetch(page_id, now)
-                latency += self.config.per_hop_latency * proxy.policy.cost
-            proxy.stats.response_time += latency
-            if obs_on:
-                self.obs.request_outcome(
-                    now, page_id, server_id, _outcome_kind(outcome), latency
-                )
-                if not outcome.hit:
-                    self.obs.fetch(now, page_id, server_id)
+        for stage in self._request_stages:
+            if stage(self, proxy, server_id, page_id, version, size, match_count, now):
+                break
         self._maybe_check_invariants()
 
-    def _lifecycle_access(
-        self, server_id: int, page_id: int, version: int, now: float
+    # -- publish stages (see ``Stage``) ---------------------------------------
+
+    def _lease_gate(
+        self, proxy, server_id, page_id, version, size, match_count, now
+    ) -> bool:
+        """Churn: a cell without a confirmed lease is not notified.
+
+        The proxy keeps serving its cache and repairs state on the next
+        access (:meth:`_lifecycle_access`).
+        """
+        return not self._lifecycle.deliverable(server_id, page_id, now)[0]
+
+    def _origin_down_gate(
+        self, proxy, server_id, page_id, version, size, match_count, now
+    ) -> bool:
+        """Faults: the origin cannot send.  The page stays authoritative
+        there and is fetched on demand later."""
+        self._recovery.pushes_suppressed += 1
+        if self._obs_on:
+            self.obs.push_suppressed(now, page_id, server_id, "origin-down")
+        return True
+
+    def _proxy_down_gate(
+        self, proxy, server_id, page_id, version, size, match_count, now
+    ) -> bool:
+        """Faults without the delivery protocol: a down proxy cannot receive."""
+        if proxy.up:
+            return False
+        self._recovery.pushes_suppressed += 1
+        if self._obs_on:
+            self.obs.push_suppressed(now, page_id, server_id, "proxy-down")
+        return True
+
+    def _push_admission(
+        self, proxy, server_id, page_id, version, size, match_count, now
+    ) -> bool:
+        """Overload: a saturated service queue sheds the push.
+
+        Pushes yield queue room to pulls first.  The cache keeps its
+        old copy and the proxy never learns this version arrived, so
+        the next request takes the ordinary stale-miss path (or, under
+        the delivery protocol, lazy staleness repair): no extra repair
+        machinery is needed here.
+        """
+        if self._overload.admit(server_id, now, push=True):
+            return False
+        if self._obs_on:
+            self.obs.overload_shed(now, page_id, server_id, "push")
+        return True
+
+    def _offer_push(
+        self, proxy, server_id, page_id, version, size, match_count, now
+    ) -> bool:
+        """Push-time placement: offer the page, account the transfer."""
+        obs_on = self._obs_on
+        if obs_on:
+            self.obs.push_offer(now, page_id, server_id)
+        outcome = proxy.handle_publish(page_id, version, size, match_count, now)
+        if obs_on:
+            if outcome.stored:
+                self.obs.push_accept(now, page_id, server_id, outcome.refreshed)
+            else:
+                self.obs.push_reject(now, page_id, server_id)
+        if outcome.stored or (
+            self.config.pushing is PushingScheme.ALWAYS and proxy.policy.uses_push
+        ):
+            self.publisher.record_push_transfer(page_id, now)
+        return True
+
+    # -- reliable delivery ---------------------------------------------------
+
+    def _send_notification(
+        self, proxy, server_id, page_id, version, size, match_count, now
+    ) -> bool:
+        """Delivery: push one notification through the unreliable layer.
+
+        The retransmission protocol is resolved analytically against
+        the fault schedule (:meth:`ReliableDelivery.plan`); surviving
+        copies are scheduled as DES arrival events at the planned time.
+        """
+        plan = self._delivery.send(server_id, page_id, now)
+        if not plan.delivered:
+            return True
+        for at in (plan.arrival_time, plan.duplicate_time):
+            if at is None:
+                continue
+            if at <= now:
+                # Undelayed delivery happens inside the publish handler,
+                # exactly like the reliable (healthy) push path.
+                self._deliver_notification(
+                    server_id, page_id, version, size, match_count, now
+                )
+            else:
+                self._env.schedule(
+                    at,
+                    lambda _env, s=server_id, p=page_id, v=version, z=size, m=match_count: (
+                        self._deliver_notification(s, p, v, z, m, _env.now)
+                    ),
+                    priority=URGENT,
+                )
+        return True
+
+    def _deliver_notification(
+        self,
+        server_id: int,
+        page_id: int,
+        version: int,
+        size: int,
+        match_count: int,
+        t: float,
     ) -> None:
-        """Re-poll repair: the access heals lapsed subscription state.
+        """One notification copy reaches the proxy at time ``t``."""
+        if self._obs_on:
+            self._obs_now = t
+        proxy = self.proxies[server_id]
+        if not proxy.up:
+            self._delivery.lose_at_down_proxy(server_id, page_id, t)
+            return
+        if self._overload is not None and self._push_admission(
+            proxy, server_id, page_id, version, size, match_count, t
+        ):
+            return  # shed before the sequence tracker sees the copy
+        if self._delivery.receive(server_id, page_id, version, t):
+            self._offer_push(proxy, server_id, page_id, version, size, match_count, t)
+            self._maybe_check_invariants()
+
+    # -- request stages (see ``Stage``) ---------------------------------------
+
+    def _lifecycle_access(
+        self, proxy, server_id, page_id, version, size, match_count, now
+    ) -> bool:
+        """Churn: the access heals lapsed subscription state (re-poll).
 
         Runs *before* the request is served (and before the silently-
-        stale path), so a subscriber whose lease silently expired never
+        stale stage), so a subscriber whose lease silently expired never
         permanently loses notifications: the re-poll restores a
         confirmed lease and — with the delivery protocol engaged —
         teaches the proxy's sequence tracker the current version, which
         routes a lagging cached copy through the ordinary stale-miss
-        path instead of the silently-stale one.
+        path instead of the silently-stale one.  Never settles.
         """
-        repair = self._lifecycle.on_access(server_id, page_id, now)
-        if repair is None:
-            return
-        proxy = self.proxies[server_id]
+        if self._lifecycle.on_access(server_id, page_id, now) is None:
+            return False
         policy = proxy.policy
         cached = (
             policy.cached_version(page_id) if policy.contains(page_id) else None
@@ -680,192 +586,158 @@ class Simulation:
         if cached is not None and cached < version:
             # The missed notifications had real cost: the proxy's copy
             # is behind the origin at repair time.
-            self._churn_stale_serves += 1
-        if self._delivery_on:
-            self._seq_trackers[server_id].learn(page_id, version)
+            self._lifecycle.stale_serves += 1
+        if self._delivery is not None:
+            self._delivery.trackers[server_id].learn(page_id, version)
+        return False
 
-    # -- degraded request handling -----------------------------------------
-
-    def _handle_request_layered(
-        self,
-        proxy: ProxyServer,
-        server_id: int,
-        page_id: int,
-        version: int,
-        size: int,
-        match_count: int,
-        now: float,
-    ) -> None:
-        """The request path when anything can stand between user and page.
-
-        One handler for faults, overload and peer fetching, alone or
-        together; every stage is guarded by the layer that arms it, so
-        a stage whose layer is off is skipped, not emulated: down-proxy
-        failover (faults), service-queue admission (overload), the
-        silently-stale check (delivery), then the probe and — on a
-        miss — :meth:`_fetch_on_miss`, whose refusal degrades to a
-        stale serve when the origin gate caused it.
-        """
-        obs_on = self._obs_on
-        if not proxy.up:
-            # The proxy is offline; its cache cannot answer.  The client
-            # fails over directly to the origin at origin cost.
-            self._note_unserved(now)
-            if obs_on:
-                self.obs.failover(
-                    now, server_id, page_id, target="origin", reason="proxy-down"
-                )
-            resolution = self._origin_resolution(proxy, server_id, page_id, now)
-            self._settle_failover(proxy, server_id, page_id, now, resolution)
-            return
-
-        if self._overload_on and not self._overload.admit(
-            server_id, now, push=False
-        ):
-            # The service queue refused the pull: it never reaches the
-            # policy (tallied as unserved, keeping the shared
-            # denominator) and retries off-proxy exactly like a miss —
-            # peer chain first in a cooperative run, then the origin
-            # through its admission gate.
-            self._note_unserved(now)
-            if obs_on:
-                self.obs.overload_reject(now, page_id, server_id)
-                self.obs.failover(
-                    now, server_id, page_id, target="origin", reason="overload"
-                )
-            resolution = self._fetch_on_miss(
-                proxy, server_id, page_id, version, size, now
-            )
-            self._settle_failover(proxy, server_id, page_id, now, resolution)
-            return
-
-        if self._delivery_on and self._silently_stale_path(
-            proxy, server_id, page_id, version, size, match_count, now
-        ):
-            return
-
-        if self._probe_hit(proxy, page_id, version):
-            if self._delivery_on and self.chaos.delivery_repair:
-                # Access-time validation ran and confirmed freshness.
-                self._staleness_validations += 1
-            proxy.handle_request(page_id, version, size, match_count, now)
-            if self._recovery is not None:
-                self._recovery.on_request(server_id, hit=True, now=now)
-            proxy.stats.response_time += self.config.hit_latency
-            if obs_on:
-                self.obs.request_outcome(
-                    now, page_id, server_id, "hit", self.config.hit_latency
-                )
-            return
-
-        # Local miss: content must come from somewhere off-proxy.
-        resolution = self._fetch_on_miss(proxy, server_id, page_id, version, size, now)
-        if resolution is None:
-            if (
-                self._overload_on
-                and self._overload.bucket is not None
-                and self._serve_stale_overload(
-                    proxy, server_id, page_id, size, match_count, now, 0.0
-                )
-            ):
-                # Origin admission refused the fetch (breaker open or
-                # bucket drained): degraded mode serves the cached
-                # stale copy rather than failing the request.
-                return
-            # Retries exhausted: the request fails; nothing was placed
-            # (the bytes never arrived at the proxy).
-            self._note_unserved(now)
-            self._note_failed(now)
-            if obs_on:
-                self.obs.failed(now, page_id, server_id)
-            return
-        extra_latency, degraded = resolution
-        outcome = proxy.handle_request(page_id, version, size, match_count, now)
-        if self._delivery_on:
-            # The fetch taught the proxy the current version.
-            self._seq_trackers[server_id].learn(page_id, version)
-        if self._recovery is not None:
-            self._recovery.on_request(server_id, hit=False, now=now)
-        if degraded:
-            self._note_degraded(now)
-        latency = self.config.hit_latency + extra_latency
-        proxy.stats.response_time += latency
-        if obs_on:
-            self.obs.request_outcome(
-                now, page_id, server_id, _outcome_kind(outcome), latency
-            )
-
-    def _silently_stale_path(
-        self,
-        proxy: ProxyServer,
-        server_id: int,
-        page_id: int,
-        version: int,
-        size: int,
-        match_count: int,
-        now: float,
+    def _proxy_down_failover(
+        self, proxy, server_id, page_id, version, size, match_count, now
     ) -> bool:
-        """Handle a request whose proxy *believes* its copy is current.
-
-        Returns True when the request was fully handled here: the cached
-        copy is stale but the proxy never learned of the newer version
-        (the notification was lost).  With staleness repair enabled the
-        access-time validation catches the miss and heals it with an
-        origin fetch (repair traffic); without it the proxy serves the
-        stale copy as a perfectly ordinary hit — silently wrong.
-
-        Returns False when the oracle view and the proxy's view agree
-        (fresh copy, known-stale copy, or page not cached) and the
-        ordinary request path should proceed.
-        """
-        policy = proxy.policy
-        if not policy.contains(page_id):
+        """Faults: an offline proxy's cache cannot answer; the client
+        fails over directly to the origin at origin cost."""
+        if proxy.up:
             return False
-        cached = policy.cached_version(page_id)
-        if cached is None or cached == version:
-            return False
-        known = self._seq_trackers[server_id].last_seen(page_id)
-        if known is not None and known > cached:
-            # A delivered notification already told the proxy a newer
-            # version exists (the policy just declined to store it):
-            # the ordinary stale-miss path applies.
-            return False
-        obs_on = self._obs_on
-        age = self.publisher.staleness_age(page_id, cached, now)
-        if not self.chaos.delivery_repair:
-            # No-protocol baseline: the stale copy is served as a hit.
-            self._serve_stale(
-                proxy, server_id, page_id, cached, size, match_count, now, age, 0.0
+        if self._obs_on:
+            self.obs.failover(
+                now, server_id, page_id, target="origin", reason="proxy-down"
             )
-            return True
-        # Validation detected the missed push; repair from the origin.
-        self._staleness_validations += 1
-        ok, waited = self._origin_wait(now, server_id, page_id)
-        if not ok:
-            # Origin unreachable and retries exhausted: degrade to
-            # serving the stale copy rather than failing the request.
-            self._serve_stale(
-                proxy, server_id, page_id, cached, size, match_count, now, age, waited
-            )
-            self._note_degraded(now)
-            return True
-        self.publisher.record_repair(page_id, now)
-        if obs_on:
-            self.obs.repair(now, page_id, server_id, age)
-        self._sample_staleness_age(age)
-        fetch_latency, degraded = self._origin_fetch_latency(proxy, server_id, now)
-        proxy.handle_request(page_id, version, size, match_count, now)
-        self._seq_trackers[server_id].learn(page_id, version)
-        self._recovery.on_request(server_id, hit=False, now=now)
-        if degraded or waited > 0.0:
-            self._note_degraded(now)
-        latency = self.config.hit_latency + waited + fetch_latency
-        proxy.stats.response_time += latency
-        if obs_on:
-            self.obs.request_outcome(now, page_id, server_id, "stale", latency)
+        self._settle_unserved(
+            proxy, server_id, page_id, now,
+            self._origin_resolution(proxy, server_id, page_id, version, size, now),
+        )
         return True
 
-    def _serve_stale(
+    def _pull_admission(
+        self, proxy, server_id, page_id, version, size, match_count, now
+    ) -> bool:
+        """Overload: the service queue may refuse the pull.
+
+        A refused pull never reaches the policy (tallied as unserved,
+        keeping the shared denominator) and retries off-proxy exactly
+        like a miss — peer chain first in a cooperative run, then the
+        origin through its admission gate.
+        """
+        if self._overload.admit(server_id, now, push=False):
+            return False
+        if self._obs_on:
+            self.obs.overload_reject(now, page_id, server_id)
+            self.obs.failover(
+                now, server_id, page_id, target="origin", reason="overload"
+            )
+        self._settle_unserved(
+            proxy, server_id, page_id, now,
+            self._off_proxy(self, proxy, server_id, page_id, version, size, now),
+        )
+        return True
+
+    def _silently_stale(
+        self, proxy, server_id, page_id, version, size, match_count, now
+    ) -> bool:
+        """Delivery: a request whose proxy *believes* its copy is current.
+
+        Settles the request when the cached copy is stale but the proxy
+        never learned of the newer version (the notification was lost).
+        With staleness repair enabled the access-time validation catches
+        the miss and heals it with an origin fetch (repair traffic);
+        without it the proxy serves the stale copy as a perfectly
+        ordinary hit — silently wrong.
+
+        Passes the request on when the oracle view and the proxy's view
+        agree (fresh copy, known-stale copy, or page not cached).
+        """
+        cached = self._delivery.believed_current(
+            server_id, proxy.policy, page_id, version
+        )
+        if cached is None:
+            return False
+        recovery = self._recovery
+        age = self.publisher.staleness_age(page_id, cached, now)
+        waited = 0.0
+        if self.chaos.delivery_repair:
+            # Validation detected the missed push; repair from the origin.
+            recovery.staleness_validations += 1
+            ok, waited = self._origin_wait(now, server_id, page_id)
+            if ok:
+                self.publisher.record_repair(page_id, now)
+                if self._obs_on:
+                    self.obs.repair(now, page_id, server_id, age)
+                recovery.sample_staleness_age(age)
+                fetch_latency, degraded = self._degrade_transfer(
+                    self.config.per_hop_latency * proxy.policy.cost, server_id, now
+                )
+                self._settle_miss(
+                    proxy, server_id, page_id, version, size, match_count, now,
+                    self.config.hit_latency + waited + fetch_latency,
+                    degraded or waited > 0.0,
+                )
+                return True
+            # Origin unreachable and retries exhausted: degrade to
+            # serving the stale copy rather than failing the request.
+            self._note_degraded(now)
+        # The oracle's books: one silently stale response, with its age
+        # (the no-protocol baseline serves every such copy this way).
+        recovery.on_stale_served(now, age)
+        if self._obs_on:
+            self.obs.stale_served(now, page_id, server_id, age)
+        self._serve_cached(
+            proxy, server_id, page_id, cached, size, match_count, now, waited
+        )
+        return True
+
+    def _serve(
+        self, proxy, server_id, page_id, version, size, match_count, now
+    ) -> bool:
+        """The last stage: answer from the cache or fetch off-proxy.
+
+        The probe mirrors ``on_request`` hit detection — every policy
+        reports a hit exactly when the current version is resident — so
+        a miss can be resolved (and can fail, placing nothing) *before*
+        the policy sees the request.  With no layer armed this stage is
+        the whole path: probe, policy call, origin fetch on a miss.
+        """
+        policy = proxy.policy
+        if policy.contains(page_id) and policy.cached_version(page_id) == version:
+            if self._delivery is not None and self.chaos.delivery_repair:
+                # Access-time validation ran and confirmed freshness.
+                self._recovery.staleness_validations += 1
+            self._serve_cached(
+                proxy, server_id, page_id, version, size, match_count, now, 0.0
+            )
+            return True
+        resolution = self._off_proxy(self, proxy, server_id, page_id, version, size, now)
+        if resolution is not None:
+            self._settle_miss(
+                proxy, server_id, page_id, version, size, match_count, now,
+                self.config.hit_latency + resolution[0], resolution[1],
+            )
+            return True
+        overload = self._overload
+        if (
+            overload is not None
+            and overload.bucket is not None
+            and policy.contains(page_id)
+        ):
+            # Origin admission refused the fetch (breaker open or
+            # bucket drained): degraded mode serves whatever version
+            # is cached rather than failing the request.
+            overload.stale_serves += 1
+            self._note_degraded(now)
+            if self._obs_on:
+                self.obs.overload_stale(now, page_id, server_id)
+            self._serve_cached(
+                proxy, server_id, page_id, policy.cached_version(page_id),
+                size, match_count, now, 0.0,
+            )
+            return True
+        # Retries exhausted: the request fails; nothing was placed
+        # (the bytes never arrived at the proxy).
+        self._settle_unserved(proxy, server_id, page_id, now, None)
+        return True
+
+    # -- request tails ---------------------------------------------------------
+
+    def _serve_cached(
         self,
         proxy: ProxyServer,
         server_id: int,
@@ -874,33 +746,51 @@ class Simulation:
         size: int,
         match_count: int,
         now: float,
-        age: float,
         waited: float,
     ) -> None:
-        """Serve the proxy's believed-current (actually stale) copy.
+        """Answer from the cache: the hit tail.
 
-        The policy is asked for the *cached* version, so it records a
-        plain hit — from the proxy's point of view nothing is wrong.
-        The simulator keeps the oracle's books: one silently stale
-        response, with its staleness age.
+        The policy is asked for the version it *holds*, so it records a
+        plain hit — also for a silently stale or overload-stale copy,
+        where from the proxy's point of view nothing is wrong; those
+        callers keep the oracle's books themselves.
         """
         proxy.handle_request(page_id, cached_version, size, match_count, now)
-        self._recovery.on_request(server_id, hit=True, now=now)
-        self._stale_hits_served += 1
-        hour = int(now // 3600.0)
-        self._stale_served_by_hour[hour] = (
-            self._stale_served_by_hour.get(hour, 0) + 1
-        )
-        self._sample_staleness_age(age)
+        if self._recovery is not None:
+            self._recovery.on_request(server_id, hit=True, now=now)
         latency = self.config.hit_latency + waited
         proxy.stats.response_time += latency
         if self._obs_on:
-            self.obs.stale_served(now, page_id, server_id, age)
             self.obs.request_outcome(now, page_id, server_id, "hit", latency)
 
-    # -- overload request handling -------------------------------------------
+    def _settle_miss(
+        self,
+        proxy: ProxyServer,
+        server_id: int,
+        page_id: int,
+        version: int,
+        size: int,
+        match_count: int,
+        now: float,
+        latency: float,
+        degraded: bool,
+    ) -> None:
+        """The content arrived from off-proxy: the miss tail."""
+        outcome = proxy.handle_request(page_id, version, size, match_count, now)
+        if self._delivery is not None:
+            # The fetch taught the proxy the current version.
+            self._delivery.trackers[server_id].learn(page_id, version)
+        if self._recovery is not None:
+            self._recovery.on_request(server_id, hit=False, now=now)
+        if degraded:
+            self._note_degraded(now)
+        proxy.stats.response_time += latency
+        if self._obs_on:
+            self.obs.request_outcome(
+                now, page_id, server_id, _outcome_kind(outcome), latency
+            )
 
-    def _settle_failover(
+    def _settle_unserved(
         self,
         proxy: ProxyServer,
         server_id: int,
@@ -908,10 +798,12 @@ class Simulation:
         now: float,
         resolution: Optional[Tuple[float, bool]],
     ) -> None:
-        """Book a request its proxy could not take (crashed or queue
-        full): served off-proxy as a degraded miss, or failed."""
+        """Book a request no policy saw (proxy crashed, queue full, or
+        nothing obtainable): a degraded off-proxy miss, or failed."""
+        hour = int(now // 3600.0)
+        self._unserved_by_hour[hour] = self._unserved_by_hour.get(hour, 0) + 1
         if resolution is None:
-            self._note_failed(now)
+            self._failed_by_hour[hour] = self._failed_by_hour.get(hour, 0) + 1
             if self._obs_on:
                 self.obs.failed(now, page_id, server_id)
             return
@@ -921,54 +813,9 @@ class Simulation:
         if self._obs_on:
             self.obs.request_outcome(now, page_id, server_id, "miss", latency)
 
-    def _serve_stale_overload(
-        self,
-        proxy: ProxyServer,
-        server_id: int,
-        page_id: int,
-        size: int,
-        match_count: int,
-        now: float,
-        waited: float,
-    ) -> bool:
-        """Degraded mode: serve whatever version is cached locally.
+    # -- off-proxy resolution --------------------------------------------------
 
-        Used when origin admission refused a fetch.  Returns False when
-        nothing is cached (the caller then fails the request).  The
-        policy records a plain hit for the cached version; the
-        simulator's books call it a degraded overload-stale serve.
-        """
-        policy = proxy.policy
-        if not policy.contains(page_id):
-            return False
-        cached = policy.cached_version(page_id)
-        proxy.handle_request(page_id, cached, size, match_count, now)
-        if self._recovery is not None:
-            self._recovery.on_request(server_id, hit=True, now=now)
-        self._overload_stale_serves += 1
-        self._note_degraded(now)
-        latency = self.config.hit_latency + waited
-        proxy.stats.response_time += latency
-        if self._obs_on:
-            self.obs.overload_stale(now, page_id, server_id)
-            self.obs.request_outcome(now, page_id, server_id, "hit", latency)
-        return True
-
-    def _sample_staleness_age(self, age: float) -> None:
-        from repro.system.delivery import staleness_age_bin
-
-        self._staleness_age_counts[staleness_age_bin(age)] += 1
-
-    def _probe_hit(self, proxy: ProxyServer, page_id: int, version: int) -> bool:
-        """Whether a request would be a fresh hit — without side effects.
-
-        Every policy reports a hit exactly when the current version is
-        resident, so this mirrors ``on_request`` hit detection.
-        """
-        policy = proxy.policy
-        return policy.contains(page_id) and policy.cached_version(page_id) == version
-
-    def _fetch_on_miss(
+    def _origin_resolution(
         self,
         proxy: ProxyServer,
         server_id: int,
@@ -977,27 +824,22 @@ class Simulation:
         size: int,
         now: float,
     ) -> Optional[Tuple[float, bool]]:
-        """Resolve a local miss off-proxy.
+        """Fetch from the origin, retrying across an outage if needed.
 
-        Returns ``(latency beyond hit_latency, degraded?)`` on success,
-        ``None`` when the content could not be obtained.  Queue-rejected
-        pulls resolve through it too.  The base simulation knows only
-        the origin; the cooperative subclass overrides this with a peer
-        failover chain.
+        Returns ``(latency beyond hit_latency, degraded?)``, or ``None``
+        when the content could not be obtained — the contract of
+        ``self._off_proxy``, whose other implementation
+        (:meth:`repro.system.cooperation.Peers.fetch`) ends here.
         """
-        return self._origin_resolution(proxy, server_id, page_id, now)
-
-    def _origin_resolution(
-        self, proxy: ProxyServer, server_id: int, page_id: int, now: float
-    ) -> Optional[Tuple[float, bool]]:
-        """Fetch from the origin, retrying across an outage if needed."""
         ok, waited = self._origin_wait(now, server_id, page_id)
         if not ok:
             return None
         self.publisher.record_fetch(page_id, now)
         if self._obs_on:
             self.obs.fetch(now, page_id, server_id)
-        fetch_latency, degraded = self._origin_fetch_latency(proxy, server_id, now)
+        fetch_latency, degraded = self._degrade_transfer(
+            self.config.per_hop_latency * proxy.policy.cost, server_id, now
+        )
         return waited + fetch_latency, degraded or waited > 0.0
 
     def _origin_wait(
@@ -1018,7 +860,7 @@ class Simulation:
         pre-layer one.
         """
         schedule = self.fault_schedule
-        overload = self._overload if self._overload_on else None
+        overload = self._overload
         down = schedule is not None and schedule.publisher_down(now)
         if not down and (overload is None or overload.origin_admit(now)):
             return True, 0.0
@@ -1043,13 +885,6 @@ class Simulation:
             ):
                 return True, waited
         return False, waited
-
-    def _origin_fetch_latency(
-        self, proxy: ProxyServer, server_id: int, now: float
-    ) -> Tuple[float, bool]:
-        """Latency of one origin transfer, including link degradation."""
-        latency = self.config.per_hop_latency * proxy.policy.cost
-        return self._degrade_transfer(latency, server_id, now)
 
     def _degrade_transfer(
         self, latency: float, server_id: int, now: float
@@ -1080,17 +915,7 @@ class Simulation:
 
     # -- availability accounting -------------------------------------------
 
-    def _note_unserved(self, now: float) -> None:
-        hour = int(now // 3600.0)
-        self._unserved_by_hour[hour] = self._unserved_by_hour.get(hour, 0) + 1
-
-    def _note_failed(self, now: float) -> None:
-        self._failed_requests += 1
-        hour = int(now // 3600.0)
-        self._failed_by_hour[hour] = self._failed_by_hour.get(hour, 0) + 1
-
     def _note_degraded(self, now: float) -> None:
-        self._degraded_requests += 1
         hour = int(now // 3600.0)
         self._degraded_by_hour[hour] = self._degraded_by_hour.get(hour, 0) + 1
 
@@ -1173,20 +998,20 @@ class Simulation:
 
         The only replay routine.  Which of its two dispatch arms runs
         is read off what this run has armed, never chosen by a caller:
-        with no layer, observer or subclass hook nothing can reach the
-        agenda or the handlers, so the *inline* arm calls the policies
+        with no layer object and no observer nothing can reach the
+        agenda or add a stage, so the *inline* arm calls the policies
         directly; otherwise the *staged* arm lets the agenda catch up
         before each record (:meth:`Environment.run_before`) and
         dispatches to the ``_handle_*`` methods.
         """
         layers = {
-            "chaos": self._faults_on,
-            "churn": self._churn_on,
-            "overload": self._overload_on,
-            "observer": self._obs_on,
-            type(self).__name__: type(self) is not Simulation,
+            "chaos": self._recovery,
+            "churn": self._lifecycle,
+            "overload": self._overload,
+            "observer": self.obs if self._obs_on else None,
+            "peers": self._peers,
         }
-        armed = [name for name, on in layers.items() if on]
+        armed = [name for name, layer in layers.items() if layer is not None]
         if not armed:
             logger.debug("replay: inline arm")
             self._inline_arm(self._stream(enriched=True))
@@ -1342,7 +1167,7 @@ class Simulation:
             )
             env.monitor = obs.monitor
         with obs.span("sim.schedule"):
-            if self._faults_on:
+            if self.fault_schedule is not None:
                 from repro.faults.injector import FaultInjector
 
                 FaultInjector(self.fault_schedule).install(env, self)
@@ -1365,23 +1190,18 @@ class Simulation:
         so policies and storages keep their no-op class-level hooks.
         """
         obs = self.obs
+
+        def handler_time() -> float:
+            return self._obs_now
+
         for proxy in self.proxies:
-            server_id = proxy.server_id
-            proxy.policy.evict_listener = (
-                lambda page_id, size, cause, _sid=server_id: obs.evict(
-                    self._obs_now, page_id, _sid, size, cause
-                )
-            )
-            for storage in _storages_of(proxy.policy):
-                storage.listener = lambda op, entry: obs.cache_op(
-                    op, entry.size, self._obs_now
-                )
+            proxy.observe(obs, handler_time)
         profiler = obs.profiler
         if profiler is not None:
             for proxy in self.proxies:
                 proxy.instrument(profiler)
-                for heap in _heaps_of(proxy.policy):
-                    heap.instrument(profiler)
+            if self._peers is not None:
+                self._off_proxy = profiler.wrap(self._off_proxy, "coop.peer_lookup")
 
     def _collect(self, wall_seconds: float) -> SimulationResult:
         hour_count = int(self.workload.config.horizon // 3600.0) + 1
@@ -1399,9 +1219,6 @@ class Simulation:
                 hourly_hits[min(hour, last_hour)] += count
         for hour, count in self._unserved_by_hour.items():
             hourly_requests[min(hour, last_hour)] += count
-
-        def dense(sparse: Dict[int, int]) -> List[int]:
-            return [int(v) for v in dense_clamped(sparse, hour_count)]
 
         total_requests = sum(proxy.stats.requests for proxy in self.proxies)
         total_requests += sum(self._unserved_by_hour.values())
@@ -1424,10 +1241,10 @@ class Simulation:
             hour_count=hour_count,
             hourly_requests=hourly_requests,
             hourly_hits=hourly_hits,
-            hourly_push_pages=dense(self.publisher.push_pages_by_hour),
-            hourly_fetch_pages=dense(self.publisher.fetch_pages_by_hour),
-            hourly_push_bytes=dense(self.publisher.push_bytes_by_hour),
-            hourly_fetch_bytes=dense(self.publisher.fetch_bytes_by_hour),
+            hourly_push_pages=dense_counts(self.publisher.push_pages_by_hour, hour_count),
+            hourly_fetch_pages=dense_counts(self.publisher.fetch_pages_by_hour, hour_count),
+            hourly_push_bytes=dense_counts(self.publisher.push_bytes_by_hour, hour_count),
+            hourly_fetch_bytes=dense_counts(self.publisher.fetch_bytes_by_hour, hour_count),
             per_proxy=[proxy.stats for proxy in self.proxies],
             wall_seconds=wall_seconds,
             # Summed over proxies in server order — the same expression
@@ -1437,103 +1254,25 @@ class Simulation:
                 proxy.stats.response_time for proxy in self.proxies
             ),
         )
-        if self._faults_on or self._overload_on:
+        if self._recovery is not None or self._overload is not None:
             # Both layers route refused/unservable requests through the
             # shared failed/degraded books.
-            result.failed_requests = self._failed_requests
-            result.degraded_requests = self._degraded_requests
-            result.hourly_failed = dense(self._failed_by_hour)
-            result.hourly_degraded = dense(self._degraded_by_hour)
-        if self._faults_on:
-            report = self._recovery.report()
-            result.proxy_crashes = sum(p.crash_count for p in self.proxies)
-            result.proxy_downtime_seconds = sum(
-                p.downtime_seconds for p in self.proxies
-            )
-            result.publisher_outage_seconds = self.publisher.outage_seconds
-            result.pushes_suppressed = self._pushes_suppressed
-            result.time_to_warm_seconds = report.time_to_warm
-            result.unwarmed_recoveries = report.unwarmed
-            result.recovery_curve_requests = report.curve_requests
-            result.recovery_curve_hits = report.curve_hits
-            result.recovery_bin_seconds = report.bin_seconds
-            result.notifications_sent = self._notifications_sent
-            result.notifications_delivered = self._notifications_delivered
-            result.notifications_lost = self._notifications_lost
-            result.notification_loss_events = self._notification_loss_events
-            result.notifications_retransmitted = self._notifications_retransmitted
-            result.duplicate_notifications = sum(
-                tracker.duplicates for tracker in self._seq_trackers
-            )
-            result.delivery_gaps_detected = sum(
-                tracker.gaps for tracker in self._seq_trackers
-            )
-            result.retransmit_queue_overflows = self._retransmit_queue_overflows
-            result.stale_hits_served = self._stale_hits_served
-            result.staleness_validations = self._staleness_validations
-            result.repair_fetches = self.publisher.total_repair_pages
-            result.repair_bytes = self.publisher.total_repair_bytes
-            result.hourly_stale_served = dense(self._stale_served_by_hour)
-            result.hourly_repair_pages = dense(self.publisher.repair_pages_by_hour)
-            result.hourly_repair_bytes = dense(self.publisher.repair_bytes_by_hour)
-            result.staleness_age_bin_edges = list(STALENESS_AGE_BIN_EDGES)
-            result.staleness_age_counts = list(self._staleness_age_counts)
-        if self._overload_on:
-            overload = self._overload
-            horizon = self.workload.config.horizon
-            overload.finalize(horizon)
-            result.overload_arrivals = overload.queue_arrivals
-            result.overload_pushes_shed = overload.queue_rejected_pushes
-            result.overload_pulls_rejected = overload.queue_rejected_pulls
-            result.average_queue_size = overload.average_queue_size
-            queues = overload.queues
-            if queues:
-                result.overload_queue_peak = max(
-                    queue.peak for queue in queues.values()
-                )
-                result.overload_queue_avg_by_proxy = [
-                    queues[server_id].average_queue_size
-                    for server_id in range(len(self.proxies))
-                ]
-                result.overload_queue_rejection_by_proxy = [
-                    100.0 * queues[server_id].rejection_fraction
-                    for server_id in range(len(self.proxies))
-                ]
-            result.origin_rejections = overload.origin_rejections
-            breaker = overload.breaker
-            if breaker is not None:
-                result.breaker_opens = breaker.open_count
-                result.breaker_open_seconds = breaker.open_seconds
-                result.breaker_open_fraction = (
-                    breaker.open_seconds / horizon if horizon > 0 else 0.0
-                )
-                result.breaker_fast_failures = breaker.fast_failures
-            budget = overload.budget
-            if budget is not None:
-                result.retry_budget_spent = budget.spent
-                result.retries_denied = budget.denied
-            result.overload_stale_serves = self._overload_stale_serves
-        if self._churn_on:
-            manager = self._lifecycle
-            census = manager.finalize(self.workload.config.horizon)
-            result.lifecycle_events = manager.events
-            result.leases_granted = manager.granted
-            result.leases_renewed = manager.renewed
-            result.leases_expired = manager.expired
-            result.leases_unsubscribed = manager.unsubscribed
-            result.handshake_losses = manager.handshake_losses
-            result.handshakes_abandoned = manager.handshakes_abandoned
-            result.lease_repolls = manager.lease_repolls
-            result.handshake_repairs = manager.handshake_repairs
-            result.churn_stale_serves = self._churn_stale_serves
-            result.pushes_suppressed_no_lease = self._pushes_suppressed_no_lease
-            result.active_leases_end = census["active"]
-            result.pending_leases_end = census["pending"]
-            result.expired_leases_end = census["expired"]
-            result.lifecycle_queue_overflows = manager.queue_overflows
-            result.lifecycle_queue_peak = manager.queue_peak
-            result.renewal_latency_bin_edges = list(RENEWAL_LATENCY_BIN_EDGES)
-            result.renewal_latency_counts = list(manager.renewal_latency_counts)
+            result.failed_requests = sum(self._failed_by_hour.values())
+            result.degraded_requests = sum(self._degraded_by_hour.values())
+            result.hourly_failed = dense_counts(self._failed_by_hour, hour_count)
+            result.hourly_degraded = dense_counts(self._degraded_by_hour, hour_count)
+        # Each layer writes the block it counted.
+        horizon = self.workload.config.horizon
+        if self._recovery is not None:
+            self._recovery.collect(result, self.proxies, self.publisher)
+        if self._delivery is not None:
+            self._delivery.collect(result)
+        if self._overload is not None:
+            self._overload.collect(result, horizon)
+        if self._lifecycle is not None:
+            self._lifecycle.collect(result, horizon)
+        if self._peers is not None:
+            self._peers.collect(result)
         if self._obs_on and self.obs.profiler is not None:
             result.profile = self.obs.profiler.summary()
         if self._obs_on:

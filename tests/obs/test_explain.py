@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.faults.spec import ChaosSpec
 from repro.obs import EventTracer, Observer, explain_page, explain_page_from_file
 from repro.system.config import SimulationConfig
 from repro.system.simulator import Simulation
@@ -144,27 +145,77 @@ class TestSyntheticChains:
         assert "no matching events" in explanation.render()
 
 
+#: The same cell with no layer, with an armed but empty fault layer,
+#: and with peers: identical caches, so identical misses to explain —
+#: whichever stages wrote the trace.
+VARIANTS = {
+    "plain": {},
+    "chaos": {"chaos": ChaosSpec()},
+    "cooperative": {"neighbor_count": 3},
+}
+
+
+def _miss_causes(events):
+    """``{(page, proxy): [cause of each miss, in order]}`` over a trace."""
+    pages = {e["page"] for e in events if e["type"] == "miss"}
+    causes = {}
+    for page in sorted(pages):
+        for verdict in explain_page(events, page).verdicts:
+            if verdict.outcome == "miss":
+                causes.setdefault((page, verdict.proxy), []).append(verdict.cause)
+    return causes
+
+
 class TestForcedMissIntegration:
     """ISSUE 7 acceptance: a real trace with a known forced miss."""
 
     @pytest.fixture(scope="class")
     def forced_miss_trace(self, tmp_path_factory):
+        return self._trace(tmp_path_factory, "plain")
+
+    @staticmethod
+    def _trace(tmp_path_factory, variant):
         path = str(tmp_path_factory.mktemp("explain") / "trace.jsonl")
         workload = make_trace("news", scale=0.02, seed=7)
         # A cache small enough that pushed pages keep evicting each
         # other guarantees eviction-caused misses somewhere.
+        layers = dict(VARIANTS[variant])
         config = SimulationConfig(
-            strategy="sg2", capacity_fraction=0.001, seed=7
+            strategy="sg2", capacity_fraction=0.001, seed=7,
+            chaos=layers.pop("chaos", None),
         )
         observer = Observer(tracer=EventTracer(sink=path, max_events=0))
-        Simulation(workload, config, observer=observer).run()
+        Simulation(workload, config, observer=observer, **layers).run()
         observer.close()
         return path
 
-    def test_eviction_caused_miss_is_explained(self, forced_miss_trace):
+    def test_every_variant_explains_the_same_misses(self, tmp_path_factory):
         from repro.obs.tracer import read_jsonl
 
-        events = read_jsonl(forced_miss_trace)
+        plain, chaos, cooperative = (
+            _miss_causes(list(read_jsonl(self._trace(tmp_path_factory, variant))))
+            for variant in ("plain", "chaos", "cooperative")
+        )
+        assert any("evicted" in cause for causes in plain.values() for cause in causes)
+        assert chaos == plain
+        assert cooperative == plain
+
+    def test_eviction_caused_miss_is_explained(self, forced_miss_trace):
+        self._assert_eviction_caused_miss_is_explained(forced_miss_trace)
+
+    @pytest.mark.parametrize("variant", ["chaos", "cooperative"])
+    def test_eviction_caused_miss_is_explained_whichever_stages_ran(
+        self, tmp_path_factory, variant
+    ):
+        self._assert_eviction_caused_miss_is_explained(
+            self._trace(tmp_path_factory, variant)
+        )
+
+    @staticmethod
+    def _assert_eviction_caused_miss_is_explained(trace_path):
+        from repro.obs.tracer import read_jsonl
+
+        events = read_jsonl(trace_path)
         # Find a (page, proxy) with push_accept -> evict -> miss in order.
         stored = {}
         evicted = {}

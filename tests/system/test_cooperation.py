@@ -76,7 +76,7 @@ def test_response_time_improves_with_peering(workload, config):
 
 def test_neighbor_lists_exclude_self(workload, config):
     simulation = CooperativeSimulation(workload, config, neighbor_count=3)
-    for index, peers in enumerate(simulation._neighbors):
+    for index, peers in enumerate(simulation._peers.neighbors):
         assert all(peer != index for peer, _hops in peers)
         assert len(peers) <= 3
 

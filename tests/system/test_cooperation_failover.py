@@ -35,7 +35,7 @@ def make_sim(workload, schedule=None, **config_kwargs):
 def close_peers(sim, minimum=2):
     """A (server_id, [(peer, hops), ...]) with >= ``minimum`` peers
     strictly closer than the origin (the only peers the chain probes)."""
-    for server_id, peers in enumerate(sim._neighbors):
+    for server_id, peers in enumerate(sim._peers.neighbors):
         origin_cost = sim.proxies[server_id].policy.cost
         close = [(p, h) for p, h in peers if max(1.0, h) < origin_cost]
         if len(close) >= minimum:
@@ -59,8 +59,8 @@ def test_nearest_live_holder_serves(workload):
         seed_peer_cache(sim, peer_index, page.page_id, 0, page.size)
 
     before = sim.publisher.total_fetch_pages
-    resolution = sim._fetch_on_miss(
-        requester, server_id, page.page_id, 0, page.size, now=10.0
+    resolution = sim._peers.fetch(
+        sim, requester, server_id, page.page_id, 0, page.size, now=10.0
     )
     assert resolution is not None
     extra_latency, degraded = resolution
@@ -69,7 +69,7 @@ def test_nearest_live_holder_serves(workload):
         sim.config.per_hop_latency * nearest_hops
     )
     assert not degraded
-    assert sim.peer_fetch_pages == 1
+    assert sim._peers.fetch_pages == 1
     assert sim.publisher.total_fetch_pages == before  # origin untouched
 
 
@@ -84,8 +84,8 @@ def test_crashed_nearest_peer_is_skipped_with_timeout(workload):
     seed_peer_cache(sim, second_peer, page.page_id, 0, page.size)
     sim.proxies[first_peer].crash(now=5.0)
 
-    resolution = sim._fetch_on_miss(
-        requester, server_id, page.page_id, 0, page.size, now=10.0
+    resolution = sim._peers.fetch(
+        sim, requester, server_id, page.page_id, 0, page.size, now=10.0
     )
     assert resolution is not None
     extra_latency, degraded = resolution
@@ -93,7 +93,7 @@ def test_crashed_nearest_peer_is_skipped_with_timeout(workload):
     assert extra_latency == pytest.approx(
         sim.chaos.peer_timeout + sim.config.per_hop_latency * max(1.0, h2)
     )
-    assert sim.peer_fetch_pages == 1
+    assert sim._peers.fetch_pages == 1
 
 
 def test_origin_is_terminal_when_no_peer_holds_the_page(workload):
@@ -104,8 +104,8 @@ def test_origin_is_terminal_when_no_peer_holds_the_page(workload):
     sim.publisher.publish(page.page_id, 0)
 
     before = sim.publisher.total_fetch_pages
-    resolution = sim._fetch_on_miss(
-        requester, server_id, page.page_id, 0, page.size, now=10.0
+    resolution = sim._peers.fetch(
+        sim, requester, server_id, page.page_id, 0, page.size, now=10.0
     )
     assert resolution is not None
     extra_latency, degraded = resolution
@@ -113,7 +113,7 @@ def test_origin_is_terminal_when_no_peer_holds_the_page(workload):
         sim.config.per_hop_latency * requester.policy.cost
     )
     assert not degraded
-    assert sim.peer_fetch_pages == 0
+    assert sim._peers.fetch_pages == 0
     assert sim.publisher.total_fetch_pages == before + 1
 
 
@@ -128,11 +128,11 @@ def test_stale_peer_copies_do_not_serve(workload):
     sim.publisher.publish(page.page_id, 1)  # peer copy now stale
 
     before = sim.publisher.total_fetch_pages
-    resolution = sim._fetch_on_miss(
-        requester, server_id, page.page_id, 1, page.size, now=10.0
+    resolution = sim._peers.fetch(
+        sim, requester, server_id, page.page_id, 1, page.size, now=10.0
     )
     assert resolution is not None
-    assert sim.peer_fetch_pages == 0
+    assert sim._peers.fetch_pages == 0
     assert sim.publisher.total_fetch_pages == before + 1
 
 
@@ -148,8 +148,8 @@ def test_request_fails_only_when_origin_retries_exhausted(workload):
         seed_peer_cache(sim, peer_index, page.page_id, 0, page.size)
         sim.proxies[peer_index].crash(now=5.0)
 
-    resolution = sim._fetch_on_miss(
-        requester, server_id, page.page_id, 0, page.size, now=10.0
+    resolution = sim._peers.fetch(
+        sim, requester, server_id, page.page_id, 0, page.size, now=10.0
     )
     assert resolution is None  # every hop of the chain was exhausted
 

@@ -21,11 +21,8 @@ from repro.faults.spec import ChaosSpec
 from repro.pubsub.routing import SequenceTracker
 from repro.sim.rng import RandomStreams
 from repro.system.config import SimulationConfig
-from repro.system.delivery import (
-    STALENESS_AGE_BIN_EDGES,
-    ReliableDelivery,
-    staleness_age_bin,
-)
+from repro.system.delivery import ReliableDelivery
+from repro.system.metrics import STALENESS_AGE_BIN_EDGES, staleness_age_bin
 from repro.system.simulator import Simulation, run_simulation
 
 from tests.system.test_chaos import FAULT_FIELDS  # single source of truth

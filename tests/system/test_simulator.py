@@ -199,5 +199,5 @@ def test_run_logs_which_replay_arm_ran_and_why(workload, caplog):
         workload, layered, neighbor_count=2, observer=Observer(tracer=EventTracer())
     )
     assert arm_of(observed) == [
-        "replay: staged arm (chaos, observer, CooperativeSimulation)"
+        "replay: staged arm (chaos, observer, peers)"
     ]
