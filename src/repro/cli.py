@@ -334,6 +334,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"invalid overload parameter: {error}", file=sys.stderr)
         return 2
+    if args.streaming:
+        # Spill here, where a full disk or an unusable temp directory is
+        # one line; run_cell then finds the trace in the memo.
+        from repro.experiments.runner import streaming_trace_for
+
+        try:
+            streaming_trace_for(args.trace, args.scale, args.seed)
+        except OSError as error:
+            print(f"cannot spill trace: {error}", file=sys.stderr)
+            return 2
     observer = _make_observer(args)
     result = run_cell(
         CellKey(
@@ -659,7 +669,7 @@ def _cmd_trace_stats(args: argparse.Namespace) -> int:
         report = validate_workload(workload)
         print(report.render())
         return 0 if report.ok else 1
-    pairs = len(set(workload.request_pairs()))
+    pairs = len(workload.pair_counts())
     unique = workload.unique_bytes_per_server()
     mean_unique = sum(unique.values()) / max(1, len(unique))
     print(f"trace          : {workload.label}")

@@ -12,7 +12,7 @@ entry (they are simply never looked up again; ``clear()`` removes them).
 Layout under the cache root (default ``.repro-cache/``)::
 
     .repro-cache/
-        trace/<sha256>.json        Workload.to_json
+        trace/<sha256>.json        Workload.to_json (one list per event column)
         match-table/<sha256>.json  TraceMatchCounts.to_json
         topology/<sha256>.json     Topology.to_json
 
@@ -43,7 +43,7 @@ logger = get_logger(__name__)
 #: Serialization/generator format version.  Bump on ANY change to the
 #: workload/table/topology generators or their JSON formats; every key
 #: embeds it, so old cache entries are silently invalidated.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ArtifactCache:
@@ -112,20 +112,20 @@ class ArtifactCache:
         deserialize: Callable[[str], object],
     ):
         """Load ``kind``/``params`` from disk, generating on a miss."""
-        text = self.load_text(kind, params)
-        if text is not None:
-            try:
+        try:
+            text = self.load_text(kind, params)
+            if text is not None:
                 artifact = deserialize(text)
-            except (ValueError, KeyError, TypeError) as error:
-                # A truncated or hand-edited entry: regenerate over it.
-                logger.warning(
-                    "corrupt %s artifact %s (%s); regenerating",
-                    kind, self.path(kind, params), error,
-                )
-            else:
                 self.hits += 1
                 logger.debug("artifact hit: %s %s", kind, params)
                 return artifact
+        except (ValueError, KeyError, TypeError) as error:
+            # A truncated, hand-edited or non-UTF-8 entry (a
+            # UnicodeDecodeError is a ValueError): regenerate over it.
+            logger.warning(
+                "corrupt %s artifact %s (%s); regenerating",
+                kind, self.path(kind, params), error,
+            )
         self.misses += 1
         logger.debug("artifact miss: %s %s", kind, params)
         artifact = generate()
@@ -181,7 +181,7 @@ def cached_match_table(
 
     def generate() -> TraceMatchCounts:
         table = build_match_counts(
-            workload.request_pairs(),
+            workload.pair_counts(),
             sq,
             RandomStreams(seed).stream("subscriptions"),
             notified_fraction=notified_fraction,

@@ -14,6 +14,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
+import numpy as np
+
 from repro.system.config import SimulationConfig
 from repro.system.simulator import run_simulation
 from repro.workload.trace import Workload
@@ -25,7 +27,8 @@ DEFAULT_BETAS = (0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
 def trace_prefix(workload: Workload, fraction: float) -> Workload:
     """The first ``fraction`` of a workload, by time.
 
-    Publish and request streams are truncated at the cut-off so the
+    Publish and request streams are truncated at the cut-off (both
+    tables are time-sorted, so each cut is one binary search) and the
     prefix is a valid (shorter-horizon) workload of its own.
     """
     if not 0.0 < fraction <= 1.0:
@@ -34,11 +37,15 @@ def trace_prefix(workload: Workload, fraction: float) -> Workload:
         return workload
     cutoff = workload.config.horizon * fraction
     config = dataclasses.replace(workload.config, horizon=cutoff)
+    publishes, requests = (
+        table[: int(np.searchsorted(table.rows["time"], cutoff, side="right"))]
+        for table in (workload.publishes, workload.requests)
+    )
     return Workload(
         config=config,
         pages=workload.pages,
-        publishes=[e for e in workload.publishes if e.time <= cutoff],
-        requests=[r for r in workload.requests if r.time <= cutoff],
+        publishes=publishes,
+        requests=requests,
         label=workload.label,
     )
 

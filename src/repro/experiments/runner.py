@@ -43,7 +43,6 @@ from repro.experiments.spec import CellKey, ExperimentGrid, GridResult
 
 if TYPE_CHECKING:  # imported by the branches that use them
     from repro.workload.churn import ChurnSpec
-    from repro.workload.streaming import StreamingWorkload
 
 logger = get_logger(__name__)
 
@@ -72,11 +71,11 @@ def trace_for(
 
 
 @lru_cache(maxsize=4)
-def streaming_trace_for(trace: str, scale: float, seed: int) -> StreamingWorkload:
-    """Generate (and memoize) a preset trace in streaming form.
+def streaming_trace_for(trace: str, scale: float, seed: int) -> Workload:
+    """Generate (and memoize) a preset trace with its events spilled to disk.
 
-    Streaming traces bypass the on-disk artifact cache: serializing the
-    event stream to JSON would materialize it, defeating the point.
+    Spilled traces bypass the on-disk artifact cache: serializing the
+    events to JSON would load them all, defeating the point.
     The spool is reclaimed when the memo evicts the entry.
     """
     from repro.workload.streaming import make_streaming_trace
@@ -94,10 +93,9 @@ def _match_table_for(
     artifact_dir: Optional[str] = None,
     streaming: bool = False,
 ) -> TraceMatchCounts:
-    # The streaming workload hands request_pairs out as an aggregated
-    # mapping; build_match_counts produces a bit-identical table from
-    # either form, so the cache key needs no streaming component — but
-    # sourcing from the streaming trace avoids materializing one.
+    # Spilled or not the table is the same, so the cache key needs no
+    # streaming component — but sourcing the pair counts from the trace
+    # the cell replays avoids generating a second, in-memory one.
     if streaming:
         workload = streaming_trace_for(trace, scale, seed)
     else:
@@ -113,7 +111,7 @@ def _match_table_for(
             notified_fraction,
         )
     table = build_match_counts(
-        workload.request_pairs(),
+        workload.pair_counts(),
         sq,
         RandomStreams(seed).stream("subscriptions"),
         notified_fraction=notified_fraction,
@@ -190,8 +188,8 @@ def run_cell(
     keeps every capacity infinite, bit-identical to the pre-layer
     behaviour.
 
-    ``streaming`` generates the trace in streaming form (events spill
-    to disk and replay chunk-at-a-time; see
+    ``streaming`` spills the trace's events to disk as they are
+    generated and replays them chunk-at-a-time (see
     :mod:`repro.workload.streaming`) and ``workers > 1`` shards the
     proxies across that many processes (:mod:`repro.system.sharding`).
     Both are bit-identical to the default path in every result field
@@ -276,7 +274,7 @@ def run_grid(
 
     ``shard_workers`` and ``streaming`` forward to :func:`run_cell`:
     each cell shards its proxies across that many processes and/or
-    consumes the trace in streaming form.  Cell-level and shard-level
+    replays a spilled trace.  Cell-level and shard-level
     parallelism compose multiplicatively — prefer one or the other.
     """
     artifact_dir = _resolve_artifact_dir(artifact_dir)

@@ -37,9 +37,12 @@ component declines (:class:`ShardingError` when strict).
 
 Workers are forked (``multiprocessing`` fork context), so the trace,
 match table and topology are inherited copy-on-write — nothing is
-pickled in, only the partial results come back.  Streaming workloads
-(:mod:`repro.workload.streaming`) compose naturally: every worker
-reads the shared on-disk spool lazily.
+pickled in, only the partial results come back.  Each worker cuts its
+own shard with :meth:`Workload.for_servers
+<repro.workload.trace.Workload.for_servers>`; over a spilled trace
+(:mod:`repro.workload.streaming`) the publishes stay memory-mapped and
+shared, but the shard's request rows are a copy in the worker's memory
+(16 bytes per event) — a combination nothing measures yet.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ def shard_eligibility(
         return "fault injection shares a global schedule and delivery state"
     if config.overload is not None and config.overload.enabled:
         return "the overload layer shares origin admission and retry budget"
-    if getattr(workload, "lifecycle", None):
+    if workload.lifecycle:
         return "subscription churn routes lifecycle state through one hub"
     if observer is not None and observer.enabled:
         return "an observer records one global event order"
@@ -125,15 +128,9 @@ def shard_eligibility(
 
 def _server_weights(workload) -> List[int]:
     """Per-server request totals, for balanced partitioning."""
-    server_count = workload.config.server_count
-    weights = [0] * server_count
-    pairs = workload.request_pairs()
-    if isinstance(pairs, dict):
-        for (_page_id, server_id), count in pairs.items():
-            weights[server_id] += count
-    else:
-        for _page_id, server_id in pairs:
-            weights[server_id] += 1
+    weights = [0] * workload.config.server_count
+    for (_page_id, server_id), count in workload.pair_counts().items():
+        weights[server_id] += count
     return weights
 
 
@@ -264,93 +261,6 @@ class ShardMatchTable:
         return self._base.count_for(page_id, server_id)
 
 
-class _FilteredRequests:
-    """Re-iterable view of one shard's slice of the request stream."""
-
-    __slots__ = ("_source", "_servers")
-
-    def __init__(self, source, servers: FrozenSet[int]) -> None:
-        self._source = source
-        self._servers = servers
-
-    def __iter__(self):
-        servers = self._servers
-        return (
-            record for record in self._source if record.server_id in servers
-        )
-
-
-class ShardWorkloadView:
-    """One worker's view of the trace: all publishes, shard requests.
-
-    Duck-compatible with the workload objects the simulator consumes.
-    ``capacities`` delegates to the *full* workload so every worker
-    sizes every proxy exactly as the single-process run does (the mean
-    over all servers enters the formula).  Works over materialized and
-    streaming bases alike.
-    """
-
-    def __init__(self, base, servers: FrozenSet[int]) -> None:
-        self._base = base
-        self._servers = servers
-        self.streaming = bool(getattr(base, "streaming", False))
-        self.config = base.config
-        self.pages = base.pages
-        self.label = base.label
-        # Sharding declines churn, so the view never carries lifecycle.
-        self.lifecycle: List = []
-        self.churn = None
-        self._request_total: Optional[int] = None
-
-    @property
-    def publishes(self):
-        return self._base.publishes
-
-    @property
-    def requests(self):
-        return _FilteredRequests(self._base.requests, self._servers)
-
-    @property
-    def publish_count(self) -> int:
-        return self._base.publish_count
-
-    @property
-    def request_count(self) -> int:
-        if self._request_total is None:
-            pairs = self._base.request_pairs()
-            servers = self._servers
-            if isinstance(pairs, dict):
-                total = sum(
-                    count
-                    for (_page, server), count in pairs.items()
-                    if server in servers
-                )
-            else:
-                total = sum(1 for _page, server in pairs if server in servers)
-            self._request_total = total
-        return self._request_total
-
-    def request_pairs(self):
-        pairs = self._base.request_pairs()
-        servers = self._servers
-        if isinstance(pairs, dict):
-            return {
-                key: count
-                for key, count in pairs.items()
-                if key[1] in servers
-            }
-        return [pair for pair in pairs if pair[1] in servers]
-
-    def capacities(self, fraction: float) -> Dict[int, int]:
-        return self._base.capacities(fraction)
-
-    def unique_bytes_per_server(self) -> Dict[int, int]:
-        return self._base.unique_bytes_per_server()
-
-    def version_at(self, page_id: int, when: float) -> int:
-        return self._base.version_at(page_id, when)
-
-
 # -- the fork-pool runner ----------------------------------------------------
 
 #: Worker inputs, installed before the fork so nothing is pickled in.
@@ -362,10 +272,12 @@ def _run_shard(index: int) -> SimulationResult:
         _WORKER_CONTEXT
     )
     shard = frozenset(shards[index])
-    view = ShardWorkloadView(workload, shard)
-    table = ShardMatchTable(match_table, shard)
     return Simulation(
-        view, config, table, topology, neighbor_count=neighbor_count or 0
+        workload.for_servers(shard),
+        config,
+        ShardMatchTable(match_table, shard),
+        topology,
+        neighbor_count=neighbor_count or 0,
     ).run()
 
 
@@ -462,7 +374,7 @@ def run_sharded(
     if match_table is None:
         match_table = TraceMatchCounts(
             build_match_counts(
-                workload.request_pairs(),
+                workload.pair_counts(),
                 config.subscription_quality,
                 streams.stream("subscriptions"),
                 notified_fraction=config.notified_fraction,

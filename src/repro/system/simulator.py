@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from itertools import repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -87,10 +88,8 @@ logger = get_logger(__name__)
 #: Safety cap on modelled retransmissions over one lossy transfer.
 _MAX_RETRANSMITS = 8
 
-#: Sort keys of the static stream (see ``Simulation._stream``): the
-#: lazy merge compares times only, the memoised list time then kind.
+#: Merge and sort key of the static stream (see ``Simulation._stream``).
 _TIME = itemgetter(0)
-_TIME_KIND = itemgetter(0, 1)
 
 #: Agenda priority of each static record kind (publish, request,
 #: lifecycle): what a dynamic event at the same instant is compared to.
@@ -139,8 +138,6 @@ class Simulation:
             raise ValueError(f"neighbor_count must be >= 0, got {neighbor_count}")
         self.workload = workload
         self.config = config
-        #: Streaming traces are iterated, never indexed or retained.
-        self._streaming = bool(getattr(workload, "streaming", False))
         # Observability is strictly read-only: hooks fire *after* each
         # state transition and never touch RNG streams, so an observed
         # run's SimulationResult (minus wall_seconds/profile) stays
@@ -155,7 +152,7 @@ class Simulation:
 
         if match_table is None:
             table = build_match_counts(
-                workload.request_pairs(),
+                workload.pair_counts(),
                 config.subscription_quality,
                 streams.stream("subscriptions"),
                 notified_fraction=config.notified_fraction,
@@ -941,57 +938,67 @@ class Simulation:
         match pairs or the request's match count — so the inline arm
         unpacks what the handlers would look up three times per event.
 
-        A materialised, churn-free trace is merged once into an
-        enriched list, memoised on the workload per match table and
-        shared by benchmark repeats and the strategy cells of a grid.
-        Lifecycle and streaming traces merge lazily, so nothing is
-        retained, and stay bare for the staged arm, whose handlers look
+        An in-memory, churn-free trace is merged once into an enriched
+        list, memoised on the workload per match table and shared by
+        benchmark repeats and the strategy cells of a grid.  A trace
+        with lifecycle records or a spool merges lazily, so nothing is
+        retained, and stays bare for the staged arm, whose handlers look
         size and matches up themselves (docs/architecture.md, "Replay
         driver", has the measurements behind both choices).
         """
         workload = self.workload
-        lazy = bool(workload.lifecycle) or self._streaming
-        if not lazy:
-            memo = getattr(workload, "_replay_streams", None)
-            if memo is None:
-                memo = workload._replay_streams = {}
-            merged = memo.get(self.match_table)
-            if merged is not None:
-                return merged
-        if enriched or not lazy:
-            sizes = self.publisher._sizes
-            matches = self._matches_by_page
-            matches_get = matches.get
-            rows_get = {
-                page_id: dict(pairs) for page_id, pairs in matches.items()
-            }.get
-            empty_pairs: Tuple = ()
-            empty_row: Dict[int, int] = {}
-            publishes = (
-                (p.time, 0, p.page_id, p.version, sizes[p.page_id],
-                 matches_get(p.page_id, empty_pairs))
-                for p in workload.publishes
-            )
-            requests = (
-                (r.time, 1, r.server_id, r.page_id, sizes[r.page_id],
-                 rows_get(r.page_id, empty_row).get(r.server_id, 0))
-                for r in workload.requests
-            )
-        else:
-            publishes = ((p.time, 0, p.page_id, p.version) for p in workload.publishes)
-            requests = ((r.time, 1, r.server_id, r.page_id) for r in workload.requests)
-        if lazy:
+        if workload.lifecycle or workload.spool is not None:
             # heapq.merge breaks time ties by argument position, which
             # is the tie rule; each source is already time-sorted.
             lifecycle = ((e.time, 2, e, None) for e in workload.lifecycle)
-            return heapq.merge(lifecycle, publishes, requests, key=_TIME)
-        # A stable sort by (time, kind) over publishes-then-requests
-        # yields the same order; timsort gallops through the two
-        # pre-sorted runs in near-linear time.
-        merged = [*publishes, *requests]
-        merged.sort(key=_TIME_KIND)
-        memo[self.match_table] = merged
+            return heapq.merge(
+                lifecycle,
+                self._publish_tuples(enriched),
+                self._request_tuples(enriched),
+                key=_TIME,
+            )
+        merged = workload._replay_streams.get(self.match_table)
+        if merged is None:
+            # A stable sort by time alone over publishes-then-requests
+            # is the tie rule — what heapq.merge does above — and its
+            # keys are the floats already in the tuples (an
+            # ``itemgetter(0, 1)`` key allocates 221 k tuples, ~11 MiB).
+            # Timsort gallops through the two pre-sorted runs.
+            merged = [*self._publish_tuples(True), *self._request_tuples(True)]
+            merged.sort(key=_TIME)
+            workload._replay_streams[self.match_table] = merged
         return merged
+
+    def _publish_tuples(self, enriched: bool):
+        """``(time, 0, page_id, version[, size, match pairs])`` per publish."""
+        size_of = self.publisher._sizes.__getitem__
+        pairs_of = self._matches_by_page.get
+        for chunk in self.workload.publishes.chunks():
+            pages = chunk["page_id"].tolist()
+            columns = [chunk["time"].tolist(), repeat(0), pages, chunk["version"].tolist()]
+            if enriched:
+                columns += [map(size_of, pages), map(pairs_of, pages, repeat(()))]
+            yield from zip(*columns)
+
+    def _request_tuples(self, enriched: bool):
+        """``(time, 1, server_id, page_id[, size, match count])`` per request."""
+        size_of = self.publisher._sizes.__getitem__
+        if enriched:
+            count_of = {
+                (page_id, server_id): count
+                for page_id, pairs in self._matches_by_page.items()
+                for server_id, count in pairs
+            }.get
+        for chunk in self.workload.requests.chunks():
+            servers = chunk["server_id"].tolist()
+            pages = chunk["page_id"].tolist()
+            columns = [chunk["time"].tolist(), repeat(1), servers, pages]
+            if enriched:
+                columns += [
+                    map(size_of, pages),
+                    map(count_of, zip(pages, servers), repeat(0)),
+                ]
+            yield from zip(*columns)
 
     def _replay(self, env: Environment) -> None:
         """Drain the static stream against the dynamic agenda.

@@ -26,13 +26,18 @@ def alternative_config(scale: float = 1.0) -> WorkloadConfig:
     return WorkloadConfig(zipf_alpha=ALTERNATIVE_ALPHA).scaled(scale)
 
 
-def make_trace(name: str, scale: float = 1.0, seed: int = 7) -> Workload:
-    """Generate one of the paper's traces by name ("news"/"alternative")."""
+def preset_config(name: str, scale: float = 1.0) -> WorkloadConfig:
+    """The configuration of the trace called "news"/"alternative" (any case)."""
     key = name.lower()
     if key == "news":
-        config = news_config(scale)
-    elif key == "alternative":
-        config = alternative_config(scale)
-    else:
-        raise KeyError(f"unknown trace {name!r}; use 'news' or 'alternative'")
-    return generate_workload(config, RandomStreams(seed), label=key)
+        return news_config(scale)
+    if key == "alternative":
+        return alternative_config(scale)
+    raise KeyError(f"unknown trace {name!r}; use 'news' or 'alternative'")
+
+
+def make_trace(name: str, scale: float = 1.0, seed: int = 7) -> Workload:
+    """Generate one of the paper's traces by name ("news"/"alternative")."""
+    return generate_workload(
+        preset_config(name, scale), RandomStreams(seed), label=name.lower()
+    )

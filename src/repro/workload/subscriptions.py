@@ -58,9 +58,10 @@ def build_match_counts(
     Args:
         request_pairs: one (page_id, server_id) per request in the
             trace, or — equivalently — a mapping from each distinct
-            pair to its request count (the aggregated form a
-            :class:`~repro.workload.streaming.StreamingWorkload` hands
-            out, since only the counts matter here).  Both forms yield
+            pair to its request count (what
+            :meth:`Workload.pair_counts
+            <repro.workload.trace.Workload.pair_counts>` hands out,
+            since only the counts matter here).  Both forms yield
             bit-identical tables.
         sq: target subscription quality in (0, 1].
         rng: random stream for the per-pair quality draws.

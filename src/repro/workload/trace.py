@@ -1,19 +1,27 @@
-"""Workload assembly: the full §4 pipeline and its output format.
+"""Workload assembly: the full §4 pipeline and the one trace form.
 
 :func:`generate_workload` runs sizes → popularity → publishing →
-request times → server split and returns a :class:`Workload` holding
-three time-ordered streams (publish events, requests) plus per-page
-metadata.  Subscription tables are built separately per SQ value with
-:func:`repro.workload.subscriptions.build_match_counts` so one trace
-can be reused across the Fig. 5 quality sweep.
+request times → server split and returns a :class:`Workload`: per-page
+metadata plus two time-sorted event tables, publishes ``(time, page_id,
+version)`` and requests ``(time, server_id, page_id)``.  Each table is a
+numpy structured array behind an :class:`EventTable`, which builds
+:class:`PublishRecord` / :class:`RequestRecord` objects only where a
+caller indexes or iterates it (tests, examples, the agenda oracle);
+everything in the package reads the columns.  A spilled trace
+(:mod:`repro.workload.streaming`) and a shard
+(:meth:`Workload.for_servers`) are this same class with the rows
+memory-mapped or masked.  Subscription tables are built separately per
+SQ value with :func:`repro.workload.subscriptions.build_match_counts` so
+one trace can be reused across the Fig. 5 quality sweep.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field, asdict, replace
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, starmap
+from operator import attrgetter, eq
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -32,6 +40,11 @@ from repro.workload.sizes import generate_sizes
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (churn imports
     # validate, which imports this module); runtime imports are local.
     from repro.workload.churn import ChurnSpec, LifecycleRecord
+
+#: Rows turned into Python objects at a time, wherever a table is
+#: iterated: whole-column ``tolist()`` calls set the peak RSS of a
+#: paper-scale run (docs/architecture.md, "Replay driver").
+CHUNK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -66,14 +79,105 @@ class RequestRecord:
     page_id: int
 
 
+#: Row layout of each event kind.  Field names are the record's, field
+#: order is the stream's sort key; times are the float64 values the
+#: generators drew (exact in binary and through ``repr``), ids are int32
+#: (page and server counts sit far below 2**31).
+ROW_DTYPES = {
+    PublishRecord: np.dtype([("time", "<f8"), ("page_id", "<i4"), ("version", "<i4")]),
+    RequestRecord: np.dtype([("time", "<f8"), ("server_id", "<i4"), ("page_id", "<i4")]),
+}
+
+
+class EventTable(Sequence):
+    """One event stream: structured ``rows`` read as ``record`` objects.
+
+    A list of records in everything but storage: ``len``, index, slice
+    (a table over the same rows), iteration and ``==`` against a table
+    or a list.  A record exists only while a caller holds it.
+    """
+
+    __slots__ = ("record", "rows", "chunk_rows")
+
+    def __init__(self, record, events=(), chunk_rows: int = CHUNK_ROWS) -> None:
+        self.record = record
+        if not isinstance(events, np.ndarray):
+            fields = attrgetter(*ROW_DTYPES[record].names)
+            events = np.array(list(map(fields, events)), dtype=ROW_DTYPES[record])
+        self.rows = events
+        self.chunk_rows = chunk_rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return EventTable(self.record, self.rows[index], self.chunk_rows)
+        return self.record(*self.rows[index].tolist())
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        """The rows in order, at most ``chunk_rows`` at a time."""
+        for start in range(0, len(self.rows), self.chunk_rows):
+            yield self.rows[start : start + self.chunk_rows]
+
+    def __iter__(self):
+        for chunk in self.chunks():
+            yield from starmap(self.record, chunk.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, EventTable):
+            return self.record is other.record and np.array_equal(self.rows, other.rows)
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def columns(self) -> Dict[str, list]:
+        """The stored form: one list per field (``repr`` keeps floats exact)."""
+        return {name: self.rows[name].tolist() for name in self.rows.dtype.names}
+
+    @classmethod
+    def from_columns(cls, record, columns) -> "EventTable":
+        """A table back from :meth:`columns`; ``ValueError`` on any other shape."""
+        if not isinstance(columns, dict):
+            raise ValueError(
+                f"{record.__name__} events are a list of dicts: the pre-columnar layout"
+            )
+        dtype = ROW_DTYPES[record]
+        lengths = {len(columns[name]) for name in dtype.names}
+        if len(lengths) != 1:
+            raise ValueError(f"ragged {record.__name__} columns: lengths {sorted(lengths)}")
+        rows = np.empty(lengths.pop(), dtype=dtype)
+        for name in dtype.names:
+            rows[name] = columns[name]
+        return cls(record, rows)
+
+
+def sorted_rows(dtype: np.dtype, columns: Sequence) -> np.ndarray:
+    """Key-ordered ``columns`` as rows of ``dtype``, sorted by the full key."""
+    order = np.lexsort(columns[::-1])  # lexsort's *last* key is primary
+    rows = np.empty(len(order), dtype=dtype)
+    for name, column in zip(dtype.names, columns):
+        rows[name] = column[order]
+    return rows
+
+
+def _memo(factory=lambda: None):
+    """A cache field.  ``init=False`` keeps it out of ``dataclasses.replace``
+    copies (``with_churn`` and friends), so a copy whose ``requests`` were
+    replaced rebuilds its memos instead of inheriting stale ones."""
+    return field(default_factory=factory, repr=False, init=False, compare=False)
+
+
 @dataclass
 class Workload:
-    """A complete generated trace."""
+    """A complete generated trace — the only trace type."""
 
     config: WorkloadConfig
     pages: List[PageSpec]
-    publishes: List[PublishRecord]
-    requests: List[RequestRecord]
+    #: The two event tables.  A list of records (or a bare row array) is
+    #: accepted and wrapped, so a hand-built trace stays a one-liner.
+    publishes: Sequence[PublishRecord]
+    requests: Sequence[RequestRecord]
     #: name of the preset that produced this trace ("news", ...), if any.
     label: str = ""
     #: Subscription lifecycle events (subscribe/renew/unsubscribe), a
@@ -81,13 +185,22 @@ class Workload:
     lifecycle: List["LifecycleRecord"] = field(default_factory=list)
     #: The churn parameters that produced ``lifecycle`` (None = off).
     churn: Optional["ChurnSpec"] = None
-    #: Memoized (page_id, server_id) pairs.  ``init=False`` keeps the
-    #: memo out of ``dataclasses.replace`` copies (``with_churn`` and
-    #: friends), so a copy whose ``requests`` were replaced rebuilds the
-    #: pairs instead of silently inheriting a stale list.
-    _request_pairs: List[Tuple[int, int]] = field(
-        default_factory=list, repr=False, init=False, compare=False
-    )
+    #: Owner of the files behind memory-mapped tables (None: the rows
+    #: live in RAM).  Copies share it; replay reads it only to decide
+    #: whether it may retain a merged copy of the trace.
+    spool: Optional[object] = field(default=None, repr=False, compare=False)
+    _request_pairs: List[Tuple[int, int]] = _memo(list)
+    _pair_counts: Optional[Dict[Tuple[int, int], int]] = _memo()
+    #: Retained replay streams, one per match table (``Simulation._stream``).
+    _replay_streams: dict = _memo(dict)
+    #: On a shard: unique bytes per server over the whole fleet's trace.
+    _fleet_unique_bytes: Optional[Dict[int, int]] = _memo()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.publishes, EventTable):
+            self.publishes = EventTable(PublishRecord, self.publishes)
+        if not isinstance(self.requests, EventTable):
+            self.requests = EventTable(RequestRecord, self.requests)
 
     @property
     def publish_count(self) -> int:
@@ -98,12 +211,39 @@ class Workload:
         return len(self.requests)
 
     def request_pairs(self) -> List[Tuple[int, int]]:
-        """(page_id, server_id) per request — input to eq. 7."""
+        """(page_id, server_id) per request, in request order.
+
+        The public per-request form of eq. 7's input; everything in the
+        package reads the aggregated :meth:`pair_counts` instead.
+        """
         if not self._request_pairs:
-            self._request_pairs = [
-                (record.page_id, record.server_id) for record in self.requests
-            ]
+            rows = self.requests.rows
+            self._request_pairs = list(
+                zip(rows["page_id"].tolist(), rows["server_id"].tolist())
+            )
         return self._request_pairs
+
+    def pair_counts(self) -> Dict[Tuple[int, int], int]:
+        """``(page_id, server_id) → request count`` over the whole trace.
+
+        Eq. 7 match tables, capacity sizing, churn generation, shard
+        weights and validation only need the distinct pairs and their
+        counts; one chunk-wise ``np.unique`` pass finds them without a
+        per-request Python object.  Treat the mapping as read-only.
+        """
+        if self._pair_counts is None:
+            counts: Dict[int, int] = {}
+            for chunk in self.requests.chunks():
+                keys, per_key = np.unique(
+                    chunk["page_id"].astype(np.int64) << 32 | chunk["server_id"],
+                    return_counts=True,
+                )
+                for key, count in zip(keys.tolist(), per_key.tolist()):
+                    counts[key] = counts.get(key, 0) + count
+            self._pair_counts = {
+                (key >> 32, key & 0xFFFFFFFF): counts[key] for key in sorted(counts)
+            }
+        return self._pair_counts
 
     def version_at(self, page_id: int, when: float) -> int:
         """Version of ``page_id`` current at time ``when``.
@@ -127,9 +267,16 @@ class Workload:
         quantity (§5.1): distinct *pages* requested at the server,
         weighted by size.  At the paper's parameters this makes caches
         small (a handful of average pages at the 5 % setting), which is
-        consistent with the absolute hit-ratio levels it reports.
+        consistent with the absolute hit-ratio levels it reports.  A
+        shard answers for the fleet it was cut from.
         """
-        return unique_bytes_from_pairs(self.pages, set(self.request_pairs()))
+        if self._fleet_unique_bytes is not None:
+            return dict(self._fleet_unique_bytes)
+        sizes = {page.page_id: page.size for page in self.pages}
+        unique: Dict[int, int] = {}
+        for page_id, server_id in self.pair_counts():
+            unique[server_id] = unique.get(server_id, 0) + sizes[page_id]
+        return unique
 
     def capacities(self, fraction: float) -> Dict[int, int]:
         """Per-server cache capacity at the given fraction (e.g. 0.05).
@@ -137,9 +284,34 @@ class Workload:
         Servers that never appear in the request stream get the mean
         capacity so every proxy still exists in the simulation.
         """
-        return capacities_from_unique(
-            self.unique_bytes_per_server(), self.config.server_count, fraction
-        )
+        if not 0.0 < fraction <= 1.0:
+            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+        unique = self.unique_bytes_per_server()
+        mean_bytes = sum(unique.values()) / len(unique) if unique else 1024.0
+        capacities = {}
+        for server in range(self.config.server_count):
+            base = unique.get(server, mean_bytes)
+            capacities[server] = max(1, int(base * fraction))
+        return capacities
+
+    def for_servers(self, servers: Iterable[int]) -> "Workload":
+        """This trace as one shard of the fleet sees it.
+
+        Every publish (the publisher's version state stays identical
+        everywhere) and only the requests arriving at ``servers``; the
+        copy carries the fleet's unique-bytes map, because the mean over
+        *all* servers enters the capacity formula and every shard must
+        size every proxy exactly as the whole run does.
+        """
+        rows = self.requests.rows
+        shard = replace(self, requests=rows[np.isin(rows["server_id"], sorted(servers))])
+        shard._fleet_unique_bytes = self.unique_bytes_per_server()
+        return shard
+
+    def close(self) -> None:
+        """Delete a spilled trace's files now, not at GC — for every copy."""
+        if self.spool is not None:
+            self.spool.close()
 
     # -- subscription churn ---------------------------------------------------
 
@@ -148,29 +320,29 @@ class Workload:
     ) -> "Workload":
         """A copy of this workload with the lifecycle stream attached.
 
-        Churn is generated *after* the base trace (from the request
-        pairs, using its own dedicated stream), so attaching it never
-        perturbs the publish/request streams — the base trace stays
-        bit-identical and artifact-cache entries keyed on the churn-free
-        parameters remain valid.
+        Churn is generated *after* the base trace (from the distinct
+        request pairs, using its own dedicated stream), so attaching it
+        never perturbs the publish/request streams — the base trace
+        stays bit-identical and artifact-cache entries keyed on the
+        churn-free parameters remain valid.
         """
         from repro.workload.churn import generate_churn
 
         events = generate_churn(
-            self.request_pairs(), self.config.horizon, spec, rng
+            self.pair_counts(), self.config.horizon, spec, rng
         )
         return replace(self, lifecycle=events, churn=spec)
 
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> str:
-        """Serialize the workload (config + streams) to JSON."""
+        """Serialize the workload (config, pages, event columns) to JSON."""
         payload = {
             "label": self.label,
             "config": asdict(self.config),
             "pages": [asdict(page) for page in self.pages],
-            "publishes": _event_dicts(self.publishes, "time", "page_id", "version"),
-            "requests": _event_dicts(self.requests, "time", "server_id", "page_id"),
+            "publishes": self.publishes.columns(),
+            "requests": self.requests.columns(),
         }
         if self.lifecycle:
             payload["lifecycle"] = _event_dicts(
@@ -197,8 +369,8 @@ class Workload:
         return cls(
             config=WorkloadConfig(**config_fields),
             pages=[PageSpec(**page) for page in payload["pages"]],
-            publishes=[PublishRecord(**event) for event in payload["publishes"]],
-            requests=[RequestRecord(**record) for record in payload["requests"]],
+            publishes=EventTable.from_columns(PublishRecord, payload["publishes"]),
+            requests=EventTable.from_columns(RequestRecord, payload["requests"]),
             label=payload.get("label", ""),
             lifecycle=lifecycle,
             churn=churn,
@@ -209,35 +381,6 @@ def _event_dicts(events, *names: str) -> List[dict]:
     """``asdict`` of flat records, minus its recursive deep copy (3x the encoding)."""
     fields = attrgetter(*names)
     return [dict(zip(names, fields(event))) for event in events]
-
-
-def unique_bytes_from_pairs(
-    pages: List[PageSpec], pairs: Iterable[Tuple[int, int]]
-) -> Dict[int, int]:
-    """Per-server sum of page sizes over *distinct* ``(page_id, server_id)`` pairs."""
-    sizes = {page.page_id: page.size for page in pages}
-    unique: Dict[int, int] = {}
-    for page_id, server_id in pairs:
-        unique[server_id] = unique.get(server_id, 0) + sizes[page_id]
-    return unique
-
-
-def capacities_from_unique(
-    unique: Dict[int, int], server_count: int, fraction: float
-) -> Dict[int, int]:
-    """Per-server capacities from the unique-bytes map (§5.1).
-
-    Shared by the materialized and streaming workload forms so both
-    hand the simulator bit-identical capacities.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    mean_bytes = sum(unique.values()) / len(unique) if unique else 1024.0
-    capacities = {}
-    for server in range(server_count):
-        base = unique.get(server, mean_bytes)
-        capacities[server] = max(1, int(base * fraction))
-    return capacities
 
 
 def _page_table(
@@ -327,35 +470,23 @@ def _request_columns(
         yield page.page_id, times, servers.astype(np.int32)
 
 
-def _sorted_records(record_type, columns, page_position: int, page_ids: List[int]):
-    """Records built from key-ordered ``columns``, sorted by the full key.
-
-    ``page_ids[i] == i``: every record of a page shares that one ``int``
-    object, where ``tolist()`` alone would mint one per record.
-    """
-    # lexsort's *last* key is primary
-    order = np.lexsort(tuple(reversed(columns)))
-    fields = [column[order].tolist() for column in columns]
-    fields[page_position] = map(page_ids.__getitem__, fields[page_position])
-    return list(map(record_type, *fields))
-
-
 def generate_workload(
     config: WorkloadConfig, streams: RandomStreams, label: str = ""
 ) -> Workload:
     """Run the full §4 generation pipeline."""
     pages, version_times = _page_table(config, streams)
-    page_ids = list(range(config.distinct_pages))
 
     version_counts = list(map(len, version_times))
-    publish_columns = (
-        np.fromiter(chain.from_iterable(version_times), dtype=np.float64),
-        np.repeat(np.arange(len(pages), dtype=np.int32), version_counts),
-        np.fromiter(chain.from_iterable(map(range, version_counts)), dtype=np.int32),
+    publishes = sorted_rows(
+        ROW_DTYPES[PublishRecord],
+        (
+            np.fromiter(chain.from_iterable(version_times), dtype=np.float64),
+            np.repeat(np.arange(len(pages), dtype=np.int32), version_counts),
+            np.fromiter(chain.from_iterable(map(range, version_counts)), dtype=np.int32),
+        ),
     )
-    publishes = _sorted_records(PublishRecord, publish_columns, 1, page_ids)
 
-    requests: List[RequestRecord] = []
+    requests = np.empty(0, dtype=ROW_DTYPES[RequestRecord])
     chunks = list(_request_columns(config, streams, pages, version_times))
     if chunks:
         requested, times, servers = zip(*chunks)
@@ -365,7 +496,7 @@ def generate_workload(
             np.repeat(np.array(requested, dtype=np.int32), list(map(len, times))),
         )
         del chunks, times, servers
-        requests = _sorted_records(RequestRecord, columns, 2, page_ids)
+        requests = sorted_rows(ROW_DTYPES[RequestRecord], columns)
 
     return Workload(
         config=config,

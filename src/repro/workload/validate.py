@@ -204,8 +204,8 @@ def validate_workload(workload: Workload) -> ValidationReport:
 
     # Eq. 6: popular pages are requested by more servers.
     servers_by_page = defaultdict(set)
-    for record in workload.requests:
-        servers_by_page[record.page_id].add(record.server_id)
+    for page_id, server_id in workload.pair_counts():
+        servers_by_page[page_id].add(server_id)
     pages_by_count = sorted(workload.pages, key=lambda p: -p.request_count)
     head = pages_by_count[: max(1, len(pages_by_count) // 50)]
     tail = [p for p in pages_by_count if 0 < p.request_count <= 3]
@@ -228,11 +228,12 @@ def validate_workload(workload: Workload) -> ValidationReport:
     # Request recency: median age from the current version.
     sampled_ages = []
     stride = max(1, workload.request_count // 4000)
-    for record in workload.requests[::stride]:
-        page = workload.pages[record.page_id]
-        version = workload.version_at(record.page_id, record.time)
+    sample = workload.requests.rows[::stride]
+    for when, page_id in zip(sample["time"].tolist(), sample["page_id"].tolist()):
+        page = workload.pages[page_id]
+        version = workload.version_at(page_id, when)
         version_time = page.first_publish + version * page.modification_interval
-        sampled_ages.append(record.time - version_time)
+        sampled_ages.append(when - version_time)
     if sampled_ages:
         checks.append(
             ValidationCheck(
@@ -247,8 +248,8 @@ def validate_workload(workload: Workload) -> ValidationReport:
     # attached): every request pair must start the run under a lease,
     # otherwise the lifecycle layer would miscount its first accesses
     # as silent expiries.
-    if getattr(workload, "lifecycle", None):
-        pairs = {(record.page_id, record.server_id) for record in workload.requests}
+    if workload.lifecycle:
+        pairs = workload.pair_counts().keys()
         initial = {
             (event.page_id, event.server_id)
             for event in workload.lifecycle

@@ -20,6 +20,7 @@ from repro.pubsub.matching import TraceMatchCounts
 from repro.sim.rng import RandomStreams
 from repro.workload.presets import make_trace
 from repro.workload.trace import Workload
+from tests.workload.test_trace_digest import trace_digest
 
 SCALE = 0.02
 SEED = 3
@@ -97,6 +98,51 @@ def test_corrupt_entry_regenerated(tmp_path):
     # The regenerated entry replaced the corrupt one.
     with open(path, "r", encoding="utf-8") as handle:
         json.loads(handle.read())
+
+
+def _damaged_entries(text: str):
+    """The stored trace damaged every way a file on disk can be."""
+    yield "not UTF-8", b"\xff\xfe\x00garbage"
+    encoded = text.encode("utf-8")
+    for step in range(16):
+        yield f"cut at {step}/16", encoded[: len(encoded) * step // 16]
+    # Still valid JSON, but one column a row short of the other two.
+    payload = json.loads(text)
+    payload["requests"]["server_id"].pop()
+    yield "ragged", json.dumps(payload).encode("utf-8")
+    payload["requests"]["server_id"] = payload["requests"]["server_id"][:1]
+    yield "one-row column", json.dumps(payload).encode("utf-8")
+
+
+def test_damaged_trace_entries_regenerate(tmp_path, caplog):
+    """Undecodable, truncated and ragged entries each end in a
+    regeneration of the same trace — never an exception, never a
+    shorter trace."""
+    cache = ArtifactCache(str(tmp_path))
+    want = trace_digest(cached_trace(cache, "news", SCALE, SEED))
+    path = cache.path("trace", {"trace": "news", "scale": SCALE, "seed": SEED})
+    with open(path, "r", encoding="utf-8") as handle:
+        stored = handle.read()
+    for label, damaged in _damaged_entries(stored):
+        with open(path, "wb") as handle:
+            handle.write(damaged)
+        misses = cache.misses
+        caplog.clear()
+        assert trace_digest(cached_trace(cache, "news", SCALE, SEED)) == want, label
+        assert cache.misses == misses + 1, label
+        assert "corrupt trace artifact" in caplog.text, label
+        with open(path, "r", encoding="utf-8") as handle:
+            assert handle.read() == stored, label
+
+
+def test_pre_columnar_trace_file_is_named(tmp_path):
+    """A version-1 file (one dict per event) fails with one line that
+    says what it is, not ``TypeError: list indices ...``."""
+    workload = make_trace("news", scale=SCALE, seed=SEED)
+    payload = json.loads(workload.to_json())
+    payload["requests"] = [dataclasses.asdict(r) for r in workload.requests[:5]]
+    with pytest.raises(ValueError, match="pre-columnar layout"):
+        Workload.from_json(json.dumps(payload))
 
 
 def test_clear_removes_entries(tmp_path):

@@ -20,19 +20,16 @@ def workload():
 
 
 def test_request_before_publication_raises(workload):
+    # Force the single request before the page's first publication.
     broken = Workload(
         config=workload.config,
         pages=workload.pages,
-        publishes=list(workload.publishes),
+        publishes=[event for event in workload.publishes if event.time > 0.0],
         requests=[
             RequestRecord(time=0.0, server_id=0, page_id=workload.pages[0].page_id)
         ],
         label="broken",
     )
-    # Force the single request before the page's first publication.
-    broken.publishes = [
-        event for event in broken.publishes if event.time > 0.0
-    ]
     simulation = Simulation(
         broken, SimulationConfig(strategy="gdstar", capacity_fraction=0.05)
     )

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import os
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -620,6 +623,43 @@ def test_unwritable_output_path_fails_before_the_run(
         f"cannot write {flag} {path}: no such directory: {path.parent}\n"
     )
     assert not path.parent.exists()
+
+
+def _spool_fails_to_appear(monkeypatch):
+    def no_temp_directory(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", "/read-only/tmp")
+
+    monkeypatch.setattr("tempfile.mkdtemp", no_temp_directory)
+    return r"cannot spill trace: \[Errno 13\] Permission denied: '/read-only/tmp'\n"
+
+
+def _spool_file_is_cut_short(monkeypatch):
+    """Halve each spool file between the last write and the size check."""
+    from repro.workload import streaming
+
+    map_rows = streaming._map_rows
+
+    def cut_then_map(path, dtype, count):
+        os.truncate(path, os.path.getsize(path) // 2)
+        return map_rows(path, dtype, count)
+
+    monkeypatch.setattr(streaming, "_map_rows", cut_then_map)
+    return (
+        r"cannot spill trace: truncated spool \S+PublishRecord\.bin: "
+        r"wanted \d+ rows \(\d+ bytes\), got \d+ bytes\n"
+    )
+
+
+@pytest.mark.parametrize("failure", [_spool_fails_to_appear, _spool_file_is_cut_short])
+def test_run_streaming_with_an_unusable_spool_exits_2(capsys, monkeypatch, failure):
+    """A spool that cannot be created, or comes back short, costs one
+    line and exit code 2 — before any row is read, not a traceback."""
+    expected = failure(monkeypatch)
+    code = main(["run", "--scale", "0.03", "--seed", "986", "--streaming"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(expected, captured.err), captured.err
 
 
 def test_version_flag_prints_the_package_version(capsys):

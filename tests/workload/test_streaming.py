@@ -1,14 +1,16 @@
-"""Tests for the streaming workload form.
+"""Tests for spilled traces.
 
-The contract under test: a :class:`StreamingWorkload` yields the same
-events, in the same order, with the same derived tables, as the
-materialized :class:`Workload` built from the same seed — while the
-trace itself lives on disk and replays through bounded chunks.
+The contract under test: the :class:`Workload` that
+``generate_streaming_workload`` returns holds the same events, in the
+same order, with the same derived tables, as the in-memory one built
+from the same seed — while its rows live on disk and replay through
+bounded chunks.
 """
 
 import dataclasses
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.sim.rng import RandomStreams
@@ -18,14 +20,14 @@ from repro.workload.churn import ChurnSpec
 from repro.workload.config import DAY, WorkloadConfig
 from repro.workload.presets import make_trace, news_config
 from repro.workload.streaming import (
-    StreamingWorkload,
+    _map_rows,
     generate_streaming_workload,
     make_streaming_trace,
 )
-from repro.workload.trace import generate_workload
+from repro.workload.trace import ROW_DTYPES, RequestRecord, Workload, generate_workload
 
 
-def _assert_same_trace(streaming: StreamingWorkload, materialized) -> None:
+def _assert_same_trace(streaming: Workload, materialized: Workload) -> None:
     assert streaming.publish_count == materialized.publish_count
     assert streaming.request_count == materialized.request_count
     assert list(streaming.publishes) == list(materialized.publishes)
@@ -48,13 +50,13 @@ def test_streaming_equals_materialized(seed, chunk_events):
         # Derived tables agree: the aggregated pair counts reproduce
         # the per-request pair list, and the capacity formula sees the
         # same unique-bytes books.
-        pairs = streaming.request_pairs()
+        pairs = streaming.pair_counts()
         counted = {}
         for page_id, server_id in materialized.request_pairs():
             counted[(page_id, server_id)] = (
                 counted.get((page_id, server_id), 0) + 1
             )
-        assert pairs == counted
+        assert pairs == counted == materialized.pair_counts()
         assert (
             streaming.unique_bytes_per_server()
             == materialized.unique_bytes_per_server()
@@ -62,6 +64,19 @@ def test_streaming_equals_materialized(seed, chunk_events):
         assert streaming.capacities(0.05) == materialized.capacities(0.05)
     finally:
         streaming.close()
+
+
+def test_short_spool_file_is_an_oserror_before_any_row_is_read(tmp_path):
+    dtype = ROW_DTYPES[RequestRecord]
+    path = tmp_path / "requests.bin"
+    np.zeros(3, dtype=dtype).tofile(path)
+    assert len(_map_rows(str(path), dtype, 3)) == 3
+    with pytest.raises(OSError, match=r"truncated spool .*wanted 4 rows \(64 bytes\), got 48"):
+        _map_rows(str(path), dtype, 4)
+    with pytest.raises(OSError, match="truncated spool"):
+        _map_rows(str(path), dtype, 0)
+    path.write_bytes(b"")
+    assert len(_map_rows(str(path), dtype, 0)) == 0
 
 
 def test_streams_are_reiterable():
@@ -75,11 +90,13 @@ def test_streams_are_reiterable():
         streaming.close()
 
 
-def test_materialize_round_trip():
+def test_spilled_workload_equals_in_memory_workload():
+    """A spilled ``Workload`` *is* a ``Workload``: ``==`` sees no difference."""
     streaming = make_streaming_trace("news", scale=0.03, seed=3)
     try:
-        materialized = streaming.materialize()
-        _assert_same_trace(streaming, materialized)
+        assert streaming.spool is not None
+        assert streaming == make_trace("news", scale=0.03, seed=3)
+        assert streaming != make_trace("news", scale=0.03, seed=4)
     finally:
         streaming.close()
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ from repro.sim.rng import RandomStreams
 from repro.workload.churn import ChurnSpec
 from repro.workload.config import DAY, HOUR, WorkloadConfig
 from repro.workload.presets import alternative_config, make_trace, news_config
-from repro.workload.trace import Workload, generate_workload
+from repro.workload.trace import (
+    EventTable,
+    PublishRecord,
+    RequestRecord,
+    Workload,
+    generate_workload,
+)
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +74,111 @@ def test_request_pairs_memo_not_shared_by_replace_copies(small_trace):
     assert pairs == [
         (record.page_id, record.server_id) for record in copy.requests
     ]
+
+
+def _requests(count):
+    return [
+        RequestRecord(time=float(i), server_id=i % 3, page_id=i % 5) for i in range(count)
+    ]
+
+
+def test_event_table_reads_like_the_list_of_records():
+    records = _requests(10)
+    table = EventTable(RequestRecord, records, chunk_rows=4)
+    assert len(table) == 10
+    assert table[0] == records[0] and table[-1] == records[-1]
+    assert isinstance(table[3], RequestRecord)
+    assert type(table[3].time) is float and type(table[3].page_id) is int
+    with pytest.raises(IndexError):
+        table[10]
+    # Iteration crosses the 4-row chunk boundary twice.
+    assert list(table) == records
+    assert list(reversed(table)) == records[::-1]
+    assert records[7] in table
+    # A slice is a table over the same rows; so is a slice of a slice.
+    middle = table[2:9]
+    assert isinstance(middle, EventTable) and middle.chunk_rows == 4
+    assert middle == records[2:9]
+    assert middle[1:-1:2] == records[3:8:2]
+    assert middle[-2] == records[7]
+
+
+def test_event_table_equality():
+    records = _requests(6)
+    table = EventTable(RequestRecord, records)
+    assert table == EventTable(RequestRecord, records)
+    assert table == records and records == table
+    assert table != records[:-1] and table != records[::-1]
+    assert table != EventTable(RequestRecord, records[:-1])
+    # Same numbers under the other record type: not the same events.
+    publishes = EventTable(
+        PublishRecord, [PublishRecord(r.time, r.server_id, r.page_id) for r in records]
+    )
+    assert publishes.rows.tolist() == table.rows.tolist()
+    assert table != publishes
+    assert table != "requests" and table != 6
+
+
+def test_empty_event_table():
+    empty = EventTable(PublishRecord)
+    assert len(empty) == 0 and list(empty) == [] and empty == []
+    assert empty == EventTable(PublishRecord, []) and empty[:3] == []
+    assert empty != EventTable(RequestRecord)
+    assert list(empty.chunks()) == []
+    with pytest.raises(IndexError):
+        empty[0]
+
+
+def test_workload_from_record_lists_equals_workload_from_rows(small_trace):
+    from_lists = Workload(
+        config=small_trace.config,
+        pages=small_trace.pages,
+        publishes=list(small_trace.publishes),
+        requests=list(small_trace.requests),
+        label=small_trace.label,
+    )
+    assert from_lists == small_trace
+    assert from_lists.requests.rows.dtype == small_trace.requests.rows.dtype
+    assert from_lists.pair_counts() == small_trace.pair_counts()
+    assert from_lists.to_json() == small_trace.to_json()
+
+
+def test_pair_counts_count_the_request_pairs(small_trace):
+    counted = {}
+    for pair in small_trace.request_pairs():
+        counted[pair] = counted.get(pair, 0) + 1
+    assert small_trace.pair_counts() == counted
+    assert list(small_trace.pair_counts()) == sorted(counted)
+    assert small_trace.pair_counts() is small_trace.pair_counts()
+    # Chunk boundaries fall inside runs of one pair: counts still add up.
+    fine = dataclasses.replace(
+        small_trace,
+        requests=EventTable(RequestRecord, small_trace.requests.rows, chunk_rows=7),
+    )
+    assert fine.pair_counts() == counted
+
+
+def test_for_servers_partitions_the_requests(small_trace):
+    servers = range(small_trace.config.server_count)
+    shards = [
+        small_trace.for_servers(shard)
+        for shard in ([0, 3], [1], [s for s in servers if s not in (0, 1, 3)])
+    ]
+    seen = []
+    for shard in shards:
+        assert shard.publishes is small_trace.publishes
+        assert shard.capacities(0.05) == small_trace.capacities(0.05)
+        assert shard.unique_bytes_per_server() == small_trace.unique_bytes_per_server()
+        seen.append({record.server_id for record in shard.requests})
+        times = [record.time for record in shard.requests]
+        assert times == sorted(times)
+    assert seen[0] == {0, 3} and seen[1] == {1}
+    assert not (seen[0] & seen[2]) and not (seen[1] & seen[2])
+    # Disjoint, and together the whole trace: the multiset union is it.
+    assert sum(shard.request_count for shard in shards) == small_trace.request_count
+    union = sorted(chain.from_iterable(shard.requests.rows.tolist() for shard in shards))
+    assert union == small_trace.requests.rows.tolist()
+    assert small_trace.for_servers([]).request_count == 0
 
 
 def test_server_ids_in_range(small_trace):
@@ -127,28 +239,43 @@ def test_capacity_for_silent_server():
     assert all(value >= 1 for value in capacities.values())
 
 
-def test_to_json_equals_asdict_form(small_trace):
-    """Field-by-field event dicts serialize byte for byte like ``asdict``."""
+def test_to_json_stores_event_columns(small_trace):
+    """Each stored column is that field of the records, in order; the
+    lifecycle and churn blocks serialize byte for byte like ``asdict``."""
     churned = small_trace.with_churn(
         ChurnSpec(churn_rate=2.0, lease_duration=2 * HOUR, renew_probability=0.6),
         RandomStreams(3).stream("workload.churn"),
     )
     assert churned.lifecycle
     for workload in (small_trace, churned):
-        payload = {
-            "label": workload.label,
-            "config": dataclasses.asdict(workload.config),
-            "pages": [dataclasses.asdict(page) for page in workload.pages],
-            "publishes": [dataclasses.asdict(event) for event in workload.publishes],
-            "requests": [dataclasses.asdict(record) for record in workload.requests],
-        }
+        text = workload.to_json()
+        payload = json.loads(text)
+        assert payload["label"] == workload.label
+        assert payload["config"] == json.loads(
+            json.dumps(dataclasses.asdict(workload.config))
+        )
+        assert payload["pages"] == [dataclasses.asdict(page) for page in workload.pages]
+        for stream, names in (
+            ("publishes", ["time", "page_id", "version"]),
+            ("requests", ["time", "server_id", "page_id"]),
+        ):
+            assert list(payload[stream]) == names
+            for name in names:
+                assert payload[stream][name] == [
+                    getattr(event, name) for event in getattr(workload, stream)
+                ]
         if workload.lifecycle:
-            payload["lifecycle"] = [
-                dataclasses.asdict(event) for event in workload.lifecycle
-            ]
+            assert json.dumps(payload["lifecycle"]) == json.dumps(
+                [dataclasses.asdict(event) for event in workload.lifecycle]
+            )
+        else:
+            assert "lifecycle" not in payload
         if workload.churn is not None:
-            payload["churn"] = dataclasses.asdict(workload.churn)
-        assert workload.to_json() == json.dumps(payload)
+            assert payload["churn"] == dataclasses.asdict(workload.churn)
+        else:
+            assert "churn" not in payload
+        assert Workload.from_json(text).to_json() == text
+        assert Workload.from_json(text) == workload
 
 
 def test_json_roundtrip(small_trace):
