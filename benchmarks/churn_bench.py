@@ -88,6 +88,20 @@ def run_benchmark(
         "requests": workload.request_count,
         "strategies": {},
     }
+    # One churned trace per grid point, shared by every strategy: the
+    # stream depends on the spec and the seed, not on who replays it.
+    churned = {
+        (churn_rate, lease): workload.with_churn(
+            ChurnSpec(
+                churn_rate=churn_rate,
+                lease_duration=lease,
+                confirmation_loss_probability=CONFIRM_LOSS,
+            ),
+            RandomStreams(seed).stream("workload.churn"),
+        )
+        for churn_rate in churn_rates
+        for lease in lease_durations
+    }
     for strategy in STRATEGIES:
         config = SimulationConfig(
             strategy=strategy,
@@ -96,25 +110,14 @@ def run_benchmark(
             chaos=CHAOS,
         )
         baseline = run_simulation(workload, config)
-        points: List[Dict[str, object]] = []
-        for churn_rate in churn_rates:
-            for lease in lease_durations:
-                spec = ChurnSpec(
-                    churn_rate=churn_rate,
-                    lease_duration=lease,
-                    confirmation_loss_probability=CONFIRM_LOSS,
-                )
-                churned = workload.with_churn(
-                    spec, RandomStreams(seed).stream("workload.churn")
-                )
-                result = run_simulation(churned, config)
-                points.append(
-                    {
-                        "churn_rate": churn_rate,
-                        "lease_duration": lease,
-                        **_cell(result),
-                    }
-                )
+        points: List[Dict[str, object]] = [
+            {
+                "churn_rate": churn_rate,
+                "lease_duration": lease,
+                **_cell(run_simulation(trace, config)),
+            }
+            for (churn_rate, lease), trace in churned.items()
+        ]
         payload["strategies"][strategy] = {
             "baseline": _cell(baseline),
             "points": points,
@@ -147,6 +150,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         scale, seed=args.seed,
         churn_rates=churn_rates, lease_durations=lease_durations,
     )
+    # Every field is a model count or ratio, exact for a seed: a previous
+    # payload for the same sweep must be reproduced to the last digit.
+    try:
+        with open(args.out, "r", encoding="utf-8") as handle:
+            previous = json.load(handle)
+    except (OSError, ValueError):
+        previous = None
+    sweep = ("scale", "seed", "churn_rates", "lease_durations")
+    if (
+        previous
+        and all(previous.get(key) == payload[key] for key in sweep)
+        and previous != json.loads(json.dumps(payload))
+    ):
+        print(f"{args.out}: results differ from the recorded sweep", file=sys.stderr)
+        return 1
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")

@@ -50,7 +50,7 @@ import numpy as np
 from repro.obs.recorder import NULL_OBSERVER, Observer
 from repro.system.delivery import capped_backoff
 from repro.system.metrics import RENEWAL_LATENCY_BIN_EDGES
-from repro.workload.churn import ChurnSpec, LifecycleRecord
+from repro.workload.churn import RENEW, UNSUBSCRIBE, ChurnSpec
 
 #: Lease states.  EXPIRED is assigned lazily; a lease whose deadline
 #: passed but that nothing touched yet still carries its old status.
@@ -132,7 +132,7 @@ class LifecycleManager:
     The simulator consults it on every publish (``deliverable``: may a
     notification go to this proxy?) and every request (``on_access``:
     re-poll repair of lapsed state), and feeds it the trace's lifecycle
-    records (``on_event``).
+    rows (``on_event``).
     """
 
     def __init__(
@@ -246,64 +246,58 @@ class LifecycleManager:
 
     # -- event intake ----------------------------------------------------------
 
-    def on_event(self, record: LifecycleRecord, now: float) -> None:
-        """Apply one trace lifecycle record at simulation time ``now``."""
+    def on_event(
+        self, server_id: int, page_id: int, kind: int, lease: float, now: float
+    ) -> None:
+        """Apply one trace lifecycle row at simulation time ``now``.
+
+        ``kind`` is the row's code (an index into
+        :data:`~repro.workload.churn.LIFECYCLE_KINDS`); the table only
+        holds known ones.
+        """
         self.events += 1
-        key = (record.server_id, record.page_id)
+        key = (server_id, page_id)
         obs_on = self._obs_on
-        if record.kind == "unsubscribe":
+        if kind == UNSUBSCRIBE:
             self.unsubscribed += 1
-            lease = self._leases.get(key)
-            if lease is None:
-                lease = _Lease(UNSUBSCRIBED, now, now)
-                self._leases[key] = lease
+            held = self._leases.get(key)
+            if held is None:
+                self._leases[key] = _Lease(UNSUBSCRIBED, now, now)
             else:
-                self._touch(key, lease, now, "event")
-                lease.status = UNSUBSCRIBED
+                self._touch(key, held, now, "event")
+                held.status = UNSUBSCRIBED
             if obs_on:
-                self.obs.lease_unsubscribe(now, record.page_id, record.server_id)
+                self.obs.lease_unsubscribe(now, page_id, server_id)
             return
 
         # subscribe / renew: start a fresh lease behind a handshake.
-        confirmed_at = self._resolve_handshake(record.server_id, now)
-        if record.kind == "renew":
+        confirmed_at = self._resolve_handshake(server_id, now)
+        if kind == RENEW:
             self.renewed += 1
             if obs_on:
-                self.obs.lease_renewed(
-                    now, record.page_id, record.server_id, record.lease
-                )
+                self.obs.lease_renewed(now, page_id, server_id, lease)
             if confirmed_at != NEVER:
-                self._sample_renewal_latency(confirmed_at - now)
+                self.renewal_latency_counts[renewal_latency_bin(confirmed_at - now)] += 1
         else:
             self.granted += 1
             if obs_on:
-                self.obs.lease_subscribe(
-                    now, record.page_id, record.server_id, record.lease
-                )
-        lease = self._leases.get(key)
-        if lease is not None:
-            self._touch(key, lease, now, "event")
-            lease.status = PENDING
-            lease.expires_at = now + record.lease
-            lease.confirmed_at = confirmed_at
+                self.obs.lease_subscribe(now, page_id, server_id, lease)
+        held = self._leases.get(key)
+        if held is not None:
+            self._touch(key, held, now, "event")
+            held.status = PENDING
+            held.expires_at = now + lease
+            held.confirmed_at = confirmed_at
         else:
-            self._leases[key] = _Lease(PENDING, now + record.lease, confirmed_at)
+            self._leases[key] = _Lease(PENDING, now + lease, confirmed_at)
         if obs_on:
             if confirmed_at == NEVER:
                 self.obs.handshake_lost(
-                    now, record.page_id, record.server_id,
-                    self.spec.confirm_retry_limit + 1,
+                    now, page_id, server_id, self.spec.confirm_retry_limit + 1
                 )
             else:
-                self.obs.lease_confirmed(
-                    now, record.page_id, record.server_id, confirmed_at - now
-                )
-            self.obs.queue_depth(
-                now, "handshake", len(self._queues[record.server_id])
-            )
-
-    def _sample_renewal_latency(self, latency: float) -> None:
-        self.renewal_latency_counts[renewal_latency_bin(latency)] += 1
+                self.obs.lease_confirmed(now, page_id, server_id, confirmed_at - now)
+            self.obs.queue_depth(now, "handshake", len(self._queues[server_id]))
 
     # -- lazy state maintenance -------------------------------------------------
 

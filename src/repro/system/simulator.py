@@ -81,7 +81,6 @@ if TYPE_CHECKING:  # the layers are imported by the branch that arms them
     from repro.system.delivery import ReliableDelivery
     from repro.system.lifecycle import LifecycleManager
     from repro.system.overload import OverloadManager
-    from repro.workload.churn import LifecycleRecord
 
 logger = get_logger(__name__)
 
@@ -90,6 +89,9 @@ _MAX_RETRANSMITS = 8
 
 #: Merge and sort key of the static stream (see ``Simulation._stream``).
 _TIME = itemgetter(0)
+
+#: What a lifecycle row hands its handler, in ``on_event`` argument order.
+_LIFECYCLE_FIELDS = ("server_id", "page_id", "kind", "lease")
 
 #: Agenda priority of each static record kind (publish, request,
 #: lifecycle): what a dynamic event at the same instant is compared to.
@@ -385,13 +387,13 @@ class Simulation:
 
     # -- event handlers ---------------------------------------------------
 
-    def _handle_lifecycle(
-        self, record: LifecycleRecord, _unused, now: float
-    ) -> None:
-        """One subscription lifecycle record from the trace."""
+    def _handle_lifecycle(self, event: tuple, _unused, now: float) -> None:
+        """One lifecycle row from the trace: ``(server_id, page_id, kind
+        code, lease)``."""
         if self._obs_on:
             self._obs_now = now
-        self._lifecycle.on_event(record, now)
+        server_id, page_id, kind, lease = event  # cheaper than a starred call
+        self._lifecycle.on_event(server_id, page_id, kind, lease, now)
         self._maybe_check_invariants()
 
     def _handle_publish(self, page_id: int, version: int, now: float) -> None:
@@ -930,7 +932,8 @@ class Simulation:
 
         ``(time, kind, a, b)``: kind 0 publishes page ``a`` at version
         ``b``, kind 1 is a request at server ``a`` for page ``b``, kind
-        2 carries lifecycle record ``a``.  Order is nondecreasing time;
+        2 carries lifecycle row ``a`` = ``(server_id, page_id, kind code,
+        lease)``.  Order is nondecreasing time;
         at equal times lifecycle records precede publishes, which
         precede requests (a page must exist before it is read), and
         each source keeps its own pre-sorted order.  An *enriched*
@@ -950,9 +953,8 @@ class Simulation:
         if workload.lifecycle or workload.spool is not None:
             # heapq.merge breaks time ties by argument position, which
             # is the tie rule; each source is already time-sorted.
-            lifecycle = ((e.time, 2, e, None) for e in workload.lifecycle)
             return heapq.merge(
-                lifecycle,
+                self._lifecycle_tuples(),
                 self._publish_tuples(enriched),
                 self._request_tuples(enriched),
                 key=_TIME,
@@ -968,6 +970,15 @@ class Simulation:
             merged.sort(key=_TIME)
             workload._replay_streams[self.match_table] = merged
         return merged
+
+    def _lifecycle_tuples(self):
+        """``(time, 2, (server_id, page_id, kind code, lease), None)`` per
+        lifecycle row."""
+        if not self.workload.lifecycle:  # spilled and churn-free: a plain []
+            return
+        for chunk in self.workload.lifecycle.chunks():
+            fields = (chunk[name].tolist() for name in _LIFECYCLE_FIELDS)
+            yield from zip(chunk["time"].tolist(), repeat(2), zip(*fields), repeat(None))
 
     def _publish_tuples(self, enriched: bool):
         """``(time, 0, page_id, version[, size, match pairs])`` per publish."""

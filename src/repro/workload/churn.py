@@ -31,22 +31,28 @@ the pre-churn generator output: no other stream's draw order moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
+from repro.obs.log import get_logger
 from repro.workload.config import DAY, HOUR
+from repro.workload.trace import ROW_DTYPES, EventTable, sorted_rows
 from repro.workload.validate import validate_churn_spec
+
+logger = get_logger(__name__)
 
 #: Safety valve: at pathological parameter combinations (micro-leases
 #: over a week-long horizon) one subscriber could otherwise emit
 #: unbounded event chains.
 MAX_EVENTS_PER_SUBSCRIBER = 2000
 
-#: The lifecycle event kinds, in their deterministic same-time order.
+#: The lifecycle event kinds, in their deterministic same-time order.  A
+#: table row stores a kind as its index here, named below.
 LIFECYCLE_KINDS: Tuple[str, ...] = ("subscribe", "renew", "unsubscribe")
+SUBSCRIBE, RENEW, UNSUBSCRIBE = range(len(LIFECYCLE_KINDS))
 
-_KIND_ORDER = {kind: index for index, kind in enumerate(LIFECYCLE_KINDS)}
+_KIND_CODE = {kind: code for code, kind in enumerate(LIFECYCLE_KINDS)}
 
 
 @dataclass(frozen=True)
@@ -94,13 +100,17 @@ class ChurnSpec:
         validate_churn_spec(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LifecycleRecord:
     """One subscription lifecycle event in the trace.
 
     ``kind`` is one of :data:`LIFECYCLE_KINDS`; ``lease`` carries the
     granted/extended lease duration for ``subscribe``/``renew`` events
-    and is 0 for ``unsubscribe``.
+    and is 0 for ``unsubscribe``.  The trace holds the stream as a table
+    (``workload.lifecycle``) and builds a record only where a caller
+    indexes or iterates it; ``to_row`` / ``from_row`` / ``check_rows``
+    are what :class:`~repro.workload.trace.EventTable` calls for a
+    record whose row stores a field differently (the kind, as a code).
     """
 
     time: float
@@ -109,14 +119,33 @@ class LifecycleRecord:
     kind: str
     lease: float = 0.0
 
+    def to_row(self) -> Tuple[float, int, int, int, float]:
+        code = _KIND_CODE.get(self.kind)
+        if code is None:
+            raise ValueError(
+                f"unknown lifecycle kind {self.kind!r} "
+                f"(expected one of {', '.join(LIFECYCLE_KINDS)})"
+            )
+        return (self.time, self.server_id, self.page_id, code, self.lease)
 
-def _sort_key(record: LifecycleRecord) -> Tuple[float, int, int, int]:
-    return (
-        record.time,
-        record.server_id,
-        record.page_id,
-        _KIND_ORDER.get(record.kind, len(LIFECYCLE_KINDS)),
-    )
+    @classmethod
+    def from_row(cls, time, server_id, page_id, code, lease) -> "LifecycleRecord":
+        return cls(time, server_id, page_id, LIFECYCLE_KINDS[code], lease)
+
+    @staticmethod
+    def check_rows(rows: np.ndarray) -> None:
+        """Reject stored rows whose kind is not a code of :data:`LIFECYCLE_KINDS`."""
+        unknown = np.setdiff1d(rows["kind"], range(len(LIFECYCLE_KINDS)))
+        if len(unknown):
+            raise ValueError(f"unknown lifecycle kind code(s) {unknown.tolist()}")
+
+
+#: Row layout of the lifecycle table, registered beside its record so a
+#: churn-free run imports neither.  The first four fields are the
+#: stream's sort key; full-key ties keep generation order.
+ROW_DTYPES[LifecycleRecord] = np.dtype(
+    [("time", "<f8"), ("server_id", "<i4"), ("page_id", "<i4"), ("kind", "i1"), ("lease", "<f8")]
+)
 
 
 def generate_churn(
@@ -124,7 +153,7 @@ def generate_churn(
     horizon: float,
     spec: ChurnSpec,
     rng: np.random.Generator,
-) -> List[LifecycleRecord]:
+) -> EventTable:
     """Generate the lifecycle event stream for a set of subscribers.
 
     Args:
@@ -136,12 +165,18 @@ def generate_churn(
         rng: the dedicated ``"workload.churn"`` stream.
 
     Returns:
-        Lifecycle events sorted by ``(time, server_id, page_id, kind)``
-        — the exact order the replay processes them in.
+        The lifecycle table, sorted by ``(time, server_id, page_id,
+        kind)`` — the exact order the replay processes it in.
+
+    The draws stay scalar and in this sequence: they interleave
+    ``exponential`` and ``random`` data-dependently, so a batched draw
+    would be a different stream.  Only what happens to the drawn values
+    is columnar — one time, kind and lease appended per event, the cell
+    ids repeated per subscriber afterwards, one stable ``lexsort``.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    events: List[LifecycleRecord] = []
+    times, kinds, leases = [], [], []  # one entry per event, in generation order
     unsubscribe_mean = (
         DAY / spec.churn_rate if spec.churn_rate > 0.0 else float("inf")
     )
@@ -149,109 +184,89 @@ def generate_churn(
     def draw_lease() -> float:
         return max(spec.lease_min, float(rng.exponential(spec.lease_duration)))
 
-    for page_id, server_id in sorted(set((int(p), int(s)) for p, s in pairs)):
-        emitted = 0
+    cells = sorted(set((int(p), int(s)) for p, s in pairs))
+    starts = []  # index of each cell's first event
+    cut_offs = []  # last event time of each chain the cap ended
+    for _cell in cells:
+        starts.append(len(times))
+        cap = len(times) + MAX_EVENTS_PER_SUBSCRIBER
         now = 0.0
         lease = draw_lease()
-        events.append(
-            LifecycleRecord(
-                time=now,
-                server_id=server_id,
-                page_id=page_id,
-                kind="subscribe",
-                lease=lease,
-            )
-        )
-        emitted += 1
+        times.append(now)
+        kinds.append(SUBSCRIBE)
+        leases.append(lease)
         expiry = now + lease
-        while emitted < MAX_EVENTS_PER_SUBSCRIBER:
+        while len(times) < cap:
             if unsubscribe_mean != float("inf"):
                 next_unsub = now + float(rng.exponential(unsubscribe_mean))
             else:
                 next_unsub = float("inf")
             if next_unsub < expiry and next_unsub < horizon:
-                # Explicit churn: the subscriber walks away mid-lease...
-                events.append(
-                    LifecycleRecord(
-                        time=next_unsub,
-                        server_id=server_id,
-                        page_id=page_id,
-                        kind="unsubscribe",
-                    )
-                )
-                emitted += 1
-                comeback = next_unsub + float(
-                    rng.exponential(spec.resubscribe_delay)
-                )
-                if comeback >= horizon:
-                    break
-                # ... and comes back with a fresh lease later.
-                lease = draw_lease()
-                events.append(
-                    LifecycleRecord(
-                        time=comeback,
-                        server_id=server_id,
-                        page_id=page_id,
-                        kind="subscribe",
-                        lease=lease,
-                    )
-                )
-                emitted += 1
-                now = comeback
-                expiry = now + lease
-                continue
-            if expiry >= horizon:
+                # Explicit churn: the subscriber walks away mid-lease
+                # and comes back with a fresh lease later.
+                times.append(next_unsub)
+                kinds.append(UNSUBSCRIBE)
+                leases.append(0.0)
+                gone = next_unsub
+            elif expiry >= horizon:
                 break
-            if float(rng.random()) < spec.renew_probability:
+            elif float(rng.random()) < spec.renew_probability:
                 # Renew shortly before the wire; the renewal's lease
                 # clock starts at the renewal, so expiry always grows
                 # (lease_min bounds the lead from below).
-                renew_at = max(now, expiry - 0.1 * min(lease, spec.lease_min))
+                now = max(now, expiry - 0.1 * min(lease, spec.lease_min))
                 lease = draw_lease()
-                events.append(
-                    LifecycleRecord(
-                        time=renew_at,
-                        server_id=server_id,
-                        page_id=page_id,
-                        kind="renew",
-                        lease=lease,
-                    )
-                )
-                emitted += 1
-                now = renew_at
-                expiry = renew_at + lease
+                times.append(now)
+                kinds.append(RENEW)
+                leases.append(lease)
+                expiry = now + lease
+                continue
             else:
                 # Silent lapse: no event at expiry — the subscriber
                 # simply stops being covered and re-subscribes later.
-                comeback = expiry + float(rng.exponential(spec.resubscribe_delay))
-                if comeback >= horizon:
-                    break
-                lease = draw_lease()
-                events.append(
-                    LifecycleRecord(
-                        time=comeback,
-                        server_id=server_id,
-                        page_id=page_id,
-                        kind="subscribe",
-                        lease=lease,
-                    )
-                )
-                emitted += 1
-                now = comeback
-                expiry = comeback + lease
-    events.sort(key=_sort_key)
-    return events
+                gone = expiry
+            now = gone + float(rng.exponential(spec.resubscribe_delay))
+            if now >= horizon:
+                break
+            lease = draw_lease()
+            times.append(now)
+            kinds.append(SUBSCRIBE)
+            leases.append(lease)
+            expiry = now + lease
+        else:
+            # The cap, not the horizon, ended this chain: the cell is
+            # uncovered from ``now`` on, which the spec never asked for.
+            cut_offs.append(now)
+    if cut_offs:
+        logger.warning(
+            "churn: %d subscriber(s) hit the %d-event cap; the earliest chain "
+            "stops at t=%.0f s of a %.0f s horizon and every later access of "
+            "those cells sees an expired lease",
+            len(cut_offs), MAX_EVENTS_PER_SUBSCRIBER, min(cut_offs), horizon,
+        )
+    page_ids, server_ids = np.array(cells, dtype=np.int32).reshape(-1, 2).T
+    per_cell = np.diff([*starts, len(times)])
+    columns = (
+        np.array(times, dtype=np.float64),
+        np.repeat(server_ids, per_cell),
+        np.repeat(page_ids, per_cell),
+        np.array(kinds, dtype=np.int8),
+        np.array(leases, dtype=np.float64),
+    )
+    return EventTable(
+        LifecycleRecord, sorted_rows(ROW_DTYPES[LifecycleRecord], columns, keys=4)
+    )
 
 
 def churn_statistics(events: Sequence[LifecycleRecord]) -> dict:
     """Summary counts of a lifecycle stream (reports and tests)."""
-    counts = {kind: 0 for kind in LIFECYCLE_KINDS}
-    subscribers = set()
-    for event in events:
-        counts[event.kind] = counts.get(event.kind, 0) + 1
-        subscribers.add((event.server_id, event.page_id))
+    if not isinstance(events, EventTable):
+        events = EventTable(LifecycleRecord, events)
+    rows = events.rows
+    counts = np.bincount(rows["kind"], minlength=len(LIFECYCLE_KINDS)).tolist()
+    cells = np.unique(rows["server_id"].astype(np.int64) << 32 | rows["page_id"])
     return {
-        "events": len(events),
-        "subscribers": len(subscribers),
-        **counts,
+        "events": len(rows),
+        "subscribers": len(cells),
+        **dict(zip(LIFECYCLE_KINDS, counts)),
     }

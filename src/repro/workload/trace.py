@@ -3,11 +3,13 @@
 :func:`generate_workload` runs sizes → popularity → publishing →
 request times → server split and returns a :class:`Workload`: per-page
 metadata plus two time-sorted event tables, publishes ``(time, page_id,
-version)`` and requests ``(time, server_id, page_id)``.  Each table is a
-numpy structured array behind an :class:`EventTable`, which builds
-:class:`PublishRecord` / :class:`RequestRecord` objects only where a
-caller indexes or iterates it (tests, examples, the agenda oracle);
-everything in the package reads the columns.  A spilled trace
+version)`` and requests ``(time, server_id, page_id)``; churn attaches a
+third, the lifecycle stream (:mod:`repro.workload.churn`).  Each table
+is a numpy structured array behind an :class:`EventTable`, which builds
+:class:`PublishRecord` / :class:`RequestRecord` / ``LifecycleRecord``
+objects only where a caller indexes or iterates it (tests, examples,
+the agenda oracle); everything in the package reads the columns.  A
+spilled trace
 (:mod:`repro.workload.streaming`) and a shard
 (:meth:`Workload.for_servers`) are this same class with the rows
 memory-mapped or masked.  Subscription tables are built separately per
@@ -82,7 +84,8 @@ class RequestRecord:
 #: Row layout of each event kind.  Field names are the record's, field
 #: order is the stream's sort key; times are the float64 values the
 #: generators drew (exact in binary and through ``repr``), ids are int32
-#: (page and server counts sit far below 2**31).
+#: (page and server counts sit far below 2**31).  ``repro.workload.churn``
+#: registers the lifecycle row beside ``LifecycleRecord`` when imported.
 ROW_DTYPES = {
     PublishRecord: np.dtype([("time", "<f8"), ("page_id", "<i4"), ("version", "<i4")]),
     RequestRecord: np.dtype([("time", "<f8"), ("server_id", "<i4"), ("page_id", "<i4")]),
@@ -94,16 +97,21 @@ class EventTable(Sequence):
 
     A list of records in everything but storage: ``len``, index, slice
     (a table over the same rows), iteration and ``==`` against a table
-    or a list.  A record exists only while a caller holds it.
+    or a list.  A record exists only while a caller holds it.  A record
+    type whose row stores a field differently (a lifecycle kind, as a
+    code) converts through its own ``to_row`` / ``from_row`` and vets
+    stored rows through ``check_rows``.
     """
 
-    __slots__ = ("record", "rows", "chunk_rows")
+    __slots__ = ("record", "build", "rows", "chunk_rows")
 
     def __init__(self, record, events=(), chunk_rows: int = CHUNK_ROWS) -> None:
         self.record = record
+        self.build = getattr(record, "from_row", record)  # row fields -> record
         if not isinstance(events, np.ndarray):
-            fields = attrgetter(*ROW_DTYPES[record].names)
-            events = np.array(list(map(fields, events)), dtype=ROW_DTYPES[record])
+            dtype = ROW_DTYPES[record]
+            to_row = getattr(record, "to_row", None) or attrgetter(*dtype.names)
+            events = np.array(list(map(to_row, events)), dtype=dtype)
         self.rows = events
         self.chunk_rows = chunk_rows
 
@@ -113,7 +121,7 @@ class EventTable(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return EventTable(self.record, self.rows[index], self.chunk_rows)
-        return self.record(*self.rows[index].tolist())
+        return self.build(*self.rows[index].tolist())
 
     def chunks(self) -> Iterator[np.ndarray]:
         """The rows in order, at most ``chunk_rows`` at a time."""
@@ -122,7 +130,7 @@ class EventTable(Sequence):
 
     def __iter__(self):
         for chunk in self.chunks():
-            yield from starmap(self.record, chunk.tolist())
+            yield from starmap(self.build, chunk.tolist())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, EventTable):
@@ -147,14 +155,20 @@ class EventTable(Sequence):
         if len(lengths) != 1:
             raise ValueError(f"ragged {record.__name__} columns: lengths {sorted(lengths)}")
         rows = np.empty(lengths.pop(), dtype=dtype)
-        for name in dtype.names:
-            rows[name] = columns[name]
+        try:
+            for name in dtype.names:
+                rows[name] = columns[name]
+        except OverflowError as error:  # an id or code beyond the field's width
+            raise ValueError(f"{record.__name__} column {name!r}: {error}") from None
+        if hasattr(record, "check_rows"):
+            record.check_rows(rows)
         return cls(record, rows)
 
 
-def sorted_rows(dtype: np.dtype, columns: Sequence) -> np.ndarray:
-    """Key-ordered ``columns`` as rows of ``dtype``, sorted by the full key."""
-    order = np.lexsort(columns[::-1])  # lexsort's *last* key is primary
+def sorted_rows(dtype: np.dtype, columns: Sequence, keys: Optional[int] = None) -> np.ndarray:
+    """Key-ordered ``columns`` as rows of ``dtype``, stably sorted by the
+    first ``keys`` of them (all, by default)."""
+    order = np.lexsort(columns[:keys][::-1])  # lexsort's *last* key is primary
     rows = np.empty(len(order), dtype=dtype)
     for name, column in zip(dtype.names, columns):
         rows[name] = column[order]
@@ -180,9 +194,10 @@ class Workload:
     requests: Sequence[RequestRecord]
     #: name of the preset that produced this trace ("news", ...), if any.
     label: str = ""
-    #: Subscription lifecycle events (subscribe/renew/unsubscribe), a
-    #: third time-sorted static stream; empty on a churn-free trace.
-    lifecycle: List["LifecycleRecord"] = field(default_factory=list)
+    #: Subscription lifecycle events (subscribe/renew/unsubscribe), the
+    #: third time-sorted table; an empty list on a churn-free trace, so
+    #: that one never imports the churn module.
+    lifecycle: Sequence["LifecycleRecord"] = field(default_factory=list)
     #: The churn parameters that produced ``lifecycle`` (None = off).
     churn: Optional["ChurnSpec"] = None
     #: Owner of the files behind memory-mapped tables (None: the rows
@@ -201,6 +216,10 @@ class Workload:
             self.publishes = EventTable(PublishRecord, self.publishes)
         if not isinstance(self.requests, EventTable):
             self.requests = EventTable(RequestRecord, self.requests)
+        if len(self.lifecycle) and not isinstance(self.lifecycle, EventTable):
+            from repro.workload.churn import LifecycleRecord
+
+            self.lifecycle = EventTable(LifecycleRecord, self.lifecycle)
 
     @property
     def publish_count(self) -> int:
@@ -345,9 +364,7 @@ class Workload:
             "requests": self.requests.columns(),
         }
         if self.lifecycle:
-            payload["lifecycle"] = _event_dicts(
-                self.lifecycle, "time", "server_id", "page_id", "kind", "lease"
-            )
+            payload["lifecycle"] = self.lifecycle.columns()
         if self.churn is not None:
             payload["churn"] = asdict(self.churn)
         return json.dumps(payload)
@@ -365,7 +382,8 @@ class Workload:
 
             if payload.get("churn") is not None:
                 churn = ChurnSpec(**payload["churn"])
-            lifecycle = [LifecycleRecord(**event) for event in payload.get("lifecycle", [])]
+            if payload.get("lifecycle"):
+                lifecycle = EventTable.from_columns(LifecycleRecord, payload["lifecycle"])
         return cls(
             config=WorkloadConfig(**config_fields),
             pages=[PageSpec(**page) for page in payload["pages"]],
@@ -375,12 +393,6 @@ class Workload:
             lifecycle=lifecycle,
             churn=churn,
         )
-
-
-def _event_dicts(events, *names: str) -> List[dict]:
-    """``asdict`` of flat records, minus its recursive deep copy (3x the encoding)."""
-    fields = attrgetter(*names)
-    return [dict(zip(names, fields(event))) for event in events]
 
 
 def _page_table(

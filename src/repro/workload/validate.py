@@ -249,12 +249,12 @@ def validate_workload(workload: Workload) -> ValidationReport:
     # otherwise the lifecycle layer would miscount its first accesses
     # as silent expiries.
     if workload.lifecycle:
+        from repro.workload.churn import SUBSCRIBE  # churn imports this module
+
         pairs = workload.pair_counts().keys()
-        initial = {
-            (event.page_id, event.server_id)
-            for event in workload.lifecycle
-            if event.kind == "subscribe" and event.time == 0.0
-        }
+        rows = workload.lifecycle.rows
+        opening = rows[(rows["kind"] == SUBSCRIBE) & (rows["time"] == 0.0)]
+        initial = set(zip(opening["page_id"].tolist(), opening["server_id"].tolist()))
         coverage = len(initial & pairs) / max(1, len(pairs))
         checks.append(
             ValidationCheck(

@@ -16,6 +16,17 @@ from operator import itemgetter
 from repro.sim.engine import NORMAL, URGENT
 from repro.system.cooperation import CooperativeSimulation
 from repro.system.simulator import Simulation
+from repro.workload.churn import LIFECYCLE_KINDS
+
+
+def _lifecycle_row(record):
+    """What the driver hands ``_handle_lifecycle`` for one lifecycle record."""
+    return (
+        record.server_id,
+        record.page_id,
+        LIFECYCLE_KINDS.index(record.kind),
+        record.lease,
+    )
 
 
 class _AgendaReplay:
@@ -23,7 +34,9 @@ class _AgendaReplay:
         for record in self.workload.lifecycle:
             env.schedule(
                 record.time,
-                lambda _env, r=record: self._handle_lifecycle(r, None, _env.now),
+                lambda _env, r=_lifecycle_row(record): (
+                    self._handle_lifecycle(r, None, _env.now)
+                ),
                 priority=URGENT,
             )
         for event in self.workload.publishes:
@@ -81,7 +94,7 @@ def record_stream(simulation, enriched, lazy):
         publishes = ((p.time, 0, p.page_id, p.version) for p in workload.publishes)
         requests = ((r.time, 1, r.server_id, r.page_id) for r in workload.requests)
     if lazy:
-        lifecycle = ((e.time, 2, e, None) for e in workload.lifecycle)
+        lifecycle = ((e.time, 2, _lifecycle_row(e), None) for e in workload.lifecycle)
         return heapq.merge(lifecycle, publishes, requests, key=itemgetter(0))
     merged = [*publishes, *requests]
     merged.sort(key=itemgetter(0, 1))

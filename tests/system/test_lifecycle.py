@@ -281,27 +281,34 @@ def sub(time, lease=100.0, server=0, page=0, kind="subscribe"):
     )
 
 
+def feed(m, record, now):
+    """``record`` through the manager's scalar signature, as the replay
+    driver feeds it a table row: ``(server_id, page_id, kind code, lease)``."""
+    _time, *row = record.to_row()
+    m.on_event(*row, now)
+
+
 class TestManager:
     def test_lossless_lifecycle(self):
         m = manager()
         assert m.deliverable(0, 0, 0.0) == (False, "no-lease")
-        m.on_event(sub(0.0, lease=100.0), 0.0)
+        feed(m, sub(0.0, lease=100.0), 0.0)
         assert m.deliverable(0, 0, 10.0) == (True, "")
-        m.on_event(sub(90.0, lease=100.0, kind="renew"), 90.0)
+        feed(m, sub(90.0, lease=100.0, kind="renew"), 90.0)
         assert m.deliverable(0, 0, 150.0) == (True, "")
         assert m.deliverable(0, 0, 190.1) == (False, "lease-expired")
         assert m.granted == 1 and m.renewed == 1 and m.expired == 1
 
     def test_unsubscribe_gates_delivery(self):
         m = manager()
-        m.on_event(sub(0.0), 0.0)
-        m.on_event(sub(10.0, kind="unsubscribe", lease=0.0), 10.0)
+        feed(m, sub(0.0), 0.0)
+        feed(m, sub(10.0, kind="unsubscribe", lease=0.0), 10.0)
         assert m.deliverable(0, 0, 20.0) == (False, "unsubscribed")
         assert m.on_access(0, 0, 20.0) is None  # gone means gone
 
     def test_expired_lease_repaired_on_access(self):
         m = manager()
-        m.on_event(sub(0.0, lease=50.0), 0.0)
+        feed(m, sub(0.0, lease=50.0), 0.0)
         assert m.deliverable(0, 0, 60.0) == (False, "lease-expired")
         assert m.on_access(0, 0, 70.0) == "expired"
         assert m.lease_repolls == 1
@@ -315,7 +322,7 @@ class TestManager:
             confirmation_loss_probability=1.0,
             confirm_retry_limit=2,
         )
-        m.on_event(sub(0.0, lease=1000.0), 0.0)
+        feed(m, sub(0.0, lease=1000.0), 0.0)
         assert m.handshake_losses == 3  # initial attempt + 2 retries
         assert m.handshakes_abandoned == 1
         assert m.deliverable(0, 0, 500.0) == (False, "lease-pending")
@@ -332,7 +339,7 @@ class TestManager:
             confirmation_loss_probability=0.5,
             confirm_timeout=2.0,
         )
-        m.on_event(sub(0.0, lease=1000.0), 0.0)
+        feed(m, sub(0.0, lease=1000.0), 0.0)
         if m.handshake_losses:
             allowed, reason = m.deliverable(0, 0, 0.5)
             assert (allowed, reason) == (False, "lease-pending")
@@ -345,8 +352,8 @@ class TestManager:
             confirm_retry_limit=3,
             queue_limit=1,
         )
-        m.on_event(sub(0.0, page=0), 0.0)  # occupies the single slot
-        m.on_event(sub(0.0, page=1), 0.0)  # shed at admission
+        feed(m, sub(0.0, page=0), 0.0)  # occupies the single slot
+        feed(m, sub(0.0, page=1), 0.0)  # shed at admission
         assert m.handshakes_abandoned == 2
         assert m.queue_overflows == 1
         assert m.queue_peak == 1
@@ -355,10 +362,10 @@ class TestManager:
 
     def test_finalize_census(self):
         m = manager()
-        m.on_event(sub(0.0, lease=50.0, page=0), 0.0)    # will expire
-        m.on_event(sub(0.0, lease=1e9, page=1), 0.0)     # stays active
-        m.on_event(sub(0.0, lease=50.0, page=2), 0.0)
-        m.on_event(sub(10.0, kind="unsubscribe", lease=0.0, page=2), 10.0)
+        feed(m, sub(0.0, lease=50.0, page=0), 0.0)    # will expire
+        feed(m, sub(0.0, lease=1e9, page=1), 0.0)     # stays active
+        feed(m, sub(0.0, lease=50.0, page=2), 0.0)
+        feed(m, sub(10.0, kind="unsubscribe", lease=0.0, page=2), 10.0)
         census = m.finalize(horizon=1000.0)
         assert census == {
             "active": 1, "pending": 0, "expired": 1, "unsubscribed": 1

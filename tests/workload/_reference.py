@@ -9,10 +9,16 @@ same state.  Not used by the package.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
+from repro.workload.churn import (
+    LIFECYCLE_KINDS,
+    MAX_EVENTS_PER_SUBSCRIBER,
+    ChurnSpec,
+    LifecycleRecord,
+)
 from repro.workload.config import DAY, HOUR
 from repro.workload.servers import pool_size
 
@@ -145,3 +151,144 @@ def assign_servers(
         pool = pools[day]
         assignments[position] = pool[int(rng.integers(len(pool)))]
     return assignments
+
+
+# -- churn: the record-based generator, as it was before the lifecycle
+#    stream became a table (one ``LifecycleRecord`` per event, sorted
+#    through a Python key function).  ``test_churn_reference.py`` holds
+#    the columnar generator equal to it record for record.
+
+_KIND_ORDER = {kind: index for index, kind in enumerate(LIFECYCLE_KINDS)}
+
+
+def _sort_key(record: LifecycleRecord) -> Tuple[float, int, int, int]:
+    return (
+        record.time,
+        record.server_id,
+        record.page_id,
+        _KIND_ORDER.get(record.kind, len(LIFECYCLE_KINDS)),
+    )
+
+
+def generate_churn(
+    pairs: Iterable[Tuple[int, int]],
+    horizon: float,
+    spec: ChurnSpec,
+    rng: np.random.Generator,
+) -> List[LifecycleRecord]:
+    """Generate the lifecycle event stream for a set of subscribers.
+
+    Args:
+        pairs: the ``(page_id, server_id)`` subscription cells (one
+            lease timeline each); deduplicated and sorted internally so
+            generation is independent of input order.
+        horizon: simulation horizon in seconds.
+        spec: churn parameters.
+        rng: the dedicated ``"workload.churn"`` stream.
+
+    Returns:
+        Lifecycle events sorted by ``(time, server_id, page_id, kind)``
+        — the exact order the replay processes them in.
+    """
+    if horizon <= 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    events: List[LifecycleRecord] = []
+    unsubscribe_mean = (
+        DAY / spec.churn_rate if spec.churn_rate > 0.0 else float("inf")
+    )
+
+    def draw_lease() -> float:
+        return max(spec.lease_min, float(rng.exponential(spec.lease_duration)))
+
+    for page_id, server_id in sorted(set((int(p), int(s)) for p, s in pairs)):
+        emitted = 0
+        now = 0.0
+        lease = draw_lease()
+        events.append(
+            LifecycleRecord(
+                time=now,
+                server_id=server_id,
+                page_id=page_id,
+                kind="subscribe",
+                lease=lease,
+            )
+        )
+        emitted += 1
+        expiry = now + lease
+        while emitted < MAX_EVENTS_PER_SUBSCRIBER:
+            if unsubscribe_mean != float("inf"):
+                next_unsub = now + float(rng.exponential(unsubscribe_mean))
+            else:
+                next_unsub = float("inf")
+            if next_unsub < expiry and next_unsub < horizon:
+                # Explicit churn: the subscriber walks away mid-lease...
+                events.append(
+                    LifecycleRecord(
+                        time=next_unsub,
+                        server_id=server_id,
+                        page_id=page_id,
+                        kind="unsubscribe",
+                    )
+                )
+                emitted += 1
+                comeback = next_unsub + float(
+                    rng.exponential(spec.resubscribe_delay)
+                )
+                if comeback >= horizon:
+                    break
+                # ... and comes back with a fresh lease later.
+                lease = draw_lease()
+                events.append(
+                    LifecycleRecord(
+                        time=comeback,
+                        server_id=server_id,
+                        page_id=page_id,
+                        kind="subscribe",
+                        lease=lease,
+                    )
+                )
+                emitted += 1
+                now = comeback
+                expiry = now + lease
+                continue
+            if expiry >= horizon:
+                break
+            if float(rng.random()) < spec.renew_probability:
+                # Renew shortly before the wire; the renewal's lease
+                # clock starts at the renewal, so expiry always grows
+                # (lease_min bounds the lead from below).
+                renew_at = max(now, expiry - 0.1 * min(lease, spec.lease_min))
+                lease = draw_lease()
+                events.append(
+                    LifecycleRecord(
+                        time=renew_at,
+                        server_id=server_id,
+                        page_id=page_id,
+                        kind="renew",
+                        lease=lease,
+                    )
+                )
+                emitted += 1
+                now = renew_at
+                expiry = renew_at + lease
+            else:
+                # Silent lapse: no event at expiry — the subscriber
+                # simply stops being covered and re-subscribes later.
+                comeback = expiry + float(rng.exponential(spec.resubscribe_delay))
+                if comeback >= horizon:
+                    break
+                lease = draw_lease()
+                events.append(
+                    LifecycleRecord(
+                        time=comeback,
+                        server_id=server_id,
+                        page_id=page_id,
+                        kind="subscribe",
+                        lease=lease,
+                    )
+                )
+                emitted += 1
+                now = comeback
+                expiry = comeback + lease
+    events.sort(key=_sort_key)
+    return events

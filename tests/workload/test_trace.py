@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.sim.rng import RandomStreams
-from repro.workload.churn import ChurnSpec
+from repro.workload.churn import LIFECYCLE_KINDS, ChurnSpec
 from repro.workload.config import DAY, HOUR, WorkloadConfig
 from repro.workload.presets import alternative_config, make_trace, news_config
 from repro.workload.trace import (
@@ -240,8 +240,9 @@ def test_capacity_for_silent_server():
 
 
 def test_to_json_stores_event_columns(small_trace):
-    """Each stored column is that field of the records, in order; the
-    lifecycle and churn blocks serialize byte for byte like ``asdict``."""
+    """Each stored column is that field of the records, in order (a
+    lifecycle kind as its index in ``LIFECYCLE_KINDS``); the churn block
+    serializes like ``asdict``."""
     churned = small_trace.with_churn(
         ChurnSpec(churn_rate=2.0, lease_duration=2 * HOUR, renew_probability=0.6),
         RandomStreams(3).stream("workload.churn"),
@@ -265,9 +266,14 @@ def test_to_json_stores_event_columns(small_trace):
                     getattr(event, name) for event in getattr(workload, stream)
                 ]
         if workload.lifecycle:
-            assert json.dumps(payload["lifecycle"]) == json.dumps(
-                [dataclasses.asdict(event) for event in workload.lifecycle]
-            )
+            names = ["time", "server_id", "page_id", "kind", "lease"]
+            assert list(payload["lifecycle"]) == names
+            stored = dict(payload["lifecycle"])
+            stored["kind"] = [LIFECYCLE_KINDS[code] for code in stored["kind"]]
+            for name in names:
+                assert stored[name] == [
+                    getattr(event, name) for event in workload.lifecycle
+                ]
         else:
             assert "lifecycle" not in payload
         if workload.churn is not None:
