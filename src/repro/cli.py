@@ -18,9 +18,11 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import importlib
 import os
 import sys
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 # Module top is what build_parser needs, all of it numpy-free; each
 # _cmd_* imports the experiment/observability modules it runs.
@@ -86,13 +88,16 @@ def _configure_artifact_cache(args: argparse.Namespace) -> None:
     from repro.experiments.runner import set_default_artifact_dir
 
     directory = None
-    if not getattr(args, "no_artifact_cache", False):
-        directory = (
-            getattr(args, "artifact_cache", None)
-            or os.environ.get("REPRO_ARTIFACT_CACHE")
-            or None
-        )
+    if not args.no_artifact_cache:
+        directory = args.artifact_cache or os.environ.get("REPRO_ARTIFACT_CACHE") or None
     set_default_artifact_dir(directory)
+
+
+def _trace_for(args: argparse.Namespace):
+    """The command's preset trace, through the artifact cache if one is on."""
+    from repro.experiments.runner import preset_trace
+
+    return preset_trace(args.trace, args.scale, args.seed)
 
 
 def _add_verbose(parser: argparse.ArgumentParser) -> None:
@@ -169,11 +174,11 @@ def _make_observer(args: argparse.Namespace):
     return build_observer(
         trace_out=args.trace_out,
         metrics=bool(args.metrics_out),
-        profile=bool(getattr(args, "profile", False)),
-        series_out=getattr(args, "series_out", None),
-        series_window=getattr(args, "series_window", 3600.0),
-        monitor=getattr(args, "monitor", None),
-        monitor_out=getattr(args, "monitor_out", None),
+        profile=bool(getattr(args, "profile", False)),  # chaos has no --profile
+        series_out=args.series_out,
+        series_window=args.series_window,
+        monitor=args.monitor,
+        monitor_out=args.monitor_out,
     )
 
 
@@ -188,48 +193,151 @@ def _finish_observer(observer, args: argparse.Namespace) -> None:
     observer.close()
     if args.trace_out:
         print(f"wrote {args.trace_out}")
-    if getattr(args, "series_out", None):
+    if args.series_out:
         print(f"wrote {args.series_out}")
-    if getattr(args, "monitor_out", None):
+    if args.monitor_out:
         print(f"wrote {args.monitor_out}")
     if getattr(args, "profile", False) and observer.profiler is not None:
         print()
         print(observer.profiler.render())
 
 
-def _build_churn_spec(args: argparse.Namespace):
-    """A ChurnSpec from the run flags, or None when no flag was given."""
-    flags = (
-        args.churn_rate,
-        args.lease_duration,
-        args.renew_probability,
-        args.confirm_loss,
-    )
-    if all(value is None for value in flags):
-        return None
-    from repro.workload.churn import ChurnSpec
+class _Flag(NamedTuple):
+    """One layer flag: the argparse option and the spec field it sets."""
 
-    defaults = ChurnSpec()
-    return ChurnSpec(
-        churn_rate=(
-            args.churn_rate if args.churn_rate is not None else defaults.churn_rate
-        ),
-        lease_duration=(
-            args.lease_duration
-            if args.lease_duration is not None
-            else defaults.lease_duration
-        ),
-        renew_probability=(
-            args.renew_probability
-            if args.renew_probability is not None
-            else defaults.renew_probability
-        ),
-        confirmation_loss_probability=(
-            args.confirm_loss
-            if args.confirm_loss is not None
-            else defaults.confirmation_loss_probability
-        ),
-    )
+    flag: str
+    field: str
+    #: The option's literal type, or ``False`` for a switch whose presence
+    #: sets the field to ``False`` (``--no-repair``).
+    kind: object
+    metavar: Optional[str]
+    help: str
+    #: Set on the flags that *arm* a sub-mechanism: the spec's zero
+    #: default means "disabled", which makes no sense to request by hand,
+    #: so a value given explicitly must be > 0.  Names the quantity in
+    #: the error line.
+    positive: str = ""
+
+
+#: The three opt-in layers' flag families, declared once: family ->
+#: (spec class as ``module:name``, rows).  ``_add_layer_flags`` adds a
+#: family to a parser and ``_spec_from_flags`` builds its frozen spec, so
+#: a new layer flag is one row.  The class is named, not imported:
+#: ``build_parser`` (``--help``, ``inspect``, ``explain``) must load
+#: neither numpy nor an opt-in layer.
+_LAYER_FLAGS = {
+    "churn": ("repro.workload.churn:ChurnSpec", (
+        _Flag("--churn-rate", "churn_rate", float, "CYCLES",
+              "subscription churn: mean unsubscribe/resubscribe cycles per subscriber per day "
+              "(any churn flag enables the lifecycle layer)"),
+        _Flag("--lease-duration", "lease_duration", float, "SECONDS",
+              "mean subscription lease duration (exponential)"),
+        _Flag("--renew-probability", "renew_probability", float, "P",
+              "probability an expiring lease is renewed in time"),
+        _Flag("--confirm-loss", "confirmation_loss_probability", float, "P",
+              "per-attempt confirmation-handshake loss probability"),
+    )),
+    "overload": ("repro.faults.spec:OverloadSpec", (
+        _Flag("--service-rate", "service_rate", float, "REQ_PER_S",
+              "overload: per-proxy service rate (requests/second); any "
+              "overload flag arms the backpressure layer", positive="service rate"),
+        _Flag("--queue-capacity", "queue_capacity", int, "N",
+              "overload: per-proxy service-queue capacity (slots)"),
+        _Flag("--push-shed-fraction", "push_shed_fraction", float, "F",
+              "overload: fraction of the queue pushes may fill before being shed (pulls keep the "
+              "full capacity)"),
+        _Flag("--origin-capacity", "origin_capacity", float, "REQ_PER_S",
+              "overload: origin admission token-bucket refill rate", positive="origin capacity"),
+        _Flag("--origin-burst", "origin_burst", int, "N",
+              "overload: origin token-bucket burst size"),
+        _Flag("--breaker-threshold", "breaker_threshold", int, "N",
+              "overload: consecutive origin rejections that open the circuit breaker"),
+        _Flag("--breaker-cooldown", "breaker_cooldown", float, "SECONDS",
+              "overload: seconds the breaker stays open before half-open probing"),
+        _Flag("--breaker-probes", "breaker_probe_successes", int, "N",
+              "overload: half-open successes required to close the breaker"),
+        _Flag("--breaker-jitter", "breaker_jitter", float, "F",
+              "overload: relative jitter in [0, 1) on the breaker cooldown"),
+        _Flag("--retry-budget", "retry_budget", int, "N",
+              "overload: global retry budget shared by origin, delivery "
+              "and handshake retries", positive="retry budget"),
+        _Flag("--retry-budget-rate", "retry_budget_rate", float, "PER_S",
+              "overload: retry-budget refill rate (tokens/second; 0 = fixed budget)"),
+        _Flag("--retry-jitter", "retry_jitter", float, "F",
+              "overload: relative jitter in [0, 1) on every retry backoff"),
+    )),
+    "chaos": ("repro.faults.spec:ChaosSpec", (
+        _Flag("--proxy-mtbf", "proxy_mtbf", float, None,
+              "mean seconds between proxy crashes (0 disables)"),
+        _Flag("--proxy-mttr", "proxy_mttr", float, None, "mean proxy downtime in seconds"),
+        _Flag("--crash-fraction", "crash_fraction", float, None,
+              "fraction of proxies eligible to crash"),
+        _Flag("--publisher-mtbf", "publisher_mtbf", float, None,
+              "mean seconds between publisher outages (0 disables)"),
+        _Flag("--publisher-mttr", "publisher_mttr", float, None,
+              "mean publisher outage length in seconds"),
+        _Flag("--degraded-mtbf", "degraded_mtbf", float, None,
+              "mean seconds between degraded-link episodes (0 disables)"),
+        _Flag("--degraded-mttr", "degraded_mttr", float, None,
+              "mean degraded-link episode length in seconds"),
+        _Flag("--loss", "degraded_loss_probability", float, None,
+              "per-transfer loss probability on degraded links"),
+        _Flag("--delivery-loss", "delivery_loss_probability", float, None,
+              "per-notification loss probability on the push path"),
+        _Flag("--delivery-dup", "delivery_duplicate_probability", float, None,
+              "probability a delivered notification arrives twice"),
+        _Flag("--delivery-reorder", "delivery_reorder_delay", float, None,
+              "max extra notification delay in seconds (reordering)"),
+        _Flag("--broker-mtbf", "broker_mtbf", float, None,
+              "mean seconds between broker-node crashes (0 disables)"),
+        _Flag("--broker-mttr", "broker_mttr", float, None, "mean broker-node downtime in seconds"),
+        _Flag("--broker-count", "broker_count", int, None,
+              "broker shards on the push path (proxy s -> broker s %% count)"),
+        _Flag("--delivery-retries", "delivery_retry_limit", int, None,
+              "max retransmissions per lost notification (0 = fire and forget)"),
+        _Flag("--delivery-ack-timeout", "delivery_ack_timeout", float, None,
+              "seconds before the first retransmission (doubles per attempt)"),
+        _Flag("--no-repair", "delivery_repair", False, None,
+              "disable access-time staleness repair (silent-staleness baseline)"),
+    )),
+}
+
+
+def _add_layer_flags(parser: argparse.ArgumentParser, family: str) -> None:
+    """Add ``family``'s flags; every one defaults to "not given"."""
+    for row in _LAYER_FLAGS[family][1]:
+        if row.kind is False:
+            options = dict(action="store_true")
+        else:
+            options = dict(type=row.kind, default=None, metavar=row.metavar)
+        parser.add_argument(row.flag, help=row.help, **options)
+
+
+def _spec_from_flags(args: argparse.Namespace, family: str, base=None):
+    """``family``'s spec: ``base`` (or the class defaults) under the given flags.
+
+    ``None`` when no flag of the family was given and there is no
+    ``base``, so the layer stays off.  Raises ``ValueError`` — from the
+    ``positive`` column or the spec's own ``__post_init__`` — on a bad
+    value.
+    """
+    path, rows = _LAYER_FLAGS[family]
+    given = {}
+    for row in rows:
+        value = getattr(args, row.flag[2:].replace("-", "_"))  # argparse's dest
+        if row.kind is False:
+            if value:
+                given[row.field] = False
+        elif value is not None:
+            if row.positive and value <= 0:
+                raise ValueError(f"{row.positive} must be > 0, got {value}")
+            given[row.field] = value
+    if not given:
+        return base
+    if base is None:
+        module, _, name = path.partition(":")
+        base = getattr(importlib.import_module(module), name)()
+    return dataclasses.replace(base, **given)
 
 
 def _validate_cell_args(args: argparse.Namespace) -> None:
@@ -252,67 +360,6 @@ def _validate_cell_args(args: argparse.Namespace) -> None:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
-def _build_overload_spec(args: argparse.Namespace):
-    """An OverloadSpec from the run flags, or None when no flag was given.
-
-    Flags that *arm* a sub-mechanism (service rate, origin capacity,
-    retry budget) must be strictly positive when given explicitly —
-    their spec-level zero default means "disabled", which makes no
-    sense to request by hand.
-    """
-    flags = (
-        args.service_rate,
-        args.queue_capacity,
-        args.push_shed_fraction,
-        args.origin_capacity,
-        args.origin_burst,
-        args.breaker_threshold,
-        args.breaker_cooldown,
-        args.breaker_probes,
-        args.breaker_jitter,
-        args.retry_budget,
-        args.retry_budget_rate,
-        args.retry_jitter,
-    )
-    if all(value is None for value in flags):
-        return None
-    if args.service_rate is not None and args.service_rate <= 0.0:
-        raise ValueError(f"service rate must be > 0, got {args.service_rate}")
-    if args.origin_capacity is not None and args.origin_capacity <= 0.0:
-        raise ValueError(
-            f"origin capacity must be > 0, got {args.origin_capacity}"
-        )
-    if args.retry_budget is not None and args.retry_budget <= 0:
-        raise ValueError(f"retry budget must be > 0, got {args.retry_budget}")
-    from repro.faults.spec import OverloadSpec
-
-    defaults = OverloadSpec()
-
-    def pick(value, default):
-        return value if value is not None else default
-
-    return OverloadSpec(
-        service_rate=pick(args.service_rate, defaults.service_rate),
-        queue_capacity=pick(args.queue_capacity, defaults.queue_capacity),
-        push_shed_fraction=pick(
-            args.push_shed_fraction, defaults.push_shed_fraction
-        ),
-        origin_capacity=pick(args.origin_capacity, defaults.origin_capacity),
-        origin_burst=pick(args.origin_burst, defaults.origin_burst),
-        breaker_threshold=pick(args.breaker_threshold, defaults.breaker_threshold),
-        breaker_cooldown=pick(args.breaker_cooldown, defaults.breaker_cooldown),
-        breaker_probe_successes=pick(
-            args.breaker_probes, defaults.breaker_probe_successes
-        ),
-        breaker_jitter=pick(args.breaker_jitter, defaults.breaker_jitter),
-        retry_budget=pick(args.retry_budget, defaults.retry_budget),
-        retry_budget_rate=pick(
-            args.retry_budget_rate, defaults.retry_budget_rate
-        ),
-        retry_jitter=pick(args.retry_jitter, defaults.retry_jitter),
-    )
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.runner import run_cell
 
@@ -324,16 +371,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"invalid run parameter: {error}", file=sys.stderr)
         return 2
-    try:
-        churn = _build_churn_spec(args)
-    except ValueError as error:
-        print(f"invalid churn parameter: {error}", file=sys.stderr)
-        return 2
-    try:
-        overload = _build_overload_spec(args)
-    except ValueError as error:
-        print(f"invalid overload parameter: {error}", file=sys.stderr)
-        return 2
+    layers = {}
+    for family in ("churn", "overload"):
+        try:
+            layers[family] = _spec_from_flags(args, family)
+        except ValueError as error:
+            print(f"invalid {family} parameter: {error}", file=sys.stderr)
+            return 2
     if args.streaming:
         # Spill here, where a full disk or an unusable temp directory is
         # one line; run_cell then finds the trace in the memo.
@@ -357,10 +401,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         beta=args.beta,
         observer=observer,
-        churn=churn,
-        overload=overload,
         workers=args.workers,
         streaming=args.streaming,
+        **layers,
     )
     print(result.summary())
     _finish_observer(observer, args)
@@ -432,9 +475,8 @@ def _cmd_sweep_beta(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     from repro.experiments.calibrate import calibrate_all
-    from repro.workload.presets import make_trace
 
-    workload = make_trace(args.trace, scale=args.scale, seed=args.seed)
+    workload = _trace_for(args)
     results = calibrate_all(
         workload, prefix_fraction=args.prefix, capacity_fraction=args.capacity
     )
@@ -482,7 +524,6 @@ def _cmd_seed_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.experiments.chaos import DEFAULT_CHAOS, run_chaos
-    from repro.faults.spec import ChaosSpec
 
     strategies = tuple(
         name.strip() for name in args.strategies.split(",") if name.strip()
@@ -495,12 +536,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         return error
     try:
         _validate_cell_args(args)
-    except ValueError as error:
-        print(f"invalid chaos parameter: {error}", file=sys.stderr)
-        return 2
-    base = DEFAULT_CHAOS
-    try:
-        spec = _build_chaos_spec(args, base)
+        spec = _spec_from_flags(args, "chaos", DEFAULT_CHAOS)
     except ValueError as error:
         print(f"invalid chaos parameter: {error}", file=sys.stderr)
         return 2
@@ -576,79 +612,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_chaos_spec(args: argparse.Namespace, base) -> "ChaosSpec":
-    from repro.faults.spec import ChaosSpec
-
-    return ChaosSpec(
-        proxy_mtbf=args.proxy_mtbf if args.proxy_mtbf is not None else base.proxy_mtbf,
-        proxy_mttr=args.proxy_mttr if args.proxy_mttr is not None else base.proxy_mttr,
-        crash_fraction=(
-            args.crash_fraction
-            if args.crash_fraction is not None
-            else base.crash_fraction
-        ),
-        publisher_mtbf=(
-            args.publisher_mtbf
-            if args.publisher_mtbf is not None
-            else base.publisher_mtbf
-        ),
-        publisher_mttr=(
-            args.publisher_mttr
-            if args.publisher_mttr is not None
-            else base.publisher_mttr
-        ),
-        degraded_mtbf=(
-            args.degraded_mtbf if args.degraded_mtbf is not None else base.degraded_mtbf
-        ),
-        degraded_mttr=(
-            args.degraded_mttr if args.degraded_mttr is not None else base.degraded_mttr
-        ),
-        degraded_latency_multiplier=base.degraded_latency_multiplier,
-        degraded_loss_probability=(
-            args.loss if args.loss is not None else base.degraded_loss_probability
-        ),
-        delivery_loss_probability=(
-            args.delivery_loss
-            if args.delivery_loss is not None
-            else base.delivery_loss_probability
-        ),
-        delivery_duplicate_probability=(
-            args.delivery_dup
-            if args.delivery_dup is not None
-            else base.delivery_duplicate_probability
-        ),
-        delivery_reorder_delay=(
-            args.delivery_reorder
-            if args.delivery_reorder is not None
-            else base.delivery_reorder_delay
-        ),
-        broker_mtbf=(
-            args.broker_mtbf if args.broker_mtbf is not None else base.broker_mtbf
-        ),
-        broker_mttr=(
-            args.broker_mttr if args.broker_mttr is not None else base.broker_mttr
-        ),
-        broker_count=(
-            args.broker_count if args.broker_count is not None else base.broker_count
-        ),
-        delivery_retry_limit=(
-            args.delivery_retries
-            if args.delivery_retries is not None
-            else base.delivery_retry_limit
-        ),
-        delivery_ack_timeout=(
-            args.delivery_ack_timeout
-            if args.delivery_ack_timeout is not None
-            else base.delivery_ack_timeout
-        ),
-        delivery_repair=(not args.no_repair) if args.no_repair else base.delivery_repair,
-    )
-
-
 def _cmd_generate_trace(args: argparse.Namespace) -> int:
-    from repro.workload.presets import make_trace
-
-    workload = make_trace(args.trace, scale=args.scale, seed=args.seed)
+    workload = _trace_for(args)
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(workload.to_json())
     print(
@@ -660,9 +625,7 @@ def _cmd_generate_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_stats(args: argparse.Namespace) -> int:
-    from repro.workload.presets import make_trace
-
-    workload = make_trace(args.trace, scale=args.scale, seed=args.seed)
+    workload = _trace_for(args)
     if args.validate:
         from repro.workload.validate import validate_workload
 
@@ -719,78 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate and replay the trace in streaming form (events "
              "spill to disk; peak memory stays flat as the trace grows)",
     )
-    run_parser.add_argument(
-        "--churn-rate", type=float, default=None, metavar="CYCLES",
-        help="subscription churn: mean unsubscribe/resubscribe cycles "
-             "per subscriber per day (any churn flag enables the "
-             "lifecycle layer)",
-    )
-    run_parser.add_argument(
-        "--lease-duration", type=float, default=None, metavar="SECONDS",
-        help="mean subscription lease duration (exponential)",
-    )
-    run_parser.add_argument(
-        "--renew-probability", type=float, default=None, metavar="P",
-        help="probability an expiring lease is renewed in time",
-    )
-    run_parser.add_argument(
-        "--confirm-loss", type=float, default=None, metavar="P",
-        help="per-attempt confirmation-handshake loss probability",
-    )
-    run_parser.add_argument(
-        "--service-rate", type=float, default=None, metavar="REQ_PER_S",
-        help="overload: per-proxy service rate (requests/second); any "
-             "overload flag arms the backpressure layer",
-    )
-    run_parser.add_argument(
-        "--queue-capacity", type=int, default=None, metavar="N",
-        help="overload: per-proxy service-queue capacity (slots)",
-    )
-    run_parser.add_argument(
-        "--push-shed-fraction", type=float, default=None, metavar="F",
-        help="overload: fraction of the queue pushes may fill before "
-             "being shed (pulls keep the full capacity)",
-    )
-    run_parser.add_argument(
-        "--origin-capacity", type=float, default=None, metavar="REQ_PER_S",
-        help="overload: origin admission token-bucket refill rate",
-    )
-    run_parser.add_argument(
-        "--origin-burst", type=int, default=None, metavar="N",
-        help="overload: origin token-bucket burst size",
-    )
-    run_parser.add_argument(
-        "--breaker-threshold", type=int, default=None, metavar="N",
-        help="overload: consecutive origin rejections that open the "
-             "circuit breaker",
-    )
-    run_parser.add_argument(
-        "--breaker-cooldown", type=float, default=None, metavar="SECONDS",
-        help="overload: seconds the breaker stays open before half-open "
-             "probing",
-    )
-    run_parser.add_argument(
-        "--breaker-probes", type=int, default=None, metavar="N",
-        help="overload: half-open successes required to close the breaker",
-    )
-    run_parser.add_argument(
-        "--breaker-jitter", type=float, default=None, metavar="F",
-        help="overload: relative jitter in [0, 1) on the breaker cooldown",
-    )
-    run_parser.add_argument(
-        "--retry-budget", type=int, default=None, metavar="N",
-        help="overload: global retry budget shared by origin, delivery "
-             "and handshake retries",
-    )
-    run_parser.add_argument(
-        "--retry-budget-rate", type=float, default=None, metavar="PER_S",
-        help="overload: retry-budget refill rate (tokens/second; 0 = "
-             "fixed budget)",
-    )
-    run_parser.add_argument(
-        "--retry-jitter", type=float, default=None, metavar="F",
-        help="overload: relative jitter in [0, 1) on every retry backoff",
-    )
+    _add_layer_flags(run_parser, "churn")
+    _add_layer_flags(run_parser, "overload")
     _add_common(run_parser)
     _add_obs(run_parser, profile=True)
     run_parser.set_defaults(func=_cmd_run)
@@ -867,74 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", choices=["news", "alternative"], default="news"
     )
     chaos_parser.add_argument("--capacity", type=float, default=0.05)
-    chaos_parser.add_argument(
-        "--proxy-mtbf", type=float, default=None,
-        help="mean seconds between proxy crashes (0 disables)",
-    )
-    chaos_parser.add_argument(
-        "--proxy-mttr", type=float, default=None,
-        help="mean proxy downtime in seconds",
-    )
-    chaos_parser.add_argument(
-        "--crash-fraction", type=float, default=None,
-        help="fraction of proxies eligible to crash",
-    )
-    chaos_parser.add_argument(
-        "--publisher-mtbf", type=float, default=None,
-        help="mean seconds between publisher outages (0 disables)",
-    )
-    chaos_parser.add_argument(
-        "--publisher-mttr", type=float, default=None,
-        help="mean publisher outage length in seconds",
-    )
-    chaos_parser.add_argument(
-        "--degraded-mtbf", type=float, default=None,
-        help="mean seconds between degraded-link episodes (0 disables)",
-    )
-    chaos_parser.add_argument(
-        "--degraded-mttr", type=float, default=None,
-        help="mean degraded-link episode length in seconds",
-    )
-    chaos_parser.add_argument(
-        "--loss", type=float, default=None,
-        help="per-transfer loss probability on degraded links",
-    )
-    chaos_parser.add_argument(
-        "--delivery-loss", type=float, default=None,
-        help="per-notification loss probability on the push path",
-    )
-    chaos_parser.add_argument(
-        "--delivery-dup", type=float, default=None,
-        help="probability a delivered notification arrives twice",
-    )
-    chaos_parser.add_argument(
-        "--delivery-reorder", type=float, default=None,
-        help="max extra notification delay in seconds (reordering)",
-    )
-    chaos_parser.add_argument(
-        "--broker-mtbf", type=float, default=None,
-        help="mean seconds between broker-node crashes (0 disables)",
-    )
-    chaos_parser.add_argument(
-        "--broker-mttr", type=float, default=None,
-        help="mean broker-node downtime in seconds",
-    )
-    chaos_parser.add_argument(
-        "--broker-count", type=int, default=None,
-        help="broker shards on the push path (proxy s -> broker s %% count)",
-    )
-    chaos_parser.add_argument(
-        "--delivery-retries", type=int, default=None,
-        help="max retransmissions per lost notification (0 = fire and forget)",
-    )
-    chaos_parser.add_argument(
-        "--delivery-ack-timeout", type=float, default=None,
-        help="seconds before the first retransmission (doubles per attempt)",
-    )
-    chaos_parser.add_argument(
-        "--no-repair", action="store_true",
-        help="disable access-time staleness repair (silent-staleness baseline)",
-    )
+    _add_layer_flags(chaos_parser, "chaos")
     _add_common(chaos_parser)
     _add_obs(chaos_parser)
     chaos_parser.set_defaults(func=_cmd_chaos)

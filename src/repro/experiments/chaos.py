@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.report import render_series, render_table
-from repro.experiments.runner import paper_beta, trace_for
+from repro.experiments.runner import paper_beta, preset_trace
 from repro.faults.spec import ChaosSpec
 from repro.obs.log import get_logger
 from repro.obs.recorder import Observer
@@ -90,7 +90,7 @@ def run_chaos(
     """
     if spec is None:
         spec = DEFAULT_CHAOS
-    workload = trace_for(trace, scale, seed)
+    workload = preset_trace(trace, scale, seed)
     outcome = ChaosResult(spec=spec)
     for strategy in strategies:
         config = SimulationConfig(

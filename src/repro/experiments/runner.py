@@ -18,7 +18,7 @@ Two reuse layers stack here:
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.experiments.artifacts import (
@@ -68,6 +68,13 @@ def trace_for(
     if artifact_dir is not None:
         return cached_trace(ArtifactCache(artifact_dir), trace, scale, seed)
     return make_trace(trace, scale=scale, seed=seed)
+
+
+def preset_trace(trace: str, scale: float, seed: int) -> Workload:
+    """:func:`trace_for` under the process-wide artifact directory: what a
+    command that loads one trace and runs no cell (``chaos``,
+    ``trace-stats``, ``generate-trace``, ``calibrate-beta``) calls."""
+    return trace_for(trace, scale, seed, _default_artifact_dir)
 
 
 @lru_cache(maxsize=4)
@@ -277,22 +284,22 @@ def run_grid(
     replays a spilled trace.  Cell-level and shard-level
     parallelism compose multiplicatively — prefer one or the other.
     """
-    artifact_dir = _resolve_artifact_dir(artifact_dir)
+    cell = partial(
+        run_cell,
+        scale=scale,
+        seed=seed,
+        beta=beta,
+        notified_fraction=notified_fraction,
+        strategy_options=strategy_options,
+        artifact_dir=_resolve_artifact_dir(artifact_dir),
+        workers=shard_workers,
+        streaming=streaming,
+    )
     outcome = GridResult(grid=grid, scale=scale, seed=seed)
     cells = grid.cells()
     if workers <= 1:
         for key in cells:
-            result = run_cell(
-                key,
-                scale=scale,
-                seed=seed,
-                beta=beta,
-                notified_fraction=notified_fraction,
-                strategy_options=strategy_options,
-                artifact_dir=artifact_dir,
-                workers=shard_workers,
-                streaming=streaming,
-            )
+            result = cell(key)
             outcome.results[key] = result
             if progress is not None:
                 progress(key, result)
@@ -301,21 +308,7 @@ def run_grid(
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(
-                run_cell,
-                key,
-                scale=scale,
-                seed=seed,
-                beta=beta,
-                notified_fraction=notified_fraction,
-                strategy_options=strategy_options,
-                artifact_dir=artifact_dir,
-                workers=shard_workers,
-                streaming=streaming,
-            ): key
-            for key in cells
-        }
+        futures = {pool.submit(cell, key): key for key in cells}
         for future in as_completed(futures):
             key = futures[future]
             result = future.result()

@@ -25,44 +25,18 @@ from copy import copy
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
+from repro.obs.recorder import EVENTS, event_types
 from repro.obs.tracer import read_jsonl
 
-#: Event types that concern a page at one proxy and belong in the chain.
+#: Event types that concern a page at one proxy and belong in the chain:
+#: every row of the event table that names both, except the overload
+#: section — a shed push does explain a later miss, but the chain has
+#: never read those four (docs/architecture.md, "Event taxonomy").
 _CHAIN_TYPES = frozenset(
-    {
-        "subscribe",
-        "lease_renewed",
-        "unsubscribe",
-        "lease_confirmed",
-        "lease_expired",
-        "handshake_lost",
-        "repoll",
-        "match",
-        "push_offer",
-        "push_accept",
-        "push_reject",
-        "push_suppressed",
-        "delivery_drop",
-        "delivery_retransmit",
-        "delivery_lost",
-        "delivery_dup",
-        "delivery_gap",
-        "request",
-        "hit",
-        "stale",
-        "miss",
-        "fetch",
-        "peer_fetch",
-        "repair",
-        "stale_served",
-        "failed",
-        "failover",
-        "retry",
-        "evict",
-    }
-)
+    row.type for row in EVENTS if row.type and {"page", "proxy"} <= set(row.fields)
+) - event_types("overload")
 
-_OUTCOME_TYPES = frozenset({"hit", "stale", "miss", "failed"})
+_OUTCOME_TYPES = event_types("outcome")
 
 
 @dataclass

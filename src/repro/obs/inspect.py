@@ -12,66 +12,23 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.obs.recorder import event_types
 from repro.obs.tracer import EVENT_TYPES, read_jsonl
 
 #: Event types rendered on the fault/failover timeline, in trace order.
-_TIMELINE_TYPES = frozenset(
-    {
-        "crash",
-        "restart",
-        "outage",
-        "outage_end",
-        "failover",
-        "retry",
-        "failed",
-        "delivery_lost",
-        "delivery_retransmit",
-        "repair",
-        "overload_stale",
-        "retry_denied",
-    }
-)
+_TIMELINE_TYPES = event_types("timeline")
 
 #: Overload/backpressure event types aggregated per proxy.  The
 #: high-volume shed/reject events stay out of the timeline and are
 #: summarised here instead.
-_OVERLOAD_TYPES = frozenset(
-    {
-        "overload_shed",
-        "overload_reject",
-        "overload_stale",
-        "retry_denied",
-    }
-)
+_OVERLOAD_TYPES = event_types("overload")
 
 #: Per-page churn weighting: every one of these counts as one unit of
 #: "something happened to this page".
-_CHURN_TYPES = frozenset(
-    {
-        "publish",
-        "push_accept",
-        "evict",
-        "fetch",
-        "peer_fetch",
-        "miss",
-        "stale",
-        "repair",
-        "stale_served",
-    }
-)
+_CHURN_TYPES = event_types("churn")
 
 #: Subscription-lifecycle event types aggregated per proxy.
-_LIFECYCLE_TYPES = frozenset(
-    {
-        "subscribe",
-        "unsubscribe",
-        "lease_confirmed",
-        "lease_renewed",
-        "lease_expired",
-        "handshake_lost",
-        "repoll",
-    }
-)
+_LIFECYCLE_TYPES = event_types("lifecycle")
 
 
 @dataclass

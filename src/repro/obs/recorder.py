@@ -20,7 +20,7 @@ stays bit-identical to the pre-observability behaviour.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.obs.profile import NULL_SPAN, Profiler
 
@@ -31,8 +31,202 @@ if TYPE_CHECKING:  # build_observer imports the parts it constructs
     from repro.obs.tracer import EventTracer
 
 
+class Event(NamedTuple):
+    """One row of :data:`EVENTS`: everything one event shows outside.
+
+    ``hook`` is the :class:`Observer` method built from the row (a
+    leading underscore marks a part that a hand-written hook calls, and
+    ``""`` a type a hand-written hook emits itself);
+    ``type`` the trace event type (``""``: no trace line); ``fields``
+    the hook's parameters after ``t`` in call order, which is the order
+    the trace line lists them after the bound run context; ``sections``
+    the ``inspect`` / ``explain`` aggregates that read the type;
+    ``counter`` / ``help`` the ``repro_*`` counter and ``series`` the
+    per-window time-series counter, each bumped once per call.
+    """
+
+    hook: str
+    type: str
+    fields: Tuple[str, ...]
+    sections: Tuple[str, ...]
+    counter: str
+    help: str
+    series: str
+
+
+def _row(hook, type, fields="", sections="", counter="", help="", series="") -> Event:
+    return Event(hook, type, tuple(fields.split()), tuple(sections.split()), counter, help, series)
+
+
+#: The event vocabulary, declared once.  :class:`Observer` builds one hook
+#: per row — bump the counter, bump the series, write the trace line, each
+#: only if that sink is attached — and ``tracer.EVENT_TYPES``, the
+#: ``inspect`` / ``explain`` type sets and the docs table
+#: (``tests/obs/test_event_table.py``) are read off the same rows: a new
+#: event is one row here, not three edits.  What a row cannot express (a
+#: histogram, an amount, a gauge, run framing) is a method of the class
+#: around the row's ``_hook``.
+EVENTS: Tuple[Event, ...] = (
+    # -- run framing; run_start emits by hand: its fields are the context
+    _row("", "run_start"),
+    _row("_run_end", "run_end"),
+    # -- publish-side lifecycle
+    _row("publish", "publish", "page version size", "churn",
+         "repro_publishes_total", "pages published", "publishes"),
+    _row("match", "match", "page proxy matches", "",
+         "repro_matches_total", "per-proxy subscription matches", "matches"),
+    _row("push_offer", "push_offer", "page proxy", "",
+         "repro_push_offers_total", "push-time placement offers", "push_offers"),
+    _row("push_accept", "push_accept", "page proxy refreshed", "churn",
+         "repro_push_accepts_total", "push offers stored", "push_accepts"),
+    _row("push_reject", "push_reject", "page proxy", "",
+         "repro_push_rejects_total", "push offers declined", "push_rejects"),
+    _row("push_suppressed", "push_suppressed", "page proxy reason", "",
+         "repro_pushes_suppressed_total", "pushes skipped: endpoint down", "pushes_suppressed"),
+    # -- request-side lifecycle; request_outcome and fetch pick among these
+    _row("request", "request", "page proxy", "",
+         "repro_requests_total", "user requests", "requests"),
+    _row("_hit", "hit", "page proxy latency", "outcome",
+         "repro_hits_total", "fresh local hits", "hits"),
+    _row("_stale", "stale", "page proxy latency", "churn outcome",
+         "repro_stale_hits_total", "stale-version misses", "stale_hits"),
+    _row("_miss", "miss", "page proxy latency", "churn outcome",
+         "repro_misses_total", "cold misses", "misses"),
+    _row("_fetch", "fetch", "page proxy source", "churn",
+         "repro_fetches_total", "origin demand fetches", "origin_fetches"),
+    _row("_peer_fetch", "peer_fetch", "page proxy source", "churn",
+         "repro_peer_fetches_total", "misses served by a peer", "peer_fetches"),
+    # -- degradation
+    _row("failover", "failover", "proxy page target reason", "timeline",
+         "repro_failovers_total", "failover hops taken", "failovers"),
+    _row("retry", "retry", "page proxy attempt backoff", "timeline",
+         "repro_retries_total", "origin retry attempts", "retries"),
+    _row("failed", "failed", "page proxy", "timeline outcome",
+         "repro_failed_requests_total", "requests never served", "failed_requests"),
+    # -- reliable delivery.  Sent / delivered are series only: the registry
+    # derives send totals from offers and drops, but the per-window
+    # delivery *ratio* needs an explicit sent series to divide by.
+    _row("notification_sent", "", "page proxy", series="notifications_sent"),
+    _row("notification_delivered", "", "page proxy", series="notifications_delivered"),
+    # One send was lost; it may still be retransmitted.
+    _row("delivery_drop", "delivery_drop", "page proxy reason", "",
+         "repro_notification_drops_total", "notification sends lost", "delivery_drops"),
+    # delivery_retransmit counts ``attempts - 1``, an amount, itself.
+    _row("_delivery_retransmit", "delivery_retransmit", "page proxy attempts", "timeline"),
+    # Abandoned: the proxy stays stale until access-time repair.
+    _row("delivery_lost", "delivery_lost", "page proxy reason", "timeline",
+         "repro_notifications_lost_total", "notifications permanently lost", "delivery_lost"),
+    _row("delivery_dup", "delivery_dup", "page proxy", "",
+         "repro_duplicate_notifications_total", "duplicate deliveries suppressed", "delivery_dups"),
+    _row("delivery_gap", "delivery_gap", "page proxy sequence", "",
+         "repro_delivery_gaps_total", "sequence gaps detected at proxies", "delivery_gaps"),
+    # Served as if fresh (no repair), ``age`` seconds behind the origin.
+    _row("stale_served", "stale_served", "page proxy age", "churn",
+         "repro_stale_served_total", "silently stale pages served", "stale_served"),
+    _row("repair", "repair", "page proxy age", "timeline churn",
+         "repro_repair_fetches_total", "access-time staleness repairs", "repairs"),
+    # -- subscription lifecycle
+    # A (re-)subscribe granted a fresh lease of ``lease`` seconds.
+    _row("lease_subscribe", "subscribe", "page proxy lease", "lifecycle",
+         "repro_lease_subscribes_total", "leases granted (subscribes)", "lease_subscribes"),
+    _row("lease_renewed", "lease_renewed", "page proxy lease", "lifecycle",
+         "repro_lease_renewals_total", "in-time lease renewals", "lease_renewals"),
+    _row("lease_unsubscribe", "unsubscribe", "page proxy", "lifecycle",
+         "repro_lease_unsubscribes_total", "explicit unsubscribes", "lease_unsubscribes"),
+    # The handshake resolved ``latency`` seconds after the subscribe /
+    # renew message (0 on a lossless handshake).
+    _row("lease_confirmed", "lease_confirmed", "page proxy latency", "lifecycle",
+         "repro_lease_confirms_total", "handshake confirmations resolved", "lease_confirms"),
+    # Noticed lazily at ``where``: publish, access, event intake, or
+    # end-of-run accounting.
+    _row("lease_expired", "lease_expired", "page proxy where", "lifecycle",
+         "repro_lease_expiries_total", "leases noticed lapsed", "lease_expiries"),
+    # Every confirmation attempt was lost (or the retry queue shed the
+    # handshake); the lease is stuck PENDING until re-poll.
+    _row("handshake_lost", "handshake_lost", "page proxy attempts", "lifecycle",
+         "repro_handshakes_lost_total", "confirmation handshakes abandoned", "handshakes_lost"),
+    _row("repoll", "repoll", "page proxy reason", "lifecycle",
+         "repro_repolls_total", "access-time lease re-poll repairs", "repolls"),
+    # -- overload & backpressure.  The high-volume shed / reject events
+    # stay out of the inspect timeline and are summarised per proxy.
+    # ``kind`` names the shed work class (currently always "push":
+    # subscribed-push deliveries shed first under the priority order);
+    # access-time staleness repair heals the dropped copy later.
+    _row("overload_shed", "overload_shed", "page proxy kind", "overload",
+         "repro_overload_sheds_total", "pushes shed at full service queues", "overload_sheds"),
+    _row("overload_reject", "overload_reject", "page proxy", "overload",
+         "repro_overload_rejections_total",
+         "pulls rejected at full service queues", "overload_rejections"),
+    # Degraded mode: the origin gate (token bucket + circuit breaker)
+    # refused the fetch and a cached stale copy was served.
+    _row("overload_stale", "overload_stale", "page proxy", "timeline overload",
+         "repro_overload_stale_served_total",
+         "stale copies served while the origin gate refused fetches", "overload_stale_served"),
+    _row("retry_denied", "retry_denied", "page proxy attempt", "timeline overload",
+         "repro_retries_denied_total", "retries refused by the retry budget", "retries_denied"),
+    # -- cache churn; evict adds the evicted bytes, cache_op (the raw
+    # storage listener) picks a row and drives the occupancy gauge
+    _row("_evict", "evict", "page proxy size cause", "churn",
+         "repro_evictions_total", "cache evictions", "evictions"),
+    _row("_cache_add", "", "", "",
+         "repro_cache_insertions_total", "entries inserted into any cache", "cache_insertions"),
+    _row("_cache_remove", "", "", "",
+         "repro_cache_removals_total", "entries removed from any cache", "cache_removals"),
+    # -- component faults
+    _row("crash", "crash", "proxy", "timeline",
+         "repro_proxy_crashes_total", "proxy crash events", "crashes"),
+    _row("restart", "restart", "proxy", "timeline",
+         "repro_proxy_restarts_total", "proxy restarts", "restarts"),
+    _row("outage", "outage", "", "timeline",
+         "repro_publisher_outages_total", "origin outages", "outages"),
+    _row("outage_end", "outage_end", "", sections="timeline", series="outage_ends"),
+)
+
+
+def event_types(section: Optional[str] = None) -> frozenset:
+    """The trace types of :data:`EVENTS`: all of them, or one section's."""
+    return frozenset(
+        row.type for row in EVENTS if row.type and (section is None or section in row.sections)
+    )
+
+
+def _ignore(*_values, **_fields) -> None:
+    """A row's hook when no sink of its is attached (``NULL_OBSERVER``'s, built at import)."""
+
+
+def _hook(row: Event, registry, timeseries, tracer) -> Callable[..., None]:
+    """Compile ``row``'s hook over the sinks it has something to tell.
+
+    Compiled so that it has the signature a hand-written hook would
+    (``failover(t, proxy, page, target, reason)``): Python checks each
+    call's arity and keywords, and a traced event costs what it did by
+    hand (a closure over ``*values, **fields`` measured 2.6x that).
+    """
+    scope: Dict[str, object] = {"etype": row.type, "series": row.series}
+    body = []
+    if registry is not None and row.counter:
+        scope["count"] = registry.counter(row.counter, row.help).inc
+        body.append("count()")
+    if timeseries is not None and row.series:
+        scope["sample"] = timeseries.inc
+        body.append("sample(t, series)")
+    if tracer is not None and row.type:
+        scope["emit"] = tracer.emit
+        body.append(f"emit(etype, t, {', '.join(f'{name}={name}' for name in row.fields)})")
+    if not body:
+        return _ignore
+    exec(f"def hook({', '.join(('t',) + row.fields)}):\n    " + "\n    ".join(body), scope)
+    return scope["hook"]
+
+
 class Observer:
-    """Routes simulator lifecycle hooks to the attached components."""
+    """Routes simulator lifecycle hooks to the attached components.
+
+    The regular hooks (``publish``, ``push_offer``, ``lease_renewed``,
+    ``crash`` ...) are built from :data:`EVENTS` at construction, over
+    the sinks this observer was given; the methods below add what a row
+    cannot express.
+    """
 
     enabled = True
 
@@ -53,92 +247,17 @@ class Observer:
         #: cache_op sizes so the time-series occupancy gauge is exact.
         self._cache_bytes = 0
         self._g_queues: Dict[str, Gauge] = {}
+        # Hooks bind sinks, not runs: ``repro-pubsub chaos`` shares one
+        # observer across strategy runs (counters accumulate, the tracer
+        # is re-bound per run by run_start).
+        for row in EVENTS:
+            if row.hook:
+                setattr(self, row.hook, _hook(row, registry, timeseries, tracer))
         if registry is not None:
-            c = registry.counter
-            self._c_publish = c("repro_publishes_total", "pages published")
-            self._c_match = c("repro_matches_total", "per-proxy subscription matches")
-            self._c_offer = c("repro_push_offers_total", "push-time placement offers")
-            self._c_accept = c("repro_push_accepts_total", "push offers stored")
-            self._c_reject = c("repro_push_rejects_total", "push offers declined")
-            self._c_suppressed = c(
-                "repro_pushes_suppressed_total", "pushes skipped: endpoint down"
-            )
-            self._c_request = c("repro_requests_total", "user requests")
-            self._c_hit = c("repro_hits_total", "fresh local hits")
-            self._c_stale = c("repro_stale_hits_total", "stale-version misses")
-            self._c_miss = c("repro_misses_total", "cold misses")
-            self._c_fetch = c("repro_fetches_total", "origin demand fetches")
-            self._c_peer = c("repro_peer_fetches_total", "misses served by a peer")
-            self._c_failover = c("repro_failovers_total", "failover hops taken")
-            self._c_retry = c("repro_retries_total", "origin retry attempts")
-            self._c_failed = c("repro_failed_requests_total", "requests never served")
-            self._c_drop = c(
-                "repro_notification_drops_total", "notification sends lost"
-            )
-            self._c_retransmit = c(
+            self._c_retransmit = registry.counter(
                 "repro_notification_retransmits_total", "notification retransmissions"
             )
-            self._c_lost = c(
-                "repro_notifications_lost_total", "notifications permanently lost"
-            )
-            self._c_dup = c(
-                "repro_duplicate_notifications_total", "duplicate deliveries suppressed"
-            )
-            self._c_gap = c(
-                "repro_delivery_gaps_total", "sequence gaps detected at proxies"
-            )
-            self._c_stale_served = c(
-                "repro_stale_served_total", "silently stale pages served"
-            )
-            self._c_repair = c(
-                "repro_repair_fetches_total", "access-time staleness repairs"
-            )
-            self._c_lease_sub = c(
-                "repro_lease_subscribes_total", "leases granted (subscribes)"
-            )
-            self._c_lease_renew = c(
-                "repro_lease_renewals_total", "in-time lease renewals"
-            )
-            self._c_lease_unsub = c(
-                "repro_lease_unsubscribes_total", "explicit unsubscribes"
-            )
-            self._c_lease_confirm = c(
-                "repro_lease_confirms_total", "handshake confirmations resolved"
-            )
-            self._c_lease_expire = c(
-                "repro_lease_expiries_total", "leases noticed lapsed"
-            )
-            self._c_handshake_lost = c(
-                "repro_handshakes_lost_total", "confirmation handshakes abandoned"
-            )
-            self._c_repoll = c(
-                "repro_repolls_total", "access-time lease re-poll repairs"
-            )
-            self._c_ov_shed = c(
-                "repro_overload_sheds_total", "pushes shed at full service queues"
-            )
-            self._c_ov_reject = c(
-                "repro_overload_rejections_total",
-                "pulls rejected at full service queues",
-            )
-            self._c_ov_stale = c(
-                "repro_overload_stale_served_total",
-                "stale copies served while the origin gate refused fetches",
-            )
-            self._c_retry_denied = c(
-                "repro_retries_denied_total", "retries refused by the retry budget"
-            )
-            self._c_evict = c("repro_evictions_total", "cache evictions")
-            self._c_evict_bytes = c("repro_evicted_bytes_total", "bytes evicted")
-            self._c_crash = c("repro_proxy_crashes_total", "proxy crash events")
-            self._c_restart = c("repro_proxy_restarts_total", "proxy restarts")
-            self._c_outage = c("repro_publisher_outages_total", "origin outages")
-            self._c_cache_add = c(
-                "repro_cache_insertions_total", "entries inserted into any cache"
-            )
-            self._c_cache_remove = c(
-                "repro_cache_removals_total", "entries removed from any cache"
-            )
+            self._c_evict_bytes = registry.counter("repro_evicted_bytes_total", "bytes evicted")
             self._g_sim_time = registry.gauge(
                 "repro_sim_time_seconds", "virtual clock at run end"
             )
@@ -164,173 +283,31 @@ class Observer:
             self._g_sim_time.set(t)
             if cache_used_bytes is not None:
                 self._g_cache_used.set(cache_used_bytes)
-        if self.tracer is not None:
-            self.tracer.emit("run_end", t)
+        self._run_end(t)
         if self.monitor is not None:
             self.monitor.finish(t)
 
-    # -- publish-side lifecycle ---------------------------------------------
-
-    def publish(self, t: float, page: int, version: int, size: int) -> None:
-        if self.registry is not None:
-            self._c_publish.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "publishes")
-        if self.tracer is not None:
-            self.tracer.emit("publish", t, page=page, version=version, size=size)
-
-    def match(self, t: float, page: int, proxy: int, match_count: int) -> None:
-        if self.registry is not None:
-            self._c_match.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "matches")
-        if self.tracer is not None:
-            self.tracer.emit("match", t, page=page, proxy=proxy, matches=match_count)
-
-    def push_offer(self, t: float, page: int, proxy: int) -> None:
-        if self.registry is not None:
-            self._c_offer.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "push_offers")
-        if self.tracer is not None:
-            self.tracer.emit("push_offer", t, page=page, proxy=proxy)
-
-    def push_accept(self, t: float, page: int, proxy: int, refreshed: bool) -> None:
-        if self.registry is not None:
-            self._c_accept.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "push_accepts")
-        if self.tracer is not None:
-            self.tracer.emit(
-                "push_accept", t, page=page, proxy=proxy, refreshed=refreshed
-            )
-
-    def push_reject(self, t: float, page: int, proxy: int) -> None:
-        if self.registry is not None:
-            self._c_reject.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "push_rejects")
-        if self.tracer is not None:
-            self.tracer.emit("push_reject", t, page=page, proxy=proxy)
-
-    def push_suppressed(self, t: float, page: int, proxy: int, reason: str) -> None:
-        if self.registry is not None:
-            self._c_suppressed.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "pushes_suppressed")
-        if self.tracer is not None:
-            self.tracer.emit(
-                "push_suppressed", t, page=page, proxy=proxy, reason=reason
-            )
-
-    # -- request-side lifecycle ----------------------------------------------
-
-    def request(self, t: float, page: int, proxy: int) -> None:
-        if self.registry is not None:
-            self._c_request.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "requests")
-        if self.tracer is not None:
-            self.tracer.emit("request", t, page=page, proxy=proxy)
+    # -- hooks that choose among rows -----------------------------------------
 
     def request_outcome(
         self, t: float, page: int, proxy: int, kind: str, latency: float
     ) -> None:
         """``kind`` is ``"hit"``, ``"stale"`` or ``"miss"``."""
+        if kind == "hit":
+            self._hit(t, page, proxy, latency)
+        elif kind == "stale":
+            self._stale(t, page, proxy, latency)
+        else:
+            self._miss(t, page, proxy, latency)
         if self.registry is not None:
-            if kind == "hit":
-                self._c_hit.inc()
-            elif kind == "stale":
-                self._c_stale.inc()
-            else:
-                self._c_miss.inc()
             self._h_latency.observe(latency)
         if self.timeseries is not None:
-            if kind == "hit":
-                self.timeseries.inc(t, "hits")
-            elif kind == "stale":
-                self.timeseries.inc(t, "stale_hits")
-            else:
-                self.timeseries.inc(t, "misses")
             self.timeseries.observe(t, "latency", latency)
-        if self.tracer is not None:
-            self.tracer.emit(kind, t, page=page, proxy=proxy, latency=latency)
 
     def fetch(self, t: float, page: int, proxy: int, source: str = "origin") -> None:
-        if self.registry is not None:
-            if source == "origin":
-                self._c_fetch.inc()
-            else:
-                self._c_peer.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(
-                t, "origin_fetches" if source == "origin" else "peer_fetches"
-            )
-        if self.tracer is not None:
-            kind = "fetch" if source == "origin" else "peer_fetch"
-            self.tracer.emit(kind, t, page=page, proxy=proxy, source=source)
+        (self._fetch if source == "origin" else self._peer_fetch)(t, page, proxy, source)
 
-    # -- degradation ---------------------------------------------------------
-
-    def failover(
-        self, t: float, proxy: int, page: int, target: str, reason: str
-    ) -> None:
-        if self.registry is not None:
-            self._c_failover.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "failovers")
-        if self.tracer is not None:
-            self.tracer.emit(
-                "failover", t, page=page, proxy=proxy, target=target, reason=reason
-            )
-
-    def retry(
-        self, t: float, page: int, proxy: int, attempt: int, backoff: float
-    ) -> None:
-        if self.registry is not None:
-            self._c_retry.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "retries")
-        if self.tracer is not None:
-            self.tracer.emit(
-                "retry", t, page=page, proxy=proxy, attempt=attempt, backoff=backoff
-            )
-
-    def failed(self, t: float, page: int, proxy: int) -> None:
-        if self.registry is not None:
-            self._c_failed.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "failed_requests")
-        if self.tracer is not None:
-            self.tracer.emit("failed", t, page=page, proxy=proxy)
-
-    # -- reliable delivery ----------------------------------------------------
-
-    def notification_sent(self, t: float, page: int, proxy: int) -> None:
-        """A notification left the delivery layer toward ``proxy``.
-
-        Time-series only: the registry already derives send totals from
-        offers/drops, but the per-window delivery *ratio* needs an
-        explicit sent series to divide by.
-        """
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "notifications_sent")
-
-    def notification_delivered(self, t: float, page: int, proxy: int) -> None:
-        """A notification arrived at ``proxy`` (time-series only)."""
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "notifications_delivered")
-
-    def delivery_drop(self, t: float, page: int, proxy: int, reason: str) -> None:
-        """One notification send was lost (it may still be retransmitted)."""
-        if self.registry is not None:
-            self._c_drop.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "delivery_drops")
-        if self.tracer is not None:
-            self.tracer.emit(
-                "delivery_drop", t, page=page, proxy=proxy, reason=reason
-            )
+    # -- hooks that add an amount ---------------------------------------------
 
     def delivery_retransmit(
         self, t: float, page: int, proxy: int, attempts: int
@@ -340,179 +317,16 @@ class Observer:
             self._c_retransmit.inc(attempts - 1)
         if self.timeseries is not None:
             self.timeseries.inc(t, "delivery_retransmits", attempts - 1)
-        if self.tracer is not None:
-            self.tracer.emit(
-                "delivery_retransmit", t, page=page, proxy=proxy, attempts=attempts
-            )
+        self._delivery_retransmit(t, page, proxy, attempts)
 
-    def delivery_lost(self, t: float, page: int, proxy: int, reason: str) -> None:
-        """A notification was abandoned: the proxy will stay stale until
-        repair."""
+    def evict(self, t: float, page: int, proxy: int, size: int, cause: str) -> None:
+        self._evict(t, page, proxy, size, cause)
         if self.registry is not None:
-            self._c_lost.inc()
+            self._c_evict_bytes.inc(size)
         if self.timeseries is not None:
-            self.timeseries.inc(t, "delivery_lost")
-        if self.tracer is not None:
-            self.tracer.emit(
-                "delivery_lost", t, page=page, proxy=proxy, reason=reason
-            )
+            self.timeseries.inc(t, "evicted_bytes", size)
 
-    def delivery_dup(self, t: float, page: int, proxy: int) -> None:
-        if self.registry is not None:
-            self._c_dup.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "delivery_dups")
-        if self.tracer is not None:
-            self.tracer.emit("delivery_dup", t, page=page, proxy=proxy)
-
-    def delivery_gap(self, t: float, page: int, proxy: int, sequence: int) -> None:
-        if self.registry is not None:
-            self._c_gap.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "delivery_gaps")
-        if self.tracer is not None:
-            self.tracer.emit(
-                "delivery_gap", t, page=page, proxy=proxy, sequence=sequence
-            )
-
-    def stale_served(self, t: float, page: int, proxy: int, age: float) -> None:
-        """A silently stale page was served as if fresh (no repair)."""
-        if self.registry is not None:
-            self._c_stale_served.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "stale_served")
-        if self.tracer is not None:
-            self.tracer.emit("stale_served", t, page=page, proxy=proxy, age=age)
-
-    def repair(self, t: float, page: int, proxy: int, age: float) -> None:
-        """Access-time validation caught a missed push; origin repair."""
-        if self.registry is not None:
-            self._c_repair.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "repairs")
-        if self.tracer is not None:
-            self.tracer.emit("repair", t, page=page, proxy=proxy, age=age)
-
-    # -- subscription lifecycle -------------------------------------------------
-
-    def lease_subscribe(self, t: float, page: int, proxy: int, lease: float) -> None:
-        """A (re-)subscribe granted a fresh lease of ``lease`` seconds."""
-        if self.registry is not None:
-            self._c_lease_sub.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "lease_subscribes")
-        if self.tracer is not None:
-            self.tracer.emit("subscribe", t, page=page, proxy=proxy, lease=lease)
-
-    def lease_renewed(self, t: float, page: int, proxy: int, lease: float) -> None:
-        if self.registry is not None:
-            self._c_lease_renew.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "lease_renewals")
-        if self.tracer is not None:
-            self.tracer.emit("lease_renewed", t, page=page, proxy=proxy, lease=lease)
-
-    def lease_unsubscribe(self, t: float, page: int, proxy: int) -> None:
-        if self.registry is not None:
-            self._c_lease_unsub.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "lease_unsubscribes")
-        if self.tracer is not None:
-            self.tracer.emit("unsubscribe", t, page=page, proxy=proxy)
-
-    def lease_confirmed(
-        self, t: float, page: int, proxy: int, latency: float
-    ) -> None:
-        """The confirmation handshake resolved ``latency`` seconds after
-        the subscribe/renew message (0 on a lossless handshake)."""
-        if self.registry is not None:
-            self._c_lease_confirm.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "lease_confirms")
-        if self.tracer is not None:
-            self.tracer.emit(
-                "lease_confirmed", t, page=page, proxy=proxy, latency=latency
-            )
-
-    def lease_expired(self, t: float, page: int, proxy: int, where: str) -> None:
-        """A lapsed lease was noticed (lazily) at ``where``: publish,
-        access, event intake, or end-of-run accounting."""
-        if self.registry is not None:
-            self._c_lease_expire.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "lease_expiries")
-        if self.tracer is not None:
-            self.tracer.emit("lease_expired", t, page=page, proxy=proxy, where=where)
-
-    def handshake_lost(self, t: float, page: int, proxy: int, attempts: int) -> None:
-        """Every confirmation attempt was lost (or the retry queue shed
-        the handshake); the lease is stuck PENDING until re-poll."""
-        if self.registry is not None:
-            self._c_handshake_lost.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "handshakes_lost")
-        if self.tracer is not None:
-            self.tracer.emit(
-                "handshake_lost", t, page=page, proxy=proxy, attempts=attempts
-            )
-
-    def repoll(self, t: float, page: int, proxy: int, reason: str) -> None:
-        """An access re-polled the hub and repaired a dead lease."""
-        if self.registry is not None:
-            self._c_repoll.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "repolls")
-        if self.tracer is not None:
-            self.tracer.emit("repoll", t, page=page, proxy=proxy, reason=reason)
-
-    # -- overload & backpressure -------------------------------------------------
-
-    def overload_shed(self, t: float, page: int, proxy: int, kind: str) -> None:
-        """A push was shed at ``proxy``'s full service queue.
-
-        ``kind`` names the shed work class (currently always
-        ``"push"`` — subscribed-push deliveries shed first under the
-        priority order).  The dropped copy is healed later by
-        access-time staleness repair.
-        """
-        if self.registry is not None:
-            self._c_ov_shed.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "overload_sheds")
-        if self.tracer is not None:
-            self.tracer.emit("overload_shed", t, page=page, proxy=proxy, kind=kind)
-
-    def overload_reject(self, t: float, page: int, proxy: int) -> None:
-        """A pull was rejected at ``proxy``'s full service queue."""
-        if self.registry is not None:
-            self._c_ov_reject.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "overload_rejections")
-        if self.tracer is not None:
-            self.tracer.emit("overload_reject", t, page=page, proxy=proxy)
-
-    def overload_stale(self, t: float, page: int, proxy: int) -> None:
-        """Degraded mode served a cached stale copy: the origin gate
-        (token bucket + circuit breaker) refused the fetch."""
-        if self.registry is not None:
-            self._c_ov_stale.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "overload_stale_served")
-        if self.tracer is not None:
-            self.tracer.emit("overload_stale", t, page=page, proxy=proxy)
-
-    def retry_denied(self, t: float, page: int, proxy: int, attempt: int) -> None:
-        """The global retry budget refused retry ``attempt``."""
-        if self.registry is not None:
-            self._c_retry_denied.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "retries_denied")
-        if self.tracer is not None:
-            self.tracer.emit(
-                "retry_denied", t, page=page, proxy=proxy, attempt=attempt
-            )
-
-    # -- queue telemetry ---------------------------------------------------------
+    # -- hooks that drive gauges ------------------------------------------------
 
     def queue_depth(self, t: float, name: str, depth: int) -> None:
         """Sample the depth of a named internal queue (retransmit
@@ -529,65 +343,12 @@ class Observer:
         if self.timeseries is not None:
             self.timeseries.set_gauge(t, f"{name}_queue_depth", depth)
 
-    # -- cache churn -----------------------------------------------------------
-
-    def evict(self, t: float, page: int, proxy: int, size: int, cause: str) -> None:
-        if self.registry is not None:
-            self._c_evict.inc()
-            self._c_evict_bytes.inc(size)
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "evictions")
-            self.timeseries.inc(t, "evicted_bytes", size)
-        if self.tracer is not None:
-            self.tracer.emit("evict", t, page=page, proxy=proxy, size=size, cause=cause)
-
     def cache_op(self, op: str, size: int = 0, t: float = 0.0) -> None:
         """Raw storage add/remove, wired via the CacheStorage listener."""
-        if self.registry is not None:
-            if op == "add":
-                self._c_cache_add.inc()
-            else:
-                self._c_cache_remove.inc()
+        (self._cache_add if op == "add" else self._cache_remove)(t)
         if self.timeseries is not None:
-            if op == "add":
-                self._cache_bytes += size
-                self.timeseries.inc(t, "cache_insertions")
-            else:
-                self._cache_bytes -= size
-                self.timeseries.inc(t, "cache_removals")
+            self._cache_bytes += size if op == "add" else -size
             self.timeseries.set_gauge(t, "cache_used_bytes", self._cache_bytes)
-
-    # -- component faults ------------------------------------------------------
-
-    def crash(self, t: float, proxy: int) -> None:
-        if self.registry is not None:
-            self._c_crash.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "crashes")
-        if self.tracer is not None:
-            self.tracer.emit("crash", t, proxy=proxy)
-
-    def restart(self, t: float, proxy: int) -> None:
-        if self.registry is not None:
-            self._c_restart.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "restarts")
-        if self.tracer is not None:
-            self.tracer.emit("restart", t, proxy=proxy)
-
-    def outage(self, t: float) -> None:
-        if self.registry is not None:
-            self._c_outage.inc()
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "outages")
-        if self.tracer is not None:
-            self.tracer.emit("outage", t)
-
-    def outage_end(self, t: float) -> None:
-        if self.timeseries is not None:
-            self.timeseries.inc(t, "outage_ends")
-        if self.tracer is not None:
-            self.tracer.emit("outage_end", t)
 
     # -- profiling --------------------------------------------------------------
 
@@ -618,9 +379,6 @@ class NullObserver(Observer):
 
     def __init__(self) -> None:
         super().__init__()
-
-    def span(self, name: str):
-        return NULL_SPAN
 
 
 #: Shared module-level no-op recorder; the default for every run.

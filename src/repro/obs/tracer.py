@@ -18,61 +18,12 @@ import json
 from collections import deque
 from typing import Dict, IO, Iterable, List, Optional, Union
 
-#: The event taxonomy.  The simulator emits exactly these types; the
-#: ``inspect`` subcommand and the docs table are keyed off this set.
-EVENT_TYPES = frozenset(
-    {
-        # run framing
-        "run_start",
-        "run_end",
-        # publish-side lifecycle
-        "publish",
-        "match",
-        "push_offer",
-        "push_accept",
-        "push_reject",
-        "push_suppressed",
-        # request-side lifecycle
-        "request",
-        "hit",
-        "stale",
-        "miss",
-        "fetch",
-        "peer_fetch",
-        # degradation
-        "failover",
-        "retry",
-        "failed",
-        # reliable delivery (push-path loss/retransmit/repair)
-        "delivery_drop",
-        "delivery_retransmit",
-        "delivery_lost",
-        "delivery_dup",
-        "delivery_gap",
-        "stale_served",
-        "repair",
-        # subscription lifecycle (leases, handshakes, re-polls)
-        "subscribe",
-        "unsubscribe",
-        "lease_confirmed",
-        "lease_renewed",
-        "lease_expired",
-        "handshake_lost",
-        "repoll",
-        # overload & backpressure
-        "overload_shed",
-        "overload_reject",
-        "overload_stale",
-        "retry_denied",
-        # cache churn
-        "evict",
-        # component faults
-        "crash",
-        "restart",
-        "outage",
-        "outage_end",
-    }
-)
+from repro.obs.recorder import event_types
+
+#: The event taxonomy: the trace types of ``recorder.EVENTS``, the one
+#: table the observer's hooks, the ``inspect`` / ``explain`` type sets and
+#: the docs table are all read from.
+EVENT_TYPES = event_types()
 
 
 class EventTracer:

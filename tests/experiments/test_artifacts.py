@@ -180,6 +180,38 @@ def test_default_artifact_dir_used(tmp_path):
     assert os.path.isdir(tmp_path / "trace")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["chaos", "--strategies", "gdstar"],
+        ["trace-stats"],
+        ["generate-trace", "--output", "{tmp}/trace.json"],
+        ["calibrate-beta", "--prefix", "0.3"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_every_command_offering_the_flag_uses_the_cache(tmp_path, capsys, monkeypatch, command):
+    """``--artifact-cache DIR`` stores the trace on the first invocation
+    and the second loads that entry instead of generating."""
+    from repro.cli import main
+    from repro.experiments import artifacts
+
+    store = tmp_path / "store"
+    argv = [part.format(tmp=tmp_path) for part in command]
+    argv += ["--scale", str(SCALE), "--seed", str(SEED), "--artifact-cache", str(store)]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert len(os.listdir(store / "trace")) == 1
+
+    def regenerated(*args, **kwargs):
+        raise AssertionError("the stored trace entry was not used")
+
+    runner.clear_caches()
+    monkeypatch.setattr(artifacts, "make_trace", regenerated)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_workload_json_round_trip_equality():
     """Workload.to_json/from_json is lossless."""
     workload = make_trace("news", scale=SCALE, seed=SEED)

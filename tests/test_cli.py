@@ -225,7 +225,7 @@ def test_chaos_delivery_faults_silence_the_warning(capsys):
 
 
 def test_chaos_delivery_flags_build_the_spec():
-    from repro.cli import _build_chaos_spec
+    from repro.cli import _spec_from_flags
     from repro.experiments.chaos import DEFAULT_CHAOS
 
     args = build_parser().parse_args(
@@ -242,7 +242,7 @@ def test_chaos_delivery_flags_build_the_spec():
             "--no-repair",
         ]
     )
-    spec = _build_chaos_spec(args, DEFAULT_CHAOS)
+    spec = _spec_from_flags(args, "chaos", DEFAULT_CHAOS)
     assert spec.delivery_loss_probability == 0.1
     assert spec.delivery_duplicate_probability == 0.05
     assert spec.delivery_reorder_delay == 7.5
@@ -258,12 +258,32 @@ def test_chaos_delivery_flags_build_the_spec():
 
 
 def test_chaos_flags_default_to_base_spec():
-    from repro.cli import _build_chaos_spec
+    from repro.cli import _spec_from_flags
     from repro.experiments.chaos import DEFAULT_CHAOS
 
     args = build_parser().parse_args(["chaos"])
-    spec = _build_chaos_spec(args, DEFAULT_CHAOS)
+    spec = _spec_from_flags(args, "chaos", DEFAULT_CHAOS)
     assert spec == DEFAULT_CHAOS
+
+
+def test_chaos_flags_keep_the_base_specs_unflagged_fields():
+    """Ten ChaosSpec fields have no flag; a base spec that sets them
+    keeps them, with and without flags laid over it."""
+    import dataclasses
+
+    from repro.cli import _spec_from_flags
+    from repro.faults.spec import ChaosSpec
+
+    base = ChaosSpec(
+        retry_limit=9, retry_cap=99.0, peer_timeout=1.5, delivery_queue_limit=7,
+        warm_threshold=0.5,
+    )
+    args = build_parser().parse_args(["chaos"])
+    assert _spec_from_flags(args, "chaos", base) == base
+    args = build_parser().parse_args(["chaos", "--delivery-loss", "0.1", "--no-repair"])
+    assert _spec_from_flags(args, "chaos", base) == dataclasses.replace(
+        base, delivery_loss_probability=0.1, delivery_repair=False
+    )
 
 
 def test_chaos_rejects_invalid_delivery_parameter(capsys):
@@ -682,3 +702,85 @@ def test_package_version_matches_pyproject():
         declared = re.search(r'^version\s*=\s*"([^"]+)"', handle.read(), re.M)
     assert declared is not None
     assert repro.__version__ == declared.group(1)
+
+
+def parser_surface():
+    """``{subcommand: [one row per argparse action]}`` for the whole CLI.
+
+    A row is ``(option_strings, dest, type name, default, metavar, help,
+    nargs, const, choices)`` — the structure argparse was given, not
+    ``--help`` bytes, whose wrapping differs between Python versions.
+    """
+    import argparse
+
+    def rows(parser):
+        return [
+            [
+                list(action.option_strings),
+                action.dest,
+                getattr(action.type, "__name__", None),
+                action.default,
+                action.metavar,
+                action.help,
+                action.nargs,
+                action.const,
+                sorted(action.choices) if action.choices is not None else None,
+            ]
+            for action in parser._actions
+            if not isinstance(action, argparse._SubParsersAction)
+        ]
+
+    parser = build_parser()
+    surface = {"": rows(parser)}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            surface.update({name: rows(sub) for name, sub in action.choices.items()})
+    return surface
+
+
+#: ``subcommand: (actions, SHA-256 of the JSON of its rows)``, recorded at
+#: commit 66e0c28 (the parent of PR 19), from unmodified source, before
+#: the layer flag families were generated from a table.  Regenerate with
+#: ``PYTHONPATH=src python -m tests.test_cli`` after an intended change.
+PARSER_SURFACE = {
+    "": (2, "248e6226eeeacee0f143aece2383acd593b1e49ac28d03e6228b5193c09dde00"),
+    "run": (37, "7e42cc865f96b9e67ba0dc5da7427d7e0c9af7b6d4a3181ccd776fe58bae7897"),
+    "figure": (8, "c0bea352e6cf82e302f0b0f6ef962f526230c1a01ea3975b0f1a657545f1a56f"),
+    "table": (7, "528b4643b72986b94919d8a58930251b1f4b61f7c951d04f2815fdde3047de89"),
+    "sweep-beta": (7, "db71bbfbf5841b69594b807f661b6c196ee7b61ac884218899a7949a90f7ca1b"),
+    "trace-stats": (8, "06c2051004ac2cc5bc8c0e2090b27342b5916de94ed017e52e09772cc661170e"),
+    "calibrate-beta": (9, "62dd0ddfe9410b2fa19e0afb753ab2aac9f748838ce5f394849bf82619aeec17"),
+    "report": (7, "58feefda5cebd904565391f80137e2fdeb4a550d20063a1c94d39cd8b61b1dae"),
+    "seed-sweep": (11, "15d15ff3ac79f367a31fb20b541532be337ba79233adf184fc874606474adbf6"),
+    "chaos": (32, "0868237046ade3cd08a26e836d9c6bbb5206072deeb9033eb56d634125f11bff"),
+    "inspect": (6, "182e0cf5cddc1e0caade14ba88270f383be10147224e49bd9d46eb77072e7d12"),
+    "explain": (7, "f3ee7e6cfbfdc8ca6ffc81d9e678abace81d9e3d39b8fea154e0acd873d06db7"),
+    "generate-trace": (8, "59e1e375a9bf5100272d7026b80bdf6263dee37d5b851f8824b9bc26dc998d1a"),
+}
+
+
+def _surface_digests():
+    import hashlib
+    import json
+
+    return {
+        name: (len(rows), hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest())
+        for name, rows in parser_surface().items()
+    }
+
+
+def test_parser_surface_is_pinned():
+    """Every flag name, dest, type, default, metavar, help string, nargs,
+    const and choice list of every subcommand is what it was."""
+    surface = _surface_digests()
+    assert sorted(surface) == sorted(PARSER_SURFACE)
+    changed = [name for name in surface if surface[name] != PARSER_SURFACE[name]]
+    assert not changed, {name: parser_surface()[name] for name in changed}
+    assert sum(count for count, _ in surface.values()) == 149
+
+
+if __name__ == "__main__":  # pragma: no cover - regeneration helper
+    print("PARSER_SURFACE = {")
+    for command, (count, digest) in _surface_digests().items():
+        print(f'    "{command}": ({count}, "{digest}"),')
+    print("}")
