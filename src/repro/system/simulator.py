@@ -54,9 +54,11 @@ from __future__ import annotations
 
 import heapq
 import time
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.registry import make_policy_lenient
 from repro.faults import LIFECYCLE_STREAM
@@ -72,7 +74,7 @@ from repro.system.metrics import SimulationResult, dense_counts
 from repro.system.proxy import ProxyServer
 from repro.system.publisher import Publisher
 from repro.workload.subscriptions import build_match_counts
-from repro.workload.trace import Workload
+from repro.workload.trace import Workload, pair_codes
 
 if TYPE_CHECKING:  # the layers are imported by the branch that arms them
     from repro.faults.recovery import RecoveryTracker
@@ -138,6 +140,9 @@ class Simulation:
     ) -> None:
         if neighbor_count < 0:
             raise ValueError(f"neighbor_count must be >= 0, got {neighbor_count}")
+        # Every table below is sized by the workload's pages and proxies
+        # and indexed by the ids its events carry.
+        workload.check_ids()
         self.workload = workload
         self.config = config
         # Observability is strictly read-only: hooks fire *after* each
@@ -201,6 +206,9 @@ class Simulation:
                     self._matches_by_page[page.page_id] = sorted(counts.items())
 
         self._events_processed = 0
+        #: The invariant cadence (0: off), read once: the handlers skip the
+        #: call to ``_maybe_check_invariants`` when there is nothing to check.
+        self._check_interval = config.invariant_check_interval
         self._env: Optional[Environment] = None
 
         # -- fault layer ---------------------------------------------------
@@ -394,7 +402,8 @@ class Simulation:
             self._obs_now = now
         server_id, page_id, kind, lease = event  # cheaper than a starred call
         self._lifecycle.on_event(server_id, page_id, kind, lease, now)
-        self._maybe_check_invariants()
+        if self._check_interval:
+            self._maybe_check_invariants()
 
     def _handle_publish(self, page_id: int, version: int, now: float) -> None:
         obs_on = self._obs_on
@@ -415,7 +424,8 @@ class Simulation:
             for stage in stages:
                 if stage(self, proxy, server_id, page_id, version, size, match_count, now):
                     break
-        self._maybe_check_invariants()
+        if self._check_interval:
+            self._maybe_check_invariants()
 
     def _handle_request(self, server_id: int, page_id: int, now: float) -> None:
         version = self.publisher.current_version(page_id)
@@ -433,7 +443,8 @@ class Simulation:
         for stage in self._request_stages:
             if stage(self, proxy, server_id, page_id, version, size, match_count, now):
                 break
-        self._maybe_check_invariants()
+        if self._check_interval:
+            self._maybe_check_invariants()
 
     # -- publish stages (see ``Stage``) ---------------------------------------
 
@@ -559,7 +570,8 @@ class Simulation:
             return  # shed before the sequence tracker sees the copy
         if self._delivery.receive(server_id, page_id, version, t):
             self._offer_push(proxy, server_id, page_id, version, size, match_count, t)
-            self._maybe_check_invariants()
+            if self._check_interval:
+                self._maybe_check_invariants()
 
     # -- request stages (see ``Stage``) ---------------------------------------
 
@@ -941,9 +953,11 @@ class Simulation:
         match pairs or the request's match count — so the inline arm
         unpacks what the handlers would look up three times per event.
 
-        An in-memory, churn-free trace is merged once into an enriched
-        list, memoised on the workload per match table and shared by
-        benchmark repeats and the strategy cells of a grid.  A trace
+        An in-memory, churn-free trace is merged once into columns —
+        plain lists of shared objects, memoised on the workload: five
+        that the trace alone decides, shared by every cell that replays
+        it, and one ``m`` column per match table — and the stream is
+        ``zip`` over them, which allocates nothing per event.  A trace
         with lifecycle records or a spool merges lazily, so nothing is
         retained, and stays bare for the staged arm, whose handlers look
         size and matches up themselves (docs/architecture.md, "Replay
@@ -951,6 +965,9 @@ class Simulation:
         """
         workload = self.workload
         if workload.lifecycle or workload.spool is not None:
+            logger.debug(
+                "replay stream: lazy merge (%s)", "churn" if workload.lifecycle else "spool"
+            )
             # heapq.merge breaks time ties by argument position, which
             # is the tie rule; each source is already time-sorted.
             return heapq.merge(
@@ -959,17 +976,108 @@ class Simulation:
                 self._request_tuples(enriched),
                 key=_TIME,
             )
-        merged = workload._replay_streams.get(self.match_table)
-        if merged is None:
-            # A stable sort by time alone over publishes-then-requests
-            # is the tie rule — what heapq.merge does above — and its
-            # keys are the floats already in the tuples (an
-            # ``itemgetter(0, 1)`` key allocates 221 k tuples, ~11 MiB).
-            # Timsort gallops through the two pre-sorted runs.
-            merged = [*self._publish_tuples(True), *self._request_tuples(True)]
-            merged.sort(key=_TIME)
-            workload._replay_streams[self.match_table] = merged
+        base = workload._stream_columns
+        match_column = workload._match_columns.get(self.match_table) if enriched else ()
+        how = "memo hit"
+        if base is None or match_column is None:
+            merged = self._column_merger()
+        if base is None:
+            base = workload._stream_columns = self._base_columns(merged)
+            how = f"built base columns ({len(base[0])} rows)"
+        if match_column is None:
+            match_column = workload._match_columns[self.match_table] = self._match_column(merged)
+            how = (
+                "reused base columns, built match column"
+                if how == "memo hit"
+                else f"{how} + match column"
+            )
+        logger.debug("replay stream: %s", how)
+        return zip(*base, match_column) if enriched else zip(*base[:4])
+
+    def _column_merger(self):
+        """``merged(publish_values, request_values)``: one stream column.
+
+        Each table's values land on the slots its rows take in the
+        merged order, and the column comes back as a list.  The order
+        is a stable argsort by time over publishes-then-requests, which
+        is the tie rule — what ``heapq.merge`` does above.
+        """
+        publishes = self.workload.publishes.rows
+        requests = self.workload.requests.rows
+        order = np.argsort(
+            np.concatenate((publishes["time"], requests["time"])), kind="stable"
+        )
+        slots = np.empty(len(order), dtype=np.intp)
+        slots[order] = np.arange(len(order))
+        del order
+        publish_slots, request_slots = slots[: len(publishes)], slots[len(publishes) :]
+
+        def merged(publish_values, request_values, dtype=object) -> list:
+            column = np.empty(len(slots), dtype=dtype)
+            column[publish_slots] = publish_values
+            column[request_slots] = request_values
+            return column.tolist()
+
         return merged
+
+    def _page_lookup(self, values, default=None) -> np.ndarray:
+        """``values[page_id]`` (else ``default``) for an array of page
+        ids at once: an object array, so a gather hands out the mapping's
+        own objects, shared by every row that names the page."""
+        lookup = np.empty(max(self.publisher._sizes, default=-1) + 1, dtype=object)
+        lookup.fill(default)
+        for page_id, value in values.items():
+            lookup[page_id] = value
+        return lookup
+
+    def _base_columns(self, merged) -> Tuple[list, ...]:
+        """``(time, kind, a, b, size)`` of the merged stream, as lists.
+
+        Every id and size is taken from a lookup array of shared objects
+        (and versions are the small ints CPython shares anyway), so the
+        float is the only object a row owns.  Ids index the lookups only
+        because ``Workload.check_ids`` has vetted them.
+        """
+        publishes = self.workload.publishes.rows
+        requests = self.workload.requests.rows
+        sizes = self._page_lookup(self.publisher._sizes)
+        ints = np.arange(max(self.workload.config.server_count, len(sizes))).astype(object)
+        return (
+            merged(publishes["time"], requests["time"], np.float64),
+            merged(0, 1, np.int8),
+            merged(ints[publishes["page_id"]], ints[requests["server_id"]]),
+            merged(publishes["version"].astype(object), ints[requests["page_id"]]),
+            merged(sizes[publishes["page_id"]], sizes[requests["page_id"]]),
+        )
+
+    def _match_column(self, merged) -> list:
+        """``m`` of the merged stream under this run's match table: the
+        page's shared match pairs on a publish row, the shared match
+        count on a request row."""
+        workload = self.workload
+        matches = self._matches_by_page
+        # A request's count is found by its ``pair_codes`` code in a
+        # sorted table of the matched pairs; a dense pages x servers
+        # array is a +50 MiB transient at scale 4.0.  Slot 0, below
+        # every code, answers 0 for a pair the table lacks.
+        servers, counts = zip(*chain.from_iterable(matches.values())) if matches else ((), ())
+        codes = np.repeat(
+            np.fromiter(matches, np.int64) << 32, [len(pairs) for pairs in matches.values()]
+        ) | np.array(servers, dtype=np.int64)
+        by_code = np.argsort(codes, kind="stable")
+        codes = np.concatenate(([np.iinfo(np.int64).min], codes[by_code]))
+        count_of = np.array((0, *counts), dtype=object)
+        count_of[1:] = count_of[1:][by_code]
+        requested = np.empty(workload.request_count, dtype=object)
+        done = 0
+        for chunk in workload.requests.chunks():
+            wanted = pair_codes(chunk)
+            found = np.searchsorted(codes, wanted, side="right") - 1
+            found[codes[found] != wanted] = 0
+            requested[done : done + len(chunk)] = count_of[found]
+            done += len(chunk)
+        pairs_of = self._page_lookup(matches, ())
+        return merged(pairs_of[workload.publishes.rows["page_id"]], requested)
 
     def _lifecycle_tuples(self):
         """``(time, 2, (server_id, page_id, kind code, lease), None)`` per

@@ -175,6 +175,12 @@ def sorted_rows(dtype: np.dtype, columns: Sequence, keys: Optional[int] = None) 
     return rows
 
 
+def pair_codes(rows: np.ndarray) -> np.ndarray:
+    """``page_id << 32 | server_id`` of each request row: one sortable
+    int64 per (page, proxy) pair."""
+    return rows["page_id"].astype(np.int64) << 32 | rows["server_id"]
+
+
 def _memo(factory=lambda: None):
     """A cache field.  ``init=False`` keeps it out of ``dataclasses.replace``
     copies (``with_churn`` and friends), so a copy whose ``requests`` were
@@ -206,8 +212,10 @@ class Workload:
     spool: Optional[object] = field(default=None, repr=False, compare=False)
     _request_pairs: List[Tuple[int, int]] = _memo(list)
     _pair_counts: Optional[Dict[Tuple[int, int], int]] = _memo()
-    #: Retained replay streams, one per match table (``Simulation._stream``).
-    _replay_streams: dict = _memo(dict)
+    #: The merged replay stream, retained as columns (``Simulation._stream``):
+    #: the five lists the trace alone decides, and one list per match table.
+    _stream_columns: Optional[Tuple[list, ...]] = _memo()
+    _match_columns: dict = _memo(dict)
     #: On a shard: unique bytes per server over the whole fleet's trace.
     _fleet_unique_bytes: Optional[Dict[int, int]] = _memo()
 
@@ -253,16 +261,47 @@ class Workload:
         if self._pair_counts is None:
             counts: Dict[int, int] = {}
             for chunk in self.requests.chunks():
-                keys, per_key = np.unique(
-                    chunk["page_id"].astype(np.int64) << 32 | chunk["server_id"],
-                    return_counts=True,
-                )
+                keys, per_key = np.unique(pair_codes(chunk), return_counts=True)
                 for key, count in zip(keys.tolist(), per_key.tolist()):
                     counts[key] = counts.get(key, 0) + count
             self._pair_counts = {
                 (key >> 32, key & 0xFFFFFFFF): counts[key] for key in sorted(counts)
             }
         return self._pair_counts
+
+    def check_ids(self) -> None:
+        """``ValueError`` naming the first publish or request whose page
+        is not in the page table or whose proxy is outside
+        ``[0, server_count)``.
+
+        Replay indexes lists and lookup arrays with these ids, and a
+        negative index would silently answer for another page.  A
+        generated trace passes by construction, on one min/max pass per
+        id column; a hand-built one may not.
+        """
+        pages = np.array([page.page_id for page in self.pages], dtype=np.int64)
+        if (pages < 0).any():
+            raise ValueError(f"the page table holds a negative page id: {pages.min()}")
+        servers = np.arange(self.config.server_count)
+        for kind, table, field, known, noun in (
+            ("publish", self.publishes, "page_id", pages, "page"),
+            ("request", self.requests, "page_id", pages, "page"),
+            ("request", self.requests, "server_id", servers, "proxy"),
+        ):
+            ids = table.rows[field]
+            if len(ids) == 0 or (
+                0 <= ids.min()
+                and ids.max() < len(known)
+                and np.array_equal(known, np.arange(len(known)))
+            ):
+                continue
+            unknown = ~np.isin(ids, known)
+            if unknown.any():
+                row = table.rows[unknown.argmax()]
+                raise ValueError(
+                    f"{kind} at t={row['time']} names {noun} {row[field]}, "
+                    f"not one of the workload's {len(known)}"
+                )
 
     def version_at(self, page_id: int, when: float) -> int:
         """Version of ``page_id`` current at time ``when``.

@@ -1,7 +1,8 @@
 """Tuple-for-tuple guard on ``Simulation._stream``.
 
-The stream the replay driver consumes — the retained enriched list of a
-churn-free trace and the bare lazy merge of a churned one — must equal
+The stream the replay driver consumes — the memoised columns of a
+churn-free trace, enriched and bare, and the bare lazy merge of a
+churned one — must equal
 what :func:`tests.system._reference.record_stream` builds from record
 attribute reads (the builder of the commit before the columnar trace),
 in values and in order.  The result digests would catch a difference
@@ -35,8 +36,19 @@ def test_enriched_list_equals_record_reference(trace, sq):
     simulation = Simulation(
         workload, SimulationConfig(seed=seed, subscription_quality=sq)
     )
-    got = simulation._stream(enriched=True)
+    got = list(simulation._stream(enriched=True))
     want = record_stream(simulation, enriched=True, lazy=False)
+    assert len(got) == workload.publish_count + workload.request_count
+    assert got == want
+
+
+def test_bare_in_memory_stream_equals_record_reference(trace):
+    """What an observed (or otherwise staged) run of a churn-free trace
+    replays: the first four memoised columns, no match column."""
+    workload, seed = trace
+    simulation = Simulation(workload, SimulationConfig(seed=seed))
+    got = list(simulation._stream(enriched=False))
+    want = record_stream(simulation, enriched=False, lazy=False)
     assert len(got) == workload.publish_count + workload.request_count
     assert got == want
 
