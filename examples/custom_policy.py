@@ -80,14 +80,9 @@ class SubLRUPolicy(Policy):
         self._cache.add(entry, self._entry_value(entry, now))
         return RequestOutcome(hit=False, cached_after=True)
 
-    def contains(self, page_id):
-        return page_id in self._cache
-
-    def cached_version(self, page_id):
+    def held_version(self, page_id):
         entry = self._cache.get(page_id)
-        if entry is None:
-            raise KeyError(f"page {page_id} not cached")
-        return entry.version
+        return None if entry is None else entry.version
 
     @property
     def used_bytes(self):

@@ -10,6 +10,8 @@ have drop-in alternatives.  All three are access-time-only policies:
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.cache.entry import CacheEntry
 from repro.core._base import HeapCache
 from repro.core.policy import (
@@ -83,14 +85,9 @@ class _AccessOnlyPolicy(Policy):
     def _value(self, entry: CacheEntry, now: float) -> float:
         raise NotImplementedError
 
-    def contains(self, page_id: int) -> bool:
-        return page_id in self._cache
-
-    def cached_version(self, page_id: int) -> int:
+    def held_version(self, page_id: int) -> Optional[int]:
         entry = self._cache.get(page_id)
-        if entry is None:
-            raise KeyError(f"page {page_id} not cached")
-        return entry.version
+        return None if entry is None else entry.version
 
     @property
     def used_bytes(self) -> int:

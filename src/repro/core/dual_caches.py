@@ -25,7 +25,7 @@ on AC evictions.
 from __future__ import annotations
 
 from heapq import heappop
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.cache.entry import CacheEntry, ACCESS_MODULE, PUSH_MODULE
 from repro.core._base import HeapCache
@@ -270,14 +270,9 @@ class _DualCacheBase(Policy):
 
     # -- introspection -----------------------------------------------------------
 
-    def contains(self, page_id: int) -> bool:
-        return page_id in self.pc or page_id in self.ac
-
-    def cached_version(self, page_id: int) -> int:
-        entry = self.pc.get(page_id) or self.ac.get(page_id)
-        if entry is None:
-            raise KeyError(f"page {page_id} not cached")
-        return entry.version
+    def held_version(self, page_id: int) -> Optional[int]:
+        entry = self._pc_entries.get(page_id) or self._ac_entries.get(page_id)
+        return None if entry is None else entry.version
 
     @property
     def used_bytes(self) -> int:

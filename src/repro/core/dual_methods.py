@@ -212,14 +212,9 @@ class DualMethodsPolicy(Policy):
 
     # -- introspection -----------------------------------------------------------
 
-    def contains(self, page_id: int) -> bool:
-        return page_id in self._storage
-
-    def cached_version(self, page_id: int) -> int:
-        entry = self._storage.get(page_id)
-        if entry is None:
-            raise KeyError(f"page {page_id} not cached")
-        return entry.version
+    def held_version(self, page_id: int) -> Optional[int]:
+        entry = self._entries.get(page_id)
+        return None if entry is None else entry.version
 
     @property
     def used_bytes(self) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.cache.stats import CacheStats
 
@@ -137,25 +138,28 @@ class Policy(ABC):
     # -- introspection ------------------------------------------------------
 
     @abstractmethod
+    def held_version(self, page_id: int) -> Optional[int]:
+        """Version cached for ``page_id``; ``None`` when it is absent.
+
+        The only abstract introspection method — :meth:`contains` and
+        :meth:`cached_version` derive from it — and side-effect free:
+        the simulator asks once per request, before any accounted
+        ``on_request`` call, and builds its degraded paths on the answer
+        (hit probing under faults, peer lookups in the cooperative
+        extension, the overload layer's serve-stale mode) without
+        touching recency or placement state.
+        """
+
     def contains(self, page_id: int) -> bool:
-        """Whether any version of ``page_id`` is currently cached.
+        """Whether any version of ``page_id`` is currently cached."""
+        return self.held_version(page_id) is not None
 
-        Together with :meth:`cached_version` this is the read-only
-        introspection surface the simulator's degraded paths build on:
-        peer lookups in the cooperative extension, hit probing under
-        faults, and the overload layer's serve-stale mode (a cached
-        copy answers while the origin admission gate is closed) all
-        query the cache without mutating recency or placement state.
-        """
-
-    @abstractmethod
     def cached_version(self, page_id: int) -> int:
-        """Version cached for ``page_id``; raises KeyError when absent.
-
-        Must be side-effect free (see :meth:`contains`): callers use it
-        to decide *whether* to serve a stale copy before any accounted
-        ``on_request`` call happens.
-        """
+        """Version cached for ``page_id``; raises KeyError when absent."""
+        version = self.held_version(page_id)
+        if version is None:
+            raise KeyError(f"page {page_id} not cached")
+        return version
 
     @property
     @abstractmethod

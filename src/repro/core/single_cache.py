@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from heapq import heappush
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.cache.entry import CacheEntry, ACCESS_MODULE, PUSH_MODULE
 from repro.cache.heap import _COMPACT_FLOOR
@@ -277,14 +277,9 @@ class SingleCacheCombinedPolicy(Policy):
 
     # -- introspection -----------------------------------------------------------
 
-    def contains(self, page_id: int) -> bool:
-        return page_id in self._cache
-
-    def cached_version(self, page_id: int) -> int:
-        entry = self._cache.get(page_id)
-        if entry is None:
-            raise KeyError(f"page {page_id} not cached")
-        return entry.version
+    def held_version(self, page_id: int) -> Optional[int]:
+        entry = self._entries.get(page_id)
+        return None if entry is None else entry.version
 
     @property
     def used_bytes(self) -> int:

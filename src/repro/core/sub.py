@@ -14,6 +14,8 @@ after placement (subscriptions are static).
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.cache.entry import CacheEntry, PUSH_MODULE
 from repro.core._base import HeapCache
 from repro.core.policy import (
@@ -138,14 +140,9 @@ class SubPolicy(Policy):
 
     # -- introspection -----------------------------------------------------------
 
-    def contains(self, page_id: int) -> bool:
-        return page_id in self._cache
-
-    def cached_version(self, page_id: int) -> int:
-        entry = self._cache.get(page_id)
-        if entry is None:
-            raise KeyError(f"page {page_id} not cached")
-        return entry.version
+    def held_version(self, page_id: int) -> Optional[int]:
+        entry = self._entries.get(page_id)
+        return None if entry is None else entry.version
 
     @property
     def used_bytes(self) -> int:

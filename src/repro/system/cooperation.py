@@ -96,8 +96,7 @@ class Peers:
                         reason="peer-down",
                     )
                 continue
-            policy = peer.policy
-            if policy.contains(page_id) and policy.cached_version(page_id) == version:
+            if peer.policy.held_version(page_id) == version:
                 self.fetch_pages += 1
                 self.fetch_bytes += size
                 if obs_on:

@@ -36,8 +36,7 @@ stream's draw order moves.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -45,20 +44,44 @@ from repro.faults.schedule import FaultSchedule
 from repro.faults.spec import ChaosSpec
 from repro.obs.recorder import Observer
 from repro.pubsub.routing import SequenceTracker
+from repro.sim.rng import uniform_draws
 
 
 def capped_backoff(base: float, cap: float, attempt: int) -> float:
-    """Exponential backoff for retry ``attempt`` (0-based), capped.
-
-    The retry timing rule shared by the delivery retransmit protocol
-    and the subscription confirmation handshake: ``base`` doubles per
-    attempt up to ``cap``.
-    """
+    """Exponential backoff for retry ``attempt`` (0-based), capped:
+    ``base`` doubles per attempt up to ``cap``."""
     return min(base * (2.0 ** attempt), cap)
 
 
-@dataclass(frozen=True)
-class DeliveryPlan:
+def retry_instants(
+    at: float, limit: int, base: float, cap: float, overload=None, ack_timeout=False
+) -> Iterator[Tuple[int, float, float]]:
+    """The retry walk after a first attempt at ``at`` was lost.
+
+    Yields ``(attempt, instant, backoff)`` for retries 1..``limit``,
+    :func:`capped_backoff` apart.  With an ``overload`` manager each
+    retry must first fit the global retry budget — the walk ends where
+    one is refused — and every step carries the seeded jitter.  Shared
+    by the origin fetch, the notification send and the confirmation
+    handshake: the caller makes the first attempt itself, applies its
+    own "was this attempt lost" test to each instant and stops iterating
+    on a success, so budget calls and jitter draws happen in attempt
+    order and only for attempts made.  With ``ack_timeout`` a walk that
+    lost every retry yields one step more, attempt ``limit + 1``: no
+    retry (it asks no budget) but the instant the last attempt times
+    out, until when the sender's queue slot stays taken.
+    """
+    for attempt in range(limit + ack_timeout):
+        if attempt < limit and overload is not None and not overload.allow_retry(at):
+            return
+        backoff = capped_backoff(base, cap, attempt)
+        if overload is not None:
+            backoff = overload.jitter_backoff(backoff)
+        at += backoff
+        yield attempt + 1, at, backoff
+
+
+class DeliveryPlan(NamedTuple):
     """The resolved fate of one notification send.
 
     Attributes:
@@ -112,7 +135,9 @@ class ReliableDelivery:
     ) -> None:
         self.spec = spec
         self.schedule = schedule
-        self._rng = rng
+        #: The next draw of the dedicated stream, which only this object
+        #: reads (so it can be drawn a block at a time).
+        self._draw = uniform_draws(rng).__next__
         #: Optional OverloadManager: retransmissions then consume the
         #: global retry budget and backoff steps carry seeded jitter.
         #: ``None`` (the default) keeps the protocol byte-identical to
@@ -149,18 +174,19 @@ class ReliableDelivery:
         if self.schedule.proxy_down(server_id, at):
             return True
         loss = self.spec.delivery_loss_probability
-        return loss > 0.0 and float(self._rng.random()) < loss
+        return loss > 0.0 and self._draw() < loss
 
     def send(self, server_id: int, page_id: int, now: float) -> DeliveryPlan:
         """:meth:`plan` one notification, count and trace its fate."""
         plan = self.plan(server_id, now)
         self.sent += 1
-        self.loss_events += plan.loss_events
-        self.retransmitted += plan.retransmissions
-        if plan.queue_overflow:
-            self.queue_overflows += 1
-        if not plan.delivered:
-            self.lost += 1
+        if plan.loss_events:
+            self.loss_events += plan.loss_events
+            self.retransmitted += plan.retransmissions
+            if plan.queue_overflow:
+                self.queue_overflows += 1
+            if not plan.delivered:
+                self.lost += 1
         obs = self._obs
         if obs is not None:
             obs.notification_sent(now, page_id, server_id)
@@ -202,25 +228,23 @@ class ReliableDelivery:
         return True
 
     def believed_current(
-        self, server_id: int, policy, page_id: int, version: int
+        self, server_id: int, held: Optional[int], page_id: int, version: int
     ) -> Optional[int]:
-        """The cached version of a copy the proxy wrongly believes current.
+        """``held`` when it is a copy the proxy wrongly believes current.
 
         ``None`` when the oracle view (``version`` is current) and the
-        proxy's view agree: fresh copy, page not cached, or a stale copy
-        the proxy *knows* is stale — a delivered notification already
-        told it a newer version exists (the policy just declined to
-        store it), so the ordinary stale-miss path applies.
+        proxy's view agree: fresh copy, page not cached (``held`` is
+        ``None``), or a stale copy the proxy *knows* is stale — a
+        delivered notification already told it a newer version exists
+        (the policy just declined to store it), so the ordinary
+        stale-miss path applies.
         """
-        if not policy.contains(page_id):
-            return None
-        cached = policy.cached_version(page_id)
-        if cached is None or cached == version:
+        if held is None or held == version:
             return None
         known = self.trackers[server_id].last_seen(page_id)
-        if known is not None and known > cached:
+        if known is not None and known > held:
             return None
-        return cached
+        return held
 
     def collect(self, result) -> None:
         """Write the push-path counters into ``result``."""
@@ -238,83 +262,51 @@ class ReliableDelivery:
         spec = self.spec
         # Lazily free queue slots whose retransmissions have resolved;
         # the simulator calls plan() in nondecreasing time order.
-        while self._pending and self._pending[0] <= now:
-            heapq.heappop(self._pending)
+        pending = self._pending
+        while pending and pending[0] <= now:
+            heapq.heappop(pending)
 
         broker_id = server_id % spec.broker_count
-        overload = self._overload
         at = now
-        loss_events = 0
-        attempts = 0
-        delivered = False
-        for attempt in range(spec.delivery_retry_limit + 1):
-            attempts += 1
-            if not self._send_lost(server_id, broker_id, at):
-                delivered = True
-                break
-            loss_events += 1
-            if attempt == 0 and spec.delivery_retry_limit > 0:
-                # The first loss is what admits the notification to the
-                # retransmit queue; a full queue sheds it instead.
-                if len(self._pending) >= spec.delivery_queue_limit:
-                    return DeliveryPlan(
-                        delivered=False,
-                        arrival_time=at,
-                        attempts=1,
-                        loss_events=1,
-                        queued=False,
-                        queue_overflow=True,
-                        duplicate_time=None,
-                    )
-            if (
-                overload is not None
-                and attempt < spec.delivery_retry_limit
-                and not overload.allow_retry(at)
+        attempts = 1
+        queued = False
+        # Plans are built positionally (keywords double the cost), as
+        # (delivered, arrival_time, attempts, loss_events, queued,
+        # queue_overflow, duplicate_time).
+        if self._send_lost(server_id, broker_id, now):
+            limit = spec.delivery_retry_limit
+            # The first loss is what admits the notification to the
+            # retransmit queue; a full queue sheds it instead.
+            queued = limit > 0
+            if queued and len(pending) >= spec.delivery_queue_limit:
+                return DeliveryPlan(False, now, 1, 1, False, True, None)
+            delivered = False
+            # A retry the global budget refuses ends the walk: the loss
+            # is permanent (healed later by access-time staleness repair).
+            for attempt, at, _backoff in retry_instants(
+                now, limit, spec.delivery_ack_timeout, spec.delivery_backoff_cap,
+                self._overload, ack_timeout=True,
             ):
-                # Retry-storm protection: the global budget refused the
-                # next retransmission, so the loss becomes permanent
-                # (healed later by access-time staleness repair).
-                break
-            backoff = capped_backoff(
-                spec.delivery_ack_timeout, spec.delivery_backoff_cap, attempt
-            )
-            if overload is not None:
-                backoff = overload.jitter_backoff(backoff)
-            at += backoff
-
-        queued = loss_events > 0 and spec.delivery_retry_limit > 0
-        if not delivered:
+                if attempt > limit:
+                    break  # not a send: the last one's ack timeout
+                attempts += 1
+                if not self._send_lost(server_id, broker_id, at):
+                    delivered = True
+                    break
             if queued:
-                heapq.heappush(self._pending, at)
-            return DeliveryPlan(
-                delivered=False,
-                arrival_time=at,
-                attempts=attempts,
-                loss_events=loss_events,
-                queued=queued,
-                queue_overflow=False,
-                duplicate_time=None,
-            )
+                heapq.heappush(pending, at)
+            if not delivered:
+                return DeliveryPlan(False, at, attempts, attempts, queued, False, None)
 
-        if queued:
-            heapq.heappush(self._pending, at)
         arrival = at
         if spec.delivery_reorder_delay > 0.0:
-            arrival += float(self._rng.random()) * spec.delivery_reorder_delay
+            arrival += self._draw() * spec.delivery_reorder_delay
         duplicate_time: Optional[float] = None
         if spec.delivery_duplicate_probability > 0.0:
-            if float(self._rng.random()) < spec.delivery_duplicate_probability:
+            if self._draw() < spec.delivery_duplicate_probability:
                 duplicate_time = arrival
                 if spec.delivery_reorder_delay > 0.0:
-                    duplicate_time += (
-                        float(self._rng.random()) * spec.delivery_reorder_delay
-                    )
+                    duplicate_time += self._draw() * spec.delivery_reorder_delay
         return DeliveryPlan(
-            delivered=True,
-            arrival_time=arrival,
-            attempts=attempts,
-            loss_events=loss_events,
-            queued=queued,
-            queue_overflow=False,
-            duplicate_time=duplicate_time,
+            True, arrival, attempts, attempts - 1, queued, False, duplicate_time
         )

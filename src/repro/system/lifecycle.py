@@ -17,7 +17,7 @@ lifecycle of hub protocols (PubSubHubbub-style)::
   be lost (:attr:`~repro.workload.churn.ChurnSpec.confirmation_loss_probability`,
   drawn from the dedicated ``"faults.lifecycle"`` stream) and is
   retried with capped exponential backoff — the same
-  :func:`~repro.system.delivery.capped_backoff` rule the reliable-
+  :func:`~repro.system.delivery.retry_instants` walk the reliable-
   delivery retransmit protocol uses.  Like
   :meth:`~repro.system.delivery.ReliableDelivery.plan`, the whole
   attempt timeline is resolved *analytically* at event time; the lease
@@ -43,12 +43,14 @@ discipline shared with the other fault layers.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.obs.recorder import NULL_OBSERVER, Observer
-from repro.system.delivery import capped_backoff
+from repro.sim.rng import uniform_draws
+from repro.system.delivery import retry_instants
 from repro.system.metrics import RENEWAL_LATENCY_BIN_EDGES
 from repro.workload.churn import RENEW, UNSUBSCRIBE, ChurnSpec
 
@@ -68,14 +70,6 @@ _SUPPRESSED_BECAUSE = {
 
 #: Sentinel confirmation instant for an abandoned handshake.
 NEVER = float("inf")
-
-
-def renewal_latency_bin(latency: float) -> int:
-    """Histogram bin index for one confirmation-latency sample."""
-    for index, edge in enumerate(RENEWAL_LATENCY_BIN_EDGES):
-        if latency <= edge:
-            return index
-    return len(RENEWAL_LATENCY_BIN_EDGES)
 
 
 class _Lease:
@@ -144,7 +138,12 @@ class LifecycleManager:
         overload=None,
     ) -> None:
         self.spec = spec
-        self._rng = rng
+        #: The next draw of the dedicated stream, which only this object
+        #: reads (so it can be drawn a block at a time); ``None`` when
+        #: confirmations cannot be lost.
+        self._draw = None
+        if rng is not None and spec.confirmation_loss_probability > 0.0:
+            self._draw = uniform_draws(rng).__next__
         #: Optional OverloadManager: confirmation retries then consume
         #: the global retry budget and backoff steps carry seeded
         #: jitter.  ``None`` keeps the handshake timeline byte-identical
@@ -187,62 +186,45 @@ class LifecycleManager:
 
     # -- handshake resolution --------------------------------------------------
 
-    def _resolve_handshake(self, server_id: int, now: float) -> float:
-        """When the confirmation for a message sent at ``now`` lands.
+    def _retry_handshake(self, queue: SubscriberQueue, now: float) -> float:
+        """When the confirmation lands, its first attempt at ``now`` lost.
 
-        Walks the attempt timeline analytically: each attempt's loss is
-        one draw from the lifecycle stream, retries back off with the
-        shared capped-doubling rule.  Returns :data:`NEVER` when every
-        attempt is lost or the proxy's handshake queue sheds the retry.
+        Walks the retry timeline analytically
+        (:func:`~repro.system.delivery.retry_instants`): each attempt's
+        loss is one draw from the lifecycle stream.  Returns
+        :data:`NEVER` when every attempt is lost, the proxy's handshake
+        queue sheds the retry, or the global retry budget refuses one —
+        the lease then stays PENDING until an access-time re-poll.
         """
         spec = self.spec
         loss = spec.confirmation_loss_probability
-        if loss <= 0.0 or self._rng is None:
-            return now
-        queue = self._queues[server_id]
-        queue.drain(now)
-        overload = self._overload
-        at = now
-        losses = 0
-        confirmed = False
-        for attempt in range(spec.confirm_retry_limit + 1):
-            if float(self._rng.random()) >= loss:
-                confirmed = True
-                break
-            losses += 1
-            if attempt == 0 and spec.confirm_retry_limit > 0 and queue.full:
-                # No slot to retry from: the handshake is shed.
-                queue.failures += losses
-                queue.overflows += 1
-                self.handshake_losses += losses
-                self.handshakes_abandoned += 1
-                return NEVER
-            if (
-                overload is not None
-                and attempt < spec.confirm_retry_limit
-                and not overload.allow_retry(at)
+        limit = spec.confirm_retry_limit
+        losses = 1
+        confirmed_at = NEVER
+        if limit > 0 and queue.full:
+            # No slot to retry from: the handshake is shed.
+            queue.overflows += 1
+        else:
+            for attempt, at, _backoff in retry_instants(
+                now, limit, spec.confirm_timeout, spec.confirm_backoff_cap,
+                self._overload, ack_timeout=True,
             ):
-                # Retry-storm protection: the global budget refused the
-                # next confirmation attempt; the lease stays PENDING
-                # until an access-time re-poll repairs it.
-                queue.failures += losses
-                self.handshake_losses += losses
-                self.handshakes_abandoned += 1
-                return NEVER
-            backoff = capped_backoff(
-                spec.confirm_timeout, spec.confirm_backoff_cap, attempt
-            )
-            if overload is not None:
-                backoff = overload.jitter_backoff(backoff)
-            at += backoff
+                if attempt <= limit:
+                    if self._draw() < loss:
+                        losses += 1
+                        continue
+                    confirmed_at = at
+                # Confirmed at ``at``, or the last attempt timed out
+                # there: the handshake held a queue slot until then (a
+                # walk the budget cut short holds none).
+                if limit > 0:
+                    queue.admit(at)
+                break
         queue.failures += losses
         self.handshake_losses += losses
-        if losses and spec.confirm_retry_limit > 0:
-            queue.admit(at)
-        if not confirmed:
+        if confirmed_at == NEVER:
             self.handshakes_abandoned += 1
-            return NEVER
-        return at
+        return confirmed_at
 
     # -- event intake ----------------------------------------------------------
 
@@ -253,38 +235,52 @@ class LifecycleManager:
 
         ``kind`` is the row's code (an index into
         :data:`~repro.workload.churn.LIFECYCLE_KINDS`); the table only
-        holds known ones.
+        holds known ones.  The common row — first confirmation attempt
+        gets through, lease not lapsed — is handled here without a
+        helper call.
         """
         self.events += 1
         key = (server_id, page_id)
         obs_on = self._obs_on
+        held = self._leases.get(key)
         if kind == UNSUBSCRIBE:
             self.unsubscribed += 1
-            held = self._leases.get(key)
             if held is None:
                 self._leases[key] = _Lease(UNSUBSCRIBED, now, now)
             else:
-                self._touch(key, held, now, "event")
+                if held.expires_at <= now:
+                    self._touch(key, held, now, "event")
                 held.status = UNSUBSCRIBED
             if obs_on:
                 self.obs.lease_unsubscribe(now, page_id, server_id)
             return
 
         # subscribe / renew: start a fresh lease behind a handshake.
-        confirmed_at = self._resolve_handshake(server_id, now)
+        confirmed_at = now
+        draw = self._draw
+        if draw is not None:
+            queue = self._queues[server_id]
+            if queue._pending and queue._pending[0] <= now:
+                queue.drain(now)
+            if draw() < self.spec.confirmation_loss_probability:
+                confirmed_at = self._retry_handshake(queue, now)
         if kind == RENEW:
             self.renewed += 1
             if obs_on:
                 self.obs.lease_renewed(now, page_id, server_id, lease)
             if confirmed_at != NEVER:
-                self.renewal_latency_counts[renewal_latency_bin(confirmed_at - now)] += 1
+                self.renewal_latency_counts[
+                    bisect_left(RENEWAL_LATENCY_BIN_EDGES, confirmed_at - now)
+                ] += 1
         else:
             self.granted += 1
             if obs_on:
                 self.obs.lease_subscribe(now, page_id, server_id, lease)
-        held = self._leases.get(key)
         if held is not None:
-            self._touch(key, held, now, "event")
+            # A lapsed lease is booked after the row's own event and
+            # before the handshake's (the observed order).
+            if held.expires_at <= now:
+                self._touch(key, held, now, "event")
             held.status = PENDING
             held.expires_at = now + lease
             held.confirmed_at = confirmed_at
@@ -334,7 +330,8 @@ class LifecycleManager:
         lease = self._leases.get(key)
         reason = "no-lease"
         if lease is not None:
-            self._touch(key, lease, now, "publish")
+            if lease.status != CONFIRMED or lease.expires_at <= now:
+                self._touch(key, lease, now, "publish")
             if lease.status == CONFIRMED:
                 return True, ""
             reason = _SUPPRESSED_BECAUSE[lease.status]
@@ -363,7 +360,8 @@ class LifecycleManager:
         lease = self._leases.get(key)
         if lease is None:
             return None
-        self._touch(key, lease, now, "access")
+        if lease.status != CONFIRMED or lease.expires_at <= now:
+            self._touch(key, lease, now, "access")
         if lease.status == CONFIRMED or lease.status == UNSUBSCRIBED:
             return None
         if lease.status == EXPIRED:

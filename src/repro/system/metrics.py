@@ -429,3 +429,78 @@ class SimulationResult:
                 f"retry_denied={self.retries_denied}"
             )
         return text
+
+
+def check_result(result: SimulationResult, request_count: int) -> List[str]:
+    """The conservation laws ``result`` breaks (``[]``: its books balance).
+
+    Identities between counters that *different* objects keep (policies,
+    publisher, layer managers, the simulator's own books) on a run of a
+    trace with ``request_count`` requests, whatever layers it armed: a
+    disarmed layer's counters are zero, which makes its laws trivial;
+    the two that zero counters would break are scoped below.
+    """
+    from repro.system.config import PushingScheme
+
+    proxies = result.per_proxy
+    policy_requests = sum(stats.requests for stats in proxies)
+    #: Requests no policy saw: down-proxy failover, refused pulls, failures.
+    unserved = result.requests - policy_requests
+    stored_pushes = sum(stats.pages_pushed_stored for stats in proxies)
+    #: What became of the notification copies that were sent.
+    copy_fates = (
+        result.notifications_delivered
+        + result.notifications_lost
+        + result.duplicate_notifications
+        + result.overload_pushes_shed
+    )
+    laws = {
+        "requests == the trace's request count": result.requests == request_count,
+        "hits <= requests": result.hits <= result.requests,
+        "sum(hourly_requests) == requests":
+            sum(result.hourly_requests) == result.requests,
+        "sum(hourly_hits) == hits": sum(result.hourly_hits) == result.hits,
+        "sum(hourly_push_pages) == push_transfers":
+            sum(result.hourly_push_pages) == result.push_transfers,
+        "sum(hourly_fetch_pages) == fetch_pages":
+            sum(result.hourly_fetch_pages) == result.fetch_pages,
+        "sum(per_proxy.hits) == hits":
+            sum(stats.hits for stats in proxies) == result.hits,
+        "sum(per_proxy.requests) == hits + sum(per_proxy.pages_fetched)":
+            policy_requests
+            == result.hits + sum(stats.pages_fetched for stats in proxies),
+        # An unserved request is booked failed or degraded, and nothing
+        # else fails — so with no layer armed every request reaches a policy.
+        "failed_requests <= requests - sum(per_proxy.requests) "
+        "<= failed_requests + degraded_requests":
+            result.failed_requests
+            <= unserved
+            <= result.failed_requests + result.degraded_requests,
+        "sum(hourly_failed) == failed_requests":
+            sum(result.hourly_failed) == result.failed_requests,
+        "sum(hourly_degraded) == degraded_requests":
+            sum(result.hourly_degraded) == result.degraded_requests,
+        "lifecycle_events == leases granted + renewed + unsubscribed":
+            result.lifecycle_events
+            == result.leases_granted + result.leases_renewed + result.leases_unsubscribed,
+        "overload_arrivals >= pushes shed + pulls rejected":
+            result.overload_arrivals
+            >= result.overload_pushes_shed + result.overload_pulls_rejected,
+    }
+    if result.notifications_sent:
+        # Scoped to runs with the delivery protocol: without it shed
+        # pushes were never notifications.  Every notification ends
+        # delivered, lost, suppressed as a duplicate or shed; an injected
+        # duplicate copy (``delivery_duplicate_probability``) is a second
+        # fate the result does not count apart, hence a range — the left
+        # side is an equality when no duplicates are injected.
+        laws[
+            "notifications_sent <= delivered + lost + duplicates + pushes shed "
+            "<= 2 * notifications_sent"
+        ] = result.notifications_sent <= copy_fates <= 2 * result.notifications_sent
+    if result.pushing_scheme == PushingScheme.WHEN_NECESSARY.value:
+        # Always-Pushing also transfers the pages a proxy declines.
+        laws["push_transfers == sum(per_proxy.pages_pushed_stored)"] = (
+            result.push_transfers == stored_pushes
+        )
+    return [law for law, holds in laws.items() if not holds]

@@ -21,7 +21,7 @@ three independently armed parts (see
   until a cooldown — optionally jittered from the ``faults.overload``
   stream — half-opens it for probes.
 * :class:`RetryBudget` — a global cap on *extra* attempts shared by
-  every ``capped_backoff`` user (origin retries, delivery retransmits,
+  every ``retry_instants`` walk (origin retries, delivery retransmits,
   lifecycle confirms), plus seeded per-step jitter, so synchronized
   retries cannot re-overload a recovering origin.
 
@@ -90,15 +90,12 @@ class ServiceQueue:
         self.occupancy_sum = 0
         self.peak = 0
 
-    def _occupancy(self, now: float) -> int:
+    def offer(self, now: float, push: bool) -> bool:
+        """Admit or reject one arriving job; True when admitted."""
         finish = self._finish
         while finish and finish[0] <= now:
             heappop(finish)
-        return len(finish)
-
-    def offer(self, now: float, push: bool) -> bool:
-        """Admit or reject one arriving job; True when admitted."""
-        occupancy = self._occupancy(now)
+        occupancy = len(finish)
         self.arrivals += 1
         self.occupancy_sum += occupancy
         limit = self.push_capacity if push else self.capacity
@@ -111,7 +108,7 @@ class ServiceQueue:
         start = self._last_finish if self._last_finish > now else now
         done = start + self.service_time
         self._last_finish = done
-        heappush(self._finish, done)
+        heappush(finish, done)
         if occupancy + 1 > self.peak:
             self.peak = occupancy + 1
         return True

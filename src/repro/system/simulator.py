@@ -92,7 +92,7 @@ _MAX_RETRANSMITS = 8
 #: Merge and sort key of the static stream (see ``Simulation._stream``).
 _TIME = itemgetter(0)
 
-#: What a lifecycle row hands its handler, in ``on_event`` argument order.
+#: What a lifecycle row hands the manager, in ``on_event`` argument order.
 _LIFECYCLE_FIELDS = ("server_id", "page_id", "kind", "lease")
 
 #: Agenda priority of each static record kind (publish, request,
@@ -101,9 +101,12 @@ _PRIORITY = (URGENT, NORMAL, URGENT)
 
 #: One stage of the request or publish path, called as ``stage(sim,
 #: proxy, server_id, page_id, version, size, match_count, now)``; true
-#: when it settled the request (or push) and the path stops there.
-#: Every ``Simulation`` method documented as a stage has this signature.
-Stage = Callable[["Simulation", ProxyServer, int, int, int, int, int, float], bool]
+#: when it settled the request (or push) and the path stops there.  A
+#: request stage takes one more argument, ``held``: the version the
+#: requesting proxy caches (``None``: not cached), probed once by
+#: ``_handle_request``.  Every ``Simulation`` method documented as a
+#: stage has one of the two signatures.
+Stage = Callable[..., bool]
 
 
 def _outcome_kind(outcome) -> str:
@@ -138,8 +141,10 @@ class Simulation:
         observer: Optional[Observer] = None,
         neighbor_count: int = 0,
     ) -> None:
-        if neighbor_count < 0:
-            raise ValueError(f"neighbor_count must be >= 0, got {neighbor_count}")
+        if neighbor_count < 0 or neighbor_count % 1:  # nan and inf included
+            raise ValueError(
+                f"neighbor_count must be an integer >= 0, got {neighbor_count}"
+            )
         # Every table below is sized by the workload's pages and proxies
         # and indexed by the ids its events carry.
         workload.check_ids()
@@ -395,16 +400,6 @@ class Simulation:
 
     # -- event handlers ---------------------------------------------------
 
-    def _handle_lifecycle(self, event: tuple, _unused, now: float) -> None:
-        """One lifecycle row from the trace: ``(server_id, page_id, kind
-        code, lease)``."""
-        if self._obs_on:
-            self._obs_now = now
-        server_id, page_id, kind, lease = event  # cheaper than a starred call
-        self._lifecycle.on_event(server_id, page_id, kind, lease, now)
-        if self._check_interval:
-            self._maybe_check_invariants()
-
     def _handle_publish(self, page_id: int, version: int, now: float) -> None:
         obs_on = self._obs_on
         self.publisher.publish(page_id, version, now)
@@ -437,11 +432,16 @@ class Simulation:
         size = self.publisher.page_size(page_id)
         match_count = self.match_table.count_for(page_id, server_id)
         proxy = self.proxies[server_id]
+        # The one probe of the requesting proxy's cache: no stage
+        # changes it before the policy call that ends the path.
+        held = proxy.policy.held_version(page_id)
         if self._obs_on:
             self._obs_now = now
             self.obs.request(now, page_id, server_id)
         for stage in self._request_stages:
-            if stage(self, proxy, server_id, page_id, version, size, match_count, now):
+            if stage(
+                self, proxy, server_id, page_id, version, size, match_count, now, held
+            ):
                 break
         if self._check_interval:
             self._maybe_check_invariants()
@@ -490,7 +490,7 @@ class Simulation:
         the delivery protocol, lazy staleness repair): no extra repair
         machinery is needed here.
         """
-        if self._overload.admit(server_id, now, push=True):
+        if self._overload.admit(server_id, now, True):
             return False
         if self._obs_on:
             self.obs.overload_shed(now, page_id, server_id, "push")
@@ -576,7 +576,7 @@ class Simulation:
     # -- request stages (see ``Stage``) ---------------------------------------
 
     def _lifecycle_access(
-        self, proxy, server_id, page_id, version, size, match_count, now
+        self, proxy, server_id, page_id, version, size, match_count, now, held
     ) -> bool:
         """Churn: the access heals lapsed subscription state (re-poll).
 
@@ -590,11 +590,7 @@ class Simulation:
         """
         if self._lifecycle.on_access(server_id, page_id, now) is None:
             return False
-        policy = proxy.policy
-        cached = (
-            policy.cached_version(page_id) if policy.contains(page_id) else None
-        )
-        if cached is not None and cached < version:
+        if held is not None and held < version:
             # The missed notifications had real cost: the proxy's copy
             # is behind the origin at repair time.
             self._lifecycle.stale_serves += 1
@@ -603,7 +599,7 @@ class Simulation:
         return False
 
     def _proxy_down_failover(
-        self, proxy, server_id, page_id, version, size, match_count, now
+        self, proxy, server_id, page_id, version, size, match_count, now, held
     ) -> bool:
         """Faults: an offline proxy's cache cannot answer; the client
         fails over directly to the origin at origin cost."""
@@ -620,7 +616,7 @@ class Simulation:
         return True
 
     def _pull_admission(
-        self, proxy, server_id, page_id, version, size, match_count, now
+        self, proxy, server_id, page_id, version, size, match_count, now, held
     ) -> bool:
         """Overload: the service queue may refuse the pull.
 
@@ -629,7 +625,7 @@ class Simulation:
         like a miss — peer chain first in a cooperative run, then the
         origin through its admission gate.
         """
-        if self._overload.admit(server_id, now, push=False):
+        if self._overload.admit(server_id, now, False):
             return False
         if self._obs_on:
             self.obs.overload_reject(now, page_id, server_id)
@@ -643,7 +639,7 @@ class Simulation:
         return True
 
     def _silently_stale(
-        self, proxy, server_id, page_id, version, size, match_count, now
+        self, proxy, server_id, page_id, version, size, match_count, now, held
     ) -> bool:
         """Delivery: a request whose proxy *believes* its copy is current.
 
@@ -657,9 +653,7 @@ class Simulation:
         Passes the request on when the oracle view and the proxy's view
         agree (fresh copy, known-stale copy, or page not cached).
         """
-        cached = self._delivery.believed_current(
-            server_id, proxy.policy, page_id, version
-        )
+        cached = self._delivery.believed_current(server_id, held, page_id, version)
         if cached is None:
             return False
         recovery = self._recovery
@@ -697,18 +691,17 @@ class Simulation:
         return True
 
     def _serve(
-        self, proxy, server_id, page_id, version, size, match_count, now
+        self, proxy, server_id, page_id, version, size, match_count, now, held
     ) -> bool:
         """The last stage: answer from the cache or fetch off-proxy.
 
-        The probe mirrors ``on_request`` hit detection — every policy
+        ``held`` mirrors ``on_request`` hit detection — every policy
         reports a hit exactly when the current version is resident — so
         a miss can be resolved (and can fail, placing nothing) *before*
         the policy sees the request.  With no layer armed this stage is
-        the whole path: probe, policy call, origin fetch on a miss.
+        the whole path: policy call, origin fetch on a miss.
         """
-        policy = proxy.policy
-        if policy.contains(page_id) and policy.cached_version(page_id) == version:
+        if held == version:
             if self._delivery is not None and self.chaos.delivery_repair:
                 # Access-time validation ran and confirmed freshness.
                 self._recovery.staleness_validations += 1
@@ -724,11 +717,7 @@ class Simulation:
             )
             return True
         overload = self._overload
-        if (
-            overload is not None
-            and overload.bucket is not None
-            and policy.contains(page_id)
-        ):
+        if overload is not None and overload.bucket is not None and held is not None:
             # Origin admission refused the fetch (breaker open or
             # bucket drained): degraded mode serves whatever version
             # is cached rather than failing the request.
@@ -737,8 +726,7 @@ class Simulation:
             if self._obs_on:
                 self.obs.overload_stale(now, page_id, server_id)
             self._serve_cached(
-                proxy, server_id, page_id, policy.cached_version(page_id),
-                size, match_count, now, 0.0,
+                proxy, server_id, page_id, held, size, match_count, now, 0.0
             )
             return True
         # Retries exhausted: the request fails; nothing was placed
@@ -859,42 +847,41 @@ class Simulation:
         """Backoff until the origin answers: (reachable?, seconds waited).
 
         The first attempt happens at ``now``; each retry doubles the
-        backoff up to ``retry_cap``, at most ``retry_limit`` retries.
-        Whether a retry succeeds is a pure schedule lookup — the outage
-        windows are materialised up front.
+        backoff up to ``retry_cap``, at most ``retry_limit`` retries
+        (:func:`~repro.system.delivery.retry_instants`).  Whether a
+        retry succeeds is a pure schedule lookup — the outage windows
+        are materialised up front.
 
         With the overload layer armed the origin must also *admit* the
         fetch (token bucket + circuit breaker), each extra attempt must
         fit the global retry budget, and backoff steps carry the seeded
         jitter — so synchronized retries cannot re-overload a
-        recovering origin.  With overload off the loop is exactly the
-        pre-layer one.
+        recovering origin.
         """
         schedule = self.fault_schedule
         overload = self._overload
         down = schedule is not None and schedule.publisher_down(now)
         if not down and (overload is None or overload.origin_admit(now)):
             return True, 0.0
+        from repro.system.delivery import retry_instants
+
         spec = self.chaos
         obs_on = self._obs_on
         waited = 0.0
-        at = now
-        for attempt in range(spec.retry_limit):
-            if overload is not None and not overload.allow_retry(at):
-                if obs_on:
-                    self.obs.retry_denied(now, page_id, server_id, attempt + 1)
-                break
-            backoff = min(spec.retry_base * (2.0 ** attempt), spec.retry_cap)
-            if overload is not None:
-                backoff = overload.jitter_backoff(backoff)
-            at += backoff
+        attempt = 0
+        for attempt, at, backoff in retry_instants(
+            now, spec.retry_limit, spec.retry_base, spec.retry_cap, overload
+        ):
             waited += backoff
             if obs_on:
-                self.obs.retry(now, page_id, server_id, attempt + 1, backoff)
+                self.obs.retry(now, page_id, server_id, attempt, backoff)
             if (schedule is None or not schedule.publisher_down(at)) and (
                 overload is None or overload.origin_admit(at)
             ):
                 return True, waited
+        if obs_on and attempt < spec.retry_limit:
+            # The walk stopped short: the retry budget refused the next one.
+            self.obs.retry_denied(now, page_id, server_id, attempt + 1)
         return False, waited
 
     def _degrade_transfer(
@@ -931,9 +918,9 @@ class Simulation:
         self._degraded_by_hour[hour] = self._degraded_by_hour.get(hour, 0) + 1
 
     def _maybe_check_invariants(self) -> None:
-        interval = self.config.invariant_check_interval
+        """Count one handled event; callers guard on ``_check_interval``."""
         self._events_processed += 1
-        if interval and self._events_processed % interval == 0:
+        if self._events_processed % self._check_interval == 0:
             for proxy in self.proxies:
                 proxy.check_invariants()
 
@@ -1079,25 +1066,35 @@ class Simulation:
         pairs_of = self._page_lookup(matches, ())
         return merged(pairs_of[workload.publishes.rows["page_id"]], requested)
 
+    # The three lazy producers: each reads its table a chunk at a time
+    # and is one C-level chain over per-chunk zips — a generator
+    # function here would be resumed once per row.
+
     def _lifecycle_tuples(self):
         """``(time, 2, (server_id, page_id, kind code, lease), None)`` per
         lifecycle row."""
         if not self.workload.lifecycle:  # spilled and churn-free: a plain []
-            return
-        for chunk in self.workload.lifecycle.chunks():
+            return ()
+
+        def rows(chunk):
             fields = (chunk[name].tolist() for name in _LIFECYCLE_FIELDS)
-            yield from zip(chunk["time"].tolist(), repeat(2), zip(*fields), repeat(None))
+            return zip(chunk["time"].tolist(), repeat(2), zip(*fields), repeat(None))
+
+        return chain.from_iterable(map(rows, self.workload.lifecycle.chunks()))
 
     def _publish_tuples(self, enriched: bool):
         """``(time, 0, page_id, version[, size, match pairs])`` per publish."""
         size_of = self.publisher._sizes.__getitem__
         pairs_of = self._matches_by_page.get
-        for chunk in self.workload.publishes.chunks():
+
+        def rows(chunk):
             pages = chunk["page_id"].tolist()
             columns = [chunk["time"].tolist(), repeat(0), pages, chunk["version"].tolist()]
             if enriched:
                 columns += [map(size_of, pages), map(pairs_of, pages, repeat(()))]
-            yield from zip(*columns)
+            return zip(*columns)
+
+        return chain.from_iterable(map(rows, self.workload.publishes.chunks()))
 
     def _request_tuples(self, enriched: bool):
         """``(time, 1, server_id, page_id[, size, match count])`` per request."""
@@ -1108,7 +1105,8 @@ class Simulation:
                 for page_id, pairs in self._matches_by_page.items()
                 for server_id, count in pairs
             }.get
-        for chunk in self.workload.requests.chunks():
+
+        def rows(chunk):
             servers = chunk["server_id"].tolist()
             pages = chunk["page_id"].tolist()
             columns = [chunk["time"].tolist(), repeat(1), servers, pages]
@@ -1117,7 +1115,9 @@ class Simulation:
                     map(size_of, pages),
                     map(count_of, zip(pages, servers), repeat(0)),
                 ]
-            yield from zip(*columns)
+            return zip(*columns)
+
+        return chain.from_iterable(map(rows, self.workload.requests.chunks()))
 
     def _replay(self, env: Environment) -> None:
         """Drain the static stream against the dynamic agenda.
@@ -1143,7 +1143,14 @@ class Simulation:
             self._inline_arm(self._stream(enriched=True))
             return
         logger.debug("replay: staged arm (%s)", ", ".join(armed))
-        handlers = [self._handle_publish, self._handle_request, self._handle_lifecycle]
+        handlers = [self._handle_publish, self._handle_request]
+        if self._lifecycle is not None:
+            # A lifecycle row goes straight to its manager, observed or
+            # not: it changes no cache, so the invariant cadence counts
+            # publishes, requests and delayed notification arrivals — as
+            # the inline arm's does.  Without a manager the stream holds
+            # no kind-2 record.
+            handlers.append(self._lifecycle.on_event)
         if env.profiler is not None:
             handlers = [env.profiler.wrap(fn, "engine.step") for fn in handlers]
         monitor = env.monitor
@@ -1152,7 +1159,11 @@ class Simulation:
             at = record[0]
             kind = record[1]
             run_before(at, _PRIORITY[kind])
-            handlers[kind](record[2], record[3], at)
+            if kind == 2:
+                server_id, page_id, code, lease = record[2]  # cheaper than a starred call
+                handlers[2](server_id, page_id, code, lease, at)
+            else:
+                handlers[kind](record[2], record[3], at)
             if monitor is not None:
                 monitor.tick(at)
         env.run()

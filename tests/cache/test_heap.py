@@ -175,6 +175,24 @@ def test_pop_cheaper_rollback_renumbers_in_pop_order():
     assert [heap.pop()[0] for _ in range(3)] == ["c", "a", "b"]
 
 
+def test_equal_valued_pages_follow_the_tie_rule():
+    """docs/algorithms.md, "Equal values": candidates are *strictly*
+    cheaper, eviction is all-or-nothing, and among equal values the page
+    pushed (inserted or re-priced) earliest leaves first."""
+    heap, entries = _sized_heap({"a": 5.0, "b": 5.0, "c": 5.0})
+    # A page worth exactly 5.0 finds no candidate among its equals.
+    assert heap.pop_cheaper(10, 5.0, entries) is None
+    # Re-pricing is a push: b, re-priced to the same value, now leaves last.
+    heap.push("b", 5.0)
+    # 40 bytes cannot be freed from three 10-byte pages: nothing leaves,
+    # and the rollback keeps the three in the order they were popped.
+    assert heap.pop_cheaper(40, 6.0, entries) is None
+    assert set(heap.keys()) == {"a", "b", "c"}
+    # A dearer page that needs two of them takes the earliest pushed.
+    assert heap.pop_cheaper(20, 6.0, entries) == [("a", 5.0), ("c", 5.0)]
+    assert heap.peek() == ("b", 5.0)
+
+
 def test_pop_cheaper_skips_dead_records():
     heap, entries = _sized_heap({"a": 1.0, "b": 2.0, "c": 3.0})
     heap.push("a", 10.0)  # dead record for a at the top

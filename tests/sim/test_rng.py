@@ -1,8 +1,11 @@
 """Tests for named random streams."""
 
-import numpy as np
+from itertools import islice
 
-from repro.sim.rng import RandomStreams
+import numpy as np
+import pytest
+
+from repro.sim.rng import RandomStreams, uniform_draws
 
 
 def test_same_seed_same_stream_reproduces():
@@ -59,3 +62,23 @@ def test_fork_is_deterministic():
     a = RandomStreams(seed=5).fork(3).stream("x").uniform(size=5)
     b = RandomStreams(seed=5).fork(3).stream("x").uniform(size=5)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 5000])
+def test_uniform_draws_are_the_scalar_draws(count):
+    """Block drawing hands out, bit for bit, what ``count`` scalar
+    ``random()`` calls would — below, at and across block boundaries."""
+    scalar = RandomStreams(seed=5).stream("x")
+    expected = [float(scalar.random()) for _ in range(count)]
+    drawn = list(islice(uniform_draws(RandomStreams(seed=5).stream("x")), count))
+    assert drawn == expected
+    assert all(type(value) is float for value in drawn)
+
+
+def test_uniform_draws_touch_the_stream_only_when_read():
+    generator = RandomStreams(seed=5).stream("x")
+    before = generator.bit_generator.state
+    draws = uniform_draws(generator)
+    assert generator.bit_generator.state == before
+    next(draws)
+    assert generator.bit_generator.state != before

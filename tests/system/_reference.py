@@ -20,7 +20,7 @@ from repro.workload.churn import LIFECYCLE_KINDS
 
 
 def _lifecycle_row(record):
-    """What the driver hands ``_handle_lifecycle`` for one lifecycle record."""
+    """What the driver hands the lifecycle manager for one lifecycle record."""
     return (
         record.server_id,
         record.page_id,
@@ -35,7 +35,7 @@ class _AgendaReplay:
             env.schedule(
                 record.time,
                 lambda _env, r=_lifecycle_row(record): (
-                    self._handle_lifecycle(r, None, _env.now)
+                    self._lifecycle.on_event(*r, _env.now)
                 ),
                 priority=URGENT,
             )

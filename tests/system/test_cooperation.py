@@ -86,6 +86,15 @@ def test_neighbor_count_validation(workload, config):
         CooperativeSimulation(workload, config, neighbor_count=-1)
 
 
+def test_fractional_neighbor_count_is_an_error(workload, config):
+    """1.5 neighbours used to be truncated to one, silently: the run
+    reported peer traffic for a fleet the caller had not asked for."""
+    with pytest.raises(ValueError, match="neighbor_count must be an integer"):
+        CooperativeSimulation(workload, config, neighbor_count=1.5)
+    # An integral float still names a fleet.
+    CooperativeSimulation(workload, config, neighbor_count=2.0)
+
+
 def test_peer_bytes_accounting(workload, config):
     coop = run_cooperative_simulation(workload, config, neighbor_count=3)
     assert (coop.peer_fetch_bytes > 0) == (coop.peer_fetch_pages > 0)

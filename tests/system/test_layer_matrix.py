@@ -20,6 +20,7 @@ from repro.faults.spec import ChaosSpec, OverloadSpec
 from repro.sim.rng import RandomStreams
 from repro.system.config import SimulationConfig
 from repro.system.cooperation import CooperativeSimulation
+from repro.system.metrics import check_result
 from repro.system.simulator import Simulation
 from repro.workload import generate_workload, news_config
 from repro.workload.churn import ChurnSpec
@@ -104,6 +105,8 @@ def test_driver_equals_oracle(workload, churned, on, caplog):
     with caplog.at_level(logging.DEBUG, logger="repro.system"):
         driver, oracle = run_pair(churned if "churn" in on else workload, on)
     assert stripped(driver) == stripped(oracle)
+    # The oracle would share an accounting bug; the conservation laws do not.
+    assert check_result(driver, workload.request_count) == []
     arms = [r.getMessage() for r in caplog.records if r.getMessage().startswith("replay:")]
     assert len(arms) == 1  # the oracle never reaches the driver
     assert arms[0].startswith("replay: staged arm" if on else "replay: inline arm")
@@ -141,5 +144,6 @@ def test_streaming_driver_equals_materialised_oracle(workload, churned, on):
         driver = Simulation(trace, config).run()
         oracle = AgendaSimulation(churned if "churn" in on else workload, config).run()
         assert stripped(driver) == stripped(oracle)
+        assert check_result(driver, workload.request_count) == []
     finally:
         streaming.close()

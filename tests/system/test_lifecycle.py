@@ -14,6 +14,7 @@ The acceptance criteria of the lifecycle PR:
 """
 
 import dataclasses
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from repro.system.lifecycle import (
     RENEWAL_LATENCY_BIN_EDGES,
     LifecycleManager,
     SubscriberQueue,
-    renewal_latency_bin,
 )
 from repro.system.simulator import Simulation, run_simulation
 from repro.workload import generate_workload, news_config
@@ -386,9 +386,20 @@ class TestSubscriberQueue:
         assert queue.peak == 2  # peak is sticky
 
 
+def renewal_latency_bin(latency):
+    """The bin rule as a loop — what ``on_event``'s ``bisect_left`` replaced."""
+    for index, edge in enumerate(RENEWAL_LATENCY_BIN_EDGES):
+        if latency <= edge:
+            return index
+    return len(RENEWAL_LATENCY_BIN_EDGES)
+
+
 def test_renewal_latency_bins():
     assert renewal_latency_bin(0.0) == 0
     assert renewal_latency_bin(0.5) == 0
     assert renewal_latency_bin(3.0) == 3
     assert renewal_latency_bin(1e9) == len(RENEWAL_LATENCY_BIN_EDGES)
+    for latency in (0.0, 0.5, 3.0, 1e9, *RENEWAL_LATENCY_BIN_EDGES):
+        for nudged in (np.nextafter(latency, 0.0), latency, np.nextafter(latency, np.inf)):
+            assert bisect_left(RENEWAL_LATENCY_BIN_EDGES, nudged) == renewal_latency_bin(nudged)
     assert NEVER == float("inf")

@@ -104,6 +104,20 @@ def test_invariant_checking_mode(workload):
     assert result.requests == workload.request_count
 
 
+def test_invariant_cadence_is_every_nth_handled_event(workload):
+    simulation = Simulation(
+        workload,
+        SimulationConfig(strategy="sg2", capacity_fraction=0.05, invariant_check_interval=3),
+    )
+    swept_at = []
+    simulation.proxies[0].check_invariants = lambda: swept_at.append(
+        simulation._events_processed
+    )
+    for _ in range(7):
+        simulation._maybe_check_invariants()
+    assert swept_at == [3, 6]
+
+
 def test_simulation_exposes_proxies(workload):
     simulation = Simulation(
         workload, SimulationConfig(strategy="sg2", capacity_fraction=0.05)
