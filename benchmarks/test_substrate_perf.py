@@ -1,16 +1,11 @@
 """Microbenchmarks of the substrates (true pytest-benchmark timings).
 
 These are not paper experiments; they track the performance of the
-pieces the simulator's wall-clock depends on: heap churn, matching
-throughput, workload generation and end-to-end simulation rate.
+pieces the simulator's wall-clock depends on: heap churn, workload
+generation and end-to-end simulation rate.
 """
 
-import numpy as np
-
 from repro.cache.heap import AddressableHeap
-from repro.pubsub.matching import MatchingEngine
-from repro.pubsub.pages import Page
-from repro.pubsub.subscriptions import Subscription, keyword_any, topic_is
 from repro.sim.rng import RandomStreams
 from repro.system.config import SimulationConfig
 from repro.system.simulator import run_simulation
@@ -30,40 +25,6 @@ def test_heap_churn(benchmark):
             heap.pop()
 
     benchmark(churn)
-
-
-def test_matching_throughput(benchmark):
-    """Match 200 pages against 2000 subscriptions."""
-    rng = np.random.default_rng(1)
-    engine = MatchingEngine()
-    topics = [f"topic{i}" for i in range(20)]
-    words = [f"kw{i}" for i in range(50)]
-    for subscriber in range(2000):
-        predicates = [topic_is(topics[rng.integers(20)])]
-        if rng.random() < 0.4:
-            predicates.append(keyword_any({words[rng.integers(50)]}))
-        engine.subscribe(
-            Subscription(
-                subscriber_id=subscriber,
-                proxy_id=int(rng.integers(100)),
-                predicates=tuple(predicates),
-            )
-        )
-    pages = [
-        Page(
-            page_id=i,
-            size=1000,
-            topic=topics[rng.integers(20)],
-            keywords=frozenset({words[rng.integers(50)]}),
-        )
-        for i in range(200)
-    ]
-
-    def match_all():
-        return sum(len(engine.match_counts(page)) for page in pages)
-
-    total = benchmark(match_all)
-    assert total > 0
 
 
 def test_workload_generation_rate(benchmark):

@@ -14,7 +14,6 @@ from repro.cache.entry import CacheEntry, ACCESS_MODULE, PUSH_MODULE
 from repro.core._base import HeapCache
 from repro.core.policy import Policy, PushOutcome, RequestOutcome
 from repro.core.registry import register_strategy
-from repro.core.values import sub_value
 
 
 class SubLRUPolicy(Policy):
@@ -29,8 +28,8 @@ class SubLRUPolicy(Policy):
     def _entry_value(self, entry: CacheEntry, now: float) -> float:
         if entry.access_count == 0:
             # Never-read pushed pages rank by subscription density,
-            # scaled to compete with recency timestamps.
-            return sub_value(entry.match_count, entry.cost, entry.size)
+            # scaled to compete with recency timestamps (eq. 2).
+            return entry.match_count * entry.cost / entry.size
         return now  # LRU: most recent access wins
 
     def on_publish(self, page_id, version, size, match_count, now):

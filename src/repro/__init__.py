@@ -11,9 +11,9 @@ Package map:
 * :mod:`repro.core` — the nine distribution strategies (GD*, SUB, SG1,
   SG2, SR, DM, DC-FP, DC-AP, DC-LAP) plus classic comparators.
 * :mod:`repro.cache` — capacity-limited cache substrate.
-* :mod:`repro.pubsub` — subscriptions, matching, routing, broker.
+* :mod:`repro.pubsub` — eq. 7's match-count table, delivery's receiver state.
 * :mod:`repro.network` — BRITE-style topologies and fetch costs.
-* :mod:`repro.sim` — discrete-event simulation kernel and seeded RNG.
+* :mod:`repro.sim` — the callback agenda and seeded RNG streams.
 * :mod:`repro.workload` — the §4 synthetic workload generator.
 * :mod:`repro.system` — the Fig. 2 simulator and its metrics.
 * :mod:`repro.experiments` — one function per paper table/figure.

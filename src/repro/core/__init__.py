@@ -19,6 +19,10 @@ Use :func:`~repro.core.registry.make_policy` (or
 :data:`~repro.core.registry.STRATEGIES`) to construct policies by the
 names the paper uses ("gdstar", "sub", "sg1", "sg2", "sr", "dm",
 "dc-fp", "dc-ap", "dc-lap", plus "lru", "gds", "lfu-da").
+
+The policies inline eqs. 1–5; ``tests/core/_formulas.py`` states them
+readably (``_formulas.gdstar_value`` etc. in the comments here) and
+``tests/core/test_values.py`` holds the two equal bit for bit.
 """
 
 from typing import TYPE_CHECKING
@@ -27,7 +31,6 @@ from repro import lazy_exports
 
 if TYPE_CHECKING:
     from repro.core.policy import Policy, PushOutcome, RequestOutcome
-    from repro.core.values import gdstar_value, sub_value, sr_value
     from repro.core.gdstar import GDStarPolicy
     from repro.core.classic import LRUPolicy, GDSPolicy, LFUDAPolicy
     from repro.core.sub import SubPolicy
@@ -40,9 +43,6 @@ __all__ = [
     "Policy",
     "PushOutcome",
     "RequestOutcome",
-    "gdstar_value",
-    "sub_value",
-    "sr_value",
     "GDStarPolicy",
     "LRUPolicy",
     "GDSPolicy",
@@ -59,7 +59,6 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "policy": ("Policy", "PushOutcome", "RequestOutcome"),
-    "values": ("gdstar_value", "sub_value", "sr_value"),
     "gdstar": ("GDStarPolicy",),
     "classic": ("LRUPolicy", "GDSPolicy", "LFUDAPolicy"),
     "sub": ("SubPolicy",),

@@ -115,7 +115,7 @@ class DualMethodsPolicy(Policy):
             return PUSH_REFRESHED
 
         # SUB's all-or-nothing conditional eviction over the push heap
-        # (eq. 2 inlined, same operation order as values.sub_value).
+        # (eq. 2 inlined, same operation order as _formulas.sub_value).
         # Evictions made by the push module do not touch the GD*
         # inflation value — L belongs to the access module.
         if size <= 0:
@@ -149,7 +149,7 @@ class DualMethodsPolicy(Policy):
         self, page_id: int, version: int, size: int, match_count: int, now: float
     ) -> RequestOutcome:
         # Replay hot path: probe, valuation and stats inlined; the math
-        # reproduces values.gdstar_value bit for bit.
+        # reproduces _formulas.gdstar_value bit for bit.
         entry = self._entries.get(page_id)
         stats = self.stats
         bucket = int(now // 3600.0)

@@ -80,7 +80,7 @@ class SubPolicy(Policy):
             return PUSH_REFRESHED
 
         # Value first, entry last: eq. 2 inlined (same operation order
-        # as values.sub_value), and the CacheEntry is built only once
+        # as _formulas.sub_value), and the CacheEntry is built only once
         # the cheaper residents have made room.
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")

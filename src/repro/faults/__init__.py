@@ -8,7 +8,7 @@ RNG streams, so chaos runs are exactly as reproducible as healthy ones.
 Pipeline::
 
     ChaosSpec --(generate_fault_schedule)--> FaultSchedule
-        --(FaultInjector, DES processes)--> crash/recover/outage hooks
+        --(FaultInjector, agenda callbacks)--> crash/recover/outage hooks
         --(RecoveryTracker)--> availability + time-to-warm metrics
 
 Beyond the schedule-driven faults, two protocol layers draw per-message

@@ -1,11 +1,10 @@
 """Injecting a fault schedule into a running simulation.
 
-:class:`FaultInjector` turns the materialised windows of a
-:class:`~repro.faults.schedule.FaultSchedule` into generator processes
-on the existing :class:`~repro.sim.engine.Environment` agenda — the
-same mechanism the live broker examples use — so crash, recover and
-outage transitions interleave with publish/request replay in virtual
-time order.
+:class:`FaultInjector` puts every edge of the materialised windows of a
+:class:`~repro.faults.schedule.FaultSchedule` on the
+:class:`~repro.sim.engine.Environment` agenda as a callback, so crash,
+recover and outage transitions interleave with publish/request replay
+in virtual time order.
 
 The injector is deliberately ignorant of caching: it only calls the
 narrow crash/recover/outage hooks its target exposes (the simulator),
@@ -14,11 +13,10 @@ which keeps the fault layer reusable for other drivers.
 
 from __future__ import annotations
 
-from typing import List, Protocol
+from typing import Dict, List, Protocol
 
 from repro.faults.schedule import FaultSchedule, Window
-from repro.sim.engine import Environment
-from repro.sim.process import Process
+from repro.sim.engine import Callback, Environment
 
 
 class FaultTarget(Protocol):
@@ -39,35 +37,48 @@ class FaultInjector:
     def __init__(self, schedule: FaultSchedule) -> None:
         self.schedule = schedule
 
-    def install(self, env: Environment, target: FaultTarget) -> List[Process]:
-        """Launch one process per faulty component; returns them all."""
-        processes: List[Process] = []
-        by_server = {}
+    def install(self, env: Environment, target: FaultTarget) -> None:
+        """Schedule every transition of every faulty component.
+
+        Transitions are ``NORMAL`` priority: a delayed notification
+        (``URGENT``) and every static record at the same instant go
+        first.  Sequence numbers are taken here, in install order
+        (proxies by id, then the publisher; windows by time), so
+        transitions of *different* components sharing one exact float
+        instant fire in that order — a tie no generated schedule
+        (exponential draws) has.
+
+        An instant is the previous one plus a difference, not the
+        window edge itself (``start + (end - start)`` is not always
+        ``end`` in floating point): the downtime totals sum these
+        instants and the pinned digests hold them.
+        """
+        by_server: Dict[int, List[Window]] = {}
         for server_id, window in self.schedule.crash_windows():
             by_server.setdefault(server_id, []).append(window)
         for server_id, windows in by_server.items():
-            processes.append(
-                env.process(self._proxy_script(env, target, server_id, windows))
+            _schedule_edges(
+                env,
+                windows,
+                lambda e, s=server_id: target.on_proxy_crash(s, e.now),
+                lambda e, s=server_id: target.on_proxy_recover(s, e.now),
             )
-        outages = self.schedule.outage_windows()
-        if outages:
-            processes.append(env.process(self._publisher_script(env, target, outages)))
-        return processes
+        _schedule_edges(
+            env,
+            self.schedule.outage_windows(),
+            lambda e: target.on_publisher_outage(e.now),
+            lambda e: target.on_publisher_recover(e.now),
+        )
 
-    @staticmethod
-    def _proxy_script(
-        env: Environment, target: FaultTarget, server_id: int, windows: List[Window]
-    ):
-        for window in windows:
-            yield env.timeout(window.start - env.now)
-            target.on_proxy_crash(server_id, env.now)
-            yield env.timeout(window.end - env.now)
-            target.on_proxy_recover(server_id, env.now)
 
-    @staticmethod
-    def _publisher_script(env: Environment, target: FaultTarget, windows: List[Window]):
-        for window in windows:
-            yield env.timeout(window.start - env.now)
-            target.on_publisher_outage(env.now)
-            yield env.timeout(window.end - env.now)
-            target.on_publisher_recover(env.now)
+def _schedule_edges(
+    env: Environment, windows: List[Window], down: Callback, up: Callback
+) -> None:
+    """``down`` at the start of each of one component's windows, ``up``
+    at its end, each instant folded from the one before."""
+    at = env.now
+    for window in windows:
+        at = at + (window.start - at)
+        env.schedule(at, down)
+        at = at + (window.end - at)
+        env.schedule(at, up)

@@ -1,62 +1,14 @@
-"""Notification routing.
+"""Receiver state of notification delivery.
 
-The routing engine delivers notifications (flow 3 of Figure 1) from the
-broker to the proxies whose aggregated subscriptions matched a page.
-In the paper the brokering system may be centralized or distributed;
-this implementation routes over the proxy/publisher overlay from
-:mod:`repro.network` along shortest paths, which lets the examples and
-tests account for notification traffic per link as well.
+Notifications (flow 3 of the paper's Figure 1) reach a proxy over a
+channel that reliable delivery (:mod:`repro.system.delivery`) lets
+lose, duplicate and reorder them; :class:`SequenceTracker` is what the
+proxy keeps to tell those cases apart.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
-
-from repro.network.topology import Topology
-
-if TYPE_CHECKING:
-    from repro.pubsub.pages import Notification
-
-
-class RoutingTable:
-    """Shortest-path next-hop table rooted at the publisher node."""
-
-    def __init__(self, topology: Topology) -> None:
-        self.topology = topology
-        graph = topology.graph
-        source = topology.publisher_node
-        # Dijkstra with parent pointers (hop metric, deterministic ties).
-        import heapq
-
-        distance: Dict[int, float] = {source: 0.0}
-        parent: Dict[int, Optional[int]] = {source: None}
-        frontier: List[Tuple[float, int]] = [(0.0, source)]
-        while frontier:
-            dist, node = heapq.heappop(frontier)
-            if dist > distance.get(node, float("inf")):
-                continue
-            for neighbor in sorted(graph.neighbors(node)):
-                candidate = dist + 1.0
-                if candidate < distance.get(neighbor, float("inf")):
-                    distance[neighbor] = candidate
-                    parent[neighbor] = node
-                    heapq.heappush(frontier, (candidate, neighbor))
-        self._parent = parent
-        self._distance = distance
-
-    def path_to(self, node: int) -> List[int]:
-        """Publisher-to-node path as a list of nodes (inclusive)."""
-        if node not in self._parent:
-            raise KeyError(f"node {node} unreachable from publisher")
-        path = [node]
-        while self._parent[path[-1]] is not None:
-            path.append(self._parent[path[-1]])
-        path.reverse()
-        return path
-
-    def hops_to(self, node: int) -> int:
-        return int(self._distance[node])
+from typing import Dict, Optional
 
 
 class SequenceTracker:
@@ -115,44 +67,3 @@ class SequenceTracker:
     def reset(self) -> None:
         """Forget all per-page state (receiver restarted cold)."""
         self._last.clear()
-
-
-class RoutingEngine:
-    """Delivers notifications to proxies and tallies link usage."""
-
-    def __init__(self, topology: Topology) -> None:
-        self.topology = topology
-        self.table = RoutingTable(topology)
-        #: (u, v) normalized edge -> number of notification messages carried.
-        self.link_messages: Dict[Tuple[int, int], int] = defaultdict(int)
-        self._delivery_hooks: List[Callable[[int, Notification], None]] = []
-
-    def on_delivery(self, hook: Callable[[int, Notification], None]) -> None:
-        """Register ``hook(proxy_index, notification)`` for each delivery."""
-        self._delivery_hooks.append(hook)
-
-    def deliver(self, notification: Notification, proxy_indices: Sequence[int]) -> int:
-        """Route ``notification`` to each proxy in ``proxy_indices``.
-
-        Link usage is counted per traversed edge with multicast
-        de-duplication: an edge shared by several destination paths
-        carries the message once, as a broker tree would.
-
-        Returns the total number of link-level messages sent.
-        """
-        edges_used: set = set()
-        for proxy_index in proxy_indices:
-            node = self.topology.proxy_nodes[proxy_index]
-            path = self.table.path_to(node)
-            for u, v in zip(path, path[1:]):
-                edges_used.add((min(u, v), max(u, v)))
-        for edge in edges_used:
-            self.link_messages[edge] += 1
-        for proxy_index in proxy_indices:
-            for hook in self._delivery_hooks:
-                hook(proxy_index, notification)
-        return len(edges_used)
-
-    @property
-    def total_messages(self) -> int:
-        return sum(self.link_messages.values())

@@ -9,7 +9,7 @@ or a crashed proxy), duplicated, or delayed out of order — and the
 publisher side runs a small reliability protocol on top:
 
 * every notification carries a publisher-stamped per-page **sequence
-  number** (see :class:`~repro.pubsub.pages.Notification`);
+  number** (the page's version);
 * an unacknowledged send is **retransmitted** after an ack timeout
   that doubles per attempt up to a cap, at most
   ``delivery_retry_limit`` times;

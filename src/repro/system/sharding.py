@@ -52,15 +52,14 @@ import time
 from dataclasses import replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.network.topology import Topology, build_topology
+from repro.network.topology import Topology
 from repro.obs.log import get_logger
 from repro.obs.recorder import Observer
 from repro.pubsub.matching import TraceMatchCounts
 from repro.sim.rng import RandomStreams
 from repro.system.config import SimulationConfig
 from repro.system.metrics import SimulationResult
-from repro.system.simulator import Simulation
-from repro.workload.subscriptions import build_match_counts
+from repro.system.simulator import Simulation, cell_inputs
 
 logger = get_logger(__name__)
 
@@ -367,26 +366,10 @@ def run_sharded(
         logger.info("sharding declined (%s); running single-process", reason)
         return single()
 
-    # Build the shared inputs once, exactly as Simulation.__init__
-    # would (the streams are independent per name, so order does not
-    # matter); workers then inherit them through the fork.
-    streams = RandomStreams(config.seed)
-    if match_table is None:
-        match_table = TraceMatchCounts(
-            build_match_counts(
-                workload.pair_counts(),
-                config.subscription_quality,
-                streams.stream("subscriptions"),
-                notified_fraction=config.notified_fraction,
-            )
-        )
-    if topology is None:
-        topology = build_topology(
-            workload.config.server_count,
-            streams.stream("topology"),
-            model=config.topology_model,
-            extra_nodes=config.topology_extra_nodes,
-        )
+    # Build the shared inputs once; workers inherit them through the fork.
+    match_table, topology = cell_inputs(
+        workload, config, RandomStreams(config.seed), match_table, topology
+    )
 
     try:
         shards = plan_shards(

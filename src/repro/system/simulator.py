@@ -18,8 +18,8 @@ Traffic accounting (§5.6) happens here, not in the policies:
 * every cache miss transfers the page from the publisher once.
 
 With a :class:`~repro.faults.spec.ChaosSpec` configured, the run also
-carries a fault schedule whose crash/outage windows are injected as DES
-processes, and the system degrades gracefully instead of assuming
+carries a fault schedule whose crash/outage windows are injected as agenda
+callbacks, and the system degrades gracefully instead of assuming
 success:
 
 * a crashed proxy loses its cache (cold restart) and rejects pushes;
@@ -118,6 +118,35 @@ def _outcome_kind(outcome) -> str:
     return "miss"
 
 
+def cell_inputs(
+    workload: Workload,
+    config: SimulationConfig,
+    streams: RandomStreams,
+    match_table: Optional[TraceMatchCounts] = None,
+    topology: Optional[Topology] = None,
+) -> Tuple[TraceMatchCounts, Topology]:
+    """The match table and topology of one cell: what the caller handed
+    in, else derived from the cell's own ``subscriptions`` / ``topology``
+    streams (independent per name, so order does not matter)."""
+    if match_table is None:
+        match_table = TraceMatchCounts(
+            build_match_counts(
+                workload.pair_counts(),
+                config.subscription_quality,
+                streams.stream("subscriptions"),
+                notified_fraction=config.notified_fraction,
+            )
+        )
+    if topology is None:
+        topology = build_topology(
+            workload.config.server_count,
+            streams.stream("topology"),
+            model=config.topology_model,
+            extra_nodes=config.topology_extra_nodes,
+        )
+    return match_table, topology
+
+
 class Simulation:
     """One strategy, one trace, one configuration.
 
@@ -162,23 +191,10 @@ class Simulation:
         streams = RandomStreams(config.seed)
         self._streams = streams
 
-        if match_table is None:
-            table = build_match_counts(
-                workload.pair_counts(),
-                config.subscription_quality,
-                streams.stream("subscriptions"),
-                notified_fraction=config.notified_fraction,
-            )
-            match_table = TraceMatchCounts(table)
+        match_table, topology = cell_inputs(
+            workload, config, streams, match_table, topology
+        )
         self.match_table = match_table
-
-        if topology is None:
-            topology = build_topology(
-                workload.config.server_count,
-                streams.stream("topology"),
-                model=config.topology_model,
-                extra_nodes=config.topology_extra_nodes,
-            )
         self.topology = topology
 
         costs = topology.fetch_costs()
@@ -195,20 +211,13 @@ class Simulation:
             self.proxies.append(ProxyServer(server_id, policy))
 
         # page_id -> (server_id, match_count) pairs sorted by server,
-        # fixed per run.  A TraceMatchCounts hands out its precomputed
-        # immutable vectors directly (no copy, no sort); adapters
-        # without the columnar API fall back to a per-page dict copy.
-        self._matches_by_page: Dict[int, List] = {}
-        get_vector = getattr(self.match_table, "match_vector", None)
+        # fixed per run: the match table's own precomputed immutable
+        # vectors (no copy, no sort).
+        self._matches_by_page: Dict[int, Tuple] = {}
         for page in workload.pages:
-            if get_vector is not None:
-                pairs = get_vector(page.page_id)
-                if pairs:
-                    self._matches_by_page[page.page_id] = pairs
-            else:
-                counts = self.match_table.match_counts_by_id(page.page_id)
-                if counts:
-                    self._matches_by_page[page.page_id] = sorted(counts.items())
+            pairs = match_table.match_vector(page.page_id)
+            if pairs:
+                self._matches_by_page[page.page_id] = pairs
 
         self._events_processed = 0
         #: The invariant cadence (0: off), read once: the handlers skip the

@@ -270,9 +270,9 @@ class Workload:
         return self._pair_counts
 
     def check_ids(self) -> None:
-        """``ValueError`` naming the first publish or request whose page
-        is not in the page table or whose proxy is outside
-        ``[0, server_count)``.
+        """``ValueError`` naming the first publish, request or lifecycle
+        event whose page is not in the page table or whose proxy is
+        outside ``[0, server_count)``.
 
         Replay indexes lists and lookup arrays with these ids, and a
         negative index would silently answer for another page.  A
@@ -287,9 +287,13 @@ class Workload:
             ("publish", self.publishes, "page_id", pages, "page"),
             ("request", self.requests, "page_id", pages, "page"),
             ("request", self.requests, "server_id", servers, "proxy"),
+            ("lifecycle", self.lifecycle, "page_id", pages, "page"),
+            ("lifecycle", self.lifecycle, "server_id", servers, "proxy"),
         ):
+            if not len(table):  # a churn-free lifecycle is a bare list
+                continue
             ids = table.rows[field]
-            if len(ids) == 0 or (
+            if (
                 0 <= ids.min()
                 and ids.max() < len(known)
                 and np.array_equal(known, np.arange(len(known)))

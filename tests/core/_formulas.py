@@ -1,4 +1,8 @@
-"""Page value functions (equations 1–5 of the paper).
+"""Page value functions (equations 1–5 of the paper), as the tests read them.
+
+The reference the policies' inlined formulas are held to
+(``tests/core/test_values.py``, ``tests/test_properties.py``); nothing
+under ``src/`` imports it.
 
 All strategies price a page from some combination of:
 

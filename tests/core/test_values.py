@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.values import (
+from tests.core._formulas import (
     gdstar_value,
     sg1_frequency,
     sg2_frequency,

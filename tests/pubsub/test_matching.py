@@ -1,161 +1,14 @@
-"""Tests for the matching engines."""
+"""Tests for eq. 7's match-count table."""
 
 import pytest
 
-from repro.pubsub.matching import MatchingEngine, TraceMatchCounts
-from repro.pubsub.pages import Page
-from repro.pubsub.subscriptions import (
-    Subscription,
-    attribute_equals,
-    attribute_range,
-    keyword_any,
-    topic_is,
-)
-
-
-def page(page_id=1, topic="sports", keywords=(), attributes=()):
-    return Page(
-        page_id=page_id,
-        size=100,
-        topic=topic,
-        keywords=frozenset(keywords),
-        attributes=tuple(attributes),
-    )
-
-
-def subscription(proxy_id, *predicates, subscriber_id=0):
-    return Subscription(
-        subscriber_id=subscriber_id, proxy_id=proxy_id, predicates=tuple(predicates)
-    )
-
-
-class TestMatchingEngine:
-    def test_topic_match_via_index(self):
-        engine = MatchingEngine()
-        sports = subscription(0, topic_is("sports"))
-        politics = subscription(1, topic_is("politics"))
-        engine.subscribe_all([sports, politics])
-        matched = engine.matching_subscriptions(page(topic="sports"))
-        assert matched == [sports]
-
-    def test_match_counts_aggregate_per_proxy(self):
-        engine = MatchingEngine()
-        engine.subscribe(subscription(0, topic_is("sports"), subscriber_id=1))
-        engine.subscribe(subscription(0, topic_is("sports"), subscriber_id=2))
-        engine.subscribe(subscription(3, topic_is("sports"), subscriber_id=3))
-        counts = engine.match_counts(page(topic="sports"))
-        assert counts == {0: 2, 3: 1}
-
-    def test_conjunction_of_indexed_and_residual(self):
-        engine = MatchingEngine()
-        both = subscription(0, topic_is("sports"), keyword_any({"nba"}))
-        engine.subscribe(both)
-        assert engine.matching_subscriptions(page(topic="sports")) == []
-        assert engine.matching_subscriptions(
-            page(topic="sports", keywords={"nba"})
-        ) == [both]
-
-    def test_purely_residual_subscription_scanned(self):
-        engine = MatchingEngine()
-        residual = subscription(0, keyword_any({"nba"}))
-        engine.subscribe(residual)
-        assert engine.matching_subscriptions(page(keywords={"nba"})) == [residual]
-
-    def test_multiple_indexed_predicates_require_all(self):
-        engine = MatchingEngine()
-        strict = subscription(
-            0, topic_is("sports"), attribute_equals("region", "eu")
-        )
-        engine.subscribe(strict)
-        assert engine.matching_subscriptions(page(topic="sports")) == []
-        assert engine.matching_subscriptions(
-            page(topic="sports", attributes=(("region", "eu"),))
-        ) == [strict]
-
-    def test_range_predicates_evaluated(self):
-        engine = MatchingEngine()
-        ranged = subscription(0, attribute_range("priority", low=5))
-        engine.subscribe(ranged)
-        assert engine.matching_subscriptions(
-            page(attributes=(("priority", 7),))
-        ) == [ranged]
-        assert engine.matching_subscriptions(
-            page(attributes=(("priority", 3),))
-        ) == []
-
-    def test_unsubscribe_removes(self):
-        engine = MatchingEngine()
-        sub = subscription(0, topic_is("sports"))
-        engine.subscribe(sub)
-        engine.unsubscribe(sub)
-        assert engine.matching_subscriptions(page(topic="sports")) == []
-        assert engine.subscription_count == 0
-
-    def test_unsubscribe_unknown_is_noop(self):
-        engine = MatchingEngine()
-        engine.unsubscribe(subscription(0, topic_is("x")))
-
-    def test_subscribe_idempotent(self):
-        engine = MatchingEngine()
-        sub = subscription(0, topic_is("sports"))
-        engine.subscribe(sub)
-        engine.subscribe(sub)
-        assert engine.subscription_count == 1
-        assert engine.match_counts(page(topic="sports")) == {0: 1}
-
-    def test_results_sorted_by_subscription_id(self):
-        engine = MatchingEngine()
-        subs = [subscription(0, topic_is("sports")) for _ in range(5)]
-        for sub in reversed(subs):
-            engine.subscribe(sub)
-        matched = engine.matching_subscriptions(page(topic="sports"))
-        assert matched == sorted(subs, key=lambda s: s.subscription_id)
-
-    def test_membership_predicate_via_index(self):
-        engine = MatchingEngine()
-        sub = subscription(0, attribute_equals("region", "eu"))
-        multi = subscription(1, *(attribute_equals("region", "eu"),))
-        engine.subscribe_all([sub, multi])
-        counts = engine.match_counts(page(attributes=(("region", "eu"),)))
-        assert counts == {0: 1, 1: 1}
-
-    def test_engine_matches_brute_force(self):
-        import numpy as np
-
-        rng = np.random.default_rng(11)
-        engine = MatchingEngine()
-        topics = ["a", "b", "c"]
-        words = ["w0", "w1", "w2", "w3"]
-        subs = []
-        for i in range(60):
-            predicates = []
-            if rng.random() < 0.7:
-                predicates.append(topic_is(topics[rng.integers(3)]))
-            if rng.random() < 0.5:
-                predicates.append(keyword_any({words[rng.integers(4)]}))
-            if rng.random() < 0.3:
-                predicates.append(attribute_range("p", low=float(rng.integers(5))))
-            sub = subscription(int(rng.integers(4)), *predicates, subscriber_id=i)
-            subs.append(sub)
-            engine.subscribe(sub)
-        for page_index in range(40):
-            candidate = page(
-                page_id=page_index,
-                topic=topics[rng.integers(3)],
-                keywords={words[rng.integers(4)]},
-                attributes=(("p", int(rng.integers(8))),),
-            )
-            expected = sorted(
-                (s for s in subs if s.matches(candidate)),
-                key=lambda s: s.subscription_id,
-            )
-            assert engine.matching_subscriptions(candidate) == expected
+from repro.pubsub.matching import TraceMatchCounts
 
 
 class TestTraceMatchCounts:
     def test_lookup_by_page_and_id(self):
         table = TraceMatchCounts({1: {0: 3, 2: 1}, 5: {0: 2}})
-        assert table.match_counts(page(page_id=1)) == {0: 3, 2: 1}
+        assert table.match_vector(1) == ((0, 3), (2, 1))
         assert table.match_counts_by_id(5) == {0: 2}
         assert table.count_for(1, 0) == 3
         assert table.count_for(1, 9) == 0
@@ -176,48 +29,3 @@ class TestTraceMatchCounts:
     def test_page_ids(self):
         table = TraceMatchCounts({1: {0: 1}, 5: {0: 1}})
         assert sorted(table.page_ids) == [1, 5]
-
-
-class TestUnsubscribeChurn:
-    def test_unsubscribe_shrinks_index_buckets(self):
-        """Churn must not grow the inverted index: unsubscribe discards
-        the subscription from exactly its own buckets and drops buckets
-        it emptied."""
-        engine = MatchingEngine()
-        subs = [
-            subscription(i % 4, topic_is(f"topic-{i}"), subscriber_id=i)
-            for i in range(50)
-        ]
-        engine.subscribe_all(subs)
-        assert len(engine._index) == 50
-        for sub in subs[:40]:
-            engine.unsubscribe(sub)
-        # Each topic term was unique to its subscription, so emptied
-        # buckets disappear entirely.
-        assert len(engine._index) == 10
-        assert engine.subscription_count == 10
-        assert all(engine._index.values())
-
-    def test_unsubscribe_keeps_shared_buckets(self):
-        engine = MatchingEngine()
-        a = subscription(0, topic_is("shared"), subscriber_id=1)
-        b = subscription(1, topic_is("shared"), subscriber_id=2)
-        engine.subscribe_all([a, b])
-        engine.unsubscribe(a)
-        assert len(engine._index) == 1
-        matched = engine.matching_subscriptions(page(topic="shared"))
-        assert matched == [b]
-        engine.unsubscribe(b)
-        assert len(engine._index) == 0
-        assert engine.matching_subscriptions(page(topic="shared")) == []
-
-    def test_reverse_map_tracks_subscription_lifecycle(self):
-        engine = MatchingEngine()
-        sub = subscription(0, topic_is("news"), keyword_any({"x"}))
-        engine.subscribe(sub)
-        assert sub.subscription_id in engine._terms_by_sid
-        engine.unsubscribe(sub)
-        assert sub.subscription_id not in engine._terms_by_sid
-        # Idempotent: a second unsubscribe is a no-op.
-        engine.unsubscribe(sub)
-        assert engine.subscription_count == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Environment, Event, SimulationError, Timeout, URGENT, NORMAL
+from repro.sim.engine import Environment, SimulationError, URGENT, NORMAL
 
 
 def test_clock_starts_at_zero():
@@ -95,83 +95,6 @@ def test_step_empty_agenda_raises():
         env.step()
 
 
-def test_event_succeed_delivers_value():
-    env = Environment()
-    event = env.event()
-    got = []
-    event.callbacks.append(lambda e: got.append(e.value))
-    event.succeed("payload")
-    env.run()
-    assert got == ["payload"]
-    assert event.ok
-    assert event.processed
-
-
-def test_event_fail_carries_exception():
-    env = Environment()
-    event = env.event()
-    event.fail(ValueError("boom"))
-    env.run()
-    assert not event.ok
-    assert isinstance(event.value, ValueError)
-
-
-def test_event_cannot_trigger_twice():
-    env = Environment()
-    event = env.event()
-    event.succeed(1)
-    with pytest.raises(SimulationError):
-        event.succeed(2)
-    with pytest.raises(SimulationError):
-        event.fail(RuntimeError("x"))
-
-
-def test_event_fail_requires_exception_instance():
-    env = Environment()
-    with pytest.raises(TypeError):
-        env.event().fail("not an exception")
-
-
-def test_untriggered_event_has_no_value():
-    env = Environment()
-    event = env.event()
-    with pytest.raises(SimulationError):
-        _ = event.value
-    with pytest.raises(SimulationError):
-        _ = event.ok
-
-
-def test_timeout_fires_after_delay():
-    env = Environment()
-    timeout = env.timeout(3.5, value="done")
-    env.run()
-    assert env.now == 3.5
-    assert timeout.value == "done"
-
-
-def test_negative_timeout_rejected():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env.timeout(-1.0)
-
-
-def test_succeed_with_delay_schedules_later():
-    env = Environment()
-    seen = []
-    event = env.event()
-    event.callbacks.append(lambda e: seen.append(env.now))
-    event.succeed(delay=4.0)
-    env.run()
-    assert seen == [4.0]
-
-
-def test_callbacks_cleared_after_processing():
-    env = Environment()
-    event = env.timeout(0.0)
-    env.run()
-    assert event.callbacks == []
-
-
 def test_nested_scheduling_from_callback():
     env = Environment()
     seen = []
@@ -183,12 +106,6 @@ def test_nested_scheduling_from_callback():
     env.schedule(1.0, outer)
     env.run()
     assert seen == [("outer", 1.0), ("inner", 2.0)]
-
-
-def test_timeout_subclass_is_event():
-    env = Environment()
-    assert isinstance(env.timeout(1.0), Event)
-    assert isinstance(env.timeout(1.0), Timeout)
 
 
 # -- run_before: a pre-sorted static stream against the agenda ------------

@@ -262,6 +262,25 @@ def test_an_id_the_workload_lacks_is_one_value_error(case, churned):
     assert workload._stream_columns is None and workload._match_columns == {}
 
 
+@pytest.mark.parametrize(
+    "field, bad, noun",
+    [("server_id", -1, "proxy"), ("server_id", 999, "proxy"),
+     ("page_id", -1, "page"), ("page_id", 10**6, "page")],
+)
+def test_a_lifecycle_id_the_workload_lacks_is_one_value_error(field, bad, noun):
+    """Replay hands a lifecycle row's ids to the manager as list indices:
+    -1 would charge the last proxy's queue, 999 is a bare IndexError."""
+    ids = {"server_id": 0, "page_id": 0, field: bad}
+    lifecycle = [
+        LifecycleRecord(time=0.0, server_id=0, page_id=0, kind="subscribe", lease=50.0),
+        LifecycleRecord(time=3.0, kind="renew", lease=50.0, **ids),
+    ]
+    workload = tiny(PUBLISHES, REQUESTS, lifecycle)
+    message = rf"lifecycle at t=3\.0 names {noun} {bad}, not one of the workload's 2"
+    with pytest.raises(ValueError, match=message):
+        Simulation(workload, CONFIG, match_table=TraceMatchCounts(MATCHES))
+
+
 def test_a_negative_id_in_the_page_table_is_refused():
     workload = tiny(PUBLISHES, REQUESTS)
     workload.pages.append(page(-1, 10))

@@ -34,13 +34,6 @@ def test_news_site(capsys):
     assert "Figure 4a" in out and "Table 2" in out
 
 
-def test_live_broker(capsys):
-    run_example("live_broker.py")
-    out = capsys.readouterr().out
-    assert "published pages" in out
-    assert "served from proxy caches" in out
-
-
 def test_custom_policy(capsys):
     run_example("custom_policy.py")
     out = capsys.readouterr().out
@@ -53,21 +46,12 @@ def test_subscription_quality(capsys):
     assert "Most SQ-sensitive strategy" in out
 
 
-def test_distributed_broker(capsys):
-    run_example("distributed_broker.py")
-    out = capsys.readouterr().out
-    assert "mismatches vs centralized   : 0" in out
-    assert "cooperative proxies" in out
-
-
 def test_all_examples_are_covered():
     scripts = {path.name for path in EXAMPLES.glob("*.py")}
     covered = {
         "quickstart.py",
         "news_site.py",
-        "live_broker.py",
         "custom_policy.py",
         "subscription_quality.py",
-        "distributed_broker.py",
     }
     assert scripts == covered, f"untested examples: {scripts - covered}"

@@ -5,11 +5,13 @@ own imports do not leak in, and reports ``sys.modules`` after the
 command has finished.
 """
 
+import ast
 import json
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import repro
 
@@ -38,8 +40,7 @@ UNUSED_BY_A_VANILLA_RUN = [
         "workload": "churn streaming validate",
         "obs": "registry tracer timeseries monitor explain inspect benchtrack",
         "experiments": "figures tables chaos sensitivity calibrate report reportgen svg",
-        "pubsub": "pages subscriptions overlay routing population broker",
-        "sim": "process resources",
+        "pubsub": "routing",
         "network": "barabasi",
     }.items()
     for module in modules.split()
@@ -122,3 +123,71 @@ def test_help_and_version_start_without_numpy():
         assert code == 0, argv
         assert "numpy" not in modules, argv
     assert out.strip() == f"repro-pubsub {repro.__version__}"
+
+
+# -- every module is reachable from a command ------------------------------
+
+SOURCE = Path(repro.__file__).parent.parent
+
+
+def _module_files():
+    """Dotted name -> path of every module under ``src/repro``."""
+    found = {}
+    for path in (SOURCE / "repro").rglob("*.py"):
+        dotted = ".".join(path.relative_to(SOURCE).with_suffix("").parts)
+        found[dotted.removesuffix(".__init__")] = path
+    return found
+
+
+def _is_type_checking(node):
+    test = node.test if isinstance(node, ast.If) else None
+    return getattr(test, "id", getattr(test, "attr", None)) == "TYPE_CHECKING"
+
+
+def _imports(module, path):
+    """``(module, name or None)`` for every import statement in module and
+    function bodies alike, ``if TYPE_CHECKING:`` blocks skipped; and the
+    package's ``lazy_exports`` table as ``{name: submodule}``."""
+    is_package = path.name == "__init__.py"
+    found, lazy = [], {}
+    pending = [ast.parse(path.read_text(encoding="utf-8"))]
+    while pending:
+        node = pending.pop()
+        if _is_type_checking(node):
+            pending.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = module.split(".")
+            base = base[: len(base) - node.level + is_package] if node.level else []
+            source = ".".join(base + ([node.module] if node.module else []))
+            found += [(source, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", "") == "lazy_exports":
+            for submodule, names in ast.literal_eval(node.args[2]).items():
+                lazy.update(dict.fromkeys(names, f"{module}.{submodule}"))
+        pending.extend(ast.iter_child_nodes(node))
+    return found, lazy
+
+
+def test_every_module_is_reachable_from_a_command():
+    """ROADMAP 6 (i): a module under ``src/repro`` is in the static import
+    closure of ``repro.cli`` (``bench/*.py`` adds nothing to it), or it
+    is deleted."""
+    files = _module_files()
+    parsed = {module: _imports(module, path) for module, path in files.items()}
+    reached, frontier = set(), ["repro.cli"]
+    while frontier:
+        module = frontier.pop()
+        while module and module not in reached:  # a module loads its parents
+            if module in files:
+                reached.add(module)
+                for source, name in parsed[module][0]:
+                    frontier.append(source)
+                    if name and source in parsed:
+                        # a submodule, or a name the package resolves lazily
+                        frontier.append(parsed[source][1].get(name, f"{source}.{name}"))
+            module = module.rpartition(".")[0]
+    # The one exception: benchmarks/bench_history.py (four CI jobs run
+    # it) imports obs.benchtrack; both leave together in ROADMAP item 3.
+    assert sorted(set(files) - reached) == ["repro.obs.benchtrack"]

@@ -9,9 +9,6 @@ import pytest
 
 from repro.experiments.runner import run_cell
 from repro.experiments.spec import CellKey
-from repro.pubsub.broker import Broker
-from repro.pubsub.pages import Page
-from repro.pubsub.subscriptions import Subscription, topic_is
 from repro.sim.rng import RandomStreams
 from repro.system.config import PushingScheme, SimulationConfig
 from repro.system.simulator import run_simulation
@@ -134,36 +131,6 @@ def test_traffic_ledger_consistency(results):
     for result in results.values():
         proxy_fetches = sum(stats.pages_fetched for stats in result.per_proxy)
         assert proxy_fetches == result.fetch_pages
-
-
-def test_full_stack_with_real_matching_engine():
-    """Drive the simulator's policies from a real Broker population
-    instead of the eq. 7 table."""
-    from repro.core import make_policy
-
-    broker = Broker()
-    # 3 proxies, users subscribing to two topics
-    for proxy_id in range(3):
-        for user in range(proxy_id + 1):
-            broker.subscribe(
-                Subscription(
-                    subscriber_id=user,
-                    proxy_id=proxy_id,
-                    predicates=(topic_is("sports"),),
-                )
-            )
-    policies = [make_policy("sg2", 10_000, cost=2.0) for _ in range(3)]
-    page = Page(page_id=1, size=500, topic="sports")
-    version = broker.publish(page, at=0.0)
-    for proxy_id, count in broker.matching.match_counts(page).items():
-        outcome = policies[proxy_id].on_publish(
-            page.page_id, version.version, page.size, count, 0.0
-        )
-        assert outcome.stored
-    # Every proxy with a subscription now serves the page locally.
-    for proxy_id in range(3):
-        outcome = policies[proxy_id].on_request(1, 0, 500, proxy_id + 1, 1.0)
-        assert outcome.hit
 
 
 def test_workload_reuse_across_sq_levels(news):

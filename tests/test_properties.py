@@ -11,12 +11,12 @@ from repro.cache.entry import CacheEntry
 from repro.cache.heap import AddressableHeap
 from repro.cache.storage import CacheStorage
 from repro.core.registry import make_policy_lenient, strategy_names
-from repro.core.values import gdstar_value, sr_value, sub_value
 from repro.sim.engine import Environment
 from repro.sim.rng import RandomStreams
 from repro.workload.popularity import class_boundaries, zipf_weights
 from repro.workload.requests import sample_ages
 from repro.workload.subscriptions import build_match_counts
+from tests.core._formulas import gdstar_value, sr_value, sub_value
 
 
 # -- addressable heap vs reference model -------------------------------------
@@ -222,45 +222,3 @@ def test_rng_streams_deterministic(seed, name):
     a = RandomStreams(seed).stream(name).integers(0, 2**62, size=5)
     b = RandomStreams(seed).stream(name).integers(0, 2**62, size=5)
     assert np.array_equal(a, b)
-
-
-# -- distributed broker equivalence ------------------------------------------
-
-@settings(max_examples=15, deadline=None)
-@given(st.integers(0, 10**6), st.integers(10, 60))
-def test_broker_tree_equals_flat_engine(seed, subscription_count):
-    """For any random population, the distributed tree's match counts
-    equal the centralized engine's, page for page."""
-    from repro.network.topology import build_topology
-    from repro.pubsub.matching import MatchingEngine
-    from repro.pubsub.overlay import BrokerTree
-    from repro.pubsub.pages import Page
-    from repro.pubsub.subscriptions import Subscription, keyword_any, topic_is
-
-    generator = np.random.default_rng(seed)
-    topology = build_topology(6, generator, extra_nodes=3)
-    tree = BrokerTree(topology)
-    flat = MatchingEngine()
-    topics = ["t0", "t1", "t2"]
-    words = ["w0", "w1"]
-    for subscriber in range(subscription_count):
-        predicates = []
-        if generator.random() < 0.8:
-            predicates.append(topic_is(topics[generator.integers(3)]))
-        if generator.random() < 0.4:
-            predicates.append(keyword_any({words[generator.integers(2)]}))
-        subscription = Subscription(
-            subscriber_id=subscriber,
-            proxy_id=int(generator.integers(6)),
-            predicates=tuple(predicates),
-        )
-        tree.subscribe(subscription)
-        flat.subscribe(subscription)
-    for page_id in range(20):
-        page = Page(
-            page_id=page_id,
-            size=10,
-            topic=topics[generator.integers(3)],
-            keywords=frozenset({words[generator.integers(2)]}),
-        )
-        assert tree.match_counts(page) == flat.match_counts(page)

@@ -15,6 +15,8 @@ import pytest
 
 #: ``__all__`` of every package, in order, recorded on the parent
 #: commit (7254820) before the ``__init__`` files were edited.
+#: ``repro.core``, ``repro.pubsub`` and ``repro.sim`` were re-pinned once,
+#: when the modules no command reaches left ``src/repro``.
 PINNED_ALL = {
     "repro": (
         "make_policy strategy_names SimulationConfig PushingScheme run_simulation "
@@ -25,7 +27,7 @@ PINNED_ALL = {
         "CacheEntry AddressableHeap CacheStorage CacheStats ACCESS_MODULE PUSH_MODULE"
     ),
     "repro.core": (
-        "Policy PushOutcome RequestOutcome gdstar_value sub_value sr_value "
+        "Policy PushOutcome RequestOutcome "
         "GDStarPolicy LRUPolicy GDSPolicy LFUDAPolicy SubPolicy "
         "SingleCacheCombinedPolicy DualMethodsPolicy DualCacheFixedPolicy "
         "DualCacheAdaptivePolicy STRATEGIES make_policy strategy_names"
@@ -54,17 +56,8 @@ PINNED_ALL = {
         "HISTORY_FILE Regression append_entry check_regressions extract_metrics "
         "load_history Profiler NullSpan NULL_SPAN get_logger setup_cli_logging"
     ),
-    "repro.pubsub": (
-        "Page PageVersion Notification Subscription Predicate attribute_equals "
-        "attribute_in attribute_range keyword_any keyword_all topic_is "
-        "MatchCountProvider MatchingEngine TraceMatchCounts RoutingEngine "
-        "RoutingTable Broker BrokerTree BrokerNode EngineMatchCounts build_population "
-        "engine_from_table"
-    ),
-    "repro.sim": (
-        "Environment Event Timeout Process Interrupt Resource Store RandomStreams "
-        "SimulationError"
-    ),
+    "repro.pubsub": "TraceMatchCounts",
+    "repro.sim": "Environment RandomStreams SimulationError",
     "repro.system": (
         "SimulationConfig PushingScheme Publisher ProxyServer SimulationResult "
         "HourlySeries Simulation run_simulation CooperativeSimulation "
