@@ -77,20 +77,37 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     _add_verbose(parser)
 
 
-def _configure_artifact_cache(args: argparse.Namespace) -> None:
+def _configure_artifact_cache(args: argparse.Namespace) -> Optional[int]:
     """Resolve the artifact-cache flags/env into the runner default.
 
     Precedence: ``--no-artifact-cache`` > ``--artifact-cache [DIR]`` >
-    the ``REPRO_ARTIFACT_CACHE`` environment variable > off.
+    the ``REPRO_ARTIFACT_CACHE`` environment variable > off.  Exit code 2
+    and one line when the directory cannot be used (it is created here).
     """
     if not hasattr(args, "artifact_cache"):
-        return  # inspect/explain: nothing to cache, and the runner needs numpy
+        return None  # inspect/explain: nothing to cache, and the runner needs numpy
     from repro.experiments.runner import set_default_artifact_dir
 
     directory = None
     if not args.no_artifact_cache:
         directory = args.artifact_cache or os.environ.get("REPRO_ARTIFACT_CACHE") or None
+    if directory is not None:
+        reason = None
+        if os.path.exists(directory) and not os.path.isdir(directory):
+            reason = "not a directory"
+        else:
+            try:
+                os.makedirs(directory, exist_ok=True)
+            except OSError as error:
+                reason = f"cannot create it ({error.strerror or error})"
+            else:
+                if not os.access(directory, os.W_OK):
+                    reason = "directory is not writable"
+        if reason is not None:
+            print(f"cannot use --artifact-cache {directory}: {reason}", file=sys.stderr)
+            return 2
     set_default_artifact_dir(directory)
+    return None
 
 
 def _trace_for(args: argparse.Namespace):
@@ -824,8 +841,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     setup_cli_logging(args.verbose)
-    _configure_artifact_cache(args)
-    return args.func(args)
+    return _configure_artifact_cache(args) or args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,24 +1,39 @@
-"""On-disk artifact cache for expensive derived inputs.
+"""On-disk artifact store: a run's derived inputs and its cell results.
 
 Traces, match tables and topologies are deterministic functions of
-their generation parameters, so repeated CLI invocations — and every
-worker of a ``run_grid`` process pool — can load them from disk instead
-of regenerating.  Artifacts are *content-addressed*: the file name is a
-SHA-256 over the artifact kind, the canonicalised generation parameters
+their generation parameters, and a cell's :class:`SimulationResult` is a
+deterministic function of those inputs, its ``SimulationConfig`` and the
+code — so repeated CLI invocations, overlapping grids and every worker
+of a ``run_grid`` process pool can load them from disk instead of
+regenerating or replaying.  Artifacts are *content-addressed*: the file
+name is a SHA-256 over the artifact kind, the canonicalised parameters
 and :data:`FORMAT_VERSION`.  Any change to a generator or to a
 serialization format must bump the version, which orphans every old
 entry (they are simply never looked up again; ``clear()`` removes them).
 
-Layout under the cache root (default ``.repro-cache/``)::
+Layout under the store root (default ``.repro-cache/``)::
 
     .repro-cache/
         trace/<sha256>.json        Workload.to_json (one list per event column)
         match-table/<sha256>.json  TraceMatchCounts.to_json
         topology/<sha256>.json     Topology.to_json
+        cell/<sha256>.json         SimulationResult.to_json
+
+A cell's key (:func:`cell_params`) is the whole ``run_cell`` call — the
+``CellKey``, scale, seed, every ``SimulationConfig`` field (``workers``
+included: one rule, "the key is the call", not a list of fields known
+not to matter), the churn spec, ``streaming`` — plus
+:func:`code_fingerprint`, a hash of every source file of the package.
+The inputs come from three generators that change rarely, so a version
+number someone bumps is enough for them; a result depends on *all* of
+``src/repro``, where a forgotten bump would be a silently stale number,
+so any edit to any module orphans every stored cell instead.
 
 Writes go through a temporary file and ``os.replace`` so concurrent
-pool workers racing to fill the same entry are safe: last writer wins
-and both wrote identical bytes.
+pool workers racing to fill the same entry are safe: last writer wins,
+and both wrote the same bytes (for a cell: but for ``wall_seconds``).
+A write that fails (full disk, read-only mount) costs one WARNING, never
+the artifact that was just computed.
 """
 
 from __future__ import annotations
@@ -27,16 +42,24 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Callable, Optional
+from dataclasses import asdict
+from functools import lru_cache
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.experiments.spec import DEFAULT_CACHE_DIR
 from repro.network.topology import Topology, build_topology
 from repro.obs.log import get_logger
 from repro.pubsub.matching import TraceMatchCounts
 from repro.sim.rng import RandomStreams
+from repro.system.config import SimulationConfig
+from repro.system.metrics import SimulationResult
 from repro.workload.presets import make_trace
 from repro.workload.subscriptions import build_match_counts
 from repro.workload.trace import Workload
+
+if TYPE_CHECKING:
+    from repro.experiments.spec import CellKey
+    from repro.workload.churn import ChurnSpec
 
 logger = get_logger(__name__)
 
@@ -103,15 +126,9 @@ class ArtifactCache:
 
     # -- the generic load-or-generate protocol ---------------------------
 
-    def get_or_create(
-        self,
-        kind: str,
-        params: dict,
-        generate: Callable[[], object],
-        serialize: Callable[[object], str],
-        deserialize: Callable[[str], object],
-    ):
-        """Load ``kind``/``params`` from disk, generating on a miss."""
+    def load(self, kind: str, params: dict, deserialize: Callable[[str], object]):
+        """The stored ``kind``/``params`` artifact; ``None`` when there is
+        none or it is damaged (one WARNING naming the file)."""
         try:
             text = self.load_text(kind, params)
             if text is not None:
@@ -126,10 +143,41 @@ class ArtifactCache:
                 "corrupt %s artifact %s (%s); regenerating",
                 kind, self.path(kind, params), error,
             )
+        return None
+
+    def create(
+        self,
+        kind: str,
+        params: dict,
+        generate: Callable[[], object],
+        serialize: Callable[[object], str],
+    ):
+        """Generate the artifact and store it (over any damaged entry).  A
+        failed write is one WARNING: the artifact is returned all the same."""
         self.misses += 1
         logger.debug("artifact miss: %s %s", kind, params)
         artifact = generate()
-        self.store_text(kind, params, serialize(artifact))
+        try:
+            self.store_text(kind, params, serialize(artifact))
+        except OSError as error:
+            logger.warning(
+                "cannot store %s artifact %s (%s); continuing without it",
+                kind, self.path(kind, params), error,
+            )
+        return artifact
+
+    def get_or_create(
+        self,
+        kind: str,
+        params: dict,
+        generate: Callable[[], object],
+        serialize: Callable[[object], str],
+        deserialize: Callable[[str], object],
+    ):
+        """Load ``kind``/``params`` from disk, generating on a miss."""
+        artifact = self.load(kind, params, deserialize)
+        if artifact is None:
+            artifact = self.create(kind, params, generate, serialize)
         return artifact
 
     def clear(self) -> int:
@@ -154,14 +202,25 @@ class ArtifactCache:
 def cached_trace(
     cache: ArtifactCache, trace: str, scale: float, seed: int
 ) -> Workload:
-    """The preset trace ``trace`` at ``scale``/``seed``, disk-cached."""
-    return cache.get_or_create(
-        "trace",
-        {"trace": trace, "scale": scale, "seed": seed},
-        generate=lambda: make_trace(trace, scale=scale, seed=seed),
-        serialize=lambda workload: workload.to_json(),
-        deserialize=Workload.from_json,
-    )
+    """The preset trace ``trace`` at ``scale``/``seed``, disk-cached.
+
+    ``load`` then ``create`` rather than ``get_or_create``: that method is
+    the store's instrumented entry (``bench/child.py`` wraps it in a span
+    whose parent must be a timed pass), and a trace — unlike a table, a
+    topology or a cell — is also loaded outside any cell: by
+    ``runner.preset_trace`` and by the benchmark's checks after its clock
+    has stopped, now that a warm pass leaves no trace in memory.
+    """
+    params = {"trace": trace, "scale": scale, "seed": seed}
+    workload = cache.load("trace", params, Workload.from_json)
+    if workload is None:
+        workload = cache.create(
+            "trace",
+            params,
+            generate=lambda: make_trace(trace, scale=scale, seed=seed),
+            serialize=lambda workload: workload.to_json(),
+        )
+    return workload
 
 
 def cached_match_table(
@@ -227,4 +286,71 @@ def cached_topology(
         ),
         serialize=lambda topology: topology.to_json(),
         deserialize=Topology.from_json,
+    )
+
+
+@lru_cache(maxsize=None)
+def code_fingerprint(package_dir: Optional[str] = None) -> str:
+    """SHA-256 over the relative path and bytes of every ``.py`` file under
+    ``package_dir`` (default: the imported ``repro`` package), in sorted
+    order; computed once per process."""
+    if package_dir is None:
+        import repro
+
+        package_dir = os.path.dirname(repro.__file__)
+    sources = sorted(
+        os.path.relpath(os.path.join(directory, name), package_dir)
+        for directory, _, names in os.walk(package_dir)
+        for name in names
+        if name.endswith(".py")
+    )
+    digest = hashlib.sha256()
+    for source in sources:
+        with open(os.path.join(package_dir, source), "rb") as handle:
+            content = handle.read()
+        digest.update(f"{source}\0{len(content)}\0".encode("utf-8"))
+        digest.update(content)
+    return digest.hexdigest()
+
+
+def cell_params(
+    key: CellKey,
+    scale: float,
+    seed: int,
+    config: SimulationConfig,
+    churn: Optional[ChurnSpec],
+    streaming: bool,
+) -> dict:
+    """Everything one cell's result depends on (see the module docstring)."""
+    return {
+        **asdict(key),
+        "scale": scale,
+        "seed": seed,
+        "config": {**asdict(config), "pushing": config.pushing.value},
+        "churn": None if churn is None else asdict(churn),
+        "streaming": streaming,
+        "code": code_fingerprint(),
+    }
+
+
+def cached_cell(
+    cache: ArtifactCache, params: dict, replay: Callable[[], SimulationResult]
+) -> SimulationResult:
+    """The result stored under ``params``, else ``replay()``'s, stored.
+
+    Params that do not canonicalise to JSON (an exotic
+    ``strategy_options`` value) have no key: the cell is replayed and
+    not stored.
+    """
+    try:
+        cache.key("cell", params)
+    except (TypeError, ValueError) as error:
+        logger.debug("cell has no store key (%s); replaying", error)
+        return replay()
+    return cache.get_or_create(
+        "cell",
+        params,
+        generate=replay,
+        serialize=lambda result: result.to_json(),
+        deserialize=SimulationResult.from_json,
     )

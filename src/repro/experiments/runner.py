@@ -1,4 +1,4 @@
-"""Grid execution with trace/table/topology reuse.
+"""Grid execution with trace/table/topology reuse and stored cell results.
 
 Workload generation, subscription tables and the topology are shared
 across the cells of a grid (the paper evaluates all strategies on the
@@ -6,14 +6,18 @@ same trace), so a 36-cell Figure-4 grid generates two traces, not 36.
 
 Two reuse layers stack here:
 
-* an in-process ``lru_cache`` memo (always on), and
-* an optional **on-disk artifact cache** (see
-  :mod:`repro.experiments.artifacts`): with an artifact directory
-  configured, traces/tables/topologies are serialized under it keyed by
-  their generation parameters, so pool workers and *repeated
-  invocations* load instead of regenerate.  Enable it per call
+* an in-process ``lru_cache`` memo of a cell's *inputs* — trace, match
+  table, topology — (always on), and
+* an optional **on-disk artifact store** (see
+  :mod:`repro.experiments.artifacts`) holding those inputs keyed by
+  their generation parameters *and each cell's result* keyed by the
+  whole ``run_cell`` call plus a fingerprint of the code: pool workers
+  and *repeated invocations* load inputs instead of regenerating them,
+  and a cell whose call and code did not change is loaded instead of
+  replayed, without resolving its inputs at all.  Enable it per call
   (``artifact_dir=...``), process-wide (:func:`set_default_artifact_dir`)
-  or from the CLI (``--artifact-cache``).
+  or from the CLI (``--artifact-cache``).  A run with an observer always
+  replays and stores no result: its events must come from a real replay.
 """
 
 from __future__ import annotations
@@ -23,9 +27,11 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.experiments.artifacts import (
     ArtifactCache,
+    cached_cell,
     cached_match_table,
     cached_topology,
     cached_trace,
+    cell_params,
 )
 from repro.faults.spec import OverloadSpec
 from repro.network.topology import Topology, build_topology
@@ -146,6 +152,13 @@ def _topology_for(
     )
 
 
+@lru_cache(maxsize=None)
+def cell_store(artifact_dir: str) -> ArtifactCache:
+    """The process's store of cell results under ``artifact_dir``: its
+    ``hits`` / ``misses`` are the cells loaded / replayed so far."""
+    return ArtifactCache(artifact_dir)
+
+
 def paper_beta(trace: str, strategy: str, capacity: float) -> float:
     """The β values §5.1 settled on per trace/strategy/capacity.
 
@@ -181,12 +194,15 @@ def run_cell(
     """Run one simulation cell (trace and tables are memoized).
 
     With ``artifact_dir`` set (or a process default configured via
-    :func:`set_default_artifact_dir`), the trace, match table and
-    topology are additionally loaded from / stored to the on-disk
-    artifact cache.
+    :func:`set_default_artifact_dir`), the cell's result is loaded from
+    the on-disk artifact store when this exact call was replayed before
+    by this exact code (its ``wall_seconds`` is that replay's); otherwise
+    the trace, match table and topology are loaded from / stored to the
+    store, the cell is replayed and its result stored.  An ``observer``
+    bypasses the result store both ways.
 
     ``churn`` attaches a subscription-lifecycle stream to the (cached)
-    trace *after* loading: cache keys stay those of the churn-free
+    trace *after* loading: the input keys stay those of the churn-free
     parameters, and ``with_churn`` returns a fresh Workload so the
     memoized object is never mutated.
 
@@ -202,31 +218,7 @@ def run_cell(
     Both are bit-identical to the default path in every result field
     except ``wall_seconds``/``profile``.
     """
-    logger.info(
-        "cell %s/%s cap=%.2f sq=%.2f (scale=%s seed=%d)",
-        key.trace, key.strategy, key.capacity, key.sq, scale, seed,
-    )
     artifact_dir = _resolve_artifact_dir(artifact_dir)
-    if streaming:
-        workload = streaming_trace_for(key.trace, scale, seed)
-    else:
-        workload = trace_for(key.trace, scale, seed, artifact_dir)
-    if churn is not None:
-        workload = workload.with_churn(
-            churn, RandomStreams(seed).stream("workload.churn")
-        )
-    match_table = _match_table_for(
-        key.trace,
-        scale,
-        seed,
-        key.sq,
-        notified_fraction,
-        artifact_dir,
-        streaming=streaming,
-    )
-    topology = _topology_for(
-        workload.config.server_count, seed, "waxman", 20, artifact_dir
-    )
     options = dict(strategy_options or {})
     if beta is None:
         beta = paper_beta(key.trace, key.strategy, key.capacity)
@@ -242,18 +234,58 @@ def run_cell(
         overload=overload,
         workers=workers,
     )
-    if config.workers > 1:
-        from repro.system.sharding import run_sharded
 
-        result = run_sharded(
-            workload, config, match_table, topology, observer=observer
+    def replay() -> SimulationResult:
+        logger.info(
+            "cell %s/%s cap=%.2f sq=%.2f (scale=%s seed=%d)",
+            key.trace, key.strategy, key.capacity, key.sq, scale, seed,
         )
-    else:
-        simulation = Simulation(
-            workload, config, match_table, topology, observer=observer
+        if streaming:
+            workload = streaming_trace_for(key.trace, scale, seed)
+        else:
+            workload = trace_for(key.trace, scale, seed, artifact_dir)
+        if churn is not None:
+            workload = workload.with_churn(
+                churn, RandomStreams(seed).stream("workload.churn")
+            )
+        match_table = _match_table_for(
+            key.trace,
+            scale,
+            seed,
+            key.sq,
+            notified_fraction,
+            artifact_dir,
+            streaming=streaming,
         )
-        result = simulation.run()
-    logger.debug("cell done: %s", result.summary())
+        topology = _topology_for(
+            workload.config.server_count, seed, "waxman", 20, artifact_dir
+        )
+        if config.workers > 1:
+            from repro.system.sharding import run_sharded
+
+            result = run_sharded(
+                workload, config, match_table, topology, observer=observer
+            )
+        else:
+            simulation = Simulation(
+                workload, config, match_table, topology, observer=observer
+            )
+            result = simulation.run()
+        logger.debug("cell done: %s", result.summary())
+        return result
+
+    if artifact_dir is None or observer is not None:
+        return replay()
+    store = cell_store(artifact_dir)
+    loaded = store.hits
+    result = cached_cell(
+        store, cell_params(key, scale, seed, config, churn, streaming), replay
+    )
+    if store.hits > loaded:
+        logger.info(
+            "cell %s loaded from store (replayed in %.3f s when stored)",
+            key, result.wall_seconds,
+        )
     return result
 
 
@@ -319,8 +351,10 @@ def run_grid(
 
 
 def clear_caches() -> None:
-    """Drop memoized traces/tables/topologies (tests use this)."""
+    """Drop memoized traces/tables/topologies and the cell-store counters
+    (tests use this)."""
     trace_for.cache_clear()
     streaming_trace_for.cache_clear()
     _match_table_for.cache_clear()
     _topology_for.cache_clear()
+    cell_store.cache_clear()

@@ -10,7 +10,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import typing
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional
 
 from repro.cache.stats import CacheStats
@@ -84,6 +88,122 @@ class HourlySeries:
         see :func:`dense_clamped`.
         """
         return dense_clamped(self.values_by_hour, hour_count)
+
+
+# -- the result's JSON form -------------------------------------------------
+#
+# Generic over ``dataclasses.fields`` and their type hints, so a new result
+# field is stored and loaded without being named here.  A dataclass becomes
+# an object keyed by field name, a list a list, and a dict a list of
+# ``[key, value]`` items (JSON would stringify the ``int`` keys of
+# ``CacheStats.bucketed_*``).  Decoding refuses anything the hint does not
+# describe — the artifact store treats that as a damaged entry.  A warm grid
+# spends its time here, so a codec is compiled once per hint and containers
+# of scalars are passed through (checked by ``set(map(type, ...))`` on the
+# way in), not rebuilt item by item.
+
+#: Scalar hints and the exact types each admits: a float field may hold
+#: an int (a ``0`` default, a sum of counts), nothing may hold a bool.
+_SCALARS = {int: {int}, float: {float, int}, str: {str}}
+
+
+def _same(value):
+    return value
+
+
+@lru_cache(maxsize=None)
+def _codec(hint):
+    """``(encode, decode)`` between a value of type ``hint`` and JSON data."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+
+    def wrong(value):
+        return TypeError(f"expected {hint}, got {value!r:.80}")
+
+    if hint in _SCALARS:
+        types = _SCALARS[hint]
+        encode = _same
+
+        def decode(value):
+            if type(value) in types:
+                return value
+            raise wrong(value)
+
+    elif origin is typing.Union:  # Optional[...]
+        ((inner_encode, inner_decode),) = (
+            _codec(arg) for arg in args if arg is not type(None)
+        )
+
+        def encode(value):
+            return None if value is None else inner_encode(value)
+
+        def decode(value):
+            return None if value is None else inner_decode(value)
+
+    elif dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        codecs = {
+            spec.name: _codec(hints[spec.name]) for spec in dataclasses.fields(hint)
+        }
+
+        def encode(value):
+            return {
+                name: field_encode(getattr(value, name))
+                for name, (field_encode, _) in codecs.items()
+            }
+
+        def decode(value):
+            if type(value) is not dict or value.keys() != codecs.keys():
+                raise ValueError(f"not the fields of a {hint.__name__}: {value!r:.80}")
+            return hint(
+                **{
+                    name: field_decode(value[name])
+                    for name, (_, field_decode) in codecs.items()
+                }
+            )
+
+    elif origin is list:
+        types = _SCALARS.get(args[0])
+        item_encode, item_decode = _codec(args[0])
+
+        def encode(value):
+            return value if types else [item_encode(item) for item in value]
+
+        def decode(value):
+            if type(value) is not list:
+                raise wrong(value)
+            if types is None:
+                return [item_decode(item) for item in value]
+            if set(map(type, value)) <= types:
+                return value
+            raise wrong(value)
+
+    elif origin is dict:
+        key_types, item_types = (_SCALARS.get(arg) for arg in args)
+        (key_encode, key_decode), (item_encode, item_decode) = map(_codec, args)
+        scalars = key_types is not None and item_types is not None
+
+        def encode(value):
+            if scalars:
+                return list(map(list, value.items()))
+            return [[key_encode(k), item_encode(v)] for k, v in value.items()]
+
+        def decode(value):
+            if type(value) is not list:
+                raise wrong(value)
+            if not scalars:
+                return {key_decode(k): item_decode(v) for k, v in value}
+            decoded = dict(value)
+            if (
+                len(decoded) == len(value)
+                and set(map(type, decoded)) <= key_types
+                and set(map(type, decoded.values())) <= item_types
+            ):
+                return decoded
+            raise wrong(value)
+
+    else:  # a hint this codec was never taught: fail at the first result
+        raise TypeError(f"no JSON form for a field of type {hint}")
+    return encode, decode
 
 
 @dataclass
@@ -386,6 +506,22 @@ class SimulationResult:
             push + fetch
             for push, fetch in zip(self.hourly_push_bytes, self.hourly_fetch_bytes)
         ]
+
+    # -- serialization ---------------------------------------------------
+
+    def to_json(self) -> str:
+        """Serialize every field, ``wall_seconds`` and ``profile`` included."""
+        return json.dumps(_codec(type(self))[0](self), separators=(",", ":"))
+
+    @classmethod
+    def from_json(cls, text: str) -> "SimulationResult":
+        """Rebuild a result serialized with :meth:`to_json`, losslessly:
+        ``dataclasses.asdict`` of the two is equal, container and key
+        types included.  ``wall_seconds`` is therefore the original
+        replay's, not the time it took to load.  A payload with a
+        missing, extra or wrongly-typed field raises ``ValueError`` /
+        ``TypeError`` rather than yield a partial result."""
+        return _codec(cls)[1](json.loads(text))
 
     def summary(self) -> str:
         """One-line human-readable summary."""

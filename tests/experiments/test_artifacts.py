@@ -169,9 +169,9 @@ def test_run_cell_same_result_with_and_without_cache(tmp_path):
         return payload
 
     assert stripped(plain) == stripped(cold) == stripped(warm)
-    # All three artifact kinds landed on disk.
+    # All four artifact kinds landed on disk.
     kinds = sorted(os.listdir(tmp_path))
-    assert kinds == ["match-table", "topology", "trace"]
+    assert kinds == ["cell", "match-table", "topology", "trace"]
 
 
 def test_default_artifact_dir_used(tmp_path):

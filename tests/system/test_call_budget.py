@@ -1,12 +1,13 @@
 """The staged arm pays once per record: one probe, and a call budget.
 
-Both tests replay the all-five-layers cell of the layer matrix (the one
-``test_layer_digest.py`` pins) and both are deterministic — they count,
-they do not time.  The first holds the request path to *one*
-``held_version`` probe of the requesting proxy per request; the second
-holds ``repro.system`` to a number of Python calls per replayed record,
-so a change that adds a hop per event is caught here, not three PRs
-later on the benchmark (docs/architecture.md, "One request path").
+The first two tests replay the all-five-layers cell of the layer matrix
+(the one ``test_layer_digest.py`` pins) and all three are deterministic
+— they count, they do not time.  The first holds the request path to
+*one* ``held_version`` probe of the requesting proxy per request; the
+second holds ``repro.system`` to a number of Python calls per replayed
+record, so a change that adds a hop per event is caught here, not three
+PRs later on the benchmark (docs/architecture.md, "One request path").
+The third holds a warm grid to no simulation at all.
 """
 
 import cProfile
@@ -14,7 +15,10 @@ import os
 import pstats
 import sys
 
+from repro.experiments import runner
+from repro.experiments.spec import ExperimentGrid
 from repro.system.cooperation import CooperativeSimulation
+from repro.system.simulator import Simulation
 from tests.system.test_layer_matrix import (
     LAYERS,
     churned,  # noqa: F401 - fixture
@@ -99,3 +103,29 @@ def test_system_calls_per_record_stay_in_budget(churned):
     )
     records = churned.publish_count + churned.request_count + len(churned.lifecycle)
     assert system_calls / records <= SYSTEM_CALLS_PER_RECORD, (system_calls, records)
+
+
+def test_warm_grid_constructs_no_simulation(tmp_path, monkeypatch):
+    """A cell the store holds is returned before its inputs are resolved
+    or a ``Simulation`` is built (docs/architecture.md, "Artifact store")."""
+    constructed = []
+    init = Simulation.__init__
+
+    def counted(self, *args, **kwargs):
+        constructed.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Simulation, "__init__", counted)
+    grid = ExperimentGrid(traces=("news", "alternative"), strategies=("gdstar", "sg2"))
+    store = str(tmp_path)
+    try:
+        runner.clear_caches()
+        runner.run_grid(grid, scale=0.03, seed=7, artifact_dir=store)
+        assert len(constructed) == 4  # cold: one per cell
+        assert runner.trace_for.cache_info().currsize == 2
+        runner.clear_caches()
+        runner.run_grid(grid, scale=0.03, seed=7, artifact_dir=store)
+        assert len(constructed) == 4  # warm: none added ...
+        assert runner.trace_for.cache_info().currsize == 0  # ... and no trace loaded
+    finally:
+        runner.clear_caches()
