@@ -64,9 +64,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--artifact-cache", nargs="?", const=DEFAULT_CACHE_DIR, default=None,
         metavar="DIR",
         help=(
-            "cache generated traces/match tables/topologies on disk "
-            f"under DIR (default {DEFAULT_CACHE_DIR}) so repeated runs "
-            "load instead of regenerate"
+            "cache generated traces, match tables, topologies and cell "
+            f"results on disk under DIR (default {DEFAULT_CACHE_DIR}) so "
+            "repeated runs load instead of regenerate and replay"
         ),
     )
     parser.add_argument(

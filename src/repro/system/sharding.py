@@ -50,7 +50,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.network.topology import Topology
 from repro.obs.log import get_logger

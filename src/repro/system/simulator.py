@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from array import array
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
@@ -941,21 +942,20 @@ class Simulation:
         ``(time, kind, a, b)``: kind 0 publishes page ``a`` at version
         ``b``, kind 1 is a request at server ``a`` for page ``b``, kind
         2 carries lifecycle row ``a`` = ``(server_id, page_id, kind code,
-        lease)``.  Order is nondecreasing time;
-        at equal times lifecycle records precede publishes, which
-        precede requests (a page must exist before it is read), and
-        each source keeps its own pre-sorted order.  An *enriched*
-        record appends ``(size, m)`` — page size, and the publish's
-        match pairs or the request's match count — so the inline arm
-        unpacks what the handlers would look up three times per event.
+        lease)``.  Order is nondecreasing time; at equal times lifecycle
+        records precede publishes, which precede requests (a page must
+        exist before it is read), and each source keeps its own order.
+        An *enriched* record appends ``(size, m)`` — page size, and the
+        publish's match pairs or the request's match count — so the
+        inline arm unpacks what the handlers would look up per event.
 
-        An in-memory, churn-free trace is merged once into columns —
-        plain lists of shared objects, memoised on the workload: five
-        that the trace alone decides, shared by every cell that replays
-        it, and one ``m`` column per match table — and the stream is
-        ``zip`` over them, which allocates nothing per event.  A trace
-        with lifecycle records or a spool merges lazily, so nothing is
-        retained, and stays bare for the staged arm, whose handlers look
+        An in-memory, churn-free trace is merged once into columns
+        memoised on the workload — time as packed C doubles, kind as
+        bytes, the rest lists of shared objects; five the trace alone
+        decides, shared by every cell that replays it, and one ``m``
+        per match table — and the stream is ``zip`` over them.  A trace
+        with lifecycle records or a spool merges lazily, retaining
+        nothing, and stays bare for the staged arm, whose handlers look
         size and matches up themselves (docs/architecture.md, "Replay
         driver", has the measurements behind both choices).
         """
@@ -994,9 +994,9 @@ class Simulation:
         """``merged(publish_values, request_values)``: one stream column.
 
         Each table's values land on the slots its rows take in the
-        merged order, and the column comes back as a list.  The order
-        is a stable argsort by time over publishes-then-requests, which
-        is the tie rule — what ``heapq.merge`` does above.
+        merged order; objects come back as a list, numbers as their
+        bytes.  The order is a stable argsort by time over publishes-
+        then-requests, the tie rule — what ``heapq.merge`` does above.
         """
         publishes = self.workload.publishes.rows
         requests = self.workload.requests.rows
@@ -1008,11 +1008,11 @@ class Simulation:
         del order
         publish_slots, request_slots = slots[: len(publishes)], slots[len(publishes) :]
 
-        def merged(publish_values, request_values, dtype=object) -> list:
+        def merged(publish_values, request_values, dtype=object):
             column = np.empty(len(slots), dtype=dtype)
             column[publish_slots] = publish_values
             column[request_slots] = request_values
-            return column.tolist()
+            return column.tolist() if dtype is object else column.tobytes()
 
         return merged
 
@@ -1026,21 +1026,21 @@ class Simulation:
             lookup[page_id] = value
         return lookup
 
-    def _base_columns(self, merged) -> Tuple[list, ...]:
-        """``(time, kind, a, b, size)`` of the merged stream, as lists.
+    def _base_columns(self, merged) -> tuple:
+        """``(time, kind, a, b, size)`` of the merged stream.
 
-        Every id and size is taken from a lookup array of shared objects
-        (and versions are the small ints CPython shares anyway), so the
-        float is the only object a row owns.  Ids index the lookups only
-        because ``Workload.check_ids`` has vetted them.
+        Time is an ``array('d')`` and kind a ``bytes``: 8 B and 1 B a
+        row, iterated as plain floats and the cached ints 0 / 1.  Ids
+        (vetted by ``Workload.check_ids``) and sizes are shared objects
+        from lookup arrays, versions CPython's small ints: a row owns none.
         """
         publishes = self.workload.publishes.rows
         requests = self.workload.requests.rows
         sizes = self._page_lookup(self.publisher._sizes)
         ints = np.arange(max(self.workload.config.server_count, len(sizes))).astype(object)
         return (
-            merged(publishes["time"], requests["time"], np.float64),
-            merged(0, 1, np.int8),
+            array("d", merged(publishes["time"], requests["time"], np.float64)),
+            merged(0, 1, np.uint8),
             merged(ints[publishes["page_id"]], ints[requests["server_id"]]),
             merged(publishes["version"].astype(object), ints[requests["page_id"]]),
             merged(sizes[publishes["page_id"]], sizes[requests["page_id"]]),

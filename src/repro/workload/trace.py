@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 from itertools import chain, starmap
 from operator import attrgetter, eq
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -213,8 +213,9 @@ class Workload:
     _request_pairs: List[Tuple[int, int]] = _memo(list)
     _pair_counts: Optional[Dict[Tuple[int, int], int]] = _memo()
     #: The merged replay stream, retained as columns (``Simulation._stream``):
-    #: the five lists the trace alone decides, and one list per match table.
-    _stream_columns: Optional[Tuple[list, ...]] = _memo()
+    #: the five the trace alone decides — time as an ``array('d')``, kind as
+    #: ``bytes``, three lists of shared objects — and one list per match table.
+    _stream_columns: Optional[tuple] = _memo()
     _match_columns: dict = _memo(dict)
     #: On a shard: unique bytes per server over the whole fleet's trace.
     _fleet_unique_bytes: Optional[Dict[int, int]] = _memo()
@@ -228,6 +229,16 @@ class Workload:
             from repro.workload.churn import LifecycleRecord
 
             self.lifecycle = EventTable(LifecycleRecord, self.lifecycle)
+
+    def __getstate__(self) -> dict:
+        """What a pickle or deep copy carries: the trace with its memos
+        empty, as a ``replace`` copy has them.  A shard keeps the fleet's
+        map, which its own rows cannot rebuild."""
+        state = dict(self.__dict__)
+        for memo in fields(self):
+            if not memo.init and memo.name != "_fleet_unique_bytes":
+                state[memo.name] = memo.default_factory()
+        return state
 
     @property
     def publish_count(self) -> int:
@@ -271,14 +282,29 @@ class Workload:
 
     def check_ids(self) -> None:
         """``ValueError`` naming the first publish, request or lifecycle
-        event whose page is not in the page table or whose proxy is
-        outside ``[0, server_count)``.
+        event whose time is not a finite instant ``>= 0``, whose page is
+        not in the page table or whose proxy is outside ``[0,
+        server_count)``.
 
         Replay indexes lists and lookup arrays with these ids, and a
-        negative index would silently answer for another page.  A
-        generated trace passes by construction, on one min/max pass per
-        id column; a hand-built one may not.
+        negative index would silently answer for another page; policies
+        floor times into hour buckets, where NaN dies naming nothing.  A
+        generated trace passes by construction, on one pass per column;
+        a hand-built or stored one may not.
         """
+        for kind, table in (
+            ("publish", self.publishes),
+            ("request", self.requests),
+            ("lifecycle", self.lifecycle),
+        ):
+            if len(table):
+                times = table.rows["time"]
+                bad = ~(np.isfinite(times) & (times >= 0.0))
+                if bad.any():
+                    raise ValueError(
+                        f"{kind} at t={times[bad.argmax()]} names no instant: "
+                        f"times must be finite and >= 0"
+                    )
         pages = np.array([page.page_id for page in self.pages], dtype=np.int64)
         if (pages < 0).any():
             raise ValueError(f"the page table holds a negative page id: {pages.min()}")
@@ -541,17 +567,25 @@ def generate_workload(
         ),
     )
 
-    requests = np.empty(0, dtype=ROW_DTYPES[RequestRecord])
-    chunks = list(_request_columns(config, streams, pages, version_times))
-    if chunks:
-        requested, times, servers = zip(*chunks)
-        columns = (
-            np.concatenate(times),
-            np.concatenate(servers),
-            np.repeat(np.array(requested, dtype=np.int32), list(map(len, times))),
-        )
-        del chunks, times, servers
-        requests = sorted_rows(ROW_DTYPES[RequestRecord], columns)
+    # A page draws all of its requests or none, so the counts bound the
+    # table: each page's columns are written where they end up, and no
+    # per-page array outlives its turn of the loop.
+    room = sum(page.request_count for page in pages)
+    times = np.empty(room, dtype=np.float64)
+    servers = np.empty(room, dtype=np.int32)
+    requested = np.empty(room, dtype=np.int32)
+    filled = 0
+    for page_id, page_times, page_servers in _request_columns(
+        config, streams, pages, version_times
+    ):
+        end = filled + len(page_times)
+        times[filled:end] = page_times
+        servers[filled:end] = page_servers
+        requested[filled:end] = page_id
+        filled = end
+    requests = sorted_rows(
+        ROW_DTYPES[RequestRecord], (times[:filled], servers[:filled], requested[:filled])
+    )
 
     return Workload(
         config=config,

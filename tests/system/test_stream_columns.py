@@ -1,17 +1,21 @@
-"""The memoised replay stream: columns of shared objects.
+"""The memoised replay stream: packed numbers, columns of shared objects.
 
 ``Simulation._stream`` keeps an in-memory, churn-free trace merged as
-plain lists on the workload — five the trace alone decides, one ``m``
-column per match table — and hands the arms ``zip`` over them.  Held
-here: the tie rule on a hand-built trace, what is shared between cells
-and what a copy inherits (nothing), what the memo costs in bytes, what
-``-vv`` says about it, and that an id the workload does not have ends in
-one ``ValueError`` before any lookup array is indexed.
+columns on the workload — five the trace alone decides (time an
+``array('d')``, kind a ``bytes``, three lists), one ``m`` list per match
+table — and hands the arms ``zip`` over them.  Held here: the tie rule
+on a hand-built trace and on generated ones, what is shared between
+cells and what a copy or a pickle inherits (nothing), what the memo
+costs in bytes, what ``-vv`` says about it, and that an id the workload
+does not have or a time that is no instant ends in one ``ValueError``
+before any lookup array is indexed.
 """
 
+import copy
 import dataclasses
 import heapq
 import logging
+import pickle
 import tracemalloc
 from operator import itemgetter
 
@@ -22,8 +26,16 @@ from repro.system.config import SimulationConfig
 from repro.system.simulator import Simulation
 from repro.workload.churn import ChurnSpec, LifecycleRecord
 from repro.workload.config import WorkloadConfig
+from repro.sim.rng import RandomStreams
 from repro.workload.presets import make_trace
-from repro.workload.trace import PageSpec, PublishRecord, RequestRecord, Workload
+from repro.workload.trace import (
+    PageSpec,
+    PublishRecord,
+    RequestRecord,
+    Workload,
+    generate_workload,
+)
+from tests.system.test_result_digest import digest
 
 CONFIG = SimulationConfig(strategy="sg2", capacity_fraction=0.5)
 MATCHES = {0: {0: 2, 1: 1}, 1: {1: 300}}
@@ -107,6 +119,32 @@ def test_tie_rule_equals_the_lazy_merge(publishes, requests):
         ]
 
 
+@pytest.mark.parametrize("preset", ["news", "alternative"])
+def test_a_generated_trace_merges_as_the_lazy_merge_does(preset):
+    simulation = Simulation(make_trace(preset, 0.3, 7), CONFIG)
+    for enriched in (True, False):
+        assert list(simulation._stream(enriched)) == lazy_merge(simulation, enriched)
+
+
+def test_a_trace_without_requests_is_empty_tables_and_an_empty_stream(monkeypatch):
+    """No room (no request asked for) and nothing filled (every page's
+    draw came back empty) both leave zero request rows."""
+    config = WorkloadConfig(
+        horizon=1000.0, distinct_pages=5, modified_pages=0, total_requests=40, server_count=2
+    )
+    none_asked = generate_workload(dataclasses.replace(config, total_requests=0), RandomStreams(3))
+    monkeypatch.setattr(
+        "repro.workload.trace.request_times_for_versions", lambda *args, **kwargs: []
+    )
+    none_drawn = generate_workload(config, RandomStreams(3))
+    assert sum(page.request_count for page in none_drawn.pages) == 40
+    for workload in (none_asked, none_drawn):
+        assert len(workload.requests) == 0 and workload.requests == []
+        assert len(workload.publishes) == 5
+        assert len(list(Simulation(workload, CONFIG)._stream(True))) == 5
+    assert list(Simulation(tiny([], []), CONFIG)._stream(True)) == []
+
+
 def test_every_value_is_a_plain_python_object():
     """A numpy scalar reaching a policy would change result JSON bytes."""
     simulation = Simulation(
@@ -155,7 +193,8 @@ def test_cells_share_the_base_columns_and_add_one_match_column(news, caplog):
         "replay stream: memo hit",
         "replay stream: memo hit",
     ]
-    assert len(base) == 5 and all(type(column) is list for column in base)
+    assert len(base) == 5 and all(type(column) is list for column in base[2:])
+    assert all(type(column) is not list and len(column) == rows for column in base[:2])
     assert len(workload._stream_columns) == 5
     assert all(now is then for now, then in zip(workload._stream_columns, base))
     assert set(workload._match_columns) == {first.match_table, second.match_table}
@@ -211,15 +250,61 @@ def retained_by(call):
         tracemalloc.stop()
 
 
-def test_memo_costs_a_float_and_six_pointers_an_event(news):
-    """Measured: 72 B an event for the first table and 8 B for a second
-    (a tuple per event was 125 and 123)."""
+def test_memo_costs_a_double_a_byte_and_four_pointers_an_event(news):
+    """Measured: 42 B an event for the first table and 8 B for a second
+    (a boxed float and an int pointer per row made the first 72)."""
     workload = dataclasses.replace(news)
     first = Simulation(workload, dataclasses.replace(CONFIG, subscription_quality=1.0))
     second = Simulation(workload, dataclasses.replace(CONFIG, subscription_quality=0.5))
     rows = workload.publish_count + workload.request_count
-    assert retained_by(lambda: first._stream(True)) / rows <= 100
+    assert retained_by(lambda: first._stream(True)) / rows <= 48
     assert retained_by(lambda: second._stream(True)) / rows <= 16
+
+
+def test_a_memoised_workload_pickles_without_its_memo(news):
+    workload = dataclasses.replace(news)
+    result = Simulation(workload, CONFIG).run()
+    workload.request_pairs()
+    assert workload._stream_columns is not None and workload._match_columns
+    shard = workload.for_servers([0, 1])
+    for clone in (pickle.loads(pickle.dumps(workload)), copy.deepcopy(workload)):
+        assert clone == workload and clone is not workload
+        assert clone._stream_columns is None and clone._match_columns == {}
+        assert clone._request_pairs == [] and clone._pair_counts is None
+        assert digest(Simulation(clone, CONFIG).run()) == digest(result)
+    # What a shard knows of its fleet is not a memo of its own rows.
+    assert pickle.loads(pickle.dumps(shard)).capacities(0.05) == shard.capacities(0.05)
+    assert len(pickle.dumps(workload)) < 1.1 * len(pickle.dumps(dataclasses.replace(news)))
+
+
+BAD_TIMES = [float("nan"), float("inf"), float("-inf"), -1.0]
+
+
+@pytest.mark.parametrize(
+    "kind, churned",
+    [("publish", False), ("publish", True), ("request", False), ("request", True),
+     ("lifecycle", True)],  # a memoised stream has no lifecycle rows
+)
+@pytest.mark.parametrize("bad", BAD_TIMES, ids=str)
+def test_a_time_that_is_no_instant_is_one_value_error(bad, kind, churned):
+    lifecycle = [LifecycleRecord(time=0.0, server_id=0, page_id=0, kind="subscribe", lease=50.0)]
+    events = {"publish": PUBLISHES, "request": REQUESTS, "lifecycle": lifecycle}
+    events[kind] = [*events[kind], dataclasses.replace(events[kind][0], time=bad)]
+    workload = tiny(
+        events["publish"], events["request"], events["lifecycle"] if churned else ()
+    )
+    message = rf"{kind} at t={bad} names no instant: times must be finite and >= 0"
+    with pytest.raises(ValueError, match=message):
+        Simulation(workload, CONFIG, match_table=TraceMatchCounts(MATCHES)).run()
+    assert workload._stream_columns is None and workload._match_columns == {}
+
+
+def test_a_stored_trace_holding_nan_is_refused_before_replay():
+    """``json.loads`` accepts the bare ``NaN`` that ``json.dumps`` writes."""
+    stored = tiny(PUBLISHES, REQUESTS).to_json().replace("30.0", "NaN")
+    workload = Workload.from_json(stored)
+    with pytest.raises(ValueError, match="request at t=nan names no instant"):
+        Simulation(workload, CONFIG, match_table=TraceMatchCounts(MATCHES))
 
 
 BAD_IDS = {

@@ -744,18 +744,18 @@ def parser_surface():
 #: ``PYTHONPATH=src python -m tests.test_cli`` after an intended change.
 PARSER_SURFACE = {
     "": (2, "248e6226eeeacee0f143aece2383acd593b1e49ac28d03e6228b5193c09dde00"),
-    "run": (37, "7e42cc865f96b9e67ba0dc5da7427d7e0c9af7b6d4a3181ccd776fe58bae7897"),
-    "figure": (8, "c0bea352e6cf82e302f0b0f6ef962f526230c1a01ea3975b0f1a657545f1a56f"),
-    "table": (7, "528b4643b72986b94919d8a58930251b1f4b61f7c951d04f2815fdde3047de89"),
-    "sweep-beta": (7, "db71bbfbf5841b69594b807f661b6c196ee7b61ac884218899a7949a90f7ca1b"),
-    "trace-stats": (8, "06c2051004ac2cc5bc8c0e2090b27342b5916de94ed017e52e09772cc661170e"),
-    "calibrate-beta": (9, "62dd0ddfe9410b2fa19e0afb753ab2aac9f748838ce5f394849bf82619aeec17"),
-    "report": (7, "58feefda5cebd904565391f80137e2fdeb4a550d20063a1c94d39cd8b61b1dae"),
-    "seed-sweep": (11, "15d15ff3ac79f367a31fb20b541532be337ba79233adf184fc874606474adbf6"),
-    "chaos": (32, "0868237046ade3cd08a26e836d9c6bbb5206072deeb9033eb56d634125f11bff"),
+    "run": (37, "e730c838b3b402928a1171783b241de01023d01b639f5dce87938b857414e150"),
+    "figure": (8, "d50d2caa6c833481d9bfb758943ab9b06e7a99e512694516bbd5cc6f9fc02bdf"),
+    "table": (7, "bb9f5ada394a86acc26dac41708c314ca2db22be1c2376be082a9787ba8dff99"),
+    "sweep-beta": (7, "d9176865c10fd283fd2ade1b0afab3ee64e263ad6547b674837c69c8e42d210b"),
+    "trace-stats": (8, "a50598a474a5b951f8fc49ab1ac00c701964f8f0a38b5566146bfb46a7d81e74"),
+    "calibrate-beta": (9, "804a7247b85cce942170daa9a9bcdf5051fcf02270a5a10c6ea3926a04460ecf"),
+    "report": (7, "3a727c3da1e07b7fe1021ce9b581725003253e76ee5d2e8bd6b2a274ab50e703"),
+    "seed-sweep": (11, "faeebceabc58572ca3dd28e541fd67ed1705c0f53908c14928679bb103f36693"),
+    "chaos": (32, "f3d62e9680302d8b237ae301e38cbf5029313c543c6e8b46c34aa8a3f414ae74"),
     "inspect": (6, "182e0cf5cddc1e0caade14ba88270f383be10147224e49bd9d46eb77072e7d12"),
     "explain": (7, "f3ee7e6cfbfdc8ca6ffc81d9e678abace81d9e3d39b8fea154e0acd873d06db7"),
-    "generate-trace": (8, "59e1e375a9bf5100272d7026b80bdf6263dee37d5b851f8824b9bc26dc998d1a"),
+    "generate-trace": (8, "68283cba37973faa2c7b3252795614f7b72e3d2b94f9fc54b258e13233d917a8"),
 }
 
 

@@ -12,7 +12,6 @@ from repro.experiments.spec import CellKey
 from repro.sim.rng import RandomStreams
 from repro.system.config import PushingScheme, SimulationConfig
 from repro.system.simulator import run_simulation
-from repro.workload import generate_workload, news_config
 from repro.workload.presets import make_trace
 
 SCALE = 0.1

@@ -1,7 +1,5 @@
 """Property-based tests on core data structures and invariants."""
 
-import heapq
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
