@@ -3,7 +3,8 @@
 The paper chose GD* as its baseline because it beats LRU,
 GreedyDual-Size and LFU-DA on hit ratio (§3.1, citing Jin & Bestavros).
 These three are implemented so that claim can be checked in this
-reproduction (``benchmarks/test_ablation_baselines.py``) and so users
+reproduction (``tests/paper/test_ablation_gdstar_variants.py``,
+``test_classic_baseline_comparison``) and so users
 have drop-in alternatives.  All three are access-time-only policies:
 ``on_publish`` is a no-op.
 """

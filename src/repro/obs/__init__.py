@@ -21,8 +21,6 @@ The simulation layers report *what happened* through one optional
   run executes;
 * :mod:`repro.obs.explain` — reconstruct one page's causal lifecycle
   chain from a trace and answer "why was this request a miss?";
-* :mod:`repro.obs.benchtrack` — append benchmark runs to
-  ``BENCH_history.jsonl`` and flag >10% regressions;
 * :mod:`repro.obs.inspect` — summarise a trace file back into answers;
 * :mod:`repro.obs.log` — stdlib logging under the ``repro.*``
   namespace (NullHandler by default; the CLI installs a console
@@ -39,9 +37,6 @@ from typing import TYPE_CHECKING
 from repro import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.obs.benchtrack import (
-        HISTORY_FILE, Regression, append_entry, check_regressions, extract_metrics, load_history,
-    )
     from repro.obs.explain import PageExplanation, explain_page, explain_page_from_file
     from repro.obs.log import get_logger, setup_cli_logging
     from repro.obs.monitor import RunMonitor, rss_bytes
@@ -76,12 +71,6 @@ __all__ = [
     "PageExplanation",
     "explain_page",
     "explain_page_from_file",
-    "HISTORY_FILE",
-    "Regression",
-    "append_entry",
-    "check_regressions",
-    "extract_metrics",
-    "load_history",
     "Profiler",
     "NullSpan",
     "NULL_SPAN",
@@ -90,10 +79,6 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
-    "benchtrack": (
-        "HISTORY_FILE", "Regression", "append_entry", "check_regressions", "extract_metrics",
-        "load_history",
-    ),
     "explain": ("PageExplanation", "explain_page", "explain_page_from_file"),
     "log": ("get_logger", "setup_cli_logging"),
     "monitor": ("RunMonitor", "rss_bytes"),

@@ -101,6 +101,12 @@ def test_active_schedule_is_deterministic(workload):
     second = run_simulation(workload, config)
     assert first.proxy_crashes > 0  # the schedule actually did something
     assert _comparable(first) == _comparable(second)
+    # One schedule for every strategy: it is a function of the seed, not
+    # of who replays it.
+    other = run_simulation(workload, dataclasses.replace(config, strategy="sub"))
+    assert other.proxy_crashes == first.proxy_crashes
+    assert other.proxy_downtime_seconds == first.proxy_downtime_seconds
+    assert other.publisher_outage_seconds == first.publisher_outage_seconds
 
 
 def test_fault_schedule_reproducible_from_seed(workload):

@@ -5,7 +5,7 @@ import logging
 import pytest
 
 from repro.faults.spec import ChaosSpec
-from repro.obs.recorder import Observer
+from repro.obs.recorder import NullObserver, Observer
 from repro.obs.tracer import EventTracer
 from repro.pubsub.matching import TraceMatchCounts
 from repro.sim.rng import RandomStreams
@@ -204,6 +204,10 @@ def test_run_logs_which_replay_arm_ran_and_why(workload, caplog):
 
     plain = SimulationConfig(strategy="sg2", capacity_fraction=0.05)
     assert arm_of(Simulation(workload, plain)) == ["replay: inline arm"]
+    # An explicit no-op observer is no observer: same arm, same code path.
+    assert arm_of(Simulation(workload, plain, observer=NullObserver())) == [
+        "replay: inline arm"
+    ]
     layered = SimulationConfig(
         strategy="sg2",
         capacity_fraction=0.05,

@@ -38,7 +38,7 @@ UNUSED_BY_A_VANILLA_RUN = [
         "system": "lifecycle overload delivery sharding cooperation",
         "faults": "generator injector recovery schedule",
         "workload": "churn streaming validate",
-        "obs": "registry tracer timeseries monitor explain inspect benchtrack",
+        "obs": "registry tracer timeseries monitor explain inspect",
         "experiments": "figures tables chaos sensitivity calibrate report reportgen svg",
         "pubsub": "routing",
         "network": "barabasi",
@@ -188,6 +188,4 @@ def test_every_module_is_reachable_from_a_command():
                         # a submodule, or a name the package resolves lazily
                         frontier.append(parsed[source][1].get(name, f"{source}.{name}"))
             module = module.rpartition(".")[0]
-    # The one exception: benchmarks/bench_history.py (four CI jobs run
-    # it) imports obs.benchtrack; both leave together in ROADMAP item 3.
-    assert sorted(set(files) - reached) == ["repro.obs.benchtrack"]
+    assert sorted(set(files) - reached) == []

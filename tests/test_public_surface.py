@@ -16,7 +16,8 @@ import pytest
 #: ``__all__`` of every package, in order, recorded on the parent
 #: commit (7254820) before the ``__init__`` files were edited.
 #: ``repro.core``, ``repro.pubsub`` and ``repro.sim`` were re-pinned once,
-#: when the modules no command reaches left ``src/repro``.
+#: when the modules no command reaches left ``src/repro``; ``repro.obs``
+#: when the benchmark-history module left with the last of them.
 PINNED_ALL = {
     "repro": (
         "make_policy strategy_names SimulationConfig PushingScheme run_simulation "
@@ -53,8 +54,7 @@ PINNED_ALL = {
         "Gauge Histogram DEFAULT_LATENCY_BUCKETS escape_label_value escape_help "
         "EventTracer EVENT_TYPES read_jsonl TimeSeriesCollector read_series_jsonl "
         "RunMonitor rss_bytes PageExplanation explain_page explain_page_from_file "
-        "HISTORY_FILE Regression append_entry check_regressions extract_metrics "
-        "load_history Profiler NullSpan NULL_SPAN get_logger setup_cli_logging"
+        "Profiler NullSpan NULL_SPAN get_logger setup_cli_logging"
     ),
     "repro.pubsub": "TraceMatchCounts",
     "repro.sim": "Environment RandomStreams SimulationError",
@@ -82,7 +82,6 @@ CONSTANT_HOMES = {
     "DEFAULT_CHAOS": "repro.experiments.chaos",
     "DEFAULT_LATENCY_BUCKETS": "repro.obs.registry",
     "EVENT_TYPES": "repro.obs.tracer",
-    "HISTORY_FILE": "repro.obs.benchtrack",
     # Plain constants of the package itself, eager on purpose.
     "LIFECYCLE_STREAM": "repro.faults",
     "OVERLOAD_STREAM": "repro.faults",
