@@ -346,7 +346,7 @@ def _spec_from_flags(args: argparse.Namespace, family: str, base=None):
             if value:
                 given[row.field] = False
         elif value is not None:
-            if row.positive and value <= 0:
+            if row.positive and not value > 0:  # NaN included
                 raise ValueError(f"{row.positive} must be > 0, got {value}")
             given[row.field] = value
     if not given:
@@ -370,7 +370,7 @@ def _validate_cell_args(args: argparse.Namespace) -> None:
     if sq is not None and not 0.0 < sq <= 1.0:
         raise ValueError(f"sq must be in (0, 1], got {sq}")
     scale = getattr(args, "scale", None)
-    if scale is not None and scale <= 0.0:
+    if scale is not None and not scale > 0.0:
         raise ValueError(f"scale must be > 0, got {scale}")
     workers = getattr(args, "workers", None)
     if workers is not None and workers < 1:

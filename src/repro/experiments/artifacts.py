@@ -47,7 +47,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.experiments.spec import DEFAULT_CACHE_DIR
-from repro.network.topology import Topology, build_topology
+from repro.network.topology import TRANSIT_NODES, Topology, build_topology
 from repro.obs.log import get_logger
 from repro.pubsub.matching import TraceMatchCounts
 from repro.sim.rng import RandomStreams
@@ -262,28 +262,12 @@ def cached_match_table(
     )
 
 
-def cached_topology(
-    cache: ArtifactCache,
-    server_count: int,
-    seed: int,
-    model: str,
-    extra_nodes: int,
-) -> Topology:
+def cached_topology(cache: ArtifactCache, server_count: int, seed: int) -> Topology:
     """The fetch-cost topology for one server count, disk-cached."""
     return cache.get_or_create(
         "topology",
-        {
-            "server_count": server_count,
-            "seed": seed,
-            "model": model,
-            "extra_nodes": extra_nodes,
-        },
-        generate=lambda: build_topology(
-            server_count,
-            RandomStreams(seed).stream("topology"),
-            model=model,
-            extra_nodes=extra_nodes,
-        ),
+        {"server_count": server_count, "seed": seed, "extra_nodes": TRANSIT_NODES},
+        generate=lambda: build_topology(server_count, RandomStreams(seed).stream("topology")),
         serialize=lambda topology: topology.to_json(),
         deserialize=Topology.from_json,
     )

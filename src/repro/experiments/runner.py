@@ -134,22 +134,11 @@ def _match_table_for(
 
 @lru_cache(maxsize=8)
 def _topology_for(
-    server_count: int,
-    seed: int,
-    model: str,
-    extra: int,
-    artifact_dir: Optional[str] = None,
+    server_count: int, seed: int, artifact_dir: Optional[str] = None
 ) -> Topology:
     if artifact_dir is not None:
-        return cached_topology(
-            ArtifactCache(artifact_dir), server_count, seed, model, extra
-        )
-    return build_topology(
-        server_count,
-        RandomStreams(seed).stream("topology"),
-        model=model,
-        extra_nodes=extra,
-    )
+        return cached_topology(ArtifactCache(artifact_dir), server_count, seed)
+    return build_topology(server_count, RandomStreams(seed).stream("topology"))
 
 
 @lru_cache(maxsize=None)
@@ -257,9 +246,7 @@ def run_cell(
             artifact_dir,
             streaming=streaming,
         )
-        topology = _topology_for(
-            workload.config.server_count, seed, "waxman", 20, artifact_dir
-        )
+        topology = _topology_for(workload.config.server_count, seed, artifact_dir)
         if config.workers > 1:
             from repro.system.sharding import run_sharded
 

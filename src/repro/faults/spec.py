@@ -74,43 +74,14 @@ class ChaosSpec:
     #: and forget: the first loss is permanent until access-time repair).
     delivery_retry_limit: int = 4
     #: Ack timeout before the first retransmission (seconds); doubles
-    #: per retransmission up to ``delivery_backoff_cap``.
+    #: per retransmission up to
+    #: :data:`~repro.system.delivery.DELIVERY_BACKOFF_CAP`.
     delivery_ack_timeout: float = 1.0
-    #: Cap on a single retransmission backoff step (seconds).
-    delivery_backoff_cap: float = 30.0
-    #: Bound on concurrently pending retransmissions at the publisher;
-    #: when the queue is full a lost notification is abandoned instead
-    #: of queued (the overload-shedding path).
-    delivery_queue_limit: int = 1024
     #: Access-time staleness repair: on a cache hit the proxy validates
     #: the cached sequence number and repairs a missed push with an
     #: origin fetch (repair traffic, not a miss).  ``False`` is the
     #: no-protocol baseline that silently serves stale pages.
     delivery_repair: bool = True
-
-    # -- graceful degradation ------------------------------------------------
-
-    #: Maximum origin-fetch retries while the publisher is down.
-    retry_limit: int = 4
-    #: First retry backoff (seconds); doubles per attempt.
-    retry_base: float = 0.5
-    #: Cap on a single backoff step (seconds).
-    retry_cap: float = 8.0
-    #: Modelled cost of a request to a crashed peer proxy timing out
-    #: before the failover chain moves on (cooperative runs only).
-    peer_timeout: float = 0.25
-
-    # -- recovery (time-to-warm) instrumentation ---------------------------
-
-    #: Rolling request window used to decide a restarted cache is warm.
-    warm_request_window: int = 50
-    #: Warm when the rolling hit ratio reaches this fraction of the
-    #: proxy's pre-crash hit ratio.
-    warm_threshold: float = 0.8
-    #: Width of one post-recovery hit-ratio bin (seconds).
-    recovery_bin_seconds: float = 600.0
-    #: Number of post-recovery bins tracked per crash.
-    recovery_bin_count: int = 12
 
     @property
     def injects_faults(self) -> bool:
@@ -134,6 +105,7 @@ class ChaosSpec:
         )
 
     def __post_init__(self) -> None:
+        # Every comparison is written so that NaN fails it.
         for name in (
             "proxy_mtbf",
             "proxy_mttr",
@@ -141,63 +113,36 @@ class ChaosSpec:
             "publisher_mttr",
             "degraded_mtbf",
             "degraded_mttr",
-            "retry_base",
-            "retry_cap",
-            "peer_timeout",
             "delivery_reorder_delay",
             "broker_mtbf",
             "broker_mttr",
             "delivery_ack_timeout",
-            "delivery_backoff_cap",
         ):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.crash_fraction <= 1.0:
             raise ValueError(
                 f"crash_fraction must be in [0, 1], got {self.crash_fraction}"
             )
-        if self.degraded_latency_multiplier < 1.0:
+        if not self.degraded_latency_multiplier >= 1.0:
             raise ValueError(
                 "degraded_latency_multiplier must be >= 1, got "
                 f"{self.degraded_latency_multiplier}"
             )
-        if not 0.0 <= self.degraded_loss_probability < 1.0:
-            raise ValueError(
-                "degraded_loss_probability must be in [0, 1), got "
-                f"{self.degraded_loss_probability}"
-            )
-        if self.retry_limit < 0:
-            raise ValueError(f"retry_limit must be >= 0, got {self.retry_limit}")
-        for name in ("delivery_loss_probability", "delivery_duplicate_probability"):
+        for name in (
+            "degraded_loss_probability",
+            "delivery_loss_probability",
+            "delivery_duplicate_probability",
+        ):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(
                     f"{name} must be in [0, 1), got {getattr(self, name)}"
                 )
-        if self.broker_count < 1:
+        if not self.broker_count >= 1:
             raise ValueError(f"broker_count must be >= 1, got {self.broker_count}")
-        if self.delivery_retry_limit < 0:
+        if not self.delivery_retry_limit >= 0:
             raise ValueError(
                 f"delivery_retry_limit must be >= 0, got {self.delivery_retry_limit}"
-            )
-        if self.delivery_queue_limit < 0:
-            raise ValueError(
-                f"delivery_queue_limit must be >= 0, got {self.delivery_queue_limit}"
-            )
-        if self.warm_request_window < 1:
-            raise ValueError(
-                f"warm_request_window must be >= 1, got {self.warm_request_window}"
-            )
-        if not 0.0 < self.warm_threshold <= 1.0:
-            raise ValueError(
-                f"warm_threshold must be in (0, 1], got {self.warm_threshold}"
-            )
-        if self.recovery_bin_seconds <= 0:
-            raise ValueError(
-                f"recovery_bin_seconds must be > 0, got {self.recovery_bin_seconds}"
-            )
-        if self.recovery_bin_count < 1:
-            raise ValueError(
-                f"recovery_bin_count must be >= 1, got {self.recovery_bin_count}"
             )
 
 
@@ -280,22 +225,24 @@ class OverloadSpec:
         )
 
     def __post_init__(self) -> None:
+        # Every comparison is written so that NaN fails it.
         for name in (
             "service_rate",
             "origin_capacity",
             "breaker_cooldown",
             "retry_budget_rate",
+            "retry_budget",
         ):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("queue_capacity", "origin_burst"):
-            if getattr(self, name) < 1:
+        for name in (
+            "queue_capacity",
+            "origin_burst",
+            "breaker_threshold",
+            "breaker_probe_successes",
+        ):
+            if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("breaker_threshold", "breaker_probe_successes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.retry_budget < 0:
-            raise ValueError(f"retry_budget must be >= 0, got {self.retry_budget}")
         if not 0.0 < self.push_shed_fraction <= 1.0:
             raise ValueError(
                 f"push_shed_fraction must be in (0, 1], got {self.push_shed_fraction}"

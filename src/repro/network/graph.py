@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 
 class Graph:
@@ -58,27 +58,11 @@ class Graph:
                 if u < v:
                     yield (u, v, weight)
 
-    def neighbors(self, node: int) -> Iterable[int]:
-        return self._adjacency[node].keys()
-
-    def degree(self, node: int) -> int:
-        return len(self._adjacency[node])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adjacency.get(u, ())
-
-    def weight(self, u: int, v: int) -> float:
-        return self._adjacency[u][v]
-
     # -- algorithms ------------------------------------------------------------
 
-    def shortest_paths_from(self, source: int, weighted: bool = False) -> Dict[int, float]:
-        """Distance from ``source`` to every reachable node.
-
-        With ``weighted=False`` every edge counts 1 hop (the paper uses
-        hop distance as fetch cost); with ``weighted=True`` Dijkstra
-        uses the stored weights.
-        """
+    def shortest_paths_from(self, source: int) -> Dict[int, float]:
+        """Hop distance from ``source`` to every reachable node (the
+        paper uses hop distance as fetch cost; edge weights are ignored)."""
         if source not in self._adjacency:
             raise KeyError(f"unknown node: {source}")
         distances: Dict[int, float] = {source: 0.0}
@@ -87,9 +71,8 @@ class Graph:
             dist, node = heapq.heappop(frontier)
             if dist > distances.get(node, math.inf):
                 continue
-            for neighbor, weight in self._adjacency[node].items():
-                step = weight if weighted else 1.0
-                candidate = dist + step
+            for neighbor in self._adjacency[node]:
+                candidate = dist + 1.0
                 if candidate < distances.get(neighbor, math.inf):
                     distances[neighbor] = candidate
                     heapq.heappush(frontier, (candidate, neighbor))

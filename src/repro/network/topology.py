@@ -28,7 +28,7 @@ class Topology:
         self.graph = graph
         self.publisher_node = int(publisher_node)
         self.proxy_nodes: List[int] = [int(node) for node in proxy_nodes]
-        distances = graph.shortest_paths_from(self.publisher_node, weighted=False)
+        distances = graph.shortest_paths_from(self.publisher_node)
         unreachable = [node for node in self.proxy_nodes if node not in distances]
         if unreachable:
             raise ValueError(f"proxies unreachable from publisher: {unreachable}")
@@ -116,22 +116,23 @@ class Topology:
         )
 
 
+#: Transit-only router nodes added to every topology (routers that host
+#: neither the publisher nor a proxy), enlarging path spread.
+TRANSIT_NODES = 20
+
+
 def build_topology(
     proxy_count: int,
     rng: np.random.Generator,
-    model: str = "waxman",
-    extra_nodes: int = 0,
-    **model_kwargs,
+    extra_nodes: int = TRANSIT_NODES,
 ) -> Topology:
-    """Generate a topology hosting one publisher and ``proxy_count`` proxies.
+    """Generate a Waxman topology hosting one publisher and ``proxy_count``
+    proxies.
 
     Args:
         proxy_count: number of proxy servers to place.
         rng: random stream for the generator.
-        model: ``"waxman"`` (BRITE default) or ``"barabasi"``.
-        extra_nodes: additional transit-only nodes (routers that host
-            neither the publisher nor a proxy), enlarging path spread.
-        **model_kwargs: forwarded to the graph generator.
+        extra_nodes: transit-only nodes beyond the publisher and proxies.
 
     The publisher sits on node 0; proxies occupy nodes
     ``1 .. proxy_count`` and any remaining nodes are transit routers.
@@ -139,14 +140,7 @@ def build_topology(
     if proxy_count < 1:
         raise ValueError(f"proxy_count must be >= 1, got {proxy_count}")
     node_count = 1 + proxy_count + max(0, int(extra_nodes))
-    if model == "waxman":
-        graph = waxman_graph(node_count, rng, **model_kwargs)
-    elif model == "barabasi":
-        from repro.network.barabasi import barabasi_albert_graph
-
-        graph = barabasi_albert_graph(node_count, rng, **model_kwargs)
-    else:
-        raise ValueError(f"unknown topology model: {model!r}")
+    graph = waxman_graph(node_count, rng)
     if not graph.is_connected():
         graph.connect_components()
     proxy_nodes = list(range(1, proxy_count + 1))

@@ -21,7 +21,7 @@ fetches are counted separately (``peer_fetch_pages``) and priced at the
 inter-proxy distance in the response-time model.
 
 Under the fault layer a peer request can hit a *crashed* peer: the
-requester pays ``peer_timeout`` for the dead probe and fails over down
+requester pays :data:`PEER_TIMEOUT` for the dead probe and fails over down
 the chain — next-nearest live holder, then the origin (with the origin
 retry/backoff rules) — so cooperation degrades gracefully instead of
 hanging on dead neighbours.
@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 from repro.network.topology import Topology
 from repro.obs.recorder import Observer
 from repro.pubsub.matching import TraceMatchCounts
-from repro.system.config import SimulationConfig
+from repro.system.config import PER_HOP_LATENCY, SimulationConfig
 from repro.system.metrics import SimulationResult
 from repro.system.proxy import ProxyServer
 from repro.system.simulator import Simulation
@@ -42,6 +42,10 @@ from repro.workload.trace import Workload
 
 if TYPE_CHECKING:
     from repro.faults.schedule import FaultSchedule
+
+#: Modelled cost (seconds) of a request to a crashed peer proxy timing
+#: out before the failover chain moves on.
+PEER_TIMEOUT = 0.25
 
 
 class Peers:
@@ -68,7 +72,7 @@ class Peers:
         Same contract as ``Simulation._origin_resolution``, which it
         ends in.  Peers strictly closer than the origin — a farther one
         could not beat an origin fetch — are probed in distance order.
-        A crashed peer costs ``peer_timeout`` seconds before the chain
+        A crashed peer costs :data:`PEER_TIMEOUT` seconds before the chain
         moves on; the first live peer holding the current version
         serves the fetch.  When the chain is exhausted the origin is the
         terminal fallback, with its usual outage retry rules — so the
@@ -85,7 +89,7 @@ class Peers:
             peer = sim.proxies[peer_index]
             if not peer.up:
                 # Dead probe: pay the timeout, fail over to the next hop.
-                waited += sim.chaos.peer_timeout
+                waited += PEER_TIMEOUT
                 timed_out += 1
                 if obs_on:
                     sim.obs.failover(
@@ -104,7 +108,7 @@ class Peers:
                         now, page_id, server_id, source=f"peer:{peer_index}"
                     )
                 latency, degraded = sim._degrade_transfer(
-                    sim.config.per_hop_latency * max(1.0, hops), server_id, now
+                    PER_HOP_LATENCY * max(1.0, hops), server_id, now
                 )
                 return waited + latency, degraded or timed_out > 0
         resolution = sim._origin_resolution(

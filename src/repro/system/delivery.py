@@ -11,10 +11,10 @@ publisher side runs a small reliability protocol on top:
 * every notification carries a publisher-stamped per-page **sequence
   number** (the page's version);
 * an unacknowledged send is **retransmitted** after an ack timeout
-  that doubles per attempt up to a cap, at most
+  that doubles per attempt up to :data:`DELIVERY_BACKOFF_CAP`, at most
   ``delivery_retry_limit`` times;
 * the number of concurrently pending retransmissions is bounded by
-  ``delivery_queue_limit`` — a loss arriving at a full queue is
+  :data:`DELIVERY_QUEUE_LIMIT` — a loss arriving at a full queue is
   *abandoned* (overload shedding) and becomes a permanent loss;
 * a permanently lost notification is eventually healed lazily by
   access-time **staleness repair** at the proxy (see the simulator's
@@ -45,6 +45,13 @@ from repro.faults.spec import ChaosSpec
 from repro.obs.recorder import Observer
 from repro.pubsub.routing import SequenceTracker
 from repro.sim.rng import uniform_draws
+
+#: Cap on a single retransmission backoff step (seconds).
+DELIVERY_BACKOFF_CAP = 30.0
+#: Bound on concurrently pending retransmissions at the publisher; when
+#: the queue is full a lost notification is abandoned instead of queued
+#: (the overload-shedding path).
+DELIVERY_QUEUE_LIMIT = 1024
 
 
 def capped_backoff(base: float, cap: float, attempt: int) -> float:
@@ -278,13 +285,13 @@ class ReliableDelivery:
             # The first loss is what admits the notification to the
             # retransmit queue; a full queue sheds it instead.
             queued = limit > 0
-            if queued and len(pending) >= spec.delivery_queue_limit:
+            if queued and len(pending) >= DELIVERY_QUEUE_LIMIT:
                 return DeliveryPlan(False, now, 1, 1, False, True, None)
             delivered = False
             # A retry the global budget refuses ends the walk: the loss
             # is permanent (healed later by access-time staleness repair).
             for attempt, at, _backoff in retry_instants(
-                now, limit, spec.delivery_ack_timeout, spec.delivery_backoff_cap,
+                now, limit, spec.delivery_ack_timeout, DELIVERY_BACKOFF_CAP,
                 self._overload, ack_timeout=True,
             ):
                 if attempt > limit:

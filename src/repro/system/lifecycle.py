@@ -71,6 +71,18 @@ _SUPPRESSED_BECAUSE = {
 #: Sentinel confirmation instant for an abandoned handshake.
 NEVER = float("inf")
 
+#: Maximum confirmation retries after a lost handshake message.
+CONFIRM_RETRY_LIMIT = 3
+#: Timeout before the first confirmation retry (seconds); doubles per
+#: attempt up to :data:`CONFIRM_BACKOFF_CAP`.
+CONFIRM_TIMEOUT = 2.0
+#: Cap on a single confirmation backoff step (seconds).
+CONFIRM_BACKOFF_CAP = 60.0
+#: Bound on concurrently pending handshakes per subscriber work queue;
+#: an overflowing handshake is abandoned (stays pending until
+#: access-time re-poll).
+QUEUE_LIMIT = 64
+
 
 class _Lease:
     """Mutable lifecycle state of one (page, proxy) subscription cell."""
@@ -153,7 +165,7 @@ class LifecycleManager:
         self._obs_on = self.obs.enabled
         self._leases: Dict[Tuple[int, int], _Lease] = {}
         self._queues: List[SubscriberQueue] = [
-            SubscriberQueue(spec.queue_limit) for _ in range(server_count)
+            SubscriberQueue(QUEUE_LIMIT) for _ in range(server_count)
         ]
         # -- counters -----------------------------------------------------
         self.events = 0
@@ -196,9 +208,8 @@ class LifecycleManager:
         queue sheds the retry, or the global retry budget refuses one —
         the lease then stays PENDING until an access-time re-poll.
         """
-        spec = self.spec
-        loss = spec.confirmation_loss_probability
-        limit = spec.confirm_retry_limit
+        loss = self.spec.confirmation_loss_probability
+        limit = CONFIRM_RETRY_LIMIT
         losses = 1
         confirmed_at = NEVER
         if limit > 0 and queue.full:
@@ -206,7 +217,7 @@ class LifecycleManager:
             queue.overflows += 1
         else:
             for attempt, at, _backoff in retry_instants(
-                now, limit, spec.confirm_timeout, spec.confirm_backoff_cap,
+                now, limit, CONFIRM_TIMEOUT, CONFIRM_BACKOFF_CAP,
                 self._overload, ack_timeout=True,
             ):
                 if attempt <= limit:
@@ -289,7 +300,7 @@ class LifecycleManager:
         if obs_on:
             if confirmed_at == NEVER:
                 self.obs.handshake_lost(
-                    now, page_id, server_id, self.spec.confirm_retry_limit + 1
+                    now, page_id, server_id, CONFIRM_RETRY_LIMIT + 1
                 )
             else:
                 self.obs.lease_confirmed(now, page_id, server_id, confirmed_at - now)

@@ -396,7 +396,7 @@ class SimulationResult:
     def mean_response_time(self) -> float:
         """Modelled mean user-perceived response time (seconds).
 
-        Hits cost ``hit_latency``; misses add ``per_hop_latency`` per
+        Hits cost ``HIT_LATENCY``; misses add ``PER_HOP_LATENCY`` per
         network hop to the publisher — the translation of hit ratio
         into user-perceived latency that motivates the paper.
         """

@@ -70,7 +70,12 @@ from repro.obs.recorder import NULL_OBSERVER, Observer
 from repro.pubsub.matching import TraceMatchCounts
 from repro.sim.engine import Environment, NORMAL, URGENT
 from repro.sim.rng import RandomStreams
-from repro.system.config import PushingScheme, SimulationConfig
+from repro.system.config import (
+    HIT_LATENCY,
+    PER_HOP_LATENCY,
+    PushingScheme,
+    SimulationConfig,
+)
 from repro.system.metrics import SimulationResult, dense_counts
 from repro.system.proxy import ProxyServer
 from repro.system.publisher import Publisher
@@ -89,6 +94,14 @@ logger = get_logger(__name__)
 
 #: Safety cap on modelled retransmissions over one lossy transfer.
 _MAX_RETRANSMITS = 8
+
+#: Origin-fetch retries while the publisher is down or the origin gate
+#: refuses (``Simulation._origin_wait``): at most ``RETRY_LIMIT``
+#: retries, the first after ``RETRY_BASE`` seconds, doubling per attempt
+#: up to ``RETRY_CAP`` seconds a step.
+RETRY_LIMIT = 4
+RETRY_BASE = 0.5
+RETRY_CAP = 8.0
 
 #: Merge and sort key of the static stream (see ``Simulation._stream``).
 _TIME = itemgetter(0)
@@ -139,12 +152,7 @@ def cell_inputs(
             )
         )
     if topology is None:
-        topology = build_topology(
-            workload.config.server_count,
-            streams.stream("topology"),
-            model=config.topology_model,
-            extra_nodes=config.topology_extra_nodes,
-        )
+        topology = build_topology(workload.config.server_count, streams.stream("topology"))
     return match_table, topology
 
 
@@ -247,12 +255,7 @@ class Simulation:
         if self.fault_schedule is not None:
             from repro.faults.recovery import RecoveryTracker
 
-            self._recovery = RecoveryTracker(
-                warm_request_window=self.chaos.warm_request_window,
-                warm_threshold=self.chaos.warm_threshold,
-                bin_seconds=self.chaos.recovery_bin_seconds,
-                bin_count=self.chaos.recovery_bin_count,
-            )
+            self._recovery = RecoveryTracker()
         # Failed/degraded books, shared by the fault and overload layers.
         self._failed_by_hour: Dict[int, int] = {}
         self._degraded_by_hour: Dict[int, int] = {}
@@ -276,12 +279,6 @@ class Simulation:
                 range(workload.config.server_count),
                 rng=derive_overload_rng(overload_spec, streams),
             )
-            if self.chaos is None:
-                # Origin-gate retries reuse the graceful-degradation
-                # backoff parameters (retry_limit/base/cap); without a
-                # chaos spec the defaults apply.  No schedule, so no
-                # injector and no fault metrics.
-                self.chaos = ChaosSpec()
 
         # -- reliable-delivery layer ---------------------------------------
         # Engaged only when the push path itself can fail; with every
@@ -679,11 +676,11 @@ class Simulation:
                     self.obs.repair(now, page_id, server_id, age)
                 recovery.sample_staleness_age(age)
                 fetch_latency, degraded = self._degrade_transfer(
-                    self.config.per_hop_latency * proxy.policy.cost, server_id, now
+                    PER_HOP_LATENCY * proxy.policy.cost, server_id, now
                 )
                 self._settle_miss(
                     proxy, server_id, page_id, version, size, match_count, now,
-                    self.config.hit_latency + waited + fetch_latency,
+                    HIT_LATENCY + waited + fetch_latency,
                     degraded or waited > 0.0,
                 )
                 return True
@@ -723,7 +720,7 @@ class Simulation:
         if resolution is not None:
             self._settle_miss(
                 proxy, server_id, page_id, version, size, match_count, now,
-                self.config.hit_latency + resolution[0], resolution[1],
+                HIT_LATENCY + resolution[0], resolution[1],
             )
             return True
         overload = self._overload
@@ -767,7 +764,7 @@ class Simulation:
         proxy.handle_request(page_id, cached_version, size, match_count, now)
         if self._recovery is not None:
             self._recovery.on_request(server_id, hit=True, now=now)
-        latency = self.config.hit_latency + waited
+        latency = HIT_LATENCY + waited
         proxy.stats.response_time += latency
         if self._obs_on:
             self.obs.request_outcome(now, page_id, server_id, "hit", latency)
@@ -817,7 +814,7 @@ class Simulation:
                 self.obs.failed(now, page_id, server_id)
             return
         self._note_degraded(now)
-        latency = self.config.hit_latency + resolution[0]
+        latency = HIT_LATENCY + resolution[0]
         proxy.stats.response_time += latency
         if self._obs_on:
             self.obs.request_outcome(now, page_id, server_id, "miss", latency)
@@ -835,7 +832,7 @@ class Simulation:
     ) -> Optional[Tuple[float, bool]]:
         """Fetch from the origin, retrying across an outage if needed.
 
-        Returns ``(latency beyond hit_latency, degraded?)``, or ``None``
+        Returns ``(latency beyond HIT_LATENCY, degraded?)``, or ``None``
         when the content could not be obtained — the contract of
         ``self._off_proxy``, whose other implementation
         (:meth:`repro.system.cooperation.Peers.fetch`) ends here.
@@ -847,7 +844,7 @@ class Simulation:
         if self._obs_on:
             self.obs.fetch(now, page_id, server_id)
         fetch_latency, degraded = self._degrade_transfer(
-            self.config.per_hop_latency * proxy.policy.cost, server_id, now
+            PER_HOP_LATENCY * proxy.policy.cost, server_id, now
         )
         return waited + fetch_latency, degraded or waited > 0.0
 
@@ -857,7 +854,7 @@ class Simulation:
         """Backoff until the origin answers: (reachable?, seconds waited).
 
         The first attempt happens at ``now``; each retry doubles the
-        backoff up to ``retry_cap``, at most ``retry_limit`` retries
+        backoff up to :data:`RETRY_CAP`, at most :data:`RETRY_LIMIT` retries
         (:func:`~repro.system.delivery.retry_instants`).  Whether a
         retry succeeds is a pure schedule lookup — the outage windows
         are materialised up front.
@@ -875,12 +872,11 @@ class Simulation:
             return True, 0.0
         from repro.system.delivery import retry_instants
 
-        spec = self.chaos
         obs_on = self._obs_on
         waited = 0.0
         attempt = 0
         for attempt, at, backoff in retry_instants(
-            now, spec.retry_limit, spec.retry_base, spec.retry_cap, overload
+            now, RETRY_LIMIT, RETRY_BASE, RETRY_CAP, overload
         ):
             waited += backoff
             if obs_on:
@@ -889,7 +885,7 @@ class Simulation:
                 overload is None or overload.origin_admit(at)
             ):
                 return True, waited
-        if obs_on and attempt < spec.retry_limit:
+        if obs_on and attempt < RETRY_LIMIT:
             # The walk stopped short: the retry budget refused the next one.
             self.obs.retry_denied(now, page_id, server_id, attempt + 1)
         return False, waited
@@ -1206,16 +1202,15 @@ class Simulation:
 
         # Per-proxy columns: bound policy entry points, whether a
         # rejected push still transfers (Always-Pushing with a
-        # push-capable policy), and the miss latency beyond hit_latency.
+        # push-capable policy), and the miss latency beyond HIT_LATENCY.
         on_publish = [proxy.policy.on_publish for proxy in proxies]
         on_request = [proxy.policy.on_request for proxy in proxies]
         always = config.pushing is PushingScheme.ALWAYS
         transfer_rejected = [
             always and proxy.policy.uses_push for proxy in proxies
         ]
-        hit_latency = config.hit_latency
-        per_hop = config.per_hop_latency
-        miss_latency = [per_hop * proxy.policy.cost for proxy in proxies]
+        hit_latency = HIT_LATENCY
+        miss_latency = [PER_HOP_LATENCY * proxy.policy.cost for proxy in proxies]
         versions_get = versions.get
         interval = config.invariant_check_interval
         events = self._events_processed

@@ -47,6 +47,12 @@ logger = get_logger(__name__)
 #: unbounded event chains.
 MAX_EVENTS_PER_SUBSCRIBER = 2000
 
+#: Floor on a drawn lease duration (seconds).
+LEASE_MIN = 10 * 60.0
+#: Mean gap before a lapsed or unsubscribed subscriber comes back
+#: (seconds, exponentially distributed).
+RESUBSCRIBE_DELAY = 1 * HOUR
+
 #: The lifecycle event kinds, in their deterministic same-time order.  A
 #: table row stores a kind as its index here, named below.
 LIFECYCLE_KINDS: Tuple[str, ...] = ("subscribe", "renew", "unsubscribe")
@@ -70,29 +76,13 @@ class ChurnSpec:
     churn_rate: float = 0.0
     #: Mean lease duration in seconds (exponentially distributed).
     lease_duration: float = 6 * HOUR
-    #: Floor on a drawn lease duration (seconds).
-    lease_min: float = 10 * 60.0
     #: Probability an expiring lease is renewed in time.
     renew_probability: float = 0.8
-    #: Mean gap before a lapsed or unsubscribed subscriber comes back
-    #: (seconds, exponentially distributed).
-    resubscribe_delay: float = 1 * HOUR
     #: Probability one subscribe/renew confirmation message is lost in
     #: the handshake (drawn at simulation time from the dedicated
     #: ``"faults.lifecycle"`` stream; 0 keeps the handshake reliable
     #: and draw-free).
     confirmation_loss_probability: float = 0.0
-    #: Maximum confirmation retries after a lost handshake message.
-    confirm_retry_limit: int = 3
-    #: Timeout before the first confirmation retry (seconds); doubles
-    #: per attempt up to ``confirm_backoff_cap``.
-    confirm_timeout: float = 2.0
-    #: Cap on a single confirmation backoff step (seconds).
-    confirm_backoff_cap: float = 60.0
-    #: Bound on concurrently pending handshakes per subscriber work
-    #: queue; an overflowing handshake is abandoned (stays pending
-    #: until access-time re-poll).
-    queue_limit: int = 64
 
     def __post_init__(self) -> None:
         # The checks live in repro.workload.validate so the trace
@@ -182,7 +172,7 @@ def generate_churn(
     )
 
     def draw_lease() -> float:
-        return max(spec.lease_min, float(rng.exponential(spec.lease_duration)))
+        return max(LEASE_MIN, float(rng.exponential(spec.lease_duration)))
 
     cells = sorted(set((int(p), int(s)) for p, s in pairs))
     starts = []  # index of each cell's first event
@@ -213,8 +203,8 @@ def generate_churn(
             elif float(rng.random()) < spec.renew_probability:
                 # Renew shortly before the wire; the renewal's lease
                 # clock starts at the renewal, so expiry always grows
-                # (lease_min bounds the lead from below).
-                now = max(now, expiry - 0.1 * min(lease, spec.lease_min))
+                # (LEASE_MIN bounds the lead from below).
+                now = max(now, expiry - 0.1 * min(lease, LEASE_MIN))
                 lease = draw_lease()
                 times.append(now)
                 kinds.append(RENEW)
@@ -225,7 +215,7 @@ def generate_churn(
                 # Silent lapse: no event at expiry — the subscriber
                 # simply stops being covered and re-subscribes later.
                 gone = expiry
-            now = gone + float(rng.exponential(spec.resubscribe_delay))
+            now = gone + float(rng.exponential(RESUBSCRIBE_DELAY))
             if now >= horizon:
                 break
             lease = draw_lease()

@@ -54,10 +54,8 @@ def test_match_table_and_topology_round_trip(tmp_path):
     table = cached_match_table(cache, workload, "news", SCALE, SEED, 1.0, 1.0)
     again = cached_match_table(cache, workload, "news", SCALE, SEED, 1.0, 1.0)
     assert table._table == again._table
-    topology = cached_topology(cache, workload.config.server_count, SEED, "waxman", 20)
-    reloaded = cached_topology(
-        cache, workload.config.server_count, SEED, "waxman", 20
-    )
+    topology = cached_topology(cache, workload.config.server_count, SEED)
+    reloaded = cached_topology(cache, workload.config.server_count, SEED)
     assert topology.fetch_costs() == reloaded.fetch_costs()
     assert cache.hits == 2
 
@@ -232,9 +230,7 @@ def test_match_table_json_round_trip():
 
 
 def test_topology_json_round_trip():
-    topology = build_topology(
-        12, RandomStreams(5).stream("topology"), model="waxman", extra_nodes=6
-    )
+    topology = build_topology(12, RandomStreams(5).stream("topology"), extra_nodes=6)
     clone = Topology.from_json(topology.to_json())
     assert clone.publisher_node == topology.publisher_node
     assert clone.proxy_nodes == topology.proxy_nodes

@@ -189,7 +189,6 @@ VARIATIONS = {
     "workers": dict(workers=2),
     "streaming": dict(streaming=True),
     "invariant checks": dict(invariant_check_interval=100),
-    "latency": dict(per_hop_latency=0.05),
 }
 
 

@@ -1,10 +1,14 @@
-"""ChaosSpec validation and fault-activation predicates."""
+"""ChaosSpec validation and fault-activation predicates; NaN rejection
+across every run spec."""
 
 import dataclasses
+import typing
 
 import pytest
 
-from repro.faults.spec import ChaosSpec
+from repro.faults.spec import ChaosSpec, OverloadSpec
+from repro.system.config import SimulationConfig
+from repro.workload.churn import ChurnSpec
 
 
 def test_defaults_inject_nothing():
@@ -34,8 +38,6 @@ def test_protocol_knobs_alone_do_not_activate():
     spec = ChaosSpec(
         delivery_retry_limit=9,
         delivery_ack_timeout=0.25,
-        delivery_backoff_cap=5.0,
-        delivery_queue_limit=2,
         delivery_repair=False,
         broker_count=4,
     )
@@ -54,9 +56,8 @@ def test_protocol_knobs_alone_do_not_activate():
         ({"broker_mttr": -1.0}, "broker_mttr"),
         ({"broker_count": 0}, "broker_count"),
         ({"delivery_retry_limit": -1}, "delivery_retry_limit"),
-        ({"delivery_queue_limit": -1}, "delivery_queue_limit"),
+        ({"delivery_duplicate_probability": -0.1}, "delivery_duplicate_probability"),
         ({"delivery_ack_timeout": -0.5}, "delivery_ack_timeout"),
-        ({"delivery_backoff_cap": -1.0}, "delivery_backoff_cap"),
     ],
 )
 def test_delivery_knob_validation(knobs, match):
@@ -68,3 +69,21 @@ def test_spec_replace_keeps_validation():
     spec = ChaosSpec(delivery_loss_probability=0.2)
     with pytest.raises(ValueError):
         dataclasses.replace(spec, delivery_retry_limit=-2)
+
+
+FLOAT_FIELDS = [
+    (spec, name)
+    for spec in (SimulationConfig, ChaosSpec, OverloadSpec, ChurnSpec)
+    for name, hint in typing.get_type_hints(spec).items()
+    if hint is float
+]
+
+
+@pytest.mark.parametrize(
+    "spec, name", FLOAT_FIELDS, ids=[f"{spec.__name__}.{name}" for spec, name in FLOAT_FIELDS]
+)
+def test_every_float_field_rejects_nan(spec, name):
+    """A NaN fails every ``x < 0``-style check it meets, so each check is
+    written to fail it instead (``not x >= 0``)."""
+    with pytest.raises(ValueError, match=name):
+        spec(**{name: float("nan")})

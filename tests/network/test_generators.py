@@ -1,9 +1,8 @@
-"""Tests for Waxman and Barabási–Albert topology generators."""
+"""Tests for the Waxman topology generator."""
 
 import numpy as np
 import pytest
 
-from repro.network.barabasi import barabasi_albert_graph
 from repro.network.waxman import waxman_graph
 
 
@@ -65,34 +64,3 @@ class TestWaxman:
         weights = [w for _u, _v, w in graph.edges()]
         diag = 1000.0 * 2**0.5
         assert np.mean(weights) < 0.4 * diag
-
-
-class TestBarabasiAlbert:
-    def test_node_count_and_connectivity(self):
-        graph = barabasi_albert_graph(50, rng())
-        assert graph.node_count == 50
-        assert graph.is_connected()
-
-    def test_edge_count_formula(self):
-        m = 2
-        n = 30
-        graph = barabasi_albert_graph(n, rng(), links_per_node=m)
-        seed_edges = (m + 1) * m // 2
-        assert graph.edge_count == seed_edges + (n - m - 1) * m
-
-    def test_heavy_tail_degrees(self):
-        graph = barabasi_albert_graph(300, rng(2), links_per_node=2)
-        degrees = sorted((graph.degree(node) for node in graph.nodes()), reverse=True)
-        # preferential attachment produces hubs far above the minimum degree
-        assert degrees[0] >= 5 * 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            barabasi_albert_graph(2, rng(), links_per_node=2)
-        with pytest.raises(ValueError):
-            barabasi_albert_graph(10, rng(), links_per_node=0)
-
-    def test_deterministic(self):
-        a = barabasi_albert_graph(40, rng(5))
-        b = barabasi_albert_graph(40, rng(5))
-        assert sorted(a.edges()) == sorted(b.edges())

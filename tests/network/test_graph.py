@@ -17,8 +17,7 @@ def test_add_nodes_and_edges():
     graph.add_edge(0, 1, 2.0)
     assert graph.node_count == 2
     assert graph.edge_count == 1
-    assert graph.has_edge(0, 1) and graph.has_edge(1, 0)
-    assert graph.weight(0, 1) == 2.0
+    assert list(graph.edges()) == [(0, 1, 2.0)]
 
 
 def test_self_loop_rejected():
@@ -37,8 +36,7 @@ def test_readd_edge_overwrites_weight():
     graph = Graph()
     graph.add_edge(0, 1, 1.0)
     graph.add_edge(0, 1, 9.0)
-    assert graph.edge_count == 1
-    assert graph.weight(0, 1) == 9.0
+    assert list(graph.edges()) == [(0, 1, 9.0)]
 
 
 def test_edges_listed_once():
@@ -48,27 +46,10 @@ def test_edges_listed_once():
     assert all(u < v for u, v, _w in edges)
 
 
-def test_degree_and_neighbors():
-    graph = path_graph(3)
-    assert graph.degree(1) == 2
-    assert set(graph.neighbors(1)) == {0, 2}
-
-
 def test_hop_distances_on_path():
     graph = path_graph(5)
     distances = graph.shortest_paths_from(0)
     assert distances == {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0}
-
-
-def test_weighted_distances_prefer_cheap_detour():
-    graph = Graph()
-    graph.add_edge(0, 1, 10.0)
-    graph.add_edge(0, 2, 1.0)
-    graph.add_edge(2, 1, 1.0)
-    weighted = graph.shortest_paths_from(0, weighted=True)
-    assert weighted[1] == 2.0  # via node 2
-    hops = graph.shortest_paths_from(0, weighted=False)
-    assert hops[1] == 1.0  # direct edge wins on hops
 
 
 def test_unknown_source_raises():
@@ -101,7 +82,7 @@ def test_connect_components_uses_positions():
     graph.positions = {0: (0, 0), 1: (1, 0), 2: (1.1, 0), 3: (50, 0)}
     graph.connect_components()
     # closest pair across components is (1, 2)
-    assert graph.has_edge(1, 2)
+    assert (1, 2) in {(u, v) for u, v, _w in graph.edges()}
 
 
 def test_empty_graph_is_connected():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.network.graph import Graph
-from repro.network.topology import Topology, build_topology
+from repro.network.topology import TRANSIT_NODES, Topology, build_topology
 
 
 def line_topology():
@@ -58,22 +58,12 @@ def test_unreachable_proxy_rejected():
 
 def test_build_topology_waxman():
     rng = np.random.default_rng(0)
-    topology = build_topology(10, rng, model="waxman", extra_nodes=5)
+    topology = build_topology(10, rng, extra_nodes=5)
     assert topology.proxy_count == 10
     assert topology.graph.node_count == 16
     assert all(cost >= 1.0 for cost in topology.fetch_costs())
-
-
-def test_build_topology_barabasi():
-    rng = np.random.default_rng(0)
-    topology = build_topology(10, rng, model="barabasi")
-    assert topology.proxy_count == 10
-
-
-def test_build_topology_unknown_model():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        build_topology(10, rng, model="mesh")
+    # Every run's topology carries the fixed transit routers.
+    assert build_topology(10, rng).graph.node_count == 11 + TRANSIT_NODES
 
 
 def test_build_topology_validates_proxy_count():

@@ -1,7 +1,7 @@
 """Failover-ordering tests for cooperative proxies under faults.
 
 The chain is: nearest live peer holding the current version, then the
-next-nearest, ..., then the origin.  Crashed peers cost ``peer_timeout``
+next-nearest, ..., then the origin.  Crashed peers cost ``PEER_TIMEOUT``
 and are skipped; the origin is the terminal fallback and only its
 exhausted retries make a request fail.
 """
@@ -13,8 +13,8 @@ import pytest
 from repro.faults.schedule import FaultSchedule, Window
 from repro.faults.spec import ChaosSpec
 from repro.sim.rng import RandomStreams
-from repro.system.config import SimulationConfig
-from repro.system.cooperation import CooperativeSimulation
+from repro.system.config import PER_HOP_LATENCY, SimulationConfig
+from repro.system.cooperation import PEER_TIMEOUT, CooperativeSimulation
 from repro.workload import generate_workload, news_config
 
 
@@ -65,9 +65,7 @@ def test_nearest_live_holder_serves(workload):
     assert resolution is not None
     extra_latency, degraded = resolution
     nearest_hops = max(1.0, close[0][1])
-    assert extra_latency == pytest.approx(
-        sim.config.per_hop_latency * nearest_hops
-    )
+    assert extra_latency == pytest.approx(PER_HOP_LATENCY * nearest_hops)
     assert not degraded
     assert sim._peers.fetch_pages == 1
     assert sim.publisher.total_fetch_pages == before  # origin untouched
@@ -91,7 +89,7 @@ def test_crashed_nearest_peer_is_skipped_with_timeout(workload):
     extra_latency, degraded = resolution
     assert degraded  # the dead probe downgraded the service level
     assert extra_latency == pytest.approx(
-        sim.chaos.peer_timeout + sim.config.per_hop_latency * max(1.0, h2)
+        PEER_TIMEOUT + PER_HOP_LATENCY * max(1.0, h2)
     )
     assert sim._peers.fetch_pages == 1
 
@@ -109,9 +107,7 @@ def test_origin_is_terminal_when_no_peer_holds_the_page(workload):
     )
     assert resolution is not None
     extra_latency, degraded = resolution
-    assert extra_latency == pytest.approx(
-        sim.config.per_hop_latency * requester.policy.cost
-    )
+    assert extra_latency == pytest.approx(PER_HOP_LATENCY * requester.policy.cost)
     assert not degraded
     assert sim._peers.fetch_pages == 0
     assert sim.publisher.total_fetch_pages == before + 1

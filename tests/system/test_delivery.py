@@ -20,6 +20,7 @@ from repro.faults.schedule import FaultSchedule, Window
 from repro.faults.spec import ChaosSpec
 from repro.pubsub.routing import SequenceTracker
 from repro.sim.rng import RandomStreams
+from repro.system import delivery as delivery_layer
 from repro.system.config import SimulationConfig
 from repro.system.delivery import ReliableDelivery
 from repro.system.metrics import STALENESS_AGE_BIN_EDGES, staleness_age_bin
@@ -59,7 +60,7 @@ def test_delivery_defaults_are_bit_identical(workload):
     for variant in (
         dataclasses.replace(base, delivery_repair=False),
         dataclasses.replace(base, delivery_retry_limit=0),
-        dataclasses.replace(base, delivery_ack_timeout=9.0, delivery_queue_limit=1),
+        dataclasses.replace(base, delivery_ack_timeout=9.0),
     ):
         tweaked = run_simulation(
             workload, dataclasses.replace(config, chaos=variant)
@@ -263,9 +264,9 @@ def test_generated_broker_windows_are_deterministic(workload):
 # ---------------------------------------------------------------------------
 
 
-def test_tiny_queue_sheds_retransmissions(workload):
-    spec = dataclasses.replace(LOSSY, delivery_queue_limit=0)
-    result = run_simulation(workload, SimulationConfig(strategy="sub", chaos=spec))
+def test_tiny_queue_sheds_retransmissions(workload, monkeypatch):
+    monkeypatch.setattr(delivery_layer, "DELIVERY_QUEUE_LIMIT", 0)
+    result = run_simulation(workload, SimulationConfig(strategy="sub", chaos=LOSSY))
     # Every first loss found the queue full: abandoned, never retried.
     assert result.retransmit_queue_overflows > 0
     assert result.notifications_retransmitted == 0
@@ -298,9 +299,7 @@ def test_plan_clean_send():
 def test_plan_backoff_ladder_against_broker_window():
     """ack_timeout=1, cap=30, limit=3: retransmits at +1, +3, +7.  A
     broker window ending at +5 makes exactly the third retransmit land."""
-    spec = ChaosSpec(
-        delivery_retry_limit=3, delivery_ack_timeout=1.0, delivery_backoff_cap=30.0
-    )
+    spec = ChaosSpec(delivery_retry_limit=3, delivery_ack_timeout=1.0)
     schedule = FaultSchedule(broker_crashes={0: [Window(start=100.0, end=105.0)]})
     plan = _delivery(spec, schedule).plan(0, 100.0)
     assert plan.delivered
@@ -310,12 +309,11 @@ def test_plan_backoff_ladder_against_broker_window():
     assert plan.arrival_time == pytest.approx(107.0)
 
 
-def test_plan_backoff_cap_clamps_ladder():
+def test_plan_backoff_cap_clamps_ladder(monkeypatch):
     """ack_timeout=4, cap=8: backoffs 4, 8, 8 (16 clamped) — attempts
     at +0, +4, +12, +20."""
-    spec = ChaosSpec(
-        delivery_retry_limit=3, delivery_ack_timeout=4.0, delivery_backoff_cap=8.0
-    )
+    monkeypatch.setattr(delivery_layer, "DELIVERY_BACKOFF_CAP", 8.0)
+    spec = ChaosSpec(delivery_retry_limit=3, delivery_ack_timeout=4.0)
     schedule = FaultSchedule(broker_crashes={0: [Window(start=0.0, end=19.0)]})
     plan = _delivery(spec, schedule).plan(0, 0.0)
     assert plan.delivered
@@ -338,14 +336,11 @@ def test_plan_retry_limit_zero_never_queues():
     assert not plan.queued and not plan.queue_overflow
 
 
-def test_plan_queue_overflow_and_lazy_drain():
+def test_plan_queue_overflow_and_lazy_drain(monkeypatch):
     """With one queue slot, a second concurrent loss is shed; once the
     first resolution time passes, the slot frees and queuing resumes."""
-    spec = ChaosSpec(
-        delivery_retry_limit=2,
-        delivery_ack_timeout=1.0,
-        delivery_queue_limit=1,
-    )
+    monkeypatch.setattr(delivery_layer, "DELIVERY_QUEUE_LIMIT", 1)
+    spec = ChaosSpec(delivery_retry_limit=2, delivery_ack_timeout=1.0)
     schedule = FaultSchedule(broker_crashes={0: [Window(start=0.0, end=50.0)]})
     delivery = _delivery(spec, schedule)
     # Attempts at 10, 11, 13 all die; the slot is held until the

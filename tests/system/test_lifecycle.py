@@ -23,7 +23,9 @@ from repro.faults.spec import ChaosSpec
 from repro.pubsub.matching import TraceMatchCounts
 from repro.sim.rng import RandomStreams
 from repro.system.config import SimulationConfig
+from repro.system import lifecycle
 from repro.system.lifecycle import (
+    CONFIRM_RETRY_LIMIT,
     NEVER,
     RENEWAL_LATENCY_BIN_EDGES,
     LifecycleManager,
@@ -353,13 +355,9 @@ class TestManager:
         assert m.deliverable(0, 0, 70.0 + m.spec.lease_duration - 1.0) == (True, "")
 
     def test_abandoned_handshake_repaired_on_access(self):
-        m = manager(
-            rng=np.random.default_rng(0),
-            confirmation_loss_probability=1.0,
-            confirm_retry_limit=2,
-        )
+        m = manager(rng=np.random.default_rng(0), confirmation_loss_probability=1.0)
         feed(m, sub(0.0, lease=1000.0), 0.0)
-        assert m.handshake_losses == 3  # initial attempt + 2 retries
+        assert m.handshake_losses == CONFIRM_RETRY_LIMIT + 1  # initial attempt + retries
         assert m.handshakes_abandoned == 1
         assert m.deliverable(0, 0, 500.0) == (False, "lease-pending")
         assert m.on_access(0, 0, 500.0) == "handshake"
@@ -370,31 +368,23 @@ class TestManager:
         # loss = 0.5 with this seed: first draw is a loss, second
         # confirms — the lease stays pending for one backoff step.
         rng = np.random.default_rng(1)
-        m = manager(
-            rng=rng,
-            confirmation_loss_probability=0.5,
-            confirm_timeout=2.0,
-        )
+        m = manager(rng=rng, confirmation_loss_probability=0.5)
         feed(m, sub(0.0, lease=1000.0), 0.0)
         if m.handshake_losses:
             allowed, reason = m.deliverable(0, 0, 0.5)
             assert (allowed, reason) == (False, "lease-pending")
         assert m.deliverable(0, 0, 200.0) == (True, "")
 
-    def test_queue_overflow_sheds_handshakes(self):
-        m = manager(
-            rng=np.random.default_rng(0),
-            confirmation_loss_probability=1.0,
-            confirm_retry_limit=3,
-            queue_limit=1,
-        )
+    def test_queue_overflow_sheds_handshakes(self, monkeypatch):
+        monkeypatch.setattr(lifecycle, "QUEUE_LIMIT", 1)
+        m = manager(rng=np.random.default_rng(0), confirmation_loss_probability=1.0)
         feed(m, sub(0.0, page=0), 0.0)  # occupies the single slot
         feed(m, sub(0.0, page=1), 0.0)  # shed at admission
         assert m.handshakes_abandoned == 2
         assert m.queue_overflows == 1
         assert m.queue_peak == 1
         # The shed handshake lost only its first attempt.
-        assert m.handshake_losses == (m.spec.confirm_retry_limit + 1) + 1
+        assert m.handshake_losses == (CONFIRM_RETRY_LIMIT + 1) + 1
 
     def test_finalize_census(self):
         m = manager()

@@ -18,6 +18,7 @@ from repro.faults.generator import derive_overload_rng
 from repro.faults.schedule import FaultSchedule, Window
 from repro.faults.spec import ChaosSpec, OverloadSpec
 from repro.sim.rng import RandomStreams
+from repro.system import lifecycle
 from repro.system.config import SimulationConfig
 from repro.system.cooperation import run_cooperative_simulation
 from repro.system.overload import (
@@ -70,7 +71,6 @@ def churny(workload):
         lease_duration=4 * 3600.0,
         renew_probability=0.6,
         confirmation_loss_probability=0.2,
-        queue_limit=2,
     )
     return workload.with_churn(spec, RandomStreams(7).stream("workload.churn"))
 
@@ -331,10 +331,11 @@ def test_queue_rejections_never_double_count(workload):
     assert result.degraded_requests == result.overload_pulls_rejected
 
 
-def test_subscriber_queue_shedding_composes_with_rejection(churny):
+def test_subscriber_queue_shedding_composes_with_rejection(churny, monkeypatch):
     """Lifecycle handshake shedding (SubscriberQueue overflow) and
     proxy-level pull rejection keep separate books: engaging both never
     perturbs the shared request denominator."""
+    monkeypatch.setattr(lifecycle, "QUEUE_LIMIT", 2)
     spec = OverloadSpec(service_rate=0.005, queue_capacity=3)
     result = run_simulation(
         churny, SimulationConfig(strategy="gdstar", overload=spec)

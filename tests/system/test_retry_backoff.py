@@ -2,9 +2,11 @@
 
 ``Simulation._origin_wait`` resolves "does a backed-off retry land
 after the publisher recovers?" analytically against the materialised
-outage windows.  These tests pin its edge behaviour: a zero retry
-budget, a backoff step that hits ``retry_cap`` exactly, and an outage
-that ends in the middle of a backoff period.
+outage windows.  These tests pin its edge behaviour at the module's
+``RETRY_LIMIT`` / ``RETRY_BASE`` / ``RETRY_CAP``: an outage outlasting
+every retry, and one that ends in the middle of a backoff period.  The
+walk itself, over other limits, bases and caps, is
+``test_retry_walk.py``'s.
 """
 
 import pytest
@@ -35,59 +37,23 @@ def test_origin_up_needs_no_wait(workload):
     assert sim._origin_wait(10.0, 0, 1) == (True, 0.0)
 
 
-def test_retry_limit_zero_fails_immediately(workload):
-    """With no retry budget the first unreachable attempt is final."""
-    sim = simulation_with(
-        workload,
-        ChaosSpec(retry_limit=0),
-        [Window(start=100.0, end=101.0)],
-    )
-    ok, waited = sim._origin_wait(100.0, 0, 1)
-    assert ok is False
-    assert waited == 0.0  # no backoff was even attempted
-
-
-def test_backoff_hitting_retry_cap_exactly(workload):
-    """retry_base=2, cap=8: backoffs 2, 4, 8 (== cap, uncapped value
-    exactly at the boundary), then 8 again (16 capped).  Retries land
-    at +2, +6, +14, +22 seconds."""
-    chaos = ChaosSpec(retry_limit=4, retry_base=2.0, retry_cap=8.0)
+def test_outage_outlasting_every_retry(workload):
+    """Backoffs 0.5, 1, 2, 4: the last retry lands at +7.5 s.  An outage
+    still running then fails the fetch after the full ladder; one ending
+    exactly at +7.5 does not (half-open windows make the publisher
+    reachable at its recovery instant)."""
     start = 1000.0
-
-    # Outage ends between the 3rd and 4th retry: only the capped 4th
-    # attempt (cumulative wait 22 s) gets through.
-    sim = simulation_with(
-        workload, chaos, [Window(start=start, end=start + 15.0)]
-    )
-    ok, waited = sim._origin_wait(start, 0, 1)
-    assert ok is True
-    assert waited == pytest.approx(22.0)
-
-    # Outage outlasting every retry (last attempt at +22 < end): the
-    # request fails having waited the full backoff budget.
-    sim = simulation_with(
-        workload, chaos, [Window(start=start, end=start + 23.0)]
-    )
-    ok, waited = sim._origin_wait(start, 0, 1)
-    assert ok is False
-    assert waited == pytest.approx(22.0)
-
-    # Outage ending exactly at the last retry instant: half-open
-    # windows make the publisher reachable again at its recovery
-    # instant, so the attempt at +22 succeeds.
-    sim = simulation_with(
-        workload, chaos, [Window(start=start, end=start + 22.0)]
-    )
-    ok, waited = sim._origin_wait(start, 0, 1)
-    assert ok is True
-    assert waited == pytest.approx(22.0)
+    sim = simulation_with(workload, ChaosSpec(), [Window(start=start, end=start + 8.0)])
+    assert sim._origin_wait(start, 0, 1) == (False, pytest.approx(7.5))
+    sim = simulation_with(workload, ChaosSpec(), [Window(start=start, end=start + 7.5)])
+    assert sim._origin_wait(start, 0, 1) == (True, pytest.approx(7.5))
 
 
 def test_outage_ending_mid_backoff(workload):
     """Recovery during a backoff period: the retry that fires after the
     outage ends succeeds, with the full elapsed backoff as the wait.
 
-    Default spec backoffs are 0.5, 1, 2, 4 -> retries at +0.5, +1.5,
+    Backoffs are 0.5, 1, 2, 4 -> retries at +0.5, +1.5,
     +3.5, +7.5.  An outage ending at +3.0 straddles the second backoff
     period; the +3.5 retry lands on a healthy origin.
     """
@@ -98,18 +64,3 @@ def test_outage_ending_mid_backoff(workload):
     ok, waited = sim._origin_wait(start, 0, 1)
     assert ok is True
     assert waited == pytest.approx(3.5)
-
-
-def test_retry_limit_zero_fails_requests_end_to_end(workload):
-    """Through the full request path: with retry_limit=0 every request
-    that needs the origin during the outage fails outright."""
-    horizon = workload.config.horizon
-    window = Window(start=horizon * 0.4, end=horizon * 0.6)
-    no_budget = simulation_with(
-        workload, ChaosSpec(retry_limit=0), [window]
-    ).run()
-    with_budget = simulation_with(workload, ChaosSpec(), [window]).run()
-    assert no_budget.failed_requests > 0
-    # A retry budget can only help: strictly fewer (or equal) failures.
-    assert with_budget.failed_requests <= no_budget.failed_requests
-    assert no_budget.availability < 1.0

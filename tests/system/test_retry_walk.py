@@ -4,8 +4,8 @@ Its three callers' timelines are pinned where they always were —
 ``test_retry_backoff.py`` (origin fetch), the ``plan`` cases of
 ``test_delivery.py`` and the handshake cases of ``test_lifecycle.py``.
 Here: the walk's own shape, and the origin fetch against a straight
-transcription of the loop it replaced, over random retry parameters,
-outage windows and retry budgets.
+transcription of the loop it replaced, over random outage windows and
+retry budgets.
 """
 
 import pytest
@@ -17,7 +17,7 @@ from repro.faults.spec import ChaosSpec, OverloadSpec
 from repro.sim.rng import RandomStreams
 from repro.system.config import SimulationConfig
 from repro.system.delivery import retry_instants
-from repro.system.simulator import Simulation
+from repro.system.simulator import RETRY_BASE, RETRY_CAP, RETRY_LIMIT, Simulation
 from repro.workload import generate_workload, news_config
 
 
@@ -78,19 +78,18 @@ def test_nothing_is_asked_or_drawn_for_attempts_not_made():
 def reference_origin_wait(simulation, now):
     """``Simulation._origin_wait`` as it was before the shared walk,
     transcribed (observer calls dropped); runs on ``simulation``'s own
-    schedule, spec and overload manager."""
+    schedule and overload manager."""
     schedule = simulation.fault_schedule
     overload = simulation._overload
     down = schedule is not None and schedule.publisher_down(now)
     if not down and (overload is None or overload.origin_admit(now)):
         return True, 0.0
-    spec = simulation.chaos
     waited = 0.0
     at = now
-    for attempt in range(spec.retry_limit):
+    for attempt in range(RETRY_LIMIT):
         if overload is not None and not overload.allow_retry(at):
             break
-        backoff = min(spec.retry_base * (2.0 ** attempt), spec.retry_cap)
+        backoff = min(RETRY_BASE * (2.0 ** attempt), RETRY_CAP)
         if overload is not None:
             backoff = overload.jitter_backoff(backoff)
         at += backoff
@@ -126,17 +125,12 @@ outage_windows = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    retry_limit=st.integers(0, 6),
-    retry_base=st.floats(0.1, 8.0),
-    retry_cap=st.floats(0.1, 30.0),
     outages=outage_windows,
     budget=st.one_of(st.none(), st.integers(1, 6)),
     jitter=st.sampled_from([0.0, 0.3]),
     fetch_times=st.lists(st.floats(0.0, 260.0), min_size=1, max_size=8).map(sorted),
 )
-def test_origin_wait_equals_the_loop_it_replaced(
-    cell, retry_limit, retry_base, retry_cap, outages, budget, jitter, fetch_times
-):
+def test_origin_wait_equals_the_loop_it_replaced(cell, outages, budget, jitter, fetch_times):
     workload, match_table, topology = cell
     overload = None
     if budget is not None:
@@ -151,7 +145,7 @@ def test_origin_wait_equals_the_loop_it_replaced(
         )
     config = SimulationConfig(
         strategy="gdstar",
-        chaos=ChaosSpec(retry_limit=retry_limit, retry_base=retry_base, retry_cap=retry_cap),
+        chaos=ChaosSpec(),
         overload=overload,
     )
 

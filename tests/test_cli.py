@@ -267,22 +267,28 @@ def test_chaos_flags_default_to_base_spec():
 
 
 def test_chaos_flags_keep_the_base_specs_unflagged_fields():
-    """Ten ChaosSpec fields have no flag; a base spec that sets them
-    keeps them, with and without flags laid over it."""
+    """One ChaosSpec field has no flag, ``degraded_latency_multiplier``:
+    ``DEFAULT_CHAOS`` sets it.  A base spec's value survives with and
+    without flags laid over it."""
     import dataclasses
 
-    from repro.cli import _spec_from_flags
+    from repro.cli import _LAYER_FLAGS, _spec_from_flags
+    from repro.experiments.chaos import DEFAULT_CHAOS
     from repro.faults.spec import ChaosSpec
 
-    base = ChaosSpec(
-        retry_limit=9, retry_cap=99.0, peer_timeout=1.5, delivery_queue_limit=7,
-        warm_threshold=0.5,
-    )
+    flagged = {row.field for row in _LAYER_FLAGS["chaos"][1]}
+    names = [field.name for field in dataclasses.fields(ChaosSpec)]
+    assert [name for name in names if name not in flagged] == [
+        "degraded_latency_multiplier"
+    ]
+    base = dataclasses.replace(DEFAULT_CHAOS, degraded_latency_multiplier=7.0)
     args = build_parser().parse_args(["chaos"])
     assert _spec_from_flags(args, "chaos", base) == base
-    args = build_parser().parse_args(["chaos", "--delivery-loss", "0.1", "--no-repair"])
+    args = build_parser().parse_args(
+        ["chaos", "--degraded-mtbf", "3600", "--delivery-loss", "0.1", "--no-repair"]
+    )
     assert _spec_from_flags(args, "chaos", base) == dataclasses.replace(
-        base, delivery_loss_probability=0.1, delivery_repair=False
+        base, degraded_mtbf=3600.0, delivery_loss_probability=0.1, delivery_repair=False
     )
 
 
@@ -618,6 +624,34 @@ def test_bad_numeric_flags_fail_with_one_line(capsys, argv, needle):
     err = capsys.readouterr().err
     assert needle in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (
+            ["run", "--scale", "0.03", "--lease-duration", "nan"],
+            "invalid churn parameter: lease_duration must be positive seconds, got nan",
+        ),
+        (
+            ["chaos", "--scale", "0.03", "--delivery-loss", "0.1",
+             "--delivery-ack-timeout", "nan"],
+            "invalid chaos parameter: delivery_ack_timeout must be >= 0, got nan",
+        ),
+        (
+            ["run", "--scale", "0.03", "--service-rate", "nan"],
+            "invalid overload parameter: service rate must be > 0, got nan",
+        ),
+        (["run", "--scale", "nan"], "invalid run parameter: scale must be > 0, got nan"),
+    ],
+)
+def test_nan_flags_fail_with_one_line(capsys, argv, needle):
+    """A NaN fails every range check, rather than passing every ``x < 0``
+    and running with the value (or the layer) silently wrong."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == needle + "\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["run", "chaos"])

@@ -41,7 +41,6 @@ UNUSED_BY_A_VANILLA_RUN = [
         "obs": "registry tracer timeseries monitor explain inspect",
         "experiments": "figures tables chaos sensitivity calibrate report reportgen svg",
         "pubsub": "routing",
-        "network": "barabasi",
     }.items()
     for module in modules.split()
 ] + ["multiprocessing", "subprocess", "socket"]
@@ -189,3 +188,91 @@ def test_every_module_is_reachable_from_a_command():
                         frontier.append(parsed[source][1].get(name, f"{source}.{name}"))
             module = module.rpartition(".")[0]
     assert sorted(set(files) - reached) == []
+
+
+# -- every spec field is set by a command ----------------------------------
+
+#: The run specs, by the module that defines each.
+SPECS = {
+    "SimulationConfig": "repro.system.config",
+    "ChaosSpec": "repro.faults.spec",
+    "OverloadSpec": "repro.faults.spec",
+    "ChurnSpec": "repro.workload.churn",
+}
+
+#: Spec fields no command sets, each with the reason it stays a field.
+UNSET_ON_PURPOSE = {
+    "invariant_check_interval": (
+        "a safety check, not a model parameter: tests switch it on to assert "
+        "the simulator's invariants, and it changes no result"
+    ),
+}
+
+
+def _spec_fields():
+    """``{spec: [field, ...]}``: the annotated names of each spec class body."""
+    files = _module_files()
+    fields = {}
+    for name, module in SPECS.items():
+        tree = ast.parse(files[module].read_text(encoding="utf-8"))
+        (body,) = [node.body for node in tree.body if getattr(node, "name", "") == name]
+        fields[name] = [
+            node.target.id for node in body if isinstance(node, ast.AnnAssign)
+        ]
+    return fields
+
+
+def _flag_fields():
+    """The spec field of every ``cli._LAYER_FLAGS`` row."""
+    tree = ast.parse((SOURCE / "repro" / "cli.py").read_text(encoding="utf-8"))
+    return {
+        node.args[1].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_Flag"
+    }
+
+
+def _keyword_fields(paths):
+    """``(spec, field)`` for every keyword of a call to a spec class in
+    ``paths``, calls inside that spec's own class body excluded."""
+    found = set()
+    for path in paths:
+        pending = [ast.parse(path.read_text(encoding="utf-8"))]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, ast.ClassDef) and node.name in SPECS:
+                continue
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", getattr(node.func, "attr", ""))
+                if called in SPECS:
+                    found |= {(called, keyword.arg) for keyword in node.keywords}
+            pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_spec_field_is_set_by_a_command():
+    """ROADMAP 8 (i): a field of a run spec is set by a ``_LAYER_FLAGS``
+    row, by a keyword in ``src/repro`` (a command's own spec, such as
+    ``run_cell``'s config or ``DEFAULT_CHAOS``), or by a keyword in
+    ``results/`` or ``tests/paper/`` (a documented experiment); or it is
+    a module constant beside the code that reads it."""
+    root = SOURCE.parent
+    paths = [
+        *(SOURCE / "repro").rglob("*.py"),
+        *(root / "results").rglob("*.py"),
+        *(root / "tests" / "paper").rglob("*.py"),
+    ]
+    flagged, keyworded = _flag_fields(), _keyword_fields(paths)
+    fields = _spec_fields()
+    unset = [
+        f"{spec}.{name}"
+        for spec, names in fields.items()
+        for name in names
+        if name not in flagged
+        and (spec, name) not in keyworded
+        and name not in UNSET_ON_PURPOSE
+    ]
+    assert unset == []
+    # 65 before the fields no command set became constants; a new field
+    # must argue its way past this number.
+    assert sum(map(len, fields.values())) <= 45

@@ -47,7 +47,7 @@ PINNED_ALL = {
         "Window generate_fault_schedule"
     ),
     "repro.network": (
-        "Graph waxman_graph barabasi_albert_graph Topology build_topology"
+        "Graph waxman_graph Topology build_topology"
     ),
     "repro.obs": (
         "Observer NullObserver NULL_OBSERVER build_observer MetricsRegistry Counter "

@@ -13,6 +13,7 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
+from repro.workload import churn
 from repro.workload.churn import (
     LIFECYCLE_KINDS,
     MAX_EVENTS_PER_SUBSCRIBER,
@@ -198,7 +199,7 @@ def generate_churn(
     )
 
     def draw_lease() -> float:
-        return max(spec.lease_min, float(rng.exponential(spec.lease_duration)))
+        return max(churn.LEASE_MIN, float(rng.exponential(spec.lease_duration)))
 
     for page_id, server_id in sorted(set((int(p), int(s)) for p, s in pairs)):
         emitted = 0
@@ -232,7 +233,7 @@ def generate_churn(
                 )
                 emitted += 1
                 comeback = next_unsub + float(
-                    rng.exponential(spec.resubscribe_delay)
+                    rng.exponential(churn.RESUBSCRIBE_DELAY)
                 )
                 if comeback >= horizon:
                     break
@@ -256,8 +257,8 @@ def generate_churn(
             if float(rng.random()) < spec.renew_probability:
                 # Renew shortly before the wire; the renewal's lease
                 # clock starts at the renewal, so expiry always grows
-                # (lease_min bounds the lead from below).
-                renew_at = max(now, expiry - 0.1 * min(lease, spec.lease_min))
+                # (LEASE_MIN bounds the lead from below).
+                renew_at = max(now, expiry - 0.1 * min(lease, churn.LEASE_MIN))
                 lease = draw_lease()
                 events.append(
                     LifecycleRecord(
@@ -274,7 +275,7 @@ def generate_churn(
             else:
                 # Silent lapse: no event at expiry — the subscriber
                 # simply stops being covered and re-subscribes later.
-                comeback = expiry + float(rng.exponential(spec.resubscribe_delay))
+                comeback = expiry + float(rng.exponential(churn.RESUBSCRIBE_DELAY))
                 if comeback >= horizon:
                     break
                 lease = draw_lease()

@@ -6,6 +6,7 @@ import pytest
 from repro.sim.rng import RandomStreams
 from repro.workload import generate_workload, news_config
 from repro.workload.churn import (
+    LEASE_MIN,
     LIFECYCLE_KINDS,
     MAX_EVENTS_PER_SUBSCRIBER,
     ChurnSpec,
@@ -70,13 +71,11 @@ class TestGeneration:
         assert initial == set(PAIRS)
 
     def test_leases_respect_floor_and_horizon(self):
-        events = generate_churn(
-            PAIRS, DAY, spec(lease_min=600.0), np.random.default_rng(5)
-        )
+        events = generate_churn(PAIRS, DAY, spec(), np.random.default_rng(5))
         for event in events:
             assert 0.0 <= event.time < DAY
             if event.kind in ("subscribe", "renew"):
-                assert event.lease >= 600.0
+                assert event.lease >= LEASE_MIN
             else:
                 assert event.lease == 0.0
 
@@ -91,7 +90,6 @@ class TestGeneration:
         # instead of generating unbounded chains.
         pathological = spec(
             lease_duration=1.0,
-            lease_min=1.0,
             renew_probability=1.0,
             confirmation_loss_probability=0.0,
         )
@@ -121,16 +119,12 @@ class TestSpecValidation:
             (dict(churn_rate=-0.5), "churn_rate"),
             (dict(lease_duration=0.0), "lease_duration"),
             (dict(lease_duration=-60.0), "lease_duration"),
-            (dict(lease_min=0.0), "lease_min"),
+            (dict(lease_duration=float("nan")), "lease_duration"),
             (dict(renew_probability=1.5), "renew_probability"),
             (dict(renew_probability=-0.1), "renew_probability"),
-            (dict(resubscribe_delay=0.0), "resubscribe_delay"),
+            (dict(renew_probability=float("nan")), "renew_probability"),
             (dict(confirmation_loss_probability=2.0), "confirmation_loss"),
             (dict(confirmation_loss_probability=-1.0), "confirmation_loss"),
-            (dict(confirm_retry_limit=-1), "confirm_retry_limit"),
-            (dict(confirm_timeout=0.0), "confirm_timeout"),
-            (dict(confirm_timeout=10.0, confirm_backoff_cap=1.0), "backoff_cap"),
-            (dict(queue_limit=0), "queue_limit"),
         ],
     )
     def test_degenerate_knobs_rejected(self, kwargs, match):

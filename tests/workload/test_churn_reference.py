@@ -27,16 +27,14 @@ seeds = st.integers(0, 2**31 - 1)
 pair_lists = st.lists(
     st.tuples(st.integers(0, 6), st.integers(0, 4)), min_size=0, max_size=8
 )
-#: Down to shorter than the shortest lease floor below.
+#: Down to shorter than the lease floor, LEASE_MIN (ten minutes).
 horizons = st.sampled_from([30.0, 10 * 60.0, HOUR, 6 * HOUR, DAY])
 specs = st.builds(
     ChurnSpec,
     churn_rate=st.sampled_from([0.0, 0.5, 2.0, 24.0]),
-    lease_duration=st.sampled_from([10 * 60.0, HOUR, 3 * HOUR]),
-    # Below, at and above every lease_duration: above, each lease is the floor.
-    lease_min=st.sampled_from([60.0, 10 * 60.0, 2 * HOUR, 4 * HOUR]),
+    # Below, at and above LEASE_MIN: below, most leases are the floor.
+    lease_duration=st.sampled_from([60.0, 10 * 60.0, HOUR, 3 * HOUR]),
     renew_probability=st.sampled_from([0.0, 0.5, 1.0]),
-    resubscribe_delay=st.sampled_from([60.0, HOUR]),
 )
 
 
@@ -60,6 +58,6 @@ def test_generator_equals_record_reference(pairs, horizon, spec, seed):
 def test_capped_chain_equals_record_reference():
     # The cap case of test_churn.py::test_event_chains_are_bounded, beside
     # an ordinary subscriber so the cut chain is interleaved by the sort.
-    pathological = ChurnSpec(lease_duration=1.0, lease_min=1.0, renew_probability=1.0)
+    pathological = ChurnSpec(lease_duration=1.0, renew_probability=1.0)
     events = assert_same_stream([(1, 0), (2, 3)], 30 * DAY, pathological, 0)
     assert len(events) == 2 * MAX_EVENTS_PER_SUBSCRIBER

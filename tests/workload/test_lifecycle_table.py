@@ -223,7 +223,7 @@ def test_damaged_lifecycle_block_never_loads_as_a_shorter_stream(churned, tmp_pa
 
 
 def test_cap_warns_once_per_call_and_names_the_count(caplog):
-    pathological = ChurnSpec(lease_duration=1.0, lease_min=1.0, renew_probability=1.0)
+    pathological = ChurnSpec(lease_duration=1.0, renew_probability=1.0)
     with caplog.at_level(logging.WARNING, logger="repro.workload"):
         events = generate_churn(
             [(1, 0), (2, 0), (1, 0)], 30 * DAY, pathological, np.random.default_rng(0)
