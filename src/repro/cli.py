@@ -22,11 +22,12 @@ import dataclasses
 import importlib
 import os
 import sys
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
-# Module top is what build_parser needs, all of it numpy-free; each
-# _cmd_* imports the experiment/observability modules it runs.
+# Module top is what build_parser and main need, all of it numpy-free;
+# each _cmd_* imports the experiment/observability modules it runs.
 from repro import __version__
+from repro.core.policy import check_beta
 from repro.core.registry import strategy_names
 from repro.experiments.spec import DEFAULT_CACHE_DIR, CellKey
 from repro.obs.log import setup_cli_logging
@@ -160,14 +161,17 @@ def _add_obs(parser: argparse.ArgumentParser, profile: bool = False) -> None:
         )
 
 
-def _reject_unwritable_outputs(args: argparse.Namespace) -> Optional[int]:
+def _reject_unwritable_outputs(
+    args: argparse.Namespace,
+    flags: Tuple[str, ...] = ("trace_out", "metrics_out", "series_out", "monitor_out"),
+) -> Optional[int]:
     """Exit code 2 and one line when an output flag's file cannot be created.
 
     Checked before any trace is generated: the sinks open their files
     at construction and the metrics file is written after the run, so
     a bad path would otherwise cost a traceback or a whole simulation.
     """
-    for flag in ("trace_out", "metrics_out", "series_out", "monitor_out"):
+    for flag in flags:
         path = getattr(args, flag, None)
         if path is None:
             continue
@@ -358,10 +362,11 @@ def _spec_from_flags(args: argparse.Namespace, family: str, base=None):
 
 
 def _validate_cell_args(args: argparse.Namespace) -> None:
-    """Range-check the shared numeric cell flags.
+    """Range-check the shared numeric flags of whichever command has them.
 
-    Runs before any workload generation so a bad value produces one
-    clear line instead of a traceback from deep inside the pipeline.
+    ``main`` runs it before any command body, so a bad value produces
+    one clear line instead of a traceback from deep inside the pipeline
+    (or, for a NaN, a run with the value silently wrong).
     """
     capacity = getattr(args, "capacity", None)
     if capacity is not None and not 0.0 < capacity <= 1.0:
@@ -375,6 +380,11 @@ def _validate_cell_args(args: argparse.Namespace) -> None:
     workers = getattr(args, "workers", None)
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    seeds = getattr(args, "seeds", None)
+    if seeds is not None and seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
+    if getattr(args, "beta", None) is not None:
+        check_beta(args.beta)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -383,11 +393,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     error = _reject_unwritable_outputs(args)
     if error is not None:
         return error
-    try:
-        _validate_cell_args(args)
-    except ValueError as error:
-        print(f"invalid run parameter: {error}", file=sys.stderr)
-        return 2
     layers = {}
     for family in ("churn", "overload"):
         try:
@@ -552,7 +557,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if error is not None:
         return error
     try:
-        _validate_cell_args(args)
         spec = _spec_from_flags(args, "chaos", DEFAULT_CHAOS)
     except ValueError as error:
         print(f"invalid chaos parameter: {error}", file=sys.stderr)
@@ -630,6 +634,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate_trace(args: argparse.Namespace) -> int:
+    error = _reject_unwritable_outputs(args, ("output",))
+    if error is not None:
+        return error
     workload = _trace_for(args)
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(workload.to_json())
@@ -841,6 +848,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     setup_cli_logging(args.verbose)
+    try:
+        _validate_cell_args(args)
+    except ValueError as error:
+        print(f"invalid {args.command} parameter: {error}", file=sys.stderr)
+        return 2
     return _configure_artifact_cache(args) or args.func(args)
 
 

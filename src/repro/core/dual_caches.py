@@ -42,6 +42,7 @@ from repro.core.policy import (
     Policy,
     PushOutcome,
     RequestOutcome,
+    check_beta,
 )
 
 
@@ -56,11 +57,9 @@ class _DualCacheBase(Policy):
         push_fraction: float = 0.5,
     ) -> None:
         super().__init__(capacity_bytes, cost)
-        if beta <= 0:
-            raise ValueError(f"beta must be positive, got {beta}")
         if not 0.0 <= push_fraction <= 1.0:
             raise ValueError(f"push_fraction must be in [0, 1], got {push_fraction}")
-        self.beta = float(beta)
+        self.beta = check_beta(beta)
         self.inflation = 0.0
         pc_bytes = int(capacity_bytes * push_fraction)
         self.pc = HeapCache(pc_bytes)

@@ -34,6 +34,7 @@ from repro.core.policy import (
     Policy,
     PushOutcome,
     RequestOutcome,
+    check_beta,
 )
 
 
@@ -46,9 +47,7 @@ class DualMethodsPolicy(Policy):
         self, capacity_bytes: int, cost: float = 1.0, beta: float = 2.0
     ) -> None:
         super().__init__(capacity_bytes, cost)
-        if beta <= 0:
-            raise ValueError(f"beta must be positive, got {beta}")
-        self.beta = float(beta)
+        self.beta = check_beta(beta)
         self.inflation = 0.0
         self._storage = CacheStorage(capacity_bytes)
         self._push_heap = AddressableHeap()

@@ -40,6 +40,7 @@ from repro.core.policy import (
     Policy,
     PushOutcome,
     RequestOutcome,
+    check_beta,
 )
 
 
@@ -70,9 +71,7 @@ class GDStarPolicy(Policy):
         retain_counts_on_eviction: bool = False,
     ) -> None:
         super().__init__(capacity_bytes, cost)
-        if beta <= 0:
-            raise ValueError(f"beta must be positive, got {beta}")
-        self.beta = float(beta)
+        self.beta = check_beta(beta)
         self.retain_counts_on_eviction = retain_counts_on_eviction
         self.inflation = 0.0
         self._cache = HeapCache(capacity_bytes)

@@ -24,6 +24,16 @@ from typing import Optional
 from repro.cache.stats import CacheStats
 
 
+def check_beta(beta: float) -> float:
+    """``beta`` as a float when it is finite and > 0, else ``ValueError``.
+
+    Written so NaN fails too: it passes every ``beta <= 0``.
+    """
+    if not 0.0 < beta < float("inf"):
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
+    return float(beta)
+
+
 @dataclass(frozen=True, slots=True)
 class PushOutcome:
     """Result of a push-time placement attempt.

@@ -47,6 +47,7 @@ from repro.core.policy import (
     Policy,
     PushOutcome,
     RequestOutcome,
+    check_beta,
 )
 
 #: Evaluation modes and their registry names.
@@ -85,11 +86,9 @@ class SingleCacheCombinedPolicy(Policy):
         super().__init__(capacity_bytes, cost)
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-        if beta <= 0:
-            raise ValueError(f"beta must be positive, got {beta}")
         self.mode = mode
         self.name = mode
-        self.beta = float(beta)
+        self.beta = check_beta(beta)
         self.inflation = 0.0
         self._cache = HeapCache(capacity_bytes)
         #: Persistent per-page access history observed at this proxy.

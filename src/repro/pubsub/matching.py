@@ -11,7 +11,7 @@ are the only subscription information §4.3 needs.
 from __future__ import annotations
 
 import json
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Tuple
 
 
 class TraceMatchCounts:
@@ -39,17 +39,13 @@ class TraceMatchCounts:
             if cleaned:
                 self._table[int(page_id)] = cleaned
         # Columnar view: one immutable (proxy_id, count) vector per
-        # page, ordered by proxy_id.  Precomputed once here so the
-        # replay loop's per-publish work is a single dict probe —
-        # no dict copy, no sort, no allocation.
+        # page, ordered by proxy_id.  Precomputed once here so every
+        # publish of a page replays the same tuple — no dict copy, no
+        # sort, no allocation.
         self._vectors: Dict[int, Tuple[Tuple[int, int], ...]] = {
             page_id: tuple(sorted(per_proxy.items()))
             for page_id, per_proxy in self._table.items()
         }
-
-    def match_counts_by_id(self, page_id: int) -> Dict[int, int]:
-        """A mutable snapshot of the proxy->count mapping for ``page_id``."""
-        return dict(self._table.get(page_id, {}))
 
     def match_vector(self, page_id: int) -> Tuple[Tuple[int, int], ...]:
         """Precomputed ((proxy_id, count), ...) for ``page_id``.
@@ -59,21 +55,6 @@ class TraceMatchCounts:
         the replay hot path iterates it directly.
         """
         return self._vectors.get(page_id, self._EMPTY_VECTOR)
-
-    def row(self, page_id: int) -> Mapping[int, int]:
-        """The live proxy->count mapping for ``page_id`` (no copy).
-
-        Read-only by contract; use :meth:`match_counts_by_id` when a
-        mutable snapshot is needed.
-        """
-        return self._table.get(page_id, {})
-
-    def count_for(self, page_id: int, proxy_id: int) -> int:
-        """Convenience scalar lookup."""
-        row = self._table.get(page_id)
-        if row is None:
-            return 0
-        return row.get(proxy_id, 0)
 
     # -- serialization ---------------------------------------------------
 
@@ -97,16 +78,4 @@ class TraceMatchCounts:
                 }
                 for page_id, per_proxy in payload.items()
             }
-        )
-
-    @property
-    def page_ids(self) -> Sequence[int]:
-        return list(self._table)
-
-    def total_subscriptions(self) -> int:
-        """Sum of all match counts (an upper bound on future requests)."""
-        return sum(
-            count
-            for per_proxy in self._table.values()
-            for count in per_proxy.values()
         )

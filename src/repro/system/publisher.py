@@ -49,9 +49,6 @@ class Publisher:
         #: proxy served or repaired?").
         self._publish_times: Dict[int, List[float]] = {}
 
-    def page_size(self, page_id: int) -> int:
-        return self._sizes[page_id]
-
     def publish(self, page_id: int, version: int, at: float = 0.0) -> None:
         """Record that ``version`` of ``page_id`` is now current."""
         previous = self._versions.get(page_id, -1)

@@ -14,7 +14,7 @@ merges the per-shard :class:`~repro.system.metrics.SimulationResult`
 partials with a pure reduction:
 
 * additive scalars (requests, hits, push/fetch pages and bytes,
-  response time, peer fetches) and hourly series sum element-wise;
+  response time) and hourly series sum element-wise;
 * ``per_proxy`` stats are taken from each proxy's owning shard;
 * metadata fields are asserted identical across shards;
 * ``wall_seconds`` is the parent's wall clock.
@@ -28,12 +28,9 @@ schemes).
 
 **Decline rules** (fall back rather than be subtly wrong): configurations with cross-shard state — fault
 schedules, the overload layer's shared origin admission and retry
-budget, subscription churn, observers — run single-process.  The
-**cooperative** extension shards only when its peer-lookup graph
-allows: effective peer edges (k nearest neighbours strictly closer
-than the origin) are grouped into connected components, components are
-packed onto workers, and a chain that connects everything into one
-component declines (:class:`ShardingError` when strict).
+budget, subscription churn, observers — run single-process.
+Cooperation, whose peer lookups read other proxies' caches, is not
+sharded: ``run_sharded`` builds the paper's independent proxies.
 
 Workers are forked (``multiprocessing`` fork context), so the trace,
 match table and topology are inherited copy-on-write — nothing is
@@ -64,10 +61,6 @@ from repro.system.simulator import Simulation, cell_inputs
 logger = get_logger(__name__)
 
 
-class ShardingError(ValueError):
-    """A configuration whose state cannot be partitioned across shards."""
-
-
 #: SimulationResult fields summed across shards.
 _SUM_FIELDS = (
     "requests",
@@ -77,8 +70,6 @@ _SUM_FIELDS = (
     "push_bytes",
     "fetch_pages",
     "fetch_bytes",
-    "peer_fetch_pages",
-    "peer_fetch_bytes",
 )
 
 #: Hourly series summed element-wise across shards.
@@ -151,80 +142,13 @@ def _pack_units(
     return [sorted(shard) for shard in shards if shard]
 
 
-def _peer_components(
-    topology: Topology, neighbor_count: int
-) -> List[List[int]]:
-    """Connected components of the *effective* cooperative peer graph.
-
-    An edge exists where a peer lookup can actually read another
-    proxy's cache: peer ``p`` is among ``s``'s ``neighbor_count``
-    nearest proxies *and* strictly closer than ``s``'s origin
-    (``max(1, hops) < origin_cost``) — the exact walk-and-break rule of
-    the simulation's peers stage.  Proxies in one component must share a
-    shard; distinct components never observe each other.
-    """
-    neighbors = topology.nearest_proxies(neighbor_count)
-    costs = topology.fetch_costs()
-    parent = list(range(len(neighbors)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for index, peers in enumerate(neighbors):
-        origin_cost = costs[index % len(costs)]
-        for peer_index, hops in peers:
-            if max(1.0, hops) >= origin_cost:
-                break  # distance-sorted: no closer peer follows
-            union(index, peer_index)
-
-    components: Dict[int, List[int]] = {}
-    for index in range(len(neighbors)):
-        components.setdefault(find(index), []).append(index)
-    return [sorted(members) for _root, members in sorted(components.items())]
-
-
-def plan_shards(
-    workload,
-    config: SimulationConfig,
-    workers: int,
-    topology: Optional[Topology] = None,
-    neighbor_count: Optional[int] = None,
-) -> List[List[int]]:
-    """Partition the proxies into at most ``workers`` balanced shards.
-
-    Plain runs split individual servers greedily by request weight;
-    cooperative runs split whole peer-graph components.  Raises
-    :class:`ShardingError` when cooperation chains every proxy into one
-    component (nothing to parallelise without crossing shards).
-    """
+def plan_shards(workload, config: SimulationConfig, workers: int) -> List[List[int]]:
+    """Partition the proxies into at most ``workers`` shards, split
+    greedily by request weight."""
     server_count = workload.config.server_count
     bins = max(1, min(int(workers), server_count))
-    weights = _server_weights(workload)
-    if neighbor_count is not None and neighbor_count > 0 and bins > 1:
-        if topology is None:
-            raise ValueError("cooperative shard planning needs the topology")
-        units = _peer_components(topology, neighbor_count)
-        unit_weights = [
-            sum(weights[server] for server in unit) for unit in units
-        ]
-        shards = _pack_units(units, unit_weights, bins)
-        if len(shards) < 2:
-            raise ShardingError(
-                "cooperation peer chains connect the proxies into one "
-                "group that cannot be split across workers; run with "
-                "--workers 1 or fewer neighbors"
-            )
-        return shards
     units = [[server] for server in range(server_count)]
-    return _pack_units(units, weights, bins)
+    return _pack_units(units, _server_weights(workload), bins)
 
 
 # -- shard-local views -------------------------------------------------------
@@ -234,9 +158,9 @@ class ShardMatchTable:
     """A match-table view restricted to one shard's proxies.
 
     ``match_vector`` filters the publish fan-out so a worker's publish
-    replay touches (and accounts traffic for) only its own proxies;
-    ``count_for`` delegates unchanged — it is only ever asked about
-    in-shard servers, because the request stream is already filtered.
+    replay touches (and accounts traffic for) only its own proxies; a
+    request's match count comes from the same vectors, and the shard's
+    request rows name only its own proxies.
     """
 
     def __init__(self, base: TraceMatchCounts, servers: FrozenSet[int]) -> None:
@@ -256,9 +180,6 @@ class ShardMatchTable:
             self._vectors[page_id] = vector
         return vector
 
-    def count_for(self, page_id: int, server_id: int) -> int:
-        return self._base.count_for(page_id, server_id)
-
 
 # -- the fork-pool runner ----------------------------------------------------
 
@@ -267,16 +188,10 @@ _WORKER_CONTEXT: Optional[tuple] = None
 
 
 def _run_shard(index: int) -> SimulationResult:
-    workload, config, match_table, topology, shards, neighbor_count = (
-        _WORKER_CONTEXT
-    )
+    workload, config, match_table, topology, shards = _WORKER_CONTEXT
     shard = frozenset(shards[index])
     return Simulation(
-        workload.for_servers(shard),
-        config,
-        ShardMatchTable(match_table, shard),
-        topology,
-        neighbor_count=neighbor_count or 0,
+        workload.for_servers(shard), config, ShardMatchTable(match_table, shard), topology
     ).run()
 
 
@@ -333,28 +248,17 @@ def run_sharded(
     match_table: Optional[TraceMatchCounts] = None,
     topology: Optional[Topology] = None,
     observer: Optional[Observer] = None,
-    neighbor_count: Optional[int] = None,
-    strict: bool = False,
 ) -> SimulationResult:
     """Run one cell across ``config.workers`` shard processes.
 
-    Ineligible or unpartitionable configurations fall back to the
-    single-process simulation (logged); with ``strict=True`` an
-    unpartitionable *cooperation* graph raises :class:`ShardingError`
-    instead, so callers (the CLI) can surface a one-line error.
+    Ineligible configurations fall back to the single-process
+    simulation (logged).
     """
     started = time.perf_counter()
     workers = int(config.workers)
 
     def single() -> SimulationResult:
-        return Simulation(
-            workload,
-            config,
-            match_table,
-            topology,
-            observer=observer,
-            neighbor_count=neighbor_count or 0,
-        ).run()
+        return Simulation(workload, config, match_table, topology, observer=observer).run()
 
     if workers <= 1:
         return single()
@@ -370,34 +274,14 @@ def run_sharded(
     match_table, topology = cell_inputs(
         workload, config, RandomStreams(config.seed), match_table, topology
     )
-
-    try:
-        shards = plan_shards(
-            workload,
-            config,
-            workers,
-            topology=topology,
-            neighbor_count=neighbor_count,
-        )
-    except ShardingError as error:
-        if strict:
-            raise
-        logger.info("sharding declined (%s); running single-process", error)
-        return single()
+    shards = plan_shards(workload, config, workers)
     if len(shards) <= 1:
         return single()
 
     worker_config = replace(config, workers=1)
     global _WORKER_CONTEXT
     context = multiprocessing.get_context("fork")
-    _WORKER_CONTEXT = (
-        workload,
-        worker_config,
-        match_table,
-        topology,
-        shards,
-        neighbor_count,
-    )
+    _WORKER_CONTEXT = (workload, worker_config, match_table, topology, shards)
     try:
         with context.Pool(processes=len(shards)) as pool:
             partials = pool.map(_run_shard, range(len(shards)))

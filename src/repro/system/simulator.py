@@ -52,14 +52,8 @@ denominator.
 
 from __future__ import annotations
 
-import heapq
 import time
-from array import array
-from itertools import chain, repeat
-from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core.registry import make_policy_lenient
 from repro.faults import LIFECYCLE_STREAM
@@ -80,7 +74,7 @@ from repro.system.metrics import SimulationResult, dense_counts
 from repro.system.proxy import ProxyServer
 from repro.system.publisher import Publisher
 from repro.workload.subscriptions import build_match_counts
-from repro.workload.trace import Workload, pair_codes
+from repro.workload.trace import Workload
 
 if TYPE_CHECKING:  # the layers are imported by the branch that arms them
     from repro.faults.recovery import RecoveryTracker
@@ -102,12 +96,6 @@ _MAX_RETRANSMITS = 8
 RETRY_LIMIT = 4
 RETRY_BASE = 0.5
 RETRY_CAP = 8.0
-
-#: Merge and sort key of the static stream (see ``Simulation._stream``).
-_TIME = itemgetter(0)
-
-#: What a lifecycle row hands the manager, in ``on_event`` argument order.
-_LIFECYCLE_FIELDS = ("server_id", "page_id", "kind", "lease")
 
 #: Agenda priority of each static record kind (publish, request,
 #: lifecycle): what a dynamic event at the same instant is compared to.
@@ -218,15 +206,6 @@ class Simulation:
                 **config.strategy_options,
             )
             self.proxies.append(ProxyServer(server_id, policy))
-
-        # page_id -> (server_id, match_count) pairs sorted by server,
-        # fixed per run: the match table's own precomputed immutable
-        # vectors (no copy, no sort).
-        self._matches_by_page: Dict[int, Tuple] = {}
-        for page in workload.pages:
-            pairs = match_table.match_vector(page.page_id)
-            if pairs:
-                self._matches_by_page[page.page_id] = pairs
 
         self._events_processed = 0
         #: The invariant cadence (0: off), read once: the handlers skip the
@@ -407,10 +386,13 @@ class Simulation:
 
     # -- event handlers ---------------------------------------------------
 
-    def _handle_publish(self, page_id: int, version: int, now: float) -> None:
+    def _handle_publish(
+        self, page_id: int, version: int, size: int, pairs: tuple, now: float
+    ) -> None:
+        """A publish record: offer the page to each matched ``(server_id,
+        match_count)`` pair through the publish stages."""
         obs_on = self._obs_on
         self.publisher.publish(page_id, version, now)
-        size = self.publisher.page_size(page_id)
         if obs_on:
             self._obs_now = now
             self.obs.publish(now, page_id, version, size)
@@ -419,7 +401,7 @@ class Simulation:
         if dark is not None and self.fault_schedule.publisher_down(now):
             stages = dark
         proxies = self.proxies
-        for server_id, match_count in self._matches_by_page.get(page_id, ()):
+        for server_id, match_count in pairs:
             if obs_on:
                 self.obs.match(now, page_id, server_id, match_count)
             proxy = proxies[server_id]
@@ -429,15 +411,16 @@ class Simulation:
         if self._check_interval:
             self._maybe_check_invariants()
 
-    def _handle_request(self, server_id: int, page_id: int, now: float) -> None:
+    def _handle_request(
+        self, server_id: int, page_id: int, size: int, match_count: int, now: float
+    ) -> None:
+        """A request record: walk the request stages until one settles it."""
         version = self.publisher.current_version(page_id)
         if version is None:
             raise RuntimeError(
                 f"request for page {page_id} before its first publication "
                 f"(t={now}); the workload generator guarantees ordering"
             )
-        size = self.publisher.page_size(page_id)
-        match_count = self.match_table.count_for(page_id, server_id)
         proxy = self.proxies[server_id]
         # The one probe of the requesting proxy's cache: no stage
         # changes it before the policy call that ends the path.
@@ -932,200 +915,10 @@ class Simulation:
 
     # -- main entry ----------------------------------------------------------
 
-    def _stream(self, enriched: bool):
-        """The static trace in replay order, one tuple per record.
-
-        ``(time, kind, a, b)``: kind 0 publishes page ``a`` at version
-        ``b``, kind 1 is a request at server ``a`` for page ``b``, kind
-        2 carries lifecycle row ``a`` = ``(server_id, page_id, kind code,
-        lease)``.  Order is nondecreasing time; at equal times lifecycle
-        records precede publishes, which precede requests (a page must
-        exist before it is read), and each source keeps its own order.
-        An *enriched* record appends ``(size, m)`` — page size, and the
-        publish's match pairs or the request's match count — so the
-        inline arm unpacks what the handlers would look up per event.
-
-        An in-memory, churn-free trace is merged once into columns
-        memoised on the workload — time as packed C doubles, kind as
-        bytes, the rest lists of shared objects; five the trace alone
-        decides, shared by every cell that replays it, and one ``m``
-        per match table — and the stream is ``zip`` over them.  A trace
-        with lifecycle records or a spool merges lazily, retaining
-        nothing, and stays bare for the staged arm, whose handlers look
-        size and matches up themselves (docs/architecture.md, "Replay
-        driver", has the measurements behind both choices).
-        """
-        workload = self.workload
-        if workload.lifecycle or workload.spool is not None:
-            logger.debug(
-                "replay stream: lazy merge (%s)", "churn" if workload.lifecycle else "spool"
-            )
-            # heapq.merge breaks time ties by argument position, which
-            # is the tie rule; each source is already time-sorted.
-            return heapq.merge(
-                self._lifecycle_tuples(),
-                self._publish_tuples(enriched),
-                self._request_tuples(enriched),
-                key=_TIME,
-            )
-        base = workload._stream_columns
-        match_column = workload._match_columns.get(self.match_table) if enriched else ()
-        how = "memo hit"
-        if base is None or match_column is None:
-            merged = self._column_merger()
-        if base is None:
-            base = workload._stream_columns = self._base_columns(merged)
-            how = f"built base columns ({len(base[0])} rows)"
-        if match_column is None:
-            match_column = workload._match_columns[self.match_table] = self._match_column(merged)
-            how = (
-                "reused base columns, built match column"
-                if how == "memo hit"
-                else f"{how} + match column"
-            )
-        logger.debug("replay stream: %s", how)
-        return zip(*base, match_column) if enriched else zip(*base[:4])
-
-    def _column_merger(self):
-        """``merged(publish_values, request_values)``: one stream column.
-
-        Each table's values land on the slots its rows take in the
-        merged order; objects come back as a list, numbers as their
-        bytes.  The order is a stable argsort by time over publishes-
-        then-requests, the tie rule — what ``heapq.merge`` does above.
-        """
-        publishes = self.workload.publishes.rows
-        requests = self.workload.requests.rows
-        order = np.argsort(
-            np.concatenate((publishes["time"], requests["time"])), kind="stable"
-        )
-        slots = np.empty(len(order), dtype=np.intp)
-        slots[order] = np.arange(len(order))
-        del order
-        publish_slots, request_slots = slots[: len(publishes)], slots[len(publishes) :]
-
-        def merged(publish_values, request_values, dtype=object):
-            column = np.empty(len(slots), dtype=dtype)
-            column[publish_slots] = publish_values
-            column[request_slots] = request_values
-            return column.tolist() if dtype is object else column.tobytes()
-
-        return merged
-
-    def _page_lookup(self, values, default=None) -> np.ndarray:
-        """``values[page_id]`` (else ``default``) for an array of page
-        ids at once: an object array, so a gather hands out the mapping's
-        own objects, shared by every row that names the page."""
-        lookup = np.empty(max(self.publisher._sizes, default=-1) + 1, dtype=object)
-        lookup.fill(default)
-        for page_id, value in values.items():
-            lookup[page_id] = value
-        return lookup
-
-    def _base_columns(self, merged) -> tuple:
-        """``(time, kind, a, b, size)`` of the merged stream.
-
-        Time is an ``array('d')`` and kind a ``bytes``: 8 B and 1 B a
-        row, iterated as plain floats and the cached ints 0 / 1.  Ids
-        (vetted by ``Workload.check_ids``) and sizes are shared objects
-        from lookup arrays, versions CPython's small ints: a row owns none.
-        """
-        publishes = self.workload.publishes.rows
-        requests = self.workload.requests.rows
-        sizes = self._page_lookup(self.publisher._sizes)
-        ints = np.arange(max(self.workload.config.server_count, len(sizes))).astype(object)
-        return (
-            array("d", merged(publishes["time"], requests["time"], np.float64)),
-            merged(0, 1, np.uint8),
-            merged(ints[publishes["page_id"]], ints[requests["server_id"]]),
-            merged(publishes["version"].astype(object), ints[requests["page_id"]]),
-            merged(sizes[publishes["page_id"]], sizes[requests["page_id"]]),
-        )
-
-    def _match_column(self, merged) -> list:
-        """``m`` of the merged stream under this run's match table: the
-        page's shared match pairs on a publish row, the shared match
-        count on a request row."""
-        workload = self.workload
-        matches = self._matches_by_page
-        # A request's count is found by its ``pair_codes`` code in a
-        # sorted table of the matched pairs; a dense pages x servers
-        # array is a +50 MiB transient at scale 4.0.  Slot 0, below
-        # every code, answers 0 for a pair the table lacks.
-        servers, counts = zip(*chain.from_iterable(matches.values())) if matches else ((), ())
-        codes = np.repeat(
-            np.fromiter(matches, np.int64) << 32, [len(pairs) for pairs in matches.values()]
-        ) | np.array(servers, dtype=np.int64)
-        by_code = np.argsort(codes, kind="stable")
-        codes = np.concatenate(([np.iinfo(np.int64).min], codes[by_code]))
-        count_of = np.array((0, *counts), dtype=object)
-        count_of[1:] = count_of[1:][by_code]
-        requested = np.empty(workload.request_count, dtype=object)
-        done = 0
-        for chunk in workload.requests.chunks():
-            wanted = pair_codes(chunk)
-            found = np.searchsorted(codes, wanted, side="right") - 1
-            found[codes[found] != wanted] = 0
-            requested[done : done + len(chunk)] = count_of[found]
-            done += len(chunk)
-        pairs_of = self._page_lookup(matches, ())
-        return merged(pairs_of[workload.publishes.rows["page_id"]], requested)
-
-    # The three lazy producers: each reads its table a chunk at a time
-    # and is one C-level chain over per-chunk zips — a generator
-    # function here would be resumed once per row.
-
-    def _lifecycle_tuples(self):
-        """``(time, 2, (server_id, page_id, kind code, lease), None)`` per
-        lifecycle row."""
-        if not self.workload.lifecycle:  # spilled and churn-free: a plain []
-            return ()
-
-        def rows(chunk):
-            fields = (chunk[name].tolist() for name in _LIFECYCLE_FIELDS)
-            return zip(chunk["time"].tolist(), repeat(2), zip(*fields), repeat(None))
-
-        return chain.from_iterable(map(rows, self.workload.lifecycle.chunks()))
-
-    def _publish_tuples(self, enriched: bool):
-        """``(time, 0, page_id, version[, size, match pairs])`` per publish."""
-        size_of = self.publisher._sizes.__getitem__
-        pairs_of = self._matches_by_page.get
-
-        def rows(chunk):
-            pages = chunk["page_id"].tolist()
-            columns = [chunk["time"].tolist(), repeat(0), pages, chunk["version"].tolist()]
-            if enriched:
-                columns += [map(size_of, pages), map(pairs_of, pages, repeat(()))]
-            return zip(*columns)
-
-        return chain.from_iterable(map(rows, self.workload.publishes.chunks()))
-
-    def _request_tuples(self, enriched: bool):
-        """``(time, 1, server_id, page_id[, size, match count])`` per request."""
-        size_of = self.publisher._sizes.__getitem__
-        if enriched:
-            count_of = {
-                (page_id, server_id): count
-                for page_id, pairs in self._matches_by_page.items()
-                for server_id, count in pairs
-            }.get
-
-        def rows(chunk):
-            servers = chunk["server_id"].tolist()
-            pages = chunk["page_id"].tolist()
-            columns = [chunk["time"].tolist(), repeat(1), servers, pages]
-            if enriched:
-                columns += [
-                    map(size_of, pages),
-                    map(count_of, zip(pages, servers), repeat(0)),
-                ]
-            return zip(*columns)
-
-        return chain.from_iterable(map(rows, self.workload.requests.chunks()))
-
     def _replay(self, env: Environment) -> None:
-        """Drain the static stream against the dynamic agenda.
+        """Drain the static stream (:meth:`Workload.replay_stream
+        <repro.workload.trace.Workload.replay_stream>`) against the
+        dynamic agenda.
 
         The only replay routine.  Which of its two dispatch arms runs
         is read off what this run has armed, never chosen by a caller:
@@ -1133,7 +926,8 @@ class Simulation:
         agenda or add a stage, so the *inline* arm calls the policies
         directly; otherwise the *staged* arm lets the agenda catch up
         before each record (:meth:`Environment.run_before`) and
-        dispatches to the ``_handle_*`` methods.
+        dispatches every kind with one call, ``handlers[kind](a, b, c,
+        d, time)``.
         """
         layers = {
             "chaos": self._recovery,
@@ -1145,7 +939,7 @@ class Simulation:
         armed = [name for name, layer in layers.items() if layer is not None]
         if not armed:
             logger.debug("replay: inline arm")
-            self._inline_arm(self._stream(enriched=True))
+            self._inline_arm(self.workload.replay_stream(self.match_table))
             return
         logger.debug("replay: staged arm (%s)", ", ".join(armed))
         handlers = [self._handle_publish, self._handle_request]
@@ -1160,21 +954,15 @@ class Simulation:
             handlers = [env.profiler.wrap(fn, "engine.step") for fn in handlers]
         monitor = env.monitor
         run_before = env.run_before
-        for record in self._stream(enriched=False):
-            at = record[0]
-            kind = record[1]
+        for at, kind, a, b, c, d in self.workload.replay_stream(self.match_table):
             run_before(at, _PRIORITY[kind])
-            if kind == 2:
-                server_id, page_id, code, lease = record[2]  # cheaper than a starred call
-                handlers[2](server_id, page_id, code, lease, at)
-            else:
-                handlers[kind](record[2], record[3], at)
+            handlers[kind](a, b, c, d, at)
             if monitor is not None:
                 monitor.tick(at)
         env.run()
 
     def _inline_arm(self, stream) -> None:
-        """Replay an enriched stream by calling the policies directly.
+        """Replay the stream by calling the policies directly.
 
         The per-event work of ``_handle_publish``/``_handle_request`` —
         publisher bookkeeping, traffic accounting, latency accounting

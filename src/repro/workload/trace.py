@@ -14,20 +14,25 @@ spilled trace
 (:meth:`Workload.for_servers`) are this same class with the rows
 memory-mapped or masked.  Subscription tables are built separately per
 SQ value with :func:`repro.workload.subscriptions.build_match_counts` so
-one trace can be reused across the Fig. 5 quality sweep.
+one trace can be reused across the Fig. 5 quality sweep;
+:meth:`Workload.replay_stream` merges the tables, under one such table,
+into the record stream the replay driver reads.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, asdict, replace
-from itertools import chain, starmap
-from operator import attrgetter, eq
+from itertools import chain, repeat, starmap
+from operator import attrgetter, eq, itemgetter
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.obs.log import get_logger
 from repro.sim.rng import RandomStreams
 from repro.workload.config import WorkloadConfig
 from repro.workload.popularity import popularity_model
@@ -42,6 +47,8 @@ from repro.workload.sizes import generate_sizes
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (churn imports
     # validate, which imports this module); runtime imports are local.
     from repro.workload.churn import ChurnSpec, LifecycleRecord
+
+logger = get_logger(__name__)
 
 #: Rows turned into Python objects at a time, wherever a table is
 #: iterated: whole-column ``tolist()`` calls set the peak RSS of a
@@ -212,9 +219,10 @@ class Workload:
     spool: Optional[object] = field(default=None, repr=False, compare=False)
     _request_pairs: List[Tuple[int, int]] = _memo(list)
     _pair_counts: Optional[Dict[Tuple[int, int], int]] = _memo()
-    #: The merged replay stream, retained as columns (``Simulation._stream``):
+    #: The merged replay stream, retained as columns (:meth:`replay_stream`):
     #: the five the trace alone decides — time as an ``array('d')``, kind as
-    #: ``bytes``, three lists of shared objects — and one list per match table.
+    #: ``bytes``, three lists of shared objects — and one ``d`` list per
+    #: match table.  Nothing outside this module reads either.
     _stream_columns: Optional[tuple] = _memo()
     _match_columns: dict = _memo(dict)
     #: On a shard: unique bytes per server over the whole fleet's trace.
@@ -396,6 +404,49 @@ class Workload:
         shard._fleet_unique_bytes = self.unique_bytes_per_server()
         return shard
 
+    def replay_stream(self, match_table) -> Iterator[tuple]:
+        """The static trace in replay order under ``match_table``.
+
+        One ``(time, kind, a, b, c, d)`` per record:
+
+        * a publish is ``(t, 0, page, version, size, match pairs)``;
+        * a request is ``(t, 1, proxy, page, size, match count)``;
+        * a lifecycle row is ``(t, 2, proxy, page, kind code, lease)``.
+
+        Match pairs are the table's own ``match_vector``, ``()`` for an
+        unmatched page; a pair the table lacks counts 0.  Order is
+        nondecreasing time; at equal times lifecycle rows precede
+        publishes, which precede requests (a page must exist before it
+        is read), and each table keeps its own order.
+
+        An in-memory, churn-free trace is merged once into columns
+        memoised here — time as packed C doubles, kind as bytes, the rest
+        lists of shared objects; five the trace alone decides, shared by
+        every cell that replays it, and one ``d`` per match table — and
+        the stream is ``zip`` over them.  A trace with lifecycle rows or
+        a spool merges lazily, a chunk of each table at a time, retaining
+        nothing (docs/architecture.md, "Replay driver").
+        """
+        if self.lifecycle or self.spool is not None:
+            logger.debug(
+                "replay stream: lazy merge (%s)", "churn" if self.lifecycle else "spool"
+            )
+            return _merged_lazily(self, match_table)
+        base = self._stream_columns
+        match_column = self._match_columns.get(match_table)
+        how = "memo hit"
+        if match_column is None:  # also when ``base`` is: they empty together
+            merged = _column_merger(self)
+            how = "reused base columns, built match column"
+            if base is None:
+                base = self._stream_columns = _base_columns(self, merged)
+                how = f"built base columns ({len(base[0])} rows) + match column"
+            match_column = self._match_columns[match_table] = _match_column(
+                self, match_table, merged
+            )
+        logger.debug("replay stream: %s", how)
+        return zip(*base, match_column)
+
     def close(self) -> None:
         """Delete a spilled trace's files now, not at GC — for every copy."""
         if self.spool is not None:
@@ -462,6 +513,155 @@ class Workload:
             lifecycle=lifecycle,
             churn=churn,
         )
+
+
+# -- the replay stream ----------------------------------------------------------
+
+#: Merge key of the lazy replay stream.
+_TIME = itemgetter(0)
+
+#: A lifecycle row's ``a, b, c, d``: ``LifecycleManager.on_event``'s arguments.
+_LIFECYCLE_FIELDS = ("server_id", "page_id", "kind", "lease")
+
+
+def _by_page(pages: List[PageSpec], value, default=None) -> np.ndarray:
+    """``value(page)`` in slot ``page_id``, ``default`` elsewhere: an object
+    array, so a gather by page id hands out these objects, shared by every
+    row that names the page (ids are vetted by ``Workload.check_ids``)."""
+    lookup = np.empty(max((page.page_id for page in pages), default=-1) + 1, dtype=object)
+    lookup.fill(default)
+    for page in pages:
+        lookup[page.page_id] = value(page)
+    return lookup
+
+
+def _match_lookups(workload: Workload, match_table):
+    """``(pairs_of, counts_for)`` under ``match_table``.
+
+    ``pairs_of`` is a :func:`_by_page` array of the table's match pairs.
+    ``counts_for(rows)`` is the match count of each request row's (page,
+    proxy) pair, as an object array of the table's own ints: the row's
+    ``pair_codes`` code is found in the matched pairs' codes (a dense
+    pages x proxies array is a +50 MiB transient at scale 4.0), sorted
+    because pages come in id order and ``match_vector`` sorts by proxy;
+    slot 0, below every code, answers 0 for a pair the table lacks.
+    """
+    pairs_of = _by_page(workload.pages, lambda page: match_table.match_vector(page.page_id), ())
+    flat = list(chain.from_iterable(pairs_of))
+    servers, counts = zip(*flat) if flat else ((), ())
+    lengths = np.fromiter(map(len, pairs_of), np.intp, len(pairs_of))
+    codes = np.concatenate((
+        [np.iinfo(np.int64).min],
+        np.repeat(np.arange(len(pairs_of), dtype=np.int64) << 32, lengths)
+        | np.array(servers, dtype=np.int64),
+    ))
+    count_of = np.array((0, *counts), dtype=object)
+
+    def counts_for(rows: np.ndarray) -> np.ndarray:
+        wanted = pair_codes(rows)
+        found = np.searchsorted(codes, wanted, side="right") - 1
+        found[codes[found] != wanted] = 0
+        return count_of[found]
+
+    return pairs_of, counts_for
+
+
+def _column_merger(workload: Workload):
+    """``merged(publish_values, request_values)``: one stream column.
+
+    Each table's values land on the slots its rows take in the merged
+    order; objects come back as a list, numbers as their bytes.  The
+    order is a stable argsort by time over publishes-then-requests, the
+    tie rule — what ``heapq.merge`` does in :func:`_merged_lazily`.
+    """
+    publishes = workload.publishes.rows
+    requests = workload.requests.rows
+    order = np.argsort(np.concatenate((publishes["time"], requests["time"])), kind="stable")
+    slots = np.empty(len(order), dtype=np.intp)
+    slots[order] = np.arange(len(order))
+    del order
+    publish_slots, request_slots = slots[: len(publishes)], slots[len(publishes) :]
+
+    def merged(publish_values, request_values, dtype=object):
+        column = np.empty(len(slots), dtype=dtype)
+        column[publish_slots] = publish_values
+        column[request_slots] = request_values
+        return column.tolist() if dtype is object else column.tobytes()
+
+    return merged
+
+
+def _base_columns(workload: Workload, merged) -> tuple:
+    """``(time, kind, a, b, c)`` of the merged stream.
+
+    Time is an ``array('d')`` and kind a ``bytes``: 8 B and 1 B a row,
+    iterated as plain floats and the cached ints 0 / 1.  Ids and sizes
+    are shared objects from lookup arrays, versions CPython's small
+    ints: a row owns none.
+    """
+    publishes = workload.publishes.rows
+    requests = workload.requests.rows
+    sizes = _by_page(workload.pages, attrgetter("size"))
+    ints = np.arange(max(workload.config.server_count, len(sizes))).astype(object)
+    return (
+        array("d", merged(publishes["time"], requests["time"], np.float64)),
+        merged(0, 1, np.uint8),
+        merged(ints[publishes["page_id"]], ints[requests["server_id"]]),
+        merged(publishes["version"].astype(object), ints[requests["page_id"]]),
+        merged(sizes[publishes["page_id"]], sizes[requests["page_id"]]),
+    )
+
+
+def _match_column(workload: Workload, match_table, merged) -> list:
+    """``d`` of the merged stream under ``match_table``: the page's shared
+    match pairs on a publish row, the shared match count on a request row."""
+    pairs_of, counts_for = _match_lookups(workload, match_table)
+    requested = np.empty(workload.request_count, dtype=object)
+    done = 0
+    for chunk in workload.requests.chunks():
+        requested[done : done + len(chunk)] = counts_for(chunk)
+        done += len(chunk)
+    return merged(pairs_of[workload.publishes.rows["page_id"]], requested)
+
+
+def _merged_lazily(workload: Workload, match_table) -> Iterator[tuple]:
+    """The replay stream as ``heapq.merge`` over the three tables.
+
+    Each table is read a chunk at a time and is one C-level chain over
+    per-chunk zips — a generator function would be resumed once per
+    row.  ``heapq.merge`` breaks time ties by argument position, which
+    is the tie rule; each table is already time-sorted.
+    """
+    sizes = _by_page(workload.pages, attrgetter("size"))
+    pairs_of, counts_for = _match_lookups(workload, match_table)
+
+    def lifecycle(chunk):
+        fields = (chunk[name].tolist() for name in _LIFECYCLE_FIELDS)
+        return zip(chunk["time"].tolist(), repeat(2), *fields)
+
+    def publishes(chunk):
+        pages = chunk["page_id"]
+        return zip(
+            chunk["time"].tolist(), repeat(0), pages.tolist(), chunk["version"].tolist(),
+            sizes[pages].tolist(), pairs_of[pages].tolist(),
+        )
+
+    def requests(chunk):
+        pages = chunk["page_id"]
+        return zip(
+            chunk["time"].tolist(), repeat(1), chunk["server_id"].tolist(), pages.tolist(),
+            sizes[pages].tolist(), counts_for(chunk).tolist(),
+        )
+
+    def rows(table, record):  # a churn-free lifecycle is a plain []
+        return chain.from_iterable(map(record, table.chunks())) if len(table) else ()
+
+    return heapq.merge(
+        rows(workload.lifecycle, lifecycle),
+        rows(workload.publishes, publishes),
+        rows(workload.requests, requests),
+        key=_TIME,
+    )
 
 
 def _page_table(

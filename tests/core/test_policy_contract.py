@@ -123,3 +123,11 @@ def test_constructor_validation(name):
         make_policy_lenient(name, -1)
     with pytest.raises(ValueError):
         make_policy_lenient(name, 100, cost=0.0)
+
+
+@pytest.mark.parametrize("name", ["gdstar", "sg1", "sg2", "dm", "dc-fp", "dc-ap", "dc-lap"])
+def test_beta_must_be_finite_and_positive(name):
+    """NaN passes every ``beta <= 0``; a run with it would print a wrong H."""
+    for beta in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="beta must be finite and > 0"):
+            make_policy_lenient(name, 100, beta=beta)

@@ -5,7 +5,7 @@ Every trace record becomes one heap-scheduled callback and the DES loop
 pops them all: lifecycle records first, then publishes, then requests,
 so at equal ``(time, priority)`` their sequence numbers reproduce the
 driver's tie rule.  Nothing here shares code with ``Simulation._replay``
-or ``Simulation._stream``; the handlers and everything below them are
+or ``Workload.replay_stream``; the handlers and everything below them are
 the production ones, which is the point — the oracle checks the driver,
 not the layers.
 """
@@ -31,6 +31,8 @@ def _lifecycle_row(record):
 
 class _AgendaReplay:
     def _replay(self, env):
+        sizes = {page.page_id: page.size for page in self.workload.pages}
+        vector = self.match_table.match_vector
         for record in self.workload.lifecycle:
             env.schedule(
                 record.time,
@@ -43,7 +45,7 @@ class _AgendaReplay:
             env.schedule(
                 event.time,
                 lambda _env, p=event.page_id, v=event.version: (
-                    self._handle_publish(p, v, _env.now)
+                    self._handle_publish(p, v, sizes[p], vector(p), _env.now)
                 ),
                 priority=URGENT,
             )
@@ -51,7 +53,7 @@ class _AgendaReplay:
             env.schedule(
                 record.time,
                 lambda _env, s=record.server_id, p=record.page_id: (
-                    self._handle_request(s, p, _env.now)
+                    self._handle_request(s, p, sizes[p], dict(vector(p)).get(s, 0), _env.now)
                 ),
                 priority=NORMAL,
             )
@@ -66,35 +68,30 @@ class AgendaCooperativeSimulation(_AgendaReplay, CooperativeSimulation):
     """A :class:`CooperativeSimulation` replayed through the heap agenda."""
 
 
-def record_stream(simulation, enriched, lazy):
-    """``Simulation._stream`` as it was while traces were record lists.
+def record_stream(simulation, lazy):
+    """``Workload.replay_stream`` built from record attribute reads.
 
-    Copied from the commit before the columnar trace: every tuple is
-    built from record attribute reads, the lazy form through
-    ``heapq.merge`` by time, the retained form through a stable sort by
-    ``(time, kind)``.  The production builder reads the event columns
-    and must yield the same tuples in the same order.
+    Descended from the builder of the commit before the columnar trace:
+    sizes come from ``workload.pages``, matches from ``match_vector``,
+    the lazy form merges through ``heapq.merge`` by time, the retained
+    form through a stable sort by ``(time, kind)``.  The production
+    builder reads the event columns and must yield the same tuples in
+    the same order.
     """
     workload = simulation.workload
-    if enriched:
-        sizes = simulation.publisher._sizes
-        matches = simulation._matches_by_page
-        rows = {page_id: dict(pairs) for page_id, pairs in matches.items()}
-        publishes = (
-            (p.time, 0, p.page_id, p.version, sizes[p.page_id],
-             matches.get(p.page_id, ()))
-            for p in workload.publishes
-        )
-        requests = (
-            (r.time, 1, r.server_id, r.page_id, sizes[r.page_id],
-             rows.get(r.page_id, {}).get(r.server_id, 0))
-            for r in workload.requests
-        )
-    else:
-        publishes = ((p.time, 0, p.page_id, p.version) for p in workload.publishes)
-        requests = ((r.time, 1, r.server_id, r.page_id) for r in workload.requests)
+    sizes = {page.page_id: page.size for page in workload.pages}
+    vector = simulation.match_table.match_vector
+    publishes = (
+        (p.time, 0, p.page_id, p.version, sizes[p.page_id], vector(p.page_id))
+        for p in workload.publishes
+    )
+    requests = (
+        (r.time, 1, r.server_id, r.page_id, sizes[r.page_id],
+         dict(vector(r.page_id)).get(r.server_id, 0))
+        for r in workload.requests
+    )
     if lazy:
-        lifecycle = ((e.time, 2, _lifecycle_row(e), None) for e in workload.lifecycle)
+        lifecycle = ((e.time, 2, *_lifecycle_row(e)) for e in workload.lifecycle)
         return heapq.merge(lifecycle, publishes, requests, key=itemgetter(0))
     merged = [*publishes, *requests]
     merged.sort(key=itemgetter(0, 1))

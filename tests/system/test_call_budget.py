@@ -29,11 +29,12 @@ from tests.system.test_layer_matrix import (
 SYSTEM_DIR = os.path.join("repro", "system") + os.sep
 
 #: ``repro/system`` function calls per replayed record on this cell.  An
-#: upper bound, about 10 % above the 7.69 (160,764 / 20,901) measured on
-#: CPython 3.11 when it was set — 11.92 before the staged arm probed
-#: once; 3.12 inlines comprehensions and counts fewer.  Raise it only
-#: with a benchmark run that shows the calls were worth it.
-SYSTEM_CALLS_PER_RECORD = 8.5
+#: upper bound, about 10 % above the 7.37 (154,076 / 20,901) measured on
+#: CPython 3.11 when it was set — 7.69 while the handlers looked size and
+#: matches up per record, 11.92 before the staged arm probed once; 3.12
+#: inlines comprehensions and counts fewer.  Raise it only with a
+#: benchmark run that shows the calls were worth it.
+SYSTEM_CALLS_PER_RECORD = 8.1
 
 
 def all_layers(trace):
@@ -74,11 +75,11 @@ def test_each_request_probes_its_proxy_once(churned):
     handled = [0]
     handle_request = simulation._handle_request
 
-    def counted_request(server_id, page_id, now):
+    def counted_request(server_id, page_id, size, match_count, now):
         handled[0] += 1
         requesting[0] = server_id
         before = own_probes[0]
-        handle_request(server_id, page_id, now)
+        handle_request(server_id, page_id, size, match_count, now)
         assert own_probes[0] == before + 1, (server_id, page_id, now)
         requesting[0] = None
 

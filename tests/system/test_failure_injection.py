@@ -45,12 +45,6 @@ def test_out_of_order_version_replay_raises(workload):
         publisher.publish(page_id, 2)
 
 
-def test_unknown_page_size_lookup_raises(workload):
-    publisher = Publisher(workload)
-    with pytest.raises(KeyError):
-        publisher.page_size(10**9)
-
-
 def test_one_byte_caches_still_serve_everything(workload):
     """Cache so small nothing fits: zero hits, but every request served."""
     tiny = dataclasses.replace(

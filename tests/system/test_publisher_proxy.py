@@ -35,9 +35,12 @@ def test_publisher_rejects_out_of_order_versions(workload):
 
 
 def test_publisher_page_size(workload):
+    """Every transfer is charged the page's own size."""
     publisher = Publisher(workload)
     page = workload.pages[3]
-    assert publisher.page_size(page.page_id) == page.size
+    publisher.record_fetch(page.page_id, at=10.0)
+    publisher.record_push_transfer(page.page_id, at=20.0)
+    assert publisher.fetch_bytes_by_hour == publisher.push_bytes_by_hour == {0: page.size}
 
 
 def test_publisher_traffic_bucketing(workload):

@@ -3,8 +3,7 @@
 The invariant: a sharded run is bit-identical to ``workers=1`` in
 every :class:`SimulationResult` field except ``wall_seconds`` and
 ``profile`` — for every strategy, both pushing schemes, streaming and
-materialized traces, and the cooperative extension when its peer graph
-partitions.
+materialized traces.
 """
 
 import dataclasses
@@ -14,9 +13,7 @@ import pytest
 from repro.faults.spec import ChaosSpec, OverloadSpec
 from repro.obs.recorder import Observer
 from repro.system.config import PushingScheme, SimulationConfig
-from repro.system.cooperation import CooperativeSimulation
 from repro.system.sharding import (
-    ShardingError,
     _pack_units,
     merge_shard_results,
     plan_shards,
@@ -67,20 +64,6 @@ def test_sharded_streaming_equals_single(trace):
         streaming.close()
 
 
-def test_cooperative_sharded_equals_single(trace):
-    config = SimulationConfig(seed=9)
-    single = _strip(
-        CooperativeSimulation(trace, config, neighbor_count=3).run()
-    )
-    sharded = run_sharded(
-        trace,
-        dataclasses.replace(config, workers=2),
-        neighbor_count=3,
-        strict=True,
-    )
-    assert _strip(sharded) == single
-
-
 def test_workers_one_is_the_plain_simulation(trace):
     config = SimulationConfig(seed=9)
     assert _strip(run_sharded(trace, config)) == _strip(
@@ -110,47 +93,6 @@ def test_chaos_config_falls_back_to_single_process(trace):
     )
     single = Simulation(trace, dataclasses.replace(config, workers=1)).run()
     sharded = run_sharded(trace, config)
-    assert _strip(sharded) == _strip(single)
-
-
-def _clique_topology(server_count):
-    """All proxies one hop apart and two hops from the publisher.
-
-    Every proxy is then a usable peer of every other (peer distance 1
-    beats origin cost 2), chaining the fleet into one component that
-    cannot split across shards.
-    """
-    from repro.network.graph import Graph
-    from repro.network.topology import Topology
-
-    graph = Graph()
-    hub = 1
-    graph.add_edge(0, hub)
-    proxies = list(range(2, 2 + server_count))
-    for node in proxies:
-        graph.add_edge(hub, node)
-        for other in proxies:
-            if other > node:
-                graph.add_edge(node, other)
-    return Topology(graph, publisher_node=0, proxy_nodes=proxies)
-
-
-def test_unpartitionable_cooperation_declines(trace):
-    # One peer component: strict mode raises, lax mode falls back and
-    # still matches the single-process cooperative run.
-    config = SimulationConfig(seed=9, workers=2)
-    topology = _clique_topology(trace.config.server_count)
-    with pytest.raises(ShardingError):
-        run_sharded(
-            trace, config, topology=topology, neighbor_count=3, strict=True
-        )
-    single = CooperativeSimulation(
-        trace,
-        dataclasses.replace(config, workers=1),
-        topology=topology,
-        neighbor_count=3,
-    ).run()
-    sharded = run_sharded(trace, config, topology=topology, neighbor_count=3)
     assert _strip(sharded) == _strip(single)
 
 

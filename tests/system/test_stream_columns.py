@@ -1,26 +1,25 @@
 """The memoised replay stream: packed numbers, columns of shared objects.
 
-``Simulation._stream`` keeps an in-memory, churn-free trace merged as
-columns on the workload — five the trace alone decides (time an
-``array('d')``, kind a ``bytes``, three lists), one ``m`` list per match
-table — and hands the arms ``zip`` over them.  Held here: the tie rule
+``Workload.replay_stream`` keeps an in-memory, churn-free trace merged
+as columns on the workload — five the trace alone decides (time an
+``array('d')``, kind a ``bytes``, three lists), one ``d`` list per match
+table — and hands both arms ``zip`` over them.  Held here: the tie rule
 on a hand-built trace and on generated ones, what is shared between
-cells and what a copy or a pickle inherits (nothing), what the memo
-costs in bytes, what ``-vv`` says about it, and that an id the workload
-does not have or a time that is no instant ends in one ``ValueError``
-before any lookup array is indexed.
+cells and arms and what a copy or a pickle inherits (nothing), what the
+memo costs in bytes, what ``-vv`` says about it, and that an id the
+workload does not have or a time that is no instant ends in one
+``ValueError`` before any lookup array is indexed.
 """
 
 import copy
 import dataclasses
-import heapq
 import logging
 import pickle
 import tracemalloc
-from operator import itemgetter
 
 import pytest
 
+from repro.obs.recorder import Observer
 from repro.pubsub.matching import TraceMatchCounts
 from repro.system.config import SimulationConfig
 from repro.system.simulator import Simulation
@@ -33,6 +32,7 @@ from repro.workload.trace import (
     PublishRecord,
     RequestRecord,
     Workload,
+    _merged_lazily,
     generate_workload,
 )
 from tests.system.test_result_digest import digest
@@ -84,14 +84,12 @@ REQUESTS = [
 ]
 
 
-def lazy_merge(simulation, enriched):
-    return list(
-        heapq.merge(
-            simulation._publish_tuples(enriched),
-            simulation._request_tuples(enriched),
-            key=itemgetter(0),
-        )
-    )
+def stream(simulation):
+    return simulation.workload.replay_stream(simulation.match_table)
+
+
+def lazy_merge(simulation):
+    return list(_merged_lazily(simulation.workload, simulation.match_table))
 
 
 @pytest.mark.parametrize(
@@ -103,12 +101,11 @@ def test_tie_rule_equals_the_lazy_merge(publishes, requests):
     simulation = Simulation(
         tiny(publishes, requests), CONFIG, match_table=TraceMatchCounts(MATCHES)
     )
-    for enriched in (True, False):
-        got = list(simulation._stream(enriched))
-        assert got == lazy_merge(simulation, enriched)
-        assert len(got) == len(publishes) + len(requests)
+    got = list(stream(simulation))
+    assert got == lazy_merge(simulation)
+    assert len(got) == len(publishes) + len(requests)
     if publishes and requests:
-        assert list(simulation._stream(True)) == [
+        assert got == [
             (0.0, 0, 0, 0, 1000, ((0, 2), (1, 1))),
             (10.0, 0, 1, 0, 70_000, ((1, 300),)),
             (10.0, 1, 1, 0, 1000, 1),
@@ -122,8 +119,7 @@ def test_tie_rule_equals_the_lazy_merge(publishes, requests):
 @pytest.mark.parametrize("preset", ["news", "alternative"])
 def test_a_generated_trace_merges_as_the_lazy_merge_does(preset):
     simulation = Simulation(make_trace(preset, 0.3, 7), CONFIG)
-    for enriched in (True, False):
-        assert list(simulation._stream(enriched)) == lazy_merge(simulation, enriched)
+    assert list(stream(simulation)) == lazy_merge(simulation)
 
 
 def test_a_trace_without_requests_is_empty_tables_and_an_empty_stream(monkeypatch):
@@ -141,8 +137,8 @@ def test_a_trace_without_requests_is_empty_tables_and_an_empty_stream(monkeypatc
     for workload in (none_asked, none_drawn):
         assert len(workload.requests) == 0 and workload.requests == []
         assert len(workload.publishes) == 5
-        assert len(list(Simulation(workload, CONFIG)._stream(True))) == 5
-    assert list(Simulation(tiny([], []), CONFIG)._stream(True)) == []
+        assert len(list(stream(Simulation(workload, CONFIG)))) == 5
+    assert list(stream(Simulation(tiny([], []), CONFIG))) == []
 
 
 def test_every_value_is_a_plain_python_object():
@@ -150,7 +146,7 @@ def test_every_value_is_a_plain_python_object():
     simulation = Simulation(
         tiny(PUBLISHES, REQUESTS), CONFIG, match_table=TraceMatchCounts(MATCHES)
     )
-    for record in simulation._stream(True):
+    for record in [*stream(simulation), *lazy_merge(simulation)]:
         assert [type(value) for value in record[:5]] == [float, int, int, int, int]
         assert type(record[5]) is (int if record[1] else tuple)
 
@@ -180,17 +176,15 @@ def test_cells_share_the_base_columns_and_add_one_match_column(news, caplog):
     assert workload._stream_columns is None and workload._match_columns == {}
     first = Simulation(workload, dataclasses.replace(CONFIG, subscription_quality=1.0))
     second = Simulation(workload, dataclasses.replace(CONFIG, subscription_quality=0.5))
-    with caplog.at_level(logging.DEBUG, logger="repro.system"):
-        list(first._stream(True))
+    with caplog.at_level(logging.DEBUG, logger="repro.workload"):
+        list(stream(first))
         base = workload._stream_columns
-        list(second._stream(True))
-        list(second._stream(True))
-        list(second._stream(False))
+        list(stream(second))
+        list(stream(second))
     rows = workload.publish_count + workload.request_count
     assert stream_messages(caplog) == [
         f"replay stream: built base columns ({rows} rows) + match column",
         "replay stream: reused base columns, built match column",
-        "replay stream: memo hit",
         "replay stream: memo hit",
     ]
     assert len(base) == 5 and all(type(column) is list for column in base[2:])
@@ -211,29 +205,38 @@ def test_cells_share_the_base_columns_and_add_one_match_column(news, caplog):
     for copy in (dataclasses.replace(workload, label="copy"), workload.for_servers([0, 1])):
         assert copy._stream_columns is None and copy._match_columns == {}
     shard = workload.for_servers([0, 1])
-    assert len(list(Simulation(shard, CONFIG)._stream(True))) == (
+    assert len(list(stream(Simulation(shard, CONFIG)))) == (
         shard.publish_count + shard.request_count
     )
     assert shard.request_count < workload.request_count
 
 
-def test_a_bare_first_call_builds_the_base_columns_only(news, caplog):
+def test_the_staged_arm_builds_the_memo_the_inline_arm_reads(news, caplog):
+    """Both arms replay the one memoised stream: a staged run of a fresh
+    churn-free trace builds the match column, and a later inline cell
+    under the same table finds everything built."""
     workload = dataclasses.replace(news)
-    simulation = Simulation(workload, CONFIG)
-    with caplog.at_level(logging.DEBUG, logger="repro.system"):
-        list(simulation._stream(False))
-        list(simulation._stream(True))
+    with caplog.at_level(logging.DEBUG, logger="repro"):
+        staged = Simulation(workload, CONFIG, observer=Observer())
+        staged.run()
+        Simulation(workload, CONFIG, match_table=staged.match_table).run()
     rows = workload.publish_count + workload.request_count
-    assert stream_messages(caplog) == [
-        f"replay stream: built base columns ({rows} rows)",
-        "replay stream: reused base columns, built match column",
+    assert [
+        record.getMessage()
+        for record in caplog.records
+        if record.getMessage().startswith("replay")
+    ] == [
+        "replay: staged arm (observer)",
+        f"replay stream: built base columns ({rows} rows) + match column",
+        "replay: inline arm",
+        "replay stream: memo hit",
     ]
 
 
 def test_a_churned_trace_says_it_merges_lazily(caplog):
     lifecycle = [LifecycleRecord(time=0.0, server_id=0, page_id=0, kind="subscribe", lease=50.0)]
     workload = tiny(PUBLISHES, REQUESTS, lifecycle)
-    with caplog.at_level(logging.DEBUG, logger="repro.system"):
+    with caplog.at_level(logging.DEBUG, logger="repro.workload"):
         Simulation(workload, CONFIG).run()
     assert stream_messages(caplog) == ["replay stream: lazy merge (churn)"]
     assert workload._stream_columns is None and workload._match_columns == {}
@@ -257,8 +260,8 @@ def test_memo_costs_a_double_a_byte_and_four_pointers_an_event(news):
     first = Simulation(workload, dataclasses.replace(CONFIG, subscription_quality=1.0))
     second = Simulation(workload, dataclasses.replace(CONFIG, subscription_quality=0.5))
     rows = workload.publish_count + workload.request_count
-    assert retained_by(lambda: first._stream(True)) / rows <= 48
-    assert retained_by(lambda: second._stream(True)) / rows <= 16
+    assert retained_by(lambda: stream(first)) / rows <= 48
+    assert retained_by(lambda: stream(second)) / rows <= 16
 
 
 def test_a_memoised_workload_pickles_without_its_memo(news):

@@ -1,12 +1,12 @@
-"""Tuple-for-tuple guard on ``Simulation._stream``.
+"""Tuple-for-tuple guard on ``Workload.replay_stream``.
 
-The stream the replay driver consumes — the memoised columns of a
-churn-free trace, enriched and bare, and the bare lazy merge of a
-churned one — must equal
-what :func:`tests.system._reference.record_stream` builds from record
-attribute reads (the builder of the commit before the columnar trace),
-in values and in order.  The result digests would catch a difference
-too, but only as a changed hash; this names the first differing tuple.
+Every form of the stream the replay driver consumes — the memoised
+columns of an in-memory, churn-free trace and the lazy merge of a
+churned or spooled one — must equal what
+:func:`tests.system._reference.record_stream` builds from record
+attribute reads, in the one record shape, in values and in order.  The
+result digests would catch a difference too, but only as a changed
+hash; this names the first differing tuple.
 """
 
 import pytest
@@ -16,6 +16,7 @@ from repro.system.config import SimulationConfig
 from repro.system.simulator import Simulation
 from repro.workload.churn import ChurnSpec
 from repro.workload.presets import make_trace
+from repro.workload.streaming import make_streaming_trace
 from tests.system._reference import record_stream
 
 TRACES = {
@@ -30,31 +31,38 @@ def trace(request):
     return make_trace(name, scale=scale, seed=seed), seed
 
 
+def replayed(simulation):
+    return list(simulation.workload.replay_stream(simulation.match_table))
+
+
 @pytest.mark.parametrize("sq", [1.0, 0.5])
 def test_enriched_list_equals_record_reference(trace, sq):
+    """The memo: every record carries its size and match data."""
     workload, seed = trace
     simulation = Simulation(
         workload, SimulationConfig(seed=seed, subscription_quality=sq)
     )
-    got = list(simulation._stream(enriched=True))
-    want = record_stream(simulation, enriched=True, lazy=False)
+    got = replayed(simulation)
     assert len(got) == workload.publish_count + workload.request_count
-    assert got == want
+    assert got == record_stream(simulation, lazy=False)
 
 
-def test_bare_in_memory_stream_equals_record_reference(trace):
-    """What an observed (or otherwise staged) run of a churn-free trace
-    replays: the first four memoised columns, no match column."""
-    workload, seed = trace
-    simulation = Simulation(workload, SimulationConfig(seed=seed))
-    got = list(simulation._stream(enriched=False))
-    want = record_stream(simulation, enriched=False, lazy=False)
-    assert len(got) == workload.publish_count + workload.request_count
-    assert got == want
+@pytest.mark.parametrize("preset", sorted(TRACES))
+def test_spooled_stream_equals_record_reference(preset):
+    """``run --streaming``: the lazy merge over memory-mapped tables."""
+    name, scale, seed = TRACES[preset]
+    spooled = make_streaming_trace(name, scale=scale, seed=seed)
+    try:
+        simulation = Simulation(spooled, SimulationConfig(seed=seed))
+        got = replayed(simulation)
+        assert len(got) == spooled.publish_count + spooled.request_count
+        assert got == list(record_stream(simulation, lazy=True))
+    finally:
+        spooled.close()
 
 
 @pytest.mark.parametrize("sq", [1.0, 0.5])
-def test_bare_lazy_stream_equals_record_reference(trace, sq):
+def test_churned_stream_equals_record_reference(trace, sq):
     workload, seed = trace
     churned = workload.with_churn(
         ChurnSpec(churn_rate=0.5), RandomStreams(seed).stream("workload.churn")
@@ -62,9 +70,8 @@ def test_bare_lazy_stream_equals_record_reference(trace, sq):
     simulation = Simulation(
         churned, SimulationConfig(seed=seed, subscription_quality=sq)
     )
-    got = list(simulation._stream(enriched=False))
-    want = list(record_stream(simulation, enriched=False, lazy=True))
+    got = replayed(simulation)
     assert len(got) == (
         workload.publish_count + workload.request_count + len(churned.lifecycle)
     )
-    assert got == want
+    assert got == list(record_stream(simulation, lazy=True))

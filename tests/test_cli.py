@@ -643,11 +643,34 @@ def test_bad_numeric_flags_fail_with_one_line(capsys, argv, needle):
             "invalid overload parameter: service rate must be > 0, got nan",
         ),
         (["run", "--scale", "nan"], "invalid run parameter: scale must be > 0, got nan"),
+        *(
+            (["run", "--scale", "0.03", "--beta", beta],
+             f"invalid run parameter: beta must be finite and > 0, got {float(beta)}")
+            for beta in ("nan", "inf", "0", "-1")
+        ),
+        *(
+            ([*command.split(), "--scale", scale],
+             f"invalid {command.split()[0]} parameter: scale must be > 0, got {float(scale)}")
+            for command in ("figure 4", "table 2", "sweep-beta", "trace-stats",
+                            "calibrate-beta", "report", "seed-sweep", "generate-trace")
+            for scale in ("0", "nan")
+        ),
+        *(
+            (["seed-sweep", "--scale", "0.03", "--seeds", seeds],
+             f"invalid seed-sweep parameter: seeds must be >= 1, got {seeds}")
+            for seeds in ("0", "-3")
+        ),
+        (
+            ["generate-trace", "--scale", "0.03", "--output", "/nonexistent/dir/x.json"],
+            "cannot write --output /nonexistent/dir/x.json: no such directory: /nonexistent/dir",
+        ),
     ],
 )
 def test_nan_flags_fail_with_one_line(capsys, argv, needle):
     """A NaN fails every range check, rather than passing every ``x < 0``
-    and running with the value (or the layer) silently wrong."""
+    and running with the value (or the layer) silently wrong; so does
+    every other bad shared flag, on every command that takes it, before
+    anything is generated or written."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == needle + "\n"
