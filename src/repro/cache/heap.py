@@ -31,13 +31,11 @@ _COMPACT_FLOOR = 64
 class AddressableHeap:
     """Min-heap mapping hashable keys to float priorities.
 
-    The three backing fields are slotted — ``push`` runs once per
-    replayed request — while ``"__dict__"`` stays in the slot list so
-    :meth:`instrument` can still shadow ``push``/``pop``/``pop_cheaper``
-    with per-instance profiler wrappers.
+    The three backing fields are slotted: ``push`` runs once per
+    replayed request.
     """
 
-    __slots__ = ("_heap", "_live", "_sequence", "__dict__")
+    __slots__ = ("_heap", "_live", "_sequence")
 
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, Hashable]] = []
@@ -204,21 +202,3 @@ class AddressableHeap:
         heap = self._heap
         heap[:] = self._live.values()
         heapify(heap)
-
-    def instrument(self, profiler) -> None:
-        """Time this instance's ``push``/``pop``/``pop_cheaper`` calls
-        under the ``heap.*`` phases.
-
-        ``profiler`` is a :class:`repro.obs.profile.Profiler`.  The
-        wrappers shadow the bound methods as instance attributes, so
-        uninstrumented heaps keep the plain class methods.  The phases
-        cover *calls through those attributes* only: the pushes a
-        ``pop_cheaper`` rollback makes are inside ``heap.pop_cheaper``,
-        the hit-path pushes GD* and SG1/SG2/SR inline land under
-        ``policy.on_request``, DC-AP's donation scan under
-        ``policy.on_publish``, and the class-level ``update`` alias
-        still resolves to the unwrapped ``push``.
-        """
-        self.push = profiler.wrap(self.push, "heap.push")
-        self.pop = profiler.wrap(self.pop, "heap.pop")
-        self.pop_cheaper = profiler.wrap(self.pop_cheaper, "heap.pop_cheaper")

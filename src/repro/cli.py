@@ -157,7 +157,9 @@ def _add_obs(parser: argparse.ArgumentParser, profile: bool = False) -> None:
     if profile:
         parser.add_argument(
             "--profile", action="store_true",
-            help="time the simulator's hot paths and print a summary",
+            help="run the cell under cProfile and print self time and calls "
+                 "per repro package; covers this process only (the parent "
+                 "under --workers N)",
         )
 
 
@@ -195,7 +197,6 @@ def _make_observer(args: argparse.Namespace):
     return build_observer(
         trace_out=args.trace_out,
         metrics=bool(args.metrics_out),
-        profile=bool(getattr(args, "profile", False)),  # chaos has no --profile
         series_out=args.series_out,
         series_window=args.series_window,
         monitor=args.monitor,
@@ -218,9 +219,6 @@ def _finish_observer(observer, args: argparse.Namespace) -> None:
         print(f"wrote {args.series_out}")
     if args.monitor_out:
         print(f"wrote {args.monitor_out}")
-    if getattr(args, "profile", False) and observer.profiler is not None:
-        print()
-        print(observer.profiler.render())
 
 
 class _Flag(NamedTuple):
@@ -385,6 +383,14 @@ def _validate_cell_args(args: argparse.Namespace) -> None:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     if getattr(args, "beta", None) is not None:
         check_beta(args.beta)
+    # run's and chaos's observability numbers, refused before any trace
+    # is generated rather than by the sink a replay builds.
+    monitor = getattr(args, "monitor", None)
+    if monitor is not None and not monitor > 0:
+        raise ValueError(f"monitor must be > 0 seconds, got {monitor}")
+    window = getattr(args, "series_window", None)
+    if window is not None and not window > 0:
+        raise ValueError(f"series-window must be > 0 seconds, got {window}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -411,14 +417,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"cannot spill trace: {error}", file=sys.stderr)
             return 2
     observer = _make_observer(args)
-    result = run_cell(
-        CellKey(
-            trace=args.trace,
-            strategy=args.strategy,
-            capacity=args.capacity,
-            sq=args.sq,
-            pushing=args.pushing,
-        ),
+    cell = CellKey(
+        trace=args.trace,
+        strategy=args.strategy,
+        capacity=args.capacity,
+        sq=args.sq,
+        pushing=args.pushing,
+    )
+    options = dict(
         scale=args.scale,
         seed=args.seed,
         beta=args.beta,
@@ -427,8 +433,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
         streaming=args.streaming,
         **layers,
     )
+    try:
+        if args.profile:
+            from repro.obs.profile import profile_call, render
+
+            result, profile = profile_call(run_cell, cell, **options)
+            result.profile = profile
+        else:
+            result = run_cell(cell, **options)
+    except ChildProcessError as error:  # a shard worker of --workers N died
+        print(f"run failed: {error}", file=sys.stderr)
+        return 2
     print(result.summary())
     _finish_observer(observer, args)
+    if args.profile:
+        print()
+        print(render(result.profile))
     return 0
 
 

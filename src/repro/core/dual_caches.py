@@ -65,9 +65,7 @@ class _DualCacheBase(Policy):
         self.pc = HeapCache(pc_bytes)
         self.ac = HeapCache(capacity_bytes - pc_bytes)
         # Hot-path aliases (see SingleCacheCombinedPolicy): direct
-        # entry probes and the loop-invariant ``1/beta``.  The heaps
-        # are reached through ``pc``/``ac`` on every use so a
-        # profiler's per-instance wrappers are picked up.
+        # entry probes and the loop-invariant ``1/beta``.
         self._pc_entries = self.pc.storage.entries_by_id
         self._ac_entries = self.ac.storage.entries_by_id
         self._inv_beta = 1.0 / self.beta

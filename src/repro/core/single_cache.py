@@ -239,9 +239,7 @@ class SingleCacheCombinedPolicy(Policy):
             entry.value = value
             # Inlined AddressableHeap.push — the hottest line of the
             # replay (one repricing per request).  The mutations mirror
-            # push exactly, auto-compaction bound included; profiled
-            # runs time these pushes under policy.on_request instead
-            # of heap.push.
+            # push exactly, auto-compaction bound included.
             heap = self._heap
             sequence = heap._sequence + 1
             heap._sequence = sequence

@@ -10,8 +10,8 @@ The simulation layers report *what happened* through one optional
   lifecycle events (the taxonomy in
   :data:`~repro.obs.tracer.EVENT_TYPES`) into a ring buffer or a JSONL
   sink, filterable per page/proxy/type;
-* :class:`~repro.obs.profile.Profiler` — span-style wall-time and
-  call-count accounting around the hot paths;
+* :func:`~repro.obs.profile.profile_call` — one call under cProfile,
+  self time and calls folded per ``repro`` package (``run --profile``);
 * :class:`~repro.obs.timeseries.TimeSeriesCollector` — counters,
   gauges and stats folded into fixed-width simulated-time windows
   with bounded memory (ring + optional JSONL spill): the per-window
@@ -40,7 +40,7 @@ if TYPE_CHECKING:
     from repro.obs.explain import PageExplanation, explain_page, explain_page_from_file
     from repro.obs.log import get_logger, setup_cli_logging
     from repro.obs.monitor import RunMonitor, rss_bytes
-    from repro.obs.profile import NULL_SPAN, NullSpan, Profiler
+    from repro.obs.profile import profile_call
     from repro.obs.recorder import NULL_OBSERVER, NullObserver, Observer, build_observer
     from repro.obs.registry import (
         Counter, DEFAULT_LATENCY_BUCKETS, Gauge, Histogram, MetricsRegistry, escape_help,
@@ -71,9 +71,7 @@ __all__ = [
     "PageExplanation",
     "explain_page",
     "explain_page_from_file",
-    "Profiler",
-    "NullSpan",
-    "NULL_SPAN",
+    "profile_call",
     "get_logger",
     "setup_cli_logging",
 ]
@@ -82,7 +80,7 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "explain": ("PageExplanation", "explain_page", "explain_page_from_file"),
     "log": ("get_logger", "setup_cli_logging"),
     "monitor": ("RunMonitor", "rss_bytes"),
-    "profile": ("NULL_SPAN", "NullSpan", "Profiler"),
+    "profile": ("profile_call",),
     "recorder": ("NULL_OBSERVER", "NullObserver", "Observer", "build_observer"),
     "registry": (
         "Counter", "DEFAULT_LATENCY_BUCKETS", "Gauge", "Histogram", "MetricsRegistry",

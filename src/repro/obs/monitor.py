@@ -6,7 +6,7 @@ minutes and the only signal is the final summary line.  `RunMonitor`
 emits a heartbeat every ``interval`` wall-clock seconds with the four
 things an operator actually wants to know:
 
-* **throughput** — events dispatched and events/sec since start;
+* **throughput** — records replayed and records/sec since start;
 * **progress** — simulated time against the workload horizon, plus an
   ETA extrapolated from the wall-clock rate so far;
 * **memory** — resident set size (``/proc/self/statm`` when available,
@@ -17,7 +17,7 @@ things an operator actually wants to know:
 Heartbeats go to stderr as single human-readable lines by default, or
 to a JSONL sink (path or file object) for machine consumption.
 
-The engine calls :meth:`tick` once per dispatched event, so the hot
+The replay loop calls :meth:`tick` once per static record, so the hot
 path must stay trivial: a counter decrement and compare; only every
 ``check_every`` events does the monitor look at the wall clock, and
 only when ``interval`` has elapsed does it format anything.  The
@@ -84,7 +84,7 @@ class RunMonitor:
         check_every: int = 1024,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if interval <= 0:
+        if not interval > 0:  # NaN included
             raise ValueError(f"interval must be > 0, got {interval}")
         if check_every < 1:
             raise ValueError(f"check_every must be >= 1, got {check_every}")
@@ -129,9 +129,9 @@ class RunMonitor:
     # -- hot path ------------------------------------------------------------
 
     def tick(self, now: float) -> None:
-        """Account one dispatched event at simulated time ``now``.
+        """Account one replayed record at simulated time ``now``.
 
-        Called once per event by the engine; everything beyond the
+        Called once per record by the replay loop; everything beyond the
         countdown decrement is amortised over ``check_every`` events.
         """
         self.events += 1

@@ -1,107 +1,77 @@
-"""Span-style wall-time profiling for the simulation hot paths.
+"""Where one call's time goes, per ``repro`` package (``run --profile``).
 
-A :class:`Profiler` accumulates ``(call count, wall seconds)`` per named
-phase.  Three styles of use, from coarse to fine:
+:func:`profile_call` runs a call under :mod:`cProfile` and folds the
+samples by the package of the function that spent them — ``core``,
+``cache``, ``system``, ``sim``, ``workload`` ... the names of the
+benchmark's per-layer ledger (``bench/child.py``).  Library and builtin
+time has no package of ours, so it goes to the package that called it
+(heapq under ``cache``); time no ``repro`` function called is
+``other``.  Nothing is wrapped or timed by hand, so a profiled run takes
+the code path of an unprofiled one.
 
-* ``with profiler.span("sim.run"):`` — a phase of one run;
-* ``wrapped = profiler.wrap(fn, "policy.on_request")`` — per-call
-  timing of a hot function, installed as an instance attribute so an
-  unprofiled object keeps its original, untouched method;
-* ``profiler.record(name, dt)`` — manual accounting.
-
-Profiling is strictly opt-in: nothing in the simulator times anything
-unless an observer with a profiler is attached, so the default run
-pays nothing.
+The profile covers the calling process only: the shard workers of
+``run --workers N`` are not in it.  :mod:`cProfile` and :mod:`pstats`
+are imported by the call, so a run without ``--profile`` never loads
+them.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import Callable, Dict
+import os
+from typing import Any, Callable, Dict, Optional, Tuple
+
+#: ``{package: {"calls": n, "seconds": self seconds}}``.
+Profile = Dict[str, Dict[str, float]]
 
 
-class _Span:
-    """Context manager timing one phase; re-usable via ``span()``."""
-
-    __slots__ = ("_profiler", "_name", "_start")
-
-    def __init__(self, profiler: "Profiler", name: str) -> None:
-        self._profiler = profiler
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_Span":
-        self._start = perf_counter()
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self._profiler.record(self._name, perf_counter() - self._start)
+def package_of(filename: str) -> Optional[str]:
+    """The ``repro`` package (or top-level module) a code file belongs to."""
+    marker = os.sep + "repro" + os.sep
+    if marker not in filename:
+        return None
+    return filename.rsplit(marker, 1)[1].split(os.sep, 1)[0].removesuffix(".py")
 
 
-class NullSpan:
-    """The do-nothing span handed out when profiling is off."""
+def profile_call(fn: Callable[..., Any], *args, **kwargs) -> Tuple[Any, Profile]:
+    """``(fn(*args, **kwargs), its profile)``, folded per package and
+    sorted by package name."""
+    import cProfile
+    import pstats
 
-    __slots__ = ()
+    profiler = cProfile.Profile()
+    result = profiler.runcall(fn, *args, **kwargs)
+    folded: Profile = {}
 
-    def __enter__(self) -> "NullSpan":
-        return self
+    def add(package: str, seconds: float, calls: int) -> None:
+        entry = folded.setdefault(package, {"calls": 0, "seconds": 0.0})
+        entry["calls"] += calls
+        entry["seconds"] += seconds
 
-    def __exit__(self, *_exc) -> None:
-        pass
+    for (filename, _, _), (_, calls, seconds, _, callers) in pstats.Stats(
+        profiler
+    ).stats.items():
+        package = package_of(filename)
+        if package is not None:
+            add(package, seconds, calls)
+            continue
+        for (caller_file, _, _), (_, _, caller_seconds, _) in callers.items():
+            add(package_of(caller_file) or "other", caller_seconds, 0)
+        if not callers:
+            add("other", seconds, 0)
+    return result, {package: folded[package] for package in sorted(folded)}
 
 
-NULL_SPAN = NullSpan()
-
-
-class Profiler:
-    """Per-phase call counts and accumulated wall time."""
-
-    __slots__ = ("seconds", "calls")
-
-    def __init__(self) -> None:
-        self.seconds: Dict[str, float] = {}
-        self.calls: Dict[str, int] = {}
-
-    def record(self, name: str, dt: float) -> None:
-        self.seconds[name] = self.seconds.get(name, 0.0) + dt
-        self.calls[name] = self.calls.get(name, 0) + 1
-
-    def span(self, name: str) -> _Span:
-        return _Span(self, name)
-
-    def wrap(self, fn: Callable, name: str) -> Callable:
-        """A wrapper of ``fn`` that records one sample per call."""
-        record = self.record
-
-        def timed(*args, **kwargs):
-            started = perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                record(name, perf_counter() - started)
-
-        timed.__name__ = getattr(fn, "__name__", name)
-        timed.__wrapped__ = fn
-        return timed
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """``{phase: {"calls": n, "seconds": s}}``, ready for JSON."""
-        return {
-            name: {"calls": self.calls[name], "seconds": self.seconds[name]}
-            for name in sorted(self.seconds)
-        }
-
-    def render(self) -> str:
-        """Human-readable table, slowest phase first."""
-        if not self.seconds:
-            return "(no profile samples)"
-        rows = sorted(self.seconds.items(), key=lambda kv: -kv[1])
-        width = max(len(name) for name, _ in rows)
-        lines = [f"{'phase':<{width}}  {'calls':>10}  {'seconds':>10}  {'us/call':>9}"]
-        for name, seconds in rows:
-            calls = self.calls[name]
-            per_call = 1e6 * seconds / calls if calls else 0.0
-            lines.append(
-                f"{name:<{width}}  {calls:>10d}  {seconds:>10.4f}  {per_call:>9.1f}"
-            )
-        return "\n".join(lines)
+def render(profile: Profile) -> str:
+    """Human-readable table, slowest package first."""
+    if not profile:
+        return "(no profile samples)"
+    rows = sorted(profile.items(), key=lambda row: -row[1]["seconds"])
+    total = sum(entry["seconds"] for _, entry in rows) or 1.0
+    width = max(len("package"), *(len(name) for name, _ in rows))
+    lines = [f"{'package':<{width}}  {'calls':>10}  {'seconds':>10}  {'share':>6}"]
+    for name, entry in rows:
+        lines.append(
+            f"{name:<{width}}  {entry['calls']:>10d}  {entry['seconds']:>10.4f}"
+            f"  {entry['seconds'] / total:>6.1%}"
+        )
+    return "\n".join(lines)

@@ -3,7 +3,6 @@
 One object bundles the observability concerns — a
 :class:`~repro.obs.registry.MetricsRegistry`, an
 :class:`~repro.obs.tracer.EventTracer`, a
-:class:`~repro.obs.profile.Profiler`, a
 :class:`~repro.obs.timeseries.TimeSeriesCollector` and a
 :class:`~repro.obs.monitor.RunMonitor` — behind semantic hooks
 (``publish``, ``request_outcome``, ``evict``, ``crash`` ...) so the
@@ -21,8 +20,6 @@ stays bit-identical to the pre-observability behaviour.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, NamedTuple, Optional, Tuple
-
-from repro.obs.profile import NULL_SPAN, Profiler
 
 if TYPE_CHECKING:  # build_observer imports the parts it constructs
     from repro.obs.monitor import RunMonitor
@@ -234,13 +231,11 @@ class Observer:
         self,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[EventTracer] = None,
-        profiler: Optional[Profiler] = None,
         timeseries: Optional[TimeSeriesCollector] = None,
         monitor: Optional[RunMonitor] = None,
     ) -> None:
         self.registry = registry
         self.tracer = tracer
-        self.profiler = profiler
         self.timeseries = timeseries
         self.monitor = monitor
         #: Running total of bytes held across caches, maintained from
@@ -350,14 +345,6 @@ class Observer:
             self._cache_bytes += size if op == "add" else -size
             self.timeseries.set_gauge(t, "cache_used_bytes", self._cache_bytes)
 
-    # -- profiling --------------------------------------------------------------
-
-    def span(self, name: str):
-        """A timing span, or a no-op when no profiler is attached."""
-        if self.profiler is None:
-            return NULL_SPAN
-        return self.profiler.span(name)
-
     def close(self) -> None:
         """Flush/close every attached sink (idempotent)."""
         if self.tracer is not None:
@@ -388,7 +375,6 @@ NULL_OBSERVER = NullObserver()
 def build_observer(
     trace_out: Optional[str] = None,
     metrics: bool = False,
-    profile: bool = False,
     trace_pages=None,
     trace_proxies=None,
     max_events: int = 100_000,
@@ -415,7 +401,6 @@ def build_observer(
         from repro.obs.registry import MetricsRegistry
 
         registry = MetricsRegistry()
-    profiler = Profiler() if profile else None
     timeseries = None
     if series or series_out is not None:
         from repro.obs.timeseries import TimeSeriesCollector
@@ -436,7 +421,6 @@ def build_observer(
     if (
         tracer is None
         and registry is None
-        and profiler is None
         and timeseries is None
         and run_monitor is None
     ):
@@ -444,7 +428,6 @@ def build_observer(
     return Observer(
         registry=registry,
         tracer=tracer,
-        profiler=profiler,
         timeseries=timeseries,
         monitor=run_monitor,
     )

@@ -75,7 +75,7 @@ class TimeSeriesCollector:
         max_windows: int = 256,
         spill: Optional[Union[str, IO[str]]] = None,
     ) -> None:
-        if window_seconds <= 0:
+        if not window_seconds > 0:  # NaN included
             raise ValueError(f"window_seconds must be > 0, got {window_seconds}")
         if max_windows < 1:
             raise ValueError(f"max_windows must be >= 1, got {max_windows}")

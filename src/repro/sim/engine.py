@@ -11,7 +11,6 @@ and then by insertion order.
 from __future__ import annotations
 
 import heapq
-from time import perf_counter
 from typing import Callable, List, Optional, Tuple
 
 #: Scheduling priorities.  URGENT beats NORMAL at the same timestamp.
@@ -35,25 +34,10 @@ class Environment:
     time (the content distribution simulator schedules delayed
     notification arrivals and fault transitions this way);
     :meth:`run_before` interleaves a pre-sorted static stream with the
-    agenda and :meth:`run` drains it.
-
-    Setting :attr:`profiler` (any object with ``record(name, dt)``,
-    e.g. :class:`repro.obs.profile.Profiler`) makes :meth:`run` and
-    :meth:`run_before` time each agenda step under the
-    ``"engine.step"`` phase.  It defaults to ``None`` and the
-    unprofiled loop is untouched, so observability is free when off.
-
-    Setting :attr:`monitor` (any object with ``tick(now)``, e.g.
-    :class:`repro.obs.monitor.RunMonitor`) makes the loops call
-    ``tick`` once per dispatched event, enabling live heartbeats.  Like
-    the profiler it defaults to ``None`` and the branch is hoisted out
-    of the unmonitored loop.
+    agenda and :meth:`run` drains it.  Neither times nor counts what
+    it runs: ``run --profile`` is cProfile around the whole run, and
+    the live monitor is ticked by the replay loop, once per record.
     """
-
-    #: Optional span profiler for the event loop (see class docstring).
-    profiler = None
-    #: Optional live run monitor, ticked once per dispatched event.
-    monitor = None
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
@@ -102,20 +86,11 @@ class Environment:
         before.  Relative order among dynamic events is the heap's.
         """
         agenda = self._agenda
-        profiler = self.profiler
-        monitor = self.monitor
         while agenda:
             head = agenda[0]
             if head[0] > at or (head[0] == at and head[1] >= priority):
                 break
-            if profiler is None:
-                self.step()
-            else:
-                started = perf_counter()
-                self.step()
-                profiler.record("engine.step", perf_counter() - started)
-            if monitor is not None:
-                monitor.tick(self._now)
+            self.step()
         if at < self._now:
             raise SimulationError(
                 f"static stream goes back in time: {at} < now={self._now}"
@@ -130,34 +105,9 @@ class Environment:
         """
         if until is not None and until < self._now:
             raise SimulationError(f"until={until} lies in the past (now={self._now})")
-        profiler = self.profiler
-        monitor = self.monitor
-        if profiler is None and monitor is None:
-            while self._agenda:
-                if until is not None and self._agenda[0][0] > until:
-                    break
-                self.step()
-        elif monitor is None:
-            record = profiler.record
-            while self._agenda:
-                if until is not None and self._agenda[0][0] > until:
-                    break
-                started = perf_counter()
-                self.step()
-                record("engine.step", perf_counter() - started)
-        else:
-            if profiler is not None:
-                record = profiler.record
-            tick = monitor.tick
-            while self._agenda:
-                if until is not None and self._agenda[0][0] > until:
-                    break
-                if profiler is None:
-                    self.step()
-                else:
-                    started = perf_counter()
-                    self.step()
-                    record("engine.step", perf_counter() - started)
-                tick(self._now)
+        while self._agenda:
+            if until is not None and self._agenda[0][0] > until:
+                break
+            self.step()
         if until is not None:
             self._now = max(self._now, until)

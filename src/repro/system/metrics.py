@@ -231,10 +231,11 @@ class SimulationResult:
     hourly_fetch_bytes: List[int]
     per_proxy: List[CacheStats] = field(default_factory=list, repr=False)
     wall_seconds: float = 0.0
-    #: Per-phase wall-time/call-count summary
-    #: (``{phase: {"calls": n, "seconds": s}}``) when the run was
-    #: observed with a profiler; ``None`` otherwise.  Excluded — like
-    #: ``wall_seconds`` — from bit-identity comparisons.
+    #: Self time and calls per ``repro`` package
+    #: (``{package: {"calls": n, "seconds": s}}``) when ``run --profile``
+    #: ran the cell under cProfile (:mod:`repro.obs.profile`); ``None``
+    #: otherwise.  Excluded — like ``wall_seconds`` — from bit-identity
+    #: comparisons.
     profile: Optional[Dict[str, Dict[str, float]]] = None
     #: Sum of modelled per-request response times (seconds).
     total_response_time: float = 0.0

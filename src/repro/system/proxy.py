@@ -35,20 +35,21 @@ def _attribute_values(policy):
                     pass
 
 
-def _owned(policy, kind: type, part: str) -> list:
-    """Every ``kind`` instance a policy owns, directly or as the
-    ``part`` attribute of a HeapCache.
+def _storages(policy) -> list:
+    """Every CacheStorage a policy owns, directly or as the ``storage``
+    of a HeapCache.
 
-    Deduplicated by identity: the hot-path aliases (``_heap`` next to
-    ``_cache``) would otherwise hook the same object twice.
+    Deduplicated by identity, so a storage reachable twice (itself and
+    through its HeapCache) is hooked once.
     """
+    from repro.cache.storage import CacheStorage
     from repro.core._base import HeapCache
 
     found = {}
     for value in _attribute_values(policy):
         if isinstance(value, HeapCache):
-            value = getattr(value, part)
-        if isinstance(value, kind):
+            value = value.storage
+        if isinstance(value, CacheStorage):
             found[id(value)] = value
     return list(found.values())
 
@@ -123,27 +124,10 @@ class ProxyServer:
         self.policy.evict_listener = lambda page_id, size, cause: obs.evict(
             handler_time(), page_id, server_id, size, cause
         )
-        from repro.cache.storage import CacheStorage
-
-        for storage in _owned(self.policy, CacheStorage, "storage"):
+        for storage in _storages(self.policy):
             storage.listener = lambda op, entry: obs.cache_op(
                 op, entry.size, handler_time()
             )
-
-    def instrument(self, profiler) -> None:
-        """Time this proxy's policy entry points under ``policy.*`` and
-        its heaps' operations.
-
-        ``profiler`` is a :class:`repro.obs.profile.Profiler`; the
-        timed wrappers shadow the bound methods as instance attributes
-        so uninstrumented proxies keep the plain class methods.
-        """
-        self.handle_publish = profiler.wrap(self.handle_publish, "policy.on_publish")
-        self.handle_request = profiler.wrap(self.handle_request, "policy.on_request")
-        from repro.cache.heap import AddressableHeap
-
-        for heap in _owned(self.policy, AddressableHeap, "heap"):
-            heap.instrument(profiler)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "up" if self.up else "down"

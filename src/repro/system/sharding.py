@@ -32,9 +32,10 @@ budget, subscription churn, observers — run single-process.
 Cooperation, whose peer lookups read other proxies' caches, is not
 sharded: ``run_sharded`` builds the paper's independent proxies.
 
-Workers are forked (``multiprocessing`` fork context), so the trace,
-match table and topology are inherited copy-on-write — nothing is
-pickled in, only the partial results come back.  Each worker cuts its
+Workers are forked (``multiprocessing`` fork context), one process per
+shard, so the trace, match table and topology are inherited
+copy-on-write — nothing is pickled in, only the partial results come
+back, each up its own pipe, so a worker that dies is named.  Each worker cuts its
 own shard with :meth:`Workload.for_servers
 <repro.workload.trace.Workload.for_servers>`; over a spilled trace
 (:mod:`repro.workload.streaming`) the publishes stay memory-mapped and
@@ -124,31 +125,24 @@ def _server_weights(workload) -> List[int]:
     return weights
 
 
-def _pack_units(
-    units: List[List[int]], weights: List[int], bins: int
-) -> List[List[int]]:
-    """Greedy LPT: heaviest unit first onto the lightest bin.
+def plan_shards(workload, workers: int) -> List[List[int]]:
+    """Partition the proxies into at most ``workers`` shards by greedy
+    LPT: the heaviest server (by request weight) first, onto the
+    lightest shard.
 
-    Deterministic (ties break on lowest first-server, then lowest bin
-    index); empty bins are dropped.
+    Deterministic (ties break on the lower server id, then the lower
+    shard index); empty shards are dropped.
     """
-    order = sorted(range(len(units)), key=lambda i: (-weights[i], units[i][0]))
-    loads = [0] * bins
-    shards: List[List[int]] = [[] for _ in range(bins)]
-    for index in order:
-        target = min(range(bins), key=lambda j: (loads[j], j))
-        shards[target].extend(units[index])
-        loads[target] += weights[index]
-    return [sorted(shard) for shard in shards if shard]
-
-
-def plan_shards(workload, config: SimulationConfig, workers: int) -> List[List[int]]:
-    """Partition the proxies into at most ``workers`` shards, split
-    greedily by request weight."""
     server_count = workload.config.server_count
     bins = max(1, min(int(workers), server_count))
-    units = [[server] for server in range(server_count)]
-    return _pack_units(units, _server_weights(workload), bins)
+    weights = _server_weights(workload)
+    loads = [0] * bins
+    shards: List[List[int]] = [[] for _ in range(bins)]
+    for server in sorted(range(server_count), key=lambda s: (-weights[s], s)):
+        target = min(range(bins), key=lambda j: (loads[j], j))
+        shards[target].append(server)
+        loads[target] += weights[server]
+    return [sorted(shard) for shard in shards if shard]
 
 
 # -- shard-local views -------------------------------------------------------
@@ -193,6 +187,31 @@ def _run_shard(index: int) -> SimulationResult:
     return Simulation(
         workload.for_servers(shard), config, ShardMatchTable(match_table, shard), topology
     ).run()
+
+
+def _shard_main(index: int, send) -> None:
+    """A forked worker: send shard ``index``'s result, or the exception
+    that stopped it, up the pipe to the parent."""
+    try:
+        payload = _run_shard(index)
+    except BaseException as error:  # re-raised in the parent
+        payload = error
+    send.send(payload)
+
+
+def _receive(index: int, process, receive, count: int) -> SimulationResult:
+    """Shard ``index``'s result; a worker that died without sending one
+    closed its end of the pipe, which ends the wait here."""
+    try:
+        payload = receive.recv()
+    except EOFError:
+        process.join()
+        raise ChildProcessError(
+            f"shard {index} of {count} died (exit code {process.exitcode})"
+        ) from None
+    if isinstance(payload, BaseException):
+        raise payload
+    return payload
 
 
 def merge_shard_results(
@@ -252,7 +271,8 @@ def run_sharded(
     """Run one cell across ``config.workers`` shard processes.
 
     Ineligible configurations fall back to the single-process
-    simulation (logged).
+    simulation (logged).  A worker that dies without a result raises
+    ``ChildProcessError`` naming its shard; the others are stopped.
     """
     started = time.perf_counter()
     workers = int(config.workers)
@@ -274,7 +294,7 @@ def run_sharded(
     match_table, topology = cell_inputs(
         workload, config, RandomStreams(config.seed), match_table, topology
     )
-    shards = plan_shards(workload, config, workers)
+    shards = plan_shards(workload, workers)
     if len(shards) <= 1:
         return single()
 
@@ -282,11 +302,25 @@ def run_sharded(
     global _WORKER_CONTEXT
     context = multiprocessing.get_context("fork")
     _WORKER_CONTEXT = (workload, worker_config, match_table, topology, shards)
+    running = []
     try:
-        with context.Pool(processes=len(shards)) as pool:
-            partials = pool.map(_run_shard, range(len(shards)))
+        for index in range(len(shards)):
+            receive, send = context.Pipe(duplex=False)
+            process = context.Process(target=_shard_main, args=(index, send))
+            process.start()
+            send.close()  # the worker's copy is now the only writer
+            running.append((process, receive))
+        partials = [
+            _receive(index, process, receive, len(shards))
+            for index, (process, receive) in enumerate(running)
+        ]
     finally:
         _WORKER_CONTEXT = None
+        for process, receive in running:
+            if process.is_alive():
+                process.terminate()
+            process.join()
+            receive.close()
 
     logger.info(
         "merged %d shards (%s)",

@@ -176,10 +176,10 @@ class Simulation:
         workload.check_ids()
         self.workload = workload
         self.config = config
-        # Observability is strictly read-only: hooks fire *after* each
-        # state transition and never touch RNG streams, so an observed
-        # run's SimulationResult (minus wall_seconds/profile) stays
-        # bit-identical to an unobserved one.
+        # Observability is strictly read-only: hooks read state, never
+        # change it or touch RNG streams, and an observed run replays on
+        # the arm an unobserved one takes, so its SimulationResult
+        # (minus wall_seconds) stays bit-identical to an unobserved one.
         self.obs = observer if observer is not None else NULL_OBSERVER
         self._obs_on = self.obs.enabled
         #: Sim time of the handler currently running, for hooks (like
@@ -921,19 +921,19 @@ class Simulation:
         dynamic agenda.
 
         The only replay routine.  Which of its two dispatch arms runs
-        is read off what this run has armed, never chosen by a caller:
-        with no layer object and no observer nothing can reach the
-        agenda or add a stage, so the *inline* arm calls the policies
-        directly; otherwise the *staged* arm lets the agenda catch up
-        before each record (:meth:`Environment.run_before`) and
-        dispatches every kind with one call, ``handlers[kind](a, b, c,
-        d, time)``.
+        is read off the layers this run has armed, never chosen by a
+        caller, and an observer is not one: with no layer object
+        nothing can reach the agenda or add a stage, so the *inline*
+        arm calls the policies directly, observed or not; otherwise the
+        *staged* arm lets the agenda catch up before each record
+        (:meth:`Environment.run_before`) and dispatches every kind with
+        one call, ``handlers[kind](a, b, c, d, time)``.  Either arm
+        ticks the monitor once per record.
         """
         layers = {
             "chaos": self._recovery,
             "churn": self._lifecycle,
             "overload": self._overload,
-            "observer": self.obs if self._obs_on else None,
             "peers": self._peers,
         }
         armed = [name for name, layer in layers.items() if layer is not None]
@@ -950,9 +950,7 @@ class Simulation:
             # the inline arm's does.  Without a manager the stream holds
             # no kind-2 record.
             handlers.append(self._lifecycle.on_event)
-        if env.profiler is not None:
-            handlers = [env.profiler.wrap(fn, "engine.step") for fn in handlers]
-        monitor = env.monitor
+        monitor = self.obs.monitor if self._obs_on else None
         run_before = env.run_before
         for at, kind, a, b, c, d in self.workload.replay_stream(self.match_table):
             run_before(at, _PRIORITY[kind])
@@ -971,6 +969,11 @@ class Simulation:
         id.  Equality with the staged arm and with the agenda oracle is
         enforced by ``tests/system/test_replay_fastpath.py`` and
         ``tests/system/test_layer_matrix.py``.
+
+        An observed run replays through the same loop over observing
+        inputs (:meth:`_observed_stream`, :meth:`_observed_calls`): the
+        events and their order are the staged arm's, and the unobserved
+        loop body carries no observer test.
         """
         workload = self.workload
         config = self.config
@@ -999,6 +1002,11 @@ class Simulation:
         ]
         hit_latency = HIT_LATENCY
         miss_latency = [PER_HOP_LATENCY * proxy.policy.cost for proxy in proxies]
+        if self._obs_on:
+            stream = self._observed_stream(stream)
+            on_publish, on_request = zip(
+                *map(self._observed_calls, proxies, miss_latency)
+            )
         versions_get = versions.get
         interval = config.invariant_check_interval
         events = self._events_processed
@@ -1064,6 +1072,53 @@ class Simulation:
         for proxy, latency in zip(proxies, response_time):
             proxy.stats.response_time += latency
 
+    def _observed_stream(self, stream):
+        """``stream`` with each record announced as the staged arm's
+        handlers and loop announce it: the handler time stamped,
+        ``publish`` or ``request`` emitted, the monitor ticked."""
+        obs = self.obs
+        publish, request = obs.publish, obs.request
+        tick = obs.monitor.tick if obs.monitor is not None else None
+        for record in stream:
+            now, kind, a, b, size, _m = record
+            self._obs_now = now
+            if kind:
+                request(now, b, a)
+            else:
+                publish(now, a, b, size)
+            if tick is not None:
+                tick(now)
+            yield record
+
+    def _observed_calls(self, proxy: ProxyServer, miss_latency: float):
+        """``proxy``'s ``(on_publish, on_request)`` for the inline arm of
+        an observed run: the policy call, with the events
+        :meth:`_offer_push` and :meth:`_serve` emit around it."""
+        obs = self.obs
+        server_id = proxy.server_id
+        policy = proxy.policy
+        offer, serve, held_version = policy.on_publish, policy.on_request, policy.held_version
+
+        def on_publish(page_id, version, size, match_count, now):
+            obs.match(now, page_id, server_id, match_count)
+            obs.push_offer(now, page_id, server_id)
+            outcome = offer(page_id, version, size, match_count, now)
+            if outcome.stored:
+                obs.push_accept(now, page_id, server_id, outcome.refreshed)
+            else:
+                obs.push_reject(now, page_id, server_id)
+            return outcome
+
+        def on_request(page_id, version, size, match_count, now):
+            if held_version(page_id) != version:
+                obs.fetch(now, page_id, server_id)  # before the evictions it causes
+            outcome = serve(page_id, version, size, match_count, now)
+            latency = HIT_LATENCY if outcome.hit else HIT_LATENCY + miss_latency
+            obs.request_outcome(now, page_id, server_id, _outcome_kind(outcome), latency)
+            return outcome
+
+        return on_publish, on_request
+
     def run(self) -> SimulationResult:
         """Replay the whole trace and collect the metrics (once)."""
         if self._env is not None:  # publisher and caches hold that run's state
@@ -1085,8 +1140,6 @@ class Simulation:
             self._attach_observer()
         env = Environment()
         self._env = env
-        if self._obs_on and obs.profiler is not None:
-            env.profiler = obs.profiler
         if self._obs_on and obs.monitor is not None:
             obs.monitor.configure(
                 horizon=self.workload.config.horizon,
@@ -1094,26 +1147,24 @@ class Simulation:
                     proxy.policy.used_bytes for proxy in self.proxies
                 ),
             )
-            env.monitor = obs.monitor
-        with obs.span("sim.schedule"):
-            if self.fault_schedule is not None:
-                from repro.faults.injector import FaultInjector
+        if self.fault_schedule is not None:
+            from repro.faults.injector import FaultInjector
 
-                FaultInjector(self.fault_schedule).install(env, self)
-        with obs.span("sim.run"):
-            self._replay(env)
+            FaultInjector(self.fault_schedule).install(env, self)
+        self._replay(env)
         if self._obs_on:
+            # The inline arm never advances the agenda's clock; the
+            # last record's time is the handler time it stamped.
             obs.run_end(
-                env.now,
+                max(env.now, self._obs_now),
                 cache_used_bytes=sum(
                     proxy.policy.used_bytes for proxy in self.proxies
                 ),
             )
-        with obs.span("sim.collect"):
-            return self._collect(time.perf_counter() - started)
+        return self._collect(time.perf_counter() - started)
 
     def _attach_observer(self) -> None:
-        """Install per-proxy eviction/storage hooks and the profiler.
+        """Install per-proxy eviction/storage hooks.
 
         Called once per observed run; unobserved runs never reach this,
         so policies and storages keep their no-op class-level hooks.
@@ -1125,12 +1176,6 @@ class Simulation:
 
         for proxy in self.proxies:
             proxy.observe(obs, handler_time)
-        profiler = obs.profiler
-        if profiler is not None:
-            for proxy in self.proxies:
-                proxy.instrument(profiler)
-            if self._peers is not None:
-                self._off_proxy = profiler.wrap(self._off_proxy, "coop.peer_lookup")
 
     def _collect(self, wall_seconds: float) -> SimulationResult:
         hour_count = int(self.workload.config.horizon // 3600.0) + 1
@@ -1202,8 +1247,6 @@ class Simulation:
             self._lifecycle.collect(result, horizon)
         if self._peers is not None:
             self._peers.collect(result)
-        if self._obs_on and self.obs.profiler is not None:
-            result.profile = self.obs.profiler.summary()
         if self._obs_on:
             logger.debug("run done: %s", result.summary())
         return result

@@ -109,7 +109,7 @@ def test_all_layers_result_round_trips(churned):
 
 def test_profile_round_trips():
     result = runner.run_cell(KEY, scale=SCALE, seed=SEED)
-    result.profile = {"engine.step": {"calls": 3, "seconds": 0.25}}
+    result.profile = {"core": {"calls": 3, "seconds": 0.25}}
     assert_round_trips(result)
 
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.faults.spec import ChaosSpec
 from repro.obs import Observer, RunMonitor, rss_bytes
 from repro.obs.monitor import _fmt_bytes, _fmt_seconds
 from repro.sim.engine import Environment
@@ -99,8 +100,9 @@ class TestHeartbeats:
         assert "50.0%" in err
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            RunMonitor(interval=0)
+        for interval in (0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                RunMonitor(interval=interval)
         with pytest.raises(ValueError):
             RunMonitor(check_every=0)
 
@@ -134,18 +136,24 @@ class TestHelpers:
 
 
 class TestEngineWiring:
-    def test_environment_ticks_monitor_per_event(self):
-        monitor, _clock = make_monitor(interval=1e9, sink=io.StringIO())
-        monitor.start()
-        env = Environment()
-        env.monitor = monitor
-        for at in (1.0, 2.0, 3.0):
-            env.schedule(at, lambda _env: None)
-        env.run()
-        assert monitor.events == 3
+    @pytest.mark.parametrize(
+        "chaos", [None, ChaosSpec(proxy_mtbf=4 * 3600.0)], ids=["inline", "staged"]
+    )
+    def test_replay_ticks_monitor_once_per_static_record(self, chaos):
+        """Either arm ticks once per record of the static stream; the
+        staged arm's dynamic events (here, crashes and restarts) are
+        not records and tick nothing."""
+        monitor = RunMonitor(interval=1e9, sink=io.StringIO(), check_every=1)
+        workload = make_trace("news", scale=0.01, seed=3)
+        config = SimulationConfig(strategy="gdstar", capacity_fraction=0.05, seed=3, chaos=chaos)
+        result = Simulation(workload, config, observer=Observer(monitor=monitor)).run()
+        assert chaos is None or result.proxy_crashes > 0
+        assert monitor.events == workload.publish_count + workload.request_count
 
     def test_environment_default_has_no_monitor(self):
-        assert Environment.monitor is None
+        """The engine carries no monitor (nor profiler): the replay loop ticks it."""
+        env = Environment()
+        assert not hasattr(env, "monitor") and not hasattr(env, "profiler")
 
     def test_simulation_configures_and_finishes_monitor(self):
         sink = io.StringIO()

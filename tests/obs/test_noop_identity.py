@@ -1,20 +1,27 @@
-"""ISSUE 2 acceptance: observability never changes the simulation.
+"""Observability never changes the simulation, nor the code that runs it.
 
 Runs with no observer, with the explicit :class:`NullObserver`, and
-with everything on (tracing + metrics + profiling) must all produce the
-same :class:`SimulationResult` — excluding the two fields documented as
-timing artefacts (``wall_seconds``, ``profile``) — on both a healthy
-run and a chaos run.  The full-observer chaos run doubles as the
-taxonomy-coverage check: every event type the simulator can emit under
-faults must actually appear in the trace.
+with every sink on (tracing, metrics, time series and the live monitor)
+must all produce the same :class:`SimulationResult` — excluding the two
+fields documented as timing artefacts (``wall_seconds``, ``profile``) —
+*and replay on the same arm*, on both a healthy run and a chaos run.
+The full-observer chaos run doubles as the taxonomy-coverage check:
+every event type the simulator can emit under faults must actually
+appear in the trace.
 """
 
+import cProfile
 import dataclasses
+import io
+import logging
+import pstats
 
 import pytest
 
 from repro.faults.spec import ChaosSpec
-from repro.obs import EventTracer, MetricsRegistry, NullObserver, Observer, Profiler
+from repro.obs import (
+    EventTracer, MetricsRegistry, NullObserver, Observer, RunMonitor, TimeSeriesCollector,
+)
 from repro.system.config import SimulationConfig
 from repro.system.cooperation import run_cooperative_simulation
 from repro.system.simulator import Simulation
@@ -53,7 +60,8 @@ def _full_observer():
     return Observer(
         registry=MetricsRegistry(),
         tracer=EventTracer(max_events=1_000_000),
-        profiler=Profiler(),
+        timeseries=TimeSeriesCollector(),
+        monitor=RunMonitor(interval=1e9, sink=io.StringIO()),
     )
 
 
@@ -64,35 +72,50 @@ def _run(workload, observer, chaos=None, strategy="sg2"):
     return Simulation(workload, config, observer=observer).run()
 
 
-def test_noop_observer_is_bit_identical(workload):
-    baseline = _run(workload, observer=None)
-    noop = _run(workload, observer=NullObserver())
-    assert _comparable(baseline) == _comparable(noop)
+def _replayed(caplog, workload, observer, chaos=None):
+    """``(comparable result, replay-arm log lines)`` of one run."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="repro.system"):
+        result = _run(workload, observer, chaos)
+    arms = [r.getMessage() for r in caplog.records if r.getMessage().startswith("replay:")]
+    return _comparable(result), arms
 
 
-def test_full_observer_is_bit_identical_healthy(workload):
-    baseline = _run(workload, observer=None)
-    observed = _run(workload, observer=_full_observer())
-    assert _comparable(baseline) == _comparable(observed)
+def test_noop_observer_is_bit_identical(workload, caplog):
+    baseline = _replayed(caplog, workload, observer=None)
+    assert _replayed(caplog, workload, observer=NullObserver()) == baseline
+
+
+def test_full_observer_is_bit_identical_healthy(workload, caplog):
+    baseline = _replayed(caplog, workload, observer=None)
+    observer = _full_observer()
+    assert _replayed(caplog, workload, observer=observer) == baseline
+    assert baseline[1] == ["replay: inline arm"]
+    assert observer.monitor.events == workload.publish_count + workload.request_count
 
 
 @pytest.mark.parametrize("strategy", ["sg2", "dc-lap"])
 def test_fused_heap_paths_stay_visible_and_identical(workload, strategy):
     """The conditional-eviction loop runs inside the heap
-    (``pop_cheaper``), bypassing ``push``/``pop``: the profiler wraps
-    it too, and wrapping must not change what it decides."""
+    (``pop_cheaper``), bypassing ``push``/``pop``: an observed run calls
+    it as an unobserved one does, where cProfile sees it, and profiling
+    must not change what it decides."""
     baseline = _run(workload, observer=None, strategy=strategy)
-    observed = _run(workload, observer=_full_observer(), strategy=strategy)
+    profiler = cProfile.Profile()
+    observed = profiler.runcall(_run, workload, _full_observer(), strategy=strategy)
     assert _comparable(baseline) == _comparable(observed)
-    for phase in ("heap.push", "heap.pop_cheaper"):
-        assert observed.profile[phase]["calls"] > 0
+    calls = {
+        name: count
+        for (_file, _line, name), (_, count, *_rest) in pstats.Stats(profiler).stats.items()
+    }
+    assert calls["pop_cheaper"] > 0
 
 
-def test_full_observer_is_bit_identical_under_chaos(workload):
-    baseline = _run(workload, observer=None, chaos=CHAOS)
+def test_full_observer_is_bit_identical_under_chaos(workload, caplog):
+    baseline = _replayed(caplog, workload, observer=None, chaos=CHAOS)
     observer = _full_observer()
-    observed = _run(workload, observer=observer, chaos=CHAOS)
-    assert _comparable(baseline) == _comparable(observed)
+    assert _replayed(caplog, workload, observer=observer, chaos=CHAOS) == baseline
+    assert baseline[1] == ["replay: staged arm (chaos)"]
 
     # Taxonomy coverage: everything a non-cooperative chaos run can
     # emit must actually show up (peer_fetch needs cooperation; see
@@ -140,14 +163,28 @@ def test_eviction_metrics_match_stats(workload):
     assert set(causes) <= {"capacity", "displaced", "repartition"}
 
 
-def test_profile_lands_in_result(workload):
-    observer = _full_observer()
-    result = _run(workload, observer=observer)
-    assert result.profile is not None
-    for phase in ("sim.run", "engine.step", "policy.on_request", "heap.push"):
-        assert result.profile[phase]["calls"] > 0
-    unobserved = _run(workload, observer=None)
-    assert unobserved.profile is None
+def test_profile_lands_in_result(monkeypatch):
+    """``run --profile`` folds cProfile per package into the result it
+    prints, and the numbers are an unprofiled run's."""
+    from repro import cli
+    from repro.experiments import runner
+
+    results = []
+    run_cell = runner.run_cell
+
+    def recorded(*args, **kwargs):
+        results.append(run_cell(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(runner, "run_cell", recorded)
+    argv = ["run", "--scale", "0.03", "--seed", str(SEED), "--no-artifact-cache"]
+    assert cli.main(argv) == 0
+    assert cli.main([*argv, "--profile"]) == 0
+    plain, profiled = results
+    assert plain.profile is None
+    assert {"cache", "core", "sim", "system"} <= set(profiled.profile)
+    assert all(set(entry) == {"calls", "seconds"} for entry in profiled.profile.values())
+    assert _comparable(plain) == _comparable(profiled)
 
 
 def test_cooperative_run_emits_peer_events(workload):

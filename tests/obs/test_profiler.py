@@ -1,76 +1,96 @@
-"""The profiler: spans, wrapped functions, summaries."""
+"""The profiler: one call under cProfile, folded per ``repro`` package."""
 
-from repro.obs import NULL_SPAN, Profiler
-from repro.obs.profile import NullSpan
+import os
+import sys
+
+import pytest
+
+from repro.obs import profile_call
+from repro.obs.profile import package_of, render
+from repro.system.config import SimulationConfig
+from repro.system.simulator import Simulation
+from repro.workload.presets import make_trace
+
+#: A package of ours that does not exist: code compiled under this path
+#: is profiled as ``demo``.
+DEMO = os.path.join(os.sep, "src", "repro", "demo")
+
+
+def _module(name, source):
+    namespace = {}
+    exec(compile(source, os.path.join(DEMO, name), "exec"), namespace)
+    return namespace
+
+
+def test_package_of():
+    assert package_of(os.path.join(DEMO, "a.py")) == "demo"
+    assert package_of(os.path.join(os.sep, "src", "repro", "cli.py")) == "cli"
+    assert package_of(os.path.join(os.sep, "usr", "lib", "heapq.py")) is None
+    assert package_of("~") is None
 
 
 def test_record_accumulates():
-    profiler = Profiler()
-    profiler.record("phase", 0.25)
-    profiler.record("phase", 0.75)
-    assert profiler.calls["phase"] == 2
-    assert profiler.seconds["phase"] == 1.0
+    """Every function of a package adds its calls to the package's row."""
+    first = _module("a.py", "def f():\n    return 1\n")["f"]
+    second = _module("b.py", "def g():\n    return 2\n")["g"]
+
+    def calls():
+        return [first(), first(), second(), second(), second()]
+
+    _, profile = profile_call(calls)
+    assert profile["demo"]["calls"] == 5
 
 
-def test_span_times_block():
-    profiler = Profiler()
-    with profiler.span("work"):
-        pass
-    assert profiler.calls["work"] == 1
-    assert profiler.seconds["work"] >= 0.0
-
-
-def test_wrap_preserves_behaviour_and_counts_calls():
-    profiler = Profiler()
-
-    def add(a, b):
-        return a + b
-
-    timed = profiler.wrap(add, "math.add")
-    assert timed(2, 3) == 5
-    assert timed(b=4, a=1) == 5
-    assert timed.__wrapped__ is add
-    assert profiler.calls["math.add"] == 2
-
-
-def test_wrap_records_even_on_exception():
-    profiler = Profiler()
-
-    def boom():
-        raise RuntimeError("boom")
-
-    timed = profiler.wrap(boom, "boom")
-    try:
-        timed()
-    except RuntimeError:
-        pass
-    assert profiler.calls["boom"] == 1
+def test_library_time_goes_to_the_calling_package():
+    """A builtin has no package of ours: its self time is the caller's,
+    and its calls are not counted as the caller's calls."""
+    busy = _module("c.py", "def busy():\n    return sorted(range(200_000), key=abs)\n")["busy"]
+    _, profile = profile_call(busy)
+    assert profile["demo"]["calls"] == 1
+    assert profile["demo"]["seconds"] > 0
+    assert set(profile) <= {"demo", "other"}
 
 
 def test_summary_shape():
-    profiler = Profiler()
-    profiler.record("b", 0.5)
-    profiler.record("a", 0.25)
-    summary = profiler.summary()
-    assert list(summary) == ["a", "b"]  # sorted
-    assert summary["b"] == {"calls": 1, "seconds": 0.5}
+    result, profile = profile_call(_module("d.py", "def f(x):\n    return x\n")["f"], 3)
+    assert result == 3
+    assert list(profile) == sorted(profile)
+    assert all(set(entry) == {"calls", "seconds"} for entry in profile.values())
+
+
+def test_profile_call_returns_the_result():
+    def add(a, b):
+        return a + b
+
+    assert profile_call(add, 2, b=3)[0] == 5
+
+
+def test_profile_call_stops_profiling_on_exception():
+    def boom():
+        raise RuntimeError("boom")
+
+    with pytest.raises(RuntimeError, match="boom"):
+        profile_call(boom)
+    assert sys.getprofile() is None
+
+
+def test_a_run_is_folded_per_package():
+    workload = make_trace("news", scale=0.01, seed=3)
+    simulation = Simulation(workload, SimulationConfig(strategy="sg2", seed=3))
+    result, profile = profile_call(simulation.run)
+    assert result.requests == workload.request_count
+    assert {"cache", "core", "sim", "system"} <= set(profile)
+    assert profile["core"]["calls"] >= workload.request_count  # one policy call each
 
 
 def test_render_sorts_slowest_first():
-    profiler = Profiler()
-    profiler.record("fast", 0.001)
-    profiler.record("slow", 1.0)
-    lines = profiler.render().splitlines()
-    assert "slow" in lines[1]
-    assert "fast" in lines[2]
+    lines = render(
+        {"fast": {"calls": 1, "seconds": 0.001}, "slow": {"calls": 2, "seconds": 1.0}}
+    ).splitlines()
+    assert lines[0].split() == ["package", "calls", "seconds", "share"]
+    assert lines[1].split()[:2] == ["slow", "2"]
+    assert lines[2].split()[:2] == ["fast", "1"]
 
 
 def test_render_empty():
-    assert Profiler().render() == "(no profile samples)"
-
-
-def test_null_span_is_inert():
-    with NULL_SPAN:
-        pass
-    with NullSpan():
-        pass
+    assert render({}) == "(no profile samples)"

@@ -66,8 +66,9 @@ class TestFolding:
         assert [w["window"] for w in ts.windows()] == [0, 100]
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            TimeSeriesCollector(window_seconds=0)
+        for window in (0, -5.0, float("nan")):
+            with pytest.raises(ValueError):
+                TimeSeriesCollector(window_seconds=window)
         with pytest.raises(ValueError):
             TimeSeriesCollector(max_windows=0)
 

@@ -166,25 +166,3 @@ def test_run_before_rejects_a_record_in_the_past():
     env.run_before(5.0, NORMAL)
     with pytest.raises(SimulationError, match="back in time"):
         env.run_before(1.0, NORMAL)
-
-
-def test_run_before_ticks_profiler_and_monitor_per_dynamic_event():
-    class Probe:
-        def __init__(self):
-            self.samples, self.ticks = [], []
-
-        def record(self, name, seconds):
-            self.samples.append(name)
-
-        def tick(self, now):
-            self.ticks.append(now)
-
-    env = Environment()
-    env.profiler = env.monitor = probe = Probe()
-    env.schedule(1.0, lambda e: None)
-    env.schedule(2.0, lambda e: None)
-    env.schedule(7.0, lambda e: None)
-    env.run_before(5.0, NORMAL)
-    assert probe.samples == ["engine.step", "engine.step"]
-    assert probe.ticks == [1.0, 2.0]
-    assert env.now == 5.0

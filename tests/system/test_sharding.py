@@ -7,14 +7,20 @@ materialized traces.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+import time
+from types import SimpleNamespace
 
 import pytest
+
+import repro
 
 from repro.faults.spec import ChaosSpec, OverloadSpec
 from repro.obs.recorder import Observer
 from repro.system.config import PushingScheme, SimulationConfig
 from repro.system.sharding import (
-    _pack_units,
     merge_shard_results,
     plan_shards,
     run_sharded,
@@ -99,17 +105,20 @@ def test_chaos_config_falls_back_to_single_process(trace):
 # -- planning and merging units ----------------------------------------------
 
 
-def test_pack_units_balances_and_is_deterministic():
-    units = [[0], [1], [2], [3]]
+def test_plan_shards_balances_and_is_deterministic():
     weights = [10, 1, 9, 2]
-    shards = _pack_units(units, weights, 2)
+    workload = SimpleNamespace(
+        config=SimpleNamespace(server_count=len(weights)),
+        pair_counts=lambda: {(7, server): weight for server, weight in enumerate(weights)},
+    )
+    shards = plan_shards(workload, 2)
     # LPT: 0(10)->bin0, 2(9)->bin1, 3(2)->bin1, 1(1)->bin0 - loads 11/11.
     assert shards == [[0, 1], [2, 3]]
-    assert _pack_units(units, weights, 2) == shards
+    assert plan_shards(workload, 2) == shards
 
 
 def test_plan_shards_never_exceeds_servers(trace):
-    shards = plan_shards(trace, SimulationConfig(seed=9), workers=1000)
+    shards = plan_shards(trace, workers=1000)
     assert len(shards) <= trace.config.server_count
     flat = sorted(server for shard in shards for server in shard)
     assert flat == list(range(trace.config.server_count))
@@ -123,3 +132,37 @@ def test_merge_rejects_mismatched_metadata(trace):
         merge_shard_results(
             [result, other], [[0], [1]], trace.config.server_count, 0.0
         )
+
+
+#: ``run --workers 2`` whose shard 1 worker dies before sending a result.
+_DYING_SHARD = """
+import os, sys
+from repro.system import sharding
+run_shard = sharding._run_shard
+def dying(index):
+    if index == 1:
+        os._exit(9)
+    return run_shard(index)
+# Picklable under the name it replaces, for a pool that pickles it.
+dying.__module__, dying.__qualname__ = sharding.__name__, "_run_shard"
+sharding._run_shard = dying
+from repro.cli import main
+sys.exit(main(["run", "--scale", "0.03", "--workers", "2", "--no-artifact-cache"]))
+"""
+
+
+def test_a_dead_shard_worker_ends_the_run_with_one_line():
+    """A worker that dies (here ``os._exit(9)``) ends the run within a
+    bound, with one line naming the shard and exit code 2."""
+    started = time.monotonic()
+    finished = subprocess.run(
+        [sys.executable, "-c", _DYING_SHARD],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__))),
+    )
+    assert time.monotonic() - started < 60
+    assert finished.returncode == 2, finished.stderr
+    assert finished.stderr == "run failed: shard 1 of 2 died (exit code 9)\n"
+    assert finished.stdout == ""

@@ -19,7 +19,6 @@ import tracemalloc
 
 import pytest
 
-from repro.obs.recorder import Observer
 from repro.pubsub.matching import TraceMatchCounts
 from repro.system.config import SimulationConfig
 from repro.system.simulator import Simulation
@@ -213,11 +212,11 @@ def test_cells_share_the_base_columns_and_add_one_match_column(news, caplog):
 
 def test_the_staged_arm_builds_the_memo_the_inline_arm_reads(news, caplog):
     """Both arms replay the one memoised stream: a staged run of a fresh
-    churn-free trace builds the match column, and a later inline cell
-    under the same table finds everything built."""
+    churn-free trace (cooperation armed) builds the match column, and a
+    later inline cell under the same table finds everything built."""
     workload = dataclasses.replace(news)
     with caplog.at_level(logging.DEBUG, logger="repro"):
-        staged = Simulation(workload, CONFIG, observer=Observer())
+        staged = Simulation(workload, CONFIG, neighbor_count=1)
         staged.run()
         Simulation(workload, CONFIG, match_table=staged.match_table).run()
     rows = workload.publish_count + workload.request_count
@@ -226,7 +225,7 @@ def test_the_staged_arm_builds_the_memo_the_inline_arm_reads(news, caplog):
         for record in caplog.records
         if record.getMessage().startswith("replay")
     ] == [
-        "replay: staged arm (observer)",
+        "replay: staged arm (peers)",
         f"replay stream: built base columns ({rows} rows) + match column",
         "replay: inline arm",
         "replay stream: memo hit",

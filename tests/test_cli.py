@@ -334,7 +334,8 @@ def test_run_with_observability_flags(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "H=" in out
-    assert "engine.step" in out  # the --profile table
+    # The --profile table: self time and calls per repro package.
+    assert "package" in out and "\ncore " in out and "\nsystem " in out
     metrics_text = metrics.read_text()
     assert "# TYPE repro_requests_total counter" in metrics_text
     assert "repro_request_latency_seconds_bucket" in metrics_text
@@ -664,6 +665,14 @@ def test_bad_numeric_flags_fail_with_one_line(capsys, argv, needle):
             ["generate-trace", "--scale", "0.03", "--output", "/nonexistent/dir/x.json"],
             "cannot write --output /nonexistent/dir/x.json: no such directory: /nonexistent/dir",
         ),
+        *(
+            ([command, "--scale", "0.01", flag, value],
+             f"invalid {command} parameter: {flag[2:]} must be > 0 seconds, got {float(value)}")
+            for command in ("run", "chaos")
+            for flag, values in (("--monitor", ("0", "-1", "nan")),
+                                 ("--series-window", ("0", "-5", "nan")))
+            for value in values
+        ),
     ],
 )
 def test_nan_flags_fail_with_one_line(capsys, argv, needle):
@@ -797,11 +806,13 @@ def parser_surface():
 
 #: ``subcommand: (actions, SHA-256 of the JSON of its rows)``, recorded at
 #: commit 66e0c28 (the parent of PR 19), from unmodified source, before
-#: the layer flag families were generated from a table.  Regenerate with
+#: the layer flag families were generated from a table; ``run`` re-pinned
+#: when ``--profile`` became cProfile per package (its help string, the
+#: only row that moved).  Regenerate with
 #: ``PYTHONPATH=src python -m tests.test_cli`` after an intended change.
 PARSER_SURFACE = {
     "": (2, "248e6226eeeacee0f143aece2383acd593b1e49ac28d03e6228b5193c09dde00"),
-    "run": (37, "e730c838b3b402928a1171783b241de01023d01b639f5dce87938b857414e150"),
+    "run": (37, "869bf1847d6ec669ed1760fac0ac97697610ec21669f38e2bbdcc48f88d9f887"),
     "figure": (8, "d50d2caa6c833481d9bfb758943ab9b06e7a99e512694516bbd5cc6f9fc02bdf"),
     "table": (7, "bb9f5ada394a86acc26dac41708c314ca2db22be1c2376be082a9787ba8dff99"),
     "sweep-beta": (7, "d9176865c10fd283fd2ade1b0afab3ee64e263ad6547b674837c69c8e42d210b"),

@@ -43,7 +43,7 @@ UNUSED_BY_A_VANILLA_RUN = [
         "pubsub": "routing",
     }.items()
     for module in modules.split()
-] + ["multiprocessing", "subprocess", "socket"]
+] + ["multiprocessing", "subprocess", "socket", "cProfile", "pstats"]
 
 
 def run_cli(*argv):

@@ -54,7 +54,7 @@ PINNED_ALL = {
         "Gauge Histogram DEFAULT_LATENCY_BUCKETS escape_label_value escape_help "
         "EventTracer EVENT_TYPES read_jsonl TimeSeriesCollector read_series_jsonl "
         "RunMonitor rss_bytes PageExplanation explain_page explain_page_from_file "
-        "Profiler NullSpan NULL_SPAN get_logger setup_cli_logging"
+        "profile_call get_logger setup_cli_logging"
     ),
     "repro.pubsub": "TraceMatchCounts",
     "repro.sim": "Environment RandomStreams SimulationError",
