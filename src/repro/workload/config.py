@@ -10,6 +10,7 @@ modification-interval mix, pool overlap).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -100,8 +101,26 @@ class WorkloadConfig:
     pool_overlap: float = 0.6
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        # ``not low < x < inf`` fails NaN as well as every value out of range.
+        for name, low in (
+            ("horizon", 0.0),
+            ("zipf_alpha", 0.0),
+            ("class_rate_decay", 1.0),
+            ("story_halflife_hours", 0.0),
+        ):
+            value = getattr(self, name)
+            if not low < value < math.inf:
+                raise ValueError(f"{name} must be finite and > {low}, got {value}")
+        for name in (
+            "story_decay_exponent",
+            "modified_popularity_bias",
+            "pool_exponent",
+            "short_interval_fraction",
+            "long_interval_fraction",
+        ):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.distinct_pages < 1:
             raise ValueError("distinct_pages must be >= 1")
         if not 0 <= self.modified_pages <= self.distinct_pages:
@@ -113,13 +132,13 @@ class WorkloadConfig:
             raise ValueError("server_count must be >= 1")
         if self.total_requests < 0:
             raise ValueError("total_requests must be >= 0")
-        if self.zipf_alpha <= 0:
-            raise ValueError(f"zipf_alpha must be positive, got {self.zipf_alpha}")
         if len(self.age_exponents) != self.class_count:
             raise ValueError(
                 f"need one age exponent per class: "
                 f"{len(self.age_exponents)} != {self.class_count}"
             )
+        if not all(math.isfinite(gamma) for gamma in self.age_exponents):
+            raise ValueError(f"age_exponents must be finite, got {self.age_exponents}")
         if not 0.0 <= self.pool_overlap <= 1.0:
             raise ValueError(f"pool_overlap must be in [0, 1], got {self.pool_overlap}")
         if self.story_decay_mode not in ("exponential", "power"):
@@ -127,18 +146,14 @@ class WorkloadConfig:
                 f"story_decay_mode must be 'exponential' or 'power', got "
                 f"{self.story_decay_mode!r}"
             )
-        if self.story_halflife_hours <= 0:
+        if not 0.0 < self.min_interval < HOUR:
+            raise ValueError(f"min_interval must be in (0, 1 h), got {self.min_interval}")
+        if not DAY < self.max_interval < math.inf:
             raise ValueError(
-                f"story_halflife_hours must be positive, got "
-                f"{self.story_halflife_hours}"
-            )
-        if self.modified_popularity_bias < 0:
-            raise ValueError(
-                f"modified_popularity_bias must be >= 0, got "
-                f"{self.modified_popularity_bias}"
+                f"max_interval must be finite and above one day, got {self.max_interval}"
             )
         fraction_sum = self.short_interval_fraction + self.long_interval_fraction
-        if fraction_sum >= 1.0:
+        if not fraction_sum < 1.0:
             raise ValueError(
                 "short + long interval fractions must leave room for the "
                 f"middle step, got {fraction_sum}"

@@ -1,11 +1,12 @@
 """Request-time generation (§4.2).
 
 Request times are correlated with page age: a page in popularity class
-k is requested at age ``x`` (measured from its first publication) with
-probability density proportional to ``(1 + x/1h)^(−γ_k)``, where γ_k is
-larger for more popular classes — fresh pages dominate, but popular
-pages keep a longer tail (the MSNBC observation).  Sampling uses the
-analytic inverse CDF of the truncated power law, vectorized per page.
+k is requested at age ``x`` (measured from the publication of the
+version the request reads) with probability density proportional to
+``(1 + x/1h)^(−γ_k)``, where γ_k is larger for more popular classes —
+fresh pages dominate, but popular pages keep a longer tail (the MSNBC
+observation).  Sampling uses the analytic inverse CDF of the truncated
+power law, vectorized over a block of pages.
 """
 
 from __future__ import annotations
@@ -15,128 +16,154 @@ import numpy as np
 from repro.workload.config import HOUR
 
 
-def _grouped_ages(
-    uniforms: np.ndarray,
-    windows: np.ndarray,
-    counts: np.ndarray,
-    gamma: float,
-    time_unit: float,
+def _version_weights(
+    versions: np.ndarray, mode: str, exponent: float, halflife_hours: float
 ) -> np.ndarray:
-    """Inverse-CDF ages for consecutive groups of uniform draws.
+    """Story-decay pick weights, one row per page of ``versions`` (pages × L).
 
-    Group g is the next ``counts[g]`` entries of ``uniforms``, truncated
-    at ``windows[g]``.  The per-group constants are computed as scalars
-    and repeated: numpy's array pow differs from the scalar pow in the
-    last ulp, and the trace is pinned to the scalar value.
+    Early versions draw most of the traffic: interest in the story fades
+    with its overall age.
     """
-    scaled_max = windows / time_unit
+    story_age = (versions - versions[:, :1]) / HOUR
+    if mode == "exponential":
+        # Interest in a news story eventually dies: halve per half-life
+        # even while updates keep arriving.
+        return np.exp2(-story_age / halflife_hours)
+    return (1.0 + story_age) ** (-exponent)
+
+
+def _ages(
+    uniforms: np.ndarray, scaled: np.ndarray, version: np.ndarray, gamma: float
+) -> np.ndarray:
+    """Inverse-CDF ages, in hours, of rows reading versions ``version``.
+
+    ``scaled`` is every version's window in hours.  The per-version
+    constants are computed as scalars: numpy's array pow differs from
+    the scalar pow in the last ulp, and the trace is pinned to the
+    scalar value.  The outer pow takes one scalar exponent, so numpy's
+    ``x**-1`` / ``x**2`` fast paths apply as they always did.
+    """
     if abs(gamma) < 1e-12:
-        ages = uniforms * np.repeat(scaled_max, counts)
-    elif abs(gamma - 1.0) < 1e-12:
+        return uniforms * scaled[version]
+    if abs(gamma - 1.0) < 1e-12:
         # CDF(x) = ln(1+x)/ln(1+A)  =>  x = (1+A)^u − 1
-        logs = [np.log1p(scaled) for scaled in scaled_max]
-        ages = np.expm1(uniforms * np.repeat(logs, counts))
-    else:
-        # CDF(x) = (1 − (1+x)^(1−γ)) / (1 − (1+A)^(1−γ))
-        exponent = 1.0 - gamma
-        tops = [(1.0 + scaled) ** exponent for scaled in scaled_max]
-        inner = 1.0 - uniforms * (1.0 - np.repeat(tops, counts))
-        ages = inner ** (1.0 / exponent) - 1.0
-    return np.clip(ages * time_unit, 0.0, np.repeat(windows, counts))
+        return np.expm1(uniforms * np.log1p(scaled)[version])
+    # CDF(x) = (1 − (1+x)^(1−γ)) / (1 − (1+A)^(1−γ))
+    exponent = 1.0 - gamma
+    read = np.zeros(len(scaled), dtype=bool)
+    read[version] = True
+    tops = np.empty(len(scaled))
+    tops[read] = [(1.0 + window) ** exponent for window in scaled[read]]
+    inner = 1.0 - tops[version]
+    inner *= uniforms
+    np.subtract(1.0, inner, out=inner)
+    ages = inner ** (1.0 / exponent)
+    ages -= 1.0
+    return ages
 
 
-def sample_ages(
-    count: int,
-    max_age: float,
-    gamma: float,
-    rng: np.random.Generator,
-    time_unit: float = HOUR,
-) -> np.ndarray:
-    """Draw ``count`` ages in [0, max_age] with density ∝ (1+x/u)^(−γ).
-
-    Uses inverse-CDF sampling of the truncated distribution; the γ = 1
-    logarithmic case is handled separately.  γ = 0 degenerates to
-    uniform ages (no recency bias).
-    """
-    if max_age < 0:
-        raise ValueError(f"max_age must be >= 0, got {max_age}")
-    if count == 0:
-        return np.zeros(0)
-    if max_age == 0.0:
-        return np.zeros(count)
-    return _grouped_ages(
-        rng.uniform(size=count), np.array([max_age]), [count], gamma, time_unit
-    )
-
-
-def request_times_for_page(
-    count: int,
-    first_publish: float,
+def request_times(
+    counts: np.ndarray,
+    version_counts: np.ndarray,
+    versions: np.ndarray,
+    gammas: np.ndarray,
     horizon: float,
-    gamma: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sorted request times for one page.
-
-    Requests can only happen after the page first exists; their ages
-    follow the class's power-law decay up to the end of the horizon.
-    """
-    window = horizon - first_publish
-    if window <= 0 or count == 0:
-        return np.zeros(0)
-    ages = sample_ages(count, window, gamma, rng)
-    times = first_publish + ages
-    times.sort()
-    return times
-
-
-def request_times_for_versions(
-    count: int,
-    version_times: np.ndarray,
-    horizon: float,
-    gamma: float,
     rng: np.random.Generator,
     story_decay: bool = True,
     story_decay_mode: str = "exponential",
     story_decay_exponent: float = 1.0,
     story_halflife_hours: float = 24.0,
 ) -> np.ndarray:
-    """Sorted request times measured from *version* publications.
+    """Request times of a block of pages: page by page, each page's sorted.
 
-    An updating news story keeps drawing traffic — each request picks a
-    version and its age decays from that version's publication time
-    (truncated at the horizon).  With ``story_decay`` the version is
-    sampled with weight ``(1 + (t_v − t_0)/1h)^(−γ)``: interest in the
-    *story* still fades with the page's overall age even while updates
-    keep arriving, so early versions draw most of the traffic.  For
-    never-modified pages this reduces to
-    :func:`request_times_for_page`.
+    Page i has ``counts[i]`` requests, age exponent ``gammas[i]`` and
+    the next ``version_counts[i] >= 1`` entries of ``versions`` (its
+    publications before ``horizon``, in time order).  Each request picks
+    a version — with ``story_decay`` by weight (:func:`_version_weights`),
+    else uniformly — and its age decays from that version's publication
+    time, truncated at the horizon.
+
+    The draws are those of one page at a time, in order: a pick by
+    weight ``w`` is ``rng.choice(L, size=count, p=p)``, ``p = w / sum(w)``,
+    which is ``cdf.searchsorted(rng.random(count), side="right")`` with
+    ``cdf = cumsum(p) / cumsum(p)[-1]``; a single version draws nothing;
+    then ``count`` age doubles, the i-th going to the i-th request in
+    version order.  So the block is one ``rng.random`` run of doubles,
+    split only where a uniform pick among several versions
+    (``rng.integers(L, size=count)``) is drawn in place.
     """
-    version_times = np.asarray(version_times, dtype=np.float64)
-    live = version_times[version_times < horizon]
-    if count == 0 or len(live) == 0:
-        return np.zeros(0)
-    if story_decay and len(live) > 1:
-        story_age = (live - live[0]) / HOUR
-        if story_decay_mode == "exponential":
-            # Interest in a news story eventually dies: halve per
-            # half-life even while updates keep arriving.
-            weights = np.exp2(-story_age / story_halflife_hours)
-        else:
-            weights = (1.0 + story_age) ** (-max(story_decay_exponent, 0.0))
-        weights /= weights.sum()
-        picks = rng.choice(len(live), size=count, p=weights)
-    else:
-        picks = rng.integers(len(live), size=count)
-    per_version = np.bincount(picks, minlength=len(live))
-    used = per_version.nonzero()[0]
-    counts = per_version[used]
-    starts = live[used]
-    # One draw for the whole page: the same doubles, in the same order,
-    # as one draw per version in version order.
-    ages = _grouped_ages(
-        rng.uniform(size=count), horizon - starts, counts, gamma, HOUR
-    )
-    times = np.repeat(starts, counts) + ages
-    times.sort()
+    counts = np.asarray(counts, dtype=np.int64)
+    version_counts = np.asarray(version_counts, dtype=np.int64)
+    versions = np.asarray(versions, dtype=np.float64)
+    gammas = np.asarray(gammas, dtype=np.float64)
+    if not (versions <= horizon).all():
+        raise ValueError("a version published after the horizon has no requests")
+    first_version = np.cumsum(version_counts) - version_counts
+    first_row = np.cumsum(counts) - counts
+    by_weight = (version_counts > 1) & story_decay
+    in_place = np.flatnonzero((version_counts > 1) & (not story_decay)).tolist()
+    doubles = counts * (1 + by_weight)
+    first_double = np.cumsum(doubles) - doubles
+
+    runs, drawn, integer_picks = [], 0, {}
+    for page in in_place:
+        runs.append(rng.random(int(first_double[page]) - drawn))
+        drawn = int(first_double[page])
+        integer_picks[page] = rng.integers(
+            int(version_counts[page]), size=int(counts[page])
+        )
+    runs.append(rng.random(int(doubles.sum()) - drawn))
+    uniforms = runs[0] if len(runs) == 1 else np.concatenate(runs)
+    del runs
+    is_age = np.ones(len(uniforms), dtype=bool)
+
+    # The version each row reads, as an index into ``versions``.
+    version = np.repeat(first_version, counts)
+    for page, picks in integer_picks.items():
+        version[first_row[page] : first_row[page] + counts[page]] += picks
+    for length in sorted(set(version_counts[by_weight].tolist())):
+        group = np.flatnonzero(by_weight & (version_counts == length))
+        weights = _version_weights(
+            versions[first_version[group, None] + np.arange(length)],
+            story_decay_mode,
+            story_decay_exponent,
+            story_halflife_hours,
+        )
+        if not ((weights >= 0.0) & (weights < np.inf)).all():
+            raise ValueError(
+                f"story weights must be finite and non-negative: mode "
+                f"{story_decay_mode!r}, exponent {story_decay_exponent}, "
+                f"half-life {story_halflife_hours} h"
+            )
+        # Row-wise, exactly what ``rng.choice`` does to each page's p.
+        weights /= weights.sum(axis=1, keepdims=True)
+        cdf = weights.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        for row, double, count, page_cdf in zip(
+            first_row[group].tolist(),
+            first_double[group].tolist(),
+            counts[group].tolist(),
+            cdf,
+        ):
+            version[row : row + count] += page_cdf.searchsorted(
+                uniforms[double : double + count], side="right"
+            )
+            is_age[double : double + count] = False
+    # Each page's rows in version order: its version indices sort within
+    # its own range, so one sort of the block sorts every page's.
+    version.sort()
+
+    # Rows are written in place, from age uniforms to ages to times.
+    times = uniforms[is_age]
+    del uniforms, is_age
+    windows = horizon - versions
+    scaled = windows / HOUR
+    for gamma in set(gammas.tolist()):
+        rows = np.repeat(gammas == gamma, counts)
+        times[rows] = _ages(times[rows], scaled, version[rows], gamma)
+    times *= HOUR
+    np.clip(times, 0.0, windows[version], out=times)
+    times += versions[version]
+    for row, count in zip(first_row.tolist(), counts.tolist()):
+        times[row : row + count].sort()
     return times

@@ -65,29 +65,45 @@ def daily_pools(
 
 
 def assign_servers(
-    request_times: np.ndarray,
-    first_publish: float,
-    popularity: float,
-    max_popularity: float,
+    times: np.ndarray,
+    counts: np.ndarray,
+    first_publish: np.ndarray,
+    sizes: np.ndarray,
     server_count: int,
     overlap: float,
     rng: np.random.Generator,
-    exponent: float = 0.5,
 ) -> np.ndarray:
-    """Server id for every request of one page.
+    """Server id for every request of a block of pages.
 
-    Days are counted from the page's first publication (a page's "first
-    day requested" in the paper), so the pool rotation tracks the
-    page's own lifetime rather than the global clock.
+    Page i owns the next ``counts[i] >= 1`` entries of ``times``, sorted;
+    its pool holds ``sizes[i]`` servers (:func:`pool_size`).  Days are
+    counted from the page's first publication (a page's "first day
+    requested" in the paper), so the pool rotation tracks the page's own
+    lifetime rather than the global clock.  The draws stay per page:
+    the first day's pool, :func:`daily_pools`, then one bounded draw per
+    request, in time order, into that day's pool.
     """
-    if len(request_times) == 0:
+    counts = np.asarray(counts, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if len(times) == 0:
         return np.zeros(0, dtype=np.int64)
-    size = pool_size(popularity, max_popularity, server_count, exponent)
-    day_index = ((request_times - first_publish) // DAY).astype(np.int64)
-    day_index = np.maximum(day_index, 0)
-    day_count = int(day_index.max()) + 1
-    first_pool = rng.choice(server_count, size=size, replace=False)
-    pools = daily_pools(first_pool, day_count, server_count, overlap, rng)
-    # One bounded draw per request, in time order, into that day's pool.
-    draws = rng.integers(size, size=len(request_times))
-    return pools[day_index, draws]
+    first_row = np.cumsum(counts) - counts
+    day_index = times - np.repeat(first_publish, counts)
+    day_index //= DAY
+    day_index = np.maximum(day_index.astype(np.int64), 0)
+    day_counts = np.maximum.reduceat(day_index, first_row) + 1
+    pools, draws = [], np.empty(len(times), dtype=np.int64)
+    for row, count, size, day_count in zip(
+        first_row.tolist(), counts.tolist(), sizes.tolist(), day_counts.tolist()
+    ):
+        first_pool = rng.choice(server_count, size=size, replace=False)
+        pools.append(daily_pools(first_pool, day_count, server_count, overlap, rng))
+        draws[row : row + count] = rng.integers(size, size=count)
+    # Row r reads cell (day, draw) of its page's (days × size) pool table.
+    cells = day_counts * sizes
+    where = day_index
+    where *= np.repeat(sizes, counts)
+    where += np.repeat(np.cumsum(cells) - cells, counts)
+    where += draws
+    del draws
+    return np.concatenate([pool.ravel() for pool in pools])[where]

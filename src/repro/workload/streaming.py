@@ -14,10 +14,10 @@ retaining a merged copy, so a 10M-event trace costs O(chunk) to replay.
 
 Bit identity with the in-memory trace follows from two facts:
 
-* **Same draws.**  Both consume the one per-page generator,
+* **Same draws.**  Both consume the one block generator,
   :func:`repro.workload.trace._request_columns` (request times, then
-  server assignment, page by page in id order), against the same
-  named streams.
+  server assignment, a block of pages at a time in id order), against
+  the same named streams.
 * **Same order.**  Both sort by the full row — ``(time, server_id,
   page_id)`` / ``(time, page_id, version)`` — here run by run and then
   by merging on that key, so the file is the unique sorted order of the
@@ -25,7 +25,7 @@ Bit identity with the in-memory trace follows from two facts:
   == in_memory`` over seeds, scales and chunk sizes).
 
 Generation holds page metadata (O(pages)), the spill buffer (O(chunk))
-and one page's request arrays at a time, versus 16 bytes retained per
+and one block's request arrays at a time, versus 16 bytes retained per
 event.  This module, and ``tempfile``/``shutil``/``weakref`` with it, is
 imported only by the streaming entry points.
 """
@@ -177,9 +177,9 @@ def generate_streaming_workload(
 ) -> Workload:
     """Run the §4 pipeline spilling events to disk instead of RAM.
 
-    The page table and the per-page request columns come from the
-    generators :func:`~repro.workload.trace.generate_workload` itself
-    consumes (``_page_table`` / ``_request_columns``), so the two traces
+    The page table and the request columns come from the generators
+    :func:`~repro.workload.trace.generate_workload` itself consumes
+    (``_page_table`` / ``_request_columns``), so the two traces
     are bit-identical by construction; only where the rows *live*
     differs.  ``OSError`` when the spool cannot be created or written.
     """
@@ -195,12 +195,7 @@ def generate_streaming_workload(
         )
         for page_id, times in enumerate(version_times)
     )
-    request_columns = (
-        (times, servers, np.full(len(times), page_id, dtype=np.int32))
-        for page_id, times, servers in _request_columns(
-            config, streams, pages, version_times
-        )
-    )
+    request_columns = _request_columns(config, streams, pages, version_times)
     spool = _Spool()
     try:
         return Workload(

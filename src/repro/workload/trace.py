@@ -37,11 +37,8 @@ from repro.sim.rng import RandomStreams
 from repro.workload.config import WorkloadConfig
 from repro.workload.popularity import popularity_model
 from repro.workload.publishing import generate_publishing_stream
-from repro.workload.requests import (
-    request_times_for_page,
-    request_times_for_versions,
-)
-from repro.workload.servers import assign_servers
+from repro.workload.requests import request_times
+from repro.workload.servers import assign_servers, pool_size
 from repro.workload.sizes import generate_sizes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (churn imports
@@ -52,7 +49,8 @@ logger = get_logger(__name__)
 
 #: Rows turned into Python objects at a time, wherever a table is
 #: iterated: whole-column ``tolist()`` calls set the peak RSS of a
-#: paper-scale run (docs/architecture.md, "Replay driver").
+#: paper-scale run (docs/architecture.md, "Replay driver").  Also the
+#: least number of request rows generated per block of pages.
 CHUNK_ROWS = 1 << 14
 
 
@@ -700,55 +698,82 @@ def _page_table(
     return pages, version_times
 
 
+def _blocks(counts: List[int]) -> Iterator[Tuple[int, int]]:
+    """``(start, stop)`` runs of pages, in order, of at least ``CHUNK_ROWS`` rows.
+
+    A page of ``CHUNK_ROWS`` rows or more is a block by itself; the last
+    block takes what is left.
+    """
+    start = rows = 0
+    for page, count in enumerate(counts):
+        if count >= CHUNK_ROWS and rows:
+            yield start, page
+            start, rows = page, 0
+        rows += count
+        if rows >= CHUNK_ROWS:
+            yield start, page + 1
+            start, rows = page + 1, 0
+    if start < len(counts):
+        yield start, len(counts)
+
+
 def _request_columns(
     config: WorkloadConfig,
     streams: RandomStreams,
     pages: List[PageSpec],
     version_times: List[List[float]],
-) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-    """Yield ``(page_id, times, servers)`` columns, page by page in id order.
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield ``(times, servers, page_ids)`` columns, a block of pages at a time.
 
-    The one per-page loop behind both trace forms: sorted float64 request
-    times and the int32 proxy id of each.  The draw order is part of the
-    trace format (docs/architecture.md, "Workload generation").
+    The one generator behind both trace forms: pages in id order, each
+    page's float64 request times sorted, with the int32 proxy id of
+    each.  A page with no request or no version before the horizon draws
+    nothing.  The draws are a pure function of the pages, not of the
+    blocks (docs/architecture.md, "Workload generation").
     """
     request_rng = streams.stream("workload.requests")
     server_rng = streams.stream("workload.servers")
+    horizon = config.horizon
+    if config.age_from_latest_version:
+        live = ([when for when in times if when < horizon] for times in version_times)
+    else:
+        live = ([page.first_publish] if page.first_publish < horizon else [] for page in pages)
+    active = [
+        (page, versions)
+        for page, versions in zip(pages, live)
+        if page.request_count and versions
+    ]
     max_count = max(1, max(page.request_count for page in pages))
-    for page in pages:
-        count = page.request_count
-        if count == 0:
-            continue
-        gamma = config.age_exponents[page.popularity_class]
-        if config.age_from_latest_version:
-            times = request_times_for_versions(
-                count,
-                version_times[page.page_id],
-                config.horizon,
-                gamma,
-                request_rng,
-                story_decay=config.story_decay,
-                story_decay_mode=config.story_decay_mode,
-                story_decay_exponent=config.story_decay_exponent,
-                story_halflife_hours=config.story_halflife_hours,
-            )
-        else:
-            times = request_times_for_page(
-                count, page.first_publish, config.horizon, gamma, request_rng
-            )
-        if len(times) == 0:
-            continue
+    for start, stop in _blocks([page.request_count for page, _ in active]):
+        block, block_versions = zip(*active[start:stop])
+        counts = np.array([page.request_count for page in block])
+        times = request_times(
+            counts,
+            list(map(len, block_versions)),
+            np.fromiter(chain.from_iterable(block_versions), dtype=np.float64),
+            [config.age_exponents[page.popularity_class] for page in block],
+            horizon,
+            request_rng,
+            story_decay=config.story_decay,
+            story_decay_mode=config.story_decay_mode,
+            story_decay_exponent=config.story_decay_exponent,
+            story_halflife_hours=config.story_halflife_hours,
+        )
+        sizes = [
+            pool_size(count, max_count, config.server_count, config.pool_exponent)
+            for count in counts.tolist()
+        ]
         servers = assign_servers(
             times,
-            page.first_publish,
-            popularity=count,
-            max_popularity=max_count,
-            server_count=config.server_count,
-            overlap=config.pool_overlap,
-            rng=server_rng,
-            exponent=config.pool_exponent,
+            counts,
+            [page.first_publish for page in block],
+            sizes,
+            config.server_count,
+            config.pool_overlap,
+            server_rng,
         )
-        yield page.page_id, times, servers.astype(np.int32)
+        page_ids = np.array([page.page_id for page in block], dtype=np.int32)
+        yield times, servers.astype(np.int32), np.repeat(page_ids, counts)
 
 
 def generate_workload(
@@ -768,20 +793,16 @@ def generate_workload(
     )
 
     # A page draws all of its requests or none, so the counts bound the
-    # table: each page's columns are written where they end up, and no
-    # per-page array outlives its turn of the loop.
+    # table: each block's columns are written where they end up, and no
+    # block array outlives its turn of the loop.
     room = sum(page.request_count for page in pages)
     times = np.empty(room, dtype=np.float64)
     servers = np.empty(room, dtype=np.int32)
     requested = np.empty(room, dtype=np.int32)
     filled = 0
-    for page_id, page_times, page_servers in _request_columns(
-        config, streams, pages, version_times
-    ):
-        end = filled + len(page_times)
-        times[filled:end] = page_times
-        servers[filled:end] = page_servers
-        requested[filled:end] = page_id
+    for block in _request_columns(config, streams, pages, version_times):
+        end = filled + len(block[0])
+        times[filled:end], servers[filled:end], requested[filled:end] = block
         filled = end
     requests = sorted_rows(
         ROW_DTYPES[RequestRecord], (times[:filled], servers[:filled], requested[:filled])

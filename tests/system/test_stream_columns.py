@@ -122,14 +122,14 @@ def test_a_generated_trace_merges_as_the_lazy_merge_does(preset):
 
 
 def test_a_trace_without_requests_is_empty_tables_and_an_empty_stream(monkeypatch):
-    """No room (no request asked for) and nothing filled (every page's
-    draw came back empty) both leave zero request rows."""
+    """No room (no request asked for) and nothing filled (the block
+    generator yielded no rows) both leave zero request rows."""
     config = WorkloadConfig(
         horizon=1000.0, distinct_pages=5, modified_pages=0, total_requests=40, server_count=2
     )
     none_asked = generate_workload(dataclasses.replace(config, total_requests=0), RandomStreams(3))
     monkeypatch.setattr(
-        "repro.workload.trace.request_times_for_versions", lambda *args, **kwargs: []
+        "repro.workload.trace._request_columns", lambda *args, **kwargs: iter(())
     )
     none_drawn = generate_workload(config, RandomStreams(3))
     assert sum(page.request_count for page in none_drawn.pages) == 40

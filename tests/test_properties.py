@@ -12,7 +12,7 @@ from repro.core.registry import make_policy_lenient, strategy_names
 from repro.sim.engine import Environment
 from repro.sim.rng import RandomStreams
 from repro.workload.popularity import class_boundaries, zipf_weights
-from repro.workload.requests import sample_ages
+from repro.workload.requests import request_times
 from repro.workload.subscriptions import build_match_counts
 from tests.core._formulas import gdstar_value, sr_value, sub_value
 
@@ -175,7 +175,8 @@ def test_class_boundaries_partition_ranks(n, decay):
     st.integers(0, 2**31 - 1),
 )
 def test_sample_ages_always_in_bounds(count, max_age, gamma, seed):
-    ages = sample_ages(count, max_age, gamma, np.random.default_rng(seed))
+    # A page published at 0, ``max_age`` before the horizon: its times are its ages.
+    ages = request_times([count], [1], [0.0], [gamma], max_age, np.random.default_rng(seed))
     assert len(ages) == count
     if count:
         assert ages.min() >= 0.0

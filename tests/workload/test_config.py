@@ -1,6 +1,7 @@
 """Tests for WorkloadConfig."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -80,3 +81,32 @@ def test_config_is_frozen():
     config = WorkloadConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.zipf_alpha = 2.0
+
+
+NON_FINITE_FIELDS = [
+    "horizon",
+    "zipf_alpha",
+    "story_halflife_hours",
+    "story_decay_exponent",
+    "modified_popularity_bias",
+    "pool_exponent",
+    "class_rate_decay",
+    "min_interval",
+    "max_interval",
+    "short_interval_fraction",
+    "long_interval_fraction",
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", NON_FINITE_FIELDS)
+def test_validation_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=field) as error:
+        dataclasses.replace(WorkloadConfig(), **{field: value})
+    assert "\n" not in str(error.value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_validation_rejects_a_non_finite_age_exponent(value):
+    with pytest.raises(ValueError, match="age_exponents"):
+        dataclasses.replace(WorkloadConfig(), age_exponents=(2.0, value, 1.0, 0.5))

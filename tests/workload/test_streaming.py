@@ -24,6 +24,7 @@ from repro.workload.streaming import (
     generate_streaming_workload,
     make_streaming_trace,
 )
+from repro.workload import trace
 from repro.workload.trace import ROW_DTYPES, RequestRecord, Workload, generate_workload
 
 
@@ -39,7 +40,7 @@ def _assert_same_trace(streaming: Workload, materialized: Workload) -> None:
 
 @pytest.mark.parametrize("seed", [3, 11])
 @pytest.mark.parametrize("chunk_events", [64, 100_000])
-def test_streaming_equals_materialized(seed, chunk_events):
+def test_streaming_equals_materialized(seed, chunk_events, monkeypatch):
     config = news_config(scale=0.03)
     materialized = generate_workload(config, RandomStreams(seed), label="news")
     streaming = generate_streaming_workload(
@@ -64,6 +65,17 @@ def test_streaming_equals_materialized(seed, chunk_events):
         assert streaming.capacities(0.05) == materialized.capacities(0.05)
     finally:
         streaming.close()
+    # The block bound is not part of the trace either: one page per
+    # block and a few pages per block spill the same rows.
+    for chunk_rows in (1, 64):
+        monkeypatch.setattr(trace, "CHUNK_ROWS", chunk_rows)
+        small_blocks = generate_streaming_workload(
+            config, RandomStreams(seed), label="news", chunk_events=chunk_events
+        )
+        try:
+            _assert_same_trace(small_blocks, materialized)
+        finally:
+            small_blocks.close()
 
 
 def test_short_spool_file_is_an_oserror_before_any_row_is_read(tmp_path):

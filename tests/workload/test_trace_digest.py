@@ -3,7 +3,9 @@
 The digests were recorded on the commit *before* the per-page interior
 of the generator was vectorised; the generator must keep producing the
 same pages, publishes and requests bit for bit, so every golden number,
-artifact-cache key and ``result_digest`` downstream stays valid.
+artifact-cache key and ``result_digest`` downstream stays valid.  The
+block bound is not part of the trace: one page per block and a few
+pages per block give the same digests as the default bound.
 """
 
 import dataclasses
@@ -14,7 +16,12 @@ import pytest
 
 from repro.sim.rng import RandomStreams
 from repro.workload.presets import alternative_config, news_config
+from repro.workload import trace
 from repro.workload.trace import generate_workload
+
+#: Block bounds (``trace.CHUNK_ROWS``) the pins also hold under: one page
+#: per block, and a few pages per block at these scales.
+SMALL_BLOCKS = (1, 64)
 
 
 def trace_digest(workload) -> str:
@@ -70,6 +77,10 @@ PINNED = [
     [case[1:] for case in PINNED],
     ids=[case[0] for case in PINNED],
 )
-def test_trace_digest_is_pinned(config, seed, expected):
+def test_trace_digest_is_pinned(config, seed, expected, monkeypatch):
     workload = generate_workload(config, RandomStreams(seed))
     assert trace_digest(workload) == expected
+    for chunk_rows in SMALL_BLOCKS:
+        monkeypatch.setattr(trace, "CHUNK_ROWS", chunk_rows)
+        workload = generate_workload(config, RandomStreams(seed))
+        assert trace_digest(workload) == expected, chunk_rows
