@@ -433,17 +433,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         streaming=args.streaming,
         **layers,
     )
-    try:
-        if args.profile:
-            from repro.obs.profile import profile_call, render
+    if args.profile:
+        from repro.obs.profile import profile_call, render
 
-            result, profile = profile_call(run_cell, cell, **options)
-            result.profile = profile
-        else:
-            result = run_cell(cell, **options)
-    except ChildProcessError as error:  # a shard worker of --workers N died
-        print(f"run failed: {error}", file=sys.stderr)
-        return 2
+        result, profile = profile_call(run_cell, cell, **options)
+        result.profile = profile
+    else:
+        result = run_cell(cell, **options)
     print(result.summary())
     _finish_observer(observer, args)
     if args.profile:
@@ -873,7 +869,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as error:
         print(f"invalid {args.command} parameter: {error}", file=sys.stderr)
         return 2
-    return _configure_artifact_cache(args) or args.func(args)
+    try:
+        return _configure_artifact_cache(args) or args.func(args)
+    except ChildProcessError as error:  # a shard or grid worker process died
+        print(f"{args.command} failed: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -3,13 +3,13 @@
 Traces, match tables and topologies are deterministic functions of
 their generation parameters, and a cell's :class:`SimulationResult` is a
 deterministic function of those inputs, its ``SimulationConfig`` and the
-code — so repeated CLI invocations, overlapping grids and every worker
-of a ``run_grid`` process pool can load them from disk instead of
-regenerating or replaying.  Artifacts are *content-addressed*: the file
-name is a SHA-256 over the artifact kind, the canonicalised parameters
-and :data:`FORMAT_VERSION`.  Any change to a generator or to a
-serialization format must bump the version, which orphans every old
-entry (they are simply never looked up again; ``clear()`` removes them).
+code — so repeated CLI invocations and overlapping grids can load them
+from disk instead of regenerating or replaying.  Artifacts are
+*content-addressed*: the file name is a SHA-256 over the artifact kind,
+the canonicalised parameters and :data:`FORMAT_VERSION`.  Any change to
+a generator or to a serialization format must bump the version, which
+orphans every old entry (they are simply never looked up again;
+``clear()`` removes them).
 
 Layout under the store root (default ``.repro-cache/``)::
 
@@ -30,8 +30,9 @@ number someone bumps is enough for them; a result depends on *all* of
 so any edit to any module orphans every stored cell instead.
 
 Writes go through a temporary file and ``os.replace`` so concurrent
-pool workers racing to fill the same entry are safe: last writer wins,
+invocations racing to fill the same entry are safe: last writer wins,
 and both wrote the same bytes (for a cell: but for ``wall_seconds``).
+Within one ``run_grid`` only the parent process reads and writes.
 A write that fails (full disk, read-only mount) costs one WARNING, never
 the artifact that was just computed.
 """
@@ -317,24 +318,27 @@ def cell_params(
     }
 
 
-def cached_cell(
-    cache: ArtifactCache, params: dict, replay: Callable[[], SimulationResult]
-) -> SimulationResult:
-    """The result stored under ``params``, else ``replay()``'s, stored.
-
-    Params that do not canonicalise to JSON (an exotic
-    ``strategy_options`` value) have no key: the cell is replayed and
-    not stored.
-    """
+def _keyed(cache: ArtifactCache, params: dict) -> bool:
+    """Whether ``params`` have a key: params that do not canonicalise to
+    JSON (an exotic ``strategy_options`` value) have none, and their cell
+    is replayed and not stored."""
     try:
         cache.key("cell", params)
     except (TypeError, ValueError) as error:
         logger.debug("cell has no store key (%s); replaying", error)
-        return replay()
-    return cache.get_or_create(
-        "cell",
-        params,
-        generate=replay,
-        serialize=lambda result: result.to_json(),
-        deserialize=SimulationResult.from_json,
-    )
+        return False
+    return True
+
+
+def load_cell(cache: ArtifactCache, params: dict) -> Optional[SimulationResult]:
+    """The result stored under ``params``, or ``None``: replay the cell,
+    then :func:`store_cell` the result."""
+    if not _keyed(cache, params):
+        return None
+    return cache.load("cell", params, SimulationResult.from_json)
+
+
+def store_cell(cache: ArtifactCache, params: dict, result: SimulationResult) -> None:
+    """Store a replayed cell's ``result`` under ``params`` (if they have a key)."""
+    if _keyed(cache, params):
+        cache.create("cell", params, lambda: result, SimulationResult.to_json)

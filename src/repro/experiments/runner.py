@@ -2,19 +2,20 @@
 
 Workload generation, subscription tables and the topology are shared
 across the cells of a grid (the paper evaluates all strategies on the
-same trace), so a 36-cell Figure-4 grid generates two traces, not 36.
+same trace), so a 36-cell Figure-4 grid generates two traces, not 36,
+and replays its cells on every usable CPU (:func:`run_grid`).
 
 Two reuse layers stack here:
 
 * an in-process ``lru_cache`` memo of a cell's *inputs* — trace, match
-  table, topology — (always on), and
+  table, topology — (always on), which forked grid workers inherit, and
 * an optional **on-disk artifact store** (see
   :mod:`repro.experiments.artifacts`) holding those inputs keyed by
   their generation parameters *and each cell's result* keyed by the
-  whole ``run_cell`` call plus a fingerprint of the code: pool workers
-  and *repeated invocations* load inputs instead of regenerating them,
-  and a cell whose call and code did not change is loaded instead of
-  replayed, without resolving its inputs at all.  Enable it per call
+  whole ``run_cell`` call plus a fingerprint of the code: *repeated
+  invocations* load inputs instead of regenerating them, and a cell
+  whose call and code did not change is loaded instead of replayed,
+  without resolving its inputs at all.  Enable it per call
   (``artifact_dir=...``), process-wide (:func:`set_default_artifact_dir`)
   or from the CLI (``--artifact-cache``).  A run with an observer always
   replays and stores no result: its events must come from a real replay.
@@ -22,16 +23,18 @@ Two reuse layers stack here:
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.experiments.artifacts import (
     ArtifactCache,
-    cached_cell,
     cached_match_table,
     cached_topology,
     cached_trace,
     cell_params,
+    load_cell,
+    store_cell,
 )
 from repro.faults.spec import OverloadSpec
 from repro.network.topology import Topology, build_topology
@@ -166,6 +169,92 @@ def paper_beta(trace: str, strategy: str, capacity: float) -> float:
     return 2.0
 
 
+def _cell_config(
+    key: CellKey,
+    seed: int,
+    beta: Optional[float],
+    notified_fraction: float,
+    strategy_options: Optional[Dict],
+    overload: Optional[OverloadSpec] = None,
+    workers: int = 1,
+) -> SimulationConfig:
+    options = dict(strategy_options or {})
+    if beta is None:
+        beta = paper_beta(key.trace, key.strategy, key.capacity)
+    options.setdefault("beta", beta)
+    return SimulationConfig(
+        strategy=key.strategy,
+        strategy_options=options,
+        capacity_fraction=key.capacity,
+        subscription_quality=key.sq,
+        pushing=PushingScheme(key.pushing),
+        seed=seed,
+        notified_fraction=notified_fraction,
+        overload=overload,
+        workers=workers,
+    )
+
+
+def _cell_inputs(
+    key: CellKey,
+    scale: float,
+    seed: int,
+    notified_fraction: float,
+    artifact_dir: Optional[str],
+    streaming: bool = False,
+) -> Tuple[Workload, TraceMatchCounts, Topology]:
+    """The cell's trace, match table and topology, through the memos."""
+    if streaming:
+        workload = streaming_trace_for(key.trace, scale, seed)
+    else:
+        workload = trace_for(key.trace, scale, seed, artifact_dir)
+    match_table = _match_table_for(
+        key.trace, scale, seed, key.sq, notified_fraction, artifact_dir, streaming=streaming
+    )
+    topology = _topology_for(workload.config.server_count, seed, artifact_dir)
+    return workload, match_table, topology
+
+
+def _replay(
+    key: CellKey,
+    config: SimulationConfig,
+    scale: float,
+    seed: int,
+    artifact_dir: Optional[str],
+    churn: Optional[ChurnSpec] = None,
+    streaming: bool = False,
+    observer: Optional[Observer] = None,
+) -> SimulationResult:
+    logger.info(
+        "cell %s/%s cap=%.2f sq=%.2f (scale=%s seed=%d)",
+        key.trace, key.strategy, key.capacity, key.sq, scale, seed,
+    )
+    workload, match_table, topology = _cell_inputs(
+        key, scale, seed, config.notified_fraction, artifact_dir, streaming
+    )
+    if churn is not None:
+        workload = workload.with_churn(
+            churn, RandomStreams(seed).stream("workload.churn")
+        )
+    if config.workers > 1:
+        from repro.system.sharding import run_sharded
+
+        result = run_sharded(workload, config, match_table, topology, observer=observer)
+    else:
+        result = Simulation(
+            workload, config, match_table, topology, observer=observer
+        ).run()
+    logger.debug("cell done: %s", result.summary())
+    return result
+
+
+def _log_loaded(key: CellKey, result: SimulationResult) -> None:
+    logger.info(
+        "cell %s loaded from store (replayed in %.3f s when stored)",
+        key, result.wall_seconds,
+    )
+
+
 def run_cell(
     key: CellKey,
     scale: float = 1.0,
@@ -208,72 +297,64 @@ def run_cell(
     except ``wall_seconds``/``profile``.
     """
     artifact_dir = _resolve_artifact_dir(artifact_dir)
-    options = dict(strategy_options or {})
-    if beta is None:
-        beta = paper_beta(key.trace, key.strategy, key.capacity)
-    options.setdefault("beta", beta)
-    config = SimulationConfig(
-        strategy=key.strategy,
-        strategy_options=options,
-        capacity_fraction=key.capacity,
-        subscription_quality=key.sq,
-        pushing=PushingScheme(key.pushing),
-        seed=seed,
-        notified_fraction=notified_fraction,
-        overload=overload,
-        workers=workers,
+    config = _cell_config(
+        key, seed, beta, notified_fraction, strategy_options, overload, workers
     )
-
-    def replay() -> SimulationResult:
-        logger.info(
-            "cell %s/%s cap=%.2f sq=%.2f (scale=%s seed=%d)",
-            key.trace, key.strategy, key.capacity, key.sq, scale, seed,
-        )
-        if streaming:
-            workload = streaming_trace_for(key.trace, scale, seed)
-        else:
-            workload = trace_for(key.trace, scale, seed, artifact_dir)
-        if churn is not None:
-            workload = workload.with_churn(
-                churn, RandomStreams(seed).stream("workload.churn")
-            )
-        match_table = _match_table_for(
-            key.trace,
-            scale,
-            seed,
-            key.sq,
-            notified_fraction,
-            artifact_dir,
-            streaming=streaming,
-        )
-        topology = _topology_for(workload.config.server_count, seed, artifact_dir)
-        if config.workers > 1:
-            from repro.system.sharding import run_sharded
-
-            result = run_sharded(
-                workload, config, match_table, topology, observer=observer
-            )
-        else:
-            simulation = Simulation(
-                workload, config, match_table, topology, observer=observer
-            )
-            result = simulation.run()
-        logger.debug("cell done: %s", result.summary())
-        return result
-
+    replay = partial(
+        _replay, key, config, scale, seed, artifact_dir, churn, streaming, observer
+    )
     if artifact_dir is None or observer is not None:
         return replay()
     store = cell_store(artifact_dir)
-    loaded = store.hits
-    result = cached_cell(
-        store, cell_params(key, scale, seed, config, churn, streaming), replay
-    )
-    if store.hits > loaded:
-        logger.info(
-            "cell %s loaded from store (replayed in %.3f s when stored)",
-            key, result.wall_seconds,
-        )
+    params = cell_params(key, scale, seed, config, churn, streaming)
+    result = load_cell(store, params)
+    if result is not None:
+        _log_loaded(key, result)
+        return result
+    result = replay()
+    store_cell(store, params, result)
     return result
+
+
+def usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity mask, which
+    ``taskset`` narrows, is the one control over a grid's processes."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _replayed(
+    cells: List[CellKey], replay: Callable[[CellKey], SimulationResult]
+) -> Iterator[Tuple[CellKey, SimulationResult]]:
+    """``(key, replay(key))`` for each of ``cells`` as it finishes: in this
+    process and a forked worker per further usable CPU when there are two
+    of each, else one after another in this process."""
+    processes = min(len(cells), usable_cpus())
+    if len(cells) <= 1:
+        reason = "at most one cell to replay"
+    elif processes <= 1:
+        reason = "one usable CPU"
+    else:
+        from repro.system.sharding import fork_declined
+
+        reason = fork_declined()
+    if reason is not None:
+        logger.debug("grid: replaying %d cells serially (%s)", len(cells), reason)
+        return ((key, replay(key)) for key in cells)
+    from repro.system.sharding import fork_map
+
+    logger.debug("grid: replaying %d cells across %d processes", len(cells), processes)
+    return (
+        (cells[index], result)
+        for index, result in fork_map(
+            lambda index: replay(cells[index]),
+            len(cells),
+            processes,
+            lambda index: f"grid worker died replaying {cells[index]}",
+        )
+    )
 
 
 def run_grid(
@@ -284,57 +365,58 @@ def run_grid(
     notified_fraction: float = 1.0,
     strategy_options: Optional[Dict] = None,
     progress: Optional[Callable[[CellKey, SimulationResult], None]] = None,
-    workers: int = 1,
     artifact_dir: Optional[str] = None,
-    shard_workers: int = 1,
-    streaming: bool = False,
 ) -> GridResult:
     """Run every cell of ``grid``; see :class:`GridResult` for access.
 
-    With ``workers > 1`` the cells run in a process pool and
-    ``progress`` fires as cells *finish* (completion order, no
-    head-of-line blocking).  Workers do not share the in-process
-    trace/table memo, so each regenerates the workload once — unless an
-    artifact directory is configured, in which case the first worker to
-    finish generating persists it and the rest load from disk.
-
-    ``shard_workers`` and ``streaming`` forward to :func:`run_cell`:
-    each cell shards its proxies across that many processes and/or
-    replays a spilled trace.  Cell-level and shard-level
-    parallelism compose multiplicatively — prefer one or the other.
+    Three steps: load every cell the artifact store holds (a warm grid
+    forks nothing); resolve the trace, match table and topology of the
+    rest into the memos; replay those across ``min(cells,
+    usable_cpus())`` processes, this one and forked workers, which
+    inherit the memos copy-on-write and touch no store.  Fewer than two
+    cells to replay, one usable CPU, no ``fork`` start method or a
+    daemonic caller replay serially instead (one DEBUG line says which).
+    Results are stored here, ``progress`` fires as cells finish (a
+    worker's when this process is between cells), and
+    ``outcome.results`` is in ``grid.cells()`` order.  A worker that
+    dies raises ``ChildProcessError`` naming its cell.
     """
-    cell = partial(
-        run_cell,
+    artifact_dir = _resolve_artifact_dir(artifact_dir)
+    store = None if artifact_dir is None else cell_store(artifact_dir)
+    configs: Dict[CellKey, SimulationConfig] = {}
+    params: Dict[CellKey, dict] = {}
+    done: Dict[CellKey, SimulationResult] = {}
+
+    def finish(key: CellKey, result: SimulationResult) -> None:
+        done[key] = result
+        if progress is not None:
+            progress(key, result)
+
+    pending = []
+    for key in grid.cells():
+        configs[key] = _cell_config(key, seed, beta, notified_fraction, strategy_options)
+        if store is not None:
+            params[key] = cell_params(key, scale, seed, configs[key], None, False)
+            result = load_cell(store, params[key])
+            if result is not None:
+                _log_loaded(key, result)
+                finish(key, result)
+                continue
+        pending.append(key)
+    for key in pending:  # once, here: forked workers find them in the memos
+        _cell_inputs(key, scale, seed, notified_fraction, artifact_dir)
+    for key, result in _replayed(
+        pending, lambda key: _replay(key, configs[key], scale, seed, artifact_dir)
+    ):
+        if store is not None:
+            store_cell(store, params[key], result)
+        finish(key, result)
+    return GridResult(
+        grid=grid,
         scale=scale,
         seed=seed,
-        beta=beta,
-        notified_fraction=notified_fraction,
-        strategy_options=strategy_options,
-        artifact_dir=_resolve_artifact_dir(artifact_dir),
-        workers=shard_workers,
-        streaming=streaming,
+        results={key: done[key] for key in grid.cells()},
     )
-    outcome = GridResult(grid=grid, scale=scale, seed=seed)
-    cells = grid.cells()
-    if workers <= 1:
-        for key in cells:
-            result = cell(key)
-            outcome.results[key] = result
-            if progress is not None:
-                progress(key, result)
-        return outcome
-
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(cell, key): key for key in cells}
-        for future in as_completed(futures):
-            key = futures[future]
-            result = future.result()
-            outcome.results[key] = result
-            if progress is not None:
-                progress(key, result)
-    return outcome
 
 
 def clear_caches() -> None:

@@ -32,23 +32,29 @@ budget, subscription churn, observers — run single-process.
 Cooperation, whose peer lookups read other proxies' caches, is not
 sharded: ``run_sharded`` builds the paper's independent proxies.
 
-Workers are forked (``multiprocessing`` fork context), one process per
-shard, so the trace, match table and topology are inherited
-copy-on-write — nothing is pickled in, only the partial results come
-back, each up its own pipe, so a worker that dies is named.  Each worker cuts its
-own shard with :meth:`Workload.for_servers
-<repro.workload.trace.Workload.for_servers>`; over a spilled trace
-(:mod:`repro.workload.streaming`) the publishes stay memory-mapped and
-shared, but the shard's request rows are a copy in the worker's memory
-(16 bytes per event) — a combination nothing measures yet.
+This process replays shard 0 and a forked worker each other shard
+(:func:`fork_map`, which ``run_grid`` shares), so the trace, match
+table and topology are inherited copy-on-write — nothing is pickled in,
+only the partial results come back, each up its own pipe, so a worker
+that dies is named.  Each process cuts its own shard with
+:meth:`Workload.for_servers <repro.workload.trace.Workload.for_servers>`;
+over a spilled trace (:mod:`repro.workload.streaming`) the publishes
+stay memory-mapped and shared, but the shard's request rows are a copy
+in its process's memory (16 bytes per event) — a combination nothing
+measures yet.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
+import queue
+import threading
 import time
+import traceback
 from dataclasses import replace
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from multiprocessing.connection import wait
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.network.topology import Topology
 from repro.obs.log import get_logger
@@ -60,6 +66,8 @@ from repro.system.metrics import SimulationResult
 from repro.system.simulator import Simulation, cell_inputs
 
 logger = get_logger(__name__)
+
+T = TypeVar("T")
 
 
 #: SimulationResult fields summed across shards.
@@ -175,7 +183,7 @@ class ShardMatchTable:
         return vector
 
 
-# -- the fork-pool runner ----------------------------------------------------
+# -- the fork runner ---------------------------------------------------------
 
 #: Worker inputs, installed before the fork so nothing is pickled in.
 _WORKER_CONTEXT: Optional[tuple] = None
@@ -189,29 +197,149 @@ def _run_shard(index: int) -> SimulationResult:
     ).run()
 
 
-def _shard_main(index: int, send) -> None:
-    """A forked worker: send shard ``index``'s result, or the exception
-    that stopped it, up the pipe to the parent."""
-    try:
-        payload = _run_shard(index)
-    except BaseException as error:  # re-raised in the parent
-        payload = error
-    send.send(payload)
+def fork_declined() -> Optional[str]:
+    """Why this process cannot fork workers, or ``None`` when it can."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return "the platform lacks the fork start method"
+    if multiprocessing.current_process().daemon:
+        return "a daemonic process cannot have children"
+    return None
 
 
-def _receive(index: int, process, receive, count: int) -> SimulationResult:
-    """Shard ``index``'s result; a worker that died without sending one
-    closed its end of the pipe, which ends the wait here."""
+class RemoteTraceback(Exception):
+    """A forked worker's traceback, as text: the ``__cause__`` of the
+    exception :func:`fork_map` re-raises from that worker."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
+
+
+def _worker_main(work: Callable[[int], T], connection, parent_end) -> None:
+    """A forked worker: for each task index the parent sends, send back
+    ``(work(index), None)``, or ``(error, its traceback)`` for the
+    exception that stopped it, until ``None``."""
+    parent_end.close()  # so a parent that is gone is an EOF here
     try:
-        payload = receive.recv()
-    except EOFError:
-        process.join()
-        raise ChildProcessError(
-            f"shard {index} of {count} died (exit code {process.exitcode})"
-        ) from None
-    if isinstance(payload, BaseException):
-        raise payload
-    return payload
+        for index in iter(connection.recv, None):
+            try:
+                reply = (work(index), None)
+            except BaseException as error:  # re-raised in the parent
+                reply = (error, traceback.format_exc())
+            try:
+                connection.send(reply)
+            except OSError:
+                raise
+            except Exception as error:  # the outcome does not pickle
+                what = "its result" if reply[1] is None else repr(reply[0])
+                connection.send((
+                    RuntimeError(f"task {index}: {what} cannot be sent: {error}"),
+                    reply[1] or traceback.format_exc(),
+                ))
+    except (EOFError, OSError):  # the parent is gone: nobody to answer
+        pass
+
+
+def _serve(busy: Dict[object, tuple], take: Callable[[], Optional[int]], done, died) -> None:
+    """Hand each worker its next task as it returns a result, putting
+    ``(index, result, traceback or None)`` on ``done``, until no worker
+    is busy; a worker that dies puts a ``ChildProcessError`` to raise
+    and ends the serving."""
+    try:
+        while busy:
+            for connection in wait(list(busy)):
+                process, index = busy.pop(connection)
+                # Its reply (or its end) is waiting: hand it the next
+                # task before reading the reply, so it does not wait on
+                # this thread's turns at the interpreter lock.
+                following = take()
+                try:
+                    connection.send(following)
+                except OSError:  # it died: the recv below says so
+                    pass
+                if following is not None:
+                    busy[connection] = (process, following)
+                try:
+                    result, text = connection.recv()
+                except EOFError:
+                    process.join()
+                    done.put(ChildProcessError(f"{died(index)} (exit code {process.exitcode})"))
+                    return
+                done.put((index, result, text))
+    except BaseException as error:  # never leave the caller waiting
+        done.put(error)
+
+
+def _outcome(item) -> Tuple[int, T]:
+    if isinstance(item, BaseException):
+        raise item
+    index, result, text = item
+    if text is not None:
+        raise result from RemoteTraceback(text)
+    return index, result
+
+
+def fork_map(
+    work: Callable[[int], T], count: int, processes: int, died: Callable[[int], str]
+) -> Iterator[Tuple[int, T]]:
+    """``(index, work(index))`` for every ``index < count``, computed by
+    this process and ``processes - 1`` forked workers and yielded as
+    each finishes.
+
+    This process runs task 0, workers start on tasks 1 to
+    ``processes - 1``, and from then on whichever is free takes the next
+    task; a thread here serves the workers while this process works.
+    Workers inherit the caller's memory copy-on-write, so only task
+    indices go down and results come back, each worker on its own pipe.
+    A worker that dies closes its pipe, which raises
+    ``ChildProcessError`` with ``died(index)`` of the task it held and
+    its exit code; an exception raised in a worker is re-raised here
+    with the worker's traceback as its cause.  Either way, or when the
+    caller stops early, the workers are stopped.
+    """
+    context = multiprocessing.get_context("fork")
+    tasks = iter(range(count))
+    lock = threading.Lock()
+
+    def take() -> Optional[int]:
+        with lock:
+            return next(tasks, None)
+
+    own = take()
+    started = []
+    busy: Dict[object, tuple] = {}  # parent end -> (process, task index)
+    done: queue.SimpleQueue = queue.SimpleQueue()
+    server = threading.Thread(target=_serve, args=(busy, take, done, died), daemon=True)
+    try:
+        for index in itertools.islice(tasks, processes - 1):
+            connection, child_end = context.Pipe()
+            process = context.Process(
+                target=_worker_main, args=(work, child_end, connection)
+            )
+            process.start()
+            child_end.close()  # the worker's copy is now the only other end
+            started.append((process, connection))
+            connection.send(index)
+            busy[connection] = (process, index)
+        server.start()  # after the last fork: a forked child has one thread
+        remaining = count
+        while own is not None:
+            yield own, work(own)
+            remaining -= 1
+            while not done.empty():
+                yield _outcome(done.get())
+                remaining -= 1
+            own = take()
+        for _ in range(remaining):
+            yield _outcome(done.get())
+    finally:
+        for process, _ in started:
+            if process.is_alive():
+                process.terminate()
+        if server.is_alive():
+            server.join()
+        for process, connection in started:
+            process.join()
+            connection.close()
 
 
 def merge_shard_results(
@@ -268,7 +396,8 @@ def run_sharded(
     topology: Optional[Topology] = None,
     observer: Optional[Observer] = None,
 ) -> SimulationResult:
-    """Run one cell across ``config.workers`` shard processes.
+    """Run one cell across ``config.workers`` shard processes, this one
+    included.
 
     Ineligible configurations fall back to the single-process
     simulation (logged).  A worker that dies without a result raises
@@ -283,9 +412,7 @@ def run_sharded(
     if workers <= 1:
         return single()
 
-    reason = shard_eligibility(workload, config, observer)
-    if reason is None and "fork" not in multiprocessing.get_all_start_methods():
-        reason = "the platform lacks the fork start method"
+    reason = shard_eligibility(workload, config, observer) or fork_declined()
     if reason is not None:
         logger.info("sharding declined (%s); running single-process", reason)
         return single()
@@ -298,37 +425,23 @@ def run_sharded(
     if len(shards) <= 1:
         return single()
 
-    worker_config = replace(config, workers=1)
     global _WORKER_CONTEXT
-    context = multiprocessing.get_context("fork")
-    _WORKER_CONTEXT = (workload, worker_config, match_table, topology, shards)
-    running = []
+    _WORKER_CONTEXT = (workload, replace(config, workers=1), match_table, topology, shards)
+    count = len(shards)
     try:
-        for index in range(len(shards)):
-            receive, send = context.Pipe(duplex=False)
-            process = context.Process(target=_shard_main, args=(index, send))
-            process.start()
-            send.close()  # the worker's copy is now the only writer
-            running.append((process, receive))
-        partials = [
-            _receive(index, process, receive, len(shards))
-            for index, (process, receive) in enumerate(running)
-        ]
+        partials = dict(
+            fork_map(_run_shard, count, count, lambda index: f"shard {index} of {count} died")
+        )
     finally:
         _WORKER_CONTEXT = None
-        for process, receive in running:
-            if process.is_alive():
-                process.terminate()
-            process.join()
-            receive.close()
 
     logger.info(
         "merged %d shards (%s)",
-        len(shards),
+        count,
         "/".join(str(len(shard)) for shard in shards),
     )
     return merge_shard_results(
-        partials,
+        [partials[index] for index in range(count)],
         shards,
         workload.config.server_count,
         time.perf_counter() - started,

@@ -353,7 +353,8 @@ def test_damaged_cell_entries_are_replayed_and_repaired(tmp_path, caplog):
 def test_without_an_artifact_dir_no_cell_code_runs(monkeypatch):
     code_fingerprint.cache_clear()
     monkeypatch.setattr(runner, "cell_params", forbidden)
-    monkeypatch.setattr(runner, "cached_cell", forbidden)
+    monkeypatch.setattr(runner, "load_cell", forbidden)
+    monkeypatch.setattr(runner, "store_cell", forbidden)
     monkeypatch.setattr(SimulationResult, "to_json", forbidden)
     runner.run_cell(KEY, scale=SCALE, seed=SEED, artifact_dir=None)
     runner.run_grid(ExperimentGrid(strategies=("gdstar", "sub")), scale=SCALE, seed=SEED)

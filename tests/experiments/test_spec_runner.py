@@ -1,9 +1,19 @@
 """Tests for the experiment grid machinery."""
 
+import logging
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
+
 import pytest
 
+import repro
+from repro.experiments import runner
 from repro.experiments.runner import paper_beta, run_cell, run_grid, trace_for
 from repro.experiments.spec import CellKey, ExperimentGrid, GridResult
+from tests.system.test_replay_fastpath import stripped as comparable
 
 SCALE = 0.03
 
@@ -78,21 +88,39 @@ def test_paper_beta_rules():
     assert paper_beta("alternative", "sg1", 0.10) == 2.0
 
 
-def test_run_grid_parallel_matches_serial():
-    grid = ExperimentGrid(strategies=("gdstar", "sub"), capacities=(0.05,))
-    serial = run_grid(grid, scale=SCALE, seed=3, workers=1)
-    parallel = run_grid(grid, scale=SCALE, seed=3, workers=2)
+NINE = ("gdstar", "sub", "sg1", "sg2", "sr", "dm", "dc-fp", "dc-ap", "dc-lap")
+
+
+def _grid_messages(caplog) -> list:
+    return [
+        record.getMessage()
+        for record in caplog.records
+        if record.getMessage().startswith("grid: ")
+    ]
+
+
+def test_run_grid_parallel_matches_serial(monkeypatch, caplog):
+    """A cell replayed in a forked worker equals the same cell replayed
+    in process, in every simulated field and in ``grid.cells()`` order."""
+    grid = ExperimentGrid(traces=("news", "alternative"), strategies=NINE, capacities=(0.05,))
+    with caplog.at_level(logging.DEBUG, logger="repro.experiments.runner"):
+        monkeypatch.setattr(runner, "usable_cpus", lambda: 1)
+        serial = run_grid(grid, scale=SCALE, seed=3)
+        monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+        parallel = run_grid(grid, scale=SCALE, seed=3)
+    assert _grid_messages(caplog) == [
+        "grid: replaying 18 cells serially (one usable CPU)",
+        "grid: replaying 18 cells across 2 processes",
+    ]
+    assert list(serial.results) == list(parallel.results) == grid.cells()
     for key in grid.cells():
-        assert serial.results[key].hits == parallel.results[key].hits
-        assert (
-            serial.results[key].push_transfers
-            == parallel.results[key].push_transfers
-        )
+        assert comparable(parallel.results[key]) == comparable(serial.results[key]), key
 
 
-def test_run_grid_parallel_progress_and_options_forwarded():
-    """Workers>1: progress fires once per cell as cells complete, and
-    strategy_options/beta reach the pool workers."""
+def test_run_grid_parallel_progress_and_options_forwarded(monkeypatch):
+    """Across two processes, progress fires once per cell as cells
+    complete, and strategy_options/beta reach the replays."""
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
     grid = ExperimentGrid(strategies=("gdstar", "sg2"), capacities=(0.05,))
     seen = []
     parallel = run_grid(
@@ -102,9 +130,9 @@ def test_run_grid_parallel_progress_and_options_forwarded():
         beta=0.5,
         strategy_options={"beta": 0.5},
         progress=lambda key, result: seen.append(key),
-        workers=2,
     )
     assert sorted(map(str, seen)) == sorted(map(str, grid.cells()))
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 1)
     serial = run_grid(
         grid, scale=SCALE, seed=3, beta=0.5, strategy_options={"beta": 0.5}
     )
@@ -112,9 +140,121 @@ def test_run_grid_parallel_progress_and_options_forwarded():
         assert serial.results[key].hits == parallel.results[key].hits
 
 
+# -- each serial fallback says why ---------------------------------------------
+
+FALLBACK_GRID = ExperimentGrid(strategies=("gdstar", "sub"), capacities=(0.05,))
+
+
+def _fallback_grid_results() -> dict:
+    outcome = run_grid(FALLBACK_GRID, scale=SCALE, seed=3)
+    return {key: comparable(result) for key, result in outcome.results.items()}
+
+
+def test_one_usable_cpu_replays_serially(monkeypatch, caplog):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    with caplog.at_level(logging.DEBUG, logger="repro.experiments.runner"):
+        got = _fallback_grid_results()
+    assert _grid_messages(caplog) == ["grid: replaying 2 cells serially (one usable CPU)"]
+    assert list(got) == FALLBACK_GRID.cells()
+
+
+def test_a_platform_without_fork_replays_serially(monkeypatch, caplog):
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    with caplog.at_level(logging.DEBUG, logger="repro.experiments.runner"):
+        got = _fallback_grid_results()
+    assert _grid_messages(caplog) == [
+        "grid: replaying 2 cells serially (the platform lacks the fork start method)"
+    ]
+    assert list(got) == FALLBACK_GRID.cells()
+
+
+def _grid_in_a_pool_worker():
+    """run_grid called from a daemonic process: its grid DEBUG lines and
+    its results."""
+    messages = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("repro.experiments.runner")
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        results = _fallback_grid_results()
+    finally:
+        logger.removeHandler(handler)
+    return [m for m in messages if m.startswith("grid: ")], results
+
+
+def test_a_daemonic_caller_replays_serially(monkeypatch):
+    """A pool worker may not have children: the grid falls back rather
+    than fail with 'daemonic processes are not allowed to have children'."""
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        messages, results = pool.apply(_grid_in_a_pool_worker)
+    assert messages == [
+        "grid: replaying 2 cells serially (a daemonic process cannot have children)"
+    ]
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 1)
+    assert results == _fallback_grid_results()
+
+
+def test_one_cell_to_replay_forks_nothing(monkeypatch, caplog):
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+    grid = ExperimentGrid(strategies=("gdstar",), capacities=(0.05,))
+    with caplog.at_level(logging.DEBUG, logger="repro.experiments.runner"):
+        run_grid(grid, scale=SCALE, seed=3)
+    assert _grid_messages(caplog) == [
+        "grid: replaying 1 cells serially (at most one cell to replay)"
+    ]
+
+
+#: ``figure 4`` / ``table 2`` whose grid worker dies on the first cell it
+#: replays: the grid's second, since this process replays the first.
+_DYING_GRID_WORKER = """
+import os, sys
+from repro.experiments import runner
+from repro.system.simulator import Simulation
+parent, run = os.getpid(), Simulation.run
+def dying(self):
+    if os.getpid() != parent:
+        os._exit(9)
+    return run(self)
+Simulation.run = dying
+runner.usable_cpus = lambda: 2
+from repro.cli import main
+sys.exit(main([*sys.argv[1:], "--scale", "0.03", "--no-artifact-cache"]))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, cell",
+    [(("figure", "4"), "news/gdstar@cap=0.05"), (("table", "2"), "news/sub@cap=0.05")],
+    ids=["figure-4", "table-2"],
+)
+def test_a_dead_grid_worker_ends_the_command_with_one_line(command, cell):
+    """A grid worker that dies (here ``os._exit(9)``) ends the command
+    within a bound, with one line naming the cell and exit code 2."""
+    started = time.monotonic()
+    finished = subprocess.run(
+        [sys.executable, "-c", _DYING_GRID_WORKER, *command],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__))),
+    )
+    assert time.monotonic() - started < 60
+    assert finished.returncode == 2, finished.stderr
+    assert finished.stderr == (
+        f"{command[0]} failed: grid worker died replaying "
+        f"{cell},sq=1,when-necessary (exit code 9)\n"
+    )
+    assert finished.stdout == ""
+
+
 def test_run_grid_serial_forwards_strategy_options():
     """An explicit beta in strategy_options overrides the paper default
-    in both the serial and pooled paths."""
+    in both the serial and parallel paths."""
     grid = ExperimentGrid(strategies=("sg2",), capacities=(0.05,))
     default = run_grid(grid, scale=SCALE, seed=3)
     overridden = run_grid(grid, scale=SCALE, seed=3, strategy_options={"beta": 0.01})

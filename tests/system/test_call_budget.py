@@ -106,9 +106,8 @@ def test_system_calls_per_record_stay_in_budget(churned):
     assert system_calls / records <= SYSTEM_CALLS_PER_RECORD, (system_calls, records)
 
 
-def test_warm_grid_constructs_no_simulation(tmp_path, monkeypatch):
-    """A cell the store holds is returned before its inputs are resolved
-    or a ``Simulation`` is built (docs/architecture.md, "Artifact store")."""
+def _count_constructions(monkeypatch) -> list:
+    """One entry per ``Simulation`` built in this process from now on."""
     constructed = []
     init = Simulation.__init__
 
@@ -117,6 +116,15 @@ def test_warm_grid_constructs_no_simulation(tmp_path, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Simulation, "__init__", counted)
+    return constructed
+
+
+def test_warm_grid_constructs_no_simulation(tmp_path, monkeypatch):
+    """A cell the store holds is returned before its inputs are resolved
+    or a ``Simulation`` is built (docs/architecture.md, "Artifact store").
+    One usable CPU keeps the cold replays in this process, to count."""
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 1)
+    constructed = _count_constructions(monkeypatch)
     grid = ExperimentGrid(traces=("news", "alternative"), strategies=("gdstar", "sg2"))
     store = str(tmp_path)
     try:
@@ -128,5 +136,29 @@ def test_warm_grid_constructs_no_simulation(tmp_path, monkeypatch):
         runner.run_grid(grid, scale=0.03, seed=7, artifact_dir=store)
         assert len(constructed) == 4  # warm: none added ...
         assert runner.trace_for.cache_info().currsize == 0  # ... and no trace loaded
+    finally:
+        runner.clear_caches()
+
+
+def test_parallel_grid_builds_in_the_parent_only_its_share(tmp_path, monkeypatch):
+    """Across two processes a cold grid builds in the parent the cells it
+    replays itself (the first, and not the worker's first) and stores
+    all of them; warm, it builds none and loads no trace."""
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+    constructed = _count_constructions(monkeypatch)
+    grid = ExperimentGrid(traces=("news", "alternative"), strategies=("gdstar", "sg2"))
+    store = str(tmp_path)
+    try:
+        runner.clear_caches()
+        runner.run_grid(grid, scale=0.03, seed=7, artifact_dir=store)
+        assert 1 <= len(constructed) <= 3  # the worker replayed at least one
+        assert runner.trace_for.cache_info().currsize == 2
+        assert runner.cell_store(store).misses == 4  # stored by the parent
+        constructed.clear()
+        runner.clear_caches()
+        runner.run_grid(grid, scale=0.03, seed=7, artifact_dir=store)
+        assert len(constructed) == 0
+        assert runner.trace_for.cache_info().currsize == 0
+        assert runner.cell_store(store).hits == 4
     finally:
         runner.clear_caches()

@@ -10,6 +10,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
 import time
 from types import SimpleNamespace
 
@@ -21,6 +22,8 @@ from repro.faults.spec import ChaosSpec, OverloadSpec
 from repro.obs.recorder import Observer
 from repro.system.config import PushingScheme, SimulationConfig
 from repro.system.sharding import (
+    RemoteTraceback,
+    fork_map,
     merge_shard_results,
     plan_shards,
     run_sharded,
@@ -166,3 +169,32 @@ def test_a_dead_shard_worker_ends_the_run_with_one_line():
     assert finished.returncode == 2, finished.stderr
     assert finished.stderr == "run failed: shard 1 of 2 died (exit code 9)\n"
     assert finished.stdout == ""
+
+
+# -- fork_map: this process and its workers ----------------------------------
+
+
+def test_fork_map_yields_every_task_once():
+    got = list(fork_map(lambda index: index * index, 7, 3, str))
+    assert sorted(got) == [(index, index * index) for index in range(7)]
+    assert got[0] == (0, 0)  # this process's own task comes back first
+
+
+def _worker_raises(index, argument):
+    if index == 1:  # the first worker's first task
+        raise ValueError(argument)
+    return index
+
+
+def test_a_worker_exception_carries_the_worker_traceback():
+    with pytest.raises(ValueError, match="bad task") as raised:
+        list(fork_map(lambda index: _worker_raises(index, "bad task"), 3, 2, str))
+    cause = raised.value.__cause__
+    assert isinstance(cause, RemoteTraceback)
+    assert "_worker_raises" in str(cause) and "ValueError: bad task" in str(cause)
+
+
+def test_an_exception_that_cannot_be_sent_still_says_what_failed():
+    with pytest.raises(RuntimeError, match="task 1: ValueError.*cannot be sent") as raised:
+        list(fork_map(lambda index: _worker_raises(index, threading.Lock()), 3, 2, str))
+    assert "_worker_raises" in str(raised.value.__cause__)
