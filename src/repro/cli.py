@@ -158,8 +158,8 @@ def _add_obs(parser: argparse.ArgumentParser, profile: bool = False) -> None:
         parser.add_argument(
             "--profile", action="store_true",
             help="run the cell under cProfile and print self time and calls "
-                 "per repro package; covers this process only (the parent "
-                 "under --workers N)",
+                 "per repro package; covers this process only (its own shard "
+                 "when a large cell replays across CPUs)",
         )
 
 
@@ -375,9 +375,6 @@ def _validate_cell_args(args: argparse.Namespace) -> None:
     scale = getattr(args, "scale", None)
     if scale is not None and not scale > 0.0:
         raise ValueError(f"scale must be > 0, got {scale}")
-    workers = getattr(args, "workers", None)
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     seeds = getattr(args, "seeds", None)
     if seeds is not None and seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
@@ -429,7 +426,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         beta=args.beta,
         observer=observer,
-        workers=args.workers,
         streaming=args.streaming,
         **layers,
     )
@@ -711,12 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=PushingScheme.WHEN_NECESSARY.value,
     )
     run_parser.add_argument("--beta", type=float, default=None)
-    run_parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="shard the proxies across N processes (bit-identical "
-             "results; configs whose state crosses shards decline to "
-             "one process)",
-    )
     run_parser.add_argument(
         "--streaming", action="store_true",
         help="generate and replay the trace in streaming form (events "

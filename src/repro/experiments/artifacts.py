@@ -20,9 +20,10 @@ Layout under the store root (default ``.repro-cache/``)::
         cell/<sha256>.json         SimulationResult.to_json
 
 A cell's key (:func:`cell_params`) is the whole ``run_cell`` call — the
-``CellKey``, scale, seed, every ``SimulationConfig`` field (``workers``
-included: one rule, "the key is the call", not a list of fields known
-not to matter), the churn spec, ``streaming`` — plus
+``CellKey``, scale, seed, every ``SimulationConfig`` field (one rule,
+"the key is the call", not a list of fields known not to matter), the
+churn spec, ``streaming`` — but not the process count, which the
+machine picks and which moves no digit of a result — plus
 :func:`code_fingerprint`, a hash of every source file of the package.
 The inputs come from three generators that change rarely, so a version
 number someone bumps is enough for them; a result depends on *all* of

@@ -3,7 +3,8 @@
 Workload generation, subscription tables and the topology are shared
 across the cells of a grid (the paper evaluates all strategies on the
 same trace), so a 36-cell Figure-4 grid generates two traces, not 36,
-and replays its cells on every usable CPU (:func:`run_grid`).
+and replays its cells on every usable CPU (:func:`run_grid`); a single
+large cell shards its proxies across them instead (:func:`run_cell`).
 
 Two reuse layers stack here:
 
@@ -176,7 +177,6 @@ def _cell_config(
     notified_fraction: float,
     strategy_options: Optional[Dict],
     overload: Optional[OverloadSpec] = None,
-    workers: int = 1,
 ) -> SimulationConfig:
     options = dict(strategy_options or {})
     if beta is None:
@@ -191,7 +191,6 @@ def _cell_config(
         seed=seed,
         notified_fraction=notified_fraction,
         overload=overload,
-        workers=workers,
     )
 
 
@@ -215,6 +214,47 @@ def _cell_inputs(
     return workload, match_table, topology
 
 
+def usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity mask, which
+    ``taskset`` narrows, is the one control over a cell's or a grid's
+    processes."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+#: The fewest requests that earn a shard process: every process replays
+#: the whole publish stream and builds its own replay columns, so a cell
+#: with fewer than twice this many replays faster in one process.  On 2
+#: vCPUs two processes lose at 58.5k requests and win from 64k on
+#: (docs/architecture.md, "Sharded replay").
+MIN_SHARD_REQUESTS = 35_000
+
+
+def _cell_processes(
+    workload: Workload, config: SimulationConfig, observer: Optional[Observer]
+) -> Tuple[int, Optional[str]]:
+    """How many processes replay a cell that has the machine to itself:
+    ``(P, None)`` to shard its proxies across P, or ``(1, why not)``.
+
+    The cheap checks come first, so a small cell imports neither
+    :mod:`multiprocessing` nor :mod:`repro.system.sharding`.
+    """
+    cpus = usable_cpus()
+    if cpus <= 1:
+        return 1, "one usable CPU"
+    if workload.request_count < 2 * MIN_SHARD_REQUESTS:
+        return 1, f"fewer than {2 * MIN_SHARD_REQUESTS} requests"
+    from repro.system.sharding import fork_declined, shard_eligibility
+
+    reason = shard_eligibility(workload, config, observer) or fork_declined()
+    if reason is not None:
+        return 1, reason
+    requests_cap = workload.request_count // MIN_SHARD_REQUESTS
+    return min(cpus, requests_cap, workload.config.server_count), None
+
+
 def _replay(
     key: CellKey,
     config: SimulationConfig,
@@ -224,6 +264,7 @@ def _replay(
     churn: Optional[ChurnSpec] = None,
     streaming: bool = False,
     observer: Optional[Observer] = None,
+    alone: bool = False,
 ) -> SimulationResult:
     logger.info(
         "cell %s/%s cap=%.2f sq=%.2f (scale=%s seed=%d)",
@@ -236,11 +277,16 @@ def _replay(
         workload = workload.with_churn(
             churn, RandomStreams(seed).stream("workload.churn")
         )
-    if config.workers > 1:
+    processes, reason = (
+        _cell_processes(workload, config, observer) if alone else (1, "a grid fills the cores")
+    )
+    if reason is None:
         from repro.system.sharding import run_sharded
 
-        result = run_sharded(workload, config, match_table, topology, observer=observer)
+        logger.debug("cell: replaying across %d processes", processes)
+        result = run_sharded(workload, config, processes, match_table, topology)
     else:
+        logger.debug("cell: replaying in one process (%s)", reason)
         result = Simulation(
             workload, config, match_table, topology, observer=observer
         ).run()
@@ -266,7 +312,6 @@ def run_cell(
     artifact_dir: Optional[str] = None,
     churn: Optional[ChurnSpec] = None,
     overload: Optional[OverloadSpec] = None,
-    workers: int = 1,
     streaming: bool = False,
 ) -> SimulationResult:
     """Run one simulation cell (trace and tables are memoized).
@@ -291,17 +336,21 @@ def run_cell(
 
     ``streaming`` spills the trace's events to disk as they are
     generated and replays them chunk-at-a-time (see
-    :mod:`repro.workload.streaming`) and ``workers > 1`` shards the
-    proxies across that many processes (:mod:`repro.system.sharding`).
-    Both are bit-identical to the default path in every result field
-    except ``wall_seconds``/``profile``.
+    :mod:`repro.workload.streaming`).
+
+    A replayed cell picks its own process count: ``min(usable_cpus(),
+    requests // MIN_SHARD_REQUESTS, proxies)``.  At two or more, and
+    when nothing couples its proxies (no chaos, armed overload, churn or
+    observer) and this process may fork, its proxies are sharded across
+    that many processes (:mod:`repro.system.sharding`); otherwise it
+    replays here.  One DEBUG line says which, and why.  Both ways, and
+    streaming or not, the result is bit-identical in every field except
+    ``wall_seconds``/``profile``; ``taskset -c 0`` makes it one process.
     """
     artifact_dir = _resolve_artifact_dir(artifact_dir)
-    config = _cell_config(
-        key, seed, beta, notified_fraction, strategy_options, overload, workers
-    )
+    config = _cell_config(key, seed, beta, notified_fraction, strategy_options, overload)
     replay = partial(
-        _replay, key, config, scale, seed, artifact_dir, churn, streaming, observer
+        _replay, key, config, scale, seed, artifact_dir, churn, streaming, observer, alone=True
     )
     if artifact_dir is None or observer is not None:
         return replay()
@@ -314,15 +363,6 @@ def run_cell(
     result = replay()
     store_cell(store, params, result)
     return result
-
-
-def usable_cpus() -> int:
-    """How many CPUs this process may run on: its affinity mask, which
-    ``taskset`` narrows, is the one control over a grid's processes."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
 
 
 def _replayed(

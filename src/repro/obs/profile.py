@@ -9,8 +9,9 @@ time has no package of ours, so it goes to the package that called it
 ``other``.  Nothing is wrapped or timed by hand, so a profiled run takes
 the code path of an unprofiled one.
 
-The profile covers the calling process only: the shard workers of
-``run --workers N`` are not in it.  :mod:`cProfile` and :mod:`pstats`
+The profile covers the calling process only: when a large cell replays
+across CPUs (``run_cell`` shards it), that is this process's shard, and
+the forked workers' shards are not in it.  :mod:`cProfile` and :mod:`pstats`
 are imported by the call, so a run without ``--profile`` never loads
 them.
 """

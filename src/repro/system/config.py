@@ -69,19 +69,8 @@ class SimulationConfig:
     #: default is equally inert (``enabled`` is false) and bit-identical
     #: to a run without the layer.
     overload: Optional[OverloadSpec] = None
-    #: Shard the proxies across this many ``multiprocessing`` workers
-    #: (see :mod:`repro.system.sharding`).  1 (the default) runs the
-    #: classic single-process simulation; higher values partition the
-    #: proxy fleet, replay the shards in parallel and merge the
-    #: per-proxy metrics — bit-identical to ``workers=1`` in every
-    #: result field except ``wall_seconds``/``profile``.  Configurations
-    #: whose state crosses shards (faults, overload, churn, observers,
-    #: cooperation chains spanning shards) decline to a single process.
-    workers: int = 1
 
     def __post_init__(self) -> None:
-        if not self.workers >= 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not 0.0 < self.capacity_fraction <= 1.0:
             raise ValueError(
                 f"capacity_fraction must be in (0, 1], got {self.capacity_fraction}"

@@ -21,16 +21,21 @@ partials with a pure reduction:
 
 Because each proxy sees exactly the event subsequence it would see in
 one process — same order, same values — the merged result is
-bit-identical to ``workers=1`` in every field except
+bit-identical to the one-process replay in every field except
 ``wall_seconds``/``profile`` (enforced by
 ``tests/system/test_sharding.py`` across strategies and pushing
 schemes).
 
-**Decline rules** (fall back rather than be subtly wrong): configurations with cross-shard state — fault
-schedules, the overload layer's shared origin admission and retry
-budget, subscription churn, observers — run single-process.
-Cooperation, whose peer lookups read other proxies' caches, is not
-sharded: ``run_sharded`` builds the paper's independent proxies.
+**Decline rules** (fall back rather than be subtly wrong):
+:func:`shard_eligibility` names the configurations with cross-shard
+state — fault schedules, the overload layer's shared origin admission
+and retry budget, subscription churn, observers — and
+:func:`fork_declined` the processes that cannot fork; ``run_cell``
+(:mod:`repro.experiments.runner`), the one caller of
+:func:`run_sharded`, replays those in one process, and so a cell too
+small to earn a second process.  Cooperation, whose peer lookups read
+other proxies' caches, is not sharded: ``run_sharded`` builds the
+paper's independent proxies.
 
 This process replays shard 0 and a forked worker each other shard
 (:func:`fork_map`, which ``run_grid`` shares), so the trace, match
@@ -40,8 +45,11 @@ that dies is named.  Each process cuts its own shard with
 :meth:`Workload.for_servers <repro.workload.trace.Workload.for_servers>`;
 over a spilled trace (:mod:`repro.workload.streaming`) the publishes
 stay memory-mapped and shared, but the shard's request rows are a copy
-in its process's memory (16 bytes per event) — a combination nothing
-measures yet.
+in its process's memory (16 bytes per event).  Measured at ``run
+--scale 4.0`` (884k events, 2 vCPUs, sampled every 50 ms): streaming,
+one process peaks at 102 MiB RSS / 98 MiB PSS and two at 102 + 90 MiB
+RSS / 148 MiB summed PSS; in memory, 144 / 140 against 125 + 111 / 186.
+Each shard process costs about 45-50 MiB of summed PSS.
 """
 
 from __future__ import annotations
@@ -133,8 +141,8 @@ def _server_weights(workload) -> List[int]:
     return weights
 
 
-def plan_shards(workload, workers: int) -> List[List[int]]:
-    """Partition the proxies into at most ``workers`` shards by greedy
+def plan_shards(workload, processes: int) -> List[List[int]]:
+    """Partition the proxies into at most ``processes`` shards by greedy
     LPT: the heaviest server (by request weight) first, onto the
     lightest shard.
 
@@ -142,7 +150,7 @@ def plan_shards(workload, workers: int) -> List[List[int]]:
     shard index); empty shards are dropped.
     """
     server_count = workload.config.server_count
-    bins = max(1, min(int(workers), server_count))
+    bins = max(1, min(int(processes), server_count))
     weights = _server_weights(workload)
     loads = [0] * bins
     shards: List[List[int]] = [[] for _ in range(bins)]
@@ -380,7 +388,7 @@ def merge_shard_results(
         for server_id in range(server_count)
     ]
     # The same server-order sum Simulation._collect evaluates, over the
-    # same per-proxy floats — bit-identical to the workers=1 total.
+    # same per-proxy floats — bit-identical to the one-process total.
     merged.total_response_time = sum(
         stats.response_time for stats in merged.per_proxy
     )
@@ -392,41 +400,28 @@ def merge_shard_results(
 def run_sharded(
     workload,
     config: SimulationConfig,
+    processes: int,
     match_table: Optional[TraceMatchCounts] = None,
     topology: Optional[Topology] = None,
-    observer: Optional[Observer] = None,
 ) -> SimulationResult:
-    """Run one cell across ``config.workers`` shard processes, this one
-    included.
+    """Run one shard-safe cell (:func:`shard_eligibility`) across
+    ``processes`` shard processes, this one included.
 
-    Ineligible configurations fall back to the single-process
-    simulation (logged).  A worker that dies without a result raises
-    ``ChildProcessError`` naming its shard; the others are stopped.
+    One shard (``processes`` 1, or one proxy) replays here.  A worker
+    that dies without a result raises ``ChildProcessError`` naming its
+    shard; the others are stopped.
     """
     started = time.perf_counter()
-    workers = int(config.workers)
-
-    def single() -> SimulationResult:
-        return Simulation(workload, config, match_table, topology, observer=observer).run()
-
-    if workers <= 1:
-        return single()
-
-    reason = shard_eligibility(workload, config, observer) or fork_declined()
-    if reason is not None:
-        logger.info("sharding declined (%s); running single-process", reason)
-        return single()
-
     # Build the shared inputs once; workers inherit them through the fork.
     match_table, topology = cell_inputs(
         workload, config, RandomStreams(config.seed), match_table, topology
     )
-    shards = plan_shards(workload, workers)
+    shards = plan_shards(workload, processes)
     if len(shards) <= 1:
-        return single()
+        return Simulation(workload, config, match_table, topology).run()
 
     global _WORKER_CONTEXT
-    _WORKER_CONTEXT = (workload, replace(config, workers=1), match_table, topology, shards)
+    _WORKER_CONTEXT = (workload, config, match_table, topology, shards)
     count = len(shards)
     try:
         partials = dict(

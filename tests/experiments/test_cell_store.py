@@ -186,7 +186,6 @@ VARIATIONS = {
     "churn": dict(churn=ChurnSpec(churn_rate=2.0)),
     "churn field": dict(churn=ChurnSpec(churn_rate=2.0, lease_duration=60.0)),
     "overload": dict(overload=OverloadSpec(service_rate=0.01)),
-    "workers": dict(workers=2),
     "streaming": dict(streaming=True),
     "invariant checks": dict(invariant_check_interval=100),
 }
@@ -204,7 +203,7 @@ def test_every_part_of_the_call_moves_the_key(tmp_path):
     assert len({base, *paths.values()}) == len(paths) + 1, paths
     # ... and nothing else does: the same call, built again, is the same key.
     assert cache.path("cell", params_for()) == base
-    assert cache.path("cell", params_for(churn=None, streaming=False, workers=1)) == base
+    assert cache.path("cell", params_for(churn=None, streaming=False)) == base
 
 
 def test_run_cell_arguments_reach_the_key(tmp_path):

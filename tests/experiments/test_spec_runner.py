@@ -1,5 +1,6 @@
 """Tests for the experiment grid machinery."""
 
+import dataclasses
 import logging
 import multiprocessing
 import os
@@ -13,6 +14,8 @@ import repro
 from repro.experiments import runner
 from repro.experiments.runner import paper_beta, run_cell, run_grid, trace_for
 from repro.experiments.spec import CellKey, ExperimentGrid, GridResult
+from repro.faults.spec import ChaosSpec
+from repro.obs.recorder import Observer
 from tests.system.test_replay_fastpath import stripped as comparable
 
 SCALE = 0.03
@@ -206,6 +209,69 @@ def test_one_cell_to_replay_forks_nothing(monkeypatch, caplog):
         run_grid(grid, scale=SCALE, seed=3)
     assert _grid_messages(caplog) == [
         "grid: replaying 1 cells serially (at most one cell to replay)"
+    ]
+
+
+# -- a cell picks its own process count ------------------------------------------
+
+CELL = CellKey("news", "sg2", 0.05)
+
+
+def _cell_messages(caplog) -> list:
+    return [
+        record.getMessage()
+        for record in caplog.records
+        if record.getMessage().startswith("cell: ")
+    ]
+
+
+def test_a_cell_above_the_floor_replays_across_two_processes(monkeypatch, caplog):
+    """On two CPUs a cell with at least twice the floor's requests shards
+    its proxies, and its result is the one-CPU result in every field but
+    ``wall_seconds`` and ``profile``."""
+    monkeypatch.setattr(runner, "MIN_SHARD_REQUESTS", 100)
+    with caplog.at_level(logging.DEBUG, logger="repro.experiments.runner"):
+        monkeypatch.setattr(runner, "usable_cpus", lambda: 1)
+        single = run_cell(CELL, scale=SCALE, seed=3)
+        monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+        sharded = run_cell(CELL, scale=SCALE, seed=3)
+    assert _cell_messages(caplog) == [
+        "cell: replaying in one process (one usable CPU)",
+        "cell: replaying across 2 processes",
+    ]
+    assert comparable(sharded) == comparable(single)
+
+
+def test_a_small_cell_a_single_cpu_and_a_grid_cell_replay_in_one_process(
+    monkeypatch, caplog
+):
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+    with caplog.at_level(logging.DEBUG, logger="repro.experiments.runner"):
+        run_cell(CELL, scale=SCALE, seed=3)  # ~6k requests, fewer than twice the floor
+        monkeypatch.setattr(runner, "MIN_SHARD_REQUESTS", 100)
+        run_grid(ExperimentGrid(strategies=("sg2",), capacities=(0.05,)), scale=SCALE, seed=3)
+        monkeypatch.setattr(runner, "usable_cpus", lambda: 1)
+        run_cell(CELL, scale=SCALE, seed=3)
+    assert _cell_messages(caplog) == [
+        "cell: replaying in one process (fewer than 70000 requests)",
+        "cell: replaying in one process (a grid fills the cores)",
+        "cell: replaying in one process (one usable CPU)",
+    ]
+
+
+def test_an_observed_cell_and_a_chaos_cell_replay_in_one_process(monkeypatch, caplog):
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(runner, "MIN_SHARD_REQUESTS", 100)
+    chaos = dataclasses.replace(
+        runner._cell_config(CELL, 3, None, 1.0, None), chaos=ChaosSpec(proxy_mtbf=4 * 3600.0)
+    )
+    with caplog.at_level(logging.DEBUG, logger="repro.experiments.runner"):
+        run_cell(CELL, scale=SCALE, seed=3, observer=Observer())
+        runner._replay(CELL, chaos, SCALE, 3, None, alone=True)
+    assert _cell_messages(caplog) == [
+        "cell: replaying in one process (an observer records one global event order)",
+        "cell: replaying in one process "
+        "(fault injection shares a global schedule and delivery state)",
     ]
 
 

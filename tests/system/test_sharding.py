@@ -1,6 +1,6 @@
 """Tests for the sharded multi-process simulation.
 
-The invariant: a sharded run is bit-identical to ``workers=1`` in
+The invariant: a sharded run is bit-identical to the one-process run in
 every :class:`SimulationResult` field except ``wall_seconds`` and
 ``profile`` — for every strategy, both pushing schemes, streaming and
 materialized traces.
@@ -18,6 +18,8 @@ import pytest
 
 import repro
 
+from repro.experiments import runner
+from repro.experiments.spec import CellKey
 from repro.faults.spec import ChaosSpec, OverloadSpec
 from repro.obs.recorder import Observer
 from repro.system.config import PushingScheme, SimulationConfig
@@ -53,10 +55,8 @@ def trace():
 def test_sharded_equals_single(trace, strategy, pushing):
     config = SimulationConfig(strategy=strategy, pushing=pushing, seed=9)
     single = _strip(Simulation(trace, config).run())
-    for workers in (2, 4):
-        sharded = run_sharded(
-            trace, dataclasses.replace(config, workers=workers)
-        )
+    for processes in (2, 4):
+        sharded = run_sharded(trace, config, processes)
         assert _strip(sharded) == single
 
 
@@ -65,9 +65,7 @@ def test_sharded_streaming_equals_single(trace):
     single = _strip(Simulation(trace, config).run())
     streaming = make_streaming_trace("news", scale=0.04, seed=9)
     try:
-        sharded = run_sharded(
-            streaming, dataclasses.replace(config, workers=2)
-        )
+        sharded = run_sharded(streaming, config, 2)
         assert _strip(sharded) == single
     finally:
         streaming.close()
@@ -75,7 +73,7 @@ def test_sharded_streaming_equals_single(trace):
 
 def test_workers_one_is_the_plain_simulation(trace):
     config = SimulationConfig(seed=9)
-    assert _strip(run_sharded(trace, config)) == _strip(
+    assert _strip(run_sharded(trace, config, 1)) == _strip(
         Simulation(trace, config).run()
     )
 
@@ -96,12 +94,18 @@ def test_eligibility_declines_cross_shard_state(trace):
     )
 
 
-def test_chaos_config_falls_back_to_single_process(trace):
-    config = SimulationConfig(
-        seed=9, workers=2, chaos=ChaosSpec(proxy_mtbf=4 * 3600.0)
+def test_chaos_config_falls_back_to_single_process(monkeypatch):
+    """A chaos cell on two CPUs, above the request floor, replays as it
+    does on one."""
+    key = CellKey("news", "sg2", 0.05)
+    config = dataclasses.replace(
+        runner._cell_config(key, 9, None, 1.0, None), chaos=ChaosSpec(proxy_mtbf=4 * 3600.0)
     )
-    single = Simulation(trace, dataclasses.replace(config, workers=1)).run()
-    sharded = run_sharded(trace, config)
+    monkeypatch.setattr(runner, "MIN_SHARD_REQUESTS", 1)
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 1)
+    single = runner._replay(key, config, 0.04, 9, None, alone=True)
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+    sharded = runner._replay(key, config, 0.04, 9, None, alone=True)
     assert _strip(sharded) == _strip(single)
 
 
@@ -121,7 +125,7 @@ def test_plan_shards_balances_and_is_deterministic():
 
 
 def test_plan_shards_never_exceeds_servers(trace):
-    shards = plan_shards(trace, workers=1000)
+    shards = plan_shards(trace, processes=1000)
     assert len(shards) <= trace.config.server_count
     flat = sorted(server for shard in shards for server in shard)
     assert flat == list(range(trace.config.server_count))
@@ -137,10 +141,14 @@ def test_merge_rejects_mismatched_metadata(trace):
         )
 
 
-#: ``run --workers 2`` whose shard 1 worker dies before sending a result.
+#: ``run`` of a cell sharded across 2 processes (two usable CPUs, a
+#: request floor of 1) whose shard 1 worker dies before sending a result.
 _DYING_SHARD = """
 import os, sys
+from repro.experiments import runner
 from repro.system import sharding
+runner.MIN_SHARD_REQUESTS = 1
+runner.usable_cpus = lambda: 2
 run_shard = sharding._run_shard
 def dying(index):
     if index == 1:
@@ -150,7 +158,7 @@ def dying(index):
 dying.__module__, dying.__qualname__ = sharding.__name__, "_run_shard"
 sharding._run_shard = dying
 from repro.cli import main
-sys.exit(main(["run", "--scale", "0.03", "--workers", "2", "--no-artifact-cache"]))
+sys.exit(main(["run", "--scale", "0.03", "--no-artifact-cache"]))
 """
 
 

@@ -33,13 +33,19 @@ def test_run_command(capsys):
     assert "sg2" in out and "news" in out and "H=" in out
 
 
-def test_run_command_sharded_streaming_matches_default(capsys):
-    """`run --workers 2 --streaming` prints the same summary line as
-    the plain single-process run (bit-identical metrics)."""
-    argv = ["run", "--scale", "0.03", "--seed", "3"]
+def test_run_command_sharded_streaming_matches_default(capsys, monkeypatch):
+    """`run --streaming` of a cell sharded across two processes prints
+    the same summary line as the plain one-process run (bit-identical
+    metrics)."""
+    from repro.experiments import runner
+
+    argv = ["run", "--scale", "0.03", "--seed", "3", "--no-artifact-cache"]
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 1)
     assert main(argv) == 0
     plain = capsys.readouterr().out
-    assert main(argv + ["--workers", "2", "--streaming"]) == 0
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(runner, "MIN_SHARD_REQUESTS", 1)
+    assert main(argv + ["--streaming"]) == 0
     assert capsys.readouterr().out == plain
 
 
@@ -609,7 +615,7 @@ def test_run_rejects_invalid_overload_parameter(capsys, flag, value, needle):
         (["run", "--scale", "0.03", "--capacity", "0"], "capacity must be in"),
         (["run", "--scale", "0.03", "--sq", "2"], "sq must be in"),
         (["run", "--scale", "-0.5"], "scale must be > 0"),
-        (["run", "--scale", "0.03", "--workers", "0"], "workers must be >= 1"),
+        (["run", "--scale", "0.03", "--sq", "0"], "sq must be in"),
         (["run", "--scale", "0"], "scale must be > 0"),
         (
             ["chaos", "--scale", "0.03", "--capacity", "1.5"],
@@ -808,11 +814,12 @@ def parser_surface():
 #: commit 66e0c28 (the parent of PR 19), from unmodified source, before
 #: the layer flag families were generated from a table; ``run`` re-pinned
 #: when ``--profile`` became cProfile per package (its help string, the
-#: only row that moved).  Regenerate with
+#: only row that moved), and again when ``--workers`` left (its row gone,
+#: and ``--profile``'s help now naming the shard it covers).  Regenerate with
 #: ``PYTHONPATH=src python -m tests.test_cli`` after an intended change.
 PARSER_SURFACE = {
     "": (2, "248e6226eeeacee0f143aece2383acd593b1e49ac28d03e6228b5193c09dde00"),
-    "run": (37, "869bf1847d6ec669ed1760fac0ac97697610ec21669f38e2bbdcc48f88d9f887"),
+    "run": (36, "5f7c78223fd03a4298c4ae62be33d45015b830af02016c2f0d74acffc1676129"),
     "figure": (8, "d50d2caa6c833481d9bfb758943ab9b06e7a99e512694516bbd5cc6f9fc02bdf"),
     "table": (7, "bb9f5ada394a86acc26dac41708c314ca2db22be1c2376be082a9787ba8dff99"),
     "sweep-beta": (7, "d9176865c10fd283fd2ade1b0afab3ee64e263ad6547b674837c69c8e42d210b"),
@@ -844,7 +851,7 @@ def test_parser_surface_is_pinned():
     assert sorted(surface) == sorted(PARSER_SURFACE)
     changed = [name for name in surface if surface[name] != PARSER_SURFACE[name]]
     assert not changed, {name: parser_surface()[name] for name in changed}
-    assert sum(count for count, _ in surface.values()) == 149
+    assert sum(count for count, _ in surface.values()) == 148
 
 
 if __name__ == "__main__":  # pragma: no cover - regeneration helper
