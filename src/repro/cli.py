@@ -158,8 +158,8 @@ def _add_obs(parser: argparse.ArgumentParser, profile: bool = False) -> None:
         parser.add_argument(
             "--profile", action="store_true",
             help="run the cell under cProfile and print self time and calls "
-                 "per repro package; covers this process only (its own shard "
-                 "when a large cell replays across CPUs)",
+                 "per repro package, summed over every process that replayed "
+                 "a share of it",
         )
 
 
@@ -432,7 +432,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.profile:
         from repro.obs.profile import profile_call, render
 
-        result, profile = profile_call(run_cell, cell, **options)
+        result, profile, processes = profile_call(run_cell, cell, **options)
         result.profile = profile
     else:
         result = run_cell(cell, **options)
@@ -440,7 +440,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _finish_observer(observer, args)
     if args.profile:
         print()
-        print(render(result.profile))
+        print(render(result.profile, processes))
     return 0
 
 

@@ -3,7 +3,9 @@
 The kernel under the pub/sub content distribution simulator:
 
 * :class:`~repro.sim.engine.Environment` — a virtual clock and an
-  agenda of callbacks (``schedule`` / ``run`` / ``run_before``);
+  agenda of callbacks (``schedule`` / ``run``), and
+  :func:`~repro.sim.engine.agenda_stream`, which lets the agenda catch
+  up before each record of the replay stream;
 * :class:`~repro.sim.rng.RandomStreams` — named, independently seeded
   random-number streams so every stochastic component of the simulation
   is reproducible from a single root seed.

@@ -11,7 +11,7 @@ and then by insertion order.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 #: Scheduling priorities.  URGENT beats NORMAL at the same timestamp.
 #: Used e.g. so publish events at time t are processed before request
@@ -33,8 +33,8 @@ class Environment:
     :meth:`schedule` puts ``callback(env)`` on the agenda at an absolute
     time (the content distribution simulator schedules delayed
     notification arrivals and fault transitions this way);
-    :meth:`run_before` interleaves a pre-sorted static stream with the
-    agenda and :meth:`run` drains it.  Neither times nor counts what
+    :func:`agenda_stream` interleaves a pre-sorted static stream with
+    the agenda and :meth:`run` drains it.  Neither times nor counts what
     it runs: ``run --profile`` is cProfile around the whole run, and
     the live monitor is ticked by the replay loop, once per record.
     """
@@ -72,31 +72,6 @@ class Environment:
         self._sequence += 1
         heapq.heappush(self._agenda, (at, priority, self._sequence, callback))
 
-    def run_before(self, at: float, priority: int) -> None:
-        """Run every agenda event sorting strictly before ``(at, priority)``,
-        then set the clock to ``at``.
-
-        The replay driver calls this ahead of each record of its
-        pre-sorted static stream and then dispatches the record itself,
-        so the agenda only ever holds *dynamic* events (fault
-        transitions, anything scheduled while running).  Had the static
-        records been scheduled up front they would hold lower sequence
-        numbers than every dynamic event, so on a full ``(time,
-        priority)`` tie the static record must win — hence *strictly*
-        before.  Relative order among dynamic events is the heap's.
-        """
-        agenda = self._agenda
-        while agenda:
-            head = agenda[0]
-            if head[0] > at or (head[0] == at and head[1] >= priority):
-                break
-            self.step()
-        if at < self._now:
-            raise SimulationError(
-                f"static stream goes back in time: {at} < now={self._now}"
-            )
-        self._now = at
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the agenda empties or the clock passes ``until``.
 
@@ -111,3 +86,36 @@ class Environment:
             self.step()
         if until is not None:
             self._now = max(self._now, until)
+
+
+def agenda_stream(
+    env: Environment, records: Iterable[tuple], on_row: Optional[Callable] = None
+) -> Iterator[tuple]:
+    """The publishes and requests of the time-sorted ``(time, kind, a,
+    b, c, d)`` ``records``, each yielded after every agenda event sorting
+    strictly before ``(time, priority)`` ran (a request, kind 1, sorts
+    ``NORMAL``, other kinds ``URGENT``) and the clock moved to it; a
+    lifecycle row (kind 2) goes to ``on_row(a, b, c, d, time)`` instead.
+    *Strictly*: rows scheduled up front would hold lower sequence numbers
+    than every dynamic event, so a row wins a full tie.  The agenda is
+    drained when the records end."""
+    agenda = env._agenda
+    step = env.step
+    for record in records:
+        at, kind = record[0], record[1]
+        priority = NORMAL if kind == 1 else URGENT
+        while agenda:
+            head = agenda[0]
+            if head[0] > at or (head[0] == at and head[1] >= priority):
+                break
+            step()
+        if at < env._now:
+            raise SimulationError(
+                f"static stream goes back in time: {at} < now={env._now}"
+            )
+        env._now = at
+        if kind == 2:
+            on_row(record[2], record[3], record[4], record[5], at)
+        else:
+            yield record
+    env.run()

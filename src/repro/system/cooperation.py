@@ -7,12 +7,14 @@ step: on a local miss, a proxy first asks its ``neighbor_count``
 closest peers (by overlay hop distance) for the *current version* of
 the page and fetches from the nearest holder instead of the origin.
 
-Cooperation is the **peers** stage of the one request path
-(docs/architecture.md, "One request path"): a simulation built with
-``neighbor_count > 0`` holds one :class:`Peers` object and resolves
-whatever leaves a proxy through it.  The object is *handed* the
+Cooperation changes where a request that leaves its proxy is resolved
+(docs/architecture.md, "One loop"): a simulation built with
+``neighbor_count > 0`` holds one :class:`Peers` object, and the request
+tails and overload's refused pulls resolve off-proxy through
+:meth:`Peers.fetch` instead of the origin.  The object is *handed* the
 simulation per call and keeps no reference back, so a finished run is
-still freed by reference count.
+still freed by reference count.  It touches state outside its proxy by
+design: it reads its peers' caches and up state.
 
 Placement decisions are untouched — each proxy still runs its own
 strategy on local information — so the comparison isolates how much

@@ -17,8 +17,7 @@ publisher side runs a small reliability protocol on top:
   :data:`DELIVERY_QUEUE_LIMIT` — a loss arriving at a full queue is
   *abandoned* (overload shedding) and becomes a permanent loss;
 * a permanently lost notification is eventually healed lazily by
-  access-time **staleness repair** at the proxy (see the simulator's
-  request path).
+  access-time **staleness repair** at the proxy.
 
 Like the origin-retry model, the protocol is resolved *analytically*
 against the materialised :class:`~repro.faults.schedule.FaultSchedule`:
@@ -26,11 +25,15 @@ against the materialised :class:`~repro.faults.schedule.FaultSchedule`:
 notification — whether each send at time ``t`` survives is a pure
 window lookup plus at most one draw from the dedicated
 ``"faults.delivery"`` stream — and returns a :class:`DeliveryPlan`
-stating when (and whether) the notification arrives.  The simulator
-then schedules the arrival as a DES event.  Keeping all randomness in
-one named stream preserves the bit-identity discipline: with every
-delivery knob at its default the stream is never created and no other
-stream's draw order moves.
+stating when (and whether) the notification arrives, and the arrival
+is scheduled as a DES event.  Keeping all randomness in one named
+stream preserves the bit-identity discipline: with every delivery knob
+at its default the stream is never created and no other stream's draw
+order moves.
+
+Its wrappers (:func:`delivery_wrappers`) touch state outside their
+proxy: every send draws from the one ``"faults.delivery"`` stream and
+holds a slot of the publisher's one retransmit queue.
 """
 
 from __future__ import annotations
@@ -44,7 +47,10 @@ from repro.faults.schedule import FaultSchedule
 from repro.faults.spec import ChaosSpec
 from repro.obs.recorder import Observer
 from repro.pubsub.routing import SequenceTracker
+from repro.sim.engine import URGENT
 from repro.sim.rng import uniform_draws
+from repro.system.config import HIT_LATENCY, PER_HOP_LATENCY
+from repro.system.proxy import SETTLED
 
 #: Cap on a single retransmission backoff step (seconds).
 DELIVERY_BACKOFF_CAP = 30.0
@@ -317,3 +323,111 @@ class ReliableDelivery:
         return DeliveryPlan(
             True, arrival, attempts, attempts - 1, queued, False, duplicate_time
         )
+
+
+def delivery_wrappers(sim, env):
+    """Delivery's wrappers for each proxy of ``sim``: ``wrap(proxy,
+    on_publish, on_request)`` returns the send, whose surviving copies
+    reach ``on_publish`` at once or from ``env``'s agenda, and the
+    staleness check."""
+    delivery = sim._delivery
+    recovery = sim._recovery
+    publisher = sim.publisher
+    repair = sim.chaos.delivery_repair
+    queues = sim._overload.queues if sim._overload is not None else {}
+    obs = sim.obs
+    obs_on = sim._obs_on
+    send = delivery.send
+    receive = delivery.receive
+    believed_current = delivery.believed_current
+    schedule = env.schedule
+
+    def wrap(proxy, on_publish, on_request):
+        server_id = proxy.server_id
+        queue = queues.get(server_id)
+
+        def arrive(page_id, version, size, match_count, t):
+            """One notification copy reaches the proxy at time ``t``."""
+            if obs_on:
+                sim._obs_now = t
+            if not proxy.up:
+                delivery.lose_at_down_proxy(server_id, page_id, t)
+                return
+            if queue is not None and not queue.offer(t, True):
+                # Shed by a saturated service queue before the sequence
+                # tracker sees the copy.
+                if obs_on:
+                    obs.overload_shed(t, page_id, server_id, "push")
+                return
+            if receive(server_id, page_id, version, t):
+                on_publish(page_id, version, size, match_count, t)
+                if sim._check_interval:
+                    sim._maybe_check_invariants()
+
+        def send_notification(page_id, version, size, match_count, now):
+            plan = send(server_id, page_id, now)
+            if not plan.delivered:
+                return SETTLED
+            for at in (plan.arrival_time, plan.duplicate_time):
+                if at is None:
+                    continue
+                if at <= now:  # undelayed: it arrives inside the publish
+                    arrive(page_id, version, size, match_count, now)
+                else:
+                    schedule(
+                        at,
+                        lambda _env, p=page_id, v=version, z=size, m=match_count: (
+                            arrive(p, v, z, m, _env.now)
+                        ),
+                        priority=URGENT,
+                    )
+            return SETTLED
+
+        def silently_stale(page_id, version, size, match_count, now, held):
+            """Settles a request whose proxy *believes* a stale copy is
+            current (the notification was lost): repaired from the
+            origin, or — without repair — served as an ordinary hit,
+            silently wrong."""
+            if held == version:
+                if repair:
+                    # Access-time validation ran and confirmed freshness.
+                    recovery.staleness_validations += 1
+                return on_request(page_id, version, size, match_count, now, held)
+            cached = believed_current(server_id, held, page_id, version)
+            if cached is None:
+                return on_request(page_id, version, size, match_count, now, held)
+            age = publisher.staleness_age(page_id, cached, now)
+            waited = 0.0
+            if repair:
+                # Validation detected the missed push; repair from the origin.
+                recovery.staleness_validations += 1
+                ok, waited = sim._origin_wait(now, server_id, page_id)
+                if ok:
+                    publisher.record_repair(page_id, now)
+                    if obs_on:
+                        obs.repair(now, page_id, server_id, age)
+                    recovery.sample_staleness_age(age)
+                    fetch_latency, degraded = sim._degrade_transfer(
+                        PER_HOP_LATENCY * proxy.policy.cost, server_id, now
+                    )
+                    sim._settle_miss(
+                        proxy, server_id, page_id, version, size, match_count, now,
+                        HIT_LATENCY + waited + fetch_latency,
+                        degraded or waited > 0.0,
+                    )
+                    return
+                # Origin unreachable and retries exhausted: degrade to
+                # serving the stale copy rather than failing the request.
+                sim._note_degraded(now)
+            # The oracle's books: one silently stale response, with its
+            # age (the no-protocol baseline serves every such copy so).
+            recovery.on_stale_served(now, age)
+            if obs_on:
+                obs.stale_served(now, page_id, server_id, age)
+            sim._serve_cached(
+                proxy, server_id, page_id, cached, size, match_count, now, waited
+            )
+
+        return send_notification, silently_stale
+
+    return wrap

@@ -38,6 +38,10 @@ Observability hooks are emitted directly by the manager (they never
 touch RNG); all randomness stays in the one dedicated stream, which is
 never even derived when the loss probability is zero — the bit-identity
 discipline shared with the other fault layers.
+
+Its wrappers (:func:`lease_wrappers`) touch state outside their proxy:
+every proxy's handshakes draw from the one ``"faults.lifecycle"``
+stream in trace order, as one hub would confirm them.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from repro.obs.recorder import NULL_OBSERVER, Observer
 from repro.sim.rng import uniform_draws
 from repro.system.delivery import retry_instants
 from repro.system.metrics import RENEWAL_LATENCY_BIN_EDGES
+from repro.system.proxy import SETTLED
 from repro.workload.churn import RENEW, UNSUBSCRIBE, ChurnSpec
 
 #: Lease states.  EXPIRED is assigned lazily; a lease whose deadline
@@ -180,7 +185,7 @@ class LifecycleManager:
         #: Publish-side pushes :meth:`deliverable` refused for lease reasons.
         self.pushes_suppressed = 0
         #: Re-polls that found the proxy's cached copy behind the origin
-        #: (counted by the simulator's request stage, which sees the cache).
+        #: (counted by the re-poll wrapper, which sees the cache).
         self.stale_serves = 0
         self.renewal_latency_counts: List[int] = [0] * (
             len(RENEWAL_LATENCY_BIN_EDGES) + 1
@@ -433,3 +438,39 @@ class LifecycleManager:
         result.lifecycle_queue_peak = self.queue_peak
         result.renewal_latency_bin_edges = list(RENEWAL_LATENCY_BIN_EDGES)
         result.renewal_latency_counts = list(self.renewal_latency_counts)
+
+
+def lease_wrappers(sim, env):
+    """Churn's wrappers for each proxy of ``sim``: ``wrap(proxy,
+    on_publish, on_request)`` returns the lease gate and the re-poll."""
+    lifecycle = sim._lifecycle
+    deliverable = lifecycle.deliverable
+    on_access = lifecycle.on_access
+    trackers = sim._delivery.trackers if sim._delivery is not None else None
+
+    def wrap(proxy, on_publish, on_request):
+        server_id = proxy.server_id
+        tracker = trackers[server_id] if trackers is not None else None
+
+        def lease_gate(page_id, version, size, match_count, now):
+            if deliverable(server_id, page_id, now)[0]:
+                return on_publish(page_id, version, size, match_count, now)
+            return SETTLED
+
+        def repoll(page_id, version, size, match_count, now, held):
+            """The access heals lapsed subscription state before the
+            request is served; under the delivery protocol it also
+            teaches the proxy's tracker the current version, so a lagging
+            copy takes the stale-miss path, not the silently-stale one."""
+            if on_access(server_id, page_id, now) is not None:
+                if held is not None and held < version:
+                    # The missed notifications had real cost: the
+                    # proxy's copy is behind the origin at repair time.
+                    lifecycle.stale_serves += 1
+                if tracker is not None:
+                    tracker.learn(page_id, version)
+            return on_request(page_id, version, size, match_count, now, held)
+
+        return lease_gate, repoll
+
+    return wrap

@@ -30,6 +30,10 @@ stream is derived unless jitter is requested — and the whole layer
 allocates nothing when :attr:`OverloadSpec.enabled` is false, keeping
 disabled runs bit-identical (the NULL discipline every optional layer
 here follows).
+
+Its wrappers (:func:`admission_wrappers`) touch state outside their
+proxy: a refused pull goes through the origin's one bucket and breaker,
+and every retry spends the one global budget.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.faults.spec import OverloadSpec
+from repro.system.proxy import SETTLED
 
 __all__ = [
     "CircuitBreaker",
@@ -440,3 +445,52 @@ class OverloadManager:
             }
             for server_id, queue in self.queues.items()
         }
+
+
+def admission_wrappers(sim, env):
+    """Overload's wrappers for each proxy of ``sim``: ``wrap(proxy,
+    on_publish, on_request)`` returns them around a proxy that has a
+    service queue, and the calls unchanged around one that has none.
+
+    Under the delivery protocol a push is admitted where its copy
+    arrives (:func:`~repro.system.delivery.delivery_wrappers`), not here.
+    """
+    queues = sim._overload.queues
+    obs = sim.obs
+    obs_on = sim._obs_on
+    gate_pushes = sim._delivery is None
+
+    def wrap(proxy, on_publish, on_request):
+        server_id = proxy.server_id
+        queue = queues.get(server_id)
+        if queue is None:
+            return on_publish, on_request
+        offer = queue.offer
+
+        def push_admission(page_id, version, size, match_count, now):
+            """A saturated queue sheds the push; the proxy never learns
+            the version, so its next request takes the stale-miss path."""
+            if offer(now, True):
+                return on_publish(page_id, version, size, match_count, now)
+            if obs_on:
+                obs.overload_shed(now, page_id, server_id, "push")
+            return SETTLED
+
+        def pull_admission(page_id, version, size, match_count, now, held):
+            """A refused pull never reaches the policy: it is booked
+            unserved and resolved off-proxy like a miss."""
+            if offer(now, False):
+                return on_request(page_id, version, size, match_count, now, held)
+            if obs_on:
+                obs.overload_reject(now, page_id, server_id)
+                obs.failover(
+                    now, server_id, page_id, target="origin", reason="overload"
+                )
+            sim._settle_unserved(
+                proxy, server_id, page_id, now,
+                sim._off_proxy(sim, proxy, server_id, page_id, version, size, now),
+            )
+
+        return (push_admission if gate_pushes else on_publish), pull_admission
+
+    return wrap

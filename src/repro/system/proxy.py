@@ -18,6 +18,19 @@ from typing import Optional
 from repro.core.policy import Policy, PushOutcome, RequestOutcome
 
 
+class _Settled:
+    """What a wrapper that did its own accounting returns: the replay
+    loop, whose hit latency is ``0.0`` and whose rejected pushes
+    transfer nothing while wrappers are armed, counts nothing for it."""
+
+    __slots__ = ()
+    hit = True
+    stored = False
+
+
+SETTLED = _Settled()
+
+
 def _attribute_values(policy):
     """Every attribute value of ``policy``, dict- or slot-stored.
 

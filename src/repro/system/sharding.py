@@ -45,11 +45,8 @@ that dies is named.  Each process cuts its own shard with
 :meth:`Workload.for_servers <repro.workload.trace.Workload.for_servers>`;
 over a spilled trace (:mod:`repro.workload.streaming`) the publishes
 stay memory-mapped and shared, but the shard's request rows are a copy
-in its process's memory (16 bytes per event).  Measured at ``run
---scale 4.0`` (884k events, 2 vCPUs, sampled every 50 ms): streaming,
-one process peaks at 102 MiB RSS / 98 MiB PSS and two at 102 + 90 MiB
-RSS / 148 MiB summed PSS; in memory, 144 / 140 against 125 + 111 / 186.
-Each shard process costs about 45-50 MiB of summed PSS.
+in its process's memory (16 bytes per event); each shard process costs
+about 45-50 MiB of summed PSS (CHANGES.md, PR 34).
 """
 
 from __future__ import annotations
@@ -66,6 +63,7 @@ from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence
 
 from repro.network.topology import Topology
 from repro.obs.log import get_logger
+from repro.obs.profile import Profile, forked_share, send_home
 from repro.obs.recorder import Observer
 from repro.pubsub.matching import TraceMatchCounts
 from repro.sim.rng import RandomStreams
@@ -120,7 +118,8 @@ def shard_eligibility(
 
     Anything that couples proxies through global state makes the
     per-shard replay diverge from the single-process one, so those
-    configurations decline.
+    configurations decline; each layer module's docstring names the
+    state outside their proxy that its wrappers touch.
     """
     if config.chaos is not None:
         return "fault injection shares a global schedule and delivery state"
@@ -197,12 +196,18 @@ class ShardMatchTable:
 _WORKER_CONTEXT: Optional[tuple] = None
 
 
-def _run_shard(index: int) -> SimulationResult:
+def _replay_shard(index: int) -> SimulationResult:
     workload, config, match_table, topology, shards = _WORKER_CONTEXT
     shard = frozenset(shards[index])
     return Simulation(
         workload.for_servers(shard), config, ShardMatchTable(match_table, shard), topology
     ).run()
+
+
+def _run_shard(index: int) -> Tuple[SimulationResult, Optional[Profile]]:
+    """A shard's result, and a forked worker's profile fold when the
+    parent profiles (:func:`repro.obs.profile.forked_share`)."""
+    return forked_share(_replay_shard, index)
 
 
 def fork_declined() -> Optional[str]:
@@ -423,12 +428,18 @@ def run_sharded(
     global _WORKER_CONTEXT
     _WORKER_CONTEXT = (workload, config, match_table, topology, shards)
     count = len(shards)
+    partials: Dict[int, SimulationResult] = {}
+    folds = []
     try:
-        partials = dict(
-            fork_map(_run_shard, count, count, lambda index: f"shard {index} of {count} died")
-        )
+        for index, (partial, fold) in fork_map(
+            _run_shard, count, count, lambda index: f"shard {index} of {count} died"
+        ):
+            partials[index] = partial
+            if fold is not None:
+                folds.append(fold)
     finally:
         _WORKER_CONTEXT = None
+    send_home(folds)
 
     logger.info(
         "merged %d shards (%s)",

@@ -2,10 +2,10 @@
 
 :class:`Simulation` wires together the workload trace, the subscription
 table (eq. 7), the topology-derived fetch costs, one policy instance
-per proxy and the publisher, then replays the lifecycle, publish and
-request streams as one merged static stream (``Simulation._replay``),
-with :class:`repro.sim.Environment` holding only the dynamic events —
-fault transitions and delayed notification copies.  At equal times a
+per proxy and the publisher, then replays the publish and request
+streams as one merged static stream (``Simulation._replay``), with
+:class:`repro.sim.Environment` holding only the dynamic events — fault
+transitions and delayed notification copies.  At equal times a
 publish precedes a request, so a page exists before it is read.
 
 Traffic accounting (§5.6) happens here, not in the policies:
@@ -17,32 +17,13 @@ Traffic accounting (§5.6) happens here, not in the policies:
   in the page/byte counts as in the paper);
 * every cache miss transfers the page from the publisher once.
 
-With a :class:`~repro.faults.spec.ChaosSpec` configured, the run also
-carries a fault schedule whose crash/outage windows are injected as agenda
-callbacks, and the system degrades gracefully instead of assuming
-success:
-
-* a crashed proxy loses its cache (cold restart) and rejects pushes;
-  its users' requests fail over **directly to the origin** at origin
-  cost;
-* origin fetches during a publisher outage retry with capped
-  exponential backoff; exhausted retries are counted as **failed**
-  requests (nothing is placed in the cache — the bytes never arrived);
-* degraded links multiply fetch latency and may lose transfers, each
-  loss costing one extra round trip.
-
-With *delivery* faults configured as well, the push path itself stops
-being reliable: notifications can be lost, duplicated, delayed out of
-order, or routed through a crashed broker shard.  The publisher then
-runs the reliable-delivery protocol of :mod:`repro.system.delivery`
-(sequence numbers, ack-timeout retransmission with capped exponential
-backoff, a bounded retransmit queue), proxies suppress duplicates and
-detect gaps with a :class:`~repro.pubsub.routing.SequenceTracker`, and
-the request path performs lazy **staleness repair**: a cache hit whose
-copy the proxy wrongly believes current is caught by an access-time
-sequence validation and healed with an origin fetch, counted as repair
-traffic rather than a miss.  With repair disabled the proxy silently
-serves the stale copy — the measurable no-protocol baseline.
+Every run replays through one loop (``Simulation._loop``).  Chaos
+(:mod:`repro.faults.gates`), delivery, churn and overload
+(:mod:`repro.system.delivery`, ``lifecycle``, ``overload``) each add
+per-proxy wrappers around the calls it makes, ending in this module's
+settling tails (origin retries with capped backoff, degraded links);
+cooperation (:mod:`repro.system.cooperation`) changes where a miss is
+resolved.
 
 Requests the policies never see (failover and failures) are tallied
 separately and merged into the request totals at collection time, so
@@ -53,7 +34,8 @@ denominator.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.registry import make_policy_lenient
 from repro.faults import LIFECYCLE_STREAM
@@ -62,7 +44,7 @@ from repro.network.topology import Topology, build_topology
 from repro.obs.log import get_logger
 from repro.obs.recorder import NULL_OBSERVER, Observer
 from repro.pubsub.matching import TraceMatchCounts
-from repro.sim.engine import Environment, NORMAL, URGENT
+from repro.sim.engine import Environment, agenda_stream
 from repro.sim.rng import RandomStreams
 from repro.system.config import (
     HIT_LATENCY,
@@ -71,7 +53,7 @@ from repro.system.config import (
     SimulationConfig,
 )
 from repro.system.metrics import SimulationResult, dense_counts
-from repro.system.proxy import ProxyServer
+from repro.system.proxy import SETTLED, ProxyServer
 from repro.system.publisher import Publisher
 from repro.workload.subscriptions import build_match_counts
 from repro.workload.trace import Workload
@@ -97,18 +79,25 @@ RETRY_LIMIT = 4
 RETRY_BASE = 0.5
 RETRY_CAP = 8.0
 
-#: Agenda priority of each static record kind (publish, request,
-#: lifecycle): what a dynamic event at the same instant is compared to.
-_PRIORITY = (URGENT, NORMAL, URGENT)
 
-#: One stage of the request or publish path, called as ``stage(sim,
-#: proxy, server_id, page_id, version, size, match_count, now)``; true
-#: when it settled the request (or push) and the path stops there.  A
-#: request stage takes one more argument, ``held``: the version the
-#: requesting proxy caches (``None``: not cached), probed once by
-#: ``_handle_request``.  Every ``Simulation`` method documented as a
-#: stage has one of the two signatures.
-Stage = Callable[..., bool]
+def _probed(serve, held_version):
+    """The composed request path, given the proxy's one cache probe."""
+
+    def on_request(page_id, version, size, match_count, now):
+        serve(page_id, version, size, match_count, now, held_version(page_id))
+        return SETTLED
+
+    return on_request
+
+
+def _announced(on_publish, obs, server_id):
+    """``on_publish`` announcing the match before any wrapper acts."""
+
+    def announced(page_id, version, size, match_count, now):
+        obs.match(now, page_id, server_id, match_count)
+        return on_publish(page_id, version, size, match_count, now)
+
+    return announced
 
 
 def _outcome_kind(outcome) -> str:
@@ -153,8 +142,9 @@ class Simulation:
     ``config.overload``, lifecycle records on the ``workload`` (churn),
     and ``neighbor_count > 0`` (cooperation: each proxy asks that many
     nearest peers before the origin; 0 is the paper's independent
-    proxies).  An armed layer is one object here and its stages in the
-    request and publish paths, assembled once; a disarmed one is absent.
+    proxies).  An armed layer is one object here and its wrappers around
+    each proxy's publish and request calls, composed once per run
+    (:meth:`_compose`); a disarmed one is absent.
     """
 
     def __init__(
@@ -177,9 +167,8 @@ class Simulation:
         self.workload = workload
         self.config = config
         # Observability is strictly read-only: hooks read state, never
-        # change it or touch RNG streams, and an observed run replays on
-        # the arm an unobserved one takes, so its SimulationResult
-        # (minus wall_seconds) stays bit-identical to an unobserved one.
+        # change it or touch RNG streams, so an observed run's result
+        # (minus wall_seconds) is bit-identical to an unobserved one's.
         self.obs = observer if observer is not None else NULL_OBSERVER
         self._obs_on = self.obs.enabled
         #: Sim time of the handler currently running, for hooks (like
@@ -208,10 +197,13 @@ class Simulation:
             self.proxies.append(ProxyServer(server_id, policy))
 
         self._events_processed = 0
-        #: The invariant cadence (0: off), read once: the handlers skip the
-        #: call to ``_maybe_check_invariants`` when there is nothing to check.
+        #: The invariant cadence (0: off), read once.
         self._check_interval = config.invariant_check_interval
         self._env: Optional[Environment] = None
+
+        # Each layer below is engaged only when armed: a disarmed one
+        # allocates nothing and never derives its RNG stream, so every
+        # other draw stays where it was (bit identity).
 
         # -- fault layer ---------------------------------------------------
         self.chaos: Optional[ChaosSpec] = config.chaos
@@ -242,11 +234,7 @@ class Simulation:
         #: failures) — merged into the request totals at collection.
         self._unserved_by_hour: Dict[int, int] = {}
 
-        # -- overload/backpressure layer -------------------------------------
-        # Engaged only when an OverloadSpec arms at least one part; a
-        # missing or all-default spec allocates nothing here and never
-        # derives the "faults.overload" stream, so the publish/request
-        # paths behave — and draw — exactly as before (bit identity).
+        # -- overload/backpressure layer: a spec arming at least one part
         overload_spec: Optional[OverloadSpec] = config.overload
         self._overload: Optional[OverloadManager] = None
         if overload_spec is not None and overload_spec.enabled:
@@ -259,12 +247,7 @@ class Simulation:
                 rng=derive_overload_rng(overload_spec, streams),
             )
 
-        # -- reliable-delivery layer ---------------------------------------
-        # Engaged only when the push path itself can fail; with every
-        # delivery knob at its default this block allocates nothing and
-        # the publish path below takes exactly the synchronous route,
-        # preserving bit-identity (the "faults.delivery" stream is
-        # never even derived).
+        # -- reliable-delivery layer: the push path itself can fail -----------
         self._delivery: Optional[ReliableDelivery] = None
         if self.fault_schedule is not None and (
             self.chaos.delivery_faulty or self.fault_schedule.has_broker_faults
@@ -280,11 +263,7 @@ class Simulation:
                 observer=self.obs,
             )
 
-        # -- subscription-lifecycle layer -----------------------------------
-        # Engaged only when the workload carries lifecycle events; a
-        # churn-free trace allocates nothing here and never derives the
-        # lifecycle stream, so the publish/request paths below behave —
-        # and draw — exactly as before (bit identity).
+        # -- subscription-lifecycle layer: the workload has lifecycle rows ---
         self._lifecycle: Optional[LifecycleManager] = None
         if workload.lifecycle:
             from repro.system.lifecycle import LifecycleManager
@@ -317,42 +296,6 @@ class Simulation:
             self._peers = Peers(self.topology, int(neighbor_count))
             self._off_proxy = self._peers.fetch
 
-        # -- the request and publish paths, assembled once ---------------------
-        # Plain functions called as ``stage(self, ...)``: bound methods
-        # here would tie the instance into a reference cycle and leave a
-        # finished run to the cyclic collector (docs/architecture.md,
-        # "One request path", trap a).
-        request: List[Stage] = []
-        publish: List[Stage] = []
-        dark: Optional[Tuple[Stage, ...]] = None
-        if self._lifecycle is not None:
-            request.append(Simulation._lifecycle_access)
-            publish.append(Simulation._lease_gate)
-        if self._recovery is not None:
-            request.append(Simulation._proxy_down_failover)
-            dark = (*publish, Simulation._origin_down_gate)
-            if self._delivery is None:
-                # With the protocol engaged a down *proxy* is its
-                # problem: sends fail while it is down and a
-                # retransmission may land after recovery.
-                publish.append(Simulation._proxy_down_gate)
-        if self._overload is not None:
-            request.append(Simulation._pull_admission)
-        if self._delivery is not None:
-            request.append(Simulation._silently_stale)
-            publish.append(Simulation._send_notification)
-        else:
-            if self._overload is not None:
-                publish.append(Simulation._push_admission)
-            publish.append(Simulation._offer_push)
-        request.append(Simulation._serve)
-        #: Tried in order until one settles the request; the last always does.
-        self._request_stages = tuple(request)
-        #: Tried in order, per matched proxy, until one settles the push.
-        self._publish_stages = tuple(publish)
-        #: The publish path while the origin is down (fault layer only).
-        self._dark_publish_stages = dark
-
     # -- fault hooks (called by the FaultInjector) --------------------------
 
     def on_proxy_crash(self, server_id: int, now: float) -> None:
@@ -384,328 +327,47 @@ class Simulation:
         if self._obs_on:
             self.obs.outage_end(now)
 
-    # -- event handlers ---------------------------------------------------
-
-    def _handle_publish(
-        self, page_id: int, version: int, size: int, pairs: tuple, now: float
-    ) -> None:
-        """A publish record: offer the page to each matched ``(server_id,
-        match_count)`` pair through the publish stages."""
-        obs_on = self._obs_on
-        self.publisher.publish(page_id, version, now)
-        if obs_on:
-            self._obs_now = now
-            self.obs.publish(now, page_id, version, size)
-        stages = self._publish_stages
-        dark = self._dark_publish_stages
-        if dark is not None and self.fault_schedule.publisher_down(now):
-            stages = dark
-        proxies = self.proxies
-        for server_id, match_count in pairs:
-            if obs_on:
-                self.obs.match(now, page_id, server_id, match_count)
-            proxy = proxies[server_id]
-            for stage in stages:
-                if stage(self, proxy, server_id, page_id, version, size, match_count, now):
-                    break
-        if self._check_interval:
-            self._maybe_check_invariants()
-
-    def _handle_request(
-        self, server_id: int, page_id: int, size: int, match_count: int, now: float
-    ) -> None:
-        """A request record: walk the request stages until one settles it."""
-        version = self.publisher.current_version(page_id)
-        if version is None:
-            raise RuntimeError(
-                f"request for page {page_id} before its first publication "
-                f"(t={now}); the workload generator guarantees ordering"
-            )
-        proxy = self.proxies[server_id]
-        # The one probe of the requesting proxy's cache: no stage
-        # changes it before the policy call that ends the path.
-        held = proxy.policy.held_version(page_id)
-        if self._obs_on:
-            self._obs_now = now
-            self.obs.request(now, page_id, server_id)
-        for stage in self._request_stages:
-            if stage(
-                self, proxy, server_id, page_id, version, size, match_count, now, held
-            ):
-                break
-        if self._check_interval:
-            self._maybe_check_invariants()
-
-    # -- publish stages (see ``Stage``) ---------------------------------------
-
-    def _lease_gate(
-        self, proxy, server_id, page_id, version, size, match_count, now
-    ) -> bool:
-        """Churn: a cell without a confirmed lease is not notified.
-
-        The proxy keeps serving its cache and repairs state on the next
-        access (:meth:`_lifecycle_access`).
-        """
-        return not self._lifecycle.deliverable(server_id, page_id, now)[0]
-
-    def _origin_down_gate(
-        self, proxy, server_id, page_id, version, size, match_count, now
-    ) -> bool:
-        """Faults: the origin cannot send.  The page stays authoritative
-        there and is fetched on demand later."""
-        self._recovery.pushes_suppressed += 1
-        if self._obs_on:
-            self.obs.push_suppressed(now, page_id, server_id, "origin-down")
-        return True
-
-    def _proxy_down_gate(
-        self, proxy, server_id, page_id, version, size, match_count, now
-    ) -> bool:
-        """Faults without the delivery protocol: a down proxy cannot receive."""
-        if proxy.up:
-            return False
-        self._recovery.pushes_suppressed += 1
-        if self._obs_on:
-            self.obs.push_suppressed(now, page_id, server_id, "proxy-down")
-        return True
-
-    def _push_admission(
-        self, proxy, server_id, page_id, version, size, match_count, now
-    ) -> bool:
-        """Overload: a saturated service queue sheds the push.
-
-        Pushes yield queue room to pulls first.  The cache keeps its
-        old copy and the proxy never learns this version arrived, so
-        the next request takes the ordinary stale-miss path (or, under
-        the delivery protocol, lazy staleness repair): no extra repair
-        machinery is needed here.
-        """
-        if self._overload.admit(server_id, now, True):
-            return False
-        if self._obs_on:
-            self.obs.overload_shed(now, page_id, server_id, "push")
-        return True
+    # -- the settling tails: reached as ``partial(tail, sim, proxy, server_id)``
 
     def _offer_push(
         self, proxy, server_id, page_id, version, size, match_count, now
-    ) -> bool:
+    ):
         """Push-time placement: offer the page, account the transfer."""
         obs_on = self._obs_on
         if obs_on:
             self.obs.push_offer(now, page_id, server_id)
-        outcome = proxy.handle_publish(page_id, version, size, match_count, now)
+        policy = proxy.policy
+        outcome = policy.on_publish(page_id, version, size, match_count, now)
         if obs_on:
             if outcome.stored:
                 self.obs.push_accept(now, page_id, server_id, outcome.refreshed)
             else:
                 self.obs.push_reject(now, page_id, server_id)
         if outcome.stored or (
-            self.config.pushing is PushingScheme.ALWAYS and proxy.policy.uses_push
+            self.config.pushing is PushingScheme.ALWAYS and policy.uses_push
         ):
             self.publisher.record_push_transfer(page_id, now)
-        return True
-
-    # -- reliable delivery ---------------------------------------------------
-
-    def _send_notification(
-        self, proxy, server_id, page_id, version, size, match_count, now
-    ) -> bool:
-        """Delivery: push one notification through the unreliable layer.
-
-        The retransmission protocol is resolved analytically against
-        the fault schedule (:meth:`ReliableDelivery.plan`); surviving
-        copies are scheduled as DES arrival events at the planned time.
-        """
-        plan = self._delivery.send(server_id, page_id, now)
-        if not plan.delivered:
-            return True
-        for at in (plan.arrival_time, plan.duplicate_time):
-            if at is None:
-                continue
-            if at <= now:
-                # Undelayed delivery happens inside the publish handler,
-                # exactly like the reliable (healthy) push path.
-                self._deliver_notification(
-                    server_id, page_id, version, size, match_count, now
-                )
-            else:
-                self._env.schedule(
-                    at,
-                    lambda _env, s=server_id, p=page_id, v=version, z=size, m=match_count: (
-                        self._deliver_notification(s, p, v, z, m, _env.now)
-                    ),
-                    priority=URGENT,
-                )
-        return True
-
-    def _deliver_notification(
-        self,
-        server_id: int,
-        page_id: int,
-        version: int,
-        size: int,
-        match_count: int,
-        t: float,
-    ) -> None:
-        """One notification copy reaches the proxy at time ``t``."""
-        if self._obs_on:
-            self._obs_now = t
-        proxy = self.proxies[server_id]
-        if not proxy.up:
-            self._delivery.lose_at_down_proxy(server_id, page_id, t)
-            return
-        if self._overload is not None and self._push_admission(
-            proxy, server_id, page_id, version, size, match_count, t
-        ):
-            return  # shed before the sequence tracker sees the copy
-        if self._delivery.receive(server_id, page_id, version, t):
-            self._offer_push(proxy, server_id, page_id, version, size, match_count, t)
-            if self._check_interval:
-                self._maybe_check_invariants()
-
-    # -- request stages (see ``Stage``) ---------------------------------------
-
-    def _lifecycle_access(
-        self, proxy, server_id, page_id, version, size, match_count, now, held
-    ) -> bool:
-        """Churn: the access heals lapsed subscription state (re-poll).
-
-        Runs *before* the request is served (and before the silently-
-        stale stage), so a subscriber whose lease silently expired never
-        permanently loses notifications: the re-poll restores a
-        confirmed lease and — with the delivery protocol engaged —
-        teaches the proxy's sequence tracker the current version, which
-        routes a lagging cached copy through the ordinary stale-miss
-        path instead of the silently-stale one.  Never settles.
-        """
-        if self._lifecycle.on_access(server_id, page_id, now) is None:
-            return False
-        if held is not None and held < version:
-            # The missed notifications had real cost: the proxy's copy
-            # is behind the origin at repair time.
-            self._lifecycle.stale_serves += 1
-        if self._delivery is not None:
-            self._delivery.trackers[server_id].learn(page_id, version)
-        return False
-
-    def _proxy_down_failover(
-        self, proxy, server_id, page_id, version, size, match_count, now, held
-    ) -> bool:
-        """Faults: an offline proxy's cache cannot answer; the client
-        fails over directly to the origin at origin cost."""
-        if proxy.up:
-            return False
-        if self._obs_on:
-            self.obs.failover(
-                now, server_id, page_id, target="origin", reason="proxy-down"
-            )
-        self._settle_unserved(
-            proxy, server_id, page_id, now,
-            self._origin_resolution(proxy, server_id, page_id, version, size, now),
-        )
-        return True
-
-    def _pull_admission(
-        self, proxy, server_id, page_id, version, size, match_count, now, held
-    ) -> bool:
-        """Overload: the service queue may refuse the pull.
-
-        A refused pull never reaches the policy (tallied as unserved,
-        keeping the shared denominator) and retries off-proxy exactly
-        like a miss — peer chain first in a cooperative run, then the
-        origin through its admission gate.
-        """
-        if self._overload.admit(server_id, now, False):
-            return False
-        if self._obs_on:
-            self.obs.overload_reject(now, page_id, server_id)
-            self.obs.failover(
-                now, server_id, page_id, target="origin", reason="overload"
-            )
-        self._settle_unserved(
-            proxy, server_id, page_id, now,
-            self._off_proxy(self, proxy, server_id, page_id, version, size, now),
-        )
-        return True
-
-    def _silently_stale(
-        self, proxy, server_id, page_id, version, size, match_count, now, held
-    ) -> bool:
-        """Delivery: a request whose proxy *believes* its copy is current.
-
-        Settles the request when the cached copy is stale but the proxy
-        never learned of the newer version (the notification was lost).
-        With staleness repair enabled the access-time validation catches
-        the miss and heals it with an origin fetch (repair traffic);
-        without it the proxy serves the stale copy as a perfectly
-        ordinary hit — silently wrong.
-
-        Passes the request on when the oracle view and the proxy's view
-        agree (fresh copy, known-stale copy, or page not cached).
-        """
-        cached = self._delivery.believed_current(server_id, held, page_id, version)
-        if cached is None:
-            return False
-        recovery = self._recovery
-        age = self.publisher.staleness_age(page_id, cached, now)
-        waited = 0.0
-        if self.chaos.delivery_repair:
-            # Validation detected the missed push; repair from the origin.
-            recovery.staleness_validations += 1
-            ok, waited = self._origin_wait(now, server_id, page_id)
-            if ok:
-                self.publisher.record_repair(page_id, now)
-                if self._obs_on:
-                    self.obs.repair(now, page_id, server_id, age)
-                recovery.sample_staleness_age(age)
-                fetch_latency, degraded = self._degrade_transfer(
-                    PER_HOP_LATENCY * proxy.policy.cost, server_id, now
-                )
-                self._settle_miss(
-                    proxy, server_id, page_id, version, size, match_count, now,
-                    HIT_LATENCY + waited + fetch_latency,
-                    degraded or waited > 0.0,
-                )
-                return True
-            # Origin unreachable and retries exhausted: degrade to
-            # serving the stale copy rather than failing the request.
-            self._note_degraded(now)
-        # The oracle's books: one silently stale response, with its age
-        # (the no-protocol baseline serves every such copy this way).
-        recovery.on_stale_served(now, age)
-        if self._obs_on:
-            self.obs.stale_served(now, page_id, server_id, age)
-        self._serve_cached(
-            proxy, server_id, page_id, cached, size, match_count, now, waited
-        )
-        return True
+        return SETTLED
 
     def _serve(
         self, proxy, server_id, page_id, version, size, match_count, now, held
-    ) -> bool:
-        """The last stage: answer from the cache or fetch off-proxy.
-
-        ``held`` mirrors ``on_request`` hit detection — every policy
-        reports a hit exactly when the current version is resident — so
-        a miss can be resolved (and can fail, placing nothing) *before*
-        the policy sees the request.  With no layer armed this stage is
-        the whole path: policy call, origin fetch on a miss.
-        """
+    ) -> None:
+        """Answer from the cache or fetch off-proxy.  ``held``, the
+        cached version, mirrors ``on_request`` hit detection, so a miss
+        can be resolved (and can fail, placing nothing) *before* the
+        policy sees the request."""
         if held == version:
-            if self._delivery is not None and self.chaos.delivery_repair:
-                # Access-time validation ran and confirmed freshness.
-                self._recovery.staleness_validations += 1
             self._serve_cached(
                 proxy, server_id, page_id, version, size, match_count, now, 0.0
             )
-            return True
+            return
         resolution = self._off_proxy(self, proxy, server_id, page_id, version, size, now)
         if resolution is not None:
             self._settle_miss(
                 proxy, server_id, page_id, version, size, match_count, now,
                 HIT_LATENCY + resolution[0], resolution[1],
             )
-            return True
+            return
         overload = self._overload
         if overload is not None and overload.bucket is not None and held is not None:
             # Origin admission refused the fetch (breaker open or
@@ -718,13 +380,10 @@ class Simulation:
             self._serve_cached(
                 proxy, server_id, page_id, held, size, match_count, now, 0.0
             )
-            return True
+            return
         # Retries exhausted: the request fails; nothing was placed
         # (the bytes never arrived at the proxy).
         self._settle_unserved(proxy, server_id, page_id, now, None)
-        return True
-
-    # -- request tails ---------------------------------------------------------
 
     def _serve_cached(
         self,
@@ -744,7 +403,7 @@ class Simulation:
         where from the proxy's point of view nothing is wrong; those
         callers keep the oracle's books themselves.
         """
-        proxy.handle_request(page_id, cached_version, size, match_count, now)
+        proxy.policy.on_request(page_id, cached_version, size, match_count, now)
         if self._recovery is not None:
             self._recovery.on_request(server_id, hit=True, now=now)
         latency = HIT_LATENCY + waited
@@ -765,7 +424,7 @@ class Simulation:
         degraded: bool,
     ) -> None:
         """The content arrived from off-proxy: the miss tail."""
-        outcome = proxy.handle_request(page_id, version, size, match_count, now)
+        outcome = proxy.policy.on_request(page_id, version, size, match_count, now)
         if self._delivery is not None:
             # The fetch taught the proxy the current version.
             self._delivery.trackers[server_id].learn(page_id, version)
@@ -916,112 +575,133 @@ class Simulation:
     # -- main entry ----------------------------------------------------------
 
     def _replay(self, env: Environment) -> None:
-        """Drain the static stream (:meth:`Workload.replay_stream
-        <repro.workload.trace.Workload.replay_stream>`) against the
-        dynamic agenda.
-
-        The only replay routine.  Which of its two dispatch arms runs
-        is read off the layers this run has armed, never chosen by a
-        caller, and an observer is not one: with no layer object
-        nothing can reach the agenda or add a stage, so the *inline*
-        arm calls the policies directly, observed or not; otherwise the
-        *staged* arm lets the agenda catch up before each record
-        (:meth:`Environment.run_before`) and dispatches every kind with
-        one call, ``handlers[kind](a, b, c, d, time)``.  Either arm
-        ticks the monitor once per record.
-        """
+        """Drain :meth:`_records` through the one loop, calling the
+        policies directly or — with a layer armed or an observer — the
+        calls :meth:`_compose` builds, held only by these locals so no
+        reference cycle runs through the instance."""
         layers = {
             "chaos": self._recovery,
+            "delivery": self._delivery,
             "churn": self._lifecycle,
             "overload": self._overload,
             "peers": self._peers,
         }
         armed = [name for name, layer in layers.items() if layer is not None]
-        if not armed:
-            logger.debug("replay: inline arm")
-            self._inline_arm(self.workload.replay_stream(self.match_table))
-            return
-        logger.debug("replay: staged arm (%s)", ", ".join(armed))
-        handlers = [self._handle_publish, self._handle_request]
-        if self._lifecycle is not None:
-            # A lifecycle row goes straight to its manager, observed or
-            # not: it changes no cache, so the invariant cadence counts
-            # publishes, requests and delayed notification arrivals — as
-            # the inline arm's does.  Without a manager the stream holds
-            # no kind-2 record.
-            handlers.append(self._lifecycle.on_event)
+        if armed:
+            logger.debug("replay: wrappers (%s)", ", ".join(armed))
+        else:
+            logger.debug("replay: plain")
+        stream = self._records(env)
+        composed = bool(armed) or self._obs_on
+        if composed:
+            on_publish, on_request = self._compose(env)
+            if self._obs_on:
+                stream = self._observed_stream(stream)
+        else:
+            on_publish = [proxy.policy.on_publish for proxy in self.proxies]
+            on_request = [proxy.policy.on_request for proxy in self.proxies]
+        self._loop(stream, on_publish, on_request, settled=composed)
+
+    def _records(self, env: Environment):
+        """The replay stream, merged with the agenda
+        (:func:`~repro.sim.engine.agenda_stream`) when chaos, delivery or
+        churn — the layers that reach it — is armed."""
+        stream = self.workload.replay_stream(self.match_table)
+        lifecycle = self._lifecycle
+        if self._recovery is None and lifecycle is None:
+            return stream
+        on_row = lifecycle.on_event if lifecycle is not None else None
         monitor = self.obs.monitor if self._obs_on else None
-        run_before = env.run_before
-        for at, kind, a, b, c, d in self.workload.replay_stream(self.match_table):
-            run_before(at, _PRIORITY[kind])
-            handlers[kind](a, b, c, d, at)
-            if monitor is not None:
-                monitor.tick(at)
-        env.run()
+        if on_row is not None and monitor is not None:
+            # A lifecycle row is a record too: the monitor counts it.
+            on_event, tick = on_row, monitor.tick
 
-    def _inline_arm(self, stream) -> None:
-        """Replay the stream by calling the policies directly.
+            def on_row(server_id, page_id, kind, lease, now):
+                on_event(server_id, page_id, kind, lease, now)
+                tick(now)
 
-        The per-event work of ``_handle_publish``/``_handle_request`` —
-        publisher bookkeeping, traffic accounting, latency accounting
-        and the invariant cadence — is inlined into the loop body, and
-        all per-proxy state is prefetched into lists indexed by server
-        id.  Equality with the staged arm and with the agenda oracle is
-        enforced by ``tests/system/test_replay_fastpath.py`` and
-        ``tests/system/test_layer_matrix.py``.
+        return agenda_stream(env, stream, on_row)
 
-        An observed run replays through the same loop over observing
-        inputs (:meth:`_observed_stream`, :meth:`_observed_calls`): the
-        events and their order are the staged arm's, and the unobserved
-        loop body carries no observer test.
+    def _compose(self, env: Environment):
+        """Per proxy, the ``(on_publish, on_request)`` the loop calls:
+        the settling tail inside the armed layers' wrappers, outermost
+        first churn, chaos, overload, delivery.  A request wrapper takes
+        ``held`` too, probed once per request before the outermost.
         """
+        factories = []
+        if self._lifecycle is not None:
+            from repro.system.lifecycle import lease_wrappers
+
+            factories.append(lease_wrappers)
+        if self._recovery is not None:
+            from repro.faults.gates import fault_wrappers
+
+            factories.append(fault_wrappers)
+        if self._overload is not None:
+            from repro.system.overload import admission_wrappers
+
+            factories.append(admission_wrappers)
+        if self._delivery is not None:
+            from repro.system.delivery import delivery_wrappers
+
+            factories.append(delivery_wrappers)
+        layers = [factory(self, env) for factory in reversed(factories)]
+        obs = self.obs if self._obs_on else None
+        publish_calls, request_calls = [], []
+        for proxy in self.proxies:
+            server_id = proxy.server_id
+            calls = (
+                partial(Simulation._offer_push, self, proxy, server_id),
+                partial(Simulation._serve, self, proxy, server_id),
+            )
+            for wrap in layers:
+                calls = wrap(proxy, *calls)
+            on_publish, serve = calls
+            if obs is not None:
+                on_publish = _announced(on_publish, obs, server_id)
+            publish_calls.append(on_publish)
+            request_calls.append(_probed(serve, proxy.policy.held_version))
+        return publish_calls, request_calls
+
+    def _loop(self, stream, on_publish, on_request, settled: bool) -> None:
+        """One iteration per publish or request record, with publisher,
+        traffic, latency and invariant bookkeeping inlined.  With
+        ``settled`` every call settles its record and returns
+        :data:`~repro.system.proxy.SETTLED`: the hit latency is ``0.0``
+        (adding it is exact) and no rejected push transfers, so the loop
+        counts nothing for it and its body has no branch for the case."""
         workload = self.workload
-        config = self.config
         proxies = self.proxies
         publisher = self.publisher
 
-        # Publisher state, bypassing its per-call validation helpers
-        # (the checks themselves are kept inline below).
+        # Publisher state; its validation is kept inline below.
         versions = publisher._versions
         publish_times = publisher._publish_times
         push_pages = publisher.push_pages_by_hour
         push_bytes = publisher.push_bytes_by_hour
         fetch_pages = publisher.fetch_pages_by_hour
         fetch_bytes = publisher.fetch_bytes_by_hour
-        publish_count = workload.publish_count
-        request_count = workload.request_count
 
-        # Per-proxy columns: bound policy entry points, whether a
-        # rejected push still transfers (Always-Pushing with a
+        # Whether a rejected push still transfers (Always-Pushing with a
         # push-capable policy), and the miss latency beyond HIT_LATENCY.
-        on_publish = [proxy.policy.on_publish for proxy in proxies]
-        on_request = [proxy.policy.on_request for proxy in proxies]
-        always = config.pushing is PushingScheme.ALWAYS
-        transfer_rejected = [
-            always and proxy.policy.uses_push for proxy in proxies
-        ]
-        hit_latency = HIT_LATENCY
+        if self.config.pushing is PushingScheme.ALWAYS and not settled:
+            transfer_rejected = [proxy.policy.uses_push for proxy in proxies]
+        else:
+            transfer_rejected = [False] * len(proxies)
+        hit_latency = 0.0 if settled else HIT_LATENCY
         miss_latency = [PER_HOP_LATENCY * proxy.policy.cost for proxy in proxies]
-        if self._obs_on:
-            stream = self._observed_stream(stream)
-            on_publish, on_request = zip(
-                *map(self._observed_calls, proxies, miss_latency)
-            )
         versions_get = versions.get
-        interval = config.invariant_check_interval
+        interval = self._check_interval
         events = self._events_processed
         # Response time accumulates per proxy (each proxy's additions
         # happen in its own event order), so a sharded run merging
         # per-proxy values reproduces the total bit-for-bit.
         response_time = [0.0] * len(proxies)
 
-        # One C-level iteration per trace event; the invariant cadence
-        # only pays its counter when enabled.
         for now, kind, a, b, size, m in stream:
             if kind:
                 # -- one request at server ``a`` for page ``b`` with
-                #    match count ``m`` (see _handle_request, fault-free
-                #    path)
+                #    match count ``m``
                 version = versions_get(b)
                 if version is None:
                     raise RuntimeError(
@@ -1039,7 +719,7 @@ class Simulation:
                     response_time[a] += hit_latency + miss_latency[a]
             else:
                 # -- one publish of page ``a`` version ``b`` to match
-                #    pairs ``m`` (see _handle_publish, fault-free path)
+                #    pairs ``m``
                 previous = versions_get(a, -1)
                 if b != previous + 1:
                     raise ValueError(
@@ -1068,14 +748,12 @@ class Simulation:
                     for proxy in proxies:
                         proxy.check_invariants()
 
-        self._events_processed += publish_count + request_count
+        self._events_processed += workload.publish_count + workload.request_count
         for proxy, latency in zip(proxies, response_time):
             proxy.stats.response_time += latency
 
     def _observed_stream(self, stream):
-        """``stream`` with each record announced as the staged arm's
-        handlers and loop announce it: the handler time stamped,
-        ``publish`` or ``request`` emitted, the monitor ticked."""
+        """``stream``, each record announced and the monitor ticked."""
         obs = self.obs
         publish, request = obs.publish, obs.request
         tick = obs.monitor.tick if obs.monitor is not None else None
@@ -1089,35 +767,6 @@ class Simulation:
             if tick is not None:
                 tick(now)
             yield record
-
-    def _observed_calls(self, proxy: ProxyServer, miss_latency: float):
-        """``proxy``'s ``(on_publish, on_request)`` for the inline arm of
-        an observed run: the policy call, with the events
-        :meth:`_offer_push` and :meth:`_serve` emit around it."""
-        obs = self.obs
-        server_id = proxy.server_id
-        policy = proxy.policy
-        offer, serve, held_version = policy.on_publish, policy.on_request, policy.held_version
-
-        def on_publish(page_id, version, size, match_count, now):
-            obs.match(now, page_id, server_id, match_count)
-            obs.push_offer(now, page_id, server_id)
-            outcome = offer(page_id, version, size, match_count, now)
-            if outcome.stored:
-                obs.push_accept(now, page_id, server_id, outcome.refreshed)
-            else:
-                obs.push_reject(now, page_id, server_id)
-            return outcome
-
-        def on_request(page_id, version, size, match_count, now):
-            if held_version(page_id) != version:
-                obs.fetch(now, page_id, server_id)  # before the evictions it causes
-            outcome = serve(page_id, version, size, match_count, now)
-            latency = HIT_LATENCY if outcome.hit else HIT_LATENCY + miss_latency
-            obs.request_outcome(now, page_id, server_id, _outcome_kind(outcome), latency)
-            return outcome
-
-        return on_publish, on_request
 
     def run(self) -> SimulationResult:
         """Replay the whole trace and collect the metrics (once)."""
@@ -1153,8 +802,8 @@ class Simulation:
             FaultInjector(self.fault_schedule).install(env, self)
         self._replay(env)
         if self._obs_on:
-            # The inline arm never advances the agenda's clock; the
-            # last record's time is the handler time it stamped.
+            # Without a layer that reaches the agenda its clock never
+            # moves; the last record's time is the handler time stamped.
             obs.run_end(
                 max(env.now, self._obs_now),
                 cache_used_bytes=sum(

@@ -140,8 +140,8 @@ class TestEngineWiring:
         "chaos", [None, ChaosSpec(proxy_mtbf=4 * 3600.0)], ids=["inline", "staged"]
     )
     def test_replay_ticks_monitor_once_per_static_record(self, chaos):
-        """Either arm ticks once per record of the static stream; the
-        staged arm's dynamic events (here, crashes and restarts) are
+        """The loop ticks once per record of the static stream, plain or
+        layered; the agenda's dynamic events (here, crashes and restarts) are
         not records and tick nothing."""
         monitor = RunMonitor(interval=1e9, sink=io.StringIO(), check_every=1)
         workload = make_trace("news", scale=0.01, seed=3)

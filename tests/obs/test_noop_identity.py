@@ -4,7 +4,7 @@ Runs with no observer, with the explicit :class:`NullObserver`, and
 with every sink on (tracing, metrics, time series and the live monitor)
 must all produce the same :class:`SimulationResult` — excluding the two
 fields documented as timing artefacts (``wall_seconds``, ``profile``) —
-*and replay on the same arm*, on both a healthy run and a chaos run.
+*and compose the same wrappers*, on both a healthy run and a chaos run.
 The full-observer chaos run doubles as the taxonomy-coverage check:
 every event type the simulator can emit under faults must actually
 appear in the trace.
@@ -73,7 +73,7 @@ def _run(workload, observer, chaos=None, strategy="sg2"):
 
 
 def _replayed(caplog, workload, observer, chaos=None):
-    """``(comparable result, replay-arm log lines)`` of one run."""
+    """``(comparable result, replay: log lines)`` of one run."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="repro.system"):
         result = _run(workload, observer, chaos)
@@ -90,7 +90,7 @@ def test_full_observer_is_bit_identical_healthy(workload, caplog):
     baseline = _replayed(caplog, workload, observer=None)
     observer = _full_observer()
     assert _replayed(caplog, workload, observer=observer) == baseline
-    assert baseline[1] == ["replay: inline arm"]
+    assert baseline[1] == ["replay: plain"]
     assert observer.monitor.events == workload.publish_count + workload.request_count
 
 
@@ -115,7 +115,7 @@ def test_full_observer_is_bit_identical_under_chaos(workload, caplog):
     baseline = _replayed(caplog, workload, observer=None, chaos=CHAOS)
     observer = _full_observer()
     assert _replayed(caplog, workload, observer=observer, chaos=CHAOS) == baseline
-    assert baseline[1] == ["replay: staged arm (chaos)"]
+    assert baseline[1] == ["replay: wrappers (chaos)"]
 
     # Taxonomy coverage: everything a non-cooperative chaos run can
     # emit must actually show up (peer_fetch needs cooperation; see

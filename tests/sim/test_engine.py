@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Environment, SimulationError, URGENT, NORMAL
+from repro.sim.engine import Environment, SimulationError, URGENT, NORMAL, agenda_stream
 
 
 def test_clock_starts_at_zero():
@@ -108,18 +108,21 @@ def test_nested_scheduling_from_callback():
     assert seen == [("outer", 1.0), ("inner", 2.0)]
 
 
-# -- run_before: a pre-sorted static stream against the agenda ------------
+# -- agenda_stream: a pre-sorted static stream against the agenda ---------
+
+#: A record kind per priority: a request sorts at NORMAL, a publish at URGENT.
+KIND = {URGENT: 0, NORMAL: 1}
 
 
 def drain(env, stream):
-    """Replay ``(time, priority, fn)`` records the way the driver does."""
-    for at, priority, fn in stream:
-        env.run_before(at, priority)
+    """Replay ``(time, priority, fn)`` records the way the driver does:
+    through the agenda stream, each yielded record handled in order."""
+    records = ((at, KIND[priority], fn, 0, 0, 0) for at, priority, fn in stream)
+    for at, _kind, fn, *_rest in agenda_stream(env, records):
         fn(at)
-    env.run()
 
 
-def test_run_before_orders_static_vs_dynamic_events():
+def test_agenda_stream_orders_static_vs_dynamic_events():
     """A static record wins a full (time, priority) tie against a
     dynamic event — it would have held the lower sequence number had it
     been scheduled up front — but priority still beats being static."""
@@ -150,7 +153,7 @@ def test_run_before_orders_static_vs_dynamic_events():
     ]
 
 
-def test_run_before_sets_the_clock_and_leaves_later_events():
+def test_agenda_stream_sets_the_clock_and_leaves_later_events():
     env = Environment()
     seen = []
     env.schedule(10.0, lambda e: seen.append(e.now))
@@ -161,8 +164,23 @@ def test_run_before_sets_the_clock_and_leaves_later_events():
     assert env.now == 10.0
 
 
-def test_run_before_rejects_a_record_in_the_past():
+def test_agenda_stream_rejects_a_record_in_the_past():
     env = Environment()
-    env.run_before(5.0, NORMAL)
     with pytest.raises(SimulationError, match="back in time"):
-        env.run_before(1.0, NORMAL)
+        drain(env, [(5.0, NORMAL, lambda t: None), (1.0, NORMAL, lambda t: None)])
+
+
+def test_agenda_stream_hands_lifecycle_rows_over_and_yields_the_rest():
+    """A kind-2 row sorts at URGENT, goes to ``on_row`` with its time
+    and is not yielded; the dynamic event it ties with at NORMAL runs
+    after it."""
+    env = Environment()
+    seen = []
+    env.schedule(1.0, lambda e: seen.append(("dyn", e.now)), priority=NORMAL)
+    records = [
+        (1.0, 2, "server", "page", "kind", "lease"),
+        (1.0, 1, "request", 0, 0, ()),
+    ]
+    yielded = list(agenda_stream(env, records, lambda *row: seen.append(row)))
+    assert seen == [("server", "page", "kind", "lease", 1.0), ("dyn", 1.0)]
+    assert yielded == [records[1]]

@@ -4,10 +4,12 @@ record-based stream builder (:func:`record_stream`, at the end).
 Every trace record becomes one heap-scheduled callback and the DES loop
 pops them all: lifecycle records first, then publishes, then requests,
 so at equal ``(time, priority)`` their sequence numbers reproduce the
-driver's tie rule.  Nothing here shares code with ``Simulation._replay``
-or ``Workload.replay_stream``; the handlers and everything below them are
-the production ones, which is the point — the oracle checks the driver,
-not the layers.
+driver's tie rule.  A popped lifecycle record goes to the manager; a
+popped publish or request is yielded to the one replay loop.  Nothing
+here shares code with ``Simulation._records`` (the agenda stream) or
+``Workload.replay_stream``; the loop, the wrappers and everything below
+them are the production ones, which is the point — the oracle checks
+the driver's merge, not the layers.
 """
 
 import heapq
@@ -30,9 +32,10 @@ def _lifecycle_row(record):
 
 
 class _AgendaReplay:
-    def _replay(self, env):
+    def _records(self, env):
         sizes = {page.page_id: page.size for page in self.workload.pages}
         vector = self.match_table.match_vector
+        popped = []
         for record in self.workload.lifecycle:
             env.schedule(
                 record.time,
@@ -44,20 +47,23 @@ class _AgendaReplay:
         for event in self.workload.publishes:
             env.schedule(
                 event.time,
-                lambda _env, p=event.page_id, v=event.version: (
-                    self._handle_publish(p, v, sizes[p], vector(p), _env.now)
+                lambda _env, p=event.page_id, v=event.version: popped.append(
+                    (_env.now, 0, p, v, sizes[p], vector(p))
                 ),
                 priority=URGENT,
             )
         for record in self.workload.requests:
             env.schedule(
                 record.time,
-                lambda _env, s=record.server_id, p=record.page_id: (
-                    self._handle_request(s, p, sizes[p], dict(vector(p)).get(s, 0), _env.now)
+                lambda _env, s=record.server_id, p=record.page_id: popped.append(
+                    (_env.now, 1, s, p, sizes[p], dict(vector(p)).get(s, 0))
                 ),
                 priority=NORMAL,
             )
-        env.run()
+        while env.peek() != float("inf"):
+            env.step()
+            if popped:
+                yield popped.pop()
 
 
 class AgendaSimulation(_AgendaReplay, Simulation):

@@ -1,4 +1,4 @@
-"""The staged arm pays once per record: one probe, and a call budget.
+"""The composed calls pay once per record: one probe, and a call budget.
 
 The first two tests replay the all-five-layers cell of the layer matrix
 (the one ``test_layer_digest.py`` pins) and all three are deterministic
@@ -6,7 +6,7 @@ The first two tests replay the all-five-layers cell of the layer matrix
 *one* ``held_version`` probe of the requesting proxy per request; the
 second holds ``repro.system`` to a number of Python calls per replayed
 record, so a change that adds a hop per event is caught here, not three
-PRs later on the benchmark (docs/architecture.md, "One request path").
+PRs later on the benchmark (docs/architecture.md, "One loop").
 The third holds a warm grid to no simulation at all.
 """
 
@@ -29,12 +29,13 @@ from tests.system.test_layer_matrix import (
 SYSTEM_DIR = os.path.join("repro", "system") + os.sep
 
 #: ``repro/system`` function calls per replayed record on this cell.  An
-#: upper bound, about 10 % above the 7.37 (154,076 / 20,901) measured on
-#: CPython 3.11 when it was set — 7.69 while the handlers looked size and
-#: matches up per record, 11.92 before the staged arm probed once; 3.12
-#: inlines comprehensions and counts fewer.  Raise it only with a
-#: benchmark run that shows the calls were worth it.
-SYSTEM_CALLS_PER_RECORD = 8.1
+#: upper bound, about 10 % above the 5.88 (122,878 / 20,901) measured on
+#: CPython 3.11 when it was set — 7.37 while the layers ran as stage
+#: tuples behind per-kind handlers (their fault gates, now in
+#: ``repro/faults``, no longer count here), 11.92 before the request path
+#: probed once; 3.12 inlines comprehensions and counts fewer.  Raise it
+#: only with a benchmark run that shows the calls were worth it.
+SYSTEM_CALLS_PER_RECORD = 6.5
 
 
 def all_layers(trace):
@@ -73,17 +74,25 @@ def test_each_request_probes_its_proxy_once(churned):
         instrument(proxy.server_id, proxy.policy)
 
     handled = [0]
-    handle_request = simulation._handle_request
+    compose = simulation._compose
 
-    def counted_request(server_id, page_id, size, match_count, now):
-        handled[0] += 1
-        requesting[0] = server_id
-        before = own_probes[0]
-        handle_request(server_id, page_id, size, match_count, now)
-        assert own_probes[0] == before + 1, (server_id, page_id, now)
-        requesting[0] = None
+    def counted(server_id, on_request):
+        def request(page_id, version, size, match_count, now):
+            handled[0] += 1
+            requesting[0] = server_id
+            before = own_probes[0]
+            outcome = on_request(page_id, version, size, match_count, now)
+            assert own_probes[0] == before + 1, (server_id, page_id, now)
+            requesting[0] = None
+            return outcome
 
-    simulation._handle_request = counted_request
+        return request
+
+    def counted_compose(env):
+        on_publish, on_request = compose(env)
+        return on_publish, list(map(counted, range(len(on_request)), on_request))
+
+    simulation._compose = counted_compose
     result = simulation.run()
 
     assert handled[0] == own_probes[0] == churned.request_count

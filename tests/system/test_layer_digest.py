@@ -1,13 +1,13 @@
 """Pinned whole-result digests of every layer combination.
 
 ``tests/system/test_layer_matrix.py`` compares the replay driver with
-an oracle that shares the production handlers, so it checks the driver
-and not the layers; ``tests/system/test_result_digest.py`` pins every
+an oracle that shares the production loop and wrappers, so it checks
+the driver and not the layers; ``tests/system/test_result_digest.py`` pins every
 result field but arms a layer in only two of its 38 cases and never
 overload.  This module closes the gap: the driver run of each of the 32
 ``COMBINATIONS`` x ``config_for`` cells of the matrix (imported, not
 copied) plus its two streaming rows, reduced to the same ``digest()``.
-Any change to what a layer handler counts, draws or serves shows here.
+Any change to what a layer wrapper counts, draws or serves shows here.
 
 The values were recorded at commit 6e2ed96 (the parent of PR 16), from
 unmodified source, before the request and publish paths were rebuilt

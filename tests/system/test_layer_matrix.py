@@ -5,10 +5,11 @@ and outages), delivery faults, subscription churn, overload and
 cooperation — at smoke scale with the invariant checks on, each
 asserting that ``Simulation._replay`` and the heap-scheduling oracle of
 ``tests/system/_reference.py`` agree on every result field except the
-two timing artefacts.  The all-off cell runs the driver's inline arm,
-the other 31 its staged arm, and nothing but the run's own layers
-selects between them: this is the test that shows the selection needs
-no knob.  Two more rows replay a streaming trace, one per arm.
+two timing artefacts.  The all-off cell calls the policies directly,
+the other 31 the wrappers their layers compose, and nothing but the
+run's own layers selects them: this is the test that shows the
+selection needs no knob.  Two more rows replay a streaming trace, plain
+and layered.
 """
 
 import itertools
@@ -102,14 +103,18 @@ def run_pair(trace, on):
     "on", COMBINATIONS, ids=lambda on: "+".join(sorted(on)) or "none"
 )
 def test_driver_equals_oracle(workload, churned, on, caplog):
-    with caplog.at_level(logging.DEBUG, logger="repro.system"):
+    with caplog.at_level(logging.DEBUG, logger="repro"):
         driver, oracle = run_pair(churned if "churn" in on else workload, on)
     assert stripped(driver) == stripped(oracle)
     # The oracle would share an accounting bug; the conservation laws do not.
     assert check_result(driver, workload.request_count) == []
-    arms = [r.getMessage() for r in caplog.records if r.getMessage().startswith("replay:")]
-    assert len(arms) == 1  # the oracle never reaches the driver
-    assert arms[0].startswith("replay: staged arm" if on else "replay: inline arm")
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("replay")]
+    # Both feed the one loop the same wrappers; only the driver builds
+    # the production stream (the oracle never reaches its merge).
+    wrappers = [line for line in lines if line.startswith("replay:")]
+    assert wrappers == [wrappers[0]] * 2
+    assert wrappers[0].startswith("replay: wrappers (" if on else "replay: plain")
+    assert sum(line.startswith("replay stream:") for line in lines) == 1
     # Each armed layer actually bites, so the cell tests what it names.
     if "chaos" in on:
         assert driver.proxy_crashes > 0
@@ -129,8 +134,8 @@ def test_driver_equals_oracle(workload, churned, on, caplog):
     ids=["inline", "staged"],
 )
 def test_streaming_driver_equals_materialised_oracle(workload, churned, on):
-    """A streaming trace goes through the same two arms, merged lazily,
-    and lands on the oracle's result for the materialised twin."""
+    """A streaming trace goes through the same loop, merged lazily, and
+    lands on the oracle's result for the materialised twin."""
     streaming = generate_streaming_workload(
         news_config(scale=SCALE), RandomStreams(SEED), label="news"
     )

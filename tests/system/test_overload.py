@@ -295,7 +295,7 @@ def test_fault_schedule_unchanged_by_overload(workload):
 
 
 def test_engines_agree_with_overload_armed(workload):
-    """Overload alone arms the staged arm; it matches the oracle."""
+    """Overload alone arms its wrappers; the run matches the oracle."""
     config = SimulationConfig(strategy="gdstar", overload=HARSH)
     driver = run_simulation(workload, config)
     assert driver.overload_pulls_rejected > 0

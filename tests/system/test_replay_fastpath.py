@@ -3,12 +3,12 @@
 ``Simulation._replay`` must produce a :class:`SimulationResult`
 identical — every field except ``wall_seconds``/``profile`` — to
 :class:`tests.system._reference.AgendaSimulation`, which heap-schedules
-every trace record: across every strategy, both pushing schemes (the
-driver's inline arm), and under chaos plus delivery faults (its staged
-arm, where dynamic DES events interleave with the static records).
+every trace record: across every strategy, both pushing schemes (plain
+runs), and under chaos plus delivery faults (where dynamic DES events
+interleave with the static records).
 ``tests/system/test_layer_matrix.py`` extends this to every layer
-combination; the ordering rules of ``Environment.run_before`` are
-tested in ``tests/sim/test_engine.py``.
+combination; the ordering rules of ``agenda_stream`` are tested in
+``tests/sim/test_engine.py``.
 """
 
 import dataclasses

@@ -198,12 +198,12 @@ def test_run_logs_which_replay_arm_ran_and_why(workload, caplog):
         ]
 
     plain = SimulationConfig(strategy="sg2", capacity_fraction=0.05)
-    assert arm_of(Simulation(workload, plain)) == ["replay: inline arm"]
-    # An observer is not a layer: observed or not, a plain cell replays
-    # on the inline arm.
+    assert arm_of(Simulation(workload, plain)) == ["replay: plain"]
+    # An observer is not a layer: observed or not, a plain cell arms no
+    # wrapper.
     for observer in (NullObserver(), Observer(tracer=EventTracer())):
         assert arm_of(Simulation(workload, plain, observer=observer)) == [
-            "replay: inline arm"
+            "replay: plain"
         ]
     layered = SimulationConfig(
         strategy="sg2",
@@ -214,5 +214,5 @@ def test_run_logs_which_replay_arm_ran_and_why(workload, caplog):
         workload, layered, neighbor_count=2, observer=Observer(tracer=EventTracer())
     )
     assert arm_of(observed) == [
-        "replay: staged arm (chaos, peers)"
+        "replay: wrappers (chaos, peers)"
     ]

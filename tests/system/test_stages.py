@@ -1,17 +1,21 @@
-"""The request and publish paths are assembled once, from what is armed.
+"""Each proxy's publish and request calls are composed once, from what
+is armed.
 
-A layer that is off is *absent* — no object on the simulation, no stage
-in either path — rather than guarded by a flag; each layer adds exactly
-its own stages; and nothing in the assembly ties the simulation into a
-reference cycle (docs/architecture.md, "One request path", trap a).
+A layer that is off is *absent* — no object on the simulation, no
+wrapper around either call — rather than guarded by a flag; each layer
+adds exactly its own wrappers, in one order; and nothing in the
+composition ties the simulation into a reference cycle
+(docs/architecture.md, "One loop", trap a).
 """
 
 import gc
+import importlib
 import logging
 import weakref
 
 import pytest
 
+from repro.sim.engine import Environment
 from repro.system.config import SimulationConfig
 from repro.system.cooperation import CooperativeSimulation
 from repro.system.simulator import Simulation
@@ -31,11 +35,47 @@ def armed(simulation):
     return {name for name in LAYER_OBJECTS if getattr(simulation, name) is not None}
 
 
+#: Each layer's wrapper factory, by the module ``_compose`` imports it from.
+FACTORIES = {
+    "repro.system.lifecycle": "lease_wrappers",
+    "repro.faults.gates": "fault_wrappers",
+    "repro.system.overload": "admission_wrappers",
+    "repro.system.delivery": "delivery_wrappers",
+}
+
+
+def chain(simulation):
+    """The composed ``(publish, request)`` wrapper names of the first
+    proxy, outermost first, as the layers' factories return them."""
+    names = ([], [])
+
+    def recording(factory):
+        def built(sim, env):
+            wrap = factory(sim, env)
+
+            def recorded(proxy, *calls):
+                wrapped = wrap(proxy, *calls)
+                if proxy.server_id == 0:
+                    for side, new, old in zip(names, wrapped, calls):
+                        if new is not old:
+                            side.insert(0, new.__name__)
+                return wrapped
+
+            return recorded
+
+        return built
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module_name, name in FACTORIES.items():
+            module = importlib.import_module(module_name)
+            patch.setattr(module, name, recording(getattr(module, name)))
+        simulation._compose(Environment())
+    return tuple(names[0]), tuple(names[1])
+
+
 def test_vanilla_path_is_one_stage_and_no_layer_object(workload):
     simulation = Simulation(workload, PLAIN)
-    assert simulation._request_stages == (S._serve,)
-    assert simulation._publish_stages == (S._offer_push,)
-    assert simulation._dark_publish_stages is None
+    assert chain(simulation) == ((), ())
     assert simulation._off_proxy is S._origin_resolution
     assert armed(simulation) == set()
 
@@ -43,46 +83,37 @@ def test_vanilla_path_is_one_stage_and_no_layer_object(workload):
 def test_each_layer_adds_exactly_its_own_stages(workload, churned):
     churn = Simulation(churned, PLAIN)
     assert armed(churn) == {"_lifecycle"}
-    assert churn._request_stages == (S._lifecycle_access, S._serve)
-    assert churn._publish_stages == (S._lease_gate, S._offer_push)
-    assert churn._dark_publish_stages is None
+    assert chain(churn) == (("lease_gate",), ("repoll",))
 
     chaos = Simulation(workload, config_for({"chaos"}))
     assert armed(chaos) == {"_recovery"}
-    assert chaos._request_stages == (S._proxy_down_failover, S._serve)
-    assert chaos._publish_stages == (S._proxy_down_gate, S._offer_push)
-    assert chaos._dark_publish_stages == (S._origin_down_gate,)
+    assert chain(chaos) == (("fault_gate",), ("failover",))
 
     delivery = Simulation(workload, config_for({"delivery"}))
     assert armed(delivery) == {"_recovery", "_delivery"}
-    assert delivery._request_stages == (
-        S._proxy_down_failover, S._silently_stale, S._serve,
+    assert chain(delivery) == (
+        ("fault_gate", "send_notification"),
+        ("failover", "silently_stale"),
     )
-    assert delivery._publish_stages == (S._send_notification,)
 
     overload = Simulation(workload, config_for({"overload"}))
     assert armed(overload) == {"_overload"}
-    assert overload._request_stages == (S._pull_admission, S._serve)
-    assert overload._publish_stages == (S._push_admission, S._offer_push)
+    assert chain(overload) == (("push_admission",), ("pull_admission",))
 
     peers = Simulation(workload, PLAIN, neighbor_count=3)
     assert armed(peers) == {"_peers"}
-    assert peers._request_stages == (S._serve,)
+    assert chain(peers) == ((), ())
     assert peers._off_proxy == peers._peers.fetch
 
 
 def test_all_layers_compose_in_order(churned):
     everything = CooperativeSimulation(churned, config_for(set(LAYERS)))
     assert armed(everything) == set(LAYER_OBJECTS)
-    assert everything._request_stages == (
-        S._lifecycle_access,
-        S._proxy_down_failover,
-        S._pull_admission,
-        S._silently_stale,
-        S._serve,
+    # Under the delivery protocol a push is admitted where it arrives.
+    assert chain(everything) == (
+        ("lease_gate", "fault_gate", "send_notification"),
+        ("repoll", "failover", "pull_admission", "silently_stale"),
     )
-    assert everything._publish_stages == (S._lease_gate, S._send_notification)
-    assert everything._dark_publish_stages == (S._lease_gate, S._origin_down_gate)
 
 
 def test_zero_neighbors_is_the_plain_run(workload, caplog):
@@ -91,14 +122,14 @@ def test_zero_neighbors_is_the_plain_run(workload, caplog):
     assert simulation._off_proxy is S._origin_resolution
     with caplog.at_level(logging.DEBUG, logger="repro.system"):
         simulation.run()
-    assert "replay: inline arm" in [record.getMessage() for record in caplog.records]
+    assert "replay: plain" in [record.getMessage() for record in caplog.records]
 
 
 @pytest.mark.parametrize("layered", [False, True], ids=["plain", "all-layers"])
 def test_a_finished_run_is_freed_by_reference_count(workload, churned, layered):
-    """No cycle through the stage tuples or the peers object: with the
-    cyclic collector off, dropping the last name frees the simulation
-    (a tuple of *bound* stage methods on the instance would not)."""
+    """No cycle through the composed wrappers or the peers object: with
+    the cyclic collector off, dropping the last name frees the
+    simulation (wrappers kept on the instance would not)."""
     gc.collect()
     gc.disable()
     try:

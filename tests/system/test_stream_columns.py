@@ -3,12 +3,12 @@
 ``Workload.replay_stream`` keeps an in-memory, churn-free trace merged
 as columns on the workload — five the trace alone decides (time an
 ``array('d')``, kind a ``bytes``, three lists), one ``d`` list per match
-table — and hands both arms ``zip`` over them.  Held here: the tie rule
+table — and hands every run ``zip`` over them.  Held here: the tie rule
 on a hand-built trace and on generated ones, what is shared between
-cells and arms and what a copy or a pickle inherits (nothing), what the
-memo costs in bytes, what ``-vv`` says about it, and that an id the
-workload does not have or a time that is no instant ends in one
-``ValueError`` before any lookup array is indexed.
+cells, plain or layered, and what a copy or a pickle inherits
+(nothing), what the memo costs in bytes, what ``-vv`` says about it,
+and that an id the workload does not have or a time that is no instant
+ends in one ``ValueError`` before any lookup array is indexed.
 """
 
 import copy
@@ -211,9 +211,10 @@ def test_cells_share_the_base_columns_and_add_one_match_column(news, caplog):
 
 
 def test_the_staged_arm_builds_the_memo_the_inline_arm_reads(news, caplog):
-    """Both arms replay the one memoised stream: a staged run of a fresh
-    churn-free trace (cooperation armed) builds the match column, and a
-    later inline cell under the same table finds everything built."""
+    """Layered and plain runs replay the one memoised stream: a run of a
+    fresh churn-free trace with cooperation's wrappers builds the match
+    column, and a later plain cell under the same table finds
+    everything built."""
     workload = dataclasses.replace(news)
     with caplog.at_level(logging.DEBUG, logger="repro"):
         staged = Simulation(workload, CONFIG, neighbor_count=1)
@@ -225,9 +226,9 @@ def test_the_staged_arm_builds_the_memo_the_inline_arm_reads(news, caplog):
         for record in caplog.records
         if record.getMessage().startswith("replay")
     ] == [
-        "replay: staged arm (peers)",
+        "replay: wrappers (peers)",
         f"replay stream: built base columns ({rows} rows) + match column",
-        "replay: inline arm",
+        "replay: plain",
         "replay stream: memo hit",
     ]
 

@@ -815,11 +815,13 @@ def parser_surface():
 #: the layer flag families were generated from a table; ``run`` re-pinned
 #: when ``--profile`` became cProfile per package (its help string, the
 #: only row that moved), and again when ``--workers`` left (its row gone,
-#: and ``--profile``'s help now naming the shard it covers).  Regenerate with
+#: and ``--profile``'s help now naming the shard it covers), and again
+#: when the profile came to sum every shard process (that help string).
+#: Regenerate with
 #: ``PYTHONPATH=src python -m tests.test_cli`` after an intended change.
 PARSER_SURFACE = {
     "": (2, "248e6226eeeacee0f143aece2383acd593b1e49ac28d03e6228b5193c09dde00"),
-    "run": (36, "5f7c78223fd03a4298c4ae62be33d45015b830af02016c2f0d74acffc1676129"),
+    "run": (36, "7be03bce5c0f32b6115ff627d41a461b6d5cec6e4d730209bc5ef162a2a74f54"),
     "figure": (8, "d50d2caa6c833481d9bfb758943ab9b06e7a99e512694516bbd5cc6f9fc02bdf"),
     "table": (7, "bb9f5ada394a86acc26dac41708c314ca2db22be1c2376be082a9787ba8dff99"),
     "sweep-beta": (7, "d9176865c10fd283fd2ade1b0afab3ee64e263ad6547b674837c69c8e42d210b"),

@@ -36,7 +36,7 @@ UNUSED_BY_A_VANILLA_RUN = [
     f"repro.{package}.{module}"
     for package, modules in {
         "system": "lifecycle overload delivery sharding cooperation",
-        "faults": "generator injector recovery schedule",
+        "faults": "generator injector recovery schedule gates",
         "workload": "churn streaming validate",
         "obs": "registry tracer timeseries monitor explain inspect",
         "experiments": "figures tables chaos sensitivity calibrate report reportgen svg",
