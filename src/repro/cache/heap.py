@@ -138,12 +138,10 @@ class AddressableHeap:
         and ``None`` is returned.
 
         The rollback re-pushes in pop order, each record taking a
-        *fresh* sequence number, so rolled-back keys move behind every
-        equal-priority key that stayed — tie order is part of the
-        simulation's results, and this renumbering with it.  Only a
-        reject whose very first probe finds nothing cheap enough
-        leaves the heap as it was (dead records skimmed off the top
-        aside).
+        *fresh* sequence number.  A reject has popped every live record
+        below ``threshold`` (every one, without it), so no equal-priority
+        key stayed behind and the pop order after a rollback is the pop
+        order before it: only sequence numbers move.
 
         Skim, peek and pop run inline on the backing list; ``compact``
         rebuilds that list in place, so the alias held here survives a

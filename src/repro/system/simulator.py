@@ -566,7 +566,8 @@ class Simulation:
         self._degraded_by_hour[hour] = self._degraded_by_hour.get(hour, 0) + 1
 
     def _maybe_check_invariants(self) -> None:
-        """Count one handled event; callers guard on ``_check_interval``."""
+        """Count one handled event (a record or a notification arrival);
+        callers guard on ``_check_interval``."""
         self._events_processed += 1
         if self._events_processed % self._check_interval == 0:
             for proxy in self.proxies:
@@ -670,7 +671,6 @@ class Simulation:
         :data:`~repro.system.proxy.SETTLED`: the hit latency is ``0.0``
         (adding it is exact) and no rejected push transfers, so the loop
         counts nothing for it and its body has no branch for the case."""
-        workload = self.workload
         proxies = self.proxies
         publisher = self.publisher
 
@@ -692,7 +692,6 @@ class Simulation:
         miss_latency = [PER_HOP_LATENCY * proxy.policy.cost for proxy in proxies]
         versions_get = versions.get
         interval = self._check_interval
-        events = self._events_processed
         # Response time accumulates per proxy (each proxy's additions
         # happen in its own event order), so a sharded run merging
         # per-proxy values reproduces the total bit-for-bit.
@@ -743,12 +742,9 @@ class Simulation:
                             push_pages[hour] = push_pages.get(hour, 0) + 1
                             push_bytes[hour] = push_bytes.get(hour, 0) + size
             if interval:
-                events += 1
-                if events % interval == 0:
-                    for proxy in proxies:
-                        proxy.check_invariants()
+                # One counter with the notification arrivals it schedules.
+                self._maybe_check_invariants()
 
-        self._events_processed += workload.publish_count + workload.request_count
         for proxy, latency in zip(proxies, response_time):
             proxy.stats.response_time += latency
 

@@ -215,7 +215,6 @@ class Workload:
     #: live in RAM).  Copies share it; replay reads it only to decide
     #: whether it may retain a merged copy of the trace.
     spool: Optional[object] = field(default=None, repr=False, compare=False)
-    _request_pairs: List[Tuple[int, int]] = _memo(list)
     _pair_counts: Optional[Dict[Tuple[int, int], int]] = _memo()
     #: The merged replay stream, retained as columns (:meth:`replay_stream`):
     #: the five the trace alone decides — time as an ``array('d')``, kind as
@@ -257,15 +256,13 @@ class Workload:
     def request_pairs(self) -> List[Tuple[int, int]]:
         """(page_id, server_id) per request, in request order.
 
-        The public per-request form of eq. 7's input; everything in the
-        package reads the aggregated :meth:`pair_counts` instead.
+        The public per-request form of eq. 7's input, built on each call
+        and owned by the caller: kept on the trace, its one tuple per
+        request would outlive every use.  Everything in the package
+        reads the aggregated :meth:`pair_counts` instead.
         """
-        if not self._request_pairs:
-            rows = self.requests.rows
-            self._request_pairs = list(
-                zip(rows["page_id"].tolist(), rows["server_id"].tolist())
-            )
-        return self._request_pairs
+        rows = self.requests.rows
+        return list(zip(rows["page_id"].tolist(), rows["server_id"].tolist()))
 
     def pair_counts(self) -> Dict[Tuple[int, int], int]:
         """``(page_id, server_id) → request count`` over the whole trace.

@@ -1,6 +1,8 @@
 """Tests for the addressable min-heap."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.entry import CacheEntry
 from repro.cache.heap import AddressableHeap
@@ -156,9 +158,10 @@ def test_pop_cheaper_unconditional_ignores_priorities():
 
 def test_pop_cheaper_rollback_renumbers_in_pop_order():
     """A failed attempt re-pushes what it popped with fresh sequence
-    numbers, so rolled-back keys queue up behind equal-priority keys
-    that were never popped.  Tie order decides evictions: this is part
-    of the result format, not an implementation detail."""
+    numbers, in pop order; a key its caller pushes back after a success
+    queues up behind equal-priority keys that were never popped.  Tie
+    order decides evictions: this is part of the result format, not an
+    implementation detail."""
     heap, entries = _sized_heap({"a": 1.0, "b": 1.0, "c": 1.0, "d": 9.0})
     assert heap._sequence == 4
     # a and b are cheaper than 1.5 ... c too, but d is not: 40 bytes fail.
@@ -173,6 +176,59 @@ def test_pop_cheaper_rollback_renumbers_in_pop_order():
     heap.push("b", 1.0)
     # c was never popped and now precedes both.
     assert [heap.pop()[0] for _ in range(3)] == ["c", "a", "b"]
+
+
+class _ReadOnlyRejectHeap(AddressableHeap):
+    """Decides an attempt before popping anything, so a rejected attempt
+    leaves the heap exactly as it was."""
+
+    __slots__ = ()
+
+    def pop_cheaper(self, needed, threshold, entries):
+        cheap = sum(
+            entries[key].size
+            for key, priority in self.items()
+            if threshold is None or priority < threshold
+        )
+        if cheap < needed:
+            return None
+        return super().pop_cheaper(needed, threshold, entries)
+
+
+_heap_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.integers(0, 11), st.sampled_from([1.0, 2.0, 3.0])),
+        st.tuples(st.just("discard"), st.integers(0, 11)),
+        st.tuples(st.just("pop")),
+        st.tuples(
+            st.just("pop_cheaper"),
+            st.integers(0, 60),
+            st.sampled_from([None, 1.5, 2.0, 2.5, 3.5]),
+        ),
+    ),
+    max_size=80,
+)
+
+
+@given(_heap_operations)
+@settings(max_examples=200, deadline=None)
+def test_a_rollback_keeps_every_pairwise_order(operations):
+    """A rejected attempt popped every live record cheaper than the
+    threshold (all of them, unconditionally), so no equal-valued record
+    stayed behind and re-pushing in pop order changes no pop order: a
+    heap whose rejects are no-ops answers every call the same way."""
+    entries = {key: _entry(key, 5 * (1 + key % 4)) for key in range(12)}
+    heaps = (AddressableHeap(), _ReadOnlyRejectHeap())
+    for name, *args in operations:
+        if name == "pop_cheaper":
+            args.append(entries)
+        if name == "pop" and not len(heaps[0]):
+            continue
+        real, read_only = (getattr(heap, name)(*args) for heap in heaps)
+        assert real == read_only
+    assert [heaps[0].pop() for _ in range(len(heaps[0]))] == [
+        heaps[1].pop() for _ in range(len(heaps[1]))
+    ]
 
 
 def test_equal_valued_pages_follow_the_tie_rule():

@@ -123,6 +123,28 @@ def test_invariant_cadence_is_every_nth_handled_event(workload):
     assert swept_at == [3, 6]
 
 
+def test_records_and_notification_arrivals_share_one_cadence(workload):
+    """A replayed record and an arriving notification each count once on
+    the same counter, so interval k sweeps (records + arrivals) // k times."""
+    interval = 7
+    simulation = Simulation(
+        workload,
+        SimulationConfig(
+            strategy="sg2",
+            capacity_fraction=0.05,
+            invariant_check_interval=interval,
+            chaos=ChaosSpec(delivery_loss_probability=0.2, delivery_reorder_delay=30.0),
+        ),
+    )
+    sweeps = []
+    simulation.proxies[0].check_invariants = lambda: sweeps.append(None)
+    simulation.run()
+    arrivals = simulation._delivery.delivered
+    records = workload.publish_count + workload.request_count
+    assert arrivals > 0
+    assert len(sweeps) == (records + arrivals) // interval
+
+
 def test_simulation_exposes_proxies(workload):
     simulation = Simulation(
         workload, SimulationConfig(strategy="sg2", capacity_fraction=0.05)

@@ -267,13 +267,13 @@ def test_memo_costs_a_double_a_byte_and_four_pointers_an_event(news):
 def test_a_memoised_workload_pickles_without_its_memo(news):
     workload = dataclasses.replace(news)
     result = Simulation(workload, CONFIG).run()
-    workload.request_pairs()
+    workload.pair_counts()
     assert workload._stream_columns is not None and workload._match_columns
     shard = workload.for_servers([0, 1])
     for clone in (pickle.loads(pickle.dumps(workload)), copy.deepcopy(workload)):
         assert clone == workload and clone is not workload
         assert clone._stream_columns is None and clone._match_columns == {}
-        assert clone._request_pairs == [] and clone._pair_counts is None
+        assert clone._pair_counts is None
         assert digest(Simulation(clone, CONFIG).run()) == digest(result)
     # What a shard knows of its fleet is not a memo of its own rows.
     assert pickle.loads(pickle.dumps(shard)).capacities(0.05) == shard.capacities(0.05)

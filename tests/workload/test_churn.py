@@ -1,5 +1,7 @@
 """The churn generator: determinism, validation, sorting, round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,23 @@ class TestGeneration:
         assert stats["subscribe"] >= 3
         total = sum(stats[kind] for kind in LIFECYCLE_KINDS)
         assert total == stats["events"]
+
+    def test_generation_costs_at_most_3_5_tables(self):
+        """The transient is C arrays, one unsorted and one sorted table and
+        the sort order (2.4 tables measured); three lists of boxed floats
+        made it 5.4 tables."""
+        generate_churn(PAIRS, DAY, spec(), np.random.default_rng(0))  # lazy imports
+        pairs = [(page, server) for page in range(50) for server in range(8)]
+        tracemalloc.start()
+        try:
+            rows = generate_churn(
+                pairs, 7 * DAY, spec(lease_duration=3 * HOUR), np.random.default_rng(5)
+            ).rows
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) > 20_000
+        assert peak <= 3.5 * rows.nbytes
 
 
 class TestSpecValidation:

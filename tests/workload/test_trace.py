@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 from itertools import chain
 
 import numpy as np
@@ -55,23 +56,34 @@ def test_versions_ordered_per_page(small_trace):
         last_version[event.page_id] = event.version
 
 
-def test_request_pairs_cached(small_trace):
-    pairs = small_trace.request_pairs()
-    assert len(pairs) == small_trace.request_count
-    assert small_trace.request_pairs() is pairs
+def test_request_pairs_are_built_on_each_call(small_trace):
+    """The trace keeps no per-request list: two calls return equal lists,
+    and once the caller drops its list the memory is back."""
+    trace = dataclasses.replace(small_trace)
+    pairs = trace.request_pairs()
+    assert len(pairs) == trace.request_count
+    assert trace.request_pairs() == pairs
+    del pairs
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        pairs = trace.request_pairs()
+        held, _ = tracemalloc.get_traced_memory()
+        del pairs
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held - before > 32 * trace.request_count
+    # What stays is CPython's free list of 2-tuples (2,000 of them).
+    assert after - before < (held - before) / 4
 
 
-def test_request_pairs_memo_not_shared_by_replace_copies(small_trace):
-    """A ``dataclasses.replace`` copy with different requests must not
-    inherit the original's memoized pairs (regression: the memo used to
-    be an init field, so copies carried a stale list)."""
-    small_trace.request_pairs()  # populate the memo
+def test_a_replace_copy_reports_its_own_request_pairs(small_trace):
+    small_trace.request_pairs()
     copy = dataclasses.replace(
         small_trace, requests=small_trace.requests[: 10]
     )
-    pairs = copy.request_pairs()
-    assert len(pairs) == 10
-    assert pairs == [
+    assert copy.request_pairs() == [
         (record.page_id, record.server_id) for record in copy.requests
     ]
 
