@@ -67,13 +67,6 @@ class AddressableHeap:
         if heap_size >= _COMPACT_FLOOR and heap_size > 2 * len(self._live):
             self.compact()
 
-    #: ``update`` is an alias — push already overwrites.
-    update = push
-
-    def remove(self, key: Hashable) -> None:
-        """Remove ``key``; raises KeyError if absent."""
-        del self._live[key]
-
     def discard(self, key: Hashable) -> None:
         """Remove ``key`` if present."""
         self._live.pop(key, None)
@@ -180,10 +173,6 @@ class AddressableHeap:
     def keys(self):
         """Live keys (arbitrary order)."""
         return self._live.keys()
-
-    def items(self):
-        """Live (key, priority) pairs (arbitrary order)."""
-        return ((key, record[0]) for key, record in self._live.items())
 
     def compact(self) -> None:
         """Rebuild the backing list, dropping all dead records.

@@ -83,35 +83,3 @@ class CacheStats:
     def record_eviction(self, size: int) -> None:
         self.evictions += 1
         self.bytes_evicted += size
-
-    def merged_with(self, other: "CacheStats") -> "CacheStats":
-        """Return a new CacheStats with counters summed."""
-        merged = CacheStats(
-            requests=self.requests + other.requests,
-            hits=self.hits + other.hits,
-            stale_hits=self.stale_hits + other.stale_hits,
-            bytes_served_local=self.bytes_served_local + other.bytes_served_local,
-            bytes_fetched=self.bytes_fetched + other.bytes_fetched,
-            pages_fetched=self.pages_fetched + other.pages_fetched,
-            pages_pushed_stored=self.pages_pushed_stored + other.pages_pushed_stored,
-            pages_pushed_rejected=(
-                self.pages_pushed_rejected + other.pages_pushed_rejected
-            ),
-            bytes_pushed=self.bytes_pushed + other.bytes_pushed,
-            evictions=self.evictions + other.evictions,
-            bytes_evicted=self.bytes_evicted + other.bytes_evicted,
-            response_time=self.response_time + other.response_time,
-        )
-        for bucket, count in self.bucketed_requests.items():
-            merged.bucketed_requests[bucket] = count
-        for bucket, count in other.bucketed_requests.items():
-            merged.bucketed_requests[bucket] = (
-                merged.bucketed_requests.get(bucket, 0) + count
-            )
-        for bucket, count in self.bucketed_hits.items():
-            merged.bucketed_hits[bucket] = count
-        for bucket, count in other.bucketed_hits.items():
-            merged.bucketed_hits[bucket] = (
-                merged.bucketed_hits.get(bucket, 0) + count
-            )
-        return merged

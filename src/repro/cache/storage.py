@@ -46,10 +46,6 @@ class CacheStorage:
     def free_bytes(self) -> int:
         return self.capacity_bytes - self._used_bytes
 
-    def fits(self, size: int) -> bool:
-        """Whether ``size`` bytes fit without any eviction."""
-        return size <= self.free_bytes
-
     def resize(self, new_capacity: int) -> None:
         """Change the capacity (used by the adaptive dual-cache split).
 
@@ -63,10 +59,6 @@ class CacheStorage:
                 f"used={self._used_bytes}"
             )
         self.capacity_bytes = int(new_capacity)
-
-    def can_ever_fit(self, size: int) -> bool:
-        """Whether ``size`` bytes could fit even with a full purge."""
-        return size <= self.capacity_bytes
 
     # -- content ---------------------------------------------------------------
 
@@ -117,12 +109,6 @@ class CacheStorage:
         if self.listener is not None:
             self.listener("remove", entry)
         return entry
-
-    def pop_if_present(self, page_id: int) -> Optional[CacheEntry]:
-        """Remove the entry if cached; return it or None."""
-        if page_id in self._entries:
-            return self.remove(page_id)
-        return None
 
     def clear(self) -> None:
         self._entries.clear()

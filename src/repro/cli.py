@@ -93,22 +93,31 @@ def _configure_artifact_cache(args: argparse.Namespace) -> Optional[int]:
     if not args.no_artifact_cache:
         directory = args.artifact_cache or os.environ.get("REPRO_ARTIFACT_CACHE") or None
     if directory is not None:
-        reason = None
-        if os.path.exists(directory) and not os.path.isdir(directory):
-            reason = "not a directory"
-        else:
-            try:
-                os.makedirs(directory, exist_ok=True)
-            except OSError as error:
-                reason = f"cannot create it ({error.strerror or error})"
-            else:
-                if not os.access(directory, os.W_OK):
-                    reason = "directory is not writable"
-        if reason is not None:
-            print(f"cannot use --artifact-cache {directory}: {reason}", file=sys.stderr)
-            return 2
+        error = _reject_unusable_directory("--artifact-cache", directory)
+        if error is not None:
+            return error
     set_default_artifact_dir(directory)
     return None
+
+
+def _reject_unusable_directory(option: str, directory: str) -> Optional[int]:
+    """Create ``directory`` for ``option``'s files; exit code 2 and one
+    line when that fails or it cannot be written, before any work."""
+    reason = None
+    if os.path.exists(directory) and not os.path.isdir(directory):
+        reason = "not a directory"
+    else:
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as error:
+            reason = f"cannot create it ({error.strerror or error})"
+        else:
+            if not os.access(directory, os.W_OK):
+                reason = "directory is not writable"
+    if reason is None:
+        return None
+    print(f"cannot use {option} {directory}: {reason}", file=sys.stderr)
+    return 2
 
 
 def _trace_for(args: argparse.Namespace):
@@ -378,6 +387,12 @@ def _validate_cell_args(args: argparse.Namespace) -> None:
     seeds = getattr(args, "seeds", None)
     if seeds is not None and seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    prefix = getattr(args, "prefix", None)
+    if prefix is not None and not 0.0 < prefix <= 1.0:
+        raise ValueError(f"prefix must be in (0, 1], got {prefix}")
     if getattr(args, "beta", None) is not None:
         check_beta(args.beta)
     # run's and chaos's observability numbers, refused before any trace
@@ -448,7 +463,6 @@ def _write_svg(panels, number: str, directory: str) -> None:
     from repro.experiments.figures import CAPACITIES, SQS
     from repro.experiments.svg import figure_to_svg
 
-    os.makedirs(directory, exist_ok=True)
     for panel in panels:
         if number in ("3", "4"):
             columns = [f"{int(c * 100)}%" for c in CAPACITIES]
@@ -468,6 +482,10 @@ def _write_svg(panels, number: str, directory: str) -> None:
 def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.experiments.figures import figure3, figure4, figure5, figure6, figure7
 
+    if args.svg:
+        error = _reject_unusable_directory("--svg", args.svg)
+        if error is not None:
+            return error
     number = args.number
     if number == "3":
         panels = [figure3(scale=args.scale, seed=args.seed)]
@@ -530,6 +548,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.reportgen import generate_report
 
+    error = _reject_unusable_directory("--output", args.output)
+    if error is not None:
+        return error
     written = generate_report(args.output, scale=args.scale, seed=args.seed)
     for path in written:
         print(f"wrote {path}")

@@ -151,18 +151,14 @@ class Policy(ABC):
     def held_version(self, page_id: int) -> Optional[int]:
         """Version cached for ``page_id``; ``None`` when it is absent.
 
-        The only abstract introspection method — :meth:`contains` and
-        :meth:`cached_version` derive from it — and side-effect free:
-        the simulator asks once per request, before any accounted
-        ``on_request`` call, and builds its degraded paths on the answer
+        The only abstract introspection method — :meth:`cached_version`
+        derives from it — and side-effect free: the simulator asks once
+        per request, before any accounted ``on_request`` call, and
+        builds its degraded paths on the answer
         (hit probing under faults, peer lookups in the cooperative
         extension, the overload layer's serve-stale mode) without
         touching recency or placement state.
         """
-
-    def contains(self, page_id: int) -> bool:
-        """Whether any version of ``page_id`` is currently cached."""
-        return self.held_version(page_id) is not None
 
     def cached_version(self, page_id: int) -> int:
         """Version cached for ``page_id``; raises KeyError when absent."""

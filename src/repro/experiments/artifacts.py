@@ -182,21 +182,6 @@ class ArtifactCache:
             artifact = self.create(kind, params, generate, serialize)
         return artifact
 
-    def clear(self) -> int:
-        """Delete every stored artifact; returns how many were removed."""
-        removed = 0
-        if not os.path.isdir(self.root):
-            return removed
-        for kind in os.listdir(self.root):
-            directory = os.path.join(self.root, kind)
-            if not os.path.isdir(directory):
-                continue
-            for name in os.listdir(directory):
-                if name.endswith(".json"):
-                    os.unlink(os.path.join(directory, name))
-                    removed += 1
-        return removed
-
 
 # -- typed artifact accessors (the keys the experiment runner uses) --------
 

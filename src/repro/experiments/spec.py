@@ -51,16 +51,6 @@ class ExperimentGrid:
             for pushing in self.pushing_schemes
         ]
 
-    @property
-    def cell_count(self) -> int:
-        return (
-            len(self.traces)
-            * len(self.strategies)
-            * len(self.capacities)
-            * len(self.sqs)
-            * len(self.pushing_schemes)
-        )
-
 
 @dataclass
 class GridResult:

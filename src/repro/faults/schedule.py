@@ -92,11 +92,6 @@ class _Timeline:
             return self.windows[index]
         return None
 
-    def next_clear(self, time: float) -> float:
-        """Earliest instant >= ``time`` not inside any window."""
-        window = self.at(time)
-        return window.end if window is not None else time
-
     @property
     def total_duration(self) -> float:
         return sum(window.duration for window in self.windows)
@@ -156,10 +151,6 @@ class FaultSchedule:
     def publisher_down(self, at: float) -> bool:
         return self._publisher.at(at) is not None
 
-    def publisher_back_at(self, at: float) -> float:
-        """Earliest instant >= ``at`` with the publisher reachable."""
-        return self._publisher.next_clear(at)
-
     def broker_down(self, broker_id: int, at: float) -> bool:
         """Whether push-path broker ``broker_id`` is down at ``at``."""
         timeline = self._brokers.get(broker_id)
@@ -186,14 +177,6 @@ class FaultSchedule:
     def outage_windows(self) -> List[Window]:
         return list(self._publisher.windows)
 
-    def broker_crash_windows(self) -> List[Tuple[int, Window]]:
-        """All (broker_id, window) crash pairs, by broker then time."""
-        return [
-            (broker, window)
-            for broker in sorted(self._brokers)
-            for window in self._brokers[broker].windows
-        ]
-
     # -- summary stats -----------------------------------------------------
 
     @property
@@ -211,10 +194,6 @@ class FaultSchedule:
     @property
     def broker_crash_count(self) -> int:
         return sum(len(timeline) for timeline in self._brokers.values())
-
-    @property
-    def broker_downtime_seconds(self) -> float:
-        return sum(t.total_duration for t in self._brokers.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

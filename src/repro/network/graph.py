@@ -44,10 +44,6 @@ class Graph:
     def node_count(self) -> int:
         return len(self._adjacency)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(neighbors) for neighbors in self._adjacency.values()) // 2
-
     def nodes(self) -> Iterator[int]:
         return iter(self._adjacency)
 

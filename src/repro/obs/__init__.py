@@ -46,7 +46,7 @@ if TYPE_CHECKING:
         Counter, DEFAULT_LATENCY_BUCKETS, Gauge, Histogram, MetricsRegistry, escape_help,
         escape_label_value,
     )
-    from repro.obs.timeseries import TimeSeriesCollector, read_series_jsonl
+    from repro.obs.timeseries import TimeSeriesCollector
     from repro.obs.tracer import EVENT_TYPES, EventTracer, read_jsonl
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "EVENT_TYPES",
     "read_jsonl",
     "TimeSeriesCollector",
-    "read_series_jsonl",
     "RunMonitor",
     "rss_bytes",
     "PageExplanation",
@@ -86,6 +85,6 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "Counter", "DEFAULT_LATENCY_BUCKETS", "Gauge", "Histogram", "MetricsRegistry",
         "escape_help", "escape_label_value",
     ),
-    "timeseries": ("TimeSeriesCollector", "read_series_jsonl"),
+    "timeseries": ("TimeSeriesCollector",),
     "tracer": ("EVENT_TYPES", "EventTracer", "read_jsonl"),
 })

@@ -10,7 +10,6 @@ plus an addition, cheap enough for simulation hot paths.
 
 from __future__ import annotations
 
-import json
 import re
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -108,9 +107,6 @@ class Gauge:
 
     def inc(self, amount: float = 1.0) -> None:
         self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
 
 
 class Histogram:
@@ -265,33 +261,6 @@ class MetricsRegistry:
                 lines.append(f"{name}_sum{labelset} {_fmt(instrument.sum)}")
                 lines.append(f"{name}_count{labelset} {instrument.count}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def as_dict(self) -> Dict[str, Dict]:
-        """One JSON-serialisable entry per instrument (keyed by name plus
-        canonical labelset, so labelled siblings don't collide)."""
-        out: Dict[str, Dict] = {}
-        for key in sorted(self._instruments):
-            instrument = self._instruments[key]
-            entry: Dict[str, object]
-            if isinstance(instrument, Counter):
-                entry = {"type": "counter", "value": instrument.value}
-            elif isinstance(instrument, Gauge):
-                entry = {"type": "gauge", "value": instrument.value}
-            else:
-                entry = {
-                    "type": "histogram",
-                    "buckets": list(instrument.buckets),
-                    "cumulative_counts": instrument.cumulative_counts(),
-                    "sum": instrument.sum,
-                    "count": instrument.count,
-                }
-            if instrument.labels:
-                entry["labels"] = dict(instrument.labels)
-            out[key] = entry
-        return out
-
-    def render_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
 
 
 def _fmt(value: float) -> str:

@@ -32,7 +32,7 @@ convention as :func:`repro.system.metrics.dense_clamped`).
 from __future__ import annotations
 
 import json
-from typing import Dict, IO, List, Optional, Tuple, Union
+from typing import Dict, IO, List, Optional, Union
 
 
 class Window:
@@ -157,59 +157,6 @@ class TimeSeriesCollector:
         """The retained windows, oldest first, as plain dicts."""
         return [w.as_dict(self.window_seconds) for w in self._windows]
 
-    def counter_series(self, name: str) -> List[Tuple[int, float]]:
-        """``(window_index, value)`` pairs of one counter, oldest first."""
-        return [
-            (w.index, w.counters[name])
-            for w in self._windows
-            if name in w.counters
-        ]
-
-    def gauge_series(self, name: str) -> List[Tuple[int, float]]:
-        """``(window_index, last value)`` pairs of one gauge."""
-        return [
-            (w.index, w.gauges[name]) for w in self._windows if name in w.gauges
-        ]
-
-    def dense_counter(self, name: str, window_count: int) -> List[float]:
-        """Counter values for windows ``0..window_count-1``, zero-filled.
-
-        Out-of-range windows clamp into the boundary buckets — the same
-        no-drop convention as the result layer's hourly series, so a
-        window series with ``window_seconds=3600`` is directly
-        comparable to ``SimulationResult.hourly_*``.
-        """
-        if window_count <= 0:
-            return []
-        out = [0.0] * window_count
-        last = window_count - 1
-        for index, value in self.counter_series(name):
-            out[min(max(index, 0), last)] += value
-        return out
-
-    def ratio_series(self, numerator: str, denominator: str) -> List[Tuple[int, float]]:
-        """Per-window ``numerator/denominator`` (e.g. hit ratio).
-
-        Windows where the denominator is absent or zero yield 0.0, so a
-        quiet window reads as a flat spot, not a gap.
-        """
-        out = []
-        for window in self._windows:
-            denom = window.counters.get(denominator, 0.0)
-            num = window.counters.get(numerator, 0.0)
-            out.append((window.index, num / denom if denom else 0.0))
-        return out
-
-    def as_dict(self) -> Dict[str, object]:
-        """The whole collector, JSON-serialisable."""
-        return {
-            "window_seconds": self.window_seconds,
-            "max_windows": self.max_windows,
-            "spilled": self.spilled,
-            "clamped": self.clamped,
-            "windows": self.windows(),
-        }
-
     # -- output -----------------------------------------------------------------
 
     def write_jsonl(self, sink: Union[str, IO[str]]) -> int:
@@ -248,18 +195,3 @@ class TimeSeriesCollector:
 
     def __exit__(self, *_exc) -> None:
         self.close()
-
-
-def read_series_jsonl(path: str) -> List[Dict[str, object]]:
-    """Load a per-window JSONL series file back into window dicts."""
-    windows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                windows.append(json.loads(line))
-            except json.JSONDecodeError as error:
-                raise ValueError(f"{path}:{line_number}: bad series line: {error}")
-    return windows

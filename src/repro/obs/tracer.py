@@ -119,10 +119,6 @@ class EventTracer:
         """The ring buffer's current contents, oldest first."""
         return list(self._ring) if self._ring is not None else []
 
-    def events_for_page(self, page_id: int) -> List[Dict[str, object]]:
-        """Replay one page's buffered life, in event order."""
-        return [e for e in self.events() if e.get("page") == page_id]
-
     def close(self) -> None:
         """Flush and (if the tracer opened it) close the JSONL sink."""
         if self._file is not None:

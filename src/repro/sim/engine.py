@@ -49,12 +49,6 @@ class Environment:
         """Current virtual time."""
         return self._now
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if the agenda is empty."""
-        if not self._agenda:
-            return float("inf")
-        return self._agenda[0][0]
-
     def step(self) -> None:
         """Process exactly one event (advance the clock to it)."""
         if not self._agenda:

@@ -18,7 +18,7 @@ if TYPE_CHECKING:
     from repro.system.config import SimulationConfig, PushingScheme
     from repro.system.publisher import Publisher
     from repro.system.proxy import ProxyServer
-    from repro.system.metrics import SimulationResult, HourlySeries
+    from repro.system.metrics import SimulationResult
     from repro.system.simulator import Simulation, run_simulation
     from repro.system.cooperation import CooperativeSimulation, run_cooperative_simulation
 
@@ -28,7 +28,6 @@ __all__ = [
     "Publisher",
     "ProxyServer",
     "SimulationResult",
-    "HourlySeries",
     "Simulation",
     "run_simulation",
     "CooperativeSimulation",
@@ -39,7 +38,7 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "config": ("SimulationConfig", "PushingScheme"),
     "publisher": ("Publisher",),
     "proxy": ("ProxyServer",),
-    "metrics": ("SimulationResult", "HourlySeries"),
+    "metrics": ("SimulationResult",),
     "simulator": ("Simulation", "run_simulation"),
     "cooperation": ("CooperativeSimulation", "run_cooperative_simulation"),
 })

@@ -59,6 +59,8 @@ DELIVERY_BACKOFF_CAP = 30.0
 #: (the overload-shedding path).
 DELIVERY_QUEUE_LIMIT = 1024
 
+INF = float("inf")
+
 
 def capped_backoff(base: float, cap: float, attempt: int) -> float:
     """Exponential backoff for retry ``attempt`` (0-based), capped:
@@ -92,6 +94,49 @@ def retry_instants(
             backoff = overload.jitter_backoff(backoff)
         at += backoff
         yield attempt + 1, at, backoff
+
+
+class RetryQueue:
+    """A bounded queue of retries in flight: the instants at which they
+    resolve, on a min-heap drained lazily (its owner offers work in
+    nondecreasing time order).  The publisher keeps one for its
+    retransmissions; the lifecycle layer keeps one per proxy for its
+    handshake retries.  An owner calls :meth:`drain` only once ``due``
+    has passed, which keeps the common case free of a call.
+    """
+
+    __slots__ = ("limit", "_pending", "peak", "due")
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self._pending: List[float] = []
+        #: Largest number of retries in flight at once.
+        self.peak = 0
+        #: When the next slot frees (``inf`` while the queue is empty).
+        self.due = INF
+
+    def __len__(self) -> int:
+        return len(self._pending)
+
+    @property
+    def full(self) -> bool:
+        return len(self._pending) >= self.limit
+
+    def drain(self, now: float) -> None:
+        """Free the slots of retries resolved by ``now``."""
+        pending = self._pending
+        while pending and pending[0] <= now:
+            heapq.heappop(pending)
+        self.due = pending[0] if pending else INF
+
+    def admit(self, resolve_at: float) -> None:
+        """Hold one slot until ``resolve_at``."""
+        pending = self._pending
+        heapq.heappush(pending, resolve_at)
+        if len(pending) > self.peak:
+            self.peak = len(pending)
+        if resolve_at < self.due:
+            self.due = resolve_at
 
 
 class DeliveryPlan(NamedTuple):
@@ -128,10 +173,8 @@ class DeliveryPlan(NamedTuple):
 class ReliableDelivery:
     """Delivery protocol state of one run, both ends of the push path.
 
-    Publisher side: the bounded retransmit queue (a min-heap of
-    resolution times — entries are drained lazily because the simulator
-    plans notifications in nondecreasing time order) and the dedicated
-    delivery RNG stream.  Proxy side: one
+    Publisher side: the bounded retransmit :class:`RetryQueue` and the
+    dedicated delivery RNG stream.  Proxy side: one
     :class:`~repro.pubsub.routing.SequenceTracker` per proxy.  The
     object counts and traces what happens on the path it models and
     writes those counters into the result itself (:meth:`collect`).
@@ -156,9 +199,7 @@ class ReliableDelivery:
         #: ``None`` (the default) keeps the protocol byte-identical to
         #: the pre-overload behaviour.
         self._overload = overload
-        #: Resolution times of notifications still occupying a
-        #: retransmit-queue slot.
-        self._pending: List[float] = []
+        self.retransmits = RetryQueue(DELIVERY_QUEUE_LIMIT)
         self.trackers = [SequenceTracker() for _ in range(proxy_count)]
         #: Where the delivery events go (never near RNG); None if unobserved.
         self._obs = observer if observer is not None and observer.enabled else None
@@ -169,11 +210,6 @@ class ReliableDelivery:
         self.loss_events = 0
         self.retransmitted = 0
         self.queue_overflows = 0
-
-    @property
-    def pending_retransmits(self) -> int:
-        """Retransmit-queue slots currently occupied."""
-        return len(self._pending)
 
     def _send_lost(self, server_id: int, broker_id: int, at: float) -> bool:
         """Whether one send at time ``at`` fails to reach the proxy.
@@ -203,7 +239,7 @@ class ReliableDelivery:
         obs = self._obs
         if obs is not None:
             obs.notification_sent(now, page_id, server_id)
-            obs.queue_depth(now, "retransmit", len(self._pending))
+            obs.queue_depth(now, "retransmit", len(self.retransmits))
             for _ in range(plan.loss_events):
                 obs.delivery_drop(now, page_id, server_id, "push-path")
             if plan.retransmissions:
@@ -273,11 +309,10 @@ class ReliableDelivery:
     def plan(self, server_id: int, now: float) -> DeliveryPlan:
         """Resolve the delivery of one notification sent at ``now``."""
         spec = self.spec
-        # Lazily free queue slots whose retransmissions have resolved;
-        # the simulator calls plan() in nondecreasing time order.
-        pending = self._pending
-        while pending and pending[0] <= now:
-            heapq.heappop(pending)
+        # The simulator calls plan() in nondecreasing time order.
+        queue = self.retransmits
+        if queue.due <= now:
+            queue.drain(now)
 
         broker_id = server_id % spec.broker_count
         at = now
@@ -291,7 +326,7 @@ class ReliableDelivery:
             # The first loss is what admits the notification to the
             # retransmit queue; a full queue sheds it instead.
             queued = limit > 0
-            if queued and len(pending) >= DELIVERY_QUEUE_LIMIT:
+            if queued and queue.full:
                 return DeliveryPlan(False, now, 1, 1, False, True, None)
             delivered = False
             # A retry the global budget refuses ends the walk: the loss
@@ -307,7 +342,7 @@ class ReliableDelivery:
                     delivered = True
                     break
             if queued:
-                heapq.heappush(pending, at)
+                queue.admit(at)
             if not delivered:
                 return DeliveryPlan(False, at, attempts, attempts, queued, False, None)
 

@@ -22,10 +22,10 @@ lifecycle of hub protocols (PubSubHubbub-style)::
   :meth:`~repro.system.delivery.ReliableDelivery.plan`, the whole
   attempt timeline is resolved *analytically* at event time; the lease
   stays PENDING until the resolved confirmation instant passes.
-* **Per-subscriber work queues**: retried handshakes occupy a slot in
-  the proxy's bounded :class:`SubscriberQueue` until they resolve; a
-  handshake arriving at a full queue is abandoned (overload shedding)
-  and the lease is stuck PENDING.
+* **Per-proxy work queues**: retried handshakes occupy a slot in the
+  proxy's bounded :class:`~repro.system.delivery.RetryQueue` until they
+  resolve; a handshake arriving at a full queue is abandoned (overload
+  shedding) and the lease is stuck PENDING.
 * **Lazy expiry**: nobody fires an event at lease expiry.  A lapsed
   lease is noticed when something touches it — a publication (the push
   is suppressed), an access, or end-of-run accounting.
@@ -46,7 +46,6 @@ stream in trace order, as one hub would confirm them.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
@@ -54,7 +53,7 @@ import numpy as np
 
 from repro.obs.recorder import NULL_OBSERVER, Observer
 from repro.sim.rng import uniform_draws
-from repro.system.delivery import retry_instants
+from repro.system.delivery import RetryQueue, retry_instants
 from repro.system.metrics import RENEWAL_LATENCY_BIN_EDGES
 from repro.system.proxy import SETTLED
 from repro.workload.churn import RENEW, UNSUBSCRIBE, ChurnSpec
@@ -83,7 +82,7 @@ CONFIRM_RETRY_LIMIT = 3
 CONFIRM_TIMEOUT = 2.0
 #: Cap on a single confirmation backoff step (seconds).
 CONFIRM_BACKOFF_CAP = 60.0
-#: Bound on concurrently pending handshakes per subscriber work queue;
+#: Bound on concurrently pending handshakes per proxy work queue;
 #: an overflowing handshake is abandoned (stays pending until
 #: access-time re-poll).
 QUEUE_LIMIT = 64
@@ -98,43 +97,6 @@ class _Lease:
         self.status = status
         self.expires_at = expires_at
         self.confirmed_at = confirmed_at
-
-
-class SubscriberQueue:
-    """Bounded per-proxy queue of in-flight handshake retries.
-
-    Mirrors the reliable-delivery retransmit queue: a min-heap of
-    resolution times, drained lazily (the simulator processes lifecycle
-    events in nondecreasing time order), with overload shedding when
-    full.  Tracks its own failure/peak/overflow statistics.
-    """
-
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
-        self._pending: List[float] = []
-        #: Handshake attempts lost at this proxy.
-        self.failures = 0
-        #: Largest concurrent in-flight handshake count observed.
-        self.peak = 0
-        #: Handshakes abandoned because the queue was full.
-        self.overflows = 0
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    def drain(self, now: float) -> None:
-        """Free slots whose handshakes have resolved by ``now``."""
-        while self._pending and self._pending[0] <= now:
-            heapq.heappop(self._pending)
-
-    @property
-    def full(self) -> bool:
-        return len(self._pending) >= self.limit
-
-    def admit(self, resolve_at: float) -> None:
-        heapq.heappush(self._pending, resolve_at)
-        if len(self._pending) > self.peak:
-            self.peak = len(self._pending)
 
 
 class LifecycleManager:
@@ -169,8 +131,8 @@ class LifecycleManager:
         self.obs = observer if observer is not None else NULL_OBSERVER
         self._obs_on = self.obs.enabled
         self._leases: Dict[Tuple[int, int], _Lease] = {}
-        self._queues: List[SubscriberQueue] = [
-            SubscriberQueue(QUEUE_LIMIT) for _ in range(server_count)
+        self._queues: List[RetryQueue] = [
+            RetryQueue(QUEUE_LIMIT) for _ in range(server_count)
         ]
         # -- counters -----------------------------------------------------
         self.events = 0
@@ -180,6 +142,8 @@ class LifecycleManager:
         self.expired = 0
         self.handshake_losses = 0
         self.handshakes_abandoned = 0
+        #: Handshakes shed because their proxy's queue was full.
+        self.queue_overflows = 0
         self.lease_repolls = 0
         self.handshake_repairs = 0
         #: Publish-side pushes :meth:`deliverable` refused for lease reasons.
@@ -194,16 +158,12 @@ class LifecycleManager:
     # -- queue statistics ----------------------------------------------------
 
     @property
-    def queue_overflows(self) -> int:
-        return sum(queue.overflows for queue in self._queues)
-
-    @property
     def queue_peak(self) -> int:
         return max((queue.peak for queue in self._queues), default=0)
 
     # -- handshake resolution --------------------------------------------------
 
-    def _retry_handshake(self, queue: SubscriberQueue, now: float) -> float:
+    def _retry_handshake(self, queue: RetryQueue, now: float) -> float:
         """When the confirmation lands, its first attempt at ``now`` lost.
 
         Walks the retry timeline analytically
@@ -219,7 +179,7 @@ class LifecycleManager:
         confirmed_at = NEVER
         if limit > 0 and queue.full:
             # No slot to retry from: the handshake is shed.
-            queue.overflows += 1
+            self.queue_overflows += 1
         else:
             for attempt, at, _backoff in retry_instants(
                 now, limit, CONFIRM_TIMEOUT, CONFIRM_BACKOFF_CAP,
@@ -236,7 +196,6 @@ class LifecycleManager:
                 if limit > 0:
                     queue.admit(at)
                 break
-        queue.failures += losses
         self.handshake_losses += losses
         if confirmed_at == NEVER:
             self.handshakes_abandoned += 1
@@ -276,7 +235,7 @@ class LifecycleManager:
         draw = self._draw
         if draw is not None:
             queue = self._queues[server_id]
-            if queue._pending and queue._pending[0] <= now:
+            if queue.due <= now:
                 queue.drain(now)
             if draw() < self.spec.confirmation_loss_probability:
                 confirmed_at = self._retry_handshake(queue, now)

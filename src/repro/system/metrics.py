@@ -71,25 +71,6 @@ def staleness_age_bin(age: float) -> int:
 RENEWAL_LATENCY_BIN_EDGES: List[float] = [0.5, 1.0, 2.0, 5.0, 15.0, 60.0]
 
 
-@dataclass
-class HourlySeries:
-    """A per-hour series stored sparsely and rendered densely."""
-
-    values_by_hour: Dict[int, float] = field(default_factory=dict)
-
-    def add(self, hour: int, amount: float) -> None:
-        self.values_by_hour[hour] = self.values_by_hour.get(hour, 0.0) + amount
-
-    def dense(self, hour_count: int) -> List[float]:
-        """Values for hours 0..hour_count-1, zero-filled.
-
-        Events recorded at or beyond ``hour_count`` (the horizon
-        boundary) are clamped into the final bucket rather than lost;
-        see :func:`dense_clamped`.
-        """
-        return dense_clamped(self.values_by_hour, hour_count)
-
-
 # -- the result's JSON form -------------------------------------------------
 #
 # Generic over ``dataclasses.fields`` and their type hints, so a new result
@@ -411,11 +392,6 @@ class SimulationResult:
         return self.push_transfers + self.fetch_pages
 
     @property
-    def traffic_bytes(self) -> int:
-        """Total publisher->proxy bytes (push + fetch)."""
-        return self.push_bytes + self.fetch_bytes
-
-    @property
     def availability(self) -> float:
         """Fraction of requests that were served at all, in [0, 1]."""
         if self.requests == 0:
@@ -463,24 +439,6 @@ class SimulationResult:
         return self.notifications_delivered / self.notifications_sent
 
     @property
-    def stale_served_ratio(self) -> float:
-        """Fraction of requests answered with a silently stale copy."""
-        if self.requests == 0:
-            return 0.0
-        return self.stale_hits_served / self.requests
-
-    @property
-    def lease_repair_ratio(self) -> float:
-        """Fraction of lapsed/stuck leases healed by re-poll, in [0, 1].
-
-        1.0 also when nothing ever lapsed (a healthy churn-free run).
-        """
-        broken = self.leases_expired + self.handshakes_abandoned
-        if broken == 0:
-            return 1.0
-        return min(1.0, (self.lease_repolls + self.handshake_repairs) / broken)
-
-    @property
     def rejection_percentage(self) -> float:
         """Percentage of queue arrivals rejected (pushes + pulls)."""
         if self.overload_arrivals == 0:
@@ -500,12 +458,6 @@ class SimulationResult:
         return [
             push + fetch
             for push, fetch in zip(self.hourly_push_pages, self.hourly_fetch_pages)
-        ]
-
-    def hourly_traffic_bytes(self) -> List[int]:
-        return [
-            push + fetch
-            for push, fetch in zip(self.hourly_push_bytes, self.hourly_fetch_bytes)
         ]
 
     # -- serialization ---------------------------------------------------

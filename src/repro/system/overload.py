@@ -64,8 +64,8 @@ class ServiceQueue:
     conserving, FIFO), committed into a min-heap that is lazily drained
     at the next arrival.  Occupancy is therefore an exact M/D/1-style
     queue length at every arrival instant while costing one heap op per
-    job — the same lazy-drain pattern as ``SubscriberQueue`` and the
-    delivery retransmit queue.
+    job — the same lazy-drain pattern as
+    :class:`~repro.system.delivery.RetryQueue`.
     """
 
     __slots__ = (
@@ -336,13 +336,6 @@ class OverloadManager:
 
     # -- per-proxy service queues -------------------------------------------
 
-    def admit(self, server_id: int, now: float, push: bool) -> bool:
-        """Offer one job to ``server_id``'s queue; True when admitted."""
-        queue = self.queues.get(server_id)
-        if queue is None:
-            return True
-        return queue.offer(now, push)
-
     # -- origin admission -----------------------------------------------------
 
     def origin_admit(self, now: float) -> bool:
@@ -358,9 +351,6 @@ class OverloadManager:
         self.breaker.record_failure(now)
         self.origin_rejections += 1
         return False
-
-    def breaker_open(self) -> bool:
-        return self.breaker is not None and self.breaker.state == OPEN
 
     # -- retry-storm protection ----------------------------------------------
 
@@ -431,20 +421,6 @@ class OverloadManager:
             return 0.0
         occupancy = sum(q.occupancy_sum for q in self.queues.values())
         return occupancy / arrivals
-
-    def queue_metrics_by_proxy(self) -> Dict[int, Dict[str, float]]:
-        """Per-proxy ``AVERAGE_QUEUE_SIZE`` / ``PERCENTAGE_OF_REJECTION``."""
-        return {
-            server_id: {
-                "average_queue_size": queue.average_queue_size,
-                "rejection_percentage": 100.0 * queue.rejection_fraction,
-                "arrivals": float(queue.arrivals),
-                "rejected_pushes": float(queue.rejected_pushes),
-                "rejected_pulls": float(queue.rejected_pulls),
-                "peak": float(queue.peak),
-            }
-            for server_id, queue in self.queues.items()
-        }
 
 
 def admission_wrappers(sim, env):

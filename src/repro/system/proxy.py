@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.policy import Policy, PushOutcome, RequestOutcome
+from repro.core.policy import Policy
 
 
 class _Settled:
@@ -107,18 +107,6 @@ class ProxyServer:
             self._down_since = None
 
     # -- request/publish handling ------------------------------------------
-
-    def handle_publish(
-        self, page_id: int, version: int, size: int, match_count: int, now: float
-    ) -> PushOutcome:
-        """A published page matched ``match_count`` local subscriptions."""
-        return self.policy.on_publish(page_id, version, size, match_count, now)
-
-    def handle_request(
-        self, page_id: int, version: int, size: int, match_count: int, now: float
-    ) -> RequestOutcome:
-        """A local user requests the current ``version`` of a page."""
-        return self.policy.on_request(page_id, version, size, match_count, now)
 
     def check_invariants(self) -> None:
         self.policy.check_invariants()

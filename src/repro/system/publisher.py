@@ -49,17 +49,6 @@ class Publisher:
         #: proxy served or repaired?").
         self._publish_times: Dict[int, List[float]] = {}
 
-    def publish(self, page_id: int, version: int, at: float = 0.0) -> None:
-        """Record that ``version`` of ``page_id`` is now current."""
-        previous = self._versions.get(page_id, -1)
-        if version != previous + 1:
-            raise ValueError(
-                f"out-of-order publish for page {page_id}: "
-                f"got version {version} after {previous}"
-            )
-        self._versions[page_id] = version
-        self._publish_times.setdefault(page_id, []).append(at)
-
     def staleness_age(self, page_id: int, cached_version: int, now: float) -> float:
         """Seconds since a copy at ``cached_version`` first went stale.
 
@@ -71,10 +60,6 @@ class Publisher:
         if next_version >= len(times):
             return 0.0
         return max(0.0, now - times[next_version])
-
-    def current_version(self, page_id: int) -> Optional[int]:
-        """Latest version of ``page_id``, or None if never published."""
-        return self._versions.get(page_id)
 
     # -- fault model -------------------------------------------------------
 

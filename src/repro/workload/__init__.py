@@ -33,7 +33,7 @@ from repro import lazy_exports
 if TYPE_CHECKING:
     from repro.workload.config import WorkloadConfig
     from repro.workload.trace import Workload, PageSpec, PublishRecord, RequestRecord, generate_workload
-    from repro.workload.churn import ChurnSpec, LifecycleRecord, generate_churn, churn_statistics
+    from repro.workload.churn import ChurnSpec, LifecycleRecord, generate_churn
     from repro.workload.subscriptions import build_match_counts
     from repro.workload.presets import news_config, alternative_config
     from repro.workload.validate import ValidationReport, validate_workload, validate_churn_spec
@@ -48,7 +48,6 @@ __all__ = [
     "ChurnSpec",
     "LifecycleRecord",
     "generate_churn",
-    "churn_statistics",
     "build_match_counts",
     "news_config",
     "alternative_config",
@@ -60,7 +59,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "config": ("WorkloadConfig",),
     "trace": ("Workload", "PageSpec", "PublishRecord", "RequestRecord", "generate_workload"),
-    "churn": ("ChurnSpec", "LifecycleRecord", "generate_churn", "churn_statistics"),
+    "churn": ("ChurnSpec", "LifecycleRecord", "generate_churn"),
     "subscriptions": ("build_match_counts",),
     "presets": ("news_config", "alternative_config"),
     "validate": ("ValidationReport", "validate_workload", "validate_churn_spec"),

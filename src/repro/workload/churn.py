@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -252,17 +252,3 @@ def generate_churn(
     rows["page_id"] = np.repeat(page_ids, per_cell)
     order = np.lexsort([rows[name] for name in ("kind", "page_id", "server_id", "time")])
     return EventTable(LifecycleRecord, rows[order])
-
-
-def churn_statistics(events: Sequence[LifecycleRecord]) -> dict:
-    """Summary counts of a lifecycle stream (reports and tests)."""
-    if not isinstance(events, EventTable):
-        events = EventTable(LifecycleRecord, events)
-    rows = events.rows
-    counts = np.bincount(rows["kind"], minlength=len(LIFECYCLE_KINDS)).tolist()
-    cells = np.unique(rows["server_id"].astype(np.int64) << 32 | rows["page_id"])
-    return {
-        "events": len(rows),
-        "subscribers": len(cells),
-        **dict(zip(LIFECYCLE_KINDS, counts)),
-    }

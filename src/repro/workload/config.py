@@ -175,12 +175,3 @@ class WorkloadConfig:
             total_requests=max(100, int(round(self.total_requests * scale))),
             server_count=max(2, int(round(self.server_count * scale))),
         )
-
-    def with_alpha(self, alpha: float) -> "WorkloadConfig":
-        """Same workload with a different Zipf α (NEWS vs ALTERNATIVE)."""
-        return dataclasses.replace(self, zipf_alpha=alpha)
-
-    @property
-    def days(self) -> int:
-        """Number of (possibly partial) days in the horizon."""
-        return int(self.horizon // DAY) + (1 if self.horizon % DAY else 0)

@@ -25,13 +25,3 @@ def generate_sizes(config: WorkloadConfig, rng: np.random.Generator) -> np.ndarr
     )
     clipped = np.clip(raw, config.min_page_size, config.max_page_size)
     return np.maximum(1, np.rint(clipped)).astype(np.int64)
-
-
-def lognormal_mean(mu: float, sigma: float) -> float:
-    """Analytic mean of the log-normal — used by tests and docs."""
-    return float(np.exp(mu + sigma**2 / 2.0))
-
-
-def lognormal_median(mu: float, sigma: float) -> float:
-    """Analytic median of the log-normal."""
-    return float(np.exp(mu))

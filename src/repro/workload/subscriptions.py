@@ -102,19 +102,3 @@ def build_match_counts(
         count = int(round(requests[(page_id, server_id)] / quality))
         table[page_id][server_id] = max(1, count)
     return dict(table)
-
-
-def table_statistics(table: Dict[int, Dict[int, int]]) -> Dict[str, float]:
-    """Summary statistics of a match-count table (used in reports)."""
-    counts = [
-        count for per_server in table.values() for count in per_server.values()
-    ]
-    if not counts:
-        return {"pairs": 0, "total": 0, "mean": 0.0, "max": 0}
-    array = np.asarray(counts)
-    return {
-        "pairs": int(array.size),
-        "total": int(array.sum()),
-        "mean": float(array.mean()),
-        "max": int(array.max()),
-    }

@@ -88,18 +88,3 @@ def test_stats_eviction_accounting():
     stats.record_eviction(size=36)
     assert stats.evictions == 2
     assert stats.bytes_evicted == 100
-
-
-def test_stats_merge():
-    a = CacheStats()
-    b = CacheStats()
-    a.record_request(hit=True, size=10, bucket=0)
-    b.record_request(hit=False, size=20, bucket=0)
-    b.record_request(hit=True, size=30, bucket=1)
-    merged = a.merged_with(b)
-    assert merged.requests == 3
-    assert merged.hits == 2
-    assert merged.bucketed_requests == {0: 2, 1: 1}
-    assert merged.bucketed_hits == {0: 1, 1: 1}
-    # originals untouched
-    assert a.requests == 1 and b.requests == 2

@@ -54,10 +54,8 @@ def test_contains_and_len():
 def test_remove_and_discard():
     heap = AddressableHeap()
     heap.push("a", 1.0)
-    heap.remove("a")
+    heap.discard("a")
     assert "a" not in heap
-    with pytest.raises(KeyError):
-        heap.remove("a")
     heap.discard("a")  # no-op, no raise
 
 
@@ -65,7 +63,7 @@ def test_removed_key_never_pops():
     heap = AddressableHeap()
     heap.push("a", 1.0)
     heap.push("b", 2.0)
-    heap.remove("a")
+    heap.discard("a")
     assert heap.pop()[0] == "b"
     assert len(heap) == 0
 
@@ -105,9 +103,9 @@ def test_items_and_keys_reflect_live_entries():
     heap.push("a", 1.0)
     heap.push("b", 2.0)
     heap.push("a", 3.0)
-    heap.remove("b")
+    heap.discard("b")
     assert set(heap.keys()) == {"a"}
-    assert dict(heap.items()) == {"a": 3.0}
+    assert heap.priority("a") == 3.0
 
 
 def test_compact_preserves_order():
@@ -187,8 +185,8 @@ class _ReadOnlyRejectHeap(AddressableHeap):
     def pop_cheaper(self, needed, threshold, entries):
         cheap = sum(
             entries[key].size
-            for key, priority in self.items()
-            if threshold is None or priority < threshold
+            for key in self.keys()
+            if threshold is None or self.priority(key) < threshold
         )
         if cheap < needed:
             return None

@@ -56,22 +56,6 @@ def test_remove_missing_raises():
         storage.remove(99)
 
 
-def test_pop_if_present():
-    storage = CacheStorage(100)
-    storage.add(entry(1, 10))
-    assert storage.pop_if_present(1).page_id == 1
-    assert storage.pop_if_present(1) is None
-
-
-def test_fits_and_can_ever_fit():
-    storage = CacheStorage(100)
-    storage.add(entry(1, 60))
-    assert storage.fits(40)
-    assert not storage.fits(41)
-    assert storage.can_ever_fit(100)
-    assert not storage.can_ever_fit(101)
-
-
 def test_clear():
     storage = CacheStorage(100)
     storage.add(entry(1, 10))

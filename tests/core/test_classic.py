@@ -9,8 +9,8 @@ def test_lru_evicts_least_recent():
     policy.on_request(2, 0, 100, 0, now=1.0)
     policy.on_request(1, 0, 100, 0, now=2.0)  # touch page 1
     policy.on_request(3, 0, 100, 0, now=3.0)  # evicts page 2
-    assert policy.contains(1)
-    assert not policy.contains(2)
+    assert policy.held_version(1) is not None
+    assert policy.held_version(2) is None
 
 
 def test_lru_hit_semantics():
@@ -25,9 +25,9 @@ def test_gds_prefers_small_pages():
     policy.on_request(1, 0, 200, 0, now=0.0)  # big page
     policy.on_request(2, 0, 50, 0, now=1.0)  # small page
     policy.on_request(3, 0, 100, 0, now=2.0)  # needs room: evicts big page 1
-    assert not policy.contains(1)
-    assert policy.contains(2)
-    assert policy.contains(3)
+    assert policy.held_version(1) is None
+    assert policy.held_version(2) is not None
+    assert policy.held_version(3) is not None
 
 
 def test_gds_inflation_advances():
@@ -43,8 +43,8 @@ def test_lfuda_evicts_low_frequency():
     policy.on_request(1, 0, 100, 0, now=1.0)
     policy.on_request(2, 0, 100, 0, now=2.0)
     policy.on_request(3, 0, 100, 0, now=3.0)  # evicts page 2 (f=1 < f=2)
-    assert policy.contains(1)
-    assert not policy.contains(2)
+    assert policy.held_version(1) is not None
+    assert policy.held_version(2) is None
 
 
 def test_lfuda_aging_lets_new_pages_in():
@@ -53,7 +53,7 @@ def test_lfuda_aging_lets_new_pages_in():
         policy.on_request(1, 0, 100, 0, now=0.0)
     policy.on_request(2, 0, 100, 0, now=1.0)  # evicts 1, L jumps to ~10
     policy.on_request(3, 0, 100, 0, now=2.0)  # can still displace 2
-    assert policy.contains(3)
+    assert policy.held_version(3) is not None
 
 
 def test_stale_handling_shared_skeleton():

@@ -45,7 +45,7 @@ class TestDCFP:
         policy.on_publish(1, 0, 150, 5, now=1.0)
         policy.on_request(1, 0, 150, 5, now=2.0)  # move 1 into AC, evict 2
         assert 1 in policy.ac
-        assert not policy.contains(2)
+        assert policy.held_version(2) is None
 
     def test_miss_cached_in_ac(self):
         policy = make_fp()
@@ -73,7 +73,7 @@ class TestDCFP:
         policy.on_publish(1, 0, 150, 5, now=0.0)
         outcome = policy.on_request(1, 0, 150, 5, now=1.0)
         assert outcome.hit and not outcome.cached_after
-        assert not policy.contains(1)
+        assert policy.held_version(1) is None
 
     def test_invariants_under_pressure(self):
         policy = make_fp(capacity=600)
@@ -113,14 +113,14 @@ class TestDCAP:
         policy.on_request(1, 0, 150, 1, now=0.0)
         policy.on_request(2, 0, 150, 1, now=1.0)
         policy.on_request(3, 0, 150, 1, now=2.0)  # replacement in AC
-        assert not policy.contains(1)
+        assert policy.held_version(1) is None
         # Fill PC with a high-SUB-value page the newcomer cannot beat.
         policy.on_publish(10, 0, 200, 20, now=3.0)  # value 0.1
         # Value 0.08 < 0.1: SUB fails; idle page 2 donates its storage.
         outcome = policy.on_publish(11, 0, 100, 8, now=4.0)
         assert outcome.stored
         assert 11 in policy.pc
-        assert not policy.contains(2)
+        assert policy.held_version(2) is None
         assert policy.pc.capacity_bytes > 200
 
     def test_partition_never_leaks_bytes(self):
@@ -173,7 +173,7 @@ class TestDCLAP:
         # 350/600 = 0.58 > 0.4: the repartition is not performed.
         outcome = policy.on_publish(11, 0, 100, 8, now=4.0)
         assert not outcome.stored
-        assert policy.contains(2)  # nothing was evicted
+        assert policy.held_version(2) is not None  # nothing was evicted
         assert policy.push_fraction == pytest.approx(1 / 3)
 
     def test_bounds_hold_under_pressure(self):

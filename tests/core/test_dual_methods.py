@@ -13,8 +13,8 @@ def test_push_places_by_sub_value():
     policy.on_publish(2, 0, 100, 50, now=0.0)
     outcome = policy.on_publish(3, 0, 100, 30, now=1.0)  # evicts page 1
     assert outcome.stored
-    assert not policy.contains(1)
-    assert policy.contains(2)
+    assert policy.held_version(1) is None
+    assert policy.held_version(2) is not None
 
 
 def test_miss_always_admits_by_gd_value():
@@ -24,8 +24,8 @@ def test_miss_always_admits_by_gd_value():
     # access history, so its GD* value sits at the floor.
     outcome = policy.on_request(2, 0, 100, 1, now=1.0)
     assert outcome.cached_after
-    assert not policy.contains(1)
-    assert policy.contains(2)
+    assert policy.held_version(1) is None
+    assert policy.held_version(2) is not None
 
 
 def test_interference_hot_page_evicted_by_push():
@@ -37,7 +37,7 @@ def test_interference_hot_page_evicted_by_push():
         policy.on_request(1, 0, 100, 1, now=1.0 + step)
     outcome = policy.on_publish(2, 0, 100, 50, now=10.0)  # big s wins
     assert outcome.stored
-    assert not policy.contains(1)
+    assert policy.held_version(1) is None
 
 
 def test_hit_updates_access_value_only():
@@ -92,4 +92,4 @@ def test_all_or_nothing_push_rejection():
     policy.on_publish(2, 0, 100, 50, now=0.0)
     outcome = policy.on_publish(3, 0, 200, 45, now=1.0)  # only page 1 cheaper
     assert not outcome.stored
-    assert policy.contains(1) and policy.contains(2)
+    assert policy.held_version(1) is not None and policy.held_version(2) is not None

@@ -13,7 +13,7 @@ def test_publish_is_noop():
     policy = make()
     outcome = policy.on_publish(1, 0, 100, 50, now=0.0)
     assert not outcome.stored
-    assert not policy.contains(1)
+    assert policy.held_version(1) is None
     assert policy.used_bytes == 0
 
 
@@ -34,9 +34,9 @@ def test_eviction_order_by_value():
     policy.on_request(2, 0, 100, 0, now=1.0)
     policy.on_request(1, 0, 100, 0, now=2.0)  # page 1 now f=2
     policy.on_request(3, 0, 100, 0, now=3.0)  # must evict page 2 (f=1)
-    assert policy.contains(1)
-    assert not policy.contains(2)
-    assert policy.contains(3)
+    assert policy.held_version(1) is not None
+    assert policy.held_version(2) is None
+    assert policy.held_version(3) is not None
 
 
 def test_inflation_advances_on_eviction():
@@ -55,7 +55,7 @@ def test_inflation_gives_recency_preference():
     # Cycle many distinct pages through; L rises past page 1's value.
     for page_id in range(2, 40):
         policy.on_request(page_id, 0, 100, 0, now=float(page_id))
-    assert not policy.contains(1)
+    assert policy.held_version(1) is None
 
 
 def test_oversized_page_served_without_caching():

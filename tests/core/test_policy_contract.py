@@ -58,7 +58,7 @@ def test_hit_implies_cached_current_version(name):
             policy.on_publish(page_id, version[page_id], 100, 5, now)
         else:
             current = version.setdefault(page_id, 0)
-            before_cached = policy.contains(page_id)
+            before_cached = policy.held_version(page_id) is not None
             before_version = (
                 policy.cached_version(page_id) if before_cached else None
             )
@@ -96,7 +96,7 @@ def test_cached_after_matches_contains(name):
         else:
             current = version.setdefault(page_id, 0)
             outcome = policy.on_request(page_id, current, 90, 4, now)
-            assert outcome.cached_after == policy.contains(page_id)
+            assert outcome.cached_after == (policy.held_version(page_id) is not None)
 
 
 @pytest.mark.parametrize("name", ALL_STRATEGIES)

@@ -44,8 +44,8 @@ def test_sg2_spent_page_loses_value():
     policy.on_request(1, 0, 100, 2, now=2.0)  # a=2=s: spent
     policy.on_publish(2, 0, 100, 1, now=3.0)
     policy.on_publish(3, 0, 100, 1, now=3.5)  # needs room: evicts spent page 1
-    assert not policy.contains(1)
-    assert policy.contains(2) and policy.contains(3)
+    assert policy.held_version(1) is None
+    assert policy.held_version(2) is not None and policy.held_version(3) is not None
 
 
 def test_sr_spent_page_goes_negative_and_first_out():
@@ -55,7 +55,7 @@ def test_sr_spent_page_goes_negative_and_first_out():
     policy.on_request(1, 0, 100, 1, now=2.0)  # a=2 > s=1: negative value
     policy.on_publish(2, 0, 100, 3, now=3.0)
     policy.on_publish(3, 0, 100, 3, now=3.5)
-    assert not policy.contains(1)
+    assert policy.held_version(1) is None
 
 
 def test_sg1_keeps_heavily_accessed_spent_pages():
@@ -67,7 +67,7 @@ def test_sg1_keeps_heavily_accessed_spent_pages():
     # s+a = 7; a fresh page with s=3 cannot displace it.
     policy.on_publish(2, 0, 100, 3, now=10.0)
     policy.on_publish(3, 0, 100, 3, now=10.5)
-    assert policy.contains(1)
+    assert policy.held_version(1) is not None
 
 
 def test_access_counts_persist_across_eviction():
@@ -79,12 +79,12 @@ def test_access_counts_persist_across_eviction():
     policy.on_request(1, 0, 100, 3, now=3.0)  # a=3=s: spent
     # Displace page 1 entirely.
     policy.on_publish(2, 0, 100, 10, now=4.0)
-    assert not policy.contains(1)
+    assert policy.held_version(1) is None
     # A re-push of the spent page must NOT be admitted over the
     # useful resident: remaining demand is zero (a=3 persisted).
     outcome = policy.on_publish(1, 1, 100, 3, now=5.0)
     assert not outcome.stored
-    assert policy.contains(2)
+    assert policy.held_version(2) is not None
 
 
 def test_value_gated_miss_discards_low_value_page():
@@ -94,7 +94,7 @@ def test_value_gated_miss_discards_low_value_page():
     # is not a candidate, so the fetched page is forwarded and dropped.
     outcome = policy.on_request(2, 0, 100, 0, now=1.0)
     assert not outcome.hit and not outcome.cached_after
-    assert policy.contains(1)
+    assert policy.held_version(1) is not None
 
 
 def test_push_refresh_updates_version_in_place():

@@ -11,7 +11,7 @@ def test_push_stores_matched_page():
     policy = make()
     outcome = policy.on_publish(1, 0, 100, 5, now=0.0)
     assert outcome.stored
-    assert policy.contains(1)
+    assert policy.held_version(1) is not None
 
 
 def test_push_rejects_when_candidates_insufficient():
@@ -21,7 +21,7 @@ def test_push_rejects_when_candidates_insufficient():
     # New page value 0.3 < residents: no candidates, rejected.
     outcome = policy.on_publish(3, 0, 100, 30, now=1.0)
     assert not outcome.stored
-    assert policy.contains(1) and policy.contains(2)
+    assert policy.held_version(1) is not None and policy.held_version(2) is not None
     assert policy.stats.pages_pushed_rejected == 1
 
 
@@ -31,8 +31,8 @@ def test_push_evicts_cheaper_candidates():
     policy.on_publish(2, 0, 100, 50, now=0.0)  # value 0.5
     outcome = policy.on_publish(3, 0, 100, 30, now=1.0)  # evicts page 1
     assert outcome.stored
-    assert not policy.contains(1)
-    assert policy.contains(2) and policy.contains(3)
+    assert policy.held_version(1) is None
+    assert policy.held_version(2) is not None and policy.held_version(3) is not None
 
 
 def test_all_or_nothing_rejection_evicts_nobody():
@@ -44,14 +44,14 @@ def test_all_or_nothing_rejection_evicts_nobody():
     # not a candidate at value 0.5: reject, keep everything.
     outcome = policy.on_publish(4, 0, 300, 150, now=1.0)  # value 0.5
     assert not outcome.stored
-    assert policy.contains(1) and policy.contains(2) and policy.contains(3)
+    assert all(policy.held_version(page) is not None for page in (1, 2, 3))
 
 
 def test_miss_does_not_cache():
     policy = make()
     outcome = policy.on_request(1, 0, 100, 5, now=0.0)
     assert not outcome.hit and not outcome.cached_after
-    assert not policy.contains(1)
+    assert policy.held_version(1) is None
 
 
 def test_hit_on_pushed_page():
@@ -106,10 +106,10 @@ def test_same_version_republish_is_noop():
 def test_zero_match_count_page_has_zero_value():
     policy = make(capacity=100)
     policy.on_publish(1, 0, 100, 0, now=0.0)  # value 0, stored in empty cache
-    assert policy.contains(1)
+    assert policy.held_version(1) is not None
     outcome = policy.on_publish(2, 0, 100, 1, now=1.0)  # displaces it
     assert outcome.stored
-    assert not policy.contains(1)
+    assert policy.held_version(1) is None
 
 
 def test_capacity_respected_under_pressure():

@@ -143,15 +143,6 @@ def test_pre_columnar_trace_file_is_named(tmp_path):
         Workload.from_json(json.dumps(payload))
 
 
-def test_clear_removes_entries(tmp_path):
-    cache = ArtifactCache(str(tmp_path))
-    cached_trace(cache, "news", SCALE, SEED)
-    assert cache.clear() >= 1
-    assert cache.load_text(
-        "trace", {"trace": "news", "scale": SCALE, "seed": SEED}
-    ) is None
-
-
 def test_run_cell_same_result_with_and_without_cache(tmp_path):
     key = CellKey("news", "sg2", 0.05)
     plain = runner.run_cell(key, scale=SCALE, seed=SEED)
@@ -235,4 +226,4 @@ def test_topology_json_round_trip():
     assert clone.publisher_node == topology.publisher_node
     assert clone.proxy_nodes == topology.proxy_nodes
     assert clone.fetch_costs() == topology.fetch_costs()
-    assert clone.graph.edge_count == topology.graph.edge_count
+    assert list(clone.graph.edges()) == list(topology.graph.edges())

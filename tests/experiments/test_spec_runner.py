@@ -29,7 +29,7 @@ def test_grid_cells_cartesian():
         sqs=(0.5, 1.0),
     )
     cells = grid.cells()
-    assert len(cells) == grid.cell_count == 16
+    assert len(cells) == 16
     assert len(set(cells)) == 16
 
 

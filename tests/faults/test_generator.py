@@ -87,10 +87,10 @@ def test_broker_windows_generated_per_shard():
     schedule = _schedule(spec)
     assert schedule.has_broker_faults
     assert schedule.broker_crash_count > 0
-    shards = {broker for broker, _ in schedule.broker_crash_windows()}
-    assert shards <= set(range(3))
-    for _, window in schedule.broker_crash_windows():
-        assert 0.0 <= window.start < window.end <= HORIZON
+    assert set(schedule._brokers) <= set(range(3))
+    for timeline in schedule._brokers.values():
+        for window in timeline.windows:
+            assert 0.0 <= window.start < window.end <= HORIZON
 
 
 def test_broker_stream_is_independent():

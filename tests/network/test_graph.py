@@ -16,7 +16,6 @@ def test_add_nodes_and_edges():
     graph = Graph()
     graph.add_edge(0, 1, 2.0)
     assert graph.node_count == 2
-    assert graph.edge_count == 1
     assert list(graph.edges()) == [(0, 1, 2.0)]
 
 

@@ -1,6 +1,5 @@
 """The metrics registry: instruments, bucket edges, exporters."""
 
-import json
 import re
 
 import pytest
@@ -29,12 +28,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set_inc(self):
         gauge = Gauge("g")
         gauge.set(10)
         gauge.inc(5)
-        gauge.dec(2)
-        assert gauge.value == 13.0
+        assert gauge.value == 15.0
 
 
 class TestHistogram:
@@ -122,16 +120,9 @@ class TestRegistry:
         assert "repro_latency_seconds_count 3" in text
         assert text.endswith("\n")
 
-    def test_json_rendering_round_trips(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_a_total").inc(3)
-        registry.histogram("repro_b", buckets=(1.0,)).observe(0.5)
-        payload = json.loads(registry.render_json())
-        assert payload["repro_a_total"] == {"type": "counter", "value": 3.0}
-        assert payload["repro_b"]["cumulative_counts"] == [1, 1]
-
     def test_empty_registry_renders_empty(self):
         assert MetricsRegistry().render_prometheus() == ""
+
 
 class TestLabels:
     def test_labelsets_are_distinct_instruments(self):
@@ -180,13 +171,6 @@ class TestLabels:
         assert 'repro_lat_bucket{proxy="3",le="+Inf"} 1' in text
         assert 'repro_lat_sum{proxy="3"} 0.5' in text
         assert 'repro_lat_count{proxy="3"} 1' in text
-
-    def test_as_dict_carries_labels(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_c", labels={"trace": "news"}).inc(1)
-        payload = json.loads(registry.render_json())
-        (key,) = payload.keys()
-        assert payload[key]["labels"] == {"trace": "news"}
 
 
 class TestExpositionEscaping:

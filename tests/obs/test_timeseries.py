@@ -11,10 +11,24 @@ import json
 
 import pytest
 
-from repro.obs import Observer, TimeSeriesCollector, read_series_jsonl
+from repro.obs import Observer, TimeSeriesCollector
 from repro.system.config import SimulationConfig
+from repro.system.metrics import dense_clamped
 from repro.system.simulator import Simulation
 from repro.workload.presets import make_trace
+
+
+def series(ts, kind, name):
+    """``(window, value)`` of one counter or gauge, oldest first."""
+    return [
+        (w["window"], w[kind][name]) for w in ts.windows() if name in w.get(kind, ())
+    ]
+
+
+def read_windows(path):
+    """The window dicts of a JSONL series file."""
+    with open(path, encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle]
 
 
 class TestFolding:
@@ -23,21 +37,21 @@ class TestFolding:
         ts.inc(0.0, "requests")
         ts.inc(9.99, "requests")
         ts.inc(10.0, "requests")
-        assert ts.counter_series("requests") == [(0, 2.0), (1, 1.0)]
+        assert series(ts, "counters", "requests") == [(0, 2.0), (1, 1.0)]
 
     def test_inc_amount_and_missing_name(self):
         ts = TimeSeriesCollector(window_seconds=10.0)
         ts.inc(5.0, "bytes", 128.0)
         ts.inc(5.0, "bytes", 64.0)
-        assert ts.counter_series("bytes") == [(0, 192.0)]
-        assert ts.counter_series("absent") == []
+        assert series(ts, "counters", "bytes") == [(0, 192.0)]
+        assert series(ts, "counters", "absent") == []
 
     def test_gauge_keeps_last_value_per_window(self):
         ts = TimeSeriesCollector(window_seconds=10.0)
         ts.set_gauge(1.0, "depth", 3)
         ts.set_gauge(9.0, "depth", 7)
         ts.set_gauge(12.0, "depth", 2)
-        assert ts.gauge_series("depth") == [(0, 7.0), (1, 2.0)]
+        assert series(ts, "gauges", "depth") == [(0, 7.0), (1, 2.0)]
 
     def test_observe_tracks_count_sum_min_max(self):
         ts = TimeSeriesCollector(window_seconds=10.0)
@@ -101,7 +115,7 @@ class TestRingAndSpill:
         ts.inc(6.5, "x")  # windows 5 and 6 retained now
         ts.inc(0.7, "x")  # window 0 is gone: folds into window 5
         assert ts.clamped == 1
-        assert ts.counter_series("x") == [(5, 2.0), (6, 1.0)]
+        assert series(ts, "counters", "x") == [(5, 2.0), (6, 1.0)]
 
     def test_jsonl_round_trip(self, tmp_path):
         path = str(tmp_path / "series.jsonl")
@@ -109,15 +123,9 @@ class TestRingAndSpill:
         ts.inc(30.0, "requests", 5)
         ts.set_gauge(90.0, "depth", 2)
         assert ts.write_jsonl(path) == 2
-        windows = read_series_jsonl(path)
+        windows = read_windows(path)
         assert windows[0]["counters"] == {"requests": 5.0}
         assert windows[1]["gauges"] == {"depth": 2.0}
-
-    def test_read_series_jsonl_reports_bad_line(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"window":0}\nnope\n')
-        with pytest.raises(ValueError, match="bad.jsonl:2"):
-            read_series_jsonl(str(path))
 
     def test_spill_path_owned_file(self, tmp_path):
         path = str(tmp_path / "spill.jsonl")
@@ -125,24 +133,7 @@ class TestRingAndSpill:
         ts.inc(0.5, "x")
         ts.inc(1.5, "x")
         ts.close()
-        assert [w["window"] for w in read_series_jsonl(path)] == [0, 1]
-
-
-class TestDerivedSeries:
-    def test_dense_counter_zero_fills_and_clamps(self):
-        ts = TimeSeriesCollector(window_seconds=1.0)
-        ts.inc(0.5, "x", 1)
-        ts.inc(2.5, "x", 3)
-        ts.inc(9.5, "x", 7)  # beyond the dense horizon: clamps into last
-        assert ts.dense_counter("x", 4) == [1.0, 0.0, 3.0, 7.0]
-        assert ts.dense_counter("x", 0) == []
-
-    def test_ratio_series(self):
-        ts = TimeSeriesCollector(window_seconds=1.0)
-        ts.inc(0.5, "hits", 3)
-        ts.inc(0.5, "requests", 4)
-        ts.inc(1.5, "requests", 2)  # no hits this window
-        assert ts.ratio_series("hits", "requests") == [(0, 0.75), (1, 0.0)]
+        assert [w["window"] for w in read_windows(path)] == [0, 1]
 
 
 class TestSimulationConsistency:
@@ -159,32 +150,23 @@ class TestSimulationConsistency:
     def test_per_window_requests_match_hourly_series(self, observed_run):
         ts, result = observed_run
         hours = len(result.hourly_requests)
-        assert ts.dense_counter("requests", hours) == [
+        assert dense_clamped(dict(series(ts, "counters", "requests")), hours) == [
             float(count) for count in result.hourly_requests
         ]
 
     def test_per_window_hits_match_hourly_series(self, observed_run):
         ts, result = observed_run
         hours = len(result.hourly_hits)
-        assert ts.dense_counter("hits", hours) == [
+        assert dense_clamped(dict(series(ts, "counters", "hits")), hours) == [
             float(count) for count in result.hourly_hits
         ]
 
     def test_window_totals_match_run_totals(self, observed_run):
         ts, result = observed_run
-        total_requests = sum(v for _, v in ts.counter_series("requests"))
-        total_hits = sum(v for _, v in ts.counter_series("hits"))
+        total_requests = sum(v for _, v in series(ts, "counters", "requests"))
+        total_hits = sum(v for _, v in series(ts, "counters", "hits"))
         assert total_requests == result.requests
         assert total_hits == pytest.approx(result.hit_ratio * result.requests)
-
-    def test_windowed_hit_ratio_averages_to_global(self, observed_run):
-        ts, result = observed_run
-        ratios = dict(ts.ratio_series("hits", "requests"))
-        requests = dict(ts.counter_series("requests"))
-        weighted = sum(
-            ratios[window] * requests[window] for window in requests
-        )
-        assert weighted / result.requests == pytest.approx(result.hit_ratio)
 
     def test_timeseries_observer_does_not_change_results(self, observed_run):
         _, observed = observed_run
@@ -194,10 +176,11 @@ class TestSimulationConsistency:
         assert baseline.hit_ratio == observed.hit_ratio
         assert baseline.hourly_requests == observed.hourly_requests
         assert baseline.hourly_hits == observed.hourly_hits
-        assert baseline.traffic_bytes == observed.traffic_bytes
+        assert baseline.push_bytes == observed.push_bytes
+        assert baseline.fetch_bytes == observed.fetch_bytes
 
     def test_cache_occupancy_gauge_tracks_storage(self, observed_run):
         ts, _ = observed_run
-        occupancy = ts.gauge_series("cache_used_bytes")
+        occupancy = series(ts, "gauges", "cache_used_bytes")
         assert occupancy, "cache occupancy gauge never sampled"
         assert all(value >= 0 for _, value in occupancy)

@@ -91,14 +91,6 @@ def test_bind_and_unbind_context():
     assert "strategy" not in second and second["seed"] == 7
 
 
-def test_events_for_page():
-    tracer = EventTracer()
-    tracer.emit("publish", t=1.0, page=4)
-    tracer.emit("publish", t=2.0, page=5)
-    tracer.emit("evict", t=3.0, page=4, proxy=0, size=1, cause="capacity")
-    assert [event["t"] for event in tracer.events_for_page(4)] == [1.0, 3.0]
-
-
 def test_taxonomy_is_complete():
     # The docs table and the simulator agree on these names.
     expected = {

@@ -105,7 +105,7 @@ class TestLifecycleEventShape:
         observer = Observer(tracer=tracer)
         _emit_all(observer)
         observer.lease_subscribe(8.0, page=9, proxy=0, lease=60.0)
-        life = tracer.events_for_page(4)
+        life = [event for event in tracer.events() if event.get("page") == 4]
         assert len(life) == 7
         assert [event["t"] for event in life] == sorted(e["t"] for e in life)
 

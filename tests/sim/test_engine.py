@@ -78,17 +78,6 @@ def test_run_until_in_past_raises():
         env.run(until=5.0)
 
 
-def test_peek_empty_agenda_is_inf():
-    env = Environment()
-    assert env.peek() == float("inf")
-
-
-def test_peek_returns_next_event_time():
-    env = Environment()
-    env.schedule(7.0, lambda e: None)
-    assert env.peek() == 7.0
-
-
 def test_step_empty_agenda_raises():
     env = Environment()
     with pytest.raises(SimulationError):

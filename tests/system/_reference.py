@@ -60,7 +60,7 @@ class _AgendaReplay:
                 ),
                 priority=NORMAL,
             )
-        while env.peek() != float("inf"):
+        while env._agenda:
             env.step()
             if popped:
                 yield popped.pop()

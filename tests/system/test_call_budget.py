@@ -67,7 +67,6 @@ def test_each_request_probes_its_proxy_once(churned):
             return called
 
         policy.held_version = held_version
-        policy.contains = pair_method(policy.contains)
         policy.cached_version = pair_method(policy.cached_version)
 
     for proxy in simulation.proxies:

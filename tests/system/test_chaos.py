@@ -159,12 +159,12 @@ def test_crashed_proxy_restarts_cold_and_rejects_pushes(workload):
 def test_crash_drops_cache_contents(workload):
     simulation = Simulation(workload, SimulationConfig(strategy="gdstar"))
     proxy = simulation.proxies[0]
-    proxy.handle_publish(workload.pages[0].page_id, 0, 1000, 5, 0.0)
-    proxy.handle_request(workload.pages[0].page_id, 0, 1000, 5, 1.0)
-    assert proxy.policy.contains(workload.pages[0].page_id)
+    page_id = workload.pages[0].page_id
+    proxy.policy.on_request(page_id, 0, 1000, 5, 1.0)
+    assert proxy.policy.held_version(page_id) == 0
     proxy.crash(now=2.0)
     assert not proxy.up
-    assert not proxy.policy.contains(workload.pages[0].page_id)
+    assert proxy.policy.held_version(page_id) is None
     with pytest.raises(RuntimeError, match="already down"):
         proxy.crash(now=3.0)
     proxy.recover(now=10.0)
@@ -236,9 +236,9 @@ def test_drop_contents_supported_by_every_strategy(workload):
         )
         policy.on_publish(1, 0, 500, 3, 0.0)
         policy.on_request(1, 0, 500, 3, 1.0)
-        assert policy.contains(1), name
+        assert policy.held_version(1) is not None, name
         policy.drop_contents()
-        assert not policy.contains(1), name
+        assert policy.held_version(1) is None, name
         # Still functional after the cold restart.
         policy.on_request(1, 0, 500, 3, 2.0)
         policy.check_invariants()

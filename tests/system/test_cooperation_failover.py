@@ -46,7 +46,7 @@ def close_peers(sim, minimum=2):
 def seed_peer_cache(sim, peer_index, page_id, version, size):
     policy = sim.proxies[peer_index].policy
     policy.on_request(page_id, version, size, 5, 0.0)  # miss caches it
-    assert policy.contains(page_id) and policy.cached_version(page_id) == version
+    assert policy.held_version(page_id) == version
 
 
 def test_nearest_live_holder_serves(workload):
@@ -54,7 +54,6 @@ def test_nearest_live_holder_serves(workload):
     server_id, close = close_peers(sim)
     requester = sim.proxies[server_id]
     page = workload.pages[0]
-    sim.publisher.publish(page.page_id, 0)
     for peer_index, _hops in close[:2]:  # both near peers hold it
         seed_peer_cache(sim, peer_index, page.page_id, 0, page.size)
 
@@ -76,7 +75,6 @@ def test_crashed_nearest_peer_is_skipped_with_timeout(workload):
     server_id, close = close_peers(sim)
     requester = sim.proxies[server_id]
     page = workload.pages[0]
-    sim.publisher.publish(page.page_id, 0)
     (first_peer, _h1), (second_peer, h2) = close[0], close[1]
     seed_peer_cache(sim, first_peer, page.page_id, 0, page.size)
     seed_peer_cache(sim, second_peer, page.page_id, 0, page.size)
@@ -99,7 +97,6 @@ def test_origin_is_terminal_when_no_peer_holds_the_page(workload):
     server_id, _close = close_peers(sim)
     requester = sim.proxies[server_id]
     page = workload.pages[0]
-    sim.publisher.publish(page.page_id, 0)
 
     before = sim.publisher.total_fetch_pages
     resolution = sim._peers.fetch(
@@ -119,9 +116,7 @@ def test_stale_peer_copies_do_not_serve(workload):
     server_id, close = close_peers(sim)
     requester = sim.proxies[server_id]
     page = workload.pages[0]
-    sim.publisher.publish(page.page_id, 0)
     seed_peer_cache(sim, close[0][0], page.page_id, 0, page.size)
-    sim.publisher.publish(page.page_id, 1)  # peer copy now stale
 
     before = sim.publisher.total_fetch_pages
     resolution = sim._peers.fetch(
@@ -139,7 +134,6 @@ def test_request_fails_only_when_origin_retries_exhausted(workload):
     server_id, close = close_peers(sim)
     requester = sim.proxies[server_id]
     page = workload.pages[0]
-    sim.publisher.publish(page.page_id, 0)
     for peer_index, _hops in close:
         seed_peer_cache(sim, peer_index, page.page_id, 0, page.size)
         sim.proxies[peer_index].crash(now=5.0)

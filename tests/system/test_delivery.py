@@ -22,7 +22,7 @@ from repro.pubsub.routing import SequenceTracker
 from repro.sim.rng import RandomStreams
 from repro.system import delivery as delivery_layer
 from repro.system.config import SimulationConfig
-from repro.system.delivery import ReliableDelivery
+from repro.system.delivery import ReliableDelivery, RetryQueue
 from repro.system.metrics import STALENESS_AGE_BIN_EDGES, staleness_age_bin
 from repro.system.simulator import Simulation, run_simulation
 
@@ -255,8 +255,11 @@ def test_generated_broker_windows_are_deterministic(workload):
     )
     assert first.has_broker_faults
     assert first.broker_crash_count > 0
-    assert first.broker_crash_windows() == second.broker_crash_windows()
-    assert {broker for broker, _ in first.broker_crash_windows()} <= {0, 1}
+    windows = {broker: timeline.windows for broker, timeline in first._brokers.items()}
+    assert windows == {
+        broker: timeline.windows for broker, timeline in second._brokers.items()
+    }
+    assert set(windows) <= {0, 1}
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +339,18 @@ def test_plan_retry_limit_zero_never_queues():
     assert not plan.queued and not plan.queue_overflow
 
 
+def test_retry_queue_admit_drain_peak():
+    queue = RetryQueue(limit=2)
+    queue.admit(10.0)
+    queue.admit(5.0)
+    assert queue.full and queue.peak == 2
+    queue.drain(5.0)  # resolve_at <= now frees the slot
+    assert len(queue) == 1 and not queue.full
+    queue.drain(100.0)
+    assert len(queue) == 0
+    assert queue.peak == 2  # peak is sticky
+
+
 def test_plan_queue_overflow_and_lazy_drain(monkeypatch):
     """With one queue slot, a second concurrent loss is shed; once the
     first resolution time passes, the slot frees and queuing resumes."""
@@ -347,14 +362,14 @@ def test_plan_queue_overflow_and_lazy_drain(monkeypatch):
     # final ack timeout lapses at 13 + 4 = 17.
     first = delivery.plan(0, 10.0)
     assert first.queued and not first.delivered
-    assert delivery.pending_retransmits == 1
+    assert len(delivery.retransmits) == 1
     shed = delivery.plan(0, 10.5)
     assert shed.queue_overflow
     assert shed.attempts == 1 and shed.loss_events == 1
-    assert delivery.pending_retransmits == 1
+    assert len(delivery.retransmits) == 1
     later = delivery.plan(0, 17.5)  # first slot has drained by now
     assert later.queued and not later.queue_overflow
-    assert delivery.pending_retransmits == 1
+    assert len(delivery.retransmits) == 1
 
 
 def test_plan_broker_sharding():

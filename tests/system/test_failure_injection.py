@@ -8,7 +8,6 @@ import pytest
 from repro.pubsub.matching import TraceMatchCounts
 from repro.sim.rng import RandomStreams
 from repro.system.config import SimulationConfig
-from repro.system.publisher import Publisher
 from repro.system.simulator import Simulation, run_simulation
 from repro.workload import generate_workload, news_config
 from repro.workload.trace import PublishRecord, RequestRecord, Workload
@@ -38,11 +37,28 @@ def test_request_before_publication_raises(workload):
 
 
 def test_out_of_order_version_replay_raises(workload):
-    publisher = Publisher(workload)
+    """The replay loop holds each page's versions to 0, 1, 2, ...: a
+    skipped, replayed or late-starting version ends the run."""
     page_id = workload.pages[0].page_id
-    publisher.publish(page_id, 0)
-    with pytest.raises(ValueError, match="out-of-order"):
-        publisher.publish(page_id, 2)
+    for versions, message in (
+        ((0, 2), "got version 2 after 0"),
+        ((0, 0), "got version 0 after 0"),
+        ((1,), "got version 1 after -1"),
+    ):
+        broken = Workload(
+            config=workload.config,
+            pages=workload.pages,
+            publishes=[
+                PublishRecord(time=float(at), page_id=page_id, version=version)
+                for at, version in enumerate(versions)
+            ],
+            requests=[],
+            label="broken",
+        )
+        simulation = Simulation(broken, SimulationConfig(strategy="sg2"))
+        expected = f"out-of-order publish for page {page_id}: {message}"
+        with pytest.raises(ValueError, match=expected):
+            simulation.run()
 
 
 def test_one_byte_caches_still_serve_everything(workload):

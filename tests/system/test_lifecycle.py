@@ -29,7 +29,6 @@ from repro.system.lifecycle import (
     NEVER,
     RENEWAL_LATENCY_BIN_EDGES,
     LifecycleManager,
-    SubscriberQueue,
 )
 from repro.system.simulator import Simulation, run_simulation
 from repro.workload import generate_workload, news_config
@@ -91,7 +90,6 @@ def test_lifecycle_fields_zero_without_churn(workload):
         assert getattr(result, name) == 0, name
     assert result.renewal_latency_bin_edges == []
     assert result.renewal_latency_counts == []
-    assert result.lease_repair_ratio == 1.0  # nothing broke
     assert "leases=" not in result.summary()
 
 
@@ -147,7 +145,6 @@ def test_chaos_delivery_churn_completes_and_repairs(churned):
         + legacy.expired_leases_end
     )
     assert census > 0
-    assert 0.0 <= legacy.lease_repair_ratio <= 1.0
 
 
 def test_summary_mentions_leases_when_churned(churned):
@@ -397,19 +394,6 @@ class TestManager:
             "active": 1, "pending": 0, "expired": 1, "unsubscribed": 1
         }
         assert m.expired == 1  # counted exactly once, by finalize
-
-
-class TestSubscriberQueue:
-    def test_admit_drain_peak(self):
-        queue = SubscriberQueue(limit=2)
-        queue.admit(10.0)
-        queue.admit(5.0)
-        assert queue.full and queue.peak == 2
-        queue.drain(5.0)  # resolve_at <= now frees the slot
-        assert len(queue) == 1 and not queue.full
-        queue.drain(100.0)
-        assert len(queue) == 0
-        assert queue.peak == 2  # peak is sticky
 
 
 def renewal_latency_bin(latency):

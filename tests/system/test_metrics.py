@@ -1,11 +1,11 @@
-"""Tests for SimulationResult, HourlySeries and the conservation laws."""
+"""Tests for SimulationResult, its hourly series and the conservation laws."""
 
 import copy
 import dataclasses
 
 import pytest
 
-from repro.system.metrics import HourlySeries, SimulationResult, check_result
+from repro.system.metrics import SimulationResult, check_result, dense_clamped
 from tests.system.test_layer_matrix import (
     CRASHES,
     DELIVERY,
@@ -50,7 +50,6 @@ def test_hit_ratio():
 def test_traffic_totals():
     result = make_result()
     assert result.traffic_pages == 70
-    assert result.traffic_bytes == 7000
 
 
 def test_hourly_hit_ratio():
@@ -70,7 +69,6 @@ def test_hourly_hit_ratio_empty_hour():
 def test_hourly_traffic():
     result = make_result()
     assert result.hourly_traffic_pages() == [20, 30, 20]
-    assert result.hourly_traffic_bytes() == [2000, 3000, 2000]
 
 
 def test_summary_mentions_key_fields():
@@ -81,11 +79,8 @@ def test_summary_mentions_key_fields():
 
 
 def test_hourly_series():
-    series = HourlySeries()
-    series.add(0, 1.0)
-    series.add(0, 2.0)
-    series.add(4, 5.0)
-    assert series.dense(6) == [3.0, 0.0, 0.0, 0.0, 5.0, 0.0]
+    """An hourly series is stored sparsely and rendered zero-filled."""
+    assert dense_clamped({0: 3.0, 4: 5.0}, 6) == [3.0, 0.0, 0.0, 0.0, 5.0, 0.0]
 
 
 def test_mean_response_time():
@@ -102,30 +97,20 @@ def test_hourly_series_clamps_horizon_boundary():
     # An event landing at exactly hour_count (e.g. a backed-off retry
     # resolving right at the end of the run) must not be dropped: it
     # folds into the final bucket so all hourly lists share one length.
-    series = HourlySeries()
-    series.add(0, 1.0)
-    series.add(3, 7.0)  # == hour_count
-    series.add(5, 2.0)  # beyond the horizon
-    assert series.dense(3) == [1.0, 0.0, 9.0]
+    series = {0: 1.0, 3: 7.0, 5: 2.0}  # hour 3 == hour_count; 5 is beyond
+    assert dense_clamped(series, 3) == [1.0, 0.0, 9.0]
 
 
 def test_hourly_series_clamps_negative_hours():
-    series = HourlySeries()
-    series.add(-2, 4.0)
-    series.add(1, 1.0)
-    assert series.dense(2) == [4.0, 1.0]
+    assert dense_clamped({-2: 4.0, 1: 1.0}, 2) == [4.0, 1.0]
 
 
 def test_hourly_series_empty_horizon():
-    series = HourlySeries()
-    series.add(0, 1.0)
-    assert series.dense(0) == []
-    assert series.dense(-1) == []
+    assert dense_clamped({0: 1.0}, 0) == []
+    assert dense_clamped({0: 1.0}, -1) == []
 
 
 def test_dense_clamped_matches_series():
-    from repro.system.metrics import dense_clamped
-
     assert dense_clamped({0: 1.0, 9: 2.0}, 4) == [1.0, 0.0, 0.0, 2.0]
     assert dense_clamped({}, 2) == [0.0, 0.0]
 

@@ -218,15 +218,15 @@ def test_manager_unarmed_parts_are_noops():
     assert manager.origin_admit(0.0)
     assert manager.allow_retry(0.0)
     assert manager.jitter_backoff(3.0) == 3.0
-    assert not manager.breaker_open()
+    assert manager.breaker is None
     gate_only = OverloadManager(
         OverloadSpec(origin_capacity=1.0, origin_burst=1, breaker_threshold=1),
         range(2),
     )
-    assert gate_only.admit(0, 0.0, push=False)
+    assert gate_only.queues == {}
     assert gate_only.origin_admit(0.0)
     assert not gate_only.origin_admit(0.0)
-    assert gate_only.breaker_open()
+    assert gate_only.breaker.state == OPEN
     assert gate_only.origin_rejections == 1
 
 
@@ -332,7 +332,7 @@ def test_queue_rejections_never_double_count(workload):
 
 
 def test_subscriber_queue_shedding_composes_with_rejection(churny, monkeypatch):
-    """Lifecycle handshake shedding (SubscriberQueue overflow) and
+    """Lifecycle handshake shedding (a full RetryQueue) and
     proxy-level pull rejection keep separate books: engaging both never
     perturbs the shared request denominator."""
     monkeypatch.setattr(lifecycle, "QUEUE_LIMIT", 2)
@@ -483,8 +483,8 @@ def test_per_proxy_queue_metrics(workload):
 def _per_proxy_arrivals(workload, spec):
     sim = Simulation(workload, SimulationConfig(strategy="gdstar", overload=spec))
     sim.run()
-    metrics = sim._overload.queue_metrics_by_proxy()
+    queues = sim._overload.queues
     return [
-        metrics[server_id]["arrivals"]
+        queues[server_id].arrivals
         for server_id in range(workload.config.server_count)
     ]

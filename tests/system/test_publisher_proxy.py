@@ -4,9 +4,12 @@ import pytest
 
 from repro.core.gdstar import GDStarPolicy
 from repro.sim.rng import RandomStreams
+from repro.system.config import SimulationConfig
 from repro.system.proxy import ProxyServer
 from repro.system.publisher import Publisher
+from repro.system.simulator import Simulation
 from repro.workload import generate_workload, news_config
+from repro.workload.trace import PublishRecord, Workload
 
 
 @pytest.fixture(scope="module")
@@ -15,23 +18,25 @@ def workload():
 
 
 def test_publisher_tracks_versions(workload):
-    publisher = Publisher(workload)
+    """The replay loop records each publication in the publisher: a copy
+    at version v went stale when version v + 1 was published."""
     page_id = workload.pages[0].page_id
-    assert publisher.current_version(page_id) is None
-    publisher.publish(page_id, 0)
-    assert publisher.current_version(page_id) == 0
-    publisher.publish(page_id, 1)
-    assert publisher.current_version(page_id) == 1
-
-
-def test_publisher_rejects_out_of_order_versions(workload):
-    publisher = Publisher(workload)
-    page_id = workload.pages[0].page_id
-    with pytest.raises(ValueError):
-        publisher.publish(page_id, 1)  # version 0 never published
-    publisher.publish(page_id, 0)
-    with pytest.raises(ValueError):
-        publisher.publish(page_id, 0)  # replay
+    published = Workload(
+        config=workload.config,
+        pages=workload.pages,
+        publishes=[
+            PublishRecord(time=at, page_id=page_id, version=version)
+            for version, at in enumerate((10.0, 100.0, 250.0))
+        ],
+        requests=[],
+        label="published",
+    )
+    simulation = Simulation(published, SimulationConfig(strategy="sg2"))
+    simulation.run()
+    publisher = simulation.publisher
+    assert publisher.staleness_age(page_id, 0, 300.0) == 200.0
+    assert publisher.staleness_age(page_id, 1, 300.0) == 50.0
+    assert publisher.staleness_age(page_id, 2, 300.0) == 0.0  # current
 
 
 def test_publisher_page_size(workload):
@@ -58,13 +63,11 @@ def test_publisher_traffic_bucketing(workload):
 
 
 def test_proxy_delegates_to_policy():
-    proxy = ProxyServer(3, GDStarPolicy(1000, cost=2.0))
-    push = proxy.handle_publish(1, 0, 100, 5, now=0.0)
-    assert not push.stored  # GD* ignores pushes
-    miss = proxy.handle_request(1, 0, 100, 5, now=1.0)
-    assert not miss.hit
-    hit = proxy.handle_request(1, 0, 100, 5, now=2.0)
-    assert hit.hit
-    assert proxy.stats.requests == 2
+    """The replay loop calls the policy itself; the proxy reports the
+    policy's counters and invariants."""
+    policy = GDStarPolicy(1000, cost=2.0)
+    proxy = ProxyServer(3, policy)
+    policy.on_request(1, 0, 100, 5, now=1.0)
+    assert proxy.stats is policy.stats and proxy.stats.requests == 1
     proxy.check_invariants()
     assert proxy.server_id == 3

@@ -494,13 +494,11 @@ def test_run_with_series_and_monitor_outputs(tmp_path, capsys):
     assert f"wrote {series}" in out
     assert f"wrote {beats}" in out
 
-    from repro.obs import read_series_jsonl
+    import json as _json
 
-    windows = read_series_jsonl(str(series))
+    windows = [_json.loads(line) for line in open(series)]
     assert windows, "series file is empty"
     assert sum(w["counters"].get("requests", 0) for w in windows) > 0
-
-    import json as _json
 
     heartbeats = [_json.loads(line) for line in open(beats)]
     assert heartbeats[-1]["final"] is True
@@ -679,6 +677,18 @@ def test_bad_numeric_flags_fail_with_one_line(capsys, argv, needle):
                                  ("--series-window", ("0", "-5", "nan")))
             for value in values
         ),
+        *(
+            ([*command.split(), "--scale", "0.01", "--seed", "-1"],
+             f"invalid {command.split()[0]} parameter: seed must be >= 0, got -1")
+            for command in ("run", "chaos", "figure 4", "table 2", "sweep-beta",
+                            "trace-stats", "calibrate-beta", "report", "seed-sweep",
+                            "generate-trace")
+        ),
+        *(
+            (["calibrate-beta", "--scale", "0.03", "--prefix", prefix],
+             f"invalid calibrate-beta parameter: prefix must be in (0, 1], got {float(prefix)}")
+            for prefix in ("nan", "0", "1.5")
+        ),
     ],
 )
 def test_nan_flags_fail_with_one_line(capsys, argv, needle):
@@ -715,6 +725,26 @@ def test_unwritable_output_path_fails_before_the_run(
         f"cannot write {flag} {path}: no such directory: {path.parent}\n"
     )
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["report", "--output"], ["figure", "3", "--svg"]], ids=["report", "figure"]
+)
+def test_unusable_output_directory_fails_before_the_run(tmp_path, capsys, monkeypatch, argv):
+    """An output directory beneath a regular file costs one line and exit
+    code 2 before any cell runs, not a NotADirectoryError afterwards."""
+
+    def generated_too_early(*args, **kwargs):
+        raise AssertionError("a trace was generated before the directory was checked")
+
+    monkeypatch.setattr("repro.workload.presets.generate_workload", generated_too_early)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    directory = blocker / "sub"
+    assert main([*argv, str(directory), "--scale", "0.03", "--no-artifact-cache"]) == 2
+    assert capsys.readouterr().err == (
+        f"cannot use {argv[-1]} {directory}: cannot create it (Not a directory)\n"
+    )
 
 
 def _spool_fails_to_appear(monkeypatch):

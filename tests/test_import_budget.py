@@ -276,3 +276,96 @@ def test_every_spec_field_is_set_by_a_command():
     # 65 before the fields no command set became constants; a new field
     # must argue its way past this number.
     assert sum(map(len, fields.values())) <= 45
+
+
+# -- every function is called by the program --------------------------------
+
+#: Definitions only tests call, each with the reason it stays, keyed
+#: ``module:qualified name``.
+CALLED_BY_TESTS_ON_PURPOSE = {
+    "repro.system.metrics:check_result": (
+        "the conservation-law oracle: tests hold every layer combination's "
+        "result to it"
+    ),
+    "repro.cache.heap:AddressableHeap.peek": (
+        "read-only view of the next pop, which the heap tests pin; the "
+        "policies pop through pop_cheaper"
+    ),
+    "repro.cache.heap:AddressableHeap.min_priority": (
+        "the pop order tests/core/_reference.py steps through, until an "
+        "independent reference simulator retires it"
+    ),
+}
+
+
+def _definitions():
+    """``(module:qualified name, name, path, first line, last line)`` of
+    every ``def`` and ``class`` under ``src/repro``, dunders excepted."""
+    found = []
+    for module, path in _module_files().items():
+        pending = [(ast.parse(path.read_text(encoding="utf-8")), "")]
+        while pending:
+            node, prefix = pending.pop()
+            for child in ast.iter_child_nodes(node):
+                scope = prefix
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    scope = f"{prefix}{child.name}."
+                    if not re.fullmatch(r"__\w+__", child.name):
+                        found.append((
+                            f"{module}:{scope[:-1]}", child.name, path,
+                            child.lineno, child.end_lineno,
+                        ))
+                pending.append((child, scope))
+    return found
+
+
+def _appearances(paths):
+    """``{name: [(path, line), ...]}`` of every ``Name``, ``Attribute``
+    and identifier string in ``paths``, outside the export tables
+    (``__all__``, the ``lazy_exports`` map, ``if TYPE_CHECKING:``)."""
+    found = {}
+    for path in paths:
+        pending = [ast.parse(path.read_text(encoding="utf-8"))]
+        while pending:
+            node = pending.pop()
+            if _is_type_checking(node):
+                pending.extend(node.orelse)
+                continue
+            if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", "") == "__all__" for target in node.targets
+            ):
+                continue
+            if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "lazy_exports":
+                pending.extend([node.func, *node.args[:2]])
+                continue
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value if node.value.isidentifier() else None
+            if name:
+                found.setdefault(name, []).append((path, node.lineno))
+            pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_function_is_reachable_from_the_program():
+    """A ``def`` or ``class`` under ``src/repro`` is named somewhere in
+    ``src/repro``, ``bench/`` or ``examples/`` outside its own body, or
+    it is deleted: a behaviour only tests call is a second copy of one
+    the program runs, and its tests pin the copy that does not run."""
+    root = SOURCE.parent
+    seen = _appearances([
+        *(SOURCE / "repro").rglob("*.py"),
+        *(root / "bench").rglob("*.py"),
+        *(root / "examples").rglob("*.py"),
+    ])
+    uncalled = [
+        qualified
+        for qualified, name, path, first, last in _definitions()
+        if not any(
+            where != path or not first <= line <= last
+            for where, line in seen.get(name, ())
+        )
+    ]
+    assert sorted(set(uncalled) - set(CALLED_BY_TESTS_ON_PURPOSE)) == []
+    assert sorted(set(CALLED_BY_TESTS_ON_PURPOSE) - set(uncalled)) == []
+    assert len(CALLED_BY_TESTS_ON_PURPOSE) <= 8

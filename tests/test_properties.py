@@ -49,7 +49,7 @@ def test_heap_matches_reference_model(operations):
             assert popped_priority == min(model.values())
             assert model.pop(popped_key) == popped_priority
     assert len(heap) == len(model)
-    assert dict(heap.items()) == model
+    assert {key: heap.priority(key) for key in heap.keys()} == model
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=100))
@@ -74,7 +74,7 @@ def test_storage_byte_accounting_exact(operations):
     for page_id, size in operations:
         if page_id in storage:
             storage.remove(page_id)
-        elif storage.fits(size):
+        elif size <= storage.free_bytes:
             storage.add(
                 CacheEntry(page_id=page_id, version=0, size=size, cost=1.0)
             )

@@ -18,6 +18,9 @@ import pytest
 #: ``repro.core``, ``repro.pubsub`` and ``repro.sim`` were re-pinned once,
 #: when the modules no command reaches left ``src/repro``; ``repro.obs``
 #: when the benchmark-history module left with the last of them.
+#: ``repro.obs``, ``repro.system`` and ``repro.workload`` were re-pinned
+#: when ``read_series_jsonl``, ``HourlySeries`` and ``churn_statistics``,
+#: which only tests called, left the program.
 PINNED_ALL = {
     "repro": (
         "make_policy strategy_names SimulationConfig PushingScheme run_simulation "
@@ -52,21 +55,20 @@ PINNED_ALL = {
     "repro.obs": (
         "Observer NullObserver NULL_OBSERVER build_observer MetricsRegistry Counter "
         "Gauge Histogram DEFAULT_LATENCY_BUCKETS escape_label_value escape_help "
-        "EventTracer EVENT_TYPES read_jsonl TimeSeriesCollector read_series_jsonl "
-        "RunMonitor rss_bytes PageExplanation explain_page explain_page_from_file "
+        "EventTracer EVENT_TYPES read_jsonl TimeSeriesCollector RunMonitor "
+        "rss_bytes PageExplanation explain_page explain_page_from_file "
         "profile_call get_logger setup_cli_logging"
     ),
     "repro.pubsub": "TraceMatchCounts",
     "repro.sim": "Environment RandomStreams SimulationError",
     "repro.system": (
         "SimulationConfig PushingScheme Publisher ProxyServer SimulationResult "
-        "HourlySeries Simulation run_simulation CooperativeSimulation "
-        "run_cooperative_simulation"
+        "Simulation run_simulation CooperativeSimulation run_cooperative_simulation"
     ),
     "repro.workload": (
         "WorkloadConfig Workload PageSpec PublishRecord RequestRecord "
-        "generate_workload ChurnSpec LifecycleRecord generate_churn churn_statistics "
-        "build_match_counts news_config alternative_config ValidationReport "
+        "generate_workload ChurnSpec LifecycleRecord generate_churn build_match_counts "
+        "news_config alternative_config ValidationReport "
         "validate_workload validate_churn_spec"
     ),
 }

@@ -61,7 +61,7 @@ class PolicyMachine(RuleBasedStateMachine):
                 page_id, 0, self._size(page_id), match_count, self._tick()
             )
         current = self.versions[page_id]
-        was_cached = self.policy.contains(page_id)
+        was_cached = self.policy.held_version(page_id) is not None
         cached_version = (
             self.policy.cached_version(page_id) if was_cached else None
         )
@@ -72,7 +72,7 @@ class PolicyMachine(RuleBasedStateMachine):
             assert was_cached and cached_version == current
         if outcome.stale:
             assert was_cached and cached_version != current
-        assert outcome.cached_after == self.policy.contains(page_id)
+        assert outcome.cached_after == (self.policy.held_version(page_id) is not None)
 
     @invariant()
     def within_capacity(self):
@@ -120,7 +120,8 @@ class StorageMachine(RuleBasedStateMachine):
             removed = self.storage.remove(page_id)
             assert removed.size == self.model.pop(page_id)
         else:
-            assert self.storage.pop_if_present(page_id) is None
+            with pytest.raises(KeyError):
+                self.storage.remove(page_id)
 
     @invariant()
     def accounting_matches_model(self):
@@ -152,7 +153,7 @@ class EngineMachine(RuleBasedStateMachine):
     @rule()
     def run_some(self):
         for _ in range(3):
-            if self.env.peek() == float("inf"):
+            if not self.env._agenda:
                 break
             self.env.step()
 

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from repro.workload.config import DAY, WorkloadConfig
+from repro.workload.presets import alternative_config, news_config
 
 
 def test_defaults_match_paper():
@@ -41,14 +42,10 @@ def test_scaled_validation():
 
 
 def test_with_alpha():
-    config = WorkloadConfig().with_alpha(1.0)
-    assert config.zipf_alpha == 1.0
-    assert config.distinct_pages == 6000
-
-
-def test_days_property():
-    assert WorkloadConfig().days == 7
-    assert dataclasses.replace(WorkloadConfig(), horizon=1.5 * DAY).days == 2
+    """ALTERNATIVE is NEWS with α = 1.0 and every other knob equal (§4)."""
+    news = news_config(0.5)
+    assert alternative_config(0.5) == dataclasses.replace(news, zipf_alpha=1.0)
+    assert news.zipf_alpha == 1.5
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from repro.workload.churn import (
     MAX_EVENTS_PER_SUBSCRIBER,
     ChurnSpec,
     LifecycleRecord,
-    churn_statistics,
     generate_churn,
 )
 from repro.workload.config import DAY
@@ -111,9 +110,6 @@ def test_empty_lifecycle_table():
     with pytest.raises(IndexError):
         empty[0]
     assert generate_churn([], DAY, SPEC, np.random.default_rng(0)) == empty
-    assert churn_statistics(empty) == {
-        "events": 0, "subscribers": 0, "subscribe": 0, "renew": 0, "unsubscribe": 0
-    }
 
 
 def test_workload_wraps_a_hand_built_record_list(churned):
@@ -138,20 +134,6 @@ def test_with_churn_on_a_spilled_trace_equals_in_memory(churned):
         streaming.close()
 
 
-def test_churn_statistics_equals_the_record_loop(churned):
-    # The parent's implementation: one pass over record attributes.
-    counts = {kind: 0 for kind in LIFECYCLE_KINDS}
-    subscribers = set()
-    for event in churned.lifecycle:
-        counts[event.kind] += 1
-        subscribers.add((event.server_id, event.page_id))
-    want = {"events": len(churned.lifecycle), "subscribers": len(subscribers), **counts}
-    assert churn_statistics(churned.lifecycle) == want
-    assert churn_statistics(list(churned.lifecycle)) == want
-    assert list(churn_statistics(churned.lifecycle)) == list(want)  # key order too
-    assert all(type(value) is int for value in churn_statistics(churned.lifecycle).values())
-
-
 # -- an unknown kind is rejected where the table is built ----------------------
 
 UNKNOWN_KIND = r"unknown lifecycle kind 'renewal' \(expected one of subscribe, renew, unsubscribe\)"
@@ -163,8 +145,6 @@ def test_unknown_kind_is_rejected_when_the_table_is_built(churned):
         EventTable(LifecycleRecord, [bad])
     with pytest.raises(ValueError, match=UNKNOWN_KIND):
         dataclasses.replace(churned, lifecycle=[*churned.lifecycle[:3], bad])
-    with pytest.raises(ValueError, match=UNKNOWN_KIND):
-        churn_statistics([bad])
 
 
 # -- the stored form and its damage cases ------------------------------------------

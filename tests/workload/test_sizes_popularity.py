@@ -12,7 +12,17 @@ from repro.workload.popularity import (
     request_counts,
     zipf_weights,
 )
-from repro.workload.sizes import generate_sizes, lognormal_mean, lognormal_median
+from repro.workload.sizes import generate_sizes
+
+
+def lognormal_mean(mu, sigma):
+    """The log-normal's analytic mean: the oracle for the generated sizes."""
+    return float(np.exp(mu + sigma**2 / 2.0))
+
+
+def lognormal_median(mu, sigma):
+    """The log-normal's analytic median."""
+    return float(np.exp(mu))
 
 
 def rng(seed=0):

@@ -7,7 +7,6 @@ from repro.workload.subscriptions import (
     MIN_QUALITY,
     build_match_counts,
     sample_quality,
-    table_statistics,
 )
 
 
@@ -85,10 +84,3 @@ class TestBuildMatchCounts:
         counts = [table[page][0] for page in range(2000)]
         # mean of 10/U(0.05,1.0) ... wide, but must exceed 10/0.5 trivially
         assert 15 < np.mean(counts) < 90
-
-
-def test_table_statistics():
-    table = {1: {0: 3, 1: 1}, 2: {0: 2}}
-    stats = table_statistics(table)
-    assert stats == {"pairs": 3, "total": 6, "mean": 2.0, "max": 3}
-    assert table_statistics({}) == {"pairs": 0, "total": 0, "mean": 0.0, "max": 0}
