@@ -15,7 +15,6 @@ replacement policies can mutate in place.
 
 from __future__ import annotations
 
-from typing import Tuple
 
 #: Entry/storage owned by the access-time (caching) module.
 ACCESS_MODULE = "access"
@@ -48,11 +47,11 @@ class CacheEntry:
             (reset on eviction per In-Cache LFU, §3.1).
         match_count: ``s`` — subscriptions matching the page at this
             proxy (static during a run; §4.3).
-        value: current value under the owning policy.
+        value: current value under the owning policy (0 until it sets one).
         module: owning module label (dual-cache strategies only).
         accessed_since_replacement: whether the entry was referenced
             since the last replacement round in its cache — DC-AP uses
-            this to pick repartition victims (§3.3).
+            this to pick repartition victims (§3.3); true at insertion.
         last_access_time: simulation time of the latest hit.
     """
 
@@ -66,9 +65,7 @@ class CacheEntry:
         cost: float,
         access_count: int = 0,
         match_count: int = 0,
-        value: float = 0.0,
         module: str = ACCESS_MODULE,
-        accessed_since_replacement: bool = True,
         last_access_time: float = 0.0,
     ) -> None:
         if size <= 0:
@@ -83,15 +80,10 @@ class CacheEntry:
         self.cost = cost
         self.access_count = access_count
         self.match_count = match_count
-        self.value = value
+        self.value = 0.0
         self.module = module
-        self.accessed_since_replacement = accessed_since_replacement
+        self.accessed_since_replacement = True
         self.last_access_time = last_access_time
-
-    @property
-    def key(self) -> Tuple[int, int]:
-        """(page_id, version) identity of the cached content."""
-        return (self.page_id, self.version)
 
     def record_access(self, at: float) -> None:
         """Register a hit at simulation time ``at``."""

@@ -187,7 +187,9 @@ def _reject_unwritable_outputs(
         if path is None:
             continue
         parent = os.path.dirname(path) or "."
-        if not os.path.isdir(parent):
+        if os.path.isdir(path):
+            reason = "is a directory"
+        elif not os.path.isdir(parent):
             reason = f"no such directory: {parent}"
         elif not os.access(parent, os.W_OK):
             reason = f"directory is not writable: {parent}"
@@ -637,13 +639,21 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                 print(json.dumps(summary.as_dict(top=args.top), indent=2))
             else:
                 print(summary.render(top=args.top))
-    except FileNotFoundError:
-        print(f"no such trace file: {args.path}", file=sys.stderr)
-        return 2
-    except ValueError as error:
-        print(f"malformed trace file: {error}", file=sys.stderr)
-        return 2
+    except (OSError, ValueError) as error:
+        return _unreadable_trace(args.path, error)
     return 0
+
+
+def _unreadable_trace(path: str, error: Exception) -> int:
+    """Exit code 2 and one line for a trace file ``inspect`` / ``explain``
+    cannot read: missing, not a regular file, or not JSONL objects."""
+    if isinstance(error, FileNotFoundError):
+        print(f"no such trace file: {path}", file=sys.stderr)
+    elif isinstance(error, OSError):
+        print(f"cannot read trace file {path}: {error.strerror}", file=sys.stderr)
+    else:
+        print(f"malformed trace file: {error}", file=sys.stderr)
+    return 2
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -653,12 +663,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
     try:
         explanation = explain_page_from_file(args.path, args.id, proxy=args.proxy)
-    except FileNotFoundError:
-        print(f"no such trace file: {args.path}", file=sys.stderr)
-        return 2
-    except ValueError as error:
-        print(f"malformed trace file: {error}", file=sys.stderr)
-        return 2
+    except (OSError, ValueError) as error:
+        return _unreadable_trace(args.path, error)
     if args.json:
         print(json.dumps(explanation.as_dict(), indent=2))
     else:

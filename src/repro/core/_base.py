@@ -83,10 +83,6 @@ class HeapCache:
         return self.storage.used_bytes
 
     @property
-    def free_bytes(self) -> int:
-        return self.storage.free_bytes
-
-    @property
     def capacity_bytes(self) -> int:
         return self.storage.capacity_bytes
 

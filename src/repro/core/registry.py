@@ -89,29 +89,25 @@ STRATEGIES: Dict[str, Callable[..., Policy]] = {
 }
 
 
-def register_strategy(
-    name: str, constructor: Callable[..., Policy], uses_beta: bool = False
-) -> None:
+def register_strategy(name: str, constructor: Callable[..., Policy]) -> None:
     """Register a user-defined strategy under ``name``.
 
     After registration the strategy is constructible through
     :func:`make_policy` and usable as ``SimulationConfig(strategy=name)``
-    — see ``examples/custom_policy.py``.  Re-registering a built-in
-    name is rejected to avoid silently changing the paper's strategies.
+    — see ``examples/custom_policy.py``.  A registered strategy takes no
+    ``beta`` (:func:`make_policy_lenient` drops it).  Re-registering a
+    built-in name is rejected to avoid silently changing the paper's
+    strategies.
     """
     key = name.lower()
     if key in _BUILTIN_NAMES:
         raise ValueError(f"cannot override built-in strategy {name!r}")
     STRATEGIES[key] = constructor
-    if uses_beta:
-        global BETA_STRATEGIES
-        BETA_STRATEGIES = BETA_STRATEGIES | {key}
 
 
-def strategy_names(include_aliases: bool = False) -> List[str]:
-    """Canonical strategy names (``gd*`` is an alias of ``gdstar``)."""
-    names = [name for name in STRATEGIES if include_aliases or name != "gd*"]
-    return names
+def strategy_names() -> List[str]:
+    """Canonical strategy names (``gd*``, an alias of ``gdstar``, left out)."""
+    return [name for name in STRATEGIES if name != "gd*"]
 
 
 def make_policy(name: str, capacity_bytes: int, cost: float = 1.0, **kwargs) -> Policy:

@@ -74,13 +74,8 @@ FORMAT_VERSION = 2
 class ArtifactCache:
     """A content-addressed store of serialized generation artifacts."""
 
-    def __init__(
-        self,
-        root: str = DEFAULT_CACHE_DIR,
-        format_version: int = FORMAT_VERSION,
-    ) -> None:
+    def __init__(self, root: str = DEFAULT_CACHE_DIR) -> None:
         self.root = root
-        self.format_version = int(format_version)
         self.hits = 0
         self.misses = 0
 
@@ -89,7 +84,7 @@ class ArtifactCache:
     def key(self, kind: str, params: dict) -> str:
         """SHA-256 key of one artifact: kind + params + format version."""
         canonical = json.dumps(
-            {"kind": kind, "version": self.format_version, "params": params},
+            {"kind": kind, "version": FORMAT_VERSION, "params": params},
             sort_keys=True,
             separators=(",", ":"),
         )

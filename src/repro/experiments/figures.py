@@ -8,7 +8,7 @@ rendering whose rows/series mirror the figure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.system.config import PushingScheme
 from repro.experiments.report import render_series, render_table
@@ -174,20 +174,21 @@ def figure7(scale: float = 1.0, seed: int = 7) -> Dict[str, FigureResult]:
     return results
 
 
-def beta_sweep(
-    scale: float = 1.0,
-    seed: int = 7,
-    betas: Sequence[float] = (0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0),
-    trace: str = "news",
-    capacity: float = 0.05,
-) -> FigureResult:
-    """§5.1's β calibration: GD*, SG1, SG2 over β ∈ [0.0625, 4]."""
+#: The capacity setting of the β sweep.
+SWEEP_CAPACITY = 0.05
+
+
+def beta_sweep(scale: float = 1.0, seed: int = 7, trace: str = "news") -> FigureResult:
+    """§5.1's β calibration: GD*, SG1, SG2 over the paper's β grid
+    (0.0625 to 4) at :data:`SWEEP_CAPACITY`."""
+    from repro.experiments.calibrate import CALIBRATED_STRATEGIES, DEFAULT_BETAS
+
     data: Dict[str, List[float]] = {}
-    for strategy in ("gdstar", "sg1", "sg2"):
+    for strategy in CALIBRATED_STRATEGIES:
         row = []
-        for beta in betas:
+        for beta in DEFAULT_BETAS:
             result = run_cell(
-                CellKey(trace=trace, strategy=strategy, capacity=capacity),
+                CellKey(trace=trace, strategy=strategy, capacity=SWEEP_CAPACITY),
                 scale=scale,
                 seed=seed,
                 beta=beta,
@@ -196,8 +197,8 @@ def beta_sweep(
         data[strategy] = row
     text = render_table(
         f"β sweep — hit ratio (%) vs β ({trace.upper()}, capacity "
-        f"{capacity:.0%})",
-        [f"β={beta:g}" for beta in betas],
+        f"{SWEEP_CAPACITY:.0%})",
+        [f"β={beta:g}" for beta in DEFAULT_BETAS],
         data,
     )
     return FigureResult(name="beta_sweep", data=data, text=text)

@@ -401,13 +401,11 @@ def run_grid(
     grid: ExperimentGrid,
     scale: float = 1.0,
     seed: int = 7,
-    beta: Optional[float] = None,
-    notified_fraction: float = 1.0,
-    strategy_options: Optional[Dict] = None,
-    progress: Optional[Callable[[CellKey, SimulationResult], None]] = None,
     artifact_dir: Optional[str] = None,
 ) -> GridResult:
-    """Run every cell of ``grid``; see :class:`GridResult` for access.
+    """Run every cell of ``grid``, each at its paper β
+    (:func:`paper_beta`) with every subscriber notified; see
+    :class:`GridResult` for access.
 
     Three steps: load every cell the artifact store holds (a warm grid
     forks nothing); resolve the trace, match table and topology of the
@@ -416,41 +414,36 @@ def run_grid(
     inherit the memos copy-on-write and touch no store.  Fewer than two
     cells to replay, one usable CPU, no ``fork`` start method or a
     daemonic caller replay serially instead (one DEBUG line says which).
-    Results are stored here, ``progress`` fires as cells finish (a
-    worker's when this process is between cells), and
-    ``outcome.results`` is in ``grid.cells()`` order.  A worker that
-    dies raises ``ChildProcessError`` naming its cell.
+    Results are stored here, and ``outcome.results`` is in
+    ``grid.cells()`` order.  A worker that dies raises
+    ``ChildProcessError`` naming its cell.
     """
     artifact_dir = _resolve_artifact_dir(artifact_dir)
     store = None if artifact_dir is None else cell_store(artifact_dir)
     configs: Dict[CellKey, SimulationConfig] = {}
     params: Dict[CellKey, dict] = {}
     done: Dict[CellKey, SimulationResult] = {}
-
-    def finish(key: CellKey, result: SimulationResult) -> None:
-        done[key] = result
-        if progress is not None:
-            progress(key, result)
-
     pending = []
     for key in grid.cells():
-        configs[key] = _cell_config(key, seed, beta, notified_fraction, strategy_options)
+        configs[key] = _cell_config(
+            key, seed, beta=None, notified_fraction=1.0, strategy_options=None
+        )
         if store is not None:
             params[key] = cell_params(key, scale, seed, configs[key], None, False)
             result = load_cell(store, params[key])
             if result is not None:
                 _log_loaded(key, result)
-                finish(key, result)
+                done[key] = result
                 continue
         pending.append(key)
     for key in pending:  # once, here: forked workers find them in the memos
-        _cell_inputs(key, scale, seed, notified_fraction, artifact_dir)
+        _cell_inputs(key, scale, seed, notified_fraction=1.0, artifact_dir=artifact_dir)
     for key, result in _replayed(
         pending, lambda key: _replay(key, configs[key], scale, seed, artifact_dir)
     ):
         if store is not None:
             store_cell(store, params[key], result)
-        finish(key, result)
+        done[key] = result
     return GridResult(
         grid=grid,
         scale=scale,

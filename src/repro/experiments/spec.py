@@ -91,12 +91,10 @@ class GridResult:
     def hit_ratio(self, **kwargs) -> float:
         return self.get(**kwargs).hit_ratio
 
-    def relative_improvement(
-        self, baseline: str = "gdstar", **kwargs
-    ) -> Optional[float]:
-        """Relative hit-ratio improvement over ``baseline`` (Table 2)."""
+    def relative_improvement(self, **kwargs) -> Optional[float]:
+        """Relative hit-ratio improvement over GD* (Table 2)."""
         target = self.get(**kwargs).hit_ratio
-        base = self.get(**{**kwargs, "strategy": baseline}).hit_ratio
+        base = self.get(**{**kwargs, "strategy": "gdstar"}).hit_ratio
         if base == 0.0:
             return None
         return target / base - 1.0

@@ -8,8 +8,8 @@ produces
 * a **recovery curve** — served requests and hits bucketed by time
   since recovery, aggregated over all crashes, and
 * a **time-to-warm** sample per crash — how long until a rolling
-  window of the proxy's requests hits ``warm_threshold`` of its
-  pre-crash hit ratio.
+  window of the proxy's last :data:`WARM_REQUEST_WINDOW` requests hits
+  :data:`WARM_THRESHOLD` of its pre-crash hit ratio.
 
 It also keeps the books of access-time **staleness repair**, the other
 way the system heals (silently stale serves, validations, the age
@@ -28,6 +28,14 @@ from repro.system.metrics import (
     dense_counts,
     staleness_age_bin,
 )
+
+#: Requests in the rolling window that decides a recovered proxy is warm.
+WARM_REQUEST_WINDOW = 50
+#: Warm: the window's hit ratio reaches this share of the pre-crash ratio.
+WARM_THRESHOLD = 0.8
+#: Width and number of the recovery curve's time-since-recovery bins.
+RECOVERY_BIN_SECONDS = 600.0
+RECOVERY_BIN_COUNT = 12
 
 
 @dataclass
@@ -55,27 +63,13 @@ class RecoveryReport:
 class RecoveryTracker:
     """Aggregates per-proxy recovery curves and time-to-warm samples."""
 
-    def __init__(
-        self,
-        warm_request_window: int = 50,
-        warm_threshold: float = 0.8,
-        bin_seconds: float = 600.0,
-        bin_count: int = 12,
-    ) -> None:
-        if warm_request_window < 1:
-            raise ValueError("warm_request_window must be >= 1")
-        if bin_count < 1 or bin_seconds <= 0:
-            raise ValueError("need bin_count >= 1 and bin_seconds > 0")
-        self.warm_request_window = int(warm_request_window)
-        self.warm_threshold = float(warm_threshold)
-        self.bin_seconds = float(bin_seconds)
-        self.bin_count = int(bin_count)
+    def __init__(self) -> None:
         self._pre_ratio: Dict[int, float] = {}
         self._warming: Dict[int, _Warming] = {}
         self._report = RecoveryReport(
-            bin_seconds=self.bin_seconds,
-            curve_requests=[0] * self.bin_count,
-            curve_hits=[0] * self.bin_count,
+            bin_seconds=RECOVERY_BIN_SECONDS,
+            curve_requests=[0] * RECOVERY_BIN_COUNT,
+            curve_hits=[0] * RECOVERY_BIN_COUNT,
         )
         #: Pushes skipped because the origin or the target proxy was down.
         self.pushes_suppressed = 0
@@ -99,7 +93,7 @@ class RecoveryTracker:
         self._warming[server_id] = _Warming(
             recovered_at=now,
             pre_hit_ratio=self._pre_ratio.get(server_id, 0.0),
-            window=deque(maxlen=self.warm_request_window),
+            window=deque(maxlen=WARM_REQUEST_WINDOW),
         )
 
     def on_request(self, server_id: int, hit: bool, now: float) -> None:
@@ -108,16 +102,16 @@ class RecoveryTracker:
         if state is None:
             return
         since = now - state.recovered_at
-        bin_index = int(since // self.bin_seconds)
-        if 0 <= bin_index < self.bin_count:
+        bin_index = int(since // RECOVERY_BIN_SECONDS)
+        if 0 <= bin_index < RECOVERY_BIN_COUNT:
             self._report.curve_requests[bin_index] += 1
             if hit:
                 self._report.curve_hits[bin_index] += 1
         state.window.append(hit)
-        if len(state.window) < self.warm_request_window:
+        if len(state.window) < WARM_REQUEST_WINDOW:
             return
         ratio = sum(state.window) / len(state.window)
-        if ratio >= self.warm_threshold * state.pre_hit_ratio:
+        if ratio >= WARM_THRESHOLD * state.pre_hit_ratio:
             self._report.time_to_warm.append(since)
             del self._warming[server_id]
 

@@ -1,15 +1,17 @@
 """Waxman random topology (BRITE's default router-level model).
 
-Nodes are placed uniformly at random on an ``plane_size`` x ``plane_size``
-plane; each candidate edge (u, v) exists with probability::
+Nodes are placed uniformly at random on a ``PLANE_SIZE`` x
+``PLANE_SIZE`` plane; each candidate edge (u, v) exists with
+probability::
 
-    P(u, v) = alpha * exp(-d(u, v) / (beta * L))
+    P(u, v) = ALPHA * exp(-d(u, v) / (BETA * L))
 
 where ``d`` is the Euclidean distance and ``L`` the maximum possible
-distance (the plane diagonal).  BRITE's defaults are alpha = 0.15 and
-beta = 0.2 with incremental node joining (each new node connects to
-``m`` existing nodes chosen by the Waxman probability); that is the
-variant implemented here, which also guarantees connectivity.
+distance (the plane diagonal).  BRITE's defaults are ALPHA = 0.15 and
+BETA = 0.2 with incremental node joining (each new node connects to
+``LINKS_PER_NODE`` existing nodes chosen by the Waxman probability);
+that is the variant implemented here, which also guarantees
+connectivity.
 """
 
 from __future__ import annotations
@@ -20,24 +22,22 @@ import numpy as np
 
 from repro.network.graph import Graph
 
+#: Waxman edge-probability scale (BRITE's default).
+ALPHA = 0.15
+#: Waxman distance decay: larger makes longer edges likelier (BRITE's default).
+BETA = 0.2
+#: Edges added per joining node (BRITE's ``m``).
+LINKS_PER_NODE = 2
+#: Side of the placement square.
+PLANE_SIZE = 1000.0
 
-def waxman_graph(
-    node_count: int,
-    rng: np.random.Generator,
-    alpha: float = 0.15,
-    beta: float = 0.2,
-    links_per_node: int = 2,
-    plane_size: float = 1000.0,
-) -> Graph:
+
+def waxman_graph(node_count: int, rng: np.random.Generator) -> Graph:
     """Generate a connected Waxman graph with BRITE-style incremental growth.
 
     Args:
         node_count: number of nodes (>= 1).
         rng: the random stream to draw from.
-        alpha: Waxman edge-probability scale (0 < alpha <= 1).
-        beta: Waxman distance decay (larger => longer edges likelier).
-        links_per_node: edges added per joining node (BRITE's ``m``).
-        plane_size: side of the placement square.
 
     Returns:
         A connected :class:`Graph` whose edge weights are Euclidean
@@ -45,16 +45,10 @@ def waxman_graph(
     """
     if node_count < 1:
         raise ValueError(f"node_count must be >= 1, got {node_count}")
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if links_per_node < 1:
-        raise ValueError(f"links_per_node must be >= 1, got {links_per_node}")
 
     graph = Graph()
-    coordinates = rng.uniform(0.0, plane_size, size=(node_count, 2))
-    max_distance = plane_size * math.sqrt(2.0)
+    coordinates = rng.uniform(0.0, PLANE_SIZE, size=(node_count, 2))
+    max_distance = PLANE_SIZE * math.sqrt(2.0)
 
     for node in range(node_count):
         graph.add_node(node)
@@ -65,9 +59,9 @@ def waxman_graph(
         existing = coordinates[:node]
         deltas = existing - coordinates[node]
         distances = np.hypot(deltas[:, 0], deltas[:, 1])
-        probabilities = alpha * np.exp(-distances / (beta * max_distance))
+        probabilities = ALPHA * np.exp(-distances / (BETA * max_distance))
         total = float(probabilities.sum())
-        picks = min(links_per_node, node)
+        picks = min(LINKS_PER_NODE, node)
         if total <= 0.0:
             chosen = rng.choice(node, size=picks, replace=False)
         else:

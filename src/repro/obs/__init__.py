@@ -3,18 +3,18 @@
 The simulation layers report *what happened* through one optional
 :class:`~repro.obs.recorder.Observer`; this package holds the pieces:
 
-* :class:`~repro.obs.registry.MetricsRegistry` — named counters,
-  gauges and fixed-bucket histograms with Prometheus-text and JSON
-  exporters;
+* :class:`~repro.obs.registry.MetricsRegistry` — named, unlabelled
+  counters, gauges and fixed-bucket histograms with a Prometheus-text
+  exporter;
 * :class:`~repro.obs.tracer.EventTracer` — structured, sim-time-stamped
   lifecycle events (the taxonomy in
-  :data:`~repro.obs.tracer.EVENT_TYPES`) into a ring buffer or a JSONL
-  sink, filterable per page/proxy/type;
+  :data:`~repro.obs.tracer.EVENT_TYPES`) streamed to a JSONL sink,
+  each carrying the bound run context;
 * :func:`~repro.obs.profile.profile_call` — one call under cProfile,
   self time and calls folded per ``repro`` package (``run --profile``);
 * :class:`~repro.obs.timeseries.TimeSeriesCollector` — counters,
   gauges and stats folded into fixed-width simulated-time windows
-  with bounded memory (ring + optional JSONL spill): the per-window
+  with bounded memory (ring + JSONL spill): the per-window
   hit-ratio / traffic / churn trajectories the paper's figures plot;
 * :class:`~repro.obs.monitor.RunMonitor` — live wall-clock heartbeats
   (events/sec, sim-time progress + ETA, RSS, cache occupancy) while a
@@ -44,7 +44,6 @@ if TYPE_CHECKING:
     from repro.obs.recorder import NULL_OBSERVER, NullObserver, Observer, build_observer
     from repro.obs.registry import (
         Counter, DEFAULT_LATENCY_BUCKETS, Gauge, Histogram, MetricsRegistry, escape_help,
-        escape_label_value,
     )
     from repro.obs.timeseries import TimeSeriesCollector
     from repro.obs.tracer import EVENT_TYPES, EventTracer, read_jsonl
@@ -59,7 +58,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "DEFAULT_LATENCY_BUCKETS",
-    "escape_label_value",
     "escape_help",
     "EventTracer",
     "EVENT_TYPES",
@@ -83,7 +81,7 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "recorder": ("NULL_OBSERVER", "NullObserver", "Observer", "build_observer"),
     "registry": (
         "Counter", "DEFAULT_LATENCY_BUCKETS", "Gauge", "Histogram", "MetricsRegistry",
-        "escape_help", "escape_label_value",
+        "escape_help",
     ),
     "timeseries": ("TimeSeriesCollector",),
     "tracer": ("EVENT_TYPES", "EventTracer", "read_jsonl"),

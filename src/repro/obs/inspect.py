@@ -30,6 +30,9 @@ _CHURN_TYPES = event_types("churn")
 #: Subscription-lifecycle event types aggregated per proxy.
 _LIFECYCLE_TYPES = event_types("lifecycle")
 
+#: Timeline events shown (text) or listed (``--json``), oldest first.
+TIMELINE_LIMIT = 20
+
 
 @dataclass
 class TraceSummary:
@@ -52,7 +55,7 @@ class TraceSummary:
     #: proxy -> Counter of overload event types at that proxy.
     overload_by_proxy: Dict[int, Counter] = field(default_factory=dict)
 
-    def as_dict(self, top: int = 10, timeline_limit: int = 20) -> Dict[str, object]:
+    def as_dict(self, top: int = 10) -> Dict[str, object]:
         """A JSON-serialisable view of the summary (``inspect --json``).
 
         Compound keys become lists of objects so the structure survives
@@ -86,11 +89,11 @@ class TraceSummary:
                 {"proxy": proxy, "events": dict(detail)}
                 for proxy, detail in sorted(self.overload_by_proxy.items())
             ],
-            "timeline": self.timeline[:timeline_limit],
+            "timeline": self.timeline[:TIMELINE_LIMIT],
             "timeline_total": len(self.timeline),
         }
 
-    def render(self, top: int = 10, timeline_limit: int = 20) -> str:
+    def render(self, top: int = 10) -> str:
         lines = [f"trace    : {self.path}"]
         lines.append(f"events   : {self.event_count}")
         if self.time_range is not None:
@@ -156,7 +159,7 @@ class TraceSummary:
                 )
         if self.timeline:
             lines.append("")
-            shown = self.timeline[:timeline_limit]
+            shown = self.timeline[:TIMELINE_LIMIT]
             lines.append(
                 f"fault/failover timeline (first {len(shown)} of "
                 f"{len(self.timeline)}):"

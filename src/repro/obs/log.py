@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import sys
-from typing import Optional, TextIO
 
 #: Root of the library's logger hierarchy.
 ROOT_LOGGER = "repro"
@@ -37,8 +36,8 @@ def get_logger(name: str) -> logging.Logger:
     return logging.getLogger(name)
 
 
-def setup_cli_logging(verbosity: int = 0, stream: Optional[TextIO] = None) -> logging.Logger:
-    """Install (or replace) the CLI console handler.
+def setup_cli_logging(verbosity: int) -> logging.Logger:
+    """Install (or replace) the CLI console handler on ``sys.stderr``.
 
     ``verbosity`` 0 shows warnings only, 1 (``-v``) adds INFO,
     2+ (``-vv``) adds DEBUG.  Returns the configured root logger.
@@ -53,7 +52,7 @@ def setup_cli_logging(verbosity: int = 0, stream: Optional[TextIO] = None) -> lo
     for handler in list(root.handlers):
         if getattr(handler, _CLI_HANDLER_FLAG, False):
             root.removeHandler(handler)
-    handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+    handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(
         logging.Formatter("%(levelname)-7s %(name)s: %(message)s")
     )

@@ -373,43 +373,29 @@ NULL_OBSERVER = NullObserver()
 
 
 def build_observer(
-    trace_out: Optional[str] = None,
-    metrics: bool = False,
-    trace_pages=None,
-    trace_proxies=None,
-    max_events: int = 100_000,
-    series: bool = False,
-    series_out: Optional[str] = None,
-    series_window: float = 3600.0,
-    series_max_windows: int = 256,
-    monitor: Optional[float] = None,
-    monitor_out: Optional[str] = None,
+    trace_out: Optional[str],
+    metrics: bool,
+    series_out: Optional[str],
+    series_window: float,
+    monitor: Optional[float],
+    monitor_out: Optional[str],
 ) -> Optional[Observer]:
-    """Assemble an Observer from CLI-ish flags; None if nothing is on."""
+    """Assemble an Observer from the CLI's obs flags; None if nothing is on."""
     tracer = None
     if trace_out is not None:
         from repro.obs.tracer import EventTracer
 
-        tracer = EventTracer(
-            sink=trace_out,
-            max_events=0,
-            pages=trace_pages,
-            proxies=trace_proxies,
-        )
+        tracer = EventTracer(trace_out)
     registry = None
     if metrics:
         from repro.obs.registry import MetricsRegistry
 
         registry = MetricsRegistry()
     timeseries = None
-    if series or series_out is not None:
+    if series_out is not None:
         from repro.obs.timeseries import TimeSeriesCollector
 
-        timeseries = TimeSeriesCollector(
-            window_seconds=series_window,
-            max_windows=series_max_windows,
-            spill=series_out,
-        )
+        timeseries = TimeSeriesCollector(series_window, series_out)
     run_monitor = None
     if monitor is not None or monitor_out is not None:
         from repro.obs.monitor import RunMonitor

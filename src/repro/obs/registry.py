@@ -2,35 +2,21 @@
 
 Components register instruments by name (get-or-create, so repeated
 runs against one registry accumulate) and the registry renders the
-whole set either as Prometheus text exposition format or as JSON.
-Everything is plain Python — one float per counter/gauge, a fixed
-bucket array per histogram — so recording a sample is a dict lookup
-plus an addition, cheap enough for simulation hot paths.
+whole set as Prometheus text exposition format.  Everything is plain
+Python — one float per counter/gauge, a fixed bucket array per
+histogram — so recording a sample is a dict lookup plus an addition,
+cheap enough for simulation hot paths.  Instruments carry no labels:
+each name is one series, and a histogram's buckets are its only
+``le`` labels.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-
-def escape_label_value(value: str) -> str:
-    """Escape a label value per the Prometheus text exposition format.
-
-    Backslash, double-quote and line-feed are the three characters the
-    format requires escaped inside quoted label values; backslash must
-    go first so the other escapes aren't double-escaped.
-    """
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
 
 
 def escape_help(text: str) -> str:
@@ -38,29 +24,9 @@ def escape_help(text: str) -> str:
     return str(text).replace("\\", "\\\\").replace("\n", "\\n")
 
 
-def _labelset(labels, extra: Optional[Tuple[str, str]] = None) -> str:
-    """Render ``{k="v",...}`` with escaped values; "" when empty."""
-    pairs = list(labels) if labels else []
-    if extra is not None:
-        pairs.append(extra)
-    if not pairs:
-        return ""
-    body = ",".join(f'{k}="{escape_label_value(v)}"' for k, v in pairs)
-    return "{" + body + "}"
-
-
-def _normalize_labels(labels) -> Optional[Tuple[Tuple[str, str], ...]]:
-    if not labels:
-        return None
-    items = sorted((str(k), str(v)) for k, v in dict(labels).items())
-    for key, _ in items:
-        if not _LABEL_NAME_RE.match(key):
-            raise ValueError(f"invalid label name: {key!r}")
-    return tuple(items)
-
-#: Default histogram buckets, tuned for modelled response times in
-#: seconds (hits land in the first buckets, retried fetches in the
-#: tail).  Prometheus convention: upper bounds, +Inf implied.
+#: Histogram buckets, tuned for modelled response times in seconds
+#: (hits land in the first buckets, retried fetches in the tail).
+#: Prometheus convention: upper bounds, +Inf implied.
 DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
 )
@@ -69,12 +35,11 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
 class Counter:
     """A monotonically increasing value."""
 
-    __slots__ = ("name", "help", "labels", "_value")
+    __slots__ = ("name", "help", "_value")
 
-    def __init__(self, name: str, help: str = "", labels=None) -> None:
+    def __init__(self, name: str, help: str) -> None:
         self.name = name
         self.help = help
-        self.labels = labels
         self._value = 0.0
 
     @property
@@ -90,12 +55,11 @@ class Counter:
 class Gauge:
     """A value that can go up and down."""
 
-    __slots__ = ("name", "help", "labels", "_value")
+    __slots__ = ("name", "help", "_value")
 
-    def __init__(self, name: str, help: str = "", labels=None) -> None:
+    def __init__(self, name: str, help: str) -> None:
         self.name = name
         self.help = help
-        self.labels = labels
         self._value = 0.0
 
     @property
@@ -105,38 +69,22 @@ class Gauge:
     def set(self, value: float) -> None:
         self._value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
-
 
 class Histogram:
-    """A fixed-bucket histogram (Prometheus cumulative semantics).
+    """A histogram over :data:`DEFAULT_LATENCY_BUCKETS` (Prometheus
+    cumulative semantics: an implicit +Inf bucket catches the rest).
 
-    ``buckets`` are strictly increasing upper bounds; an implicit +Inf
-    bucket catches the rest.  Per-bucket counts are stored
-    non-cumulatively and summed at render time, so ``observe`` is one
-    ``bisect`` plus two additions.
+    Per-bucket counts are stored non-cumulatively and summed at render
+    time, so ``observe`` is one ``bisect`` plus two additions.
     """
 
-    __slots__ = ("name", "help", "labels", "buckets", "_counts", "_sum", "_count")
+    __slots__ = ("name", "help", "buckets", "_counts", "_sum", "_count")
 
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        labels=None,
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-    ) -> None:
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds:
-            raise ValueError(f"histogram {name} needs at least one bucket")
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ValueError(f"histogram {name} buckets must strictly increase: {bounds}")
+    def __init__(self, name: str, help: str) -> None:
         self.name = name
         self.help = help
-        self.labels = labels
-        self.buckets = bounds
-        self._counts = [0] * (len(bounds) + 1)  # last slot is +Inf
+        self.buckets = DEFAULT_LATENCY_BUCKETS
+        self._counts = [0] * (len(self.buckets) + 1)  # last slot is +Inf
         self._sum = 0.0
         self._count = 0
 
@@ -167,99 +115,64 @@ Instrument = Union[Counter, Gauge, Histogram]
 
 
 class MetricsRegistry:
-    """Named instruments with Prometheus-text and JSON exporters."""
+    """Named instruments with a Prometheus-text exporter."""
 
     def __init__(self) -> None:
         self._instruments: Dict[str, Instrument] = {}
 
-    def __len__(self) -> int:
-        return len(self._instruments)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._instruments
-
-    def get(self, name: str) -> Optional[Instrument]:
-        return self._instruments.get(name)
-
-    def _register(self, kind, name: str, help: str, labels=None, **kwargs) -> Instrument:
+    def _register(self, kind, name: str, help: str) -> Instrument:
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name: {name!r}")
-        labels = _normalize_labels(labels)
-        key = name + _labelset(labels)
-        existing = self._instruments.get(key)
+        existing = self._instruments.get(name)
         if existing is not None:
             if type(existing) is not kind:
                 raise ValueError(
-                    f"metric {key!r} already registered as "
+                    f"metric {name!r} already registered as "
                     f"{type(existing).__name__}, not {kind.__name__}"
                 )
-            buckets = kwargs.get("buckets")
-            if buckets is not None and existing.buckets != tuple(
-                float(b) for b in buckets
-            ):
-                raise ValueError(f"histogram {key!r} re-registered with new buckets")
             return existing
-        instrument = kind(name, help, labels=labels, **kwargs)
-        self._instruments[key] = instrument
+        instrument = kind(name, help)
+        self._instruments[name] = instrument
         return instrument
 
-    def counter(self, name: str, help: str = "", labels=None) -> Counter:
-        """Get or create a counter (``labels``: constant label dict)."""
-        return self._register(Counter, name, help, labels=labels)
+    def counter(self, name: str, help: str) -> Counter:
+        """Get or create a counter."""
+        return self._register(Counter, name, help)
 
-    def gauge(self, name: str, help: str = "", labels=None) -> Gauge:
-        """Get or create a gauge (``labels``: constant label dict)."""
-        return self._register(Gauge, name, help, labels=labels)
+    def gauge(self, name: str, help: str) -> Gauge:
+        """Get or create a gauge."""
+        return self._register(Gauge, name, help)
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-        labels=None,
-    ) -> Histogram:
-        """Get or create a fixed-bucket histogram."""
-        return self._register(Histogram, name, help, labels=labels, buckets=buckets)
+    def histogram(self, name: str, help: str) -> Histogram:
+        """Get or create a latency histogram."""
+        return self._register(Histogram, name, help)
 
     # -- exporters ----------------------------------------------------------
 
     def render_prometheus(self) -> str:
-        """The whole registry in Prometheus text exposition format.
-
-        Label values are escaped per the format (backslash, newline,
-        double-quote); HELP text escapes backslash and newline.  With
-        labelled instruments sharing one metric name, the HELP/TYPE
-        header is emitted once per name.
-        """
+        """The whole registry in Prometheus text exposition format, one
+        HELP/TYPE header per instrument (HELP text escapes backslash and
+        newline), sorted by name."""
         lines: List[str] = []
-        headered = set()
-        for key in sorted(self._instruments, key=lambda k: (self._instruments[k].name, k)):
-            instrument = self._instruments[key]
-            name = instrument.name
-            labelset = _labelset(instrument.labels)
-            if name not in headered:
-                headered.add(name)
-                if instrument.help:
-                    lines.append(f"# HELP {name} {escape_help(instrument.help)}")
-                if isinstance(instrument, Counter):
-                    lines.append(f"# TYPE {name} counter")
-                elif isinstance(instrument, Gauge):
-                    lines.append(f"# TYPE {name} gauge")
-                else:
-                    lines.append(f"# TYPE {name} histogram")
+        for name in sorted(self._instruments):
+            instrument = self._instruments[name]
+            if instrument.help:
+                lines.append(f"# HELP {name} {escape_help(instrument.help)}")
+            if isinstance(instrument, Counter):
+                lines.append(f"# TYPE {name} counter")
+            elif isinstance(instrument, Gauge):
+                lines.append(f"# TYPE {name} gauge")
+            else:
+                lines.append(f"# TYPE {name} histogram")
             if isinstance(instrument, (Counter, Gauge)):
-                lines.append(f"{name}{labelset} {_fmt(instrument.value)}")
+                lines.append(f"{name} {_fmt(instrument.value)}")
             else:
                 cumulative = instrument.cumulative_counts()
                 for bound, count in zip(instrument.buckets, cumulative):
-                    bucket_labels = _labelset(
-                        instrument.labels, extra=("le", _fmt(bound))
-                    )
-                    lines.append(f"{name}_bucket{bucket_labels} {count}")
-                inf_labels = _labelset(instrument.labels, extra=("le", "+Inf"))
-                lines.append(f"{name}_bucket{inf_labels} {cumulative[-1]}")
-                lines.append(f"{name}_sum{labelset} {_fmt(instrument.sum)}")
-                lines.append(f"{name}_count{labelset} {instrument.count}")
+                    lines.append(f'{name}_bucket{{le="{_fmt(bound)}"}} {count}')
+                lines.append(f'{name}_bucket{{le="+Inf"}} {cumulative[-1]}')
+                lines.append(f"{name}_sum {_fmt(instrument.sum)}")
+                lines.append(f"{name}_count {instrument.count}")
         return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -7,11 +7,11 @@ dimension: counters, gauges and summary statistics folded into
 fixed-width windows of simulated time.
 
 Memory stays bounded no matter how long the run is: at most
-``max_windows`` windows are retained in a ring; when a window falls off
-the front it is either *spilled* to a JSONL sink (so the full series
-survives on disk) or dropped (plain ring semantics, newest windows
-win).  Recording a sample is a dict lookup plus an addition — cheap
-enough to sit behind the observer hooks on the simulation hot paths.
+:data:`MAX_WINDOWS` windows are retained in a ring; when a window falls
+off the front it is *spilled* to the JSONL sink, and :meth:`close`
+writes the retained rest, so the full series ends up on disk.
+Recording a sample is a dict lookup plus an addition — cheap enough to
+sit behind the observer hooks on the simulation hot paths.
 
 Three instrument kinds per window:
 
@@ -32,7 +32,10 @@ convention as :func:`repro.system.metrics.dense_clamped`).
 from __future__ import annotations
 
 import json
-from typing import Dict, IO, List, Optional, Union
+from typing import Dict, IO, List, Optional
+
+#: Windows kept in memory before the oldest is spilled to the sink.
+MAX_WINDOWS = 256
 
 
 class Window:
@@ -69,35 +72,13 @@ class Window:
 class TimeSeriesCollector:
     """Folds observer samples into fixed-width simulated-time windows."""
 
-    def __init__(
-        self,
-        window_seconds: float = 3600.0,
-        max_windows: int = 256,
-        spill: Optional[Union[str, IO[str]]] = None,
-    ) -> None:
+    def __init__(self, window_seconds: float, spill: str) -> None:
         if not window_seconds > 0:  # NaN included
             raise ValueError(f"window_seconds must be > 0, got {window_seconds}")
-        if max_windows < 1:
-            raise ValueError(f"max_windows must be >= 1, got {max_windows}")
         self.window_seconds = float(window_seconds)
-        self.max_windows = int(max_windows)
         self._windows: List[Window] = []
         self._by_index: Dict[int, Window] = {}
-        #: Windows that fell off the ring (spilled to the sink or dropped).
-        self.spilled = 0
-        #: Samples clamped into the oldest retained window because their
-        #: own window had already been spilled.
-        self.clamped = 0
-        self._file: Optional[IO[str]] = None
-        self._owns_file = False
-        if isinstance(spill, str):
-            self._file = open(spill, "w", encoding="utf-8")
-            self._owns_file = True
-        elif spill is not None:
-            self._file = spill
-
-    def __len__(self) -> int:
-        return len(self._windows)
+        self._file: Optional[IO[str]] = open(spill, "w", encoding="utf-8")
 
     # -- window management ---------------------------------------------------
 
@@ -109,22 +90,21 @@ class TimeSeriesCollector:
         if self._windows and index < self._windows[0].index:
             # The sample's window already left the ring: clamp into the
             # oldest retained one so no sample is silently dropped.
-            self.clamped += 1
             return self._windows[0]
         window = Window(index)
         self._windows.append(window)
         self._by_index[index] = window
-        while len(self._windows) > self.max_windows:
+        while len(self._windows) > MAX_WINDOWS:
             old = self._windows.pop(0)
             del self._by_index[old.index]
-            self.spilled += 1
-            if self._file is not None:
-                self._file.write(
-                    json.dumps(old.as_dict(self.window_seconds),
-                               separators=(",", ":"))
-                    + "\n"
-                )
+            self._write(old)
         return window
+
+    def _write(self, window: Window) -> None:
+        self._file.write(
+            json.dumps(window.as_dict(self.window_seconds), separators=(",", ":"))
+            + "\n"
+        )
 
     # -- recording -------------------------------------------------------------
 
@@ -151,47 +131,12 @@ class TimeSeriesCollector:
         if value > entry[3]:
             entry[3] = value
 
-    # -- access ------------------------------------------------------------------
-
-    def windows(self) -> List[Dict[str, object]]:
-        """The retained windows, oldest first, as plain dicts."""
-        return [w.as_dict(self.window_seconds) for w in self._windows]
-
     # -- output -----------------------------------------------------------------
 
-    def write_jsonl(self, sink: Union[str, IO[str]]) -> int:
-        """Write the retained windows to ``sink`` as one JSONL line each.
-
-        Returns the number of lines written.  With a spill sink
-        configured, older windows were already streamed there; this
-        writes the live remainder (typically to a different file, or
-        the same handle right before :meth:`close`).
-        """
-        owns = isinstance(sink, str)
-        handle = open(sink, "w", encoding="utf-8") if owns else sink
-        try:
-            for window in self._windows:
-                handle.write(
-                    json.dumps(window.as_dict(self.window_seconds),
-                               separators=(",", ":"))
-                    + "\n"
-                )
-        finally:
-            if owns:
-                handle.close()
-        return len(self._windows)
-
     def close(self) -> None:
-        """Flush retained windows into the spill sink and close it."""
+        """Write the retained windows to the sink and close it (idempotent)."""
         if self._file is not None:
-            self.write_jsonl(self._file)
-            self._file.flush()
-            if self._owns_file:
-                self._file.close()
+            for window in self._windows:
+                self._write(window)
+            self._file.close()
             self._file = None
-
-    def __enter__(self) -> "TimeSeriesCollector":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()

@@ -39,8 +39,8 @@ class Environment:
     the live monitor is ticked by the replay loop, once per record.
     """
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._agenda: List[Tuple[float, int, int, Callback]] = []
         self._sequence = 0
 

@@ -31,19 +31,15 @@ hanging on dead neighbours.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.network.topology import Topology
-from repro.obs.recorder import Observer
 from repro.pubsub.matching import TraceMatchCounts
 from repro.system.config import PER_HOP_LATENCY, SimulationConfig
 from repro.system.metrics import SimulationResult
 from repro.system.proxy import ProxyServer
 from repro.system.simulator import Simulation
 from repro.workload.trace import Workload
-
-if TYPE_CHECKING:
-    from repro.faults.schedule import FaultSchedule
 
 #: Modelled cost (seconds) of a request to a crashed peer proxy timing
 #: out before the failover chain moves on.
@@ -136,17 +132,9 @@ class CooperativeSimulation(Simulation):
         match_table: Optional[TraceMatchCounts] = None,
         topology: Optional[Topology] = None,
         neighbor_count: int = 3,
-        fault_schedule: Optional[FaultSchedule] = None,
-        observer: Optional[Observer] = None,
     ) -> None:
         super().__init__(
-            workload,
-            config,
-            match_table,
-            topology,
-            fault_schedule=fault_schedule,
-            observer=observer,
-            neighbor_count=neighbor_count,
+            workload, config, match_table, topology, neighbor_count=neighbor_count
         )
 
 
@@ -156,8 +144,6 @@ def run_cooperative_simulation(
     neighbor_count: int = 3,
     match_table: Optional[TraceMatchCounts] = None,
     topology: Optional[Topology] = None,
-    fault_schedule: Optional[FaultSchedule] = None,
-    observer: Optional[Observer] = None,
 ) -> SimulationResult:
     """Convenience wrapper mirroring :func:`run_simulation`."""
     return CooperativeSimulation(
@@ -166,6 +152,4 @@ def run_cooperative_simulation(
         match_table=match_table,
         topology=topology,
         neighbor_count=neighbor_count,
-        fault_schedule=fault_schedule,
-        observer=observer,
     ).run()

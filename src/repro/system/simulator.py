@@ -897,20 +897,6 @@ class Simulation:
         return result
 
 
-def run_simulation(
-    workload: Workload,
-    config: SimulationConfig,
-    match_table: Optional[TraceMatchCounts] = None,
-    topology: Optional[Topology] = None,
-    fault_schedule: Optional[FaultSchedule] = None,
-    observer: Optional[Observer] = None,
-) -> SimulationResult:
+def run_simulation(workload: Workload, config: SimulationConfig) -> SimulationResult:
     """Convenience wrapper: build a :class:`Simulation` and run it."""
-    return Simulation(
-        workload,
-        config,
-        match_table,
-        topology,
-        fault_schedule=fault_schedule,
-        observer=observer,
-    ).run()
+    return Simulation(workload, config).run()

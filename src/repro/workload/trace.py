@@ -170,10 +170,10 @@ class EventTable(Sequence):
         return cls(record, rows)
 
 
-def sorted_rows(dtype: np.dtype, columns: Sequence, keys: Optional[int] = None) -> np.ndarray:
-    """Key-ordered ``columns`` as rows of ``dtype``, stably sorted by the
-    first ``keys`` of them (all, by default)."""
-    order = np.lexsort(columns[:keys][::-1])  # lexsort's *last* key is primary
+def sorted_rows(dtype: np.dtype, columns: Sequence) -> np.ndarray:
+    """Key-ordered ``columns`` as rows of ``dtype``, stably sorted by all
+    of them, the first column the primary key."""
+    order = np.lexsort(columns[::-1])  # lexsort's *last* key is primary
     rows = np.empty(len(order), dtype=dtype)
     for name, column in zip(dtype.names, columns):
         rows[name] = column[order]
@@ -441,11 +441,6 @@ class Workload:
             )
         logger.debug("replay stream: %s", how)
         return zip(*base, match_column)
-
-    def close(self) -> None:
-        """Delete a spilled trace's files now, not at GC — for every copy."""
-        if self.spool is not None:
-            self.spool.close()
 
     # -- subscription churn ---------------------------------------------------
 

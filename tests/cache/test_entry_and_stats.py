@@ -6,11 +6,6 @@ from repro.cache.entry import ACCESS_MODULE, PUSH_MODULE, CacheEntry
 from repro.cache.stats import CacheStats
 
 
-def test_entry_key_is_page_and_version():
-    entry = CacheEntry(page_id=3, version=2, size=10, cost=1.0)
-    assert entry.key == (3, 2)
-
-
 def test_entry_validation():
     with pytest.raises(ValueError):
         CacheEntry(page_id=1, version=0, size=0, cost=1.0)

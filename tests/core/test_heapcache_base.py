@@ -25,7 +25,7 @@ def test_add_and_lookup():
     assert len(cache) == 1
     assert cache.get(1).value == 5.0
     assert cache.used_bytes == 50
-    assert cache.free_bytes == 150
+    assert cache.storage.free_bytes == 150
 
 
 def test_unconditional_eviction_in_value_order():

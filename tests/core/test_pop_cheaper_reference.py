@@ -105,7 +105,7 @@ def apply_to_twins(cache, ref_storage, ref_heap, operation):
     kind = operation[0]
     if kind == "add":
         _, page_id, size, priority, _ = operation
-        if page_id in cache or size > cache.free_bytes:
+        if page_id in cache or size > cache.storage.free_bytes:
             return None, None
         cache.add(entry(page_id, size), priority)
         ref_storage.add(entry(page_id, size))

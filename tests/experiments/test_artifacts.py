@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.experiments import runner
+from repro.experiments import artifacts, runner
 from repro.experiments.artifacts import (
     FORMAT_VERSION,
     ArtifactCache,
@@ -68,20 +68,20 @@ def test_distinct_params_get_distinct_entries(tmp_path):
     assert len({a, b, c}) == 3
 
 
-def test_format_version_bump_invalidates(tmp_path):
+def test_format_version_bump_invalidates(tmp_path, monkeypatch):
     """An entry written at version N is invisible to version N+1."""
+    params = {"trace": "news", "scale": SCALE, "seed": SEED}
     cache = ArtifactCache(str(tmp_path))
     cached_trace(cache, "news", SCALE, SEED)
-    bumped = ArtifactCache(str(tmp_path), format_version=FORMAT_VERSION + 1)
-    assert bumped.load_text(
-        "trace", {"trace": "news", "scale": SCALE, "seed": SEED}
-    ) is None
+    monkeypatch.setattr(artifacts, "FORMAT_VERSION", FORMAT_VERSION + 1)
+    bumped = ArtifactCache(str(tmp_path))
+    assert bumped.load_text("trace", params) is None
     cached_trace(bumped, "news", SCALE, SEED)
     assert bumped.misses == 1 and bumped.hits == 0
     # Both versions' entries now coexist; neither shadows the other.
-    assert cache.load_text(
-        "trace", {"trace": "news", "scale": SCALE, "seed": SEED}
-    ) is not None
+    assert bumped.load_text("trace", params) is not None
+    monkeypatch.undo()
+    assert cache.load_text("trace", params) is not None
 
 
 def test_corrupt_entry_regenerated(tmp_path):

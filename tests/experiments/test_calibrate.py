@@ -37,33 +37,30 @@ def test_trace_prefix_validation(trace):
         trace_prefix(trace, 1.5)
 
 
-def test_calibrate_beta_returns_grid_member(trace):
-    result = calibrate_beta(trace, "gdstar", betas=(0.5, 2.0), prefix_fraction=0.3)
-    assert result.best_beta in (0.5, 2.0)
-    assert set(result.prefix_scores) == {0.5, 2.0}
-    assert all(0.0 <= score <= 1.0 for score in result.prefix_scores.values())
-    assert result.verified_hit_ratio is None
+@pytest.fixture(scope="module")
+def calibrated(trace):
+    return calibrate_all(trace, capacity_fraction=0.05, prefix_fraction=0.3)
 
 
-def test_calibrate_beta_best_is_argmax(trace):
-    result = calibrate_beta(trace, "sg2", betas=(0.25, 1.0, 4.0), prefix_fraction=0.3)
-    best_score = result.prefix_scores[result.best_beta]
-    assert best_score == max(result.prefix_scores.values())
+def test_calibrate_all_covers_strategies(calibrated):
+    assert set(calibrated) == {"gdstar", "sg1", "sg2"}
 
 
-def test_calibrate_with_verification(trace):
-    result = calibrate_beta(
-        trace, "gdstar", betas=(2.0,), prefix_fraction=0.25, verify=True
-    )
-    assert result.verified_hit_ratio is not None
-    assert 0.0 <= result.verified_hit_ratio <= 1.0
+def test_calibrate_beta_returns_grid_member(calibrated):
+    for result in calibrated.values():
+        assert result.best_beta in DEFAULT_BETAS
+        assert set(result.prefix_scores) == set(DEFAULT_BETAS)
+        assert all(0.0 <= score <= 1.0 for score in result.prefix_scores.values())
 
 
-def test_calibrate_all_covers_strategies(trace):
-    results = calibrate_all(
-        trace, strategies=("gdstar", "sg2"), betas=(0.5, 2.0), prefix_fraction=0.3
-    )
-    assert set(results) == {"gdstar", "sg2"}
+def test_calibrate_beta_best_is_argmax(calibrated):
+    for result in calibrated.values():
+        best_score = result.prefix_scores[result.best_beta]
+        assert best_score == max(result.prefix_scores.values())
+
+
+def test_calibrate_beta_is_calibrate_all_for_one_strategy(trace, calibrated):
+    assert calibrate_beta(trace, "sg2", 0.05, 0.3) == calibrated["sg2"]
 
 
 def test_default_betas_match_paper_range():

@@ -76,13 +76,6 @@ def test_grid_result_ambiguous_lookup_raises():
         outcome.get(strategy="sub")  # capacity ambiguous
 
 
-def test_run_grid_progress_callback():
-    grid = ExperimentGrid(strategies=("gdstar",), capacities=(0.05,))
-    seen = []
-    run_grid(grid, scale=SCALE, seed=3, progress=lambda key, res: seen.append(key))
-    assert len(seen) == 1
-
-
 def test_paper_beta_rules():
     assert paper_beta("news", "gdstar", 0.05) == 2.0
     assert paper_beta("news", "sg2", 0.01) == 2.0
@@ -118,29 +111,6 @@ def test_run_grid_parallel_matches_serial(monkeypatch, caplog):
     assert list(serial.results) == list(parallel.results) == grid.cells()
     for key in grid.cells():
         assert comparable(parallel.results[key]) == comparable(serial.results[key]), key
-
-
-def test_run_grid_parallel_progress_and_options_forwarded(monkeypatch):
-    """Across two processes, progress fires once per cell as cells
-    complete, and strategy_options/beta reach the replays."""
-    monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
-    grid = ExperimentGrid(strategies=("gdstar", "sg2"), capacities=(0.05,))
-    seen = []
-    parallel = run_grid(
-        grid,
-        scale=SCALE,
-        seed=3,
-        beta=0.5,
-        strategy_options={"beta": 0.5},
-        progress=lambda key, result: seen.append(key),
-    )
-    assert sorted(map(str, seen)) == sorted(map(str, grid.cells()))
-    monkeypatch.setattr(runner, "usable_cpus", lambda: 1)
-    serial = run_grid(
-        grid, scale=SCALE, seed=3, beta=0.5, strategy_options={"beta": 0.5}
-    )
-    for key in grid.cells():
-        assert serial.results[key].hits == parallel.results[key].hits
 
 
 # -- each serial fallback says why ---------------------------------------------
@@ -316,13 +286,3 @@ def test_a_dead_grid_worker_ends_the_command_with_one_line(command, cell):
         f"{cell},sq=1,when-necessary (exit code 9)\n"
     )
     assert finished.stdout == ""
-
-
-def test_run_grid_serial_forwards_strategy_options():
-    """An explicit beta in strategy_options overrides the paper default
-    in both the serial and parallel paths."""
-    grid = ExperimentGrid(strategies=("sg2",), capacities=(0.05,))
-    default = run_grid(grid, scale=SCALE, seed=3)
-    overridden = run_grid(grid, scale=SCALE, seed=3, strategy_options={"beta": 0.01})
-    key = grid.cells()[0]
-    assert default.results[key].requests == overridden.results[key].requests

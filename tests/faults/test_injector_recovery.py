@@ -1,7 +1,13 @@
 """Tests for the injector's scheduled transitions and the recovery tracker."""
 
 from repro.faults.injector import FaultInjector
-from repro.faults.recovery import RecoveryTracker
+from repro.faults.recovery import (
+    RECOVERY_BIN_COUNT,
+    RECOVERY_BIN_SECONDS,
+    WARM_REQUEST_WINDOW,
+    WARM_THRESHOLD,
+    RecoveryTracker,
+)
 from repro.faults.schedule import FaultSchedule, Window
 from repro.sim.engine import Environment
 
@@ -56,26 +62,26 @@ def test_injector_with_empty_schedule_installs_nothing():
 
 
 def test_tracker_records_time_to_warm():
-    tracker = RecoveryTracker(
-        warm_request_window=4, warm_threshold=0.5, bin_seconds=10.0, bin_count=3
-    )
-    tracker.on_crash(0, now=100.0, pre_hit_ratio=0.8)
-    tracker.on_recover(0, now=110.0)
-    # Rolling window of 4: hits [F, F, T, T] -> ratio 0.5 >= 0.5*0.8.
-    tracker.on_request(0, hit=False, now=112.0)
-    tracker.on_request(0, hit=False, now=115.0)
-    tracker.on_request(0, hit=True, now=123.0)
-    tracker.on_request(0, hit=True, now=128.0)
+    assert (WARM_REQUEST_WINDOW, WARM_THRESHOLD) == (50, 0.8)
+    assert (RECOVERY_BIN_SECONDS, RECOVERY_BIN_COUNT) == (600.0, 12)
+    tracker = RecoveryTracker()
+    tracker.on_crash(0, now=100.0, pre_hit_ratio=0.5)
+    tracker.on_recover(0, now=1000.0)
+    # Rolling window of 50: 25 misses, then 25 hits -> 0.5 >= 0.8 * 0.5.
+    for index in range(25):
+        tracker.on_request(0, hit=False, now=1000.0 + index)
+    for index in range(25):
+        tracker.on_request(0, hit=True, now=1600.0 + index)
     report = tracker.report()
-    assert report.time_to_warm == [18.0]
+    assert report.time_to_warm == [624.0]
     assert report.unwarmed == 0
-    # First bin [0,10): two requests, zero hits; second bin: two hits.
-    assert report.curve_requests == [2, 2, 0]
-    assert report.curve_hits == [0, 2, 0]
+    # First bin [0, 600): the misses; second bin: the hits.
+    assert report.curve_requests == [25, 25] + [0] * 10
+    assert report.curve_hits == [0, 25] + [0] * 10
 
 
 def test_tracker_counts_unwarmed_recoveries():
-    tracker = RecoveryTracker(warm_request_window=10, warm_threshold=0.9)
+    tracker = RecoveryTracker()
     tracker.on_crash(1, now=0.0, pre_hit_ratio=0.9)
     tracker.on_recover(1, now=50.0)
     tracker.on_request(1, hit=False, now=60.0)
@@ -85,7 +91,7 @@ def test_tracker_counts_unwarmed_recoveries():
 
 
 def test_tracker_still_warming_at_end_counts_as_unwarmed():
-    tracker = RecoveryTracker(warm_request_window=5)
+    tracker = RecoveryTracker()
     tracker.on_crash(0, now=0.0, pre_hit_ratio=0.5)
     tracker.on_recover(0, now=10.0)
     tracker.on_request(0, hit=True, now=11.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.network.waxman import waxman_graph
+from repro.network.waxman import LINKS_PER_NODE, PLANE_SIZE, waxman_graph
 
 
 def rng(seed=0):
@@ -21,11 +21,11 @@ class TestWaxman:
             assert graph.is_connected()
 
     def test_positions_assigned_within_plane(self):
-        graph = waxman_graph(20, rng(), plane_size=100.0)
+        graph = waxman_graph(20, rng())
         assert len(graph.positions) == 20
         for x, y in graph.positions.values():
-            assert 0.0 <= x <= 100.0
-            assert 0.0 <= y <= 100.0
+            assert 0.0 <= x <= PLANE_SIZE
+            assert 0.0 <= y <= PLANE_SIZE
 
     def test_edge_weights_are_euclidean(self):
         graph = waxman_graph(15, rng())
@@ -35,9 +35,9 @@ class TestWaxman:
             assert weight == pytest.approx(expected)
 
     def test_links_per_node_bounds_edges(self):
-        graph = waxman_graph(25, rng(), links_per_node=3)
-        # each joining node adds at most 3 edges
-        assert len(list(graph.edges())) <= 3 * 24 + 1
+        graph = waxman_graph(25, rng())
+        # each joining node adds at most LINKS_PER_NODE edges
+        assert len(list(graph.edges())) <= LINKS_PER_NODE * 24
 
     def test_deterministic_for_same_stream(self):
         a = waxman_graph(20, rng(7))
@@ -52,15 +52,9 @@ class TestWaxman:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             waxman_graph(0, rng())
-        with pytest.raises(ValueError):
-            waxman_graph(5, rng(), alpha=0.0)
-        with pytest.raises(ValueError):
-            waxman_graph(5, rng(), beta=0.0)
-        with pytest.raises(ValueError):
-            waxman_graph(5, rng(), links_per_node=0)
 
     def test_short_edges_preferred(self):
-        graph = waxman_graph(120, rng(1), plane_size=1000.0)
+        graph = waxman_graph(120, rng(1))
         weights = [w for _u, _v, w in graph.edges()]
-        diag = 1000.0 * 2**0.5
+        diag = PLANE_SIZE * 2**0.5
         assert np.mean(weights) < 0.4 * diag

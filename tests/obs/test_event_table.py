@@ -64,24 +64,26 @@ def test_each_name_is_declared_once_and_no_method_shadows_a_row():
     assert [row.hook for row in EVENTS if row.hook and hasattr(Observer, row.hook)] == []
 
 
-def test_a_generated_hook_has_the_signature_its_row_declares():
+def test_a_generated_hook_has_the_signature_its_row_declares(tmp_path):
     """Positional, keyword or mixed — and a wrong arity is a TypeError,
     as it was when the hooks were written by hand."""
-    from repro.obs import EventTracer
+    from repro.obs import EventTracer, read_jsonl
 
-    tracer = EventTracer()
-    observer = Observer(tracer=tracer)
+    path = str(tmp_path / "trace.jsonl")
+    observer = Observer(tracer=EventTracer(path))
     observer.failover(1.0, 3, 7, target="origin", reason="proxy-down")
     observer.crash(t=2.0, proxy=3)
-    assert [list(event) for event in tracer.events()] == [
-        ["t", "type", "page", "proxy", "target", "reason"],
-        ["t", "type", "proxy"],
-    ]
-    assert tracer.events()[0]["page"] == 7
     with pytest.raises(TypeError):
         observer.failover(1.0, 3, 7)
     with pytest.raises(TypeError):
         observer.publish(1.0, 2, 3, 4, 5)
+    observer.close()
+    events = read_jsonl(path)
+    assert [list(event) for event in events] == [
+        ["t", "type", "page", "proxy", "target", "reason"],
+        ["t", "type", "proxy"],
+    ]
+    assert events[0]["page"] == 7
 
 
 def docs_rows():

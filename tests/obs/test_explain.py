@@ -184,7 +184,7 @@ class TestForcedMissIntegration:
             strategy="sg2", capacity_fraction=0.001, seed=7,
             chaos=layers.pop("chaos", None),
         )
-        observer = Observer(tracer=EventTracer(sink=path, max_events=0))
+        observer = Observer(tracer=EventTracer(path))
         Simulation(workload, config, observer=observer, **layers).run()
         observer.close()
         return path
@@ -278,9 +278,10 @@ class TestForcedMissIntegration:
 
 def test_explain_page_from_file(tmp_path):
     path = str(tmp_path / "t.jsonl")
-    with EventTracer(sink=path, max_events=0) as tracer:
-        tracer.emit("push_accept", t=1.0, page=4, proxy=0, refreshed=False)
-        tracer.emit("evict", t=2.0, page=4, proxy=0, size=9, cause="capacity")
-        tracer.emit("miss", t=3.0, page=4, proxy=0, latency=0.1)
+    tracer = EventTracer(path)
+    tracer.emit("push_accept", t=1.0, page=4, proxy=0, refreshed=False)
+    tracer.emit("evict", t=2.0, page=4, proxy=0, size=9, cause="capacity")
+    tracer.emit("miss", t=3.0, page=4, proxy=0, latency=0.1)
+    tracer.close()
     explanation = explain_page_from_file(path, 4)
     assert explanation.verdicts[0].evidence["type"] == "evict"

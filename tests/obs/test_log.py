@@ -1,6 +1,5 @@
 """Logging setup: namespace, NullHandler default, CLI handler."""
 
-import io
 import logging
 
 import pytest
@@ -33,14 +32,13 @@ def test_root_has_null_handler():
     [(0, logging.WARNING), (1, logging.INFO), (2, logging.DEBUG), (5, logging.DEBUG)],
 )
 def test_verbosity_levels(verbosity, level):
-    root = setup_cli_logging(verbosity, stream=io.StringIO())
+    root = setup_cli_logging(verbosity)
     assert root.level == level
 
 
 def test_setup_replaces_rather_than_stacks():
-    stream = io.StringIO()
-    setup_cli_logging(1, stream=stream)
-    root = setup_cli_logging(2, stream=stream)
+    setup_cli_logging(1)
+    root = setup_cli_logging(2)
     cli_handlers = [
         handler
         for handler in root.handlers
@@ -49,12 +47,11 @@ def test_setup_replaces_rather_than_stacks():
     assert len(cli_handlers) == 1
 
 
-def test_messages_reach_the_stream():
-    stream = io.StringIO()
-    setup_cli_logging(1, stream=stream)
+def test_messages_reach_the_stream(capsys):
+    setup_cli_logging(1)
     get_logger("obs.test").info("hello %d", 42)
     get_logger("obs.test").debug("not at -v")
-    text = stream.getvalue()
+    text = capsys.readouterr().err
     assert "hello 42" in text
     assert "repro.obs.test" in text
     assert "not at -v" not in text

@@ -21,9 +21,9 @@ import pytest
 from repro.faults.spec import ChaosSpec
 from repro.obs import (
     EventTracer, MetricsRegistry, NullObserver, Observer, RunMonitor, TimeSeriesCollector,
+    read_jsonl,
 )
 from repro.system.config import SimulationConfig
-from repro.system.cooperation import run_cooperative_simulation
 from repro.system.simulator import Simulation
 from repro.workload.presets import make_trace
 
@@ -56,13 +56,28 @@ def _comparable(result):
     return payload
 
 
-def _full_observer():
+def _full_observer(directory):
     return Observer(
         registry=MetricsRegistry(),
-        tracer=EventTracer(max_events=1_000_000),
-        timeseries=TimeSeriesCollector(),
+        tracer=EventTracer(str(directory / "trace.jsonl")),
+        timeseries=TimeSeriesCollector(3600.0, str(directory / "series.jsonl")),
         monitor=RunMonitor(interval=1e9, sink=io.StringIO()),
     )
+
+
+def _traced(observer, directory):
+    """The trace ``_full_observer(directory)`` wrote, once it is closed."""
+    observer.close()
+    return read_jsonl(str(directory / "trace.jsonl"))
+
+
+def _samples(registry):
+    """``{sample name: value}`` of the registry's Prometheus text."""
+    return {
+        line.rsplit(" ", 1)[0]: float(line.rsplit(" ", 1)[1])
+        for line in registry.render_prometheus().splitlines()
+        if not line.startswith("#")
+    }
 
 
 def _run(workload, observer, chaos=None, strategy="sg2"):
@@ -86,23 +101,23 @@ def test_noop_observer_is_bit_identical(workload, caplog):
     assert _replayed(caplog, workload, observer=NullObserver()) == baseline
 
 
-def test_full_observer_is_bit_identical_healthy(workload, caplog):
+def test_full_observer_is_bit_identical_healthy(workload, caplog, tmp_path):
     baseline = _replayed(caplog, workload, observer=None)
-    observer = _full_observer()
+    observer = _full_observer(tmp_path)
     assert _replayed(caplog, workload, observer=observer) == baseline
     assert baseline[1] == ["replay: plain"]
     assert observer.monitor.events == workload.publish_count + workload.request_count
 
 
 @pytest.mark.parametrize("strategy", ["sg2", "dc-lap"])
-def test_fused_heap_paths_stay_visible_and_identical(workload, strategy):
+def test_fused_heap_paths_stay_visible_and_identical(workload, strategy, tmp_path):
     """The conditional-eviction loop runs inside the heap
     (``pop_cheaper``), bypassing ``push``/``pop``: an observed run calls
     it as an unobserved one does, where cProfile sees it, and profiling
     must not change what it decides."""
     baseline = _run(workload, observer=None, strategy=strategy)
     profiler = cProfile.Profile()
-    observed = profiler.runcall(_run, workload, _full_observer(), strategy=strategy)
+    observed = profiler.runcall(_run, workload, _full_observer(tmp_path), strategy=strategy)
     assert _comparable(baseline) == _comparable(observed)
     calls = {
         name: count
@@ -111,16 +126,16 @@ def test_fused_heap_paths_stay_visible_and_identical(workload, strategy):
     assert calls["pop_cheaper"] > 0
 
 
-def test_full_observer_is_bit_identical_under_chaos(workload, caplog):
+def test_full_observer_is_bit_identical_under_chaos(workload, caplog, tmp_path):
     baseline = _replayed(caplog, workload, observer=None, chaos=CHAOS)
-    observer = _full_observer()
+    observer = _full_observer(tmp_path)
     assert _replayed(caplog, workload, observer=observer, chaos=CHAOS) == baseline
     assert baseline[1] == ["replay: wrappers (chaos)"]
 
     # Taxonomy coverage: everything a non-cooperative chaos run can
     # emit must actually show up (peer_fetch needs cooperation; see
     # test_cooperative_run_emits_peer_events).
-    seen = {event["type"] for event in observer.tracer.events()}
+    seen = {event["type"] for event in _traced(observer, tmp_path)}
     expected = {
         "run_start", "run_end", "publish", "match", "push_offer",
         "push_accept", "push_reject", "push_suppressed", "request",
@@ -130,33 +145,33 @@ def test_full_observer_is_bit_identical_under_chaos(workload, caplog):
     assert expected <= seen, f"missing event types: {sorted(expected - seen)}"
 
 
-def test_metrics_agree_with_result(workload):
-    observer = _full_observer()
+def test_metrics_agree_with_result(workload, tmp_path):
+    observer = _full_observer(tmp_path)
     result = _run(workload, observer=observer)
-    registry = observer.registry
-    assert registry.get("repro_requests_total").value == result.requests
-    assert registry.get("repro_hits_total").value == result.hits
-    assert registry.get("repro_stale_hits_total").value == result.stale_hits
-    assert registry.get("repro_fetches_total").value == result.fetch_pages
+    samples = _samples(observer.registry)
+    assert samples["repro_requests_total"] == result.requests
+    assert samples["repro_hits_total"] == result.hits
+    assert samples["repro_stale_hits_total"] == result.stale_hits
+    assert samples["repro_fetches_total"] == result.fetch_pages
     assert (
-        registry.get("repro_misses_total").value
+        samples["repro_misses_total"]
         == result.requests - result.hits - result.stale_hits
     )
-    assert registry.get("repro_request_latency_seconds").count == result.requests
-    assert registry.get("repro_request_latency_seconds").sum == pytest.approx(
+    assert samples["repro_request_latency_seconds_count"] == result.requests
+    assert samples["repro_request_latency_seconds_sum"] == pytest.approx(
         result.total_response_time
     )
-    assert registry.get("repro_sim_time_seconds").value > 0
+    assert samples["repro_sim_time_seconds"] > 0
 
 
-def test_eviction_metrics_match_stats(workload):
-    observer = _full_observer()
+def test_eviction_metrics_match_stats(workload, tmp_path):
+    observer = _full_observer(tmp_path)
     result = _run(workload, observer=observer)
     evictions = sum(stats.evictions for stats in result.per_proxy)
-    assert observer.registry.get("repro_evictions_total").value == evictions
+    assert _samples(observer.registry)["repro_evictions_total"] == evictions
     causes = [
         event.get("cause")
-        for event in observer.tracer.events()
+        for event in _traced(observer, tmp_path)
         if event["type"] == "evict"
     ]
     assert len(causes) == evictions
@@ -187,18 +202,16 @@ def test_profile_lands_in_result(monkeypatch):
     assert _comparable(plain) == _comparable(profiled)
 
 
-def test_cooperative_run_emits_peer_events(workload):
-    observer = _full_observer()
+def test_cooperative_run_emits_peer_events(workload, tmp_path):
+    observer = _full_observer(tmp_path)
     config = SimulationConfig(strategy="gdstar", capacity_fraction=0.02, seed=SEED)
-    baseline = run_cooperative_simulation(workload, config, neighbor_count=3)
-    observed = run_cooperative_simulation(
-        workload, config, neighbor_count=3, observer=observer
-    )
+    baseline = Simulation(workload, config, neighbor_count=3).run()
+    observed = Simulation(workload, config, observer=observer, neighbor_count=3).run()
     assert _comparable(baseline) == _comparable(observed)
     assert observed.peer_fetch_pages > 0
-    seen = {event["type"] for event in observer.tracer.events()}
+    seen = {event["type"] for event in _traced(observer, tmp_path)}
     assert "peer_fetch" in seen
     assert (
-        observer.registry.get("repro_peer_fetches_total").value
+        _samples(observer.registry)["repro_peer_fetches_total"]
         == observed.peer_fetch_pages
     )

@@ -21,7 +21,8 @@ After an *intentional* change to the output formats, regenerate with::
 
 import functools
 import hashlib
-import io
+import os
+import tempfile
 import re
 
 import pytest
@@ -106,21 +107,30 @@ def _workload(churned: bool):
 def outputs(name):
     """``{"trace": ..., "series": ..., "metrics": ...}`` texts of one run."""
     strategy, churned, layers, extras = RUNS[name]
-    trace, series = io.StringIO(), io.StringIO()
     registry = MetricsRegistry()
-    observer = Observer(
-        registry=registry,
-        tracer=EventTracer(sink=trace, max_events=0),
-        timeseries=TimeSeriesCollector(window_seconds=3600.0, spill=series),
-    )
-    config = SimulationConfig(strategy=strategy, capacity_fraction=0.05, seed=SEED, **layers)
-    Simulation(_workload(churned), config, observer=observer, **extras).run()
-    observer.close()
-    return {
-        "trace": trace.getvalue(),
-        "series": series.getvalue(),
-        "metrics": registry.render_prometheus(),
-    }
+    with tempfile.TemporaryDirectory() as directory:
+        trace = os.path.join(directory, "trace.jsonl")
+        series = os.path.join(directory, "series.jsonl")
+        observer = Observer(
+            registry=registry,
+            tracer=EventTracer(trace),
+            timeseries=TimeSeriesCollector(3600.0, series),
+        )
+        config = SimulationConfig(
+            strategy=strategy, capacity_fraction=0.05, seed=SEED, **layers
+        )
+        Simulation(_workload(churned), config, observer=observer, **extras).run()
+        observer.close()
+        return {
+            "trace": _read(trace),
+            "series": _read(series),
+            "metrics": registry.render_prometheus(),
+        }
+
+
+def _read(path):
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
 
 
 def digests(name):

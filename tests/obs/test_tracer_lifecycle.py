@@ -3,14 +3,10 @@
 Unit half: the :class:`Observer` lifecycle hooks emit exactly the
 documented JSONL shape for ``subscribe``, ``unsubscribe``,
 ``lease_confirmed``, ``lease_renewed``, ``lease_expired``,
-``handshake_lost`` and ``repoll``, and the tracer's type/proxy filters
-and ring bound apply to them like any other event.
+``handshake_lost`` and ``repoll``.
 
 Integration half: a churned run traces all seven types end to end.
 """
-
-import io
-import json
 
 import pytest
 
@@ -44,15 +40,23 @@ def _emit_all(observer):
     observer.lease_unsubscribe(7.0, page=4, proxy=0)
 
 
+def _traced(path, *extra):
+    """The events of one observer driven through every lifecycle hook,
+    then through ``extra`` (callables of the observer), read back."""
+    observer = Observer(tracer=EventTracer(str(path)))
+    _emit_all(observer)
+    for drive in extra:
+        drive(observer)
+    observer.close()
+    return read_jsonl(str(path))
+
+
 class TestLifecycleEventShape:
     def test_all_seven_types_are_in_the_taxonomy(self):
         assert set(LIFECYCLE_TYPES) <= EVENT_TYPES
 
-    def test_hooks_emit_one_jsonl_line_each(self):
-        sink = io.StringIO()
-        observer = Observer(tracer=EventTracer(sink=sink, max_events=0))
-        _emit_all(observer)
-        events = [json.loads(line) for line in sink.getvalue().splitlines()]
+    def test_hooks_emit_one_jsonl_line_each(self, tmp_path):
+        events = _traced(tmp_path / "trace.jsonl")
         assert [event["type"] for event in events] == [
             "subscribe",
             "lease_confirmed",
@@ -64,11 +68,8 @@ class TestLifecycleEventShape:
         ]
         assert all(event["page"] == 4 for event in events)
 
-    def test_type_specific_fields(self):
-        tracer = EventTracer()
-        observer = Observer(tracer=tracer)
-        _emit_all(observer)
-        by_type = {event["type"]: event for event in tracer.events()}
+    def test_type_specific_fields(self, tmp_path):
+        by_type = {event["type"]: event for event in _traced(tmp_path / "trace.jsonl")}
         assert by_type["subscribe"]["lease"] == 3600.0
         assert by_type["lease_renewed"]["lease"] == 3600.0
         assert by_type["lease_confirmed"]["latency"] == 1.0
@@ -76,36 +77,12 @@ class TestLifecycleEventShape:
         assert by_type["repoll"]["reason"] == "access"
         assert by_type["lease_expired"]["where"] == "publish"
 
-    def test_type_filter_keeps_only_requested_lifecycle_events(self):
-        tracer = EventTracer(types=["handshake_lost", "repoll"])
-        observer = Observer(tracer=tracer)
-        _emit_all(observer)
-        assert [e["type"] for e in tracer.events()] == ["handshake_lost", "repoll"]
-        assert tracer.dropped == 5
-
-    def test_proxy_filter_applies_to_lifecycle_events(self):
-        tracer = EventTracer(proxies=[1])
-        observer = Observer(tracer=tracer)
-        _emit_all(observer)
-        assert [e["type"] for e in tracer.events()] == ["handshake_lost", "repoll"]
-        assert all(e["proxy"] == 1 for e in tracer.events())
-
-    def test_ring_overflow_drops_oldest_lifecycle_events(self):
-        tracer = EventTracer(max_events=3)
-        observer = Observer(tracer=tracer)
-        _emit_all(observer)
-        assert [e["type"] for e in tracer.events()] == [
-            "repoll",
-            "lease_expired",
-            "unsubscribe",
-        ]
-
-    def test_events_for_page_replays_the_lease_life(self):
-        tracer = EventTracer()
-        observer = Observer(tracer=tracer)
-        _emit_all(observer)
-        observer.lease_subscribe(8.0, page=9, proxy=0, lease=60.0)
-        life = [event for event in tracer.events() if event.get("page") == 4]
+    def test_events_for_page_replays_the_lease_life(self, tmp_path):
+        events = _traced(
+            tmp_path / "trace.jsonl",
+            lambda observer: observer.lease_subscribe(8.0, page=9, proxy=0, lease=60.0),
+        )
+        life = [event for event in events if event.get("page") == 4]
         assert len(life) == 7
         assert [event["t"] for event in life] == sorted(e["t"] for e in life)
 
@@ -126,7 +103,7 @@ class TestChurnedRunTrace:
             ),
             RandomStreams(2).stream("workload.churn"),
         )
-        observer = Observer(tracer=EventTracer(sink=path, max_events=0))
+        observer = Observer(tracer=EventTracer(path))
         config = SimulationConfig(strategy="dc-lap", seed=2)
         result = Simulation(churned, config, observer=observer).run()
         observer.close()

@@ -10,11 +10,6 @@ def test_clock_starts_at_zero():
     assert env.now == 0.0
 
 
-def test_clock_starts_at_initial_time():
-    env = Environment(initial_time=42.0)
-    assert env.now == 42.0
-
-
 def test_schedule_runs_callback_at_time():
     env = Environment()
     seen = []
@@ -73,7 +68,10 @@ def test_run_until_stops_before_later_events():
 
 
 def test_run_until_in_past_raises():
-    env = Environment(initial_time=10.0)
+    env = Environment()
+    env.schedule(10.0, lambda e: None)
+    env.run()
+    assert env.now == 10.0
     with pytest.raises(SimulationError):
         env.run(until=5.0)
 

@@ -15,6 +15,7 @@ from repro.faults.spec import ChaosSpec
 from repro.sim.rng import RandomStreams
 from repro.system.config import PER_HOP_LATENCY, SimulationConfig
 from repro.system.cooperation import PEER_TIMEOUT, CooperativeSimulation
+from repro.system.simulator import Simulation
 from repro.workload import generate_workload, news_config
 
 
@@ -24,11 +25,11 @@ def workload():
 
 
 def make_sim(workload, schedule=None, **config_kwargs):
-    return CooperativeSimulation(
+    return Simulation(
         workload,
         SimulationConfig(strategy="gdstar", **config_kwargs),
-        neighbor_count=8,
         fault_schedule=schedule if schedule is not None else FaultSchedule(),
+        neighbor_count=8,
     )
 
 

@@ -11,13 +11,16 @@ changes; if either ever reorders or renames an eviction, these tests
 catch it even when the aggregate counters happen to agree.
 """
 
+import os
+import tempfile
+
 import pytest
 
 import repro.cache.heap as heap_module
 import repro.core.gdstar as gdstar_module
 import repro.core.single_cache as single_cache_module
 from repro.obs.recorder import Observer
-from repro.obs.tracer import EventTracer
+from repro.obs.tracer import EventTracer, read_jsonl
 from repro.sim.rng import RandomStreams
 from repro.system.config import SimulationConfig
 from repro.system.simulator import Simulation
@@ -32,13 +35,16 @@ def workload():
 
 def evict_trace(workload, strategy, engine=Simulation):
     """The ordered eviction events of one run, as comparable tuples."""
-    tracer = EventTracer(types=("evict",))
-    observer = Observer(tracer=tracer)
-    config = SimulationConfig(strategy=strategy, capacity_fraction=0.05)
-    engine(workload, config, observer=observer).run()
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "trace.jsonl")
+        observer = Observer(tracer=EventTracer(path))
+        config = SimulationConfig(strategy=strategy, capacity_fraction=0.05)
+        engine(workload, config, observer=observer).run()
+        observer.close()
+        events = read_jsonl(path)
     return [
         (e["t"], e["page"], e["proxy"], e["size"], e["cause"])
-        for e in tracer.events()
+        for e in events
         if e["type"] == "evict"
     ]
 

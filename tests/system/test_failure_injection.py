@@ -98,11 +98,11 @@ def _with_unit_capacities(workload):
 
 def test_match_table_with_unknown_pages_is_ignored(workload):
     bogus = TraceMatchCounts({10**9: {0: 5}})
-    result = run_simulation(
+    result = Simulation(
         workload,
         SimulationConfig(strategy="sub", capacity_fraction=0.05),
         match_table=bogus,
-    )
+    ).run()
     assert result.push_transfers == 0
 
 

@@ -108,7 +108,7 @@ def _streaming(on):
         trace = streaming.with_churn(CHURN, _churn_rng()) if "churn" in on else streaming
         return Simulation(trace, config_for(on)).run()
     finally:
-        streaming.close()
+        streaming.spool.close()
 
 
 CASES = {case_id(on): (_materialised, on) for on in COMBINATIONS}

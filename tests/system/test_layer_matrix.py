@@ -151,4 +151,4 @@ def test_streaming_driver_equals_materialised_oracle(workload, churned, on):
         assert stripped(driver) == stripped(oracle)
         assert check_result(driver, workload.request_count) == []
     finally:
-        streaming.close()
+        streaming.spool.close()

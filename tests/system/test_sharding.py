@@ -68,7 +68,7 @@ def test_sharded_streaming_equals_single(trace):
         sharded = run_sharded(streaming, config, 2)
         assert _strip(sharded) == single
     finally:
-        streaming.close()
+        streaming.spool.close()
 
 
 def test_workers_one_is_the_plain_simulation(trace):

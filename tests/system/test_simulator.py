@@ -91,11 +91,11 @@ def test_strategy_options_forwarded(workload):
 
 def test_custom_match_table(workload):
     empty = TraceMatchCounts({})
-    result = run_simulation(
+    result = Simulation(
         workload,
         SimulationConfig(strategy="sub", capacity_fraction=0.05),
         match_table=empty,
-    )
+    ).run()
     # No subscriptions: SUB can never store anything.
     assert result.hits == 0
     assert result.push_transfers == 0
@@ -208,7 +208,7 @@ def test_a_simulation_runs_once(workload):
             simulation.run()
 
 
-def test_run_logs_which_replay_arm_ran_and_why(workload, caplog):
+def test_run_logs_which_replay_arm_ran_and_why(workload, caplog, tmp_path):
     def arm_of(simulation):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="repro.system"):
@@ -223,7 +223,8 @@ def test_run_logs_which_replay_arm_ran_and_why(workload, caplog):
     assert arm_of(Simulation(workload, plain)) == ["replay: plain"]
     # An observer is not a layer: observed or not, a plain cell arms no
     # wrapper.
-    for observer in (NullObserver(), Observer(tracer=EventTracer())):
+    traced = Observer(tracer=EventTracer(str(tmp_path / "plain.jsonl")))
+    for observer in (NullObserver(), traced):
         assert arm_of(Simulation(workload, plain, observer=observer)) == [
             "replay: plain"
         ]
@@ -232,8 +233,11 @@ def test_run_logs_which_replay_arm_ran_and_why(workload, caplog):
         capacity_fraction=0.05,
         chaos=ChaosSpec(proxy_mtbf=4 * 3600.0, proxy_mttr=1800.0),
     )
-    observed = CooperativeSimulation(
-        workload, layered, neighbor_count=2, observer=Observer(tracer=EventTracer())
+    observed = Simulation(
+        workload,
+        layered,
+        observer=Observer(tracer=EventTracer(str(tmp_path / "layered.jsonl"))),
+        neighbor_count=2,
     )
     assert arm_of(observed) == [
         "replay: wrappers (chaos, peers)"

@@ -58,7 +58,7 @@ def test_spooled_stream_equals_record_reference(preset):
         assert len(got) == spooled.publish_count + spooled.request_count
         assert got == list(record_stream(simulation, lazy=True))
     finally:
-        spooled.close()
+        spooled.spool.close()
 
 
 @pytest.mark.parametrize("sq", [1.0, 0.5])

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 import re
 
@@ -423,6 +424,35 @@ def test_inspect_malformed_file(tmp_path, capsys):
     assert "malformed trace file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", [["inspect"], ["explain", "page", "3"]], ids=["inspect", "explain"]
+)
+@pytest.mark.parametrize(
+    "content",
+    ["directory", "[]\n", '{"t": 0.0, "type": "run_start"}\n7\n'],
+    ids=["directory", "list-line", "number-line"],
+)
+def test_trace_readers_fail_with_one_line_on_bad_input(tmp_path, capsys, command, content):
+    """A directory, or a JSONL line that is valid JSON but not an object,
+    costs one stderr line and exit code 2, not a traceback."""
+    if content == "directory":
+        path = tmp_path
+        expected = f"cannot read trace file {path}: Is a directory\n"
+    else:
+        path = tmp_path / "odd.jsonl"
+        path.write_text(content)
+        line = content.count("\n")
+        kind = type(json.loads(content.splitlines()[-1])).__name__
+        expected = (
+            f"malformed trace file: {path}:{line}: bad trace line: "
+            f"expected an object, got {kind}\n"
+        )
+    assert main([*command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == expected
+    assert captured.out == ""
+
+
 def test_verbose_flag_logs_progress(capsys):
     code = main(
         ["run", "--strategy", "sg2", "--scale", "0.03", "--seed", "3", "-v"]
@@ -725,6 +755,33 @@ def test_unwritable_output_path_fails_before_the_run(
         f"cannot write {flag} {path}: no such directory: {path.parent}\n"
     )
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        *(
+            (command, flag)
+            for command in ("run", "chaos")
+            for flag in ("--trace-out", "--metrics-out", "--series-out", "--monitor-out")
+        ),
+        ("generate-trace", "--output"),
+    ],
+)
+def test_output_path_naming_a_directory_fails_before_the_run(
+    tmp_path, capsys, monkeypatch, command, flag
+):
+    """An output flag given an existing directory costs one line and exit
+    code 2 before anything is generated, not an IsADirectoryError
+    traceback (``--metrics-out``: after the whole replay)."""
+
+    def generated_too_early(*args, **kwargs):
+        raise AssertionError("a trace was generated before the paths were checked")
+
+    monkeypatch.setattr("repro.workload.presets.generate_workload", generated_too_early)
+    code = main([command, "--scale", "0.03", "--seed", "987", flag, str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"cannot write {flag} {tmp_path}: is a directory\n"
 
 
 @pytest.mark.parametrize(

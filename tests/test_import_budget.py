@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple, Tuple
 
 import repro
 
@@ -369,3 +370,232 @@ def test_every_function_is_reachable_from_the_program():
     assert sorted(set(uncalled) - set(CALLED_BY_TESTS_ON_PURPOSE)) == []
     assert sorted(set(CALLED_BY_TESTS_ON_PURPOSE) - set(uncalled)) == []
     assert len(CALLED_BY_TESTS_ON_PURPOSE) <= 8
+
+
+# -- every parameter is passed by the program -------------------------------
+
+#: Defaulted parameters only tests pass, each with the reason it stays,
+#: keyed ``module:qualified name(parameter)``.  Only a test seam
+#: qualifies: a parameter that substitutes a fake, or shrinks a size so
+#: that a path runs at test scale.
+SET_BY_TESTS_ON_PURPOSE = {
+    "repro.obs.monitor:RunMonitor.__init__(clock)": (
+        "substitutes a fake clock, so heartbeat cadence and ETA are "
+        "tested without waiting on the wall clock"
+    ),
+    "repro.obs.monitor:RunMonitor.__init__(check_every)": (
+        "shrinks the clock-read cadence (1024 records) so a heartbeat "
+        "fires within a test-sized replay"
+    ),
+    "repro.workload.streaming:generate_streaming_workload(chunk_events)": (
+        "shrinks the spill chunk so a test-scale trace spans many chunks "
+        "and the chunk-boundary merge runs"
+    ),
+    "repro.workload.streaming:generate_streaming_workload(read_chunk)": (
+        "shrinks the replay read-back chunk for the same reason"
+    ),
+    "repro.workload.streaming:make_streaming_trace(chunk_events)": (
+        "forwards the spill-chunk seam to generate_streaming_workload"
+    ),
+    "repro.experiments.artifacts:code_fingerprint(package_dir)": (
+        "substitutes an edited copy of the package, so a test can show "
+        "that one changed source byte moves the fingerprint"
+    ),
+    "repro.system.simulator:Simulation.__init__(fault_schedule)": (
+        "substitutes a hand-built fault schedule for the one config.chaos "
+        "generates, so a test places a crash or an outage at an exact time"
+    ),
+}
+
+
+def _parameters(function, is_method):
+    """``(positional names, defaulted names)`` of a ``def``, the bound
+    ``self`` / ``cls`` of a method dropped from the positional list."""
+    arguments = function.args
+    positional = [arg.arg for arg in arguments.posonlyargs + arguments.args]
+    defaulted = positional[len(positional) - len(arguments.defaults):]
+    defaulted += [
+        arg.arg
+        for arg, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
+        if default is not None
+    ]
+    if is_method and not any(
+        getattr(decorator, "id", "") == "staticmethod"
+        for decorator in function.decorator_list
+    ):
+        positional = positional[1:]
+    return positional, defaulted
+
+
+class _Function(NamedTuple):
+    called_as: str  # a method's name; an ``__init__``'s class
+    positional: Tuple[str, ...]  # after ``self`` / ``cls``
+    defaulted: Tuple[str, ...]
+    path: Path
+    first: int
+    last: int
+
+
+def _functions():
+    """``{module:qualified name: _Function}`` of every ``def`` under
+    ``src/repro`` with a defaulted parameter, dunders other than
+    ``__init__`` excepted."""
+    found = {}
+    for module, path in _module_files().items():
+        pending = [(ast.parse(path.read_text(encoding="utf-8")), "", None)]
+        while pending:
+            node, prefix, owner = pending.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    pending.append((child, f"{prefix}{child.name}.", child.name))
+                elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    called_as = child.name
+                    if child.name == "__init__" and owner:
+                        called_as = owner
+                    elif re.fullmatch(r"__\w+__", child.name):
+                        continue
+                    positional, defaulted = _parameters(child, owner is not None)
+                    if defaulted:
+                        found[f"{module}:{prefix}{child.name}"] = _Function(
+                            called_as, tuple(positional), tuple(defaulted), path,
+                            child.lineno, child.end_lineno,
+                        )
+                    pending.append((child, f"{prefix}{child.name}.", None))
+                else:
+                    pending.append((child, prefix, owner))
+    return found
+
+
+def _calls_and_values(paths):
+    """``(calls, values)`` in ``paths``.  ``calls`` is ``[(called as,
+    positional count, keywords, forwarded, spread)]``: ``forwarded`` maps
+    an argument (``#index`` or keyword) to ``(path, line, parameter)``
+    when it passes on the enclosing ``def``'s defaulted parameter
+    unchanged; ``spread`` says ``*`` / ``**``.  ``values`` is ``{name:
+    [(path, line)]}`` of every name loaded other than as a callee, an
+    attribute's owner, a base class, an ``except`` or ``isinstance``
+    type, or inside an annotation."""
+    calls, values = [], {}
+
+    def children_of(node):
+        if isinstance(node, ast.arg):
+            return []
+        if isinstance(node, ast.AnnAssign):
+            return [node.target, node.value] if node.value else []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return [node.args, *node.body, *node.decorator_list]
+        if isinstance(node, ast.ClassDef):
+            return [*node.body, *node.decorator_list]
+        if isinstance(node, ast.ExceptHandler):
+            return node.body
+        if isinstance(node, ast.Attribute):
+            return [] if isinstance(node.value, ast.Name) else [node.value]
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = getattr(func, "id", None) or getattr(func, "attr", "")
+            if called in ("isinstance", "issubclass"):
+                return node.args[:1]
+            owner = [func.value] if isinstance(func, ast.Attribute) else []
+            return [*owner, *node.args, *node.keywords]
+        return list(ast.iter_child_nodes(node))
+
+    for path in paths:
+        pending = [(ast.parse(path.read_text(encoding="utf-8")), {}, None)]
+        while pending:
+            node, defaulted, owner = pending.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defaulted = {
+                    name: (path, node.lineno, name)
+                    for name in _parameters(node, False)[1]
+                }
+            elif isinstance(node, ast.ClassDef):
+                owner = node
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", None) or getattr(node.func, "attr", "")
+                targets = [called]
+                if called == "cls" and owner is not None:
+                    targets = [owner.name]
+                elif called == "__init__" and owner is not None:
+                    targets = [getattr(base, "id", "") for base in owner.bases]
+                passed = [(f"#{index}", arg) for index, arg in enumerate(node.args)]
+                passed += [(keyword.arg, keyword.value) for keyword in node.keywords]
+                forwarded = {
+                    where: defaulted[value.id]
+                    for where, value in passed
+                    if getattr(value, "id", None) in defaulted
+                }
+                spread = any(isinstance(arg, ast.Starred) for arg in node.args) or any(
+                    keyword.arg is None for keyword in node.keywords
+                )
+                keywords = [keyword.arg for keyword in node.keywords]
+                calls += [
+                    (target, len(node.args), keywords, forwarded, spread)
+                    for target in targets
+                ]
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
+                node.ctx, ast.Load
+            ):
+                name = getattr(node, "id", None) or node.attr
+                values.setdefault(name, []).append((path, node.lineno))
+            pending.extend((child, defaulted, owner) for child in children_of(node))
+    return calls, values
+
+
+def test_every_parameter_is_passed_by_the_program():
+    """A defaulted parameter of a ``def`` under ``src/repro`` is passed,
+    by keyword or at its position, by some call in ``src/repro``,
+    ``bench/`` or ``examples/``; or it is a module constant beside the
+    code that reads it.  A call that forwards a parameter which is itself
+    never passed does not count.  A function the program uses as a value
+    (a registry entry, a callback) or calls with ``*`` / ``**`` is exempt:
+    what reaches it cannot be read from the source."""
+    root = SOURCE.parent
+    calls, values = _calls_and_values([
+        *(SOURCE / "repro").rglob("*.py"),
+        *(root / "bench").rglob("*.py"),
+        *(root / "examples").rglob("*.py"),
+    ])
+    functions = _functions()
+    spread = {called for called, _, _, _, is_spread in calls if is_spread}
+    checked = {
+        qualified: function
+        for qualified, function in functions.items()
+        if function.called_as not in spread
+        and not any(
+            where != function.path or not function.first <= line <= function.last
+            for where, line in values.get(function.called_as, ())
+        )
+    }
+    by_name = {}
+    for function in checked.values():
+        by_name.setdefault(function.called_as, []).append(function)
+    # (path, first line, parameter) of every passed parameter; one of an
+    # exempt function counts as passed when forwarded.
+    passed = {
+        (function.path, function.first, name)
+        for function in set(functions.values()) - set(checked.values())
+        for name in function.defaulted
+    }
+    while True:
+        before = len(passed)
+        for called, count, keywords, forwarded, _ in calls:
+            for function in by_name.get(called, ()):
+                arguments = [(f"#{index}", name) for index, name in enumerate(function.positional)]
+                arguments = arguments[:count] + [(name, name) for name in keywords]
+                passed |= {
+                    (function.path, function.first, name)
+                    for where, name in arguments
+                    if name in function.defaulted
+                    and (where not in forwarded or forwarded[where] in passed)
+                }
+        if len(passed) == before:
+            break
+    unset = [
+        f"{qualified}({name})"
+        for qualified, function in checked.items()
+        for name in function.defaulted
+        if (function.path, function.first, name) not in passed
+    ]
+    assert sorted(set(unset) - set(SET_BY_TESTS_ON_PURPOSE)) == []
+    assert sorted(set(SET_BY_TESTS_ON_PURPOSE) - set(unset)) == []
+    assert len(SET_BY_TESTS_ON_PURPOSE) <= 8

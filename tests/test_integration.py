@@ -11,7 +11,7 @@ from repro.experiments.runner import run_cell
 from repro.experiments.spec import CellKey
 from repro.sim.rng import RandomStreams
 from repro.system.config import PushingScheme, SimulationConfig
-from repro.system.simulator import run_simulation
+from repro.system.simulator import Simulation, run_simulation
 from repro.workload.presets import make_trace
 
 SCALE = 0.1
@@ -143,9 +143,9 @@ def test_workload_reuse_across_sq_levels(news):
                 news.request_pairs(), sq, RandomStreams(1).stream("subs")
             )
         )
-        result = run_simulation(
+        result = Simulation(
             news,
             SimulationConfig(strategy="sg2", capacity_fraction=0.05),
             match_table=table,
-        )
+        ).run()
         assert result.requests == news.request_count

@@ -131,7 +131,7 @@ def test_with_churn_on_a_spilled_trace_equals_in_memory(churned):
         assert np.array_equal(spilled.lifecycle.rows, churned.lifecycle.rows)
         assert spilled == churned
     finally:
-        streaming.close()
+        streaming.spool.close()
 
 
 # -- an unknown kind is rejected where the table is built ----------------------

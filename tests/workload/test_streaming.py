@@ -64,7 +64,7 @@ def test_streaming_equals_materialized(seed, chunk_events, monkeypatch):
         )
         assert streaming.capacities(0.05) == materialized.capacities(0.05)
     finally:
-        streaming.close()
+        streaming.spool.close()
     # The block bound is not part of the trace either: one page per
     # block and a few pages per block spill the same rows.
     for chunk_rows in (1, 64):
@@ -75,7 +75,7 @@ def test_streaming_equals_materialized(seed, chunk_events, monkeypatch):
         try:
             _assert_same_trace(small_blocks, materialized)
         finally:
-            small_blocks.close()
+            small_blocks.spool.close()
 
 
 def test_short_spool_file_is_an_oserror_before_any_row_is_read(tmp_path):
@@ -99,7 +99,7 @@ def test_streams_are_reiterable():
         assert first == second
         assert list(streaming.publishes) == list(streaming.publishes)
     finally:
-        streaming.close()
+        streaming.spool.close()
 
 
 def test_spilled_workload_equals_in_memory_workload():
@@ -110,7 +110,7 @@ def test_spilled_workload_equals_in_memory_workload():
         assert streaming == make_trace("news", scale=0.03, seed=3)
         assert streaming != make_trace("news", scale=0.03, seed=4)
     finally:
-        streaming.close()
+        streaming.spool.close()
 
 
 def test_with_churn_matches_materialized():
@@ -128,7 +128,7 @@ def test_with_churn_matches_materialized():
         # The churned copy shares the parent's spool.
         assert list(churned.requests) == list(streaming.requests)
     finally:
-        streaming.close()
+        streaming.spool.close()
 
 
 def test_simulation_streaming_bit_identity():
@@ -143,7 +143,7 @@ def test_simulation_streaming_bit_identity():
             got.pop(skip)
         assert want == got
     finally:
-        streaming.close()
+        streaming.spool.close()
 
 
 def _replay_peak(total_requests: int) -> int:
@@ -168,7 +168,7 @@ def _replay_peak(total_requests: int) -> int:
             tracemalloc.stop()
         return peak
     finally:
-        workload.close()
+        workload.spool.close()
 
 
 def test_replay_memory_stays_flat_as_events_grow():
