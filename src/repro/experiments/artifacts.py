@@ -14,7 +14,7 @@ orphans every old entry (they are simply never looked up again;
 Layout under the store root (default ``.repro-cache/``)::
 
     .repro-cache/
-        trace/<sha256>.json        Workload.to_json (one list per event column)
+        trace/<sha256>.npz         Workload.to_bytes (the rows' bytes, np.savez)
         match-table/<sha256>.json  TraceMatchCounts.to_json
         topology/<sha256>.json     Topology.to_json
         cell/<sha256>.json         SimulationResult.to_json
@@ -44,6 +44,7 @@ import hashlib
 import json
 import os
 import tempfile
+import zipfile
 from dataclasses import asdict
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Optional
@@ -66,9 +67,12 @@ if TYPE_CHECKING:
 logger = get_logger(__name__)
 
 #: Serialization/generator format version.  Bump on ANY change to the
-#: workload/table/topology generators or their JSON formats; every key
+#: workload/table/topology generators or their stored formats; every key
 #: embeds it, so old cache entries are silently invalidated.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+#: File suffix per kind: a trace is an ``np.savez`` archive, the rest JSON.
+SUFFIXES = {"trace": ".npz"}
 
 
 class ArtifactCache:
@@ -91,27 +95,27 @@ class ArtifactCache:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def path(self, kind: str, params: dict) -> str:
-        return os.path.join(self.root, kind, self.key(kind, params) + ".json")
+        return os.path.join(self.root, kind, self.key(kind, params) + SUFFIXES.get(kind, ".json"))
 
-    # -- raw text access -------------------------------------------------
+    # -- raw bytes access ------------------------------------------------
 
-    def load_text(self, kind: str, params: dict) -> Optional[str]:
+    def load_bytes(self, kind: str, params: dict) -> Optional[bytes]:
         """The stored payload, or None on a cache miss."""
         try:
-            with open(self.path(kind, params), "r", encoding="utf-8") as handle:
+            with open(self.path(kind, params), "rb") as handle:
                 return handle.read()
         except (FileNotFoundError, NotADirectoryError):
             return None
 
-    def store_text(self, kind: str, params: dict, text: str) -> str:
+    def store_bytes(self, kind: str, params: dict, data: bytes) -> str:
         """Atomically persist one payload; returns its path."""
         target = self.path(kind, params)
         directory = os.path.dirname(target)
         os.makedirs(directory, exist_ok=True)
         fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
             os.replace(tmp_path, target)
         except BaseException:
             try:
@@ -123,19 +127,20 @@ class ArtifactCache:
 
     # -- the generic load-or-generate protocol ---------------------------
 
-    def load(self, kind: str, params: dict, deserialize: Callable[[str], object]):
+    def load(self, kind: str, params: dict, deserialize: Callable[[bytes], object]):
         """The stored ``kind``/``params`` artifact; ``None`` when there is
         none or it is damaged (one WARNING naming the file)."""
         try:
-            text = self.load_text(kind, params)
-            if text is not None:
-                artifact = deserialize(text)
+            data = self.load_bytes(kind, params)
+            if data is not None:
+                artifact = deserialize(data)
                 self.hits += 1
                 logger.debug("artifact hit: %s %s", kind, params)
                 return artifact
-        except (ValueError, KeyError, TypeError) as error:
+        except (ValueError, KeyError, TypeError, zipfile.BadZipFile, EOFError) as error:
             # A truncated, hand-edited or non-UTF-8 entry (a
-            # UnicodeDecodeError is a ValueError): regenerate over it.
+            # UnicodeDecodeError is a ValueError), or an archive whose
+            # zip structure or CRC is broken: regenerate over it.
             logger.warning(
                 "corrupt %s artifact %s (%s); regenerating",
                 kind, self.path(kind, params), error,
@@ -147,7 +152,7 @@ class ArtifactCache:
         kind: str,
         params: dict,
         generate: Callable[[], object],
-        serialize: Callable[[object], str],
+        serialize: Callable[[object], bytes],
     ):
         """Generate the artifact and store it (over any damaged entry).  A
         failed write is one WARNING: the artifact is returned all the same."""
@@ -155,7 +160,7 @@ class ArtifactCache:
         logger.debug("artifact miss: %s %s", kind, params)
         artifact = generate()
         try:
-            self.store_text(kind, params, serialize(artifact))
+            self.store_bytes(kind, params, serialize(artifact))
         except OSError as error:
             logger.warning(
                 "cannot store %s artifact %s (%s); continuing without it",
@@ -168,8 +173,8 @@ class ArtifactCache:
         kind: str,
         params: dict,
         generate: Callable[[], object],
-        serialize: Callable[[object], str],
-        deserialize: Callable[[str], object],
+        serialize: Callable[[object], bytes],
+        deserialize: Callable[[bytes], object],
     ):
         """Load ``kind``/``params`` from disk, generating on a miss."""
         artifact = self.load(kind, params, deserialize)
@@ -179,6 +184,15 @@ class ArtifactCache:
 
 
 # -- typed artifact accessors (the keys the experiment runner uses) --------
+
+
+def _json_codec(cls) -> dict:
+    """``serialize`` / ``deserialize`` of a kind stored as JSON text:
+    ``cls.to_json`` / ``cls.from_json`` over UTF-8 bytes."""
+    return {
+        "serialize": lambda artifact: artifact.to_json().encode("utf-8"),
+        "deserialize": lambda data: cls.from_json(data.decode("utf-8")),
+    }
 
 
 def cached_trace(
@@ -194,13 +208,13 @@ def cached_trace(
     has stopped, now that a warm pass leaves no trace in memory.
     """
     params = {"trace": trace, "scale": scale, "seed": seed}
-    workload = cache.load("trace", params, Workload.from_json)
+    workload = cache.load("trace", params, Workload.from_bytes)
     if workload is None:
         workload = cache.create(
             "trace",
             params,
             generate=lambda: make_trace(trace, scale=scale, seed=seed),
-            serialize=lambda workload: workload.to_json(),
+            serialize=Workload.to_bytes,
         )
     return workload
 
@@ -239,8 +253,7 @@ def cached_match_table(
             "notified_fraction": notified_fraction,
         },
         generate=generate,
-        serialize=lambda table: table.to_json(),
-        deserialize=TraceMatchCounts.from_json,
+        **_json_codec(TraceMatchCounts),
     )
 
 
@@ -250,8 +263,7 @@ def cached_topology(cache: ArtifactCache, server_count: int, seed: int) -> Topol
         "topology",
         {"server_count": server_count, "seed": seed, "extra_nodes": TRANSIT_NODES},
         generate=lambda: build_topology(server_count, RandomStreams(seed).stream("topology")),
-        serialize=lambda topology: topology.to_json(),
-        deserialize=Topology.from_json,
+        **_json_codec(Topology),
     )
 
 
@@ -316,10 +328,10 @@ def load_cell(cache: ArtifactCache, params: dict) -> Optional[SimulationResult]:
     then :func:`store_cell` the result."""
     if not _keyed(cache, params):
         return None
-    return cache.load("cell", params, SimulationResult.from_json)
+    return cache.load("cell", params, _json_codec(SimulationResult)["deserialize"])
 
 
 def store_cell(cache: ArtifactCache, params: dict, result: SimulationResult) -> None:
     """Store a replayed cell's ``result`` under ``params`` (if they have a key)."""
     if _keyed(cache, params):
-        cache.create("cell", params, lambda: result, SimulationResult.to_json)
+        cache.create("cell", params, lambda: result, _json_codec(SimulationResult)["serialize"])

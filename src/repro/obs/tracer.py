@@ -86,5 +86,11 @@ def read_jsonl(path: str) -> List[Dict[str, object]]:
                     f"{path}:{line_number}: bad trace line: "
                     f"expected an object, got {type(event).__name__}"
                 )
+            for name in ("page", "proxy", "version"):  # ids ``inspect`` / ``explain`` use
+                if name in event and type(event[name]) is not int:  # a bool is not one
+                    raise ValueError(
+                        f"{path}:{line_number}: bad trace line: "
+                        f"{name} must be an integer, got {json.dumps(event[name])}"
+                    )
             events.append(event)
     return events

@@ -9,7 +9,9 @@ demand fetches, per hour — the data behind Fig. 7.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.obs.log import get_logger
 from repro.workload.trace import Workload
@@ -44,22 +46,30 @@ class Publisher:
         #: cost of an unreliable push path is visible on its own.
         self.repair_pages_by_hour: Dict[int, int] = {}
         self.repair_bytes_by_hour: Dict[int, int] = {}
-        #: Per-page publication instants, indexed by version — the data
-        #: behind staleness-age measurements ("how old was the copy a
-        #: proxy served or repaired?").
-        self._publish_times: Dict[int, List[float]] = {}
+        #: The publish rows behind staleness ages ("how old was the copy a
+        #: proxy served or repaired?"), and on first use their instants in
+        #: (page, version) order with each page's first index.
+        self._publishes = workload.publishes.rows
+        self._instants: Optional[Tuple[List[float], List[int]]] = None
 
     def staleness_age(self, page_id: int, cached_version: int, now: float) -> float:
         """Seconds since a copy at ``cached_version`` first went stale.
 
         The copy went stale the instant version ``cached_version + 1``
-        was published; returns 0.0 when the copy is in fact current.
+        was published; returns 0.0 when the copy is in fact current:
+        when version ``cached_version + 1`` is not yet published.
         """
-        times = self._publish_times.get(page_id, [])
         next_version = cached_version + 1
-        if next_version >= len(times):
+        if next_version > self._versions.get(page_id, -1):
             return 0.0
-        return max(0.0, now - times[next_version])
+        if self._instants is None:
+            rows = self._publishes
+            order = np.lexsort((rows["version"], rows["page_id"]))
+            pages = rows["page_id"][order]
+            firsts = np.searchsorted(pages, np.arange(pages.max() + 1))
+            self._instants = rows["time"][order].tolist(), firsts.tolist()
+        times, firsts = self._instants
+        return max(0.0, now - times[firsts[page_id] + next_version])
 
     # -- fault model -------------------------------------------------------
 

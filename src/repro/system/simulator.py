@@ -676,7 +676,6 @@ class Simulation:
 
         # Publisher state; its validation is kept inline below.
         versions = publisher._versions
-        publish_times = publisher._publish_times
         push_pages = publisher.push_pages_by_hour
         push_bytes = publisher.push_bytes_by_hour
         fetch_pages = publisher.fetch_pages_by_hour
@@ -726,10 +725,6 @@ class Simulation:
                         f"got version {b} after {previous}"
                     )
                 versions[a] = b
-                times = publish_times.get(a)
-                if times is None:
-                    publish_times[a] = times = []
-                times.append(now)
                 if m:
                     hour = -1
                     for server_id, match_count in m:

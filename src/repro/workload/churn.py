@@ -99,7 +99,7 @@ class LifecycleRecord:
     granted/extended lease duration for ``subscribe``/``renew`` events
     and is 0 for ``unsubscribe``.  The trace holds the stream as a table
     (``workload.lifecycle``) and builds a record only where a caller
-    indexes or iterates it; ``to_row`` / ``from_row`` / ``check_rows``
+    indexes or iterates it; ``to_row`` / ``from_row``
     are what :class:`~repro.workload.trace.EventTable` calls for a
     record whose row stores a field differently (the kind, as a code).
     """
@@ -122,13 +122,6 @@ class LifecycleRecord:
     @classmethod
     def from_row(cls, time, server_id, page_id, code, lease) -> "LifecycleRecord":
         return cls(time, server_id, page_id, LIFECYCLE_KINDS[code], lease)
-
-    @staticmethod
-    def check_rows(rows: np.ndarray) -> None:
-        """Reject stored rows whose kind is not a code of :data:`LIFECYCLE_KINDS`."""
-        unknown = np.setdiff1d(rows["kind"], range(len(LIFECYCLE_KINDS)))
-        if len(unknown):
-            raise ValueError(f"unknown lifecycle kind code(s) {unknown.tolist()}")
 
 
 #: Row layout of the lifecycle table, registered beside its record so a

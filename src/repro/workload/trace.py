@@ -22,6 +22,7 @@ into the record stream the replay driver reads.
 from __future__ import annotations
 
 import heapq
+import io
 import json
 from array import array
 from collections.abc import Sequence
@@ -104,8 +105,7 @@ class EventTable(Sequence):
     (a table over the same rows), iteration and ``==`` against a table
     or a list.  A record exists only while a caller holds it.  A record
     type whose row stores a field differently (a lifecycle kind, as a
-    code) converts through its own ``to_row`` / ``from_row`` and vets
-    stored rows through ``check_rows``.
+    code) converts through its own ``to_row`` / ``from_row``.
     """
 
     __slots__ = ("record", "build", "rows", "chunk_rows")
@@ -147,27 +147,6 @@ class EventTable(Sequence):
     def columns(self) -> Dict[str, list]:
         """The stored form: one list per field (``repr`` keeps floats exact)."""
         return {name: self.rows[name].tolist() for name in self.rows.dtype.names}
-
-    @classmethod
-    def from_columns(cls, record, columns) -> "EventTable":
-        """A table back from :meth:`columns`; ``ValueError`` on any other shape."""
-        if not isinstance(columns, dict):
-            raise ValueError(
-                f"{record.__name__} events are a list of dicts: the pre-columnar layout"
-            )
-        dtype = ROW_DTYPES[record]
-        lengths = {len(columns[name]) for name in dtype.names}
-        if len(lengths) != 1:
-            raise ValueError(f"ragged {record.__name__} columns: lengths {sorted(lengths)}")
-        rows = np.empty(lengths.pop(), dtype=dtype)
-        try:
-            for name in dtype.names:
-                rows[name] = columns[name]
-        except OverflowError as error:  # an id or code beyond the field's width
-            raise ValueError(f"{record.__name__} column {name!r}: {error}") from None
-        if hasattr(record, "check_rows"):
-            record.check_rows(rows)
-        return cls(record, rows)
 
 
 def sorted_rows(dtype: np.dtype, columns: Sequence) -> np.ndarray:
@@ -479,30 +458,60 @@ class Workload:
             payload["churn"] = asdict(self.churn)
         return json.dumps(payload)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Workload":
-        """Rebuild a workload serialized with :meth:`to_json`."""
-        payload = json.loads(text)
-        config_fields = dict(payload["config"])
-        config_fields["age_exponents"] = tuple(config_fields["age_exponents"])
-        churn = None
-        lifecycle = []
-        if payload.get("churn") is not None or payload.get("lifecycle"):
-            from repro.workload.churn import ChurnSpec, LifecycleRecord
+    def to_bytes(self) -> bytes:
+        """The stored form of a churn-free trace: an uncompressed
+        ``np.savez`` archive of a JSON ``header`` (label and config), the
+        ``pages`` as one structured array and the ``publishes`` /
+        ``requests`` rows as they are."""
+        header = json.dumps({"label": self.label, "config": asdict(self.config)})
+        pages = np.array(list(map(attrgetter(*PAGE_DTYPE.names), self.pages)), PAGE_DTYPE)
+        buffer = io.BytesIO()
+        np.savez(buffer, header=np.array(header), pages=pages,
+                 publishes=self.publishes.rows, requests=self.requests.rows)
+        return buffer.getvalue()
 
-            if payload.get("churn") is not None:
-                churn = ChurnSpec(**payload["churn"])
-            if payload.get("lifecycle"):
-                lifecycle = EventTable.from_columns(LifecycleRecord, payload["lifecycle"])
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "Workload":
+        """Rebuild a trace stored with :meth:`to_bytes`, unpickling
+        nothing.  ``ValueError`` for a member that is missing, extra or of
+        another dtype or shape; a damaged archive raises what ``np.load``
+        raises (``zipfile.BadZipFile``, ``EOFError``, ``ValueError``).  Every
+        member's CRC is checked first: a reader stops at the row count its
+        npy header names, so a flipped digit there would read fewer rows."""
+        with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+            damaged = archive.zip.testzip()
+            if damaged is not None:
+                raise ValueError(f"trace member {damaged} fails its CRC")
+            if sorted(archive.files) != ["header", *_STORED_ROWS]:
+                raise ValueError(f"a trace archive holds {sorted(archive.files)}")
+            stored = {name: archive[name] for name in archive.files}
+        for name, dtype in _STORED_ROWS.items():
+            if stored[name].dtype != dtype or stored[name].ndim != 1:
+                raise ValueError(f"stored {name} are {stored[name].dtype} {stored[name].shape}")
+        header = json.loads(str(stored["header"]))
+        config = header["config"]
+        if sorted(config) != sorted(f.name for f in fields(WorkloadConfig)):
+            raise ValueError(f"a stored config holds {sorted(config)}")
         return cls(
-            config=WorkloadConfig(**config_fields),
-            pages=[PageSpec(**page) for page in payload["pages"]],
-            publishes=EventTable.from_columns(PublishRecord, payload["publishes"]),
-            requests=EventTable.from_columns(RequestRecord, payload["requests"]),
-            label=payload.get("label", ""),
-            lifecycle=lifecycle,
-            churn=churn,
+            config=WorkloadConfig(**{**config, "age_exponents": tuple(config["age_exponents"])}),
+            pages=list(starmap(PageSpec, stored["pages"].tolist())),
+            publishes=EventTable(PublishRecord, stored["publishes"]),
+            requests=EventTable(RequestRecord, stored["requests"]),
+            label=header["label"],
         )
+
+
+#: A stored page row: :class:`PageSpec`'s fields in order, floats as drawn.
+PAGE_DTYPE = np.dtype(
+    [(f.name, "<f8" if f.type == "float" else "<i8") for f in fields(PageSpec)]
+)
+
+#: The row members of a stored trace and their dtypes.
+_STORED_ROWS = {
+    "pages": PAGE_DTYPE,
+    "publishes": ROW_DTYPES[PublishRecord],
+    "requests": ROW_DTYPES[RequestRecord],
+}
 
 
 # -- the replay stream ----------------------------------------------------------

@@ -1,9 +1,14 @@
 """Tests for the on-disk artifact cache and its runner/CLI wiring."""
 
 import dataclasses
+import io
 import json
+import logging
 import os
+import struct
+import zipfile
 
+import numpy as np
 import pytest
 
 from repro.experiments import artifacts, runner
@@ -75,13 +80,20 @@ def test_format_version_bump_invalidates(tmp_path, monkeypatch):
     cached_trace(cache, "news", SCALE, SEED)
     monkeypatch.setattr(artifacts, "FORMAT_VERSION", FORMAT_VERSION + 1)
     bumped = ArtifactCache(str(tmp_path))
-    assert bumped.load_text("trace", params) is None
+    assert bumped.load_bytes("trace", params) is None
     cached_trace(bumped, "news", SCALE, SEED)
     assert bumped.misses == 1 and bumped.hits == 0
     # Both versions' entries now coexist; neither shadows the other.
-    assert bumped.load_text("trace", params) is not None
+    assert bumped.load_bytes("trace", params) is not None
     monkeypatch.undo()
-    assert cache.load_text("trace", params) is not None
+    assert cache.load_bytes("trace", params) is not None
+
+
+def test_each_kind_has_its_suffix(tmp_path):
+    cache = ArtifactCache(str(tmp_path))
+    assert cache.path("trace", {}).endswith(".npz")
+    for kind in ("match-table", "topology", "cell"):
+        assert cache.path(kind, {}).endswith(".json")
 
 
 def test_corrupt_entry_regenerated(tmp_path):
@@ -89,58 +101,99 @@ def test_corrupt_entry_regenerated(tmp_path):
     cached_trace(cache, "news", SCALE, SEED)
     path = cache.path("trace", {"trace": "news", "scale": SCALE, "seed": SEED})
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("{not json")
+        handle.write("{not an archive")
     workload = cached_trace(cache, "news", SCALE, SEED)
     assert workload.request_count > 0
     assert cache.misses == 2
     # The regenerated entry replaced the corrupt one.
-    with open(path, "r", encoding="utf-8") as handle:
-        json.loads(handle.read())
+    with open(path, "rb") as handle:
+        assert Workload.from_bytes(handle.read()) == workload
 
 
-def _damaged_entries(text: str):
+def _archive(**members) -> bytes:
+    buffer = io.BytesIO()
+    np.savez(buffer, **members)
+    return buffer.getvalue()
+
+
+def _member_spans(data: bytes):
+    """``(name, start, end)`` of each member's bytes (npy header and rows)."""
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        for info in archive.infolist():
+            offset = info.header_offset
+            name_length, extra_length = struct.unpack("<HH", data[offset + 26 : offset + 30])
+            start = offset + 30 + name_length + extra_length
+            yield info.filename, start, start + info.compress_size
+
+
+def _damaged_entries(data: bytes):
     """The stored trace damaged every way a file on disk can be."""
-    yield "not UTF-8", b"\xff\xfe\x00garbage"
-    encoded = text.encode("utf-8")
+    yield "not an archive", b"\xff\xfe\x00garbage"
+    yield "a bare npy", _npy(np.arange(3))
     for step in range(16):
-        yield f"cut at {step}/16", encoded[: len(encoded) * step // 16]
-    # Still valid JSON, but one column a row short of the other two.
-    payload = json.loads(text)
-    payload["requests"]["server_id"].pop()
-    yield "ragged", json.dumps(payload).encode("utf-8")
-    payload["requests"]["server_id"] = payload["requests"]["server_id"][:1]
-    yield "one-row column", json.dumps(payload).encode("utf-8")
+        yield f"cut at {step}/16", data[: len(data) * step // 16]
+    for name, start, end in _member_spans(data):
+        shape = data.index(b"'shape': (", start) + len(b"'shape': (")
+        for where, at in (("magic", start), ("shape", shape), ("rows", (start + end) // 2),
+                          ("last", end - 1)):
+            flipped = bytearray(data)
+            flipped[at] ^= 0x01
+            yield f"{name}: flipped {where} byte", bytes(flipped)
+    with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    header = json.loads(str(members["header"]))
+    for name in ("pages", "publishes", "requests"):
+        rows = members[name]
+        yield f"{name}: another dtype", _archive(**{**members, name: rows.astype(
+            [(field, "<f4") for field in rows.dtype.names])})
+        yield f"{name}: two-dimensional", _archive(**{**members, name: rows.reshape(1, -1)})
+        yield f"{name}: pickled", _archive(**{**members, name: rows.astype(object)})
+        yield f"{name}: missing", _archive(**{k: v for k, v in members.items() if k != name})
+    yield "an extra member", _archive(**members, lifecycle=np.zeros(3))
+    yield "header: not JSON", _archive(**{**members, "header": np.array("{not json")})
+    yield "header: a number", _archive(**{**members, "header": np.array(7)})
+    config = header["config"]
+    for label, changed in (
+        ("header: a config field missing", {k: v for k, v in config.items() if k != "server_count"}),
+        ("header: an unknown config field", {**config, "shards": 2}),
+    ):
+        text = json.dumps({**header, "config": changed})
+        yield label, _archive(**{**members, "header": np.array(text)})
+    yield "header: no config", _archive(**{**members, "header": np.array('{"label": "news"}')})
+
+
+def _npy(array) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
 
 
 def test_damaged_trace_entries_regenerate(tmp_path, caplog):
-    """Undecodable, truncated and ragged entries each end in a
-    regeneration of the same trace — never an exception, never a
-    shorter trace."""
+    """Every damaged entry — not an archive, cut short, a flipped byte in
+    any member, a member of the wrong dtype or shape, pickled, missing or
+    extra, a header that is not the config — ends in one WARNING and a
+    regeneration of the same trace, rewritten byte for byte: never an
+    exception, never a shorter trace, never an unpickled object."""
     cache = ArtifactCache(str(tmp_path))
     want = trace_digest(cached_trace(cache, "news", SCALE, SEED))
     path = cache.path("trace", {"trace": "news", "scale": SCALE, "seed": SEED})
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         stored = handle.read()
+    cases = 0
     for label, damaged in _damaged_entries(stored):
+        assert damaged != stored, label
         with open(path, "wb") as handle:
             handle.write(damaged)
         misses = cache.misses
         caplog.clear()
         assert trace_digest(cached_trace(cache, "news", SCALE, SEED)) == want, label
         assert cache.misses == misses + 1, label
-        assert "corrupt trace artifact" in caplog.text, label
-        with open(path, "r", encoding="utf-8") as handle:
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1 and warnings[0].startswith("corrupt trace artifact"), label
+        with open(path, "rb") as handle:
             assert handle.read() == stored, label
-
-
-def test_pre_columnar_trace_file_is_named(tmp_path):
-    """A version-1 file (one dict per event) fails with one line that
-    says what it is, not ``TypeError: list indices ...``."""
-    workload = make_trace("news", scale=SCALE, seed=SEED)
-    payload = json.loads(workload.to_json())
-    payload["requests"] = [dataclasses.asdict(r) for r in workload.requests[:5]]
-    with pytest.raises(ValueError, match="pre-columnar layout"):
-        Workload.from_json(json.dumps(payload))
+        cases += 1
+    assert cases == 2 + 16 + 4 * 4 + 3 * 4 + 6
 
 
 def test_run_cell_same_result_with_and_without_cache(tmp_path):
@@ -201,17 +254,20 @@ def test_every_command_offering_the_flag_uses_the_cache(tmp_path, capsys, monkey
     assert capsys.readouterr().out == first
 
 
-def test_workload_json_round_trip_equality():
-    """Workload.to_json/from_json is lossless."""
+def test_workload_bytes_round_trip_equality():
+    """Workload.to_bytes/from_bytes is lossless."""
     workload = make_trace("news", scale=SCALE, seed=SEED)
-    clone = Workload.from_json(workload.to_json())
+    clone = Workload.from_bytes(workload.to_bytes())
+    assert clone == workload
     assert clone.config == workload.config
     assert clone.pages == workload.pages
-    assert clone.publishes == workload.publishes
-    assert clone.requests == workload.requests
     assert clone.label == workload.label
-    # And the round trip is a fixed point at the text level.
-    assert clone.to_json() == workload.to_json()
+    for table in ("publishes", "requests"):
+        rows = getattr(clone, table).rows
+        assert rows.dtype == getattr(workload, table).rows.dtype
+        assert rows.tobytes() == getattr(workload, table).rows.tobytes()
+    # And the round trip is a fixed point at the byte level.
+    assert clone.to_bytes() == workload.to_bytes()
 
 
 def test_match_table_json_round_trip():

@@ -128,7 +128,7 @@ def test_warm_grid_loads_every_cell(tmp_path, monkeypatch):
     monkeypatch.setattr(Simulation, "run", forbidden)
     monkeypatch.setattr(artifacts, "make_trace", forbidden)
     monkeypatch.setattr(runner, "make_trace", forbidden)
-    monkeypatch.setattr(Workload, "from_json", forbidden)
+    monkeypatch.setattr(Workload, "from_bytes", forbidden)
     warm = runner.run_grid(grid, scale=SCALE, seed=SEED, artifact_dir=store)
 
     assert list(warm.results) == list(cold.results)

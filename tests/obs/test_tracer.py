@@ -37,6 +37,15 @@ def test_read_jsonl_rejects_a_line_that_is_not_an_object(tmp_path, line):
         read_jsonl(str(path))
 
 
+@pytest.mark.parametrize("field", ["page", "proxy", "version"])
+@pytest.mark.parametrize("value", ["[1]", '"3"', "true", "2.0", "null"])
+def test_read_jsonl_rejects_an_id_that_is_not_an_integer(tmp_path, field, value):
+    path = tmp_path / "odd.jsonl"
+    path.write_text('{"t":0.0,"type":"request","page":1}\n{"t":1.0,"%s":%s}\n' % (field, value))
+    with pytest.raises(ValueError, match=f"odd.jsonl:2: bad trace line: {field} must be an integer"):
+        read_jsonl(str(path))
+
+
 def test_bind_and_unbind_context(tmp_path):
     path = str(tmp_path / "trace.jsonl")
     tracer = EventTracer(path)

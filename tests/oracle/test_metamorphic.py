@@ -15,6 +15,13 @@ hits, accepted and rejected pushes and fetches, not only the hit ratio:
 * **loss limit** — when (almost) every notification is lost and nothing
   repairs it, a push strategy is its access-time half alone: DM is GD*,
   and SUB, which has no access-time half, hits nothing;
+* **proxy relabelling** — server ids permuted in the requests, the match
+  table and the hop costs permute every per-proxy number, the response
+  time included; only the server-order float total may move in its last
+  bits;
+* **cost homogeneity** — every hop cost times 4 at β = 1 (a power of two,
+  so ``cost/size`` and ``L`` scale exactly, as with bytes) changes no
+  decision;
 * **vanilla limits** — a layer armed at its limit is the identity: leases
   that are always renewed, an origin gate and a service queue with room
   for everything leave every number of the plain run where it was,
@@ -25,13 +32,16 @@ docs/algorithms.md; it is never narrowed to pass.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.faults.spec import ChaosSpec, OverloadSpec
+from repro.pubsub.matching import TraceMatchCounts
 from repro.sim.rng import RandomStreams
 from repro.system.config import PushingScheme, SimulationConfig
-from repro.system.simulator import Simulation
+from repro.system.simulator import Simulation, cell_inputs
 from repro.workload.churn import ChurnSpec
 from repro.workload.presets import make_trace
 
@@ -118,6 +128,75 @@ def test_byte_homogeneity(trace_named, name, strategy, beta):
     bigger = run(scaled(workload, 4), strategy, **options)
     assert per_proxy(bigger) == per_proxy(plain)
     assert (bigger.push_bytes, bigger.fetch_bytes) == (4 * plain.push_bytes, 4 * plain.fetch_bytes)
+
+
+ALL_STRATEGIES = ["gdstar", *PUSH_STRATEGIES]
+
+
+def inputs(workload, strategy):
+    """The match table a plain cell would build, and its per-proxy hop
+    costs each raised by the proxy's id: at this scale every proxy is one
+    hop away, and equal costs would make a cost relation vacuous."""
+    config = SimulationConfig(strategy=strategy, capacity_fraction=CAPACITY, seed=SEED)
+    table, topology = cell_inputs(workload, config, RandomStreams(SEED))
+    return table, [cost + server for server, cost in enumerate(topology.fetch_costs())]
+
+
+def costs_of(costs):
+    """A topology as ``Simulation`` reads it: per-proxy hop costs."""
+    return SimpleNamespace(fetch_costs=lambda: list(costs))
+
+
+@pytest.mark.parametrize("name", TRACES)
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+def test_proxy_relabelling_permutes_every_proxy(trace_named, name, strategy):
+    workload = trace_named(name)
+    table, costs = inputs(workload, strategy)
+    servers = workload.config.server_count
+    assert len(costs) == servers and len(set(costs)) > 1
+    label = np.random.default_rng(SEED).permutation(servers)
+    assert (label != np.arange(servers)).any()
+    requests = workload.requests.rows.copy()
+    requests["server_id"] = label[requests["server_id"]]
+    moved_costs = [costs[server] for server in np.argsort(label)]  # proxy label[s] is s
+    moved_table = TraceMatchCounts({
+        page: {int(label[proxy]): count for proxy, count in per_proxy.items()}
+        for page, per_proxy in table._table.items()
+    })
+    config = dict(capacity_fraction=CAPACITY, seed=SEED)
+    plain = Simulation(
+        workload, SimulationConfig(strategy=strategy, **config),
+        match_table=table, topology=costs_of(costs),
+    ).run()
+    moved = Simulation(
+        dataclasses.replace(workload, requests=requests),
+        SimulationConfig(strategy=strategy, **config),
+        match_table=moved_table, topology=costs_of(moved_costs),
+    ).run()
+    timed = [(*row, s.response_time) for row, s in zip(per_proxy(plain), plain.per_proxy)]
+    moved_timed = [(*row, s.response_time) for row, s in zip(per_proxy(moved), moved.per_proxy)]
+    assert [moved_timed[label[server]] for server in range(servers)] == timed
+    assert observed(moved)[1:-1] == observed(plain)[1:-1]
+    assert moved.total_response_time == pytest.approx(plain.total_response_time, rel=1e-12)
+    assert plain.hits > 0
+
+
+@pytest.mark.parametrize("name", TRACES)
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+def test_cost_homogeneity(trace_named, name, strategy):
+    workload = trace_named(name)
+    table, costs = inputs(workload, strategy)
+    config = SimulationConfig(
+        strategy=strategy, capacity_fraction=CAPACITY, seed=SEED,
+        strategy_options={"beta": 1.0},
+    )
+    plain = Simulation(workload, config, match_table=table, topology=costs_of(costs)).run()
+    dearer = Simulation(
+        workload, config, match_table=table, topology=costs_of([4 * c for c in costs])
+    ).run()
+    assert per_proxy(dearer) == per_proxy(plain)
+    assert observed(dearer)[1:-1] == observed(plain)[1:-1]
+    assert plain.hits > 0
 
 
 #: Every send lost (``ChaosSpec`` refuses a probability of 1) and no

@@ -303,9 +303,11 @@ def test_a_time_that_is_no_instant_is_one_value_error(bad, kind, churned):
 
 
 def test_a_stored_trace_holding_nan_is_refused_before_replay():
-    """``json.loads`` accepts the bare ``NaN`` that ``json.dumps`` writes."""
-    stored = tiny(PUBLISHES, REQUESTS).to_json().replace("30.0", "NaN")
-    workload = Workload.from_json(stored)
+    """A stored row holds whatever float64 was written, NaN included."""
+    requests = [
+        dataclasses.replace(r, time=float("nan")) if r.time == 30.0 else r for r in REQUESTS
+    ]
+    workload = Workload.from_bytes(tiny(PUBLISHES, requests).to_bytes())
     with pytest.raises(ValueError, match="request at t=nan names no instant"):
         Simulation(workload, CONFIG, match_table=TraceMatchCounts(MATCHES))
 

@@ -104,10 +104,14 @@ def test_generate_trace_command(tmp_path, capsys):
     )
     assert code == 0
     assert "wrote" in capsys.readouterr().out
-    from repro.workload.trace import Workload
+    from repro.workload.presets import make_trace
 
-    restored = Workload.from_json(target.read_text())
-    assert restored.request_count > 0
+    written = json.loads(target.read_text())
+    workload = make_trace("news", scale=0.02, seed=3)
+    for stream in ("publishes", "requests"):
+        rows = getattr(workload, stream).rows
+        assert written[stream] == {name: rows[name].tolist() for name in rows.dtype.names}
+    assert len(written["requests"]["time"]) > 0
 
 
 def test_trace_stats_validate_flag(capsys):
@@ -450,6 +454,36 @@ def test_trace_readers_fail_with_one_line_on_bad_input(tmp_path, capsys, command
     assert main([*command, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err == expected
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command", [["inspect"], ["explain", "page", "3"]], ids=["inspect", "explain"]
+)
+@pytest.mark.parametrize(
+    "line, field, shown",
+    [
+        ('{"t":1,"type":"subscribe","page":3,"proxy":[1],"lease":5}', "proxy", "[1]"),
+        ('{"t":1,"type":"request","page":"3","proxy":1}', "page", '"3"'),
+        ('{"t":1,"type":"request","page":3,"proxy":true}', "proxy", "true"),
+        ('{"t":1,"type":"publish","page":3,"version":1.5}', "version", "1.5"),
+        ('{"t":1,"type":"request","page":null,"proxy":1}', "page", "null"),
+    ],
+    ids=["list-proxy", "string-page", "bool-proxy", "float-version", "null-page"],
+)
+def test_trace_readers_refuse_a_non_integer_id_in_one_line(
+    tmp_path, capsys, command, line, field, shown
+):
+    """An id that is not an integer is one line and exit 2 on both
+    readers: not a traceback, a format error, or a silently skipped line."""
+    path = tmp_path / "odd.jsonl"
+    path.write_text('{"t":0.0,"type":"run_start"}\n' + line + "\n")
+    assert main([*command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"malformed trace file: {path}:2: bad trace line: "
+        f"{field} must be an integer, got {shown}\n"
+    )
     assert captured.out == ""
 
 

@@ -1,5 +1,7 @@
 """The churn generator: determinism, validation, sorting, round trips."""
 
+import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -12,7 +14,6 @@ from repro.workload.churn import (
     LIFECYCLE_KINDS,
     MAX_EVENTS_PER_SUBSCRIBER,
     ChurnSpec,
-    LifecycleRecord,
     generate_churn,
 )
 from repro.workload.trace import Workload
@@ -178,16 +179,18 @@ class TestWorkloadIntegration:
         assert first.lifecycle == second.lifecycle
 
     def test_json_round_trip_preserves_lifecycle(self, workload):
+        """The ``to_json`` export carries the lifecycle rows and the spec."""
         churned = workload.with_churn(
             spec(), RandomStreams(2).stream("workload.churn")
         )
-        restored = Workload.from_json(churned.to_json())
-        assert restored.churn == churned.churn
-        assert restored.lifecycle == churned.lifecycle
-        assert isinstance(restored.lifecycle[0], LifecycleRecord)
+        payload = json.loads(churned.to_json())
+        assert payload["churn"] == dataclasses.asdict(churned.churn)
+        for name in churned.lifecycle.rows.dtype.names:
+            assert payload["lifecycle"][name] == churned.lifecycle.rows[name].tolist()
 
     def test_json_round_trip_without_churn_stays_clean(self, workload):
-        restored = Workload.from_json(workload.to_json())
+        payload = json.loads(workload.to_json())
+        assert "lifecycle" not in payload and "churn" not in payload
+        restored = Workload.from_bytes(workload.to_bytes())
         assert restored.churn is None
         assert restored.lifecycle == []
-        assert "lifecycle" not in workload.to_json()

@@ -1,18 +1,15 @@
 """The lifecycle stream as the third event table.
 
 Table semantics for ``LifecycleRecord`` (whose row stores the kind as a
-code), the stored form and its damage cases, and the two paths that used
-to be silent: an unknown kind, and the per-subscriber event cap.
+code), and the two paths that used to be silent: an unknown kind, and the per-subscriber event cap.
 """
 
 import dataclasses
-import json
 import logging
 
 import numpy as np
 import pytest
 
-from repro.experiments.artifacts import ArtifactCache, cached_trace
 from repro.sim.rng import RandomStreams
 from repro.workload.churn import (
     LIFECYCLE_KINDS,
@@ -24,9 +21,8 @@ from repro.workload.churn import (
 from repro.workload.config import DAY
 from repro.workload.presets import make_trace
 from repro.workload.streaming import make_streaming_trace
-from repro.workload.trace import ROW_DTYPES, EventTable, RequestRecord, Workload
+from repro.workload.trace import ROW_DTYPES, EventTable, RequestRecord
 from tests.workload import _reference
-from tests.workload.test_trace_digest import trace_digest
 
 SPEC = ChurnSpec(churn_rate=2.0, lease_duration=7200.0, renew_probability=0.6)
 
@@ -145,58 +141,6 @@ def test_unknown_kind_is_rejected_when_the_table_is_built(churned):
         EventTable(LifecycleRecord, [bad])
     with pytest.raises(ValueError, match=UNKNOWN_KIND):
         dataclasses.replace(churned, lifecycle=[*churned.lifecycle[:3], bad])
-
-
-# -- the stored form and its damage cases ------------------------------------------
-
-
-def test_churned_trace_round_trips_byte_for_byte(churned):
-    text = churned.to_json()
-    restored = Workload.from_json(text)
-    assert restored == churned
-    assert restored.to_json() == text
-    assert np.array_equal(restored.lifecycle.rows, churned.lifecycle.rows)
-    assert restored.lifecycle.rows.dtype == ROW_DTYPES[LifecycleRecord]
-    assert list(json.loads(text)["lifecycle"]) == ["time", "server_id", "page_id", "kind", "lease"]
-
-
-def _damaged_lifecycle_blocks(payload):
-    """Valid JSON whose lifecycle block is not a lifecycle table."""
-    block = payload["lifecycle"]
-    yield "ragged", "ragged LifecycleRecord columns", {**block, "lease": block["lease"][:-1]}
-    yield "one-row column", "ragged LifecycleRecord columns", {**block, "kind": block["kind"][:1]}
-    for code in (3, -1, 300):
-        yield (
-            f"kind code {code}",
-            "unknown lifecycle kind code|out of bounds",
-            {**block, "kind": [code, *block["kind"][1:]]},
-        )
-    rows = [dict(zip(block, row)) for row in zip(*block.values())][:5]
-    yield "row dicts", "pre-columnar layout", rows
-    yield "kind names", "invalid literal", {**block, "kind": ["subscribe"] * len(block["kind"])}
-
-
-def test_damaged_lifecycle_block_never_loads_as_a_shorter_stream(churned, tmp_path, caplog):
-    payload = json.loads(churned.to_json())
-    # A hand-edited artifact entry takes the cache's corrupt-entry path.
-    cache = ArtifactCache(str(tmp_path))
-    want = trace_digest(cached_trace(cache, "news", 0.03, 3))
-    path = cache.path("trace", {"trace": "news", "scale": 0.03, "seed": 3})
-    for label, message, block in _damaged_lifecycle_blocks(payload):
-        text = json.dumps({**payload, "lifecycle": block})
-        with pytest.raises(ValueError, match=message):
-            Workload.from_json(text)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        misses = cache.misses
-        caplog.clear()
-        regenerated = cached_trace(cache, "news", 0.03, 3)
-        assert trace_digest(regenerated) == want and regenerated.lifecycle == [], label
-        assert cache.misses == misses + 1, label
-        assert "corrupt trace artifact" in caplog.text, label
-    del payload["lifecycle"]["lease"]
-    with pytest.raises(KeyError):  # a missing column: the cache regenerates on it too
-        Workload.from_json(json.dumps(payload))
 
 
 # -- the per-subscriber cap says so ---------------------------------------------
