@@ -71,9 +71,6 @@ logger = get_logger(__name__)
 #: embeds it, so old cache entries are silently invalidated.
 FORMAT_VERSION = 3
 
-#: File suffix per kind: a trace is an ``np.savez`` archive, the rest JSON.
-SUFFIXES = {"trace": ".npz"}
-
 
 class ArtifactCache:
     """A content-addressed store of serialized generation artifacts."""
@@ -95,7 +92,8 @@ class ArtifactCache:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def path(self, kind: str, params: dict) -> str:
-        return os.path.join(self.root, kind, self.key(kind, params) + SUFFIXES.get(kind, ".json"))
+        suffix = ".npz" if kind == "trace" else ".json"
+        return os.path.join(self.root, kind, self.key(kind, params) + suffix)
 
     # -- raw bytes access ------------------------------------------------
 
@@ -186,15 +184,6 @@ class ArtifactCache:
 # -- typed artifact accessors (the keys the experiment runner uses) --------
 
 
-def _json_codec(cls) -> dict:
-    """``serialize`` / ``deserialize`` of a kind stored as JSON text:
-    ``cls.to_json`` / ``cls.from_json`` over UTF-8 bytes."""
-    return {
-        "serialize": lambda artifact: artifact.to_json().encode("utf-8"),
-        "deserialize": lambda data: cls.from_json(data.decode("utf-8")),
-    }
-
-
 def cached_trace(
     cache: ArtifactCache, trace: str, scale: float, seed: int
 ) -> Workload:
@@ -253,7 +242,8 @@ def cached_match_table(
             "notified_fraction": notified_fraction,
         },
         generate=generate,
-        **_json_codec(TraceMatchCounts),
+        serialize=lambda table: table.to_json().encode("utf-8"),
+        deserialize=lambda data: TraceMatchCounts.from_json(data.decode("utf-8")),
     )
 
 
@@ -263,7 +253,8 @@ def cached_topology(cache: ArtifactCache, server_count: int, seed: int) -> Topol
         "topology",
         {"server_count": server_count, "seed": seed, "extra_nodes": TRANSIT_NODES},
         generate=lambda: build_topology(server_count, RandomStreams(seed).stream("topology")),
-        **_json_codec(Topology),
+        serialize=lambda topology: topology.to_json().encode("utf-8"),
+        deserialize=lambda data: Topology.from_json(data.decode("utf-8")),
     )
 
 
@@ -328,10 +319,10 @@ def load_cell(cache: ArtifactCache, params: dict) -> Optional[SimulationResult]:
     then :func:`store_cell` the result."""
     if not _keyed(cache, params):
         return None
-    return cache.load("cell", params, _json_codec(SimulationResult)["deserialize"])
+    return cache.load("cell", params, lambda data: SimulationResult.from_json(data.decode("utf-8")))
 
 
 def store_cell(cache: ArtifactCache, params: dict, result: SimulationResult) -> None:
     """Store a replayed cell's ``result`` under ``params`` (if they have a key)."""
     if _keyed(cache, params):
-        cache.create("cell", params, lambda: result, _json_codec(SimulationResult)["serialize"])
+        cache.create("cell", params, lambda: result, lambda cell: cell.to_json().encode("utf-8"))

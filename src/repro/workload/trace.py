@@ -24,6 +24,7 @@ from __future__ import annotations
 import heapq
 import io
 import json
+import zipfile
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, asdict, replace
@@ -472,22 +473,31 @@ class Workload:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Workload":
-        """Rebuild a trace stored with :meth:`to_bytes`, unpickling
-        nothing.  ``ValueError`` for a member that is missing, extra or of
-        another dtype or shape; a damaged archive raises what ``np.load``
-        raises (``zipfile.BadZipFile``, ``EOFError``, ``ValueError``).  Every
-        member's CRC is checked first: a reader stops at the row count its
-        npy header names, so a flipped digit there would read fewer rows."""
-        with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+        """Rebuild a trace stored with :meth:`to_bytes`, unpickling nothing.
+        Damage raises ``ValueError`` or ``np.load``'s ``BadZipFile`` /
+        ``EOFError``: rows are read only from the four ``.npy`` members,
+        stored, unencrypted and passing their CRC (numpy stops at the row
+        count a member's npy header names: a flipped digit reads fewer)."""
+        try:
+            archive = np.load(io.BytesIO(data), allow_pickle=False)
+        except NotImplementedError as error:  # a zip version field it cannot read
+            raise ValueError(f"a trace entry is not a readable archive: {error}") from None
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("a trace entry is not an npz archive")
+        with archive:
+            members = archive.zip.infolist()
+            if sorted(archive.zip.namelist()) != [f"{n}.npy" for n in ("header", *_STORED_ROWS)]:
+                raise ValueError(f"a trace archive holds {sorted(archive.zip.namelist())}")
+            if any(info.compress_type != zipfile.ZIP_STORED or info.flag_bits for info in members):
+                raise ValueError("a trace member is compressed or encrypted")
             damaged = archive.zip.testzip()
             if damaged is not None:
                 raise ValueError(f"trace member {damaged} fails its CRC")
-            if sorted(archive.files) != ["header", *_STORED_ROWS]:
-                raise ValueError(f"a trace archive holds {sorted(archive.files)}")
             stored = {name: archive[name] for name in archive.files}
         for name, dtype in _STORED_ROWS.items():
-            if stored[name].dtype != dtype or stored[name].ndim != 1:
-                raise ValueError(f"stored {name} are {stored[name].dtype} {stored[name].shape}")
+            rows = stored[name]
+            if not isinstance(rows, np.ndarray) or rows.dtype != dtype or rows.ndim != 1:
+                raise ValueError(f"stored {name} are not one row array of {dtype}")
         header = json.loads(str(stored["header"]))
         config = header["config"]
         if sorted(config) != sorted(f.name for f in fields(WorkloadConfig)):

@@ -89,13 +89,6 @@ def test_format_version_bump_invalidates(tmp_path, monkeypatch):
     assert cache.load_bytes("trace", params) is not None
 
 
-def test_each_kind_has_its_suffix(tmp_path):
-    cache = ArtifactCache(str(tmp_path))
-    assert cache.path("trace", {}).endswith(".npz")
-    for kind in ("match-table", "topology", "cell"):
-        assert cache.path(kind, {}).endswith(".json")
-
-
 def test_corrupt_entry_regenerated(tmp_path):
     cache = ArtifactCache(str(tmp_path))
     cached_trace(cache, "news", SCALE, SEED)
@@ -139,6 +132,14 @@ def _damaged_entries(data: bytes):
             flipped = bytearray(data)
             flipped[at] ^= 0x01
             yield f"{name}: flipped {where} byte", bytes(flipped)
+    for name, at in _central_headers(data):
+        # Header fields no CRC covers, which zipfile meets with
+        # NotImplementedError, zlib.error or RuntimeError (password required).
+        for where, offset, value in (("method 1", 10, 1), ("deflated", 10, 8),
+                                     ("encrypted", 8, 0x01), ("version 9.9", 6, 99)):
+            changed = bytearray(data)
+            struct.pack_into("<H", changed, at + offset, value)
+            yield f"{name}: central header {where}", bytes(changed)
     with np.load(io.BytesIO(data), allow_pickle=False) as archive:
         members = {name: archive[name] for name in archive.files}
     header = json.loads(str(members["header"]))
@@ -150,6 +151,11 @@ def _damaged_entries(data: bytes):
         yield f"{name}: pickled", _archive(**{**members, name: rows.astype(object)})
         yield f"{name}: missing", _archive(**{k: v for k, v in members.items() if k != name})
     yield "an extra member", _archive(**members, lifecycle=np.zeros(3))
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        for name, member in members.items():
+            archive.writestr(f"{name}.npy", b"raw rows" if name == "pages" else _npy(member))
+    yield "pages: not an npy member", buffer.getvalue()
     yield "header: not JSON", _archive(**{**members, "header": np.array("{not json")})
     yield "header: a number", _archive(**{**members, "header": np.array(7)})
     config = header["config"]
@@ -162,6 +168,15 @@ def _damaged_entries(data: bytes):
     yield "header: no config", _archive(**{**members, "header": np.array('{"label": "news"}')})
 
 
+def _central_headers(data: bytes):
+    """``(name, offset)`` of each member's central directory header."""
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        at = archive.start_dir
+        for info in archive.infolist():
+            yield info.filename, at
+            at += 46 + sum(struct.unpack("<HHH", data[at + 28 : at + 34]))
+
+
 def _npy(array) -> bytes:
     buffer = io.BytesIO()
     np.save(buffer, array)
@@ -170,8 +185,9 @@ def _npy(array) -> bytes:
 
 def test_damaged_trace_entries_regenerate(tmp_path, caplog):
     """Every damaged entry — not an archive, cut short, a flipped byte in
-    any member, a member of the wrong dtype or shape, pickled, missing or
-    extra, a header that is not the config — ends in one WARNING and a
+    any member, a zip header naming compression or encryption, a member of
+    the wrong dtype or shape, pickled, not npy, missing or extra, a header
+    that is not the config — ends in one WARNING and a
     regeneration of the same trace, rewritten byte for byte: never an
     exception, never a shorter trace, never an unpickled object."""
     cache = ArtifactCache(str(tmp_path))
@@ -193,7 +209,15 @@ def test_damaged_trace_entries_regenerate(tmp_path, caplog):
         with open(path, "rb") as handle:
             assert handle.read() == stored, label
         cases += 1
-    assert cases == 2 + 16 + 4 * 4 + 3 * 4 + 6
+    assert cases == 2 + 16 + 4 * 4 + 4 * 4 + 3 * 4 + 7
+
+
+def test_a_bare_npy_is_refused_before_it_is_opened():
+    """``np.load`` hands back an ndarray for npy bytes; an ndarray is no
+    context manager, which CPython before 3.11 reports as an
+    AttributeError that the store would not catch."""
+    with pytest.raises(ValueError, match="not an npz archive"):
+        Workload.from_bytes(_npy(np.arange(3)))
 
 
 def test_run_cell_same_result_with_and_without_cache(tmp_path):
@@ -211,9 +235,12 @@ def test_run_cell_same_result_with_and_without_cache(tmp_path):
         return payload
 
     assert stripped(plain) == stripped(cold) == stripped(warm)
-    # All four artifact kinds landed on disk.
+    # All four artifact kinds landed on disk: a trace as an archive, the rest as JSON.
     kinds = sorted(os.listdir(tmp_path))
     assert kinds == ["cell", "match-table", "topology", "trace"]
+    for kind in kinds:
+        suffix = ".npz" if kind == "trace" else ".json"
+        assert all(name.endswith(suffix) for name in os.listdir(tmp_path / kind)), kind
 
 
 def test_default_artifact_dir_used(tmp_path):
