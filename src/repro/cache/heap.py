@@ -109,13 +109,6 @@ class AddressableHeap:
         del self._live[key]
         return key, priority
 
-    def min_priority(self) -> Optional[float]:
-        """Priority of the minimum, or None when empty."""
-        self._skim()
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
     def pop_cheaper(
         self, needed: int, threshold: Optional[float], entries: Mapping
     ) -> Optional[List[Tuple[Hashable, float]]]:

@@ -20,8 +20,8 @@ Use :func:`~repro.core.registry.make_policy` (or
 names the paper uses ("gdstar", "sub", "sg1", "sg2", "sr", "dm",
 "dc-fp", "dc-ap", "dc-lap", plus "lru", "gds", "lfu-da").
 
-The policies inline eqs. 1–5; ``tests/core/_formulas.py`` states them
-readably (``_formulas.gdstar_value`` etc. in the comments here) and
+The policies inline eqs. 1–5; ``tests/oracle/paper_sim.py`` states them
+readably (``paper_sim.gdstar_value`` etc. in the comments here) and
 ``tests/core/test_values.py`` holds the two equal bit for bit.
 """
 

@@ -97,7 +97,7 @@ class _DualCacheBase(Policy):
     def _ac_insert(self, entry: CacheEntry) -> None:
         """Add ``entry`` to AC (room secured) at its GD* value under the
         current L — eq. 1 inlined, same operation order as
-        _formulas.gdstar_value."""
+        paper_sim.gdstar_value."""
         entry.module = ACCESS_MODULE
         base = entry.access_count * entry.cost / entry.size
         if base <= 0.0:
@@ -154,7 +154,7 @@ class _DualCacheBase(Policy):
         """SUB placement into PC.
 
         Value first, entry last: eq. 2 inlined (same operation order as
-        _formulas.sub_value), the CacheEntry built only once PC has room.
+        paper_sim.sub_value), the CacheEntry built only once PC has room.
         """
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
@@ -187,7 +187,7 @@ class _DualCacheBase(Policy):
         self, page_id: int, version: int, size: int, match_count: int, now: float
     ) -> RequestOutcome:
         # Replay hot path: probes, valuation and stats inlined; the
-        # math reproduces _formulas.gdstar_value bit for bit.
+        # math reproduces paper_sim.gdstar_value bit for bit.
         stats = self.stats
         bucket = int(now // 3600.0)
         stats.requests += 1

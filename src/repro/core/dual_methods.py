@@ -114,7 +114,7 @@ class DualMethodsPolicy(Policy):
             return PUSH_REFRESHED
 
         # SUB's all-or-nothing conditional eviction over the push heap
-        # (eq. 2 inlined, same operation order as _formulas.sub_value).
+        # (eq. 2 inlined, same operation order as paper_sim.sub_value).
         # Evictions made by the push module do not touch the GD*
         # inflation value — L belongs to the access module.
         if size <= 0:
@@ -148,7 +148,7 @@ class DualMethodsPolicy(Policy):
         self, page_id: int, version: int, size: int, match_count: int, now: float
     ) -> RequestOutcome:
         # Replay hot path: probe, valuation and stats inlined; the math
-        # reproduces _formulas.gdstar_value bit for bit.
+        # reproduces paper_sim.gdstar_value bit for bit.
         entry = self._entries.get(page_id)
         stats = self.stats
         bucket = int(now // 3600.0)

@@ -98,7 +98,7 @@ class GDStarPolicy(Policy):
         self, page_id: int, version: int, size: int, match_count: int, now: float
     ) -> RequestOutcome:
         # Replay hot path: valuation, repricing and stats inlined; the
-        # math reproduces _formulas.gdstar_value bit for bit.
+        # math reproduces paper_sim.gdstar_value bit for bit.
         entry = self._entries.get(page_id)
         stats = self.stats
         bucket = int(now // 3600.0)

@@ -97,7 +97,7 @@ class SingleCacheCombinedPolicy(Policy):
         # so it probes the entry dict and pushes to the heap directly
         # instead of going through the HeapCache wrappers.  ``1/beta``
         # is loop-invariant; precomputing it is bit-identical to the
-        # ``base ** (1.0 / beta)`` in _formulas.gdstar_value.
+        # ``base ** (1.0 / beta)`` in paper_sim.gdstar_value.
         self._inv_beta = 1.0 / self.beta
         self._entries = self._cache.storage.entries_by_id
         self._heap = self._cache.heap
@@ -119,7 +119,7 @@ class SingleCacheCombinedPolicy(Policy):
         of those attempts are rejections — so the page is priced from
         the scalars first and its :class:`CacheEntry` is built only
         once room is secured.  The valuation is inlined (bit-identical
-        to ``_formulas.gdstar_value`` / ``sr_value``): the ``base`` term
+        to ``paper_sim.gdstar_value`` / ``sr_value``): the ``base`` term
         does not depend on the inflation value L, which lets the
         post-eviction re-valuation — kept so the stored value is
         consistent with the heap ordering the entry will live under —
@@ -206,7 +206,7 @@ class SingleCacheCombinedPolicy(Policy):
     ) -> RequestOutcome:
         # The replay hot path: one call per request event.  Entry
         # lookup, valuation, repricing and stats are all inlined — the
-        # math reproduces _formulas.gdstar_value / sr_value bit for bit
+        # math reproduces paper_sim.gdstar_value / sr_value bit for bit
         # (same operation order, same clamp), specialised by mode.
         counts = self._access_counts
         observed = counts[page_id] + 1

@@ -11,7 +11,6 @@ from repro.cache.heap import AddressableHeap
 def test_empty_heap():
     heap = AddressableHeap()
     assert len(heap) == 0
-    assert heap.min_priority() is None
     with pytest.raises(IndexError):
         heap.pop()
     with pytest.raises(IndexError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.core._formulas import (
+from tests.oracle.paper_sim import (
     gdstar_value,
     sg1_frequency,
     sg2_frequency,

@@ -15,7 +15,6 @@ import pytest
 
 from repro.system.config import PushingScheme, SimulationConfig
 from repro.system.simulator import run_simulation
-from repro.workload.presets import make_trace
 
 ACCESS_TIME = ["gdstar", "lru", "gds", "lfu-da"]
 #: The dual caches (dc-fp, dc-ap, dc-lap) lose a few more to their
@@ -25,8 +24,8 @@ SCHEMES = list(PushingScheme)
 
 
 @pytest.fixture(scope="module", params=["news", "alternative"])
-def trace(request):
-    return make_trace(request.param, scale=0.03, seed=7)
+def trace(request, trace_named):
+    return trace_named(request.param)
 
 
 def unavoidable_misses(workload):

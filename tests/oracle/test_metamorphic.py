@@ -14,7 +14,8 @@ hits, accepted and rejected pushes and fetches, not only the hit ratio:
   the scaling;
 * **loss limit** — when (almost) every notification is lost and nothing
   repairs it, a push strategy is its access-time half alone: DM is GD*,
-  and SUB, which has no access-time half, hits nothing;
+  DC-FP is GD* on a cache the size of its Access-Cache, and SUB, which
+  has no access-time half, hits nothing;
 * **proxy relabelling** — server ids permuted in the requests, the match
   table and the hop costs permute every per-proxy number, the response
   time included; only the server-order float total may move in its last
@@ -43,25 +44,11 @@ from repro.sim.rng import RandomStreams
 from repro.system.config import PushingScheme, SimulationConfig
 from repro.system.simulator import Simulation, cell_inputs
 from repro.workload.churn import ChurnSpec
-from repro.workload.presets import make_trace
 
-SCALE = 0.03
 SEED = 7
 CAPACITY = 0.05
 PUSH_STRATEGIES = ["sub", "sg1", "sg2", "sr", "dm", "dc-fp", "dc-ap", "dc-lap"]
 TRACES = ["news", "alternative"]
-
-@pytest.fixture(scope="module")
-def trace_named():
-    """One trace per name for the whole module, built on first use."""
-    built = {}
-
-    def named(name):
-        if name not in built:
-            built[name] = make_trace(name, scale=SCALE, seed=SEED)
-        return built[name]
-
-    return named
 
 
 def run(workload, strategy, **config):
@@ -214,6 +201,19 @@ def test_with_every_push_lost_dm_is_gdstar_and_sub_hits_nothing(trace_named, nam
     assert dm.hits > 0
     sub = run(workload, "sub", chaos=LOSS_LIMIT)
     assert sub.hits == 0 and sub.requests == workload.request_count
+
+
+@pytest.mark.parametrize("name", TRACES)
+def test_with_every_push_lost_dc_fp_is_gdstar_on_its_access_cache(trace_named, name):
+    """With no push delivered, DC-FP is GD* on ``capacity − int(capacity × 0.5)`` bytes."""
+    workload = trace_named(name)
+    capacities = workload.capacities(CAPACITY)
+    smaller = dataclasses.replace(workload)
+    smaller.capacities = lambda _: {s: c - int(c * 0.5) for s, c in capacities.items()}
+    dc_fp = run(workload, "dc-fp", chaos=LOSS_LIMIT)
+    gdstar = run(smaller, "gdstar", chaos=LOSS_LIMIT)
+    assert dc_fp.notifications_sent > 0 and dc_fp.notifications_delivered == 0 < dc_fp.hits
+    assert per_proxy(dc_fp) == per_proxy(gdstar)
 
 
 #: name -> (trace transform, SimulationConfig fields): each layer at the

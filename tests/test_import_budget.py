@@ -292,10 +292,6 @@ CALLED_BY_TESTS_ON_PURPOSE = {
         "read-only view of the next pop, which the heap tests pin; the "
         "policies pop through pop_cheaper"
     ),
-    "repro.cache.heap:AddressableHeap.min_priority": (
-        "the pop order tests/core/_reference.py steps through, until an "
-        "independent reference simulator retires it"
-    ),
 }
 
 
@@ -599,3 +595,22 @@ def test_every_parameter_is_passed_by_the_program():
     assert sorted(set(unset) - set(SET_BY_TESTS_ON_PURPOSE)) == []
     assert sorted(set(SET_BY_TESTS_ON_PURPOSE) - set(unset)) == []
     assert len(SET_BY_TESTS_ON_PURPOSE) <= 8
+
+
+# -- the paper reference shares nothing with the program --------------------
+
+
+def test_the_paper_reference_is_independent():
+    """``tests/oracle/paper_sim.py`` is an oracle only while it is no copy
+    of the program: it imports standard-library modules alone, not
+    ``heapq`` (the program's caches are heaps), and nothing at run time."""
+    tree = ast.parse((Path(__file__).parent / "oracle" / "paper_sim.py").read_text())
+    imported = [
+        "." * node.level + (node.module or "") if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    roots = {name.split(".")[0] for name in imported}
+    assert imported and roots <= sys.stdlib_module_names - {"heapq"}, sorted(imported)
+    called = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+    assert not called & {"__import__", "import_module", "exec", "eval"}

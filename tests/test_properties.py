@@ -14,7 +14,7 @@ from repro.sim.rng import RandomStreams
 from repro.workload.popularity import class_boundaries, zipf_weights
 from repro.workload.requests import request_times
 from repro.workload.subscriptions import build_match_counts
-from tests.core._formulas import gdstar_value, sr_value, sub_value
+from tests.oracle.paper_sim import gdstar_value, sr_value, sub_value
 
 
 # -- addressable heap vs reference model -------------------------------------
