@@ -65,9 +65,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--artifact-cache", nargs="?", const=DEFAULT_CACHE_DIR, default=None,
         metavar="DIR",
         help=(
-            "cache generated traces, match tables, topologies and cell "
-            f"results on disk under DIR (default {DEFAULT_CACHE_DIR}) so "
-            "repeated runs load instead of regenerate and replay"
+            "cache generated traces and cell results on disk under DIR "
+            f"(default {DEFAULT_CACHE_DIR}) so repeated runs load instead of "
+            "regenerate and replay"
         ),
     )
     parser.add_argument(

@@ -1,22 +1,22 @@
-"""On-disk artifact store: a run's derived inputs and its cell results.
+"""On-disk artifact store: a run's traces and its cell results.
 
-Traces, match tables and topologies are deterministic functions of
-their generation parameters, and a cell's :class:`SimulationResult` is a
-deterministic function of those inputs, its ``SimulationConfig`` and the
-code — so repeated CLI invocations and overlapping grids can load them
-from disk instead of regenerating or replaying.  Artifacts are
-*content-addressed*: the file name is a SHA-256 over the artifact kind,
-the canonicalised parameters and :data:`FORMAT_VERSION`.  Any change to
-a generator or to a serialization format must bump the version, which
+A trace is a deterministic function of its generation parameters, and a
+cell's :class:`SimulationResult` is a deterministic function of its
+trace, its ``SimulationConfig`` and the code — so repeated CLI
+invocations and overlapping grids can load them from disk instead of
+regenerating or replaying.  A cell's match table and topology are not
+stored: ``repro.system.simulator.cell_inputs`` rebuilds them from the
+trace and the seed in milliseconds.  Artifacts are *content-addressed*:
+the file name is a SHA-256 over the artifact kind, the canonicalised
+parameters and :data:`FORMAT_VERSION`.  Any change to the trace
+generator or to a serialization format must bump the version, which
 orphans every old entry (they are simply never looked up again;
-``clear()`` removes them).
+``rm -r .repro-cache`` removes them).
 
 Layout under the store root (default ``.repro-cache/``)::
 
     .repro-cache/
         trace/<sha256>.npz         Workload.to_bytes (the rows' bytes, np.savez)
-        match-table/<sha256>.json  TraceMatchCounts.to_json
-        topology/<sha256>.json     Topology.to_json
         cell/<sha256>.json         SimulationResult.to_json
 
 A cell's key (:func:`cell_params`) is the whole ``run_cell`` call — the
@@ -25,8 +25,8 @@ A cell's key (:func:`cell_params`) is the whole ``run_cell`` call — the
 churn spec, ``streaming`` — but not the process count, which the
 machine picks and which moves no digit of a result — plus
 :func:`code_fingerprint`, a hash of every source file of the package.
-The inputs come from three generators that change rarely, so a version
-number someone bumps is enough for them; a result depends on *all* of
+A trace comes from one generator that changes rarely, so a version
+number someone bumps is enough for it; a result depends on *all* of
 ``src/repro``, where a forgotten bump would be a silently stale number,
 so any edit to any module orphans every stored cell instead.
 
@@ -50,14 +50,10 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.experiments.spec import DEFAULT_CACHE_DIR
-from repro.network.topology import TRANSIT_NODES, Topology, build_topology
 from repro.obs.log import get_logger
-from repro.pubsub.matching import TraceMatchCounts
-from repro.sim.rng import RandomStreams
 from repro.system.config import SimulationConfig
 from repro.system.metrics import SimulationResult
 from repro.workload.presets import make_trace
-from repro.workload.subscriptions import build_match_counts
 from repro.workload.trace import Workload
 
 if TYPE_CHECKING:
@@ -67,8 +63,8 @@ if TYPE_CHECKING:
 logger = get_logger(__name__)
 
 #: Serialization/generator format version.  Bump on ANY change to the
-#: workload/table/topology generators or their stored formats; every key
-#: embeds it, so old cache entries are silently invalidated.
+#: trace generator or to a stored format; every key embeds it, so old
+#: cache entries are silently invalidated.
 FORMAT_VERSION = 3
 
 
@@ -191,10 +187,10 @@ def cached_trace(
 
     ``load`` then ``create`` rather than ``get_or_create``: that method is
     the store's instrumented entry (``bench/child.py`` wraps it in a span
-    whose parent must be a timed pass), and a trace — unlike a table, a
-    topology or a cell — is also loaded outside any cell: by
-    ``runner.preset_trace`` and by the benchmark's checks after its clock
-    has stopped, now that a warm pass leaves no trace in memory.
+    whose parent must be a timed pass), and a trace — unlike a cell — is
+    also loaded outside any cell: by ``runner.preset_trace`` and by the
+    benchmark's checks after its clock has stopped, now that a warm pass
+    leaves no trace in memory.
     """
     params = {"trace": trace, "scale": scale, "seed": seed}
     workload = cache.load("trace", params, Workload.from_bytes)
@@ -206,56 +202,6 @@ def cached_trace(
             serialize=Workload.to_bytes,
         )
     return workload
-
-
-def cached_match_table(
-    cache: ArtifactCache,
-    workload: Workload,
-    trace: str,
-    scale: float,
-    seed: int,
-    sq: float,
-    notified_fraction: float,
-) -> TraceMatchCounts:
-    """The eq.-7 match table for one (trace, SQ) pair, disk-cached.
-
-    ``workload`` is only consulted on a miss (its request pairs feed
-    the generator); the key is the *parameters* that produced it.
-    """
-
-    def generate() -> TraceMatchCounts:
-        table = build_match_counts(
-            workload.pair_counts(),
-            sq,
-            RandomStreams(seed).stream("subscriptions"),
-            notified_fraction=notified_fraction,
-        )
-        return TraceMatchCounts(table)
-
-    return cache.get_or_create(
-        "match-table",
-        {
-            "trace": trace,
-            "scale": scale,
-            "seed": seed,
-            "sq": sq,
-            "notified_fraction": notified_fraction,
-        },
-        generate=generate,
-        serialize=lambda table: table.to_json().encode("utf-8"),
-        deserialize=lambda data: TraceMatchCounts.from_json(data.decode("utf-8")),
-    )
-
-
-def cached_topology(cache: ArtifactCache, server_count: int, seed: int) -> Topology:
-    """The fetch-cost topology for one server count, disk-cached."""
-    return cache.get_or_create(
-        "topology",
-        {"server_count": server_count, "seed": seed, "extra_nodes": TRANSIT_NODES},
-        generate=lambda: build_topology(server_count, RandomStreams(seed).stream("topology")),
-        serialize=lambda topology: topology.to_json().encode("utf-8"),
-        deserialize=lambda data: Topology.from_json(data.decode("utf-8")),
-    )
 
 
 @lru_cache(maxsize=None)
@@ -314,15 +260,42 @@ def _keyed(cache: ArtifactCache, params: dict) -> bool:
     return True
 
 
+def _encode_cell(result: SimulationResult) -> bytes:
+    return result.to_json().encode("utf-8")
+
+
+def _decode_cell(data: bytes) -> SimulationResult:
+    return SimulationResult.from_json(data.decode("utf-8"))
+
+
 def load_cell(cache: ArtifactCache, params: dict) -> Optional[SimulationResult]:
     """The result stored under ``params``, or ``None``: replay the cell,
     then :func:`store_cell` the result."""
     if not _keyed(cache, params):
         return None
-    return cache.load("cell", params, lambda data: SimulationResult.from_json(data.decode("utf-8")))
+    return cache.load("cell", params, _decode_cell)
 
 
 def store_cell(cache: ArtifactCache, params: dict, result: SimulationResult) -> None:
     """Store a replayed cell's ``result`` under ``params`` (if they have a key)."""
     if _keyed(cache, params):
-        cache.create("cell", params, lambda: result, lambda cell: cell.to_json().encode("utf-8"))
+        cache.create("cell", params, lambda: result, _encode_cell)
+
+
+def cached_cell(
+    cache: ArtifactCache,
+    params: dict,
+    replay: Callable[[], SimulationResult],
+    on_load: Callable[[SimulationResult], None],
+) -> SimulationResult:
+    """:func:`load_cell` (handing the result to ``on_load``), else
+    ``replay()`` and :func:`store_cell`, in one ``get_or_create``."""
+    if not _keyed(cache, params):
+        return replay()
+
+    def decode(data: bytes) -> SimulationResult:
+        result = _decode_cell(data)
+        on_load(result)
+        return result
+
+    return cache.get_or_create("cell", params, replay, _encode_cell, decode)

@@ -11,12 +11,14 @@ Two reuse layers stack here:
 * an in-process ``lru_cache`` memo of a cell's *inputs* — trace, match
   table, topology — (always on), which forked grid workers inherit, and
 * an optional **on-disk artifact store** (see
-  :mod:`repro.experiments.artifacts`) holding those inputs keyed by
-  their generation parameters *and each cell's result* keyed by the
-  whole ``run_cell`` call plus a fingerprint of the code: *repeated
-  invocations* load inputs instead of regenerating them, and a cell
+  :mod:`repro.experiments.artifacts`) holding traces keyed by their
+  generation parameters *and each cell's result* keyed by the whole
+  ``run_cell`` call plus a fingerprint of the code: *repeated
+  invocations* load traces instead of regenerating them, and a cell
   whose call and code did not change is loaded instead of replayed,
-  without resolving its inputs at all.  Enable it per call
+  without resolving its inputs at all.  Match tables and topologies are
+  never stored: :func:`repro.system.simulator.cell_inputs` rebuilds
+  them in milliseconds.  Enable the store per call
   (``artifact_dir=...``), process-wide (:func:`set_default_artifact_dir`)
   or from the CLI (``--artifact-cache``).  A run with an observer always
   replays and stores no result: its events must come from a real replay.
@@ -30,24 +32,22 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tupl
 
 from repro.experiments.artifacts import (
     ArtifactCache,
-    cached_match_table,
-    cached_topology,
+    cached_cell,
     cached_trace,
     cell_params,
     load_cell,
     store_cell,
 )
 from repro.faults.spec import OverloadSpec
-from repro.network.topology import Topology, build_topology
+from repro.network.topology import Topology
 from repro.obs.log import get_logger
 from repro.obs.recorder import Observer
 from repro.pubsub.matching import TraceMatchCounts
 from repro.sim.rng import RandomStreams
 from repro.system.config import PushingScheme, SimulationConfig
 from repro.system.metrics import SimulationResult
-from repro.system.simulator import Simulation
+from repro.system.simulator import Simulation, cell_inputs
 from repro.workload.presets import make_trace
-from repro.workload.subscriptions import build_match_counts
 from repro.workload.trace import Workload
 from repro.experiments.spec import CellKey, ExperimentGrid, GridResult
 
@@ -92,7 +92,7 @@ def streaming_trace_for(trace: str, scale: float, seed: int) -> Workload:
     """Generate (and memoize) a preset trace with its events spilled to disk.
 
     Spilled traces bypass the on-disk artifact cache: serializing the
-    events to JSON would load them all, defeating the point.
+    events would load them all, defeating the point.
     The spool is reclaimed when the memo evicts the entry.
     """
     from repro.workload.streaming import make_streaming_trace
@@ -100,49 +100,29 @@ def streaming_trace_for(trace: str, scale: float, seed: int) -> Workload:
     return make_streaming_trace(trace, scale=scale, seed=seed)
 
 
+def _workload_for(
+    trace: str, scale: float, seed: int, artifact_dir: Optional[str], streaming: bool
+) -> Workload:
+    if streaming:
+        return streaming_trace_for(trace, scale, seed)
+    return trace_for(trace, scale, seed, artifact_dir)
+
+
 @lru_cache(maxsize=32)
-def _match_table_for(
+def _tables_for(
     trace: str,
     scale: float,
     seed: int,
     sq: float,
     notified_fraction: float,
-    artifact_dir: Optional[str] = None,
-    streaming: bool = False,
-) -> TraceMatchCounts:
-    # Spilled or not the table is the same, so the cache key needs no
-    # streaming component — but sourcing the pair counts from the trace
-    # the cell replays avoids generating a second, in-memory one.
-    if streaming:
-        workload = streaming_trace_for(trace, scale, seed)
-    else:
-        workload = trace_for(trace, scale, seed, artifact_dir)
-    if artifact_dir is not None:
-        return cached_match_table(
-            ArtifactCache(artifact_dir),
-            workload,
-            trace,
-            scale,
-            seed,
-            sq,
-            notified_fraction,
-        )
-    table = build_match_counts(
-        workload.pair_counts(),
-        sq,
-        RandomStreams(seed).stream("subscriptions"),
-        notified_fraction=notified_fraction,
-    )
-    return TraceMatchCounts(table)
-
-
-@lru_cache(maxsize=8)
-def _topology_for(
-    server_count: int, seed: int, artifact_dir: Optional[str] = None
-) -> Topology:
-    if artifact_dir is not None:
-        return cached_topology(ArtifactCache(artifact_dir), server_count, seed)
-    return build_topology(server_count, RandomStreams(seed).stream("topology"))
+    artifact_dir: Optional[str],
+    streaming: bool,
+) -> Tuple[TraceMatchCounts, Topology]:
+    # Spilled or not the table is the same, but sourcing the pair counts
+    # from the trace the cell replays avoids generating a second,
+    # in-memory one.
+    workload = _workload_for(trace, scale, seed, artifact_dir, streaming)
+    return cell_inputs(workload, seed, sq, notified_fraction)
 
 
 @lru_cache(maxsize=None)
@@ -203,14 +183,10 @@ def _cell_inputs(
     streaming: bool = False,
 ) -> Tuple[Workload, TraceMatchCounts, Topology]:
     """The cell's trace, match table and topology, through the memos."""
-    if streaming:
-        workload = streaming_trace_for(key.trace, scale, seed)
-    else:
-        workload = trace_for(key.trace, scale, seed, artifact_dir)
-    match_table = _match_table_for(
-        key.trace, scale, seed, key.sq, notified_fraction, artifact_dir, streaming=streaming
+    workload = _workload_for(key.trace, scale, seed, artifact_dir, streaming)
+    match_table, topology = _tables_for(
+        key.trace, scale, seed, key.sq, notified_fraction, artifact_dir, streaming
     )
-    topology = _topology_for(workload.config.server_count, seed, artifact_dir)
     return workload, match_table, topology
 
 
@@ -320,12 +296,12 @@ def run_cell(
     :func:`set_default_artifact_dir`), the cell's result is loaded from
     the on-disk artifact store when this exact call was replayed before
     by this exact code (its ``wall_seconds`` is that replay's); otherwise
-    the trace, match table and topology are loaded from / stored to the
-    store, the cell is replayed and its result stored.  An ``observer``
-    bypasses the result store both ways.
+    the trace is loaded from / stored to the store, the match table and
+    topology are built from it, the cell is replayed and its result
+    stored.  An ``observer`` bypasses the result store both ways.
 
     ``churn`` attaches a subscription-lifecycle stream to the (cached)
-    trace *after* loading: the input keys stay those of the churn-free
+    trace *after* loading: the trace's key stays that of the churn-free
     parameters, and ``with_churn`` returns a fresh Workload so the
     memoized object is never mutated.
 
@@ -354,15 +330,8 @@ def run_cell(
     )
     if artifact_dir is None or observer is not None:
         return replay()
-    store = cell_store(artifact_dir)
     params = cell_params(key, scale, seed, config, churn, streaming)
-    result = load_cell(store, params)
-    if result is not None:
-        _log_loaded(key, result)
-        return result
-    result = replay()
-    store_cell(store, params, result)
-    return result
+    return cached_cell(cell_store(artifact_dir), params, replay, partial(_log_loaded, key))
 
 
 def _replayed(
@@ -408,10 +377,10 @@ def run_grid(
     :class:`GridResult` for access.
 
     Three steps: load every cell the artifact store holds (a warm grid
-    forks nothing); resolve the trace, match table and topology of the
-    rest into the memos; replay those across ``min(cells,
-    usable_cpus())`` processes, this one and forked workers, which
-    inherit the memos copy-on-write and touch no store.  Fewer than two
+    forks nothing); load or generate the trace of the rest and build
+    its match table and topology into the memos; replay those across
+    ``min(cells, usable_cpus())`` processes, this one and forked
+    workers, which inherit the memos copy-on-write and touch no store.  Fewer than two
     cells to replay, one usable CPU, no ``fork`` start method or a
     daemonic caller replay serially instead (one DEBUG line says which).
     Results are stored here, and ``outcome.results`` is in
@@ -457,6 +426,5 @@ def clear_caches() -> None:
     (tests use this)."""
     trace_for.cache_clear()
     streaming_trace_for.cache_clear()
-    _match_table_for.cache_clear()
-    _topology_for.cache_clear()
+    _tables_for.cache_clear()
     cell_store.cache_clear()

@@ -47,13 +47,6 @@ class Graph:
     def nodes(self) -> Iterator[int]:
         return iter(self._adjacency)
 
-    def edges(self) -> Iterator[Tuple[int, int, float]]:
-        """Yield each undirected edge once as ``(u, v, weight)`` with u < v."""
-        for u, neighbors in self._adjacency.items():
-            for v, weight in neighbors.items():
-                if u < v:
-                    yield (u, v, weight)
-
     # -- algorithms ------------------------------------------------------------
 
     def shortest_paths_from(self, source: int) -> Dict[int, float]:

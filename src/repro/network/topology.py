@@ -72,49 +72,6 @@ class Topology:
             neighbors.append(peers[:count])
         return neighbors
 
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> str:
-        """Serialize the placement and its graph to JSON."""
-        import json
-
-        payload = {
-            "publisher_node": self.publisher_node,
-            "proxy_nodes": self.proxy_nodes,
-            "nodes": sorted(self.graph.nodes()),
-            "edges": [[u, v, w] for u, v, w in self.graph.edges()],
-            "positions": {
-                str(node): [x, y] for node, (x, y) in self.graph.positions.items()
-            },
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Topology":
-        """Rebuild a topology serialized with :meth:`to_json`.
-
-        Hop distances are recomputed from the graph, which is
-        deterministic, so a round-tripped topology yields the same
-        fetch costs as the original.
-        """
-        import json
-
-        payload = json.loads(text)
-        graph = Graph()
-        for node in payload["nodes"]:
-            graph.add_node(int(node))
-        for u, v, weight in payload["edges"]:
-            graph.add_edge(int(u), int(v), float(weight))
-        graph.positions = {
-            int(node): (float(x), float(y))
-            for node, (x, y) in payload.get("positions", {}).items()
-        }
-        return cls(
-            graph,
-            publisher_node=int(payload["publisher_node"]),
-            proxy_nodes=[int(node) for node in payload["proxy_nodes"]],
-        )
-
 
 #: Transit-only router nodes added to every topology (routers that host
 #: neither the publisher nor a proxy), enlarging path spread.

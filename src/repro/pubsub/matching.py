@@ -10,7 +10,6 @@ are the only subscription information §4.3 needs.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Mapping, Tuple
 
 
@@ -27,7 +26,11 @@ class TraceMatchCounts:
     _EMPTY_VECTOR: Tuple[Tuple[int, int], ...] = ()
 
     def __init__(self, table: Mapping[int, Mapping[int, int]]) -> None:
-        self._table: Dict[int, Dict[int, int]] = {}
+        # One immutable (proxy_id, count) vector per page, ordered by
+        # proxy_id, zero counts omitted.  Precomputed once here so every
+        # publish of a page replays the same tuple — no dict copy, no
+        # sort, no allocation.
+        self._vectors: Dict[int, Tuple[Tuple[int, int], ...]] = {}
         for page_id, per_proxy in table.items():
             cleaned = {
                 int(proxy): int(count)
@@ -37,15 +40,7 @@ class TraceMatchCounts:
             if any(count < 0 for count in per_proxy.values()):
                 raise ValueError(f"negative match count for page {page_id}")
             if cleaned:
-                self._table[int(page_id)] = cleaned
-        # Columnar view: one immutable (proxy_id, count) vector per
-        # page, ordered by proxy_id.  Precomputed once here so every
-        # publish of a page replays the same tuple — no dict copy, no
-        # sort, no allocation.
-        self._vectors: Dict[int, Tuple[Tuple[int, int], ...]] = {
-            page_id: tuple(sorted(per_proxy.items()))
-            for page_id, per_proxy in self._table.items()
-        }
+                self._vectors[int(page_id)] = tuple(sorted(cleaned.items()))
 
     def match_vector(self, page_id: int) -> Tuple[Tuple[int, int], ...]:
         """Precomputed ((proxy_id, count), ...) for ``page_id``.
@@ -55,27 +50,3 @@ class TraceMatchCounts:
         the replay hot path iterates it directly.
         """
         return self._vectors.get(page_id, self._EMPTY_VECTOR)
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> str:
-        """Serialize the table (page_id -> {proxy: count}) to JSON."""
-        return json.dumps(
-            {
-                str(page_id): {str(proxy): count for proxy, count in per_proxy.items()}
-                for page_id, per_proxy in self._table.items()
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TraceMatchCounts":
-        """Rebuild a table serialized with :meth:`to_json`."""
-        payload = json.loads(text)
-        return cls(
-            {
-                int(page_id): {
-                    int(proxy): int(count) for proxy, count in per_proxy.items()
-                }
-                for page_id, per_proxy in payload.items()
-            }
-        )

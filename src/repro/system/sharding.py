@@ -66,7 +66,6 @@ from repro.obs.log import get_logger
 from repro.obs.profile import Profile, forked_share, send_home
 from repro.obs.recorder import Observer
 from repro.pubsub.matching import TraceMatchCounts
-from repro.sim.rng import RandomStreams
 from repro.system.config import SimulationConfig
 from repro.system.metrics import SimulationResult
 from repro.system.simulator import Simulation, cell_inputs
@@ -419,7 +418,8 @@ def run_sharded(
     started = time.perf_counter()
     # Build the shared inputs once; workers inherit them through the fork.
     match_table, topology = cell_inputs(
-        workload, config, RandomStreams(config.seed), match_table, topology
+        workload, config.seed, config.subscription_quality, config.notified_fraction,
+        match_table, topology,
     )
     shards = plan_shards(workload, processes)
     if len(shards) <= 1:

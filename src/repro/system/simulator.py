@@ -111,21 +111,25 @@ def _outcome_kind(outcome) -> str:
 
 def cell_inputs(
     workload: Workload,
-    config: SimulationConfig,
-    streams: RandomStreams,
+    seed: int,
+    subscription_quality: float,
+    notified_fraction: float,
     match_table: Optional[TraceMatchCounts] = None,
     topology: Optional[Topology] = None,
 ) -> Tuple[TraceMatchCounts, Topology]:
     """The match table and topology of one cell: what the caller handed
-    in, else derived from the cell's own ``subscriptions`` / ``topology``
-    streams (independent per name, so order does not matter)."""
+    in, else derived from ``seed``'s own ``subscriptions`` / ``topology``
+    streams (independent per name, so order does not matter).  The one
+    place either is built: a run, a sharded run and the runner's memo
+    all come here, and neither is ever stored."""
+    streams = RandomStreams(seed)
     if match_table is None:
         match_table = TraceMatchCounts(
             build_match_counts(
                 workload.pair_counts(),
-                config.subscription_quality,
+                subscription_quality,
                 streams.stream("subscriptions"),
-                notified_fraction=config.notified_fraction,
+                notified_fraction=notified_fraction,
             )
         )
     if topology is None:
@@ -178,7 +182,8 @@ class Simulation:
         self._streams = streams
 
         match_table, topology = cell_inputs(
-            workload, config, streams, match_table, topology
+            workload, config.seed, config.subscription_quality, config.notified_fraction,
+            match_table, topology,
         )
         self.match_table = match_table
         self.topology = topology

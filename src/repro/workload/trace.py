@@ -24,6 +24,7 @@ from __future__ import annotations
 import heapq
 import io
 import json
+import weakref
 import zipfile
 from array import array
 from collections.abc import Sequence
@@ -173,6 +174,15 @@ def _memo(factory=lambda: None):
     return field(default_factory=factory, repr=False, init=False, compare=False)
 
 
+class _PerTable(weakref.WeakKeyDictionary):
+    """A memo keyed by match table that lets go of an entry once nothing
+    else holds its table; it pickles (as a fresh, empty one) where a
+    ``WeakKeyDictionary`` would not."""
+
+    def __reduce__(self):
+        return type(self), ()
+
+
 @dataclass
 class Workload:
     """A complete generated trace — the only trace type."""
@@ -199,9 +209,9 @@ class Workload:
     #: The merged replay stream, retained as columns (:meth:`replay_stream`):
     #: the five the trace alone decides — time as an ``array('d')``, kind as
     #: ``bytes``, three lists of shared objects — and one ``d`` list per
-    #: match table.  Nothing outside this module reads either.
+    #: match table still alive.  Nothing outside this module reads either.
     _stream_columns: Optional[tuple] = _memo()
-    _match_columns: dict = _memo(dict)
+    _match_columns: _PerTable = _memo(_PerTable)
     #: On a shard: unique bytes per server over the whole fleet's trace.
     _fleet_unique_bytes: Optional[Dict[int, int]] = _memo()
 

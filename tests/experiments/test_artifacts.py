@@ -15,14 +15,9 @@ from repro.experiments import artifacts, runner
 from repro.experiments.artifacts import (
     FORMAT_VERSION,
     ArtifactCache,
-    cached_match_table,
-    cached_topology,
     cached_trace,
 )
 from repro.experiments.spec import CellKey
-from repro.network.topology import Topology, build_topology
-from repro.pubsub.matching import TraceMatchCounts
-from repro.sim.rng import RandomStreams
 from repro.workload.presets import make_trace
 from repro.workload.trace import Workload
 from tests.workload.test_trace_digest import trace_digest
@@ -51,18 +46,6 @@ def test_trace_round_trips_through_cache(tmp_path):
     assert first.publishes == second.publishes
     assert first.requests == second.requests
     assert first.label == second.label
-
-
-def test_match_table_and_topology_round_trip(tmp_path):
-    cache = ArtifactCache(str(tmp_path))
-    workload = make_trace("news", scale=SCALE, seed=SEED)
-    table = cached_match_table(cache, workload, "news", SCALE, SEED, 1.0, 1.0)
-    again = cached_match_table(cache, workload, "news", SCALE, SEED, 1.0, 1.0)
-    assert table._table == again._table
-    topology = cached_topology(cache, workload.config.server_count, SEED)
-    reloaded = cached_topology(cache, workload.config.server_count, SEED)
-    assert topology.fetch_costs() == reloaded.fetch_costs()
-    assert cache.hits == 2
 
 
 def test_distinct_params_get_distinct_entries(tmp_path):
@@ -235,9 +218,9 @@ def test_run_cell_same_result_with_and_without_cache(tmp_path):
         return payload
 
     assert stripped(plain) == stripped(cold) == stripped(warm)
-    # All four artifact kinds landed on disk: a trace as an archive, the rest as JSON.
+    # Both artifact kinds landed on disk: a trace as an archive, a cell as JSON.
     kinds = sorted(os.listdir(tmp_path))
-    assert kinds == ["cell", "match-table", "topology", "trace"]
+    assert kinds == ["cell", "trace"]
     for kind in kinds:
         suffix = ".npz" if kind == "trace" else ".json"
         assert all(name.endswith(suffix) for name in os.listdir(tmp_path / kind)), kind
@@ -295,18 +278,3 @@ def test_workload_bytes_round_trip_equality():
         assert rows.tobytes() == getattr(workload, table).rows.tobytes()
     # And the round trip is a fixed point at the byte level.
     assert clone.to_bytes() == workload.to_bytes()
-
-
-def test_match_table_json_round_trip():
-    table = TraceMatchCounts({1: {0: 3, 2: 1}, 7: {4: 2}})
-    clone = TraceMatchCounts.from_json(table.to_json())
-    assert clone._table == table._table
-
-
-def test_topology_json_round_trip():
-    topology = build_topology(12, RandomStreams(5).stream("topology"), extra_nodes=6)
-    clone = Topology.from_json(topology.to_json())
-    assert clone.publisher_node == topology.publisher_node
-    assert clone.proxy_nodes == topology.proxy_nodes
-    assert clone.fetch_costs() == topology.fetch_costs()
-    assert list(clone.graph.edges()) == list(topology.graph.edges())

@@ -375,7 +375,7 @@ def test_failed_write_warns_and_returns_the_artifact(tmp_path, caplog):
     got = runner.run_cell(KEY, scale=SCALE, seed=SEED, artifact_dir=str(root))
     assert comparable(got) == comparable(want)
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-    assert len(warnings) == 4  # trace, match table, topology, cell
+    assert len(warnings) == 2  # trace, cell
     assert all(w.startswith("cannot store ") and str(root) in w for w in warnings)
     assert root.read_text() == "not a directory"
 

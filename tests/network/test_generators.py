@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.network.waxman import LINKS_PER_NODE, PLANE_SIZE, waxman_graph
+from tests.network.test_graph import edges
 
 
 def rng(seed=0):
@@ -29,7 +30,7 @@ class TestWaxman:
 
     def test_edge_weights_are_euclidean(self):
         graph = waxman_graph(15, rng())
-        for u, v, weight in graph.edges():
+        for u, v, weight in edges(graph):
             (ux, uy), (vx, vy) = graph.positions[u], graph.positions[v]
             expected = ((ux - vx) ** 2 + (uy - vy) ** 2) ** 0.5
             assert weight == pytest.approx(expected)
@@ -37,17 +38,17 @@ class TestWaxman:
     def test_links_per_node_bounds_edges(self):
         graph = waxman_graph(25, rng())
         # each joining node adds at most LINKS_PER_NODE edges
-        assert len(list(graph.edges())) <= LINKS_PER_NODE * 24
+        assert len(edges(graph)) <= LINKS_PER_NODE * 24
 
     def test_deterministic_for_same_stream(self):
         a = waxman_graph(20, rng(7))
         b = waxman_graph(20, rng(7))
-        assert sorted(a.edges()) == sorted(b.edges())
+        assert sorted(edges(a)) == sorted(edges(b))
 
     def test_single_node(self):
         graph = waxman_graph(1, rng())
         assert graph.node_count == 1
-        assert list(graph.edges()) == []
+        assert edges(graph) == []
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -55,6 +56,6 @@ class TestWaxman:
 
     def test_short_edges_preferred(self):
         graph = waxman_graph(120, rng(1))
-        weights = [w for _u, _v, w in graph.edges()]
+        weights = [w for _u, _v, w in edges(graph)]
         diag = PLANE_SIZE * 2**0.5
         assert np.mean(weights) < 0.4 * diag

@@ -125,7 +125,9 @@ def inputs(workload, strategy):
     costs each raised by the proxy's id: at this scale every proxy is one
     hop away, and equal costs would make a cost relation vacuous."""
     config = SimulationConfig(strategy=strategy, capacity_fraction=CAPACITY, seed=SEED)
-    table, topology = cell_inputs(workload, config, RandomStreams(SEED))
+    table, topology = cell_inputs(
+        workload, SEED, config.subscription_quality, config.notified_fraction
+    )
     return table, [cost + server for server, cost in enumerate(topology.fetch_costs())]
 
 
@@ -147,8 +149,8 @@ def test_proxy_relabelling_permutes_every_proxy(trace_named, name, strategy):
     requests["server_id"] = label[requests["server_id"]]
     moved_costs = [costs[server] for server in np.argsort(label)]  # proxy label[s] is s
     moved_table = TraceMatchCounts({
-        page: {int(label[proxy]): count for proxy, count in per_proxy.items()}
-        for page, per_proxy in table._table.items()
+        page: {int(label[proxy]): count for proxy, count in per_proxy}
+        for page, per_proxy in table._vectors.items()
     })
     config = dict(capacity_fraction=CAPACITY, seed=SEED)
     plain = Simulation(

@@ -3,7 +3,7 @@
 ``Workload.replay_stream`` keeps an in-memory, churn-free trace merged
 as columns on the workload — five the trace alone decides (time an
 ``array('d')``, kind a ``bytes``, three lists), one ``d`` list per match
-table — and hands every run ``zip`` over them.  Held here: the tie rule
+table still alive — and hands every run ``zip`` over them.  Held here: the tie rule
 on a hand-built trace and on generated ones, what is shared between
 cells, plain or layered, and what a copy or a pickle inherits
 (nothing), what the memo costs in bytes, what ``-vv`` says about it,
@@ -13,6 +13,7 @@ ends in one ``ValueError`` before any lookup array is indexed.
 
 import copy
 import dataclasses
+import gc
 import logging
 import pickle
 import tracemalloc
@@ -266,7 +267,8 @@ def test_memo_costs_a_double_a_byte_and_four_pointers_an_event(news):
 
 def test_a_memoised_workload_pickles_without_its_memo(news):
     workload = dataclasses.replace(news)
-    result = Simulation(workload, CONFIG).run()
+    simulation = Simulation(workload, CONFIG)  # holds the table, so its column stays
+    result = simulation.run()
     workload.pair_counts()
     assert workload._stream_columns is not None and workload._match_columns
     shard = workload.for_servers([0, 1])
@@ -278,6 +280,17 @@ def test_a_memoised_workload_pickles_without_its_memo(news):
     # What a shard knows of its fleet is not a memo of its own rows.
     assert pickle.loads(pickle.dumps(shard)).capacities(0.05) == shard.capacities(0.05)
     assert len(pickle.dumps(workload)) < 1.1 * len(pickle.dumps(dataclasses.replace(news)))
+
+
+def test_a_match_column_lives_as_long_as_its_table():
+    """Cells that each build their own table do not pile up match columns
+    on the trace they share: a table nothing else holds takes its column
+    with it."""
+    workload = make_trace("news", scale=0.03, seed=7)
+    for _ in range(5):
+        Simulation(workload, SimulationConfig(strategy="gdstar", seed=7)).run()
+    gc.collect()
+    assert len(workload._match_columns) <= 1
 
 
 BAD_TIMES = [float("nan"), float("inf"), float("-inf"), -1.0]

@@ -937,23 +937,25 @@ def parser_surface():
 #: when ``--profile`` became cProfile per package (its help string, the
 #: only row that moved), and again when ``--workers`` left (its row gone,
 #: and ``--profile``'s help now naming the shard it covers), and again
-#: when the profile came to sum every shard process (that help string).
+#: when the profile came to sum every shard process (that help string);
+#: the ten commands with ``--artifact-cache`` re-pinned when the store
+#: stopped keeping match tables and topologies (that help string alone).
 #: Regenerate with
 #: ``PYTHONPATH=src python -m tests.test_cli`` after an intended change.
 PARSER_SURFACE = {
     "": (2, "248e6226eeeacee0f143aece2383acd593b1e49ac28d03e6228b5193c09dde00"),
-    "run": (36, "7be03bce5c0f32b6115ff627d41a461b6d5cec6e4d730209bc5ef162a2a74f54"),
-    "figure": (8, "d50d2caa6c833481d9bfb758943ab9b06e7a99e512694516bbd5cc6f9fc02bdf"),
-    "table": (7, "bb9f5ada394a86acc26dac41708c314ca2db22be1c2376be082a9787ba8dff99"),
-    "sweep-beta": (7, "d9176865c10fd283fd2ade1b0afab3ee64e263ad6547b674837c69c8e42d210b"),
-    "trace-stats": (8, "a50598a474a5b951f8fc49ab1ac00c701964f8f0a38b5566146bfb46a7d81e74"),
-    "calibrate-beta": (9, "804a7247b85cce942170daa9a9bcdf5051fcf02270a5a10c6ea3926a04460ecf"),
-    "report": (7, "3a727c3da1e07b7fe1021ce9b581725003253e76ee5d2e8bd6b2a274ab50e703"),
-    "seed-sweep": (11, "faeebceabc58572ca3dd28e541fd67ed1705c0f53908c14928679bb103f36693"),
-    "chaos": (32, "f3d62e9680302d8b237ae301e38cbf5029313c543c6e8b46c34aa8a3f414ae74"),
+    "run": (36, "a8e0743e1cb378d2c90c504b952dc6002ad92192d5c9d5917d026a929881c0fa"),
+    "figure": (8, "9829dc0201db417e19924cfe34387dee9342d591fbd25d28171c6bd9f8d2ddf3"),
+    "table": (7, "2da636227f7fcf6582878623db2e5a8085a811e521a733c7633804173ab99e38"),
+    "sweep-beta": (7, "1870ebaf0ca0003b1682f58a0cd7b7abd9e0129a8da1ce9264e2609f116f5996"),
+    "trace-stats": (8, "ef4d76d5d4d524e7ae9fdc3cc759040e845e355b05785fdcc845993478197450"),
+    "calibrate-beta": (9, "00d215ab37ff1a42c6f84ca4a2e31d5e9a41773a0c02ea73e1a9bf826c506101"),
+    "report": (7, "f5aed7515f861c39944fb832c33cadcf3531d035d17c106ce2bf62b66b474dbd"),
+    "seed-sweep": (11, "117f7c85a86ba5bfcfd3aa1af6ec38f9adc76062d4e786f9992cd00072a3bb56"),
+    "chaos": (32, "ed2b978ef2666949a0292b1ac8b01f9f4572512be15e837928509288b71c5371"),
     "inspect": (6, "182e0cf5cddc1e0caade14ba88270f383be10147224e49bd9d46eb77072e7d12"),
     "explain": (7, "f3ee7e6cfbfdc8ca6ffc81d9e678abace81d9e3d39b8fea154e0acd873d06db7"),
-    "generate-trace": (8, "68283cba37973faa2c7b3252795614f7b72e3d2b94f9fc54b258e13233d917a8"),
+    "generate-trace": (8, "c489b18cd879e1389f01c97bf904e559724528700b51a3fc900f4efbc546a950"),
 }
 
 
