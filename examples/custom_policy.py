@@ -43,7 +43,7 @@ class SubLRUPolicy(Policy):
             return PushOutcome(stored=True, refreshed=True)
         entry = CacheEntry(
             page_id=page_id, version=version, size=size, cost=self.cost,
-            match_count=match_count, module=PUSH_MODULE, last_access_time=now,
+            match_count=match_count, module=PUSH_MODULE,
         )
         value = self._entry_value(entry, now)
         result = self._cache.evict_cheaper_for(size, threshold=value)
@@ -61,11 +61,9 @@ class SubLRUPolicy(Policy):
         if entry is not None:
             stale = entry.version != version
             entry.version = version
-            entry.record_access(now)
+            entry.record_access()
             self._cache.reprice(entry, self._entry_value(entry, now))
-            self._record_request(hit=not stale, size=size, now=now, stale=stale)
             return RequestOutcome(hit=not stale, stale=stale, cached_after=True)
-        self._record_request(hit=False, size=size, now=now)
         result = self._cache.evict_for(size)
         if not result.success:
             return RequestOutcome(hit=False, cached_after=False)
@@ -74,7 +72,6 @@ class SubLRUPolicy(Policy):
         entry = CacheEntry(
             page_id=page_id, version=version, size=size, cost=self.cost,
             match_count=match_count, access_count=1, module=ACCESS_MODULE,
-            last_access_time=now,
         )
         self._cache.add(entry, self._entry_value(entry, now))
         return RequestOutcome(hit=False, cached_after=True)

@@ -30,8 +30,6 @@ _FIELDS = (
     "match_count",
     "value",
     "module",
-    "accessed_since_replacement",
-    "last_access_time",
 )
 
 
@@ -49,10 +47,6 @@ class CacheEntry:
             proxy (static during a run; §4.3).
         value: current value under the owning policy (0 until it sets one).
         module: owning module label (dual-cache strategies only).
-        accessed_since_replacement: whether the entry was referenced
-            since the last replacement round in its cache — DC-AP uses
-            this to pick repartition victims (§3.3); true at insertion.
-        last_access_time: simulation time of the latest hit.
     """
 
     __slots__ = _FIELDS
@@ -66,7 +60,6 @@ class CacheEntry:
         access_count: int = 0,
         match_count: int = 0,
         module: str = ACCESS_MODULE,
-        last_access_time: float = 0.0,
     ) -> None:
         if size <= 0:
             raise ValueError(f"entry size must be positive, got {size}")
@@ -82,14 +75,10 @@ class CacheEntry:
         self.match_count = match_count
         self.value = 0.0
         self.module = module
-        self.accessed_since_replacement = True
-        self.last_access_time = last_access_time
 
-    def record_access(self, at: float) -> None:
-        """Register a hit at simulation time ``at``."""
+    def record_access(self) -> None:
+        """Register one access to the cached copy."""
         self.access_count += 1
-        self.accessed_since_replacement = True
-        self.last_access_time = at
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CacheEntry):

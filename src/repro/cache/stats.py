@@ -2,8 +2,9 @@
 
 Counts requests, hits, stale hits (right page, outdated version — a
 miss for freshness purposes), bytes served locally and bytes fetched
-from the publisher.  The simulator aggregates these into the paper's
-global hit ratio H (eq. 8) and traffic curves (Fig. 7).
+from the publisher, pushes and evictions.  The simulator aggregates
+these into the paper's global hit ratio H (eq. 8) and traffic curves
+(Fig. 7).
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from typing import Dict
 class CacheStats:
     """Mutable counters for one proxy cache.
 
-    ``slots=True`` because every replayed event bumps several of these
-    counters — offset-based attribute access keeps the accounting off
-    the hot path's profile.
+    The policy bumps only the push and eviction counters, as it decides.
+    The request counters, the hourly buckets and ``response_time`` are
+    the simulator's: a plain replay fills them once after the loop, from
+    one outcome byte per request (``Simulation._count_requests``); a
+    layered or observed one bumps them in its settling tails.
     """
 
     requests: int = 0
@@ -51,20 +54,6 @@ class CacheStats:
         if self.requests == 0:
             return 0.0
         return self.hits / self.requests
-
-    def record_request(self, hit: bool, size: int, bucket: int, stale: bool = False) -> None:
-        """Record one user request at time-bucket ``bucket``."""
-        self.requests += 1
-        self.bucketed_requests[bucket] = self.bucketed_requests.get(bucket, 0) + 1
-        if hit:
-            self.hits += 1
-            self.bytes_served_local += size
-            self.bucketed_hits[bucket] = self.bucketed_hits.get(bucket, 0) + 1
-        else:
-            if stale:
-                self.stale_hits += 1
-            self.pages_fetched += 1
-            self.bytes_fetched += size
 
     def record_push(self, stored: bool, size: int, transferred: bool) -> None:
         """Record a push-time placement attempt.

@@ -46,18 +46,15 @@ class _AccessOnlyPolicy(Policy):
     ) -> RequestOutcome:
         entry = self._cache.get(page_id)
         if entry is not None and entry.version == version:
-            entry.record_access(now)
+            entry.record_access()
             self._cache.reprice(entry, self._value(entry, now))
-            self._record_request(hit=True, size=size, now=now)
             return REQUEST_HIT
         if entry is not None:
             entry.version = version
-            entry.record_access(now)
+            entry.record_access()
             self._cache.reprice(entry, self._value(entry, now))
-            self._record_request(hit=False, size=size, now=now, stale=True)
             return REQUEST_STALE
 
-        self._record_request(hit=False, size=size, now=now)
         result = self._cache.evict_for(size)
         if not result.success:
             return REQUEST_MISS
@@ -70,7 +67,6 @@ class _AccessOnlyPolicy(Policy):
             size=size,
             cost=self.cost,
             access_count=1,
-            last_access_time=now,
         )
         self._cache.add(entry, self._value(entry, now))
         return REQUEST_MISS_CACHED

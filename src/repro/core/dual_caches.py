@@ -141,16 +141,14 @@ class _DualCacheBase(Policy):
             stats.bytes_pushed += size
             return PUSH_REFRESHED
 
-        if self._pc_place(page_id, version, size, match_count, now):
+        if self._pc_place(page_id, version, size, match_count):
             stats.pages_pushed_stored += 1
             stats.bytes_pushed += size
             return PUSH_STORED
         stats.pages_pushed_rejected += 1
         return PUSH_SKIPPED
 
-    def _pc_place(
-        self, page_id: int, version: int, size: int, match_count: int, now: float
-    ) -> bool:
+    def _pc_place(self, page_id: int, version: int, size: int, match_count: int) -> bool:
         """SUB placement into PC.
 
         Value first, entry last: eq. 2 inlined (same operation order as
@@ -172,7 +170,6 @@ class _DualCacheBase(Policy):
             cost=self.cost,
             match_count=match_count,
             module=PUSH_MODULE,
-            last_access_time=now,
         )
         self.pc.add(entry, value)
         return True
@@ -186,20 +183,13 @@ class _DualCacheBase(Policy):
     def on_request(
         self, page_id: int, version: int, size: int, match_count: int, now: float
     ) -> RequestOutcome:
-        # Replay hot path: probes, valuation and stats inlined; the
-        # math reproduces paper_sim.gdstar_value bit for bit.
-        stats = self.stats
-        bucket = int(now // 3600.0)
-        stats.requests += 1
-        breq = stats.bucketed_requests
-        breq[bucket] = breq.get(bucket, 0) + 1
+        # Replay hot path: probes and valuation inlined; the math
+        # reproduces paper_sim.gdstar_value bit for bit.
         entry = self._ac_entries.get(page_id)
         in_ac = entry is not None
         if not in_ac:
             entry = self._pc_entries.get(page_id)
             if entry is None:
-                stats.pages_fetched += 1
-                stats.bytes_fetched += size
                 if not self._ac_evict_for(size):
                     return REQUEST_MISS
                 entry = CacheEntry(
@@ -209,7 +199,6 @@ class _DualCacheBase(Policy):
                     cost=self.cost,
                     match_count=match_count,
                     access_count=1,
-                    last_access_time=now,
                 )
                 self._ac_insert(entry)
                 return REQUEST_MISS_CACHED
@@ -217,8 +206,6 @@ class _DualCacheBase(Policy):
         if not hit:
             entry.version = version  # stale: fresh bytes are fetched
         entry.access_count += 1
-        entry.accessed_since_replacement = True
-        entry.last_access_time = now
         if in_ac:
             base = entry.access_count * entry.cost / entry.size
             if base <= 0.0:
@@ -234,14 +221,7 @@ class _DualCacheBase(Policy):
             # now, so it belongs to AC.
             cached = self._promote(entry)
         if hit:
-            stats.hits += 1
-            stats.bytes_served_local += size
-            bhits = stats.bucketed_hits
-            bhits[bucket] = bhits.get(bucket, 0) + 1
             return REQUEST_HIT if cached else REQUEST_HIT_DROPPED
-        stats.stale_hits += 1
-        stats.pages_fetched += 1
-        stats.bytes_fetched += size
         return REQUEST_STALE if cached else REQUEST_STALE_DROPPED
 
     def _promote(self, entry: CacheEntry) -> bool:

@@ -135,7 +135,6 @@ class DualMethodsPolicy(Policy):
             cost=self.cost,
             match_count=match_count,
             module=PUSH_MODULE,
-            last_access_time=now,
         )
         self._insert(entry, threshold)
         stats.pages_pushed_stored += 1
@@ -147,21 +146,14 @@ class DualMethodsPolicy(Policy):
     def on_request(
         self, page_id: int, version: int, size: int, match_count: int, now: float
     ) -> RequestOutcome:
-        # Replay hot path: probe, valuation and stats inlined; the math
+        # Replay hot path: probe and valuation inlined; the math
         # reproduces paper_sim.gdstar_value bit for bit.
         entry = self._entries.get(page_id)
-        stats = self.stats
-        bucket = int(now // 3600.0)
-        stats.requests += 1
-        breq = stats.bucketed_requests
-        breq[bucket] = breq.get(bucket, 0) + 1
         if entry is not None:
             hit = entry.version == version
             if not hit:
                 entry.version = version
             entry.access_count += 1
-            entry.accessed_since_replacement = True
-            entry.last_access_time = now
             base = entry.access_count * entry.cost / entry.size
             if base <= 0.0:
                 value = self.inflation
@@ -169,19 +161,8 @@ class DualMethodsPolicy(Policy):
                 value = self.inflation + base ** self._inv_beta
             entry.value = value
             self._access_heap.push(page_id, value)
-            if hit:
-                stats.hits += 1
-                stats.bytes_served_local += size
-                bhits = stats.bucketed_hits
-                bhits[bucket] = bhits.get(bucket, 0) + 1
-                return REQUEST_HIT
-            stats.stale_hits += 1
-            stats.pages_fetched += 1
-            stats.bytes_fetched += size
-            return REQUEST_STALE
+            return REQUEST_HIT if hit else REQUEST_STALE
 
-        stats.pages_fetched += 1
-        stats.bytes_fetched += size
         storage = self._storage
         free = storage.free_bytes
         if size > free:
@@ -198,7 +179,6 @@ class DualMethodsPolicy(Policy):
             match_count=match_count,
             access_count=1,
             module=ACCESS_MODULE,
-            last_access_time=now,
         )
         self._insert(entry, match_count * self.cost / size)
         return REQUEST_MISS_CACHED

@@ -97,22 +97,15 @@ class GDStarPolicy(Policy):
     def on_request(
         self, page_id: int, version: int, size: int, match_count: int, now: float
     ) -> RequestOutcome:
-        # Replay hot path: valuation, repricing and stats inlined; the
-        # math reproduces paper_sim.gdstar_value bit for bit.
+        # Replay hot path: valuation and repricing inlined; the math
+        # reproduces paper_sim.gdstar_value bit for bit.
         entry = self._entries.get(page_id)
-        stats = self.stats
-        bucket = int(now // 3600.0)
-        stats.requests += 1
-        breq = stats.bucketed_requests
-        breq[bucket] = breq.get(bucket, 0) + 1
         if entry is not None:
             hit = entry.version == version
             if not hit:
                 # Stale copy: fetch the fresh version, refresh in place.
                 entry.version = version
             entry.access_count += 1
-            entry.accessed_since_replacement = True
-            entry.last_access_time = now
             base = entry.access_count * entry.cost / entry.size
             if base <= 0.0:
                 value = self.inflation
@@ -131,24 +124,13 @@ class GDStarPolicy(Policy):
             backing_size = len(backing)
             if backing_size >= _COMPACT_FLOOR and backing_size > 2 * len(live):
                 heap.compact()
-            if hit:
-                stats.hits += 1
-                stats.bytes_served_local += size
-                bhits = stats.bucketed_hits
-                bhits[bucket] = bhits.get(bucket, 0) + 1
-                return REQUEST_HIT
-            stats.stale_hits += 1
-            stats.pages_fetched += 1
-            stats.bytes_fetched += size
-            return REQUEST_STALE
+            return REQUEST_HIT if hit else REQUEST_STALE
 
-        stats.pages_fetched += 1
-        stats.bytes_fetched += size
-        if self._admit(page_id, version, size, now):
+        if self._admit(page_id, version, size):
             return REQUEST_MISS_CACHED
         return REQUEST_MISS
 
-    def _admit(self, page_id: int, version: int, size: int, now: float) -> bool:
+    def _admit(self, page_id: int, version: int, size: int) -> bool:
         """Unconditional GD* placement of a just-fetched page."""
         result = self._cache.evict_for(size)
         if not result.success:
@@ -165,7 +147,6 @@ class GDStarPolicy(Policy):
             size=size,
             cost=self.cost,
             access_count=1 + self._evicted_counts.pop(page_id, 0),
-            last_access_time=now,
         )
         # Valued after the evictions, against the advanced L.
         base = entry.access_count * entry.cost / size

@@ -11,14 +11,16 @@ two entry points, matching the paper's two placement opportunities:
   current version of a page.  The policy reports hit/miss and performs
   any access-time placement.
 
-Traffic accounting stays in the simulator: policies return what
-happened, the simulator prices it under the active pushing scheme.
+Traffic and request accounting stay in the simulator: policies return
+what happened and count only their own pushes and evictions; the
+simulator prices transfers under the active pushing scheme and counts
+requests, hits, bytes and latency from each returned outcome.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cache.stats import CacheStats
@@ -52,6 +54,11 @@ class PushOutcome:
             raise ValueError("refreshed implies stored")
 
 
+#: ``RequestOutcome.code`` values: the byte a plain replay records per
+#: request, from which the simulator counts hits, bytes and latency.
+MISS, HIT, STALE = 0, 1, 2
+
+
 @dataclass(frozen=True, slots=True)
 class RequestOutcome:
     """Result of serving one user request.
@@ -62,15 +69,21 @@ class RequestOutcome:
             version is fetched from the publisher).
         cached_after: the requested page resides in the cache after the
             request completed (policies may decline to keep it).
+        code: :data:`HIT`, :data:`STALE` or :data:`MISS`, derived from
+            ``hit`` and ``stale``.
     """
 
     hit: bool
     stale: bool = False
     cached_after: bool = False
+    code: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.hit and self.stale:
             raise ValueError("a hit cannot be stale")
+        object.__setattr__(
+            self, "code", HIT if self.hit else STALE if self.stale else MISS
+        )
 
 
 # Interned outcome constants.  Frozen dataclasses pay an
@@ -195,13 +208,6 @@ class Policy(ABC):
         cache.clear()
 
     # -- shared helpers -----------------------------------------------------
-
-    def _record_request(
-        self, hit: bool, size: int, now: float, stale: bool = False
-    ) -> None:
-        """Update stats with one request, bucketed by hour."""
-        bucket = int(now // 3600.0)
-        self.stats.record_request(hit=hit, size=size, bucket=bucket, stale=stale)
 
     def _note_eviction(self, entry, cause: str = "capacity") -> None:
         """Count one eviction and notify the observability hook.

@@ -111,7 +111,6 @@ class SingleCacheCombinedPolicy(Policy):
         size: int,
         match_count: int,
         module: str,
-        now: float,
     ) -> bool:
         """Value-gated placement shared by push and access time.
 
@@ -163,7 +162,6 @@ class SingleCacheCombinedPolicy(Policy):
             access_count=observed if module == ACCESS_MODULE else 0,
             match_count=match_count,
             module=module,
-            last_access_time=now,
         )
         self._cache.add(entry, value)
         return True
@@ -192,7 +190,7 @@ class SingleCacheCombinedPolicy(Policy):
             stats.bytes_pushed += size
             return PUSH_REFRESHED
 
-        if self._gated_place(page_id, version, size, match_count, PUSH_MODULE, now):
+        if self._gated_place(page_id, version, size, match_count, PUSH_MODULE):
             stats.pages_pushed_stored += 1
             stats.bytes_pushed += size
             return PUSH_STORED
@@ -205,25 +203,18 @@ class SingleCacheCombinedPolicy(Policy):
         self, page_id: int, version: int, size: int, match_count: int, now: float
     ) -> RequestOutcome:
         # The replay hot path: one call per request event.  Entry
-        # lookup, valuation, repricing and stats are all inlined — the
-        # math reproduces paper_sim.gdstar_value / sr_value bit for bit
+        # lookup, valuation and repricing are all inlined — the math
+        # reproduces paper_sim.gdstar_value / sr_value bit for bit
         # (same operation order, same clamp), specialised by mode.
         counts = self._access_counts
         observed = counts[page_id] + 1
         counts[page_id] = observed
         entry = self._entries.get(page_id)
-        stats = self.stats
-        bucket = int(now // 3600.0)
-        stats.requests += 1
-        breq = stats.bucketed_requests
-        breq[bucket] = breq.get(bucket, 0) + 1
         if entry is not None:
             hit = entry.version == version
             if not hit:
                 entry.version = version
             entry.access_count += 1
-            entry.accessed_since_replacement = True
-            entry.last_access_time = now
             mode = self.mode
             if mode == SG1:
                 frequency = entry.match_count + observed
@@ -251,20 +242,9 @@ class SingleCacheCombinedPolicy(Policy):
             backing_size = len(backing)
             if backing_size >= _COMPACT_FLOOR and backing_size > 2 * len(live):
                 heap.compact()
-            if hit:
-                stats.hits += 1
-                stats.bytes_served_local += size
-                bhits = stats.bucketed_hits
-                bhits[bucket] = bhits.get(bucket, 0) + 1
-                return REQUEST_HIT
-            stats.stale_hits += 1
-            stats.pages_fetched += 1
-            stats.bytes_fetched += size
-            return REQUEST_STALE
+            return REQUEST_HIT if hit else REQUEST_STALE
 
-        stats.pages_fetched += 1
-        stats.bytes_fetched += size
-        if self._gated_place(page_id, version, size, match_count, ACCESS_MODULE, now):
+        if self._gated_place(page_id, version, size, match_count, ACCESS_MODULE):
             return REQUEST_MISS_CACHED
         return REQUEST_MISS
 

@@ -98,7 +98,6 @@ class SubPolicy(Policy):
             cost=self.cost,
             match_count=match_count,
             module=PUSH_MODULE,
-            last_access_time=now,
         )
         self._cache.add(entry, value)
         stats.pages_pushed_stored += 1
@@ -111,31 +110,15 @@ class SubPolicy(Policy):
         self, page_id: int, version: int, size: int, match_count: int, now: float
     ) -> RequestOutcome:
         entry = self._entries.get(page_id)
-        stats = self.stats
-        bucket = int(now // 3600.0)
-        stats.requests += 1
-        breq = stats.bucketed_requests
-        breq[bucket] = breq.get(bucket, 0) + 1
         if entry is not None:
             entry.access_count += 1
-            entry.accessed_since_replacement = True
-            entry.last_access_time = now
             if entry.version == version:
-                stats.hits += 1
-                stats.bytes_served_local += size
-                bhits = stats.bucketed_hits
-                bhits[bucket] = bhits.get(bucket, 0) + 1
                 return REQUEST_HIT
             # Stale copy: the fresh version is fetched and forwarded,
             # but SUB performs no access-time placement (§3.2), so the
             # cached bytes are NOT updated; the copy stays stale.
-            stats.stale_hits += 1
-            stats.pages_fetched += 1
-            stats.bytes_fetched += size
             return REQUEST_STALE
         # Push-time-only: forward without caching (§3.2).
-        stats.pages_fetched += 1
-        stats.bytes_fetched += size
         return REQUEST_MISS
 
     # -- introspection -----------------------------------------------------------

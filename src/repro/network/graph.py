@@ -1,4 +1,4 @@
-"""A small undirected weighted graph with shortest-path queries.
+"""A small undirected graph with hop-count shortest-path queries.
 
 Kept dependency-free (plain dicts and a binary heap) so the topology
 substrate does not require networkx at runtime; the test suite
@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 
 class Graph:
-    """Undirected graph with non-negative edge weights."""
+    """Undirected graph: each node's neighbour set."""
 
     def __init__(self) -> None:
-        self._adjacency: Dict[int, Dict[int, float]] = {}
+        self._adjacency: Dict[int, Set[int]] = {}
         #: Optional (x, y) coordinates per node, set by geometric generators.
         self.positions: Dict[int, Tuple[float, float]] = {}
 
@@ -24,19 +24,17 @@ class Graph:
 
     def add_node(self, node: int) -> None:
         """Add ``node`` (no-op if it already exists)."""
-        self._adjacency.setdefault(int(node), {})
+        self._adjacency.setdefault(int(node), set())
 
-    def add_edge(self, u: int, v: int, weight: float = 1.0) -> None:
-        """Add an undirected edge; re-adding overwrites the weight."""
+    def add_edge(self, u: int, v: int) -> None:
+        """Add an undirected edge (no-op if it already exists)."""
         u, v = int(u), int(v)
         if u == v:
             raise ValueError(f"self-loops are not allowed (node {u})")
-        if weight < 0:
-            raise ValueError(f"negative edge weight: {weight}")
         self.add_node(u)
         self.add_node(v)
-        self._adjacency[u][v] = float(weight)
-        self._adjacency[v][u] = float(weight)
+        self._adjacency[u].add(v)
+        self._adjacency[v].add(u)
 
     # -- queries -------------------------------------------------------------
 
@@ -51,7 +49,7 @@ class Graph:
 
     def shortest_paths_from(self, source: int) -> Dict[int, float]:
         """Hop distance from ``source`` to every reachable node (the
-        paper uses hop distance as fetch cost; edge weights are ignored)."""
+        paper uses hop distance as fetch cost)."""
         if source not in self._adjacency:
             raise KeyError(f"unknown node: {source}")
         distances: Dict[int, float] = {source: 0.0}
@@ -87,7 +85,7 @@ class Graph:
             base = components[0]
             other = components[1]
             u, v = self._closest_pair(base, other)
-            self.add_edge(u, v, self._euclidean(u, v) if self.positions else 1.0)
+            self.add_edge(u, v)
             components = [base | other] + components[2:]
             added += 1
         return added

@@ -40,8 +40,8 @@ def waxman_graph(node_count: int, rng: np.random.Generator) -> Graph:
         rng: the random stream to draw from.
 
     Returns:
-        A connected :class:`Graph` whose edge weights are Euclidean
-        distances and whose ``positions`` carry node coordinates.
+        A connected :class:`Graph` whose ``positions`` carry node
+        coordinates.
     """
     if node_count < 1:
         raise ValueError(f"node_count must be >= 1, got {node_count}")
@@ -69,5 +69,5 @@ def waxman_graph(node_count: int, rng: np.random.Generator) -> Graph:
                 node, size=picks, replace=False, p=probabilities / total
             )
         for neighbor in np.atleast_1d(chosen):
-            graph.add_edge(node, int(neighbor), float(distances[int(neighbor)]))
+            graph.add_edge(node, int(neighbor))
     return graph

@@ -20,11 +20,11 @@ from repro.core.policy import Policy
 
 class _Settled:
     """What a wrapper that did its own accounting returns: the replay
-    loop, whose hit latency is ``0.0`` and whose rejected pushes
+    loop, whose outcome codes go uncounted and whose rejected pushes
     transfer nothing while wrappers are armed, counts nothing for it."""
 
     __slots__ = ()
-    hit = True
+    code = 0
     stored = False
 
 

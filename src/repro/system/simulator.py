@@ -17,6 +17,10 @@ Traffic accounting (§5.6) happens here, not in the policies:
   in the page/byte counts as in the paper);
 * every cache miss transfers the page from the publisher once.
 
+So does request counting: a policy returns each request's outcome, and a
+plain replay counts requests, hits, bytes, fetches and latency from one
+outcome byte per request after the loop (``Simulation._count_requests``).
+
 Every run replays through one loop (``Simulation._loop``).  Chaos
 (:mod:`repro.faults.gates`), delivery, churn and overload
 (:mod:`repro.system.delivery`, ``lifecycle``, ``overload``) each add
@@ -37,6 +41,9 @@ import time
 from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.core.policy import HIT, STALE
 from repro.core.registry import make_policy_lenient
 from repro.faults import LIFECYCLE_STREAM
 from repro.faults.spec import ChaosSpec, OverloadSpec
@@ -78,6 +85,9 @@ _MAX_RETRANSMITS = 8
 RETRY_LIMIT = 4
 RETRY_BASE = 0.5
 RETRY_CAP = 8.0
+
+#: Request rows :meth:`Simulation._count_requests` reads at a time.
+COUNT_ROWS = 4096
 
 
 def _probed(serve, held_version):
@@ -403,16 +413,30 @@ class Simulation:
     ) -> None:
         """Answer from the cache: the hit tail.
 
-        The policy is asked for the version it *holds*, so it records a
+        The policy is asked for the version it *holds*, so it returns a
         plain hit — also for a silently stale or overload-stale copy,
         where from the proxy's point of view nothing is wrong; those
-        callers keep the oracle's books themselves.
+        callers keep the oracle's books themselves.  The request is
+        counted here, by the outcome, as in :meth:`_settle_miss`.
         """
-        proxy.policy.on_request(page_id, cached_version, size, match_count, now)
+        policy = proxy.policy
+        outcome = policy.on_request(page_id, cached_version, size, match_count, now)
+        stats = policy.stats
+        hour = int(now // 3600.0)
+        stats.requests += 1
+        stats.bucketed_requests[hour] = stats.bucketed_requests.get(hour, 0) + 1
+        if outcome.hit:
+            stats.hits += 1
+            stats.bytes_served_local += size
+            stats.bucketed_hits[hour] = stats.bucketed_hits.get(hour, 0) + 1
+        else:
+            stats.stale_hits += outcome.stale
+            stats.pages_fetched += 1
+            stats.bytes_fetched += size
         if self._recovery is not None:
             self._recovery.on_request(server_id, hit=True, now=now)
         latency = HIT_LATENCY + waited
-        proxy.stats.response_time += latency
+        stats.response_time += latency
         if self._obs_on:
             self.obs.request_outcome(now, page_id, server_id, "hit", latency)
 
@@ -428,8 +452,22 @@ class Simulation:
         latency: float,
         degraded: bool,
     ) -> None:
-        """The content arrived from off-proxy: the miss tail."""
-        outcome = proxy.policy.on_request(page_id, version, size, match_count, now)
+        """The content arrived from off-proxy: the miss tail, which
+        counts the request by the outcome the policy returned."""
+        policy = proxy.policy
+        outcome = policy.on_request(page_id, version, size, match_count, now)
+        stats = policy.stats
+        hour = int(now // 3600.0)
+        stats.requests += 1
+        stats.bucketed_requests[hour] = stats.bucketed_requests.get(hour, 0) + 1
+        if outcome.hit:
+            stats.hits += 1
+            stats.bytes_served_local += size
+            stats.bucketed_hits[hour] = stats.bucketed_hits.get(hour, 0) + 1
+        else:
+            stats.stale_hits += outcome.stale
+            stats.pages_fetched += 1
+            stats.bytes_fetched += size
         if self._delivery is not None:
             # The fetch taught the proxy the current version.
             self._delivery.trackers[server_id].learn(page_id, version)
@@ -437,7 +475,7 @@ class Simulation:
             self._recovery.on_request(server_id, hit=False, now=now)
         if degraded:
             self._note_degraded(now)
-        proxy.stats.response_time += latency
+        stats.response_time += latency
         if self._obs_on:
             self.obs.request_outcome(
                 now, page_id, server_id, _outcome_kind(outcome), latency
@@ -580,11 +618,15 @@ class Simulation:
 
     # -- main entry ----------------------------------------------------------
 
-    def _replay(self, env: Environment) -> None:
+    def _replay(self, env: Environment) -> Optional[bytearray]:
         """Drain :meth:`_records` through the one loop, calling the
         policies directly or — with a layer armed or an observer — the
         calls :meth:`_compose` builds, held only by these locals so no
-        reference cycle runs through the instance."""
+        reference cycle runs through the instance.
+
+        Returns the plain replay's outcome codes, one per request, for
+        :meth:`_count_requests`; ``None`` when the settling tails
+        counted every request themselves."""
         layers = {
             "chaos": self._recovery,
             "delivery": self._delivery,
@@ -606,7 +648,8 @@ class Simulation:
         else:
             on_publish = [proxy.policy.on_publish for proxy in self.proxies]
             on_request = [proxy.policy.on_request for proxy in self.proxies]
-        self._loop(stream, on_publish, on_request, settled=composed)
+        outcomes = self._loop(stream, on_publish, on_request, settled=composed)
+        return None if composed else outcomes
 
     def _records(self, env: Environment):
         """The replay stream, merged with the agenda
@@ -669,13 +712,14 @@ class Simulation:
             request_calls.append(_probed(serve, proxy.policy.held_version))
         return publish_calls, request_calls
 
-    def _loop(self, stream, on_publish, on_request, settled: bool) -> None:
+    def _loop(self, stream, on_publish, on_request, settled: bool) -> bytearray:
         """One iteration per publish or request record, with publisher,
-        traffic, latency and invariant bookkeeping inlined.  With
-        ``settled`` every call settles its record and returns
-        :data:`~repro.system.proxy.SETTLED`: the hit latency is ``0.0``
-        (adding it is exact) and no rejected push transfers, so the loop
-        counts nothing for it and its body has no branch for the case."""
+        push traffic and invariant bookkeeping inlined; returns each
+        request's outcome code, in request order, which is all a plain
+        replay keeps of a request.  With ``settled`` every call settles
+        its record and returns :data:`~repro.system.proxy.SETTLED`, and
+        no rejected push transfers, so the loop counts nothing for it
+        and its body has no branch for the case."""
         proxies = self.proxies
         publisher = self.publisher
 
@@ -683,23 +727,17 @@ class Simulation:
         versions = publisher._versions
         push_pages = publisher.push_pages_by_hour
         push_bytes = publisher.push_bytes_by_hour
-        fetch_pages = publisher.fetch_pages_by_hour
-        fetch_bytes = publisher.fetch_bytes_by_hour
 
         # Whether a rejected push still transfers (Always-Pushing with a
-        # push-capable policy), and the miss latency beyond HIT_LATENCY.
+        # push-capable policy).
         if self.config.pushing is PushingScheme.ALWAYS and not settled:
             transfer_rejected = [proxy.policy.uses_push for proxy in proxies]
         else:
             transfer_rejected = [False] * len(proxies)
-        hit_latency = 0.0 if settled else HIT_LATENCY
-        miss_latency = [PER_HOP_LATENCY * proxy.policy.cost for proxy in proxies]
         versions_get = versions.get
         interval = self._check_interval
-        # Response time accumulates per proxy (each proxy's additions
-        # happen in its own event order), so a sharded run merging
-        # per-proxy values reproduces the total bit-for-bit.
-        response_time = [0.0] * len(proxies)
+        outcomes = bytearray()
+        record = outcomes.append
 
         for now, kind, a, b, size, m in stream:
             if kind:
@@ -712,14 +750,7 @@ class Simulation:
                         f"publication (t={now}); the workload generator "
                         f"guarantees ordering"
                     )
-                outcome = on_request[a](b, version, size, m, now)
-                if outcome.hit:
-                    response_time[a] += hit_latency
-                else:
-                    hour = int(now // 3600.0)
-                    fetch_pages[hour] = fetch_pages.get(hour, 0) + 1
-                    fetch_bytes[hour] = fetch_bytes.get(hour, 0) + size
-                    response_time[a] += hit_latency + miss_latency[a]
+                record(on_request[a](b, version, size, m, now).code)
             else:
                 # -- one publish of page ``a`` version ``b`` to match
                 #    pairs ``m``
@@ -744,9 +775,7 @@ class Simulation:
             if interval:
                 # One counter with the notification arrivals it schedules.
                 self._maybe_check_invariants()
-
-        for proxy, latency in zip(proxies, response_time):
-            proxy.stats.response_time += latency
+        return outcomes
 
     def _observed_stream(self, stream):
         """``stream``, each record announced and the monitor ticked."""
@@ -796,7 +825,7 @@ class Simulation:
             from repro.faults.injector import FaultInjector
 
             FaultInjector(self.fault_schedule).install(env, self)
-        self._replay(env)
+        outcomes = self._replay(env)
         if self._obs_on:
             # Without a layer that reaches the agenda its clock never
             # moves; the last record's time is the handler time stamped.
@@ -806,7 +835,7 @@ class Simulation:
                     proxy.policy.used_bytes for proxy in self.proxies
                 ),
             )
-        return self._collect(time.perf_counter() - started)
+        return self._collect(started, outcomes)
 
     def _attach_observer(self) -> None:
         """Install per-proxy eviction/storage hooks.
@@ -822,7 +851,104 @@ class Simulation:
         for proxy in self.proxies:
             proxy.observe(obs, handler_time)
 
-    def _collect(self, wall_seconds: float) -> SimulationResult:
+    def _count_requests(self, outcomes: bytearray) -> None:
+        """Count a plain replay's requests from its outcome codes, which
+        follow the workload's request rows one for one: each proxy's
+        request counters, hourly buckets and ``response_time``, and the
+        publisher's hourly fetch pages and bytes.
+
+        The rows are read :data:`COUNT_ROWS` at a time, so a spool stays
+        chunk-bounded, and counted into preallocated integer arrays; the
+        dicts are built once at the end, keys ascending.  ``np.add.at``
+        adds in index order, unbuffered, so each proxy's
+        ``response_time`` is the same left-to-right sum the tails make
+        (``np.sum`` or ``bincount`` weights would sum pairwise or
+        reorder, and not be bit-identical).
+        """
+        requests = self.workload.requests
+        if len(outcomes) != len(requests):
+            raise RuntimeError(
+                f"replay recorded {len(outcomes)} request outcomes for "
+                f"{len(requests)} request rows"
+            )
+        proxies = self.proxies
+        count = len(proxies)
+        codes = np.frombuffer(outcomes, dtype=np.uint8)
+        page_sizes = self.publisher._sizes
+        sizes = np.zeros(max(page_sizes, default=-1) + 1, dtype=np.int64)
+        sizes[list(page_sizes)] = list(page_sizes.values())
+        # Latency by (proxy, code): a miss and a stale copy both fetch.
+        latency = np.array([
+            (HIT_LATENCY + miss, HIT_LATENCY, HIT_LATENCY + miss)
+            for miss in (PER_HOP_LATENCY * proxy.policy.cost for proxy in proxies)
+        ]).reshape(count, 3)
+        # Rows are time-sorted, so the last one names the last hour; no
+        # horizon is assumed (a row past it counts too).
+        width = int(requests.rows["time"][-1] // 3600.0) + 1 if len(requests) else 0
+        # Requests and their bytes per (hour, proxy, outcome code): hour
+        # major, so a window's rows land in one slice of hours.
+        tally = np.zeros(width * count * 3, dtype=np.int64)
+        volume = np.zeros(width * count * 3, dtype=np.int64)
+        response = np.zeros(count)
+        done = 0
+        last = 0.0
+        for chunk in requests.chunks():
+            for start in range(0, len(chunk), COUNT_ROWS):
+                window = chunk[start : start + COUNT_ROWS]
+                times = window["time"]
+                if times[0] < last or (times[1:] < times[:-1]).any():
+                    raise RuntimeError("request rows are not in time order")
+                last = times[-1]
+                code = codes[done : done + len(window)]
+                done += len(window)
+                servers = window["server_id"].astype(np.intp)
+                # int(t // 3600.0) at a fifth of the cost: the one way a
+                # rounded quotient can err is up onto an hour not reached.
+                hours = (times / 3600.0).astype(np.intp)
+                hours -= hours * 3600.0 > times
+                first = hours[0] * count * 3
+                span = (hours[-1] + 1) * count * 3 - first
+                keys = (hours * count + servers) * 3 + code - first
+                tally[first : first + span] += np.bincount(keys, minlength=span)
+                # Exact: one window's sizes sum far below 2**53.
+                weights = sizes[window["page_id"]]
+                volume[first : first + span] += np.bincount(keys, weights, span).astype(np.int64)
+                np.add.at(response, servers, latency[servers, code])
+        tally = tally.reshape(width, count, 3)
+        volume = volume.reshape(width, count, 3)
+        served = tally.sum(axis=2).T
+        hits = tally[:, :, HIT].T
+        fetched = (volume.sum(axis=2) - volume[:, :, HIT]).T
+        stale = tally[:, :, STALE].sum(axis=0)
+        local = volume[:, :, HIT].sum(axis=0)
+        for proxy, requests_by_hour, hits_by_hour, requested, hit_count, \
+                stale_count, local_bytes, fetched_bytes, seconds in zip(
+            proxies, _by_hour(served), _by_hour(hits), served.sum(axis=1).tolist(),
+            hits.sum(axis=1).tolist(), stale.tolist(), local.tolist(),
+            fetched.sum(axis=1).tolist(), response.tolist(),
+        ):
+            stats = proxy.stats
+            stats.requests += requested
+            stats.hits += hit_count
+            stats.stale_hits += stale_count
+            stats.bytes_served_local += local_bytes
+            stats.pages_fetched += requested - hit_count
+            stats.bytes_fetched += fetched_bytes
+            stats.response_time += seconds
+            stats.bucketed_requests = requests_by_hour
+            stats.bucketed_hits = hits_by_hour
+        pages = (served - hits).sum(axis=0)
+        hours = np.flatnonzero(pages)
+        publisher = self.publisher
+        publisher.fetch_pages_by_hour = dict(zip(hours.tolist(), pages[hours].tolist()))
+        publisher.fetch_bytes_by_hour = dict(
+            zip(hours.tolist(), fetched.sum(axis=0)[hours].tolist())
+        )
+
+    def _collect(self, started: float, outcomes: Optional[bytearray]) -> SimulationResult:
+        if outcomes is not None:
+            self._count_requests(outcomes)
+        wall_seconds = time.perf_counter() - started
         hour_count = int(self.workload.config.horizon // 3600.0) + 1
         last_hour = hour_count - 1
         hourly_requests = [0] * hour_count
@@ -895,6 +1021,16 @@ class Simulation:
         if self._obs_on:
             logger.debug("run done: %s", result.summary())
         return result
+
+
+def _by_hour(counts: np.ndarray) -> List[Dict[int, int]]:
+    """Per row of ``counts`` (rows x hours), ``{hour: count}`` of its
+    nonzero cells, hours ascending."""
+    rows, hours = np.nonzero(counts)  # row-major: by row, then by hour
+    values = counts[rows, hours].tolist()
+    hours = hours.tolist()
+    cuts = np.searchsorted(rows, np.arange(len(counts) + 1)).tolist()
+    return [dict(zip(hours[start:stop], values[start:stop])) for start, stop in zip(cuts, cuts[1:])]
 
 
 def run_simulation(workload: Workload, config: SimulationConfig) -> SimulationResult:

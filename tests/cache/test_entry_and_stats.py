@@ -1,4 +1,8 @@
-"""Tests for CacheEntry and CacheStats."""
+"""Tests for CacheEntry and CacheStats.
+
+A policy bumps only the push and eviction counters; the request
+counters are the simulator's, so they are read after a replay
+(``replay_one_proxy``)."""
 
 import pytest
 
@@ -17,11 +21,8 @@ def test_entry_validation():
 
 def test_entry_record_access():
     entry = CacheEntry(page_id=1, version=0, size=10, cost=1.0)
-    entry.accessed_since_replacement = False
-    entry.record_access(at=42.0)
+    entry.record_access()
     assert entry.access_count == 1
-    assert entry.accessed_since_replacement
-    assert entry.last_access_time == 42.0
 
 
 def test_module_labels():
@@ -31,31 +32,29 @@ def test_module_labels():
     assert access.module == "access"
 
 
-def test_stats_hit_ratio():
-    stats = CacheStats()
-    assert stats.hit_ratio == 0.0
-    stats.record_request(hit=True, size=10, bucket=0)
-    stats.record_request(hit=False, size=10, bucket=0)
+def test_stats_hit_ratio(replay_one_proxy):
+    assert CacheStats().hit_ratio == 0.0
+    stats = replay_one_proxy([(0.0, 0)], [(1.0, 0), (2.0, 0)], sizes=[10])  # miss, hit
     assert stats.requests == 2
     assert stats.hits == 1
     assert stats.misses == 1
     assert stats.hit_ratio == 0.5
 
 
-def test_stats_bytes_accounting():
-    stats = CacheStats()
-    stats.record_request(hit=True, size=100, bucket=0)
-    stats.record_request(hit=False, size=50, bucket=1)
+def test_stats_bytes_accounting(replay_one_proxy):
+    stats = replay_one_proxy(
+        [(0.0, 0), (0.0, 1)], [(1.0, 0), (2.0, 0), (3600.0, 1)], sizes=[100, 50]
+    )  # miss, hit, miss
     assert stats.bytes_served_local == 100
-    assert stats.bytes_fetched == 50
-    assert stats.pages_fetched == 1
+    assert stats.bytes_fetched == 150
+    assert stats.pages_fetched == 2
 
 
-def test_stats_stale_counted_as_miss():
-    stats = CacheStats()
-    stats.record_request(hit=False, size=10, bucket=0, stale=True)
+def test_stats_stale_counted_as_miss(replay_one_proxy):
+    # GD* pushes nothing, so the copy cached at t=1 is stale at t=3.
+    stats = replay_one_proxy([(0.0, 0), (2.0, 0)], [(1.0, 0), (3.0, 0)], sizes=[10])
     assert stats.stale_hits == 1
-    assert stats.misses == 1
+    assert stats.misses == 2 and stats.hits == 0
 
 
 def test_stats_push_accounting():
@@ -68,13 +67,13 @@ def test_stats_push_accounting():
     assert stats.bytes_pushed == 400
 
 
-def test_stats_bucketing():
-    stats = CacheStats()
-    stats.record_request(hit=True, size=1, bucket=3)
-    stats.record_request(hit=False, size=1, bucket=3)
-    stats.record_request(hit=True, size=1, bucket=5)
-    assert stats.bucketed_requests == {3: 2, 5: 1}
-    assert stats.bucketed_hits == {3: 1, 5: 1}
+def test_stats_bucketing(replay_one_proxy):
+    hour = 3600.0
+    stats = replay_one_proxy(
+        [(0.0, 0)], [(3 * hour, 0), (4 * hour - 1.0, 0), (5 * hour, 0)], sizes=[1]
+    )  # miss, hit in hour 3; hit in hour 5
+    assert list(stats.bucketed_requests.items()) == [(3, 2), (5, 1)]
+    assert list(stats.bucketed_hits.items()) == [(3, 1), (5, 1)]
 
 
 def test_stats_eviction_accounting():

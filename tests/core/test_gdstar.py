@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.gdstar import GDStarPolicy
+from repro.core.policy import HIT, MISS, STALE
 
 
 def make(capacity=1000, cost=2.0, beta=2.0, **kwargs):
@@ -17,14 +18,16 @@ def test_publish_is_noop():
     assert policy.used_bytes == 0
 
 
-def test_miss_then_hit():
+def test_miss_then_hit(replay_one_proxy):
     policy = make()
     first = policy.on_request(1, 0, 100, 0, now=0.0)
     assert not first.hit and first.cached_after
     second = policy.on_request(1, 0, 100, 0, now=1.0)
     assert second.hit
-    assert policy.stats.hits == 1
-    assert policy.stats.requests == 2
+    # What the replay records per request, and what it counts from it.
+    assert (first.code, second.code) == (MISS, HIT)
+    stats = replay_one_proxy([(0.0, 0)], [(0.0, 0), (1.0, 0)], sizes=[100])
+    assert (stats.requests, stats.hits) == (2, 1)
 
 
 def test_eviction_order_by_value():
@@ -65,15 +68,19 @@ def test_oversized_page_served_without_caching():
     assert policy.used_bytes == 0
 
 
-def test_stale_version_is_miss_and_refreshes():
+def test_stale_version_is_miss_and_refreshes(replay_one_proxy):
     policy = make()
     policy.on_request(1, 0, 100, 0, now=0.0)
     outcome = policy.on_request(1, 3, 100, 0, now=1.0)
     assert not outcome.hit and outcome.stale and outcome.cached_after
     assert policy.cached_version(1) == 3
-    assert policy.stats.stale_hits == 1
+    assert outcome.code == STALE
     hit = policy.on_request(1, 3, 100, 0, now=2.0)
     assert hit.hit
+    stats = replay_one_proxy(
+        [(0.0, 0), (0.5, 0)], [(0.0, 0), (1.0, 0), (2.0, 0)], sizes=[100]
+    )
+    assert (stats.stale_hits, stats.hits, stats.pages_fetched) == (1, 1, 2)
 
 
 def test_in_cache_lfu_reset_on_eviction():
@@ -115,8 +122,7 @@ def test_beta_validation():
         make(beta=0.0)
 
 
-def test_hourly_bucketing_in_stats():
-    policy = make()
-    policy.on_request(1, 0, 10, 0, now=0.0)
-    policy.on_request(1, 0, 10, 0, now=3700.0)
-    assert policy.stats.bucketed_requests == {0: 1, 1: 1}
+def test_hourly_bucketing_in_stats(replay_one_proxy):
+    stats = replay_one_proxy([(0.0, 0)], [(0.0, 0), (3700.0, 0)], sizes=[10])
+    assert stats.bucketed_requests == {0: 1, 1: 1}
+    assert stats.bucketed_hits == {1: 1}

@@ -9,6 +9,8 @@ import pytest
 
 from repro.core.policy import PushOutcome, RequestOutcome
 from repro.core.registry import make_policy_lenient, strategy_names
+from repro.system.config import SimulationConfig
+from repro.system.simulator import run_simulation
 
 ALL_STRATEGIES = sorted(strategy_names())
 
@@ -70,17 +72,28 @@ def test_hit_implies_cached_current_version(name):
 
 
 @pytest.mark.parametrize("name", ALL_STRATEGIES)
-def test_stats_ledger_adds_up(name):
+def test_stats_ledger_adds_up(name, trace_named):
+    """The policy counts what it decides: each push offer stored or
+    rejected, and no request.  The simulator counts the requests from
+    the outcomes, and its ledger adds up per proxy and per hour."""
     policy = make_policy_lenient(name, 700, cost=2.0)
-    requests = 0
+    publishes = 0
     for step, state in enumerate(drive(policy)):
-        if step % 3 != 0:
-            requests += 1
-    assert policy.stats.requests == requests
-    assert policy.stats.hits + policy.stats.misses == requests
-    assert 0.0 <= policy.stats.hit_ratio <= 1.0
-    assert sum(policy.stats.bucketed_requests.values()) == requests
-    assert sum(policy.stats.bucketed_hits.values()) == policy.stats.hits
+        if step % 3 == 0:
+            publishes += 1
+    stats = policy.stats
+    offered = stats.pages_pushed_stored + stats.pages_pushed_rejected
+    assert offered == (publishes if policy.uses_push else 0)
+    assert (stats.requests, stats.hits, stats.bucketed_requests) == (0, 0, {})
+    workload = trace_named("news")
+    result = run_simulation(workload, SimulationConfig(strategy=name, capacity_fraction=0.05))
+    assert result.requests == workload.request_count
+    assert sum(stats.requests for stats in result.per_proxy) == result.requests
+    for stats in result.per_proxy:
+        assert stats.hits + stats.misses == stats.requests
+        assert 0.0 <= stats.hit_ratio <= 1.0
+        assert sum(stats.bucketed_requests.values()) == stats.requests
+        assert sum(stats.bucketed_hits.values()) == stats.hits
 
 
 @pytest.mark.parametrize("name", ALL_STRATEGIES)

@@ -6,27 +6,27 @@ from repro.network.graph import Graph
 
 
 def edges(graph):
-    """Each undirected edge once as ``(u, v, weight)`` with u < v."""
-    return [
-        (u, v, weight)
+    """Each undirected edge once as ``(u, v)`` with u < v, sorted."""
+    return sorted(
+        (u, v)
         for u, neighbors in graph._adjacency.items()
-        for v, weight in neighbors.items()
+        for v in neighbors
         if u < v
-    ]
+    )
 
 
 def path_graph(n):
     graph = Graph()
     for i in range(n - 1):
-        graph.add_edge(i, i + 1, 1.0)
+        graph.add_edge(i, i + 1)
     return graph
 
 
 def test_add_nodes_and_edges():
     graph = Graph()
-    graph.add_edge(0, 1, 2.0)
+    graph.add_edge(0, 1)
     assert graph.node_count == 2
-    assert edges(graph) == [(0, 1, 2.0)]
+    assert edges(graph) == [(0, 1)]
 
 
 def test_self_loop_rejected():
@@ -35,24 +35,18 @@ def test_self_loop_rejected():
         graph.add_edge(3, 3)
 
 
-def test_negative_weight_rejected():
+def test_readd_edge_is_a_no_op():
     graph = Graph()
-    with pytest.raises(ValueError):
-        graph.add_edge(0, 1, -1.0)
-
-
-def test_readd_edge_overwrites_weight():
-    graph = Graph()
-    graph.add_edge(0, 1, 1.0)
-    graph.add_edge(0, 1, 9.0)
-    assert edges(graph) == [(0, 1, 9.0)]
+    graph.add_edge(0, 1)
+    graph.add_edge(1, 0)
+    assert edges(graph) == [(0, 1)]
 
 
 def test_edges_listed_once():
     graph = path_graph(4)
     listed = edges(graph)
     assert len(listed) == 3
-    assert all(u < v for u, v, _w in listed)
+    assert all(u < v for u, v in listed)
 
 
 def test_hop_distances_on_path():
@@ -91,7 +85,7 @@ def test_connect_components_uses_positions():
     graph.positions = {0: (0, 0), 1: (1, 0), 2: (1.1, 0), 3: (50, 0)}
     graph.connect_components()
     # closest pair across components is (1, 2)
-    assert (1, 2) in {(u, v) for u, v, _w in edges(graph)}
+    assert (1, 2) in edges(graph)
 
 
 def test_empty_graph_is_connected():
@@ -109,7 +103,7 @@ def test_distances_match_networkx_when_available():
         u, v = rng.integers(0, 20, size=2)
         if u == v:
             continue
-        graph.add_edge(int(u), int(v), 1.0)
+        graph.add_edge(int(u), int(v))
         reference.add_edge(int(u), int(v))
     source = next(iter(graph.nodes()))
     ours = graph.shortest_paths_from(source)

@@ -62,12 +62,18 @@ def test_publisher_traffic_bucketing(workload):
     assert publisher.total_fetch_bytes == page.size
 
 
-def test_proxy_delegates_to_policy():
+def test_proxy_delegates_to_policy(workload):
     """The replay loop calls the policy itself; the proxy reports the
-    policy's counters and invariants."""
+    policy's counters and invariants.  The policy counts none of its
+    requests: the simulator counts them, into those same counters."""
     policy = GDStarPolicy(1000, cost=2.0)
     proxy = ProxyServer(3, policy)
     policy.on_request(1, 0, 100, 5, now=1.0)
-    assert proxy.stats is policy.stats and proxy.stats.requests == 1
+    assert proxy.stats is policy.stats and proxy.stats.requests == 0
     proxy.check_invariants()
     assert proxy.server_id == 3
+    simulation = Simulation(workload, SimulationConfig(strategy="gdstar"))
+    result = simulation.run()
+    assert all(proxy.stats is proxy.policy.stats for proxy in simulation.proxies)
+    counted = sum(proxy.stats.requests for proxy in simulation.proxies)
+    assert counted == result.requests == workload.request_count
