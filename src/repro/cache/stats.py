@@ -19,9 +19,8 @@ class CacheStats:
 
     The policy bumps only the push and eviction counters, as it decides.
     The request counters, the hourly buckets and ``response_time`` are
-    the simulator's: a plain replay fills them once after the loop, from
-    one outcome byte per request (``Simulation._count_requests``); a
-    layered or observed one bumps them in its settling tails.
+    the simulator's: it fills them once after the loop, from one outcome
+    byte per request (``Simulation._count_requests``).
     """
 
     requests: int = 0

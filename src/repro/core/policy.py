@@ -54,7 +54,7 @@ class PushOutcome:
             raise ValueError("refreshed implies stored")
 
 
-#: ``RequestOutcome.code`` values: the byte a plain replay records per
+#: ``RequestOutcome.code`` values: the byte a replay records per
 #: request, from which the simulator counts hits, bytes and latency.
 MISS, HIT, STALE = 0, 1, 2
 

@@ -55,8 +55,8 @@ def fault_wrappers(sim, env):
                 obs.failover(
                     now, server_id, page_id, target="origin", reason="proxy-down"
                 )
-            sim._settle_unserved(
-                proxy, server_id, page_id, now,
+            return sim._settle_unserved(
+                server_id, page_id, now,
                 sim._origin_resolution(proxy, server_id, page_id, version, size, now),
             )
 

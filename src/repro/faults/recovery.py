@@ -64,6 +64,9 @@ class RecoveryTracker:
     """Aggregates per-proxy recovery curves and time-to-warm samples."""
 
     def __init__(self) -> None:
+        #: Per proxy, ``[requests served, hits]`` so far: the hit ratio a
+        #: crash remembers, read mid-run, before the request count runs.
+        self._served: Dict[int, List[int]] = {}
         self._pre_ratio: Dict[int, float] = {}
         self._warming: Dict[int, _Warming] = {}
         self._report = RecoveryReport(
@@ -82,12 +85,14 @@ class RecoveryTracker:
 
     # -- lifecycle hooks (called by the simulator) --------------------------
 
-    def on_crash(self, server_id: int, now: float, pre_hit_ratio: float) -> None:
-        """A proxy just crashed; remember how warm it was."""
+    def on_crash(self, server_id: int, now: float) -> None:
+        """A proxy just crashed; remember how warm it was: its hit
+        ratio over every request it served so far."""
         if self._warming.pop(server_id, None) is not None:
             # Crashed again before re-warming from the previous crash.
             self._report.unwarmed += 1
-        self._pre_ratio[server_id] = float(pre_hit_ratio)
+        served, hits = self._served.get(server_id, (0, 0))
+        self._pre_ratio[server_id] = hits / served if served else 0.0
 
     def on_recover(self, server_id: int, now: float) -> None:
         self._warming[server_id] = _Warming(
@@ -98,6 +103,9 @@ class RecoveryTracker:
 
     def on_request(self, server_id: int, hit: bool, now: float) -> None:
         """A request was *served* at ``server_id`` (hits and misses)."""
+        served = self._served.setdefault(server_id, [0, 0])
+        served[0] += 1
+        served[1] += hit
         state = self._warming.get(server_id)
         if state is None:
             return

@@ -51,6 +51,7 @@ from repro.sim.engine import URGENT
 from repro.sim.rng import uniform_draws
 from repro.system.config import HIT_LATENCY, PER_HOP_LATENCY
 from repro.system.proxy import SETTLED
+from repro.system.simulator import DEGRADED
 
 #: Cap on a single retransmission backoff step (seconds).
 DELIVERY_BACKOFF_CAP = 30.0
@@ -433,6 +434,7 @@ def delivery_wrappers(sim, env):
                 return on_request(page_id, version, size, match_count, now, held)
             age = publisher.staleness_age(page_id, cached, now)
             waited = 0.0
+            flag = 0
             if repair:
                 # Validation detected the missed push; repair from the origin.
                 recovery.staleness_validations += 1
@@ -445,22 +447,22 @@ def delivery_wrappers(sim, env):
                     fetch_latency, degraded = sim._degrade_transfer(
                         PER_HOP_LATENCY * proxy.policy.cost, server_id, now
                     )
-                    sim._settle_miss(
+                    code = sim._settle(
                         proxy, server_id, page_id, version, size, match_count, now,
                         HIT_LATENCY + waited + fetch_latency,
-                        degraded or waited > 0.0,
                     )
-                    return
+                    delivery.trackers[server_id].learn(page_id, version)
+                    return DEGRADED | code if degraded or waited > 0.0 else code
                 # Origin unreachable and retries exhausted: degrade to
                 # serving the stale copy rather than failing the request.
-                sim._note_degraded(now)
+                flag = DEGRADED
             # The oracle's books: one silently stale response, with its
             # age (the no-protocol baseline serves every such copy so).
             recovery.on_stale_served(now, age)
             if obs_on:
                 obs.stale_served(now, page_id, server_id, age)
-            sim._serve_cached(
-                proxy, server_id, page_id, cached, size, match_count, now, waited
+            return flag | sim._settle(
+                proxy, server_id, page_id, cached, size, match_count, now, HIT_LATENCY + waited
             )
 
         return send_notification, silently_stale

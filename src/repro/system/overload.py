@@ -462,8 +462,8 @@ def admission_wrappers(sim, env):
                 obs.failover(
                     now, server_id, page_id, target="origin", reason="overload"
                 )
-            sim._settle_unserved(
-                proxy, server_id, page_id, now,
+            return sim._settle_unserved(
+                server_id, page_id, now,
                 sim._off_proxy(sim, proxy, server_id, page_id, version, size, now),
             )
 

@@ -19,12 +19,11 @@ from repro.core.policy import Policy
 
 
 class _Settled:
-    """What a wrapper that did its own accounting returns: the replay
-    loop, whose outcome codes go uncounted and whose rejected pushes
-    transfer nothing while wrappers are armed, counts nothing for it."""
+    """What a publish wrapper that accounted its own push transfer
+    returns: the replay loop, whose rejected pushes transfer nothing
+    while wrappers are armed, counts nothing for it."""
 
     __slots__ = ()
-    code = 0
     stored = False
 
 

@@ -17,9 +17,9 @@ Traffic accounting (§5.6) happens here, not in the policies:
   in the page/byte counts as in the paper);
 * every cache miss transfers the page from the publisher once.
 
-So does request counting: a policy returns each request's outcome, and a
-plain replay counts requests, hits, bytes, fetches and latency from one
-outcome byte per request after the loop (``Simulation._count_requests``).
+So does request counting: every replay records one outcome code per
+request, and ``Simulation._count_requests`` counts requests, hits,
+bytes, fetches and latency from those codes after the loop.
 
 Every run replays through one loop (``Simulation._loop``).  Chaos
 (:mod:`repro.faults.gates`), delivery, churn and overload
@@ -29,16 +29,19 @@ settling tails (origin retries with capped backoff, degraded links);
 cooperation (:mod:`repro.system.cooperation`) changes where a miss is
 resolved.
 
-Requests the policies never see (failover and failures) are tallied
-separately and merged into the request totals at collection time, so
-hit ratio, availability and the hourly series all share one
+Requests the policies never see (failover and failures) get codes of
+their own and are merged into the request totals at collection time,
+so hit ratio, availability and the hourly series all share one
 denominator.
 """
 
 from __future__ import annotations
 
+import math
 import time
+from array import array
 from functools import partial
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -89,13 +92,22 @@ RETRY_CAP = 8.0
 #: Request rows :meth:`Simulation._count_requests` reads at a time.
 COUNT_ROWS = 4096
 
+#: Outcome codes of a request no policy saw, beyond a policy's
+#: ``MISS`` / ``HIT`` / ``STALE``: resolved off-proxy, or failed.
+UNSERVED, FAILED = 3, 4
+#: Flag added to any code of a degraded request.
+DEGRADED = 8
+#: Trace-event kind of a policy's outcome code.
+KINDS = ("miss", "hit", "stale")
+#: A composed request's outcome as the loop reads it, by its code.
+_CODED = tuple(SimpleNamespace(code=code) for code in range(2 * DEGRADED))
+
 
 def _probed(serve, held_version):
     """The composed request path, given the proxy's one cache probe."""
 
     def on_request(page_id, version, size, match_count, now):
-        serve(page_id, version, size, match_count, now, held_version(page_id))
-        return SETTLED
+        return _CODED[serve(page_id, version, size, match_count, now, held_version(page_id))]
 
     return on_request
 
@@ -110,13 +122,39 @@ def _announced(on_publish, obs, server_id):
     return announced
 
 
-def _outcome_kind(outcome) -> str:
-    """Trace-event kind for a RequestOutcome: hit, stale or miss."""
-    if outcome.hit:
-        return "hit"
-    if outcome.stale:
-        return "stale"
-    return "miss"
+def _offered(on_publish, obs, server_id):
+    """A policy's ``on_publish`` reporting the offer and its outcome."""
+
+    def offered(page_id, version, size, match_count, now):
+        obs.push_offer(now, page_id, server_id)
+        outcome = on_publish(page_id, version, size, match_count, now)
+        if outcome.stored:
+            obs.push_accept(now, page_id, server_id, outcome.refreshed)
+        else:
+            obs.push_reject(now, page_id, server_id)
+        return outcome
+
+    return offered
+
+
+def _observed(policy, obs, server_id):
+    """The policy's own ``(on_publish, on_request)``, announced to
+    ``obs``: what an observed plain run calls.  A request for a version
+    the policy does not hold is fetched from the origin first."""
+    on_request, held_version = policy.on_request, policy.held_version
+    miss_latency = HIT_LATENCY + PER_HOP_LATENCY * policy.cost
+
+    def request(page_id, version, size, match_count, now):
+        if held_version(page_id) != version:
+            obs.fetch(now, page_id, server_id)
+        outcome = on_request(page_id, version, size, match_count, now)
+        code = outcome.code
+        obs.request_outcome(
+            now, page_id, server_id, KINDS[code], HIT_LATENCY if code == HIT else miss_latency
+        )
+        return outcome
+
+    return _announced(_offered(policy.on_publish, obs, server_id), obs, server_id), request
 
 
 def cell_inputs(
@@ -242,12 +280,8 @@ class Simulation:
             from repro.faults.recovery import RecoveryTracker
 
             self._recovery = RecoveryTracker()
-        # Failed/degraded books, shared by the fault and overload layers.
-        self._failed_by_hour: Dict[int, int] = {}
-        self._degraded_by_hour: Dict[int, int] = {}
-        #: Requests that never reached a policy (down-proxy failover and
-        #: failures) — merged into the request totals at collection.
-        self._unserved_by_hour: Dict[int, int] = {}
+        #: A composed run's latency per request, in request order.
+        self._latency: Optional[array] = None
 
         # -- overload/backpressure layer: a spec arming at least one part
         overload_spec: Optional[OverloadSpec] = config.overload
@@ -315,7 +349,7 @@ class Simulation:
 
     def on_proxy_crash(self, server_id: int, now: float) -> None:
         proxy = self.proxies[server_id]
-        self._recovery.on_crash(server_id, now, proxy.stats.hit_ratio)
+        self._recovery.on_crash(server_id, now)
         proxy.crash(now)
         if self._delivery is not None:
             # Cold restart: sequence state is in-memory too, so the
@@ -342,167 +376,85 @@ class Simulation:
         if self._obs_on:
             self.obs.outage_end(now)
 
-    # -- the settling tails: reached as ``partial(tail, sim, proxy, server_id)``
+    # -- the settling tails: reached as ``partial(tail, sim, ...)`` (``_compose``)
 
-    def _offer_push(
-        self, proxy, server_id, page_id, version, size, match_count, now
-    ):
-        """Push-time placement: offer the page, account the transfer."""
-        obs_on = self._obs_on
-        if obs_on:
-            self.obs.push_offer(now, page_id, server_id)
-        policy = proxy.policy
-        outcome = policy.on_publish(page_id, version, size, match_count, now)
-        if obs_on:
-            if outcome.stored:
-                self.obs.push_accept(now, page_id, server_id, outcome.refreshed)
-            else:
-                self.obs.push_reject(now, page_id, server_id)
-        if outcome.stored or (
-            self.config.pushing is PushingScheme.ALWAYS and policy.uses_push
-        ):
+    def _offer_push(self, offer, transfer_rejected, page_id, version, size, match_count, now):
+        """Push-time placement: ``offer`` the page, account the transfer
+        (also of a rejected push, with ``transfer_rejected``)."""
+        outcome = offer(page_id, version, size, match_count, now)
+        if outcome.stored or transfer_rejected:
             self.publisher.record_push_transfer(page_id, now)
         return SETTLED
 
     def _serve(
         self, proxy, server_id, page_id, version, size, match_count, now, held
-    ) -> None:
-        """Answer from the cache or fetch off-proxy.  ``held``, the
-        cached version, mirrors ``on_request`` hit detection, so a miss
-        can be resolved (and can fail, placing nothing) *before* the
-        policy sees the request."""
+    ) -> int:
+        """Answer from the cache or fetch off-proxy; returns the
+        request's outcome code.  ``held``, the cached version, mirrors
+        ``on_request`` hit detection, so a miss can be resolved (and can
+        fail, placing nothing) *before* the policy sees the request."""
         if held == version:
-            self._serve_cached(
-                proxy, server_id, page_id, version, size, match_count, now, 0.0
+            return self._settle(
+                proxy, server_id, page_id, version, size, match_count, now, HIT_LATENCY
             )
-            return
         resolution = self._off_proxy(self, proxy, server_id, page_id, version, size, now)
         if resolution is not None:
-            self._settle_miss(
+            code = self._settle(
                 proxy, server_id, page_id, version, size, match_count, now,
-                HIT_LATENCY + resolution[0], resolution[1],
+                HIT_LATENCY + resolution[0],
             )
-            return
+            if self._delivery is not None:
+                # The fetch taught the proxy the current version.
+                self._delivery.trackers[server_id].learn(page_id, version)
+            return DEGRADED | code if resolution[1] else code
         overload = self._overload
         if overload is not None and overload.bucket is not None and held is not None:
             # Origin admission refused the fetch (breaker open or
             # bucket drained): degraded mode serves whatever version
             # is cached rather than failing the request.
             overload.stale_serves += 1
-            self._note_degraded(now)
             if self._obs_on:
                 self.obs.overload_stale(now, page_id, server_id)
-            self._serve_cached(
-                proxy, server_id, page_id, held, size, match_count, now, 0.0
+            return DEGRADED | self._settle(
+                proxy, server_id, page_id, held, size, match_count, now, HIT_LATENCY
             )
-            return
         # Retries exhausted: the request fails; nothing was placed
         # (the bytes never arrived at the proxy).
-        self._settle_unserved(proxy, server_id, page_id, now, None)
+        return self._settle_unserved(server_id, page_id, now, None)
 
-    def _serve_cached(
-        self,
-        proxy: ProxyServer,
-        server_id: int,
-        page_id: int,
-        cached_version: int,
-        size: int,
-        match_count: int,
-        now: float,
-        waited: float,
-    ) -> None:
-        """Answer from the cache: the hit tail.
+    def _settle(self, proxy, server_id, page_id, version, size, match_count, now, latency) -> int:
+        """The policy answers the request for ``version``: the one tail
+        every served request ends in; returns the outcome's code.
 
-        The policy is asked for the version it *holds*, so it returns a
-        plain hit — also for a silently stale or overload-stale copy,
-        where from the proxy's point of view nothing is wrong; those
-        callers keep the oracle's books themselves.  The request is
-        counted here, by the outcome, as in :meth:`_settle_miss`.
+        Asked for the version it *holds*, the policy returns a plain
+        hit — also for a silently stale or overload-stale copy, where
+        from the proxy's point of view nothing is wrong; those callers
+        keep the oracle's books themselves.  Asked for the current
+        version after an off-proxy fetch, it returns a miss or stale.
         """
-        policy = proxy.policy
-        outcome = policy.on_request(page_id, cached_version, size, match_count, now)
-        stats = policy.stats
-        hour = int(now // 3600.0)
-        stats.requests += 1
-        stats.bucketed_requests[hour] = stats.bucketed_requests.get(hour, 0) + 1
-        if outcome.hit:
-            stats.hits += 1
-            stats.bytes_served_local += size
-            stats.bucketed_hits[hour] = stats.bucketed_hits.get(hour, 0) + 1
-        else:
-            stats.stale_hits += outcome.stale
-            stats.pages_fetched += 1
-            stats.bytes_fetched += size
+        code = proxy.policy.on_request(page_id, version, size, match_count, now).code
         if self._recovery is not None:
-            self._recovery.on_request(server_id, hit=True, now=now)
-        latency = HIT_LATENCY + waited
-        stats.response_time += latency
+            self._recovery.on_request(server_id, code == HIT, now)
+        self._latency.append(latency)
         if self._obs_on:
-            self.obs.request_outcome(now, page_id, server_id, "hit", latency)
-
-    def _settle_miss(
-        self,
-        proxy: ProxyServer,
-        server_id: int,
-        page_id: int,
-        version: int,
-        size: int,
-        match_count: int,
-        now: float,
-        latency: float,
-        degraded: bool,
-    ) -> None:
-        """The content arrived from off-proxy: the miss tail, which
-        counts the request by the outcome the policy returned."""
-        policy = proxy.policy
-        outcome = policy.on_request(page_id, version, size, match_count, now)
-        stats = policy.stats
-        hour = int(now // 3600.0)
-        stats.requests += 1
-        stats.bucketed_requests[hour] = stats.bucketed_requests.get(hour, 0) + 1
-        if outcome.hit:
-            stats.hits += 1
-            stats.bytes_served_local += size
-            stats.bucketed_hits[hour] = stats.bucketed_hits.get(hour, 0) + 1
-        else:
-            stats.stale_hits += outcome.stale
-            stats.pages_fetched += 1
-            stats.bytes_fetched += size
-        if self._delivery is not None:
-            # The fetch taught the proxy the current version.
-            self._delivery.trackers[server_id].learn(page_id, version)
-        if self._recovery is not None:
-            self._recovery.on_request(server_id, hit=False, now=now)
-        if degraded:
-            self._note_degraded(now)
-        stats.response_time += latency
-        if self._obs_on:
-            self.obs.request_outcome(
-                now, page_id, server_id, _outcome_kind(outcome), latency
-            )
+            self.obs.request_outcome(now, page_id, server_id, KINDS[code], latency)
+        return code
 
     def _settle_unserved(
-        self,
-        proxy: ProxyServer,
-        server_id: int,
-        page_id: int,
-        now: float,
-        resolution: Optional[Tuple[float, bool]],
-    ) -> None:
-        """Book a request no policy saw (proxy crashed, queue full, or
+        self, server_id: int, page_id: int, now: float, resolution: Optional[Tuple[float, bool]]
+    ) -> int:
+        """A request no policy saw (proxy crashed, queue full, or
         nothing obtainable): a degraded off-proxy miss, or failed."""
-        hour = int(now // 3600.0)
-        self._unserved_by_hour[hour] = self._unserved_by_hour.get(hour, 0) + 1
         if resolution is None:
-            self._failed_by_hour[hour] = self._failed_by_hour.get(hour, 0) + 1
+            self._latency.append(0.0)
             if self._obs_on:
                 self.obs.failed(now, page_id, server_id)
-            return
-        self._note_degraded(now)
+            return FAILED
         latency = HIT_LATENCY + resolution[0]
-        proxy.stats.response_time += latency
+        self._latency.append(latency)
         if self._obs_on:
             self.obs.request_outcome(now, page_id, server_id, "miss", latency)
+        return DEGRADED | UNSERVED
 
     # -- off-proxy resolution --------------------------------------------------
 
@@ -602,12 +554,6 @@ class Simulation:
                 degraded = True
         return latency, degraded
 
-    # -- availability accounting -------------------------------------------
-
-    def _note_degraded(self, now: float) -> None:
-        hour = int(now // 3600.0)
-        self._degraded_by_hour[hour] = self._degraded_by_hour.get(hour, 0) + 1
-
     def _maybe_check_invariants(self) -> None:
         """Count one handled event (a record or a notification arrival);
         callers guard on ``_check_interval``."""
@@ -618,15 +564,12 @@ class Simulation:
 
     # -- main entry ----------------------------------------------------------
 
-    def _replay(self, env: Environment) -> Optional[bytearray]:
+    def _replay(self, env: Environment) -> bytearray:
         """Drain :meth:`_records` through the one loop, calling the
-        policies directly or — with a layer armed or an observer — the
-        calls :meth:`_compose` builds, held only by these locals so no
-        reference cycle runs through the instance.
-
-        Returns the plain replay's outcome codes, one per request, for
-        :meth:`_count_requests`; ``None`` when the settling tails
-        counted every request themselves."""
+        policies directly (announced to an observer, if any) or — with a
+        layer armed — the calls :meth:`_compose` builds, held only by
+        these locals so no reference cycle runs through the instance.
+        Returns each request's outcome code, for :meth:`_count_requests`."""
         layers = {
             "chaos": self._recovery,
             "delivery": self._delivery,
@@ -640,16 +583,19 @@ class Simulation:
         else:
             logger.debug("replay: plain")
         stream = self._records(env)
-        composed = bool(armed) or self._obs_on
-        if composed:
+        if self._obs_on:
+            stream = self._observed_stream(stream)
+        if armed:
+            self._latency = array("d")
             on_publish, on_request = self._compose(env)
-            if self._obs_on:
-                stream = self._observed_stream(stream)
+        elif self._obs_on:
+            on_publish, on_request = zip(*(
+                _observed(proxy.policy, self.obs, proxy.server_id) for proxy in self.proxies
+            ))
         else:
             on_publish = [proxy.policy.on_publish for proxy in self.proxies]
             on_request = [proxy.policy.on_request for proxy in self.proxies]
-        outcomes = self._loop(stream, on_publish, on_request, settled=composed)
-        return None if composed else outcomes
+        return self._loop(stream, on_publish, on_request, settled=bool(armed))
 
     def _records(self, env: Environment):
         """The replay stream, merged with the agenda
@@ -696,11 +642,15 @@ class Simulation:
             factories.append(delivery_wrappers)
         layers = [factory(self, env) for factory in reversed(factories)]
         obs = self.obs if self._obs_on else None
+        always = self.config.pushing is PushingScheme.ALWAYS
         publish_calls, request_calls = [], []
         for proxy in self.proxies:
             server_id = proxy.server_id
+            offer = proxy.policy.on_publish
+            if obs is not None:
+                offer = _offered(offer, obs, server_id)
             calls = (
-                partial(Simulation._offer_push, self, proxy, server_id),
+                partial(Simulation._offer_push, self, offer, always and proxy.policy.uses_push),
                 partial(Simulation._serve, self, proxy, server_id),
             )
             for wrap in layers:
@@ -715,11 +665,12 @@ class Simulation:
     def _loop(self, stream, on_publish, on_request, settled: bool) -> bytearray:
         """One iteration per publish or request record, with publisher,
         push traffic and invariant bookkeeping inlined; returns each
-        request's outcome code, in request order, which is all a plain
-        replay keeps of a request.  With ``settled`` every call settles
-        its record and returns :data:`~repro.system.proxy.SETTLED`, and
-        no rejected push transfers, so the loop counts nothing for it
-        and its body has no branch for the case."""
+        request's outcome code, in request order, which is all the loop
+        keeps of a request.  With ``settled`` every publish call
+        accounts its own push transfer and returns
+        :data:`~repro.system.proxy.SETTLED`, and no rejected push
+        transfers, so the loop counts nothing for it and its body has no
+        branch for the case."""
         proxies = self.proxies
         publisher = self.publisher
 
@@ -851,19 +802,25 @@ class Simulation:
         for proxy in self.proxies:
             proxy.observe(obs, handler_time)
 
-    def _count_requests(self, outcomes: bytearray) -> None:
-        """Count a plain replay's requests from its outcome codes, which
-        follow the workload's request rows one for one: each proxy's
-        request counters, hourly buckets and ``response_time``, and the
-        publisher's hourly fetch pages and bytes.
+    def _count_requests(self, outcomes: bytearray) -> List[Dict[int, int]]:
+        """Count every request from its outcome code, which follows the
+        workload's request rows one for one: each proxy's request
+        counters, hourly buckets and ``response_time``, and, in a plain
+        run, where every miss is an origin fetch, the publisher's hourly
+        fetch pages and bytes (a composed run books those where the
+        origin serves them: a peer may serve a miss, and an unserved
+        request may reach the origin).  Returns ``{hour: count}`` of
+        every request, of hits, and of failed and degraded requests.
 
-        The rows are read :data:`COUNT_ROWS` at a time, so a spool stays
-        chunk-bounded, and counted into preallocated integer arrays; the
-        dicts are built once at the end, keys ascending.  ``np.add.at``
-        adds in index order, unbuffered, so each proxy's
-        ``response_time`` is the same left-to-right sum the tails make
-        (``np.sum`` or ``bincount`` weights would sum pairwise or
-        reorder, and not be bit-identical).
+        A request's latency is what a composed run recorded for it
+        (``_latency``), or in a plain run a function of its proxy and
+        code.  The rows are read :data:`COUNT_ROWS` at a time, so a
+        spool stays chunk-bounded, and counted into preallocated integer
+        arrays; the dicts are built once at the end, keys ascending.
+        ``np.add.at`` adds in index order, unbuffered, so each proxy's
+        ``response_time`` is the left-to-right sum of its requests'
+        latencies (``np.sum`` or ``bincount`` weights would sum pairwise
+        or reorder, and not be bit-identical).
         """
         requests = self.workload.requests
         if len(outcomes) != len(requests):
@@ -874,58 +831,69 @@ class Simulation:
         proxies = self.proxies
         count = len(proxies)
         codes = np.frombuffer(outcomes, dtype=np.uint8)
+        recorded = self._latency
+        if recorded is None:
+            # Latency by (proxy, code): a miss and a stale copy both fetch.
+            latency = np.array([
+                (HIT_LATENCY + miss, HIT_LATENCY, HIT_LATENCY + miss)
+                for miss in (PER_HOP_LATENCY * proxy.policy.cost for proxy in proxies)
+            ]).reshape(count, 3)
+        else:
+            recorded = np.frombuffer(recorded)
         page_sizes = self.publisher._sizes
         sizes = np.zeros(max(page_sizes, default=-1) + 1, dtype=np.int64)
         sizes[list(page_sizes)] = list(page_sizes.values())
-        # Latency by (proxy, code): a miss and a stale copy both fetch.
-        latency = np.array([
-            (HIT_LATENCY + miss, HIT_LATENCY, HIT_LATENCY + miss)
-            for miss in (PER_HOP_LATENCY * proxy.policy.cost for proxy in proxies)
-        ]).reshape(count, 3)
-        # Rows are time-sorted, so the last one names the last hour; no
-        # horizon is assumed (a row past it counts too).
+        # Rows are time-sorted (``Workload.check_ids``), so the last one
+        # names the last hour; no horizon is assumed (a row past it
+        # counts too).
         width = int(requests.rows["time"][-1] // 3600.0) + 1 if len(requests) else 0
-        # Requests and their bytes per (hour, proxy, outcome code): hour
-        # major, so a window's rows land in one slice of hours.
-        tally = np.zeros(width * count * 3, dtype=np.int64)
-        volume = np.zeros(width * count * 3, dtype=np.int64)
+        # Requests a policy served per (hour, proxy, code); every request
+        # per (hour, code with its DEGRADED flag); served bytes per
+        # (proxy, code) and per (hour, code).
+        tally = np.zeros((width, count, 3), dtype=np.int64)
+        flagged = np.zeros((width, 2 * DEGRADED), dtype=np.int64)
+        volume = np.zeros((count, 3), dtype=np.int64)
+        hourly_volume = np.zeros((width, 3), dtype=np.int64)
         response = np.zeros(count)
         done = 0
-        last = 0.0
         for chunk in requests.chunks():
             for start in range(0, len(chunk), COUNT_ROWS):
                 window = chunk[start : start + COUNT_ROWS]
-                times = window["time"]
-                if times[0] < last or (times[1:] < times[:-1]).any():
-                    raise RuntimeError("request rows are not in time order")
-                last = times[-1]
-                code = codes[done : done + len(window)]
+                rows = slice(done, done + len(window))
                 done += len(window)
+                times = window["time"]
+                code = codes[rows]
                 servers = window["server_id"].astype(np.intp)
+                pages = window["page_id"]
                 # int(t // 3600.0) at a fifth of the cost: the one way a
                 # rounded quotient can err is up onto an hour not reached.
                 hours = (times / 3600.0).astype(np.intp)
                 hours -= hours * 3600.0 > times
-                first = hours[0] * count * 3
-                span = (hours[-1] + 1) * count * 3 - first
-                keys = (hours * count + servers) * 3 + code - first
-                tally[first : first + span] += np.bincount(keys, minlength=span)
-                # Exact: one window's sizes sum far below 2**53.
-                weights = sizes[window["page_id"]]
-                volume[first : first + span] += np.bincount(keys, weights, span).astype(np.int64)
-                np.add.at(response, servers, latency[servers, code])
-        tally = tally.reshape(width, count, 3)
-        volume = volume.reshape(width, count, 3)
+                first = hours[0]
+                span = hours[-1] + 1 - first
+                hours -= first
+                here = slice(first, first + span)
+                if recorded is None:
+                    np.add.at(response, servers, latency[servers, code])
+                else:
+                    np.add.at(response, servers, recorded[rows])
+                    flagged[here] += _binned(hours * 2 * DEGRADED + code, (span, 2 * DEGRADED))
+                    code = code % DEGRADED
+                    served = code < UNSERVED
+                    hours, servers = hours[served], servers[served]
+                    code, pages = code[served], pages[served]
+                tally[here] += _binned((hours * count + servers) * 3 + code, (span, count, 3))
+                weights = sizes[pages]
+                volume += _binned(servers * 3 + code, (count, 3), weights)
+                hourly_volume[here] += _binned(hours * 3 + code, (span, 3), weights)
         served = tally.sum(axis=2).T
         hits = tally[:, :, HIT].T
-        fetched = (volume.sum(axis=2) - volume[:, :, HIT]).T
         stale = tally[:, :, STALE].sum(axis=0)
-        local = volume[:, :, HIT].sum(axis=0)
         for proxy, requests_by_hour, hits_by_hour, requested, hit_count, \
                 stale_count, local_bytes, fetched_bytes, seconds in zip(
             proxies, _by_hour(served), _by_hour(hits), served.sum(axis=1).tolist(),
-            hits.sum(axis=1).tolist(), stale.tolist(), local.tolist(),
-            fetched.sum(axis=1).tolist(), response.tolist(),
+            hits.sum(axis=1).tolist(), stale.tolist(), volume[:, HIT].tolist(),
+            (volume.sum(axis=1) - volume[:, HIT]).tolist(), response.tolist(),
         ):
             stats = proxy.stats
             stats.requests += requested
@@ -937,38 +905,29 @@ class Simulation:
             stats.response_time += seconds
             stats.bucketed_requests = requests_by_hour
             stats.bucketed_hits = hits_by_hour
-        pages = (served - hits).sum(axis=0)
-        hours = np.flatnonzero(pages)
-        publisher = self.publisher
-        publisher.fetch_pages_by_hour = dict(zip(hours.tolist(), pages[hours].tolist()))
-        publisher.fetch_bytes_by_hour = dict(
-            zip(hours.tolist(), fetched.sum(axis=0)[hours].tolist())
-        )
+        if recorded is None:
+            pages = (served - hits).sum(axis=0)
+            hours = np.flatnonzero(pages).tolist()
+            fetched = hourly_volume.sum(axis=1) - hourly_volume[:, HIT]
+            self.publisher.fetch_pages_by_hour = dict(zip(hours, pages[hours].tolist()))
+            self.publisher.fetch_bytes_by_hour = dict(zip(hours, fetched[hours].tolist()))
+        unflagged = flagged[:, :DEGRADED] + flagged[:, DEGRADED:]
+        return _by_hour(np.stack([
+            served.sum(axis=0) + unflagged[:, UNSERVED:].sum(axis=1),
+            hits.sum(axis=0),
+            unflagged[:, FAILED],
+            flagged[:, DEGRADED:].sum(axis=1),
+        ]))
 
-    def _collect(self, started: float, outcomes: Optional[bytearray]) -> SimulationResult:
-        if outcomes is not None:
+    def _collect(self, started: float, outcomes: bytearray) -> SimulationResult:
+        requests_by_hour, hits_by_hour, failed_by_hour, degraded_by_hour = (
             self._count_requests(outcomes)
+        )
         wall_seconds = time.perf_counter() - started
-        hour_count = int(self.workload.config.horizon // 3600.0) + 1
-        last_hour = hour_count - 1
-        hourly_requests = [0] * hour_count
-        hourly_hits = [0] * hour_count
         # Hours at or beyond the horizon boundary (events stamped at
         # exactly ``hour_count`` hours) clamp into the final bucket so
         # no event is dropped; see ``metrics.dense_clamped``.
-        for proxy in self.proxies:
-            stats = proxy.stats
-            for hour, count in stats.bucketed_requests.items():
-                hourly_requests[min(hour, last_hour)] += count
-            for hour, count in stats.bucketed_hits.items():
-                hourly_hits[min(hour, last_hour)] += count
-        for hour, count in self._unserved_by_hour.items():
-            hourly_requests[min(hour, last_hour)] += count
-
-        total_requests = sum(proxy.stats.requests for proxy in self.proxies)
-        total_requests += sum(self._unserved_by_hour.values())
-        total_hits = sum(proxy.stats.hits for proxy in self.proxies)
-        total_stale = sum(proxy.stats.stale_hits for proxy in self.proxies)
+        hour_count = int(self.workload.config.horizon // 3600.0) + 1
 
         result = SimulationResult(
             strategy=self.config.strategy,
@@ -976,16 +935,16 @@ class Simulation:
             capacity_fraction=self.config.capacity_fraction,
             subscription_quality=self.config.subscription_quality,
             pushing_scheme=self.config.pushing.value,
-            requests=total_requests,
-            hits=total_hits,
-            stale_hits=total_stale,
+            requests=sum(requests_by_hour.values()),
+            hits=sum(hits_by_hour.values()),
+            stale_hits=sum(proxy.stats.stale_hits for proxy in self.proxies),
             push_transfers=self.publisher.total_push_pages,
             push_bytes=self.publisher.total_push_bytes,
             fetch_pages=self.publisher.total_fetch_pages,
             fetch_bytes=self.publisher.total_fetch_bytes,
             hour_count=hour_count,
-            hourly_requests=hourly_requests,
-            hourly_hits=hourly_hits,
+            hourly_requests=dense_counts(requests_by_hour, hour_count),
+            hourly_hits=dense_counts(hits_by_hour, hour_count),
             hourly_push_pages=dense_counts(self.publisher.push_pages_by_hour, hour_count),
             hourly_fetch_pages=dense_counts(self.publisher.fetch_pages_by_hour, hour_count),
             hourly_push_bytes=dense_counts(self.publisher.push_bytes_by_hour, hour_count),
@@ -1002,10 +961,10 @@ class Simulation:
         if self._recovery is not None or self._overload is not None:
             # Both layers route refused/unservable requests through the
             # shared failed/degraded books.
-            result.failed_requests = sum(self._failed_by_hour.values())
-            result.degraded_requests = sum(self._degraded_by_hour.values())
-            result.hourly_failed = dense_counts(self._failed_by_hour, hour_count)
-            result.hourly_degraded = dense_counts(self._degraded_by_hour, hour_count)
+            result.failed_requests = sum(failed_by_hour.values())
+            result.degraded_requests = sum(degraded_by_hour.values())
+            result.hourly_failed = dense_counts(failed_by_hour, hour_count)
+            result.hourly_degraded = dense_counts(degraded_by_hour, hour_count)
         # Each layer writes the block it counted.
         horizon = self.workload.config.horizon
         if self._recovery is not None:
@@ -1021,6 +980,12 @@ class Simulation:
         if self._obs_on:
             logger.debug("run done: %s", result.summary())
         return result
+
+
+def _binned(keys: np.ndarray, shape: Tuple[int, ...], weights=None) -> np.ndarray:
+    """``np.bincount`` of flat ``keys`` as an int64 array of ``shape``;
+    exact while a weight sum stays below 2**53 (one window's sizes)."""
+    return np.bincount(keys, weights, math.prod(shape)).astype(np.int64, copy=False).reshape(shape)
 
 
 def _by_hour(counts: np.ndarray) -> List[Dict[int, int]]:

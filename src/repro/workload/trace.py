@@ -277,13 +277,14 @@ class Workload:
         """``ValueError`` naming the first publish, request or lifecycle
         event whose time is not a finite instant ``>= 0``, whose page is
         not in the page table or whose proxy is outside ``[0,
-        server_count)``.
+        server_count)``, or that is earlier than the row before it.
 
         Replay indexes lists and lookup arrays with these ids, and a
-        negative index would silently answer for another page; policies
-        floor times into hour buckets, where NaN dies naming nothing.  A
-        generated trace passes by construction, on one pass per column;
-        a hand-built or stored one may not.
+        negative index would silently answer for another page; a spool
+        replays each table in row order, and the request count floors
+        times into hours, where NaN dies naming nothing.  A generated
+        trace passes by construction, on one pass per column; a
+        hand-built or stored one may not.
         """
         for kind, table in (
             ("publish", self.publishes),
@@ -297,6 +298,13 @@ class Workload:
                     raise ValueError(
                         f"{kind} at t={times[bad.argmax()]} names no instant: "
                         f"times must be finite and >= 0"
+                    )
+                back = np.diff(times) < 0.0
+                if back.any():
+                    row = back.argmax() + 1
+                    raise ValueError(
+                        f"{kind} at t={times[row]} is earlier than the row before it "
+                        f"(t={times[row - 1]}): {kind} rows must be in time order"
                     )
         pages = np.array([page.page_id for page in self.pages], dtype=np.int64)
         if (pages < 0).any():

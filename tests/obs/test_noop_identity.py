@@ -14,6 +14,7 @@ import cProfile
 import dataclasses
 import io
 import logging
+import os
 import pstats
 
 import pytest
@@ -124,6 +125,21 @@ def test_fused_heap_paths_stay_visible_and_identical(workload, strategy, tmp_pat
         for (_file, _line, name), (_, count, *_rest) in pstats.Stats(profiler).stats.items()
     }
     assert calls["pop_cheaper"] > 0
+
+
+def test_observed_plain_run_takes_the_plain_path(workload, tmp_path):
+    """An observer is not a layer: an observed vanilla run calls the
+    policies through the observer's own wrappers, never the composed
+    calls and settling tails the layers end in."""
+    profiler = cProfile.Profile()
+    profiler.runcall(_run, workload, _full_observer(tmp_path))
+    called = {
+        name
+        for filename, _line, name in pstats.Stats(profiler).stats
+        if filename.endswith(os.path.join("system", "simulator.py"))
+    }
+    assert {"_loop", "_count_requests"} <= called
+    assert called.isdisjoint({"_compose", "_serve", "_offer_push", "_settle", "_settle_unserved"})
 
 
 def test_full_observer_is_bit_identical_under_chaos(workload, caplog, tmp_path):

@@ -1,4 +1,4 @@
-"""A plain replay's request count held to a per-event Python recount.
+"""The request count held to a per-event Python recount.
 
 The simulator records one outcome code per request and counts requests,
 hits, bytes, the hourly series and latency afterwards, in numpy
@@ -6,7 +6,9 @@ hits, bytes, the hourly series and latency afterwards, in numpy
 request's outcome and the test counts it again, one event at a time,
 with sequential ``+=`` for latency: every per-proxy counter, both hourly
 dicts (keys ascending), the result's hourly series and ``response_time``
-must agree exactly, from memory and from a spool read two rows a chunk.
+must agree exactly, from memory and from a spool read two rows a chunk
+— for a plain run, an observed one, and each layer at the limit where it
+changes nothing (``test_metamorphic.VANILLA_LIMITS``).
 """
 
 import dataclasses
@@ -14,6 +16,7 @@ import os
 
 import pytest
 
+from repro.obs import EventTracer, MetricsRegistry, Observer, TimeSeriesCollector
 from repro.pubsub.matching import TraceMatchCounts
 from repro.system.config import HIT_LATENCY, PER_HOP_LATENCY, SimulationConfig
 from repro.system.simulator import Simulation
@@ -21,7 +24,7 @@ from repro.workload import streaming
 from repro.workload.config import WorkloadConfig
 from repro.workload.trace import EventTable, PageSpec, PublishRecord, RequestRecord, Workload
 from tests.oracle import paper_sim
-from tests.oracle.test_metamorphic import costs_of
+from tests.oracle.test_metamorphic import VANILLA_LIMITS, costs_of
 
 HOUR = 3600.0
 HOURS = 3  # the horizon; hour_count is 4, and hour 4 starts at 4 * HOUR
@@ -128,17 +131,21 @@ def clamped(by_hour, hour_count):
     return series
 
 
-@pytest.mark.parametrize("spill", [False, True], ids=["memory", "spool"])
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_plain_count_equals_a_per_event_recount(strategy, spill):
+def assert_counts_as_the_recount(strategy, spill, transform=None, observer=None, **layers):
+    """Replay the hand-built trace (through ``transform``, with
+    ``observer`` and ``layers`` armed) and hold its count to
+    :func:`recount`."""
     workload = hand_built()
-    config = SimulationConfig(strategy, capacity_fraction=0.6)
+    config = SimulationConfig(strategy, capacity_fraction=0.6, **layers)
     capacities = workload.capacities(config.capacity_fraction)
     counted, fetch_pages, fetch_bytes = recount(strategy, capacities)
+    if transform is not None:
+        workload = transform(workload)
     if spill:
         workload = spooled(workload)
     simulation = Simulation(
-        workload, config, match_table=TraceMatchCounts(MATCHES), topology=costs_of(COSTS)
+        workload, config, match_table=TraceMatchCounts(MATCHES), topology=costs_of(COSTS),
+        observer=observer,
     )
     result = simulation.run()
 
@@ -172,6 +179,35 @@ def test_plain_count_equals_a_per_event_recount(strategy, spill):
     assert sum(books["stale_hits"] for books in counted) > 0
     assert sum(books["pages_fetched"] - books["stale_hits"] for books in counted) > 0
     assert max(requests_by_hour) == 5 and 4 in requests_by_hour
+    assert (result.failed_requests, result.degraded_requests) == (0, 0)
+
+
+@pytest.mark.parametrize("spill", [False, True], ids=["memory", "spool"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_plain_count_equals_a_per_event_recount(strategy, spill):
+    assert_counts_as_the_recount(strategy, spill)
+
+
+@pytest.mark.parametrize("spill", [False, True], ids=["memory", "spool"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_observed_count_equals_a_per_event_recount(strategy, spill, tmp_path):
+    observer = Observer(
+        registry=MetricsRegistry(),
+        tracer=EventTracer(str(tmp_path / "trace.jsonl")),
+        timeseries=TimeSeriesCollector(HOUR, str(tmp_path / "series.jsonl")),
+    )
+    try:
+        assert_counts_as_the_recount(strategy, spill, observer=observer)
+    finally:
+        observer.close()
+
+
+@pytest.mark.parametrize("spill", [False, True], ids=["memory", "spool"])
+@pytest.mark.parametrize("limit", sorted(VANILLA_LIMITS))
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_layer_at_its_limit_counts_as_the_recount(strategy, limit, spill):
+    transform, layers = VANILLA_LIMITS[limit]
+    assert_counts_as_the_recount(strategy, spill, transform, **layers)
 
 
 def test_count_refuses_outcomes_that_do_not_match_the_rows():

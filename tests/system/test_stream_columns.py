@@ -35,6 +35,7 @@ from repro.workload.trace import (
     _merged_lazily,
     generate_workload,
 )
+from tests.oracle.test_request_count import spooled
 from tests.system.test_result_digest import digest
 
 CONFIG = SimulationConfig(strategy="sg2", capacity_fraction=0.5)
@@ -323,6 +324,42 @@ def test_a_stored_trace_holding_nan_is_refused_before_replay():
     workload = Workload.from_bytes(tiny(PUBLISHES, requests).to_bytes())
     with pytest.raises(ValueError, match="request at t=nan names no instant"):
         Simulation(workload, CONFIG, match_table=TraceMatchCounts(MATCHES))
+
+
+BACKWARDS = {
+    "request": (
+        [PublishRecord(time=0.0, page_id=0, version=0)],
+        [RequestRecord(time=50.0, server_id=0, page_id=0),
+         RequestRecord(time=10.0, server_id=0, page_id=0)],
+    ),
+    "publish": (
+        [PublishRecord(time=50.0, page_id=0, version=0),
+         PublishRecord(time=10.0, page_id=1, version=0)],
+        [RequestRecord(time=60.0, server_id=0, page_id=0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("spill", [False, True], ids=["memory", "spool"])
+@pytest.mark.parametrize("kind", sorted(BACKWARDS))
+def test_rows_out_of_time_order_are_one_value_error(kind, spill):
+    """A spool replays each table in row order and the request count
+    reads the rows in time order, so a row earlier than the one before
+    it fails before any replay, from memory as from a spool."""
+    publishes, requests = BACKWARDS[kind]
+    pages = len(publishes)  # one page a publish: the request case has one
+    config = WorkloadConfig(
+        horizon=100.0, distinct_pages=pages, modified_pages=0, total_requests=2, server_count=1
+    )
+    workload = Workload(
+        config=config, pages=[page(i, 1000) for i in range(pages)], publishes=publishes,
+        requests=requests, label="backwards",
+    )
+    if spill:
+        workload = spooled(workload)
+    message = rf"{kind} at t=10\.0 is earlier than the row before it \(t=50\.0\)"
+    with pytest.raises(ValueError, match=message):
+        Simulation(workload, CONFIG, match_table=TraceMatchCounts({0: {0: 1}}))
 
 
 BAD_IDS = {
