@@ -34,10 +34,9 @@ class CacheStats:
     bytes_pushed: int = 0
     evictions: int = 0
     bytes_evicted: int = 0
-    #: Summed response latency of this proxy's requests (seconds).  The
-    #: simulator totals it over proxies in server order at collection,
-    #: so a sharded run (repro.system.sharding) reproduces the global
-    #: total bit-for-bit despite float addition being non-associative.
+    #: Summed response latency of this proxy's requests (seconds), added
+    #: in request order by the one count, also of a sharded run, so the
+    #: float sum is the same however many processes replayed.
     response_time: float = 0.0
     #: Optional per-bucket (e.g. hourly) request/hit counters.
     bucketed_requests: Dict[int, int] = field(default_factory=dict)

@@ -257,15 +257,12 @@ def _replay(
         _cell_processes(workload, config, observer) if alone else (1, "a grid fills the cores")
     )
     if reason is None:
-        from repro.system.sharding import run_sharded
-
         logger.debug("cell: replaying across %d processes", processes)
-        result = run_sharded(workload, config, processes, match_table, topology)
     else:
         logger.debug("cell: replaying in one process (%s)", reason)
-        result = Simulation(
-            workload, config, match_table, topology, observer=observer
-        ).run()
+    result = Simulation(
+        workload, config, match_table, topology, observer=observer, processes=processes
+    ).run()
     logger.debug("cell done: %s", result.summary())
     return result
 

@@ -1,52 +1,49 @@
-"""Sharded simulation: the proxy fleet partitioned across processes.
+"""Sharded replay: the proxy fleet partitioned across processes.
 
 In the fault-free simulation the proxies are *independent given the
 trace*: a proxy's cache evolves only from the publish notifications
 matched to it and the requests arriving at it, and the publisher's
-version counter is a pure function of the publish stream.  So the run
-parallelises by partitioning the proxies: every worker process replays
-the **full publish stream** (keeping the publisher's version state
-bit-identical everywhere) against a *shard-filtered match table* — so
-notifications only reach, and push traffic is only accounted for, the
-worker's own proxies — plus **only its shard's requests**.  Each worker
-runs the ordinary replay driver locally; the parent then
-merges the per-shard :class:`~repro.system.metrics.SimulationResult`
-partials with a pure reduction:
+version counter is a pure function of the publish stream.  So
+``Simulation(..., processes=P).run()`` parallelises by partitioning the
+proxies (:func:`plan_shards`): every process replays the **full publish
+stream** (keeping the publisher's version state bit-identical
+everywhere) against a *shard-filtered match table* — so notifications
+only reach, and push traffic is only booked for, its own proxies — plus
+**only its shard's requests**, through the one replay loop.
 
-* additive scalars (requests, hits, push/fetch pages and bytes,
-  response time) and hourly series sum element-wise;
-* ``per_proxy`` stats are taken from each proxy's owning shard;
-* metadata fields are asserted identical across shards;
-* ``wall_seconds`` is the parent's wall clock.
-
-Because each proxy sees exactly the event subsequence it would see in
-one process — same order, same values — the merged result is
-bit-identical to the one-process replay in every field except
-``wall_seconds``/``profile`` (enforced by
-``tests/system/test_sharding.py`` across strategies and pushing
-schemes).
+A shard counts nothing.  It returns its outcome codes (one byte per
+request of its shard, in row order), the ``CacheStats`` of the proxies
+it owns (push and eviction counters) and the publisher's hourly push
+books.  The parent scatters the codes into request-row order, adopts
+each proxy's stats from its owner shard, adds the other shards' push
+books to its own, and counts every request once, with the
+``Simulation._count_requests`` a one-process run uses.  Each proxy sees
+exactly the event subsequence it would see in one process — same order,
+same values — and the count reads the same codes in the same row order,
+so the result is bit-identical to the one-process replay in every field
+except ``wall_seconds``/``profile`` (``tests/system/test_sharding.py``).
 
 **Decline rules** (fall back rather than be subtly wrong):
 :func:`shard_eligibility` names the configurations with cross-shard
 state — fault schedules, the overload layer's shared origin admission
 and retry budget, subscription churn, observers — and
 :func:`fork_declined` the processes that cannot fork; ``run_cell``
-(:mod:`repro.experiments.runner`), the one caller of
-:func:`run_sharded`, replays those in one process, and so a cell too
-small to earn a second process.  Cooperation, whose peer lookups read
-other proxies' caches, is not sharded: ``run_sharded`` builds the
-paper's independent proxies.
+(:mod:`repro.experiments.runner`) replays those in one process, and so a
+cell too small to earn a second process.  ``Simulation`` refuses
+``processes > 1`` for any of them, and for cooperation, whose peer
+lookups read other proxies' caches, with a ``ValueError`` before any
+fork.
 
 This process replays shard 0 and a forked worker each other shard
-(:func:`fork_map`, which ``run_grid`` shares), so the trace, match
-table and topology are inherited copy-on-write — nothing is pickled in,
-only the partial results come back, each up its own pipe, so a worker
-that dies is named.  Each process cuts its own shard with
-:meth:`Workload.for_servers <repro.workload.trace.Workload.for_servers>`;
-over a spilled trace (:mod:`repro.workload.streaming`) the publishes
-stay memory-mapped and shared, but the shard's request rows are a copy
-in its process's memory (16 bytes per event); each shard process costs
-about 45-50 MiB of summed PSS (CHANGES.md, PR 34).
+(:func:`fork_map`, which ``run_grid`` shares), so the ``Simulation``,
+trace, match table and topology are inherited copy-on-write, before any
+replay — nothing is pickled in, only codes and counters come back, each
+up its own pipe, so a worker that dies is named.  Each process cuts its
+own shard with :meth:`Workload.for_servers
+<repro.workload.trace.Workload.for_servers>`; over a spilled trace
+(:mod:`repro.workload.streaming`) the publishes stay memory-mapped and
+shared, but the shard's request rows are a copy in its process's memory
+(16 bytes per event).
 """
 
 from __future__ import annotations
@@ -55,56 +52,32 @@ import itertools
 import multiprocessing
 import queue
 import threading
-import time
 import traceback
-from dataclasses import replace
 from multiprocessing.connection import wait
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import (
+    TYPE_CHECKING, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, TypeVar,
+)
 
-from repro.network.topology import Topology
+import numpy as np
+
+from repro.cache.stats import CacheStats
 from repro.obs.log import get_logger
 from repro.obs.profile import Profile, forked_share, send_home
 from repro.obs.recorder import Observer
 from repro.pubsub.matching import TraceMatchCounts
 from repro.system.config import SimulationConfig
-from repro.system.metrics import SimulationResult
-from repro.system.simulator import Simulation, cell_inputs
+
+if TYPE_CHECKING:
+    from repro.system.simulator import Simulation
 
 logger = get_logger(__name__)
 
 T = TypeVar("T")
 
-
-#: SimulationResult fields summed across shards.
-_SUM_FIELDS = (
-    "requests",
-    "hits",
-    "stale_hits",
-    "push_transfers",
-    "push_bytes",
-    "fetch_pages",
-    "fetch_bytes",
-)
-
-#: Hourly series summed element-wise across shards.
-_SUM_SERIES = (
-    "hourly_requests",
-    "hourly_hits",
-    "hourly_push_pages",
-    "hourly_fetch_pages",
-    "hourly_push_bytes",
-    "hourly_fetch_bytes",
-)
-
-#: Metadata fields that must agree across shards.
-_EQUAL_FIELDS = (
-    "strategy",
-    "trace_label",
-    "capacity_fraction",
-    "subscription_quality",
-    "pushing_scheme",
-    "hour_count",
-)
+#: What a shard sends home: its outcome codes in its request-row order,
+#: the stats of the proxies it owns (in server order), and its hourly
+#: push pages and bytes.
+ShardReply = Tuple[bytearray, List[CacheStats], Dict[int, int], Dict[int, int]]
 
 
 # -- eligibility and planning ------------------------------------------------
@@ -191,20 +164,38 @@ class ShardMatchTable:
 
 # -- the fork runner ---------------------------------------------------------
 
-#: Worker inputs, installed before the fork so nothing is pickled in.
+#: ``(simulation, shards)``, installed before the fork so nothing is
+#: pickled in: every worker inherits the simulation before any replay.
 _WORKER_CONTEXT: Optional[tuple] = None
 
 
-def _replay_shard(index: int) -> SimulationResult:
-    workload, config, match_table, topology, shards = _WORKER_CONTEXT
+def _replay_shard(index: int) -> ShardReply:
+    """Replay shard ``index`` on the inherited simulation's own proxies:
+    the full publish stream under the shard's match table, and the
+    shard's requests, through the plain loop."""
+    simulation, shards = _WORKER_CONTEXT
     shard = frozenset(shards[index])
-    return Simulation(
-        workload.for_servers(shard), config, ShardMatchTable(match_table, shard), topology
-    ).run()
+    stream = simulation.workload.for_servers(shard).replay_stream(
+        ShardMatchTable(simulation.match_table, shard)
+    )
+    proxies = simulation.proxies
+    codes = simulation._loop(
+        stream,
+        [proxy.policy.on_publish for proxy in proxies],
+        [proxy.policy.on_request for proxy in proxies],
+        settled=False,
+    )
+    publisher = simulation.publisher
+    return (
+        codes,
+        [proxies[server_id].stats for server_id in shards[index]],
+        publisher.push_pages_by_hour,
+        publisher.push_bytes_by_hour,
+    )
 
 
-def _run_shard(index: int) -> Tuple[SimulationResult, Optional[Profile]]:
-    """A shard's result, and a forked worker's profile fold when the
+def _run_shard(index: int) -> Tuple[ShardReply, Optional[Profile]]:
+    """A shard's reply, and a forked worker's profile fold when the
     parent profiles (:func:`repro.obs.profile.forked_share`)."""
     return forked_share(_replay_shard, index)
 
@@ -354,101 +345,74 @@ def fork_map(
             connection.close()
 
 
-def merge_shard_results(
-    partials: Sequence[SimulationResult],
-    shards: Sequence[Sequence[int]],
-    server_count: int,
-    wall_seconds: float,
-) -> SimulationResult:
-    """Reduce per-shard partial results into one fleet-wide result."""
-    if not partials:
-        raise ValueError("nothing to merge: no shard results")
-    first = partials[0]
-    for other in partials[1:]:
-        for name in _EQUAL_FIELDS:
-            if getattr(other, name) != getattr(first, name):
-                raise ValueError(
-                    f"shard results disagree on {name}: "
-                    f"{getattr(other, name)!r} != {getattr(first, name)!r}"
-                )
+def replay_sharded(simulation: Simulation, processes: int) -> bytearray:
+    """Replay a shard-safe ``simulation`` (checked when it was built)
+    across ``processes`` processes, this one included, and return every
+    request's outcome code in request-row order, for its
+    ``_count_requests``.
 
-    owner: Dict[int, int] = {}
-    for shard_index, shard in enumerate(shards):
-        for server_id in shard:
-            owner[server_id] = shard_index
-
-    merged = replace(first)
-    for name in _SUM_FIELDS:
-        setattr(merged, name, sum(getattr(p, name) for p in partials))
-    for name in _SUM_SERIES:
-        series = [list(getattr(p, name)) for p in partials]
-        setattr(
-            merged,
-            name,
-            [sum(values) for values in zip(*series)] if series[0] else [],
-        )
-    merged.per_proxy = [
-        partials[owner[server_id]].per_proxy[server_id]
-        for server_id in range(server_count)
-    ]
-    # The same server-order sum Simulation._collect evaluates, over the
-    # same per-proxy floats — bit-identical to the one-process total.
-    merged.total_response_time = sum(
-        stats.response_time for stats in merged.per_proxy
-    )
-    merged.wall_seconds = wall_seconds
-    merged.profile = None
-    return merged
-
-
-def run_sharded(
-    workload,
-    config: SimulationConfig,
-    processes: int,
-    match_table: Optional[TraceMatchCounts] = None,
-    topology: Optional[Topology] = None,
-) -> SimulationResult:
-    """Run one shard-safe cell (:func:`shard_eligibility`) across
-    ``processes`` shard processes, this one included.
-
-    One shard (``processes`` 1, or one proxy) replays here.  A worker
-    that dies without a result raises ``ChildProcessError`` naming its
-    shard; the others are stopped.
+    This process replays shard 0 on ``simulation`` itself; each worker's
+    proxy stats and push books are then adopted into it.  A worker that
+    dies without a reply raises ``ChildProcessError`` naming its shard;
+    the others are stopped.
     """
-    started = time.perf_counter()
-    # Build the shared inputs once; workers inherit them through the fork.
-    match_table, topology = cell_inputs(
-        workload, config.seed, config.subscription_quality, config.notified_fraction,
-        match_table, topology,
-    )
-    shards = plan_shards(workload, processes)
-    if len(shards) <= 1:
-        return Simulation(workload, config, match_table, topology).run()
-
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = (workload, config, match_table, topology, shards)
+    shards = plan_shards(simulation.workload, processes)
     count = len(shards)
-    partials: Dict[int, SimulationResult] = {}
+    global _WORKER_CONTEXT
+    _WORKER_CONTEXT = (simulation, shards)
+    replies: Dict[int, ShardReply] = {}
     folds = []
     try:
-        for index, (partial, fold) in fork_map(
+        for index, (reply, fold) in fork_map(
             _run_shard, count, count, lambda index: f"shard {index} of {count} died"
         ):
-            partials[index] = partial
+            replies[index] = reply
             if fold is not None:
                 folds.append(fold)
     finally:
         _WORKER_CONTEXT = None
     send_home(folds)
-
     logger.info(
-        "merged %d shards (%s)",
-        count,
-        "/".join(str(len(shard)) for shard in shards),
+        "replayed %d shards (%s)", count, "/".join(str(len(shard)) for shard in shards)
     )
-    return merge_shard_results(
-        [partials[index] for index in range(count)],
-        shards,
-        workload.config.server_count,
-        time.perf_counter() - started,
+
+    publisher = simulation.publisher
+    for index in range(1, count):  # shard 0's books are already here
+        _codes, stats, push_pages, push_bytes = replies[index]
+        for server_id, owned in zip(shards[index], stats):
+            simulation.proxies[server_id].policy.stats = owned
+        for books, theirs in (
+            (publisher.push_pages_by_hour, push_pages),
+            (publisher.push_bytes_by_hour, push_bytes),
+        ):
+            for hour, value in theirs.items():
+                books[hour] = books.get(hour, 0) + value
+    return _scattered(
+        simulation.workload, shards, [replies[index][0] for index in range(count)]
     )
+
+
+def _scattered(workload, shards: Sequence[Sequence[int]], codes: List[bytearray]) -> bytearray:
+    """The shards' ``codes`` in the workload's request-row order: a
+    shard's rows keep the table's order, so its codes fill the rows its
+    servers own, in turn.  Reads the server column a chunk at a time
+    (a spool stays chunk-bounded) and maps each row to its shard through
+    a table indexed by server."""
+    owner = np.empty(workload.config.server_count, dtype=np.intp)
+    for index, shard in enumerate(shards):
+        owner[list(shard)] = index
+    outcomes = bytearray(workload.request_count)
+    merged = np.frombuffer(outcomes, dtype=np.uint8)
+    sources = [np.frombuffer(shard_codes, dtype=np.uint8) for shard_codes in codes]
+    taken = [0] * len(sources)
+    done = 0
+    for chunk in workload.requests.chunks():
+        owners = owner.take(chunk["server_id"])
+        rows = merged[done : done + len(chunk)]
+        done += len(chunk)
+        for index, source in enumerate(sources):
+            # Row indices, not a boolean mask: a masked store costs 8x.
+            mine = np.flatnonzero(owners == index)
+            rows[mine] = source[taken[index] : taken[index] + len(mine)]
+            taken[index] += len(mine)
+    return outcomes

@@ -197,6 +197,11 @@ class Simulation:
     proxies).  An armed layer is one object here and its wrappers around
     each proxy's publish and request calls, composed once per run
     (:meth:`_compose`); a disarmed one is absent.
+
+    ``processes > 1`` replays the proxies in that many shards, this
+    process and forked workers (:mod:`repro.system.sharding`), and
+    counts their requests here once; a run with anything that couples
+    the proxies — a layer or an observer — cannot, and is refused.
     """
 
     def __init__(
@@ -208,11 +213,21 @@ class Simulation:
         fault_schedule: Optional[FaultSchedule] = None,
         observer: Optional[Observer] = None,
         neighbor_count: int = 0,
+        processes: int = 1,
     ) -> None:
         if neighbor_count < 0 or neighbor_count % 1:  # nan and inf included
             raise ValueError(
                 f"neighbor_count must be an integer >= 0, got {neighbor_count}"
             )
+        if processes > 1:
+            from repro.system.sharding import shard_eligibility
+
+            reason = shard_eligibility(workload, config, observer)
+            if reason is None and (fault_schedule is not None or neighbor_count):
+                reason = "a fault schedule or cooperating peers couple the proxies"
+            if reason is not None:
+                raise ValueError(f"cannot replay across {processes} processes: {reason}")
+        self._processes = processes
         # Every table below is sized by the workload's pages and proxies
         # and indexed by the ids its events carry.
         workload.check_ids()
@@ -569,7 +584,8 @@ class Simulation:
         policies directly (announced to an observer, if any) or — with a
         layer armed — the calls :meth:`_compose` builds, held only by
         these locals so no reference cycle runs through the instance.
-        Returns each request's outcome code, for :meth:`_count_requests`."""
+        Returns each request's outcome code, for :meth:`_count_requests`;
+        across processes, the shards' codes (:mod:`repro.system.sharding`)."""
         layers = {
             "chaos": self._recovery,
             "delivery": self._delivery,
@@ -582,6 +598,10 @@ class Simulation:
             logger.debug("replay: wrappers (%s)", ", ".join(armed))
         else:
             logger.debug("replay: plain")
+        if self._processes > 1:
+            from repro.system.sharding import replay_sharded
+
+            return replay_sharded(self, self._processes)
         stream = self._records(env)
         if self._obs_on:
             stream = self._observed_stream(stream)
@@ -951,9 +971,8 @@ class Simulation:
             hourly_fetch_bytes=dense_counts(self.publisher.fetch_bytes_by_hour, hour_count),
             per_proxy=[proxy.stats for proxy in self.proxies],
             wall_seconds=wall_seconds,
-            # Summed over proxies in server order — the same expression
-            # a sharded merge evaluates, so the total is bit-identical
-            # across worker counts (float addition is order-sensitive).
+            # Summed over proxies in server order (float addition is
+            # order-sensitive).
             total_response_time=sum(
                 proxy.stats.response_time for proxy in self.proxies
             ),

@@ -212,8 +212,6 @@ class Workload:
     #: match table still alive.  Nothing outside this module reads either.
     _stream_columns: Optional[tuple] = _memo()
     _match_columns: _PerTable = _memo(_PerTable)
-    #: On a shard: unique bytes per server over the whole fleet's trace.
-    _fleet_unique_bytes: Optional[Dict[int, int]] = _memo()
 
     def __post_init__(self) -> None:
         if not isinstance(self.publishes, EventTable):
@@ -227,11 +225,10 @@ class Workload:
 
     def __getstate__(self) -> dict:
         """What a pickle or deep copy carries: the trace with its memos
-        empty, as a ``replace`` copy has them.  A shard keeps the fleet's
-        map, which its own rows cannot rebuild."""
+        empty, as a ``replace`` copy has them."""
         state = dict(self.__dict__)
         for memo in fields(self):
-            if not memo.init and memo.name != "_fleet_unique_bytes":
+            if not memo.init:
                 state[memo.name] = memo.default_factory()
         return state
 
@@ -356,11 +353,8 @@ class Workload:
         quantity (§5.1): distinct *pages* requested at the server,
         weighted by size.  At the paper's parameters this makes caches
         small (a handful of average pages at the 5 % setting), which is
-        consistent with the absolute hit-ratio levels it reports.  A
-        shard answers for the fleet it was cut from.
+        consistent with the absolute hit-ratio levels it reports.
         """
-        if self._fleet_unique_bytes is not None:
-            return dict(self._fleet_unique_bytes)
         sizes = {page.page_id: page.size for page in self.pages}
         unique: Dict[int, int] = {}
         for page_id, server_id in self.pair_counts():
@@ -387,15 +381,12 @@ class Workload:
         """This trace as one shard of the fleet sees it.
 
         Every publish (the publisher's version state stays identical
-        everywhere) and only the requests arriving at ``servers``; the
-        copy carries the fleet's unique-bytes map, because the mean over
-        *all* servers enters the capacity formula and every shard must
-        size every proxy exactly as the whole run does.
+        everywhere) and only the requests arriving at ``servers``.  A
+        shard replays on the whole fleet's proxies
+        (:mod:`repro.system.sharding`), sized from the whole trace.
         """
         rows = self.requests.rows
-        shard = replace(self, requests=rows[np.isin(rows["server_id"], sorted(servers))])
-        shard._fleet_unique_bytes = self.unique_bytes_per_server()
-        return shard
+        return replace(self, requests=rows[np.isin(rows["server_id"], sorted(servers))])
 
     def replay_stream(self, match_table) -> Iterator[tuple]:
         """The static trace in replay order under ``match_table``.

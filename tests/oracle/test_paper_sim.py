@@ -36,16 +36,27 @@ def cell(request, trace_named):
 @pytest.mark.parametrize("capacity", [0.01, 0.05, 0.10])
 @pytest.mark.parametrize("strategy", paper_sim.STRATEGIES)
 def test_simulation_equals_the_paper_reference(cell, strategy, capacity):
+    """At 5 % the cell also replays across two processes, its proxies
+    split between them (``Simulation(processes=2)``)."""
     workload, table, plain = cell
     sized = workload.capacities(capacity)
     expected, pushed = paper_sim.simulate(strategy, capacities=list(sized.values()), **plain)
     for scheme in PushingScheme:
-        config = SimulationConfig(strategy, capacity_fraction=capacity, seed=SEED, pushing=scheme)
-        topology = costs_of(plain["costs"])
-        result = Simulation(workload, config, match_table=table, topology=topology).run()
-        counted = [{f: getattr(stats, f) for f in paper_sim.COUNTERS} for stats in result.per_proxy]
-        assert counted == expected, scheme
-        assert [result.push_transfers, result.push_bytes] == pushed[scheme.value], scheme
+        for processes in (1, 2) if capacity == 0.05 else (1,):
+            config = SimulationConfig(
+                strategy, capacity_fraction=capacity, seed=SEED, pushing=scheme
+            )
+            topology = costs_of(plain["costs"])
+            result = Simulation(
+                workload, config, match_table=table, topology=topology, processes=processes
+            ).run()
+            counted = [
+                {f: getattr(stats, f) for f in paper_sim.COUNTERS} for stats in result.per_proxy
+            ]
+            assert counted == expected, (scheme, processes)
+            assert [result.push_transfers, result.push_bytes] == pushed[scheme.value], (
+                scheme, processes
+            )
     assert sum(stats["hits"] for stats in expected) > 0
 
 

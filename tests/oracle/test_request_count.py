@@ -7,8 +7,9 @@ request's outcome and the test counts it again, one event at a time,
 with sequential ``+=`` for latency: every per-proxy counter, both hourly
 dicts (keys ascending), the result's hourly series and ``response_time``
 must agree exactly, from memory and from a spool read two rows a chunk
-— for a plain run, an observed one, and each layer at the limit where it
-changes nothing (``test_metamorphic.VANILLA_LIMITS``).
+— for a plain run, an observed one, one sharded across two processes,
+and each layer at the limit where it changes nothing
+(``test_metamorphic.VANILLA_LIMITS``).
 """
 
 import dataclasses
@@ -19,6 +20,7 @@ import pytest
 from repro.obs import EventTracer, MetricsRegistry, Observer, TimeSeriesCollector
 from repro.pubsub.matching import TraceMatchCounts
 from repro.system.config import HIT_LATENCY, PER_HOP_LATENCY, SimulationConfig
+from repro.system.sharding import plan_shards
 from repro.system.simulator import Simulation
 from repro.workload import streaming
 from repro.workload.config import WorkloadConfig
@@ -131,10 +133,12 @@ def clamped(by_hour, hour_count):
     return series
 
 
-def assert_counts_as_the_recount(strategy, spill, transform=None, observer=None, **layers):
+def assert_counts_as_the_recount(
+    strategy, spill, transform=None, observer=None, processes=1, **layers
+):
     """Replay the hand-built trace (through ``transform``, with
-    ``observer`` and ``layers`` armed) and hold its count to
-    :func:`recount`."""
+    ``observer`` and ``layers`` armed, across ``processes``) and hold its
+    count to :func:`recount`."""
     workload = hand_built()
     config = SimulationConfig(strategy, capacity_fraction=0.6, **layers)
     capacities = workload.capacities(config.capacity_fraction)
@@ -145,7 +149,7 @@ def assert_counts_as_the_recount(strategy, spill, transform=None, observer=None,
         workload = spooled(workload)
     simulation = Simulation(
         workload, config, match_table=TraceMatchCounts(MATCHES), topology=costs_of(COSTS),
-        observer=observer,
+        observer=observer, processes=processes,
     )
     result = simulation.run()
 
@@ -186,6 +190,22 @@ def assert_counts_as_the_recount(strategy, spill, transform=None, observer=None,
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_plain_count_equals_a_per_event_recount(strategy, spill):
     assert_counts_as_the_recount(strategy, spill)
+
+
+@pytest.mark.parametrize("spill", [False, True], ids=["memory", "spool"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_sharded_count_equals_a_per_event_recount(strategy, spill):
+    """Two processes, one count: the rows at and past 4 * HOUR, the edge
+    hours, fall to different shards."""
+    owner = {
+        server: index
+        for index, shard in enumerate(plan_shards(hand_built(), 2))
+        for server in shard
+    }
+    edge = {owner[proxy] for at, proxy, _ in REQUESTS if at == 4 * HOUR}
+    past = {owner[proxy] for at, proxy, _ in REQUESTS if at > 4 * HOUR}
+    assert edge == past == {0, 1}
+    assert_counts_as_the_recount(strategy, spill, processes=2)
 
 
 @pytest.mark.parametrize("spill", [False, True], ids=["memory", "spool"])

@@ -23,15 +23,15 @@ from repro.experiments.spec import CellKey
 from repro.faults.spec import ChaosSpec, OverloadSpec
 from repro.obs.recorder import Observer
 from repro.system.config import PushingScheme, SimulationConfig
+from repro.sim.rng import RandomStreams
 from repro.system.sharding import (
     RemoteTraceback,
     fork_map,
-    merge_shard_results,
     plan_shards,
-    run_sharded,
     shard_eligibility,
 )
 from repro.system.simulator import Simulation
+from repro.workload.churn import ChurnSpec
 from repro.workload.presets import make_trace
 from repro.workload.streaming import make_streaming_trace
 
@@ -56,7 +56,7 @@ def test_sharded_equals_single(trace, strategy, pushing):
     config = SimulationConfig(strategy=strategy, pushing=pushing, seed=9)
     single = _strip(Simulation(trace, config).run())
     for processes in (2, 4):
-        sharded = run_sharded(trace, config, processes)
+        sharded = Simulation(trace, config, processes=processes).run()
         assert _strip(sharded) == single
 
 
@@ -65,7 +65,7 @@ def test_sharded_streaming_equals_single(trace):
     single = _strip(Simulation(trace, config).run())
     streaming = make_streaming_trace("news", scale=0.04, seed=9)
     try:
-        sharded = run_sharded(streaming, config, 2)
+        sharded = Simulation(streaming, config, processes=2).run()
         assert _strip(sharded) == single
     finally:
         streaming.spool.close()
@@ -73,7 +73,7 @@ def test_sharded_streaming_equals_single(trace):
 
 def test_workers_one_is_the_plain_simulation(trace):
     config = SimulationConfig(seed=9)
-    assert _strip(run_sharded(trace, config, 1)) == _strip(
+    assert _strip(Simulation(trace, config, processes=1).run()) == _strip(
         Simulation(trace, config).run()
     )
 
@@ -94,6 +94,25 @@ def test_eligibility_declines_cross_shard_state(trace):
     )
 
 
+@pytest.mark.parametrize("coupling", ["fault", "overload", "churn", "observer"])
+def test_a_sharded_run_refuses_what_couples_its_proxies(trace, coupling):
+    """Each of :func:`shard_eligibility`'s reasons ends a two-process
+    run in one ``ValueError`` naming it, from the constructor: before any
+    fork."""
+    config = SimulationConfig(seed=9)
+    observer = None
+    if coupling == "fault":
+        config = dataclasses.replace(config, chaos=ChaosSpec(proxy_mtbf=4 * 3600.0))
+    elif coupling == "overload":
+        config = dataclasses.replace(config, overload=OverloadSpec(service_rate=5.0))
+    elif coupling == "churn":
+        trace = trace.with_churn(ChurnSpec(), RandomStreams(9).stream("workload.churn"))
+    else:
+        observer = Observer()
+    with pytest.raises(ValueError, match=f"cannot replay across 2 processes: .*{coupling}"):
+        Simulation(trace, config, observer=observer, processes=2)
+
+
 def test_chaos_config_falls_back_to_single_process(monkeypatch):
     """A chaos cell on two CPUs, above the request floor, replays as it
     does on one."""
@@ -109,7 +128,7 @@ def test_chaos_config_falls_back_to_single_process(monkeypatch):
     assert _strip(sharded) == _strip(single)
 
 
-# -- planning and merging units ----------------------------------------------
+# -- planning units ----------------------------------------------
 
 
 def test_plan_shards_balances_and_is_deterministic():
@@ -129,16 +148,6 @@ def test_plan_shards_never_exceeds_servers(trace):
     assert len(shards) <= trace.config.server_count
     flat = sorted(server for shard in shards for server in shard)
     assert flat == list(range(trace.config.server_count))
-
-
-def test_merge_rejects_mismatched_metadata(trace):
-    config = SimulationConfig(seed=9)
-    result = Simulation(trace, config).run()
-    other = dataclasses.replace(result, strategy="sub")
-    with pytest.raises(ValueError, match="disagree"):
-        merge_shard_results(
-            [result, other], [[0], [1]], trace.config.server_count, 0.0
-        )
 
 
 #: ``run`` of a cell sharded across 2 processes (two usable CPUs, a

@@ -278,7 +278,6 @@ def test_a_memoised_workload_pickles_without_its_memo(news):
         assert clone._stream_columns is None and clone._match_columns == {}
         assert clone._pair_counts is None
         assert digest(Simulation(clone, CONFIG).run()) == digest(result)
-    # What a shard knows of its fleet is not a memo of its own rows.
     assert pickle.loads(pickle.dumps(shard)).capacities(0.05) == shard.capacities(0.05)
     assert len(pickle.dumps(workload)) < 1.1 * len(pickle.dumps(dataclasses.replace(news)))
 
